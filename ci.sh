@@ -50,6 +50,14 @@ echo "==> urb-chaos netstate campaign: state-plane & network faults, session-int
 cargo run --release -q -p bench --bin urb-chaos -- netstate \
   --seed 7 --runs "${NETSTATE_RUNS:-100}" --strict --json
 
+echo "==> urbmark: the benchmark's frozen public surface compiles, its package tests and the quick report's gates pass"
+# benchmark/ is a package of its own (outside the workspace), so nothing
+# above compiles it: a PR that renames a function it calls, or changes
+# what a seed simulates, would otherwise be caught only by the next
+# person to run the report.
+cargo test --manifest-path benchmark/Cargo.toml --offline --target-dir target/benchmark -q
+CARGO_TARGET_DIR=target/benchmark benchmark/run.sh --quick > /dev/null
+
 echo "==> perf trajectory: regenerate repo-root BENCH_*.json"
 cargo run --release -q -p bench --bin exp_parallel_recovery > /dev/null
 cargo run --release -q -p bench --bin urb-bench -- \

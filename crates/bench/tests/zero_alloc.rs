@@ -9,18 +9,32 @@
 //! per-event path fails it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bench::kernel::{self, BenchWorld, ChainEvent};
 use simcore::{EventQueue, QuantileSketch};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread, because the test
+    /// harness runs tests (and prints their results) on other threads of
+    /// the same process while a test is counting.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation; a thread being torn down no longer counts.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -29,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -48,12 +62,12 @@ fn warm_arena_kernel_allocates_nothing_per_event() {
         queue.step(&mut world);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let fired_before = world.fired;
     while world.fired < fired_before + 100_000 {
         queue.step(&mut world);
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocs() - before;
 
     assert_eq!(
         allocs,
@@ -77,12 +91,12 @@ fn warm_sketch_observe_allocates_nothing() {
         sketch.observe(v * 37 + 1);
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for v in 0..100_000u64 {
         // Spread over several decades so every bucket stratum is hit.
         sketch.observe((v * 101) % 10_000_000 + v % 97 + 1);
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocs() - before;
     let observed = sketch.quantile(0.95);
 
     assert_eq!(

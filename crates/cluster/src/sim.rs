@@ -491,7 +491,12 @@ impl World {
         }
     }
 
-    fn schedule_deliveries(&mut self, node: usize, responses: Vec<Response>, q: &mut SimQueue) {
+    fn schedule_deliveries(
+        &mut self,
+        node: usize,
+        responses: impl IntoIterator<Item = Response>,
+        q: &mut SimQueue,
+    ) {
         for resp in responses {
             // The response half of the LB↔node wire shim: an armed fault
             // may lose the response (the client times out), delay it, or
@@ -550,7 +555,7 @@ impl World {
         }
         // urb-lint: allow(S004) — the LB's routing decision is the cluster's one sanctioned cross-node entry; under the sharded kernel (ROADMAP item 1) this submit becomes a shard-targeted event send.
         match self.nodes[node].submit(out.req, now) {
-            SubmitOutcome::Rejected(resp) => self.schedule_deliveries(node, vec![resp], q),
+            SubmitOutcome::Rejected(resp) => self.schedule_deliveries(node, Some(resp), q),
             SubmitOutcome::Admitted => self.pump_node(node, q),
         }
     }
@@ -559,7 +564,7 @@ impl World {
     fn on_submit_delayed(&mut self, node: usize, req: Request, q: &mut SimQueue) {
         let now = q.now();
         match self.nodes[node].submit(req, now) {
-            SubmitOutcome::Rejected(resp) => self.schedule_deliveries(node, vec![resp], q),
+            SubmitOutcome::Rejected(resp) => self.schedule_deliveries(node, Some(resp), q),
             SubmitOutcome::Admitted => self.pump_node(node, q),
         }
     }
@@ -585,7 +590,7 @@ impl World {
     fn on_complete(&mut self, node: usize, rid: ReqId, q: &mut SimQueue) {
         let now = q.now();
         if let Some(resp) = self.nodes[node].complete(rid, now) {
-            self.schedule_deliveries(node, vec![resp], q);
+            self.schedule_deliveries(node, Some(resp), q);
         }
         self.pump_node(node, q);
     }

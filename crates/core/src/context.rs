@@ -14,9 +14,9 @@ use components::container::{InstanceOutcome, TxnAttr};
 use components::descriptor::{ComponentId, ComponentKind};
 use components::registry::Resolved;
 use simcore::{SimDuration, SimTime};
-use statestore::db::Row;
+use statestore::db::{Row, ScanHits};
 use statestore::session::{SessionId, SessionObject, StoreError};
-use statestore::{TxnId, Value};
+use statestore::{DbError, TxnId, Value};
 
 use crate::app::CallError;
 use crate::calib;
@@ -307,50 +307,54 @@ impl<'a> CallContext<'a> {
     /// Reads a row; `None` if absent.
     pub fn db_read(&mut self, table: &str, pk: i64) -> Result<Option<Row>, CallError> {
         self.cpu += calib::DB_READ_COST;
-        let txn = self.txn;
-        let result = {
-            let mut db = self.inner.db.borrow_mut();
-            let tainted = db.is_tainted(table, pk);
-            let r = match txn {
-                Some(t) => db.read(t, table, pk),
-                None => db.read_committed(table, pk),
-            };
-            (r, tainted)
-        };
-        if result.1 {
-            self.tainted = true;
+        let read = self
+            .inner
+            .db
+            .borrow_mut()
+            .read_with_taint(self.txn, table, pk);
+        match read {
+            Ok((row, tainted)) => {
+                self.tainted |= tainted;
+                Ok(row)
+            }
+            Err(_) => Err(self.exception(None)),
         }
-        result.0.map_err(|_| self.exception(None))
     }
 
-    /// Scans a table (read-only), marking taint if any returned row is
-    /// corrupted.
-    pub fn db_scan(
+    /// Queries the rows of `table` whose `column` holds the integer
+    /// `value`, first `limit` in primary-key order (read-only), marking
+    /// taint if any matched row is corrupted.
+    pub fn db_scan_eq(
         &mut self,
         table: &str,
-        filter: impl Fn(&Row) -> bool,
+        column: usize,
+        value: i64,
         limit: usize,
-    ) -> Result<Vec<Row>, CallError> {
+    ) -> Result<ScanHits, CallError> {
+        let hits = self
+            .inner
+            .db
+            .borrow_mut()
+            .scan_eq(table, column, value, limit, |_| {});
+        self.scanned(hits)
+    }
+
+    /// Queries the first `limit` rows of `table` in primary-key order
+    /// (read-only), marking taint if any of them is corrupted.
+    pub fn db_scan_all(&mut self, table: &str, limit: usize) -> Result<ScanHits, CallError> {
+        let hits = self.inner.db.borrow_mut().scan_all(table, limit, |_| {});
+        self.scanned(hits)
+    }
+
+    fn scanned(&mut self, hits: Result<ScanHits, DbError>) -> Result<ScanHits, CallError> {
         self.cpu += calib::DB_SCAN_COST;
-        let (rows, tainted) = {
-            let mut db = self.inner.db.borrow_mut();
-            let rows = db.scan(table, filter, limit);
-            match rows {
-                Ok(rows) => {
-                    let tainted = rows.iter().any(|r| {
-                        r[0].as_int()
-                            .map(|pk| db.is_tainted(table, pk))
-                            .unwrap_or(false)
-                    });
-                    (Ok(rows), tainted)
-                }
-                Err(e) => (Err(e), false),
+        match hits {
+            Ok(hits) => {
+                self.tainted |= hits.tainted;
+                Ok(hits)
             }
-        };
-        if tainted {
-            self.tainted = true;
+            Err(_) => Err(self.exception(None)),
         }
-        rows.map_err(|_| self.exception(None))
     }
 
     /// Returns the largest primary key in `table`.
@@ -430,8 +434,7 @@ impl<'a> CallContext<'a> {
         pk: i64,
         updates: &[(usize, Value)],
     ) -> Result<(), CallError> {
-        let updates = updates.to_vec();
-        let r = self.db_write(move |db, t| db.update(t, table, pk, &updates));
+        let r = self.db_write(|db, t| db.update(t, table, pk, updates));
         if r.is_ok() {
             self.note_autocommit(table, pk);
         }
@@ -464,11 +467,7 @@ impl<'a> CallContext<'a> {
             Some(pk) => pk,
             None => return Err(self.exception(None)),
         };
-        let exists = {
-            let db = self.inner.db.borrow();
-            db.read_committed(table, pk).ok().flatten().is_some()
-        };
-        if !exists {
+        if !self.inner.db.borrow().contains(table, pk) {
             self.db_insert(table, row)?;
             return Ok(false);
         }
@@ -504,41 +503,37 @@ impl<'a> CallContext<'a> {
     /// touched its session pays one write-back at request end (the SSM
     /// checkpoint pattern), accounted by the server.
     pub fn session_read(&mut self) -> Result<Option<SessionObject>, CallError> {
+        Ok(self.load_session()?.cloned())
+    }
+
+    /// Returns whether the client has a usable session — what
+    /// `session_read()?.is_some()` answers, at the same charge, without
+    /// copying the object.
+    pub fn session_present(&mut self) -> Result<bool, CallError> {
+        Ok(self.load_session()?.is_some())
+    }
+
+    /// Loads the session into the per-request cache on first touch.
+    fn load_session(&mut self) -> Result<Option<&SessionObject>, CallError> {
         let Some(sid) = self.session else {
             return Ok(None);
         };
-        if let Some(cached) = &self.session_cache {
-            let cached = cached.clone();
-            if let Some(obj) = &cached {
-                if obj.is_tainted() {
-                    self.tainted = true;
+        if self.session_cache.is_none() {
+            self.charge_session_access();
+            self.session_accessed = true;
+            let loaded = match self.inner.session.read(sid) {
+                Ok(obj) => obj,
+                Err(StoreError::CorruptDiscarded(_)) => None,
+                Err(StoreError::Unavailable) => {
+                    self.markers.store_error = true;
+                    return Err(self.exception(None));
                 }
-            }
-            return Ok(cached);
+            };
+            self.session_cache = Some(loaded);
         }
-        self.charge_session_access();
-        self.session_accessed = true;
-        match self.inner.session.read(sid) {
-            Ok(Some(obj)) => {
-                if obj.is_tainted() {
-                    self.tainted = true;
-                }
-                self.session_cache = Some(Some(obj.clone()));
-                Ok(Some(obj))
-            }
-            Ok(None) => {
-                self.session_cache = Some(None);
-                Ok(None)
-            }
-            Err(StoreError::CorruptDiscarded(_)) => {
-                self.session_cache = Some(None);
-                Ok(None)
-            }
-            Err(StoreError::Unavailable) => {
-                self.markers.store_error = true;
-                Err(self.exception(None))
-            }
-        }
+        let obj = self.session_cache.as_ref().and_then(Option::as_ref);
+        self.tainted |= obj.is_some_and(SessionObject::is_tainted);
+        Ok(obj)
     }
 
     /// Writes the client's session object.

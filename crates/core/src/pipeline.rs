@@ -103,9 +103,15 @@ impl RequestPipeline {
         self.workers.admit(req)
     }
 
-    /// Moves queued requests onto free CPUs, returning them for execution.
-    pub(crate) fn start_ready(&mut self) -> Vec<Request> {
-        self.workers.start_ready()
+    /// Returns how many queued requests the free CPUs can start now.
+    pub(crate) fn startable(&self) -> usize {
+        self.workers.startable()
+    }
+
+    /// Moves the next queued request onto a free CPU, returning it for
+    /// execution.
+    pub(crate) fn pop_ready(&mut self) -> Option<Request> {
+        self.workers.pop_ready()
     }
 
     /// Registers an executed request whose completion is scheduled.

@@ -660,12 +660,16 @@ impl<A: Application> AppServer<A> {
         }
         let mut started = Vec::new();
         loop {
-            let batch = self.pipeline.start_ready();
-            if batch.is_empty() {
+            // Every free CPU takes a request at the same instant, so each
+            // request of the batch sees the backlog the whole batch leaves.
+            let batch = self.pipeline.startable();
+            if batch == 0 {
                 break;
             }
-            for req in batch {
-                if let Some(s) = self.execute(req, now) {
+            let backlog = self.pipeline.queued() - batch;
+            for _ in 0..batch {
+                let req = self.pipeline.pop_ready().expect("counted startable");
+                if let Some(s) = self.execute(req, now, backlog) {
                     started.push(s);
                 }
             }
@@ -674,7 +678,8 @@ impl<A: Application> AppServer<A> {
     }
 
     /// Runs one request's handler, deciding its fate.
-    fn execute(&mut self, req: Request, now: SimTime) -> Option<Started> {
+    /// `backlog` is the queue depth behind the batch `req` started in.
+    fn execute(&mut self, req: Request, now: SimTime, backlog: usize) -> Option<Started> {
         let web_id = self.inner.web_id;
         // The web tier itself may be microrebooting.
         let web_active = self.inner.containers[web_id.0].is_active();
@@ -712,9 +717,8 @@ impl<A: Application> AppServer<A> {
         // Congestion degradation: a deeply backed-up node burns extra CPU
         // per request (GC pressure, context switching), which is what makes
         // overload collapse super-linear in real servers.
-        let congestion = 1.0
-            + calib::CONGESTION_MAX_FACTOR
-                .min(self.pipeline.queued() as f64 / calib::CONGESTION_QUEUE_SCALE);
+        let congestion =
+            1.0 + calib::CONGESTION_MAX_FACTOR.min(backlog as f64 / calib::CONGESTION_QUEUE_SCALE);
         let base = self.app.base_cost(req.op);
         let AppServer { app, inner, .. } = self;
         let mut ctx = CallContext::new(inner, now, req.session, req.arg);

@@ -59,13 +59,8 @@ impl ToyApp {
     /// Builds a database pre-populated with `n` items valued 0.
     pub fn seeded_db(n: i64) -> Database {
         let mut db = Database::new(Self::schema());
-        let conn = db.open_conn();
-        let txn = db.begin(conn).expect("fresh connection");
-        for i in 1..=n {
-            db.insert(txn, "items", vec![Value::Int(i), Value::Int(0)])
-                .expect("unique ids");
-        }
-        db.commit(txn).expect("seed commit");
+        db.load("items", (1..=n).map(|i| vec![Value::Int(i), Value::Int(0)]))
+            .expect("unique ids");
         db
     }
 }

@@ -100,19 +100,19 @@ impl WorkerPool {
         Ok(())
     }
 
-    /// Starts as many queued requests as free CPUs allow, returning them.
-    pub fn start_ready(&mut self) -> Vec<Request> {
-        let mut started = Vec::new();
-        while self.free_cpus() > 0 {
-            match self.queue.pop_front() {
-                Some(req) => {
-                    self.in_service.push(req.id);
-                    started.push(req);
-                }
-                None => break,
-            }
+    /// Returns how many queued requests the free CPUs can start now.
+    pub fn startable(&self) -> usize {
+        self.free_cpus().min(self.queue.len())
+    }
+
+    /// Starts the next queued request if a CPU is free, returning it.
+    pub fn pop_ready(&mut self) -> Option<Request> {
+        if self.free_cpus() == 0 {
+            return None;
         }
-        started
+        let req = self.queue.pop_front()?;
+        self.in_service.push(req.id);
+        Some(req)
     }
 
     /// Converts an in-service request into a parked (deadlocked) one,
@@ -184,6 +184,11 @@ mod tests {
     use crate::request::OpCode;
     use simcore::SimTime;
 
+    /// Starts as many queued requests as free CPUs allow, counting them.
+    fn start_ready(p: &mut WorkerPool) -> usize {
+        std::iter::from_fn(|| p.pop_ready()).count()
+    }
+
     fn req(id: u64) -> Request {
         Request {
             id: ReqId(id),
@@ -201,13 +206,13 @@ mod tests {
         for i in 0..5 {
             p.admit(req(i)).unwrap();
         }
-        let started = p.start_ready();
-        assert_eq!(started.len(), 2);
+        assert_eq!(p.startable(), 2);
+        assert_eq!(start_ready(&mut p), 2);
         assert_eq!(p.queued(), 3);
         assert_eq!(p.free_cpus(), 0);
         assert!(p.complete(ReqId(0)));
-        let started = p.start_ready();
-        assert_eq!(started.len(), 1);
+        assert_eq!(p.startable(), 1);
+        assert_eq!(start_ready(&mut p), 1);
     }
 
     #[test]
@@ -224,20 +229,20 @@ mod tests {
     fn parked_requests_free_cpu_but_hold_thread() {
         let mut p = WorkerPool::new(1, 5);
         p.admit(req(1)).unwrap();
-        assert_eq!(p.start_ready().len(), 1);
+        assert_eq!(start_ready(&mut p), 1);
         p.park(ReqId(1));
         assert_eq!(p.free_cpus(), 1, "deadlock releases the CPU");
         assert_eq!(p.parked(), 1);
         assert_eq!(p.threads_held(), 1, "but keeps the thread");
         p.admit(req(2)).unwrap();
-        assert_eq!(p.start_ready().len(), 1, "CPU available for new work");
+        assert_eq!(start_ready(&mut p), 1, "CPU available for new work");
     }
 
     #[test]
     fn hogs_hold_cpu_forever() {
         let mut p = WorkerPool::new(2, 10);
         p.admit(req(1)).unwrap();
-        p.start_ready();
+        start_ready(&mut p);
         p.hog(ReqId(1));
         assert_eq!(p.free_cpus(), 1, "loop burns one CPU");
         assert_eq!(p.cpu_hogs(), 1);
@@ -252,7 +257,7 @@ mod tests {
         for i in 0..4 {
             p.admit(req(i)).unwrap();
         }
-        p.start_ready();
+        start_ready(&mut p);
         p.park(ReqId(0));
         assert!(p.kill(ReqId(0)), "parked");
         assert!(p.kill(ReqId(1)), "queued");
@@ -266,7 +271,7 @@ mod tests {
         for i in 0..6 {
             p.admit(req(i)).unwrap();
         }
-        p.start_ready();
+        start_ready(&mut p);
         p.park(ReqId(0));
         let killed = p.kill_all();
         assert_eq!(killed.len(), 6);

@@ -214,7 +214,7 @@ impl Application for EBid {
         if req.session.is_some()
             && req.op != codes::LOGIN
             && req.op != codes::LOGOUT
-            && ctx.session_read()?.is_none()
+            && !ctx.session_present()?
         {
             ctx.mark_login_prompt();
             return Ok(());
@@ -232,13 +232,13 @@ impl Application for EBid {
             // ---- browsing ------------------------------------------------
             codes::BROWSE_CATEGORIES => ctx.call("BrowseCategories", "list", |ctx| {
                 ctx.call("Category", "load", |ctx| {
-                    ctx.db_scan("categories", |_| true, 20)?;
+                    ctx.db_scan_all("categories", 20)?;
                     Ok(())
                 })
             }),
             codes::BROWSE_REGIONS => ctx.call("BrowseRegions", "list", |ctx| {
                 ctx.call("Region", "load", |ctx| {
-                    ctx.db_scan("regions", |_| true, 62)?;
+                    ctx.db_scan_all("regions", 62)?;
                     Ok(())
                 })
             }),
@@ -251,7 +251,7 @@ impl Application for EBid {
                     Ok(())
                 })?;
                 ctx.call("Item", "load", |ctx| {
-                    ctx.db_scan("items", |r| r[3].as_int() == Some(arg), 25)?;
+                    ctx.db_scan_eq("items", 3, arg, 25)?;
                     Ok(())
                 })
             }),
@@ -264,7 +264,7 @@ impl Application for EBid {
                     Ok(())
                 })?;
                 ctx.call("Item", "load", |ctx| {
-                    ctx.db_scan("items", |r| r[4].as_int() == Some(arg), 25)?;
+                    ctx.db_scan_eq("items", 4, arg, 25)?;
                     Ok(())
                 })
             }),
@@ -312,13 +312,13 @@ impl Application for EBid {
                     }
                 })?;
                 ctx.call("UserFeedback", "load", |ctx| {
-                    ctx.db_scan("comments", |r| r[2].as_int() == Some(arg), 10)?;
+                    ctx.db_scan_eq("comments", 2, arg, 10)?;
                     Ok(())
                 })
             }),
             codes::VIEW_BID_HISTORY => ctx.call("ViewBidHistory", "history", |ctx| {
                 ctx.call("Bid", "load", |ctx| {
-                    ctx.db_scan("bids", |r| r[2].as_int() == Some(arg), 20)?;
+                    ctx.db_scan_eq("bids", 2, arg, 20)?;
                     Ok(())
                 })?;
                 ctx.call("Item", "load", |ctx| {
@@ -353,19 +353,19 @@ impl Application for EBid {
                         Ok(())
                     })?;
                     ctx.call("Item", "load", |ctx| {
-                        ctx.db_scan("items", |r| r[2].as_int() == Some(user), 10)?;
+                        ctx.db_scan_eq("items", 2, user, 10)?;
                         Ok(())
                     })?;
                     ctx.call("Bid", "load", |ctx| {
-                        ctx.db_scan("bids", |r| r[1].as_int() == Some(user), 10)?;
+                        ctx.db_scan_eq("bids", 1, user, 10)?;
                         Ok(())
                     })?;
                     ctx.call("BuyNow", "load", |ctx| {
-                        ctx.db_scan("buy_now", |r| r[1].as_int() == Some(user), 10)?;
+                        ctx.db_scan_eq("buy_now", 1, user, 10)?;
                         Ok(())
                     })?;
                     ctx.call("UserFeedback", "load", |ctx| {
-                        ctx.db_scan("comments", |r| r[2].as_int() == Some(user), 10)?;
+                        ctx.db_scan_eq("comments", 2, user, 10)?;
                         Ok(())
                     })
                 })
@@ -374,13 +374,13 @@ impl Application for EBid {
             // ---- search --------------------------------------------------
             codes::SEARCH_BY_CATEGORY => ctx.call("SearchItemsByCategory", "search", |ctx| {
                 ctx.call("Item", "load", |ctx| {
-                    ctx.db_scan("items", |r| r[3].as_int() == Some(arg), 25)?;
+                    ctx.db_scan_eq("items", 3, arg, 25)?;
                     Ok(())
                 })
             }),
             codes::SEARCH_BY_REGION => ctx.call("SearchItemsByRegion", "search", |ctx| {
                 ctx.call("Item", "load", |ctx| {
-                    ctx.db_scan("items", |r| r[4].as_int() == Some(arg), 25)?;
+                    ctx.db_scan_eq("items", 4, arg, 25)?;
                     Ok(())
                 })
             }),

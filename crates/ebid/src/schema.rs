@@ -61,6 +61,35 @@ pub fn schema() -> Vec<TableDef> {
     ]
 }
 
+/// Returns the position of `column` in `table`'s rows.
+///
+/// # Panics
+///
+/// Panics if the schema has no such table or column — a definition bug.
+pub fn column(table: &str, column: &str) -> usize {
+    let schema = schema();
+    let def = schema
+        .iter()
+        .find(|t| t.name == table)
+        .unwrap_or_else(|| panic!("no table {table} in the eBid schema"));
+    def.columns
+        .iter()
+        .position(|c| *c == column)
+        .unwrap_or_else(|| panic!("no column {column} in table {table}"))
+}
+
+/// The `(table, column)` pairs eBid's handlers select on by equality
+/// (`Database::scan_eq`); [`DatasetSpec::generate`] indexes each.
+pub const INDEXES: &[(&str, &str)] = &[
+    ("items", "seller_id"),
+    ("items", "category_id"),
+    ("items", "region_id"),
+    ("bids", "user_id"),
+    ("bids", "item_id"),
+    ("buy_now", "buyer_id"),
+    ("comments", "to_user"),
+];
+
 /// Size parameters for dataset generation.
 #[derive(Clone, Copy, Debug)]
 pub struct DatasetSpec {
@@ -113,48 +142,39 @@ impl DatasetSpec {
         }
     }
 
-    /// Generates a populated database.
+    /// Generates a populated database, with [`INDEXES`] built.
     pub fn generate(&self, seed: u64) -> Database {
         let mut rng = SimRng::seed_from(seed);
         let mut db = Database::new(schema());
-        let conn = db.open_conn();
-        let txn = db.begin(conn).expect("fresh connection");
 
-        for i in 1..=self.categories {
-            db.insert(
-                txn,
-                "categories",
-                vec![Value::Int(i), Value::from(format!("category-{i}"))],
-            )
-            .expect("unique category id");
-        }
-        for i in 1..=self.regions {
-            db.insert(
-                txn,
-                "regions",
-                vec![Value::Int(i), Value::from(format!("region-{i}"))],
-            )
-            .expect("unique region id");
-        }
-        for i in 1..=self.users {
-            db.insert(
-                txn,
-                "users",
+        db.load(
+            "categories",
+            (1..=self.categories)
+                .map(|i| vec![Value::Int(i), Value::from(format!("category-{i}"))]),
+        )
+        .expect("fresh table, distinct ids");
+        db.load(
+            "regions",
+            (1..=self.regions).map(|i| vec![Value::Int(i), Value::from(format!("region-{i}"))]),
+        )
+        .expect("fresh table, distinct ids");
+        db.load(
+            "users",
+            (1..=self.users).map(|i| {
                 vec![
                     Value::Int(i),
                     Value::from(format!("user-{i}")),
                     Value::Int(rng.uniform_u64(50) as i64),
                     Value::Int(rng.uniform_u64(100_000) as i64),
                     Value::Int(1 + rng.uniform_u64(self.regions as u64) as i64),
-                ],
-            )
-            .expect("unique user id");
-        }
-        for i in 1..=self.items {
-            let start = 100 + rng.uniform_u64(10_000) as i64;
-            db.insert(
-                txn,
-                "items",
+                ]
+            }),
+        )
+        .expect("fresh table, distinct ids");
+        db.load(
+            "items",
+            (1..=self.items).map(|i| {
+                let start = 100 + rng.uniform_u64(10_000) as i64;
                 vec![
                     Value::Int(i),
                     Value::from(format!("item-{i}")),
@@ -165,64 +185,64 @@ impl DatasetSpec {
                     Value::Float(start as f64),
                     Value::Int(0),
                     Value::Float((start * 3) as f64),
-                ],
-            )
-            .expect("unique item id");
-        }
-        for i in 1..=self.old_items {
-            db.insert(
-                txn,
-                "old_items",
+                ]
+            }),
+        )
+        .expect("fresh table, distinct ids");
+        db.load(
+            "old_items",
+            (1..=self.old_items).map(|i| {
                 vec![
                     Value::Int(i),
                     Value::from(format!("old-item-{i}")),
                     Value::Int(1 + rng.uniform_u64(self.users as u64) as i64),
                     Value::Float(100.0 + rng.uniform_u64(20_000) as f64),
-                ],
-            )
-            .expect("unique old item id");
-        }
-        for i in 1..=self.bids {
-            db.insert(
-                txn,
-                "bids",
+                ]
+            }),
+        )
+        .expect("fresh table, distinct ids");
+        db.load(
+            "bids",
+            (1..=self.bids).map(|i| {
                 vec![
                     Value::Int(i),
                     Value::Int(1 + rng.uniform_u64(self.users as u64) as i64),
                     Value::Int(1 + rng.uniform_u64(self.items as u64) as i64),
                     Value::Float(100.0 + rng.uniform_u64(10_000) as f64),
-                ],
-            )
-            .expect("unique bid id");
-        }
-        for i in 1..=self.buys {
-            db.insert(
-                txn,
-                "buy_now",
+                ]
+            }),
+        )
+        .expect("fresh table, distinct ids");
+        db.load(
+            "buy_now",
+            (1..=self.buys).map(|i| {
                 vec![
                     Value::Int(i),
                     Value::Int(1 + rng.uniform_u64(self.users as u64) as i64),
                     Value::Int(1 + rng.uniform_u64(self.items as u64) as i64),
                     Value::Int(1),
-                ],
-            )
-            .expect("unique buy id");
-        }
-        for i in 1..=self.comments {
-            db.insert(
-                txn,
-                "comments",
+                ]
+            }),
+        )
+        .expect("fresh table, distinct ids");
+        db.load(
+            "comments",
+            (1..=self.comments).map(|i| {
                 vec![
                     Value::Int(i),
                     Value::Int(1 + rng.uniform_u64(self.users as u64) as i64),
                     Value::Int(1 + rng.uniform_u64(self.users as u64) as i64),
                     Value::Int(rng.uniform_u64(6) as i64),
                     Value::Int(rng.uniform_u64(500) as i64),
-                ],
-            )
-            .expect("unique comment id");
+                ]
+            }),
+        )
+        .expect("fresh table, distinct ids");
+
+        for (table, name) in INDEXES {
+            db.create_index(table, column(table, name))
+                .expect("column taken from the schema");
         }
-        db.commit(txn).expect("dataset commit");
         db
     }
 }

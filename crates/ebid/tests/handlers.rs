@@ -261,3 +261,107 @@ fn corrupted_db_rows_taint_reads_until_repair() {
     assert_eq!(r.status, Status::Ok);
     assert!(!r.tainted);
 }
+
+/// Every equality query `app.rs` issues — `(table, column, row limit)` —
+/// and the largest value its argument takes on the dataset.
+fn query_shapes(spec: &DatasetSpec) -> [(&'static str, &'static str, usize, i64); 7] {
+    [
+        ("items", "category_id", 25, spec.categories),
+        ("items", "region_id", 25, spec.regions),
+        ("items", "seller_id", 10, spec.users),
+        ("bids", "item_id", 20, spec.items),
+        ("bids", "user_id", 10, spec.users),
+        ("buy_now", "buyer_id", 10, spec.users),
+        ("comments", "to_user", 10, spec.users),
+    ]
+}
+
+/// Asserts every query shape, for every argument value (and one past
+/// each end), visits what the full-scan reference returns.
+fn assert_queries_match_full_scan(db: &mut statestore::Database, spec: &DatasetSpec) {
+    for (table, column, limit, max) in query_shapes(spec) {
+        let col = ebid::schema::column(table, column);
+        for v in 0..=max + 1 {
+            let expected = db
+                .scan(table, |r| r[col].as_int() == Some(v), limit)
+                .unwrap();
+            let mut seen = Vec::new();
+            let hits = db
+                .scan_eq(table, col, v, limit, |r| seen.push(r.clone()))
+                .unwrap();
+            assert_eq!(seen, expected, "{table}.{column} = {v}");
+            assert_eq!(hits.rows, expected.len());
+        }
+    }
+    for (table, limit) in [("categories", 20), ("regions", 62)] {
+        let mut seen = Vec::new();
+        db.scan_all(table, limit, |r| seen.push(r.clone())).unwrap();
+        assert_eq!(seen, db.scan(table, |_| true, limit).unwrap());
+    }
+}
+
+#[test]
+fn indexed_queries_match_the_full_scan_on_the_default_dataset() {
+    let spec = DatasetSpec::default();
+    for (table, column, ..) in query_shapes(&spec) {
+        assert!(
+            ebid::schema::INDEXES.contains(&(table, column)),
+            "{table}.{column} is queried by equality but not indexed"
+        );
+    }
+    let mut db = spec.generate(7);
+    db.check_indexes().unwrap();
+    assert_queries_match_full_scan(&mut db, &spec);
+
+    // Queries see a transaction's in-place writes before it commits, and
+    // stop seeing them when it rolls back.
+    let conn = db.open_conn();
+    let txn = db.begin(conn).unwrap();
+    let bid = db.max_pk("bids").unwrap().unwrap() + 1;
+    db.insert(
+        txn,
+        "bids",
+        vec![
+            Value::Int(bid),
+            Value::Int(1),
+            Value::Int(1),
+            Value::Float(1.0),
+        ],
+    )
+    .unwrap();
+    db.update(txn, "items", 1, &[(3, Value::Int(spec.categories))])
+        .unwrap();
+    db.delete(txn, "comments", 1).unwrap();
+    let item_col = ebid::schema::column("bids", "item_id");
+    let mut newest = 0;
+    db.scan_eq("bids", item_col, 1, usize::MAX, |r| {
+        newest = r[0].as_int().unwrap()
+    })
+    .unwrap();
+    assert_eq!(newest, bid, "the uncommitted bid is the last hit");
+    assert_queries_match_full_scan(&mut db, &spec);
+    db.rollback(txn).unwrap();
+    db.check_indexes().unwrap();
+    assert_queries_match_full_scan(&mut db, &spec);
+}
+
+#[test]
+fn a_tainted_query_hit_taints_the_response() {
+    let mut d = Driver::new();
+    let db = d.srv.db();
+    // Corrupt a cell of bid 1 that no handler looks at.
+    let item = db.borrow().read_committed("bids", 1).unwrap().unwrap()[2]
+        .as_int()
+        .unwrap();
+    let other = if item == 1 { 2 } else { 1 };
+    db.borrow_mut()
+        .corrupt_cell("bids", 1, 3, Value::Float(-1.0))
+        .unwrap();
+    let r = d.run(codes::VIEW_BID_HISTORY, None, item);
+    assert_eq!(r.status, Status::Ok);
+    assert!(r.tainted, "the history of item {item} includes the bad bid");
+    let r = d.run(codes::VIEW_BID_HISTORY, None, other);
+    assert!(!r.tainted, "another item's history does not");
+    db.borrow_mut().repair();
+    assert!(!d.run(codes::VIEW_BID_HISTORY, None, item).tainted);
+}

@@ -22,8 +22,12 @@
 //! This module implements exactly that contract with an undo-log design:
 //! writes apply in place and append compensation records; commit discards
 //! the log, abort replays it backwards.
+//!
+//! Equality queries ([`Database::scan_eq`]) are answered from secondary
+//! indexes ([`Database::create_index`]) and visit rows by reference, so a
+//! query costs the host O(matches), not O(table).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use simcore::SimDuration;
@@ -134,6 +138,106 @@ struct Table {
     /// Pre-corruption images of tainted rows, keyed by pk; presence marks
     /// the row as corrupted by out-of-band injection.
     tainted: BTreeMap<i64, Row>,
+    /// Secondary indexes: per indexed column, the `(cell, pk)` pairs of
+    /// every row whose cell in that column is an integer. A `Null`, float
+    /// or text cell is not indexed — it equals no integer.
+    indexes: Vec<(usize, BTreeSet<(i64, i64)>)>,
+}
+
+impl Table {
+    /// Installs `new` as the image of row `pk` (`None` removes the row) and
+    /// returns the previous image.
+    ///
+    /// Every change to a row image — transactional write, undo replay,
+    /// bulk load, injected corruption, repair — goes through here, which
+    /// is what keeps the indexes equal to the rows.
+    fn replace(&mut self, pk: i64, new: Option<Row>) -> Option<Row> {
+        if !self.indexes.is_empty() {
+            let old = self.rows.get(&pk);
+            for (col, index) in &mut self.indexes {
+                let was = old.and_then(|r| r[*col].as_int());
+                let is = new.as_ref().and_then(|r| r[*col].as_int());
+                if was != is {
+                    if let Some(v) = was {
+                        index.remove(&(v, pk));
+                    }
+                    if let Some(v) = is {
+                        index.insert((v, pk));
+                    }
+                }
+            }
+        }
+        match new {
+            Some(row) => self.rows.insert(pk, row),
+            None => self.rows.remove(&pk),
+        }
+    }
+
+    /// Computes what an index on `column` must hold, from the rows.
+    fn index_entries(&self, column: usize) -> BTreeSet<(i64, i64)> {
+        self.rows
+            .iter()
+            .filter_map(|(pk, r)| r[column].as_int().map(|v| (v, *pk)))
+            .collect()
+    }
+
+    /// Checks a row offered for insertion, returning its primary key.
+    fn admit(&self, row: &Row) -> Result<i64, DbError> {
+        let table = self.def.name;
+        let expected = self.def.columns.len();
+        if row.len() != expected {
+            return Err(DbError::ArityMismatch {
+                table: table.to_string(),
+                expected,
+                got: row.len(),
+            });
+        }
+        let pk = row[0].as_int().ok_or(DbError::NullKey {
+            table: table.to_string(),
+        })?;
+        if self.rows.contains_key(&pk) {
+            return Err(DbError::DuplicateKey {
+                table: table.to_string(),
+                pk,
+            });
+        }
+        Ok(pk)
+    }
+
+    fn check_column(&self, column: usize) -> Result<(), DbError> {
+        if column < self.def.columns.len() {
+            Ok(())
+        } else {
+            Err(DbError::NoSuchColumn {
+                table: self.def.name.to_string(),
+                column,
+            })
+        }
+    }
+
+    /// Visits `hits` in order, noting whether any of them is tainted.
+    fn visit<'a>(
+        &'a self,
+        hits: impl Iterator<Item = (i64, &'a Row)>,
+        mut visit: impl FnMut(&Row),
+    ) -> ScanHits {
+        let mut out = ScanHits::default();
+        for (pk, row) in hits {
+            out.rows += 1;
+            out.tainted |= self.tainted.contains_key(&pk);
+            visit(row);
+        }
+        out
+    }
+}
+
+/// What a [`Database::scan_eq`] / [`Database::scan_all`] query matched.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ScanHits {
+    /// Rows visited.
+    pub rows: usize,
+    /// Whether any visited row is marked corrupted by injection.
+    pub tainted: bool,
 }
 
 enum Undo {
@@ -212,6 +316,7 @@ impl Database {
                 def,
                 rows: BTreeMap::new(),
                 tainted: BTreeMap::new(),
+                indexes: Vec::new(),
             });
         }
         Database {
@@ -359,10 +464,10 @@ impl Database {
         for undo in t.undo.into_iter().rev() {
             match undo {
                 Undo::Insert { table, pk } => {
-                    self.tables[table].rows.remove(&pk);
+                    self.tables[table].replace(pk, None);
                 }
                 Undo::Update { table, pk, old } | Undo::Delete { table, pk, old } => {
-                    self.tables[table].rows.insert(pk, old);
+                    self.tables[table].replace(pk, Some(old));
                 }
             }
         }
@@ -394,25 +499,9 @@ impl Database {
     /// Inserts a full row; column 0 is the primary key.
     pub fn insert(&mut self, txn: TxnId, table: &str, row: Row) -> Result<(), DbError> {
         let ti = self.table_idx(table)?;
-        let expected = self.tables[ti].def.columns.len();
-        if row.len() != expected {
-            return Err(DbError::ArityMismatch {
-                table: table.to_string(),
-                expected,
-                got: row.len(),
-            });
-        }
-        let pk = row[0].as_int().ok_or(DbError::NullKey {
-            table: table.to_string(),
-        })?;
-        if self.tables[ti].rows.contains_key(&pk) {
-            return Err(DbError::DuplicateKey {
-                table: table.to_string(),
-                pk,
-            });
-        }
+        let pk = self.tables[ti].admit(&row)?;
         self.lock(txn, ti, pk)?;
-        self.tables[ti].rows.insert(pk, row);
+        self.tables[ti].replace(pk, Some(row));
         self.txns
             .get_mut(&txn.0)
             .ok_or(DbError::NoSuchTxn)?
@@ -424,16 +513,38 @@ impl Database {
 
     /// Reads a row inside a transaction (sees in-place uncommitted state).
     pub fn read(&mut self, txn: TxnId, table: &str, pk: i64) -> Result<Option<Row>, DbError> {
-        if !self.txns.contains_key(&txn.0) {
-            return Err(DbError::NoSuchTxn);
-        }
-        self.stats.reads += 1;
-        Ok(self.table(table)?.rows.get(&pk).cloned())
+        Ok(self.read_with_taint(Some(txn), table, pk)?.0)
     }
 
     /// Reads a committed row without a transaction (read-only access path).
     pub fn read_committed(&self, table: &str, pk: i64) -> Result<Option<Row>, DbError> {
         Ok(self.table(table)?.rows.get(&pk).cloned())
+    }
+
+    /// Reads a row — through `txn` as [`Database::read`] does, or without
+    /// one as [`Database::read_committed`] does — together with whether it
+    /// is tainted (see [`Database::is_tainted`]), in one table lookup.
+    pub fn read_with_taint(
+        &mut self,
+        txn: Option<TxnId>,
+        table: &str,
+        pk: i64,
+    ) -> Result<(Option<Row>, bool), DbError> {
+        if let Some(txn) = txn {
+            if !self.txns.contains_key(&txn.0) {
+                return Err(DbError::NoSuchTxn);
+            }
+            self.stats.reads += 1;
+        }
+        let t = self.table(table)?;
+        Ok((t.rows.get(&pk).cloned(), t.tainted.contains_key(&pk)))
+    }
+
+    /// Returns true if `table` exists and holds a row with key `pk`.
+    pub fn contains(&self, table: &str, pk: i64) -> bool {
+        self.table(table)
+            .map(|t| t.rows.contains_key(&pk))
+            .unwrap_or(false)
     }
 
     /// Updates the given `(column, value)` pairs of a row.
@@ -461,14 +572,13 @@ impl Database {
             });
         }
         self.lock(txn, ti, pk)?;
-        let row = self.tables[ti]
-            .rows
-            .get_mut(&pk)
-            .expect("existence checked above");
-        let old = row.clone();
+        let mut row = self.tables[ti].rows[&pk].clone();
         for (col, v) in updates {
             row[*col] = v.clone();
         }
+        let old = self.tables[ti]
+            .replace(pk, Some(row))
+            .expect("existence checked above");
         self.txns
             .get_mut(&txn.0)
             .ok_or(DbError::NoSuchTxn)?
@@ -489,8 +599,7 @@ impl Database {
         }
         self.lock(txn, ti, pk)?;
         let old = self.tables[ti]
-            .rows
-            .remove(&pk)
+            .replace(pk, None)
             .expect("existence checked above");
         self.txns
             .get_mut(&txn.0)
@@ -503,6 +612,10 @@ impl Database {
 
     /// Scans a table in primary-key order, returning rows matching `filter`
     /// up to `limit`.
+    ///
+    /// This walks the whole table and copies every hit. It is the reference
+    /// the indexed queries are tested against; the request path uses
+    /// [`Database::scan_eq`] and [`Database::scan_all`].
     pub fn scan<F>(&mut self, table: &str, filter: F, limit: usize) -> Result<Vec<Row>, DbError>
     where
         F: Fn(&Row) -> bool,
@@ -517,6 +630,108 @@ impl Database {
             .collect();
         self.stats.reads += out.len() as u64 + 1;
         Ok(out)
+    }
+
+    /// Visits, in primary-key order, up to `limit` rows whose cell in
+    /// `column` is the integer `value` — what
+    /// `scan(table, |r| r[column].as_int() == Some(value), limit)` returns,
+    /// without walking the table (when the column is indexed) or copying
+    /// the rows. Counts `matches + 1` reads, as `scan` does.
+    pub fn scan_eq(
+        &mut self,
+        table: &str,
+        column: usize,
+        value: i64,
+        limit: usize,
+        visit: impl FnMut(&Row),
+    ) -> Result<ScanHits, DbError> {
+        let t = self.table(table)?;
+        t.check_column(column)?;
+        let hits = match t.indexes.iter().find(|(c, _)| *c == column) {
+            Some((_, index)) => t.visit(
+                index
+                    .range((value, i64::MIN)..=(value, i64::MAX))
+                    .take(limit)
+                    .map(|&(_, pk)| (pk, &t.rows[&pk])),
+                visit,
+            ),
+            None => t.visit(
+                t.rows
+                    .iter()
+                    .filter(|(_, r)| r[column].as_int() == Some(value))
+                    .take(limit)
+                    .map(|(pk, r)| (*pk, r)),
+                visit,
+            ),
+        };
+        self.stats.reads += hits.rows as u64 + 1;
+        Ok(hits)
+    }
+
+    /// Visits the first `limit` rows of `table` in primary-key order.
+    /// Counts `rows + 1` reads.
+    pub fn scan_all(
+        &mut self,
+        table: &str,
+        limit: usize,
+        visit: impl FnMut(&Row),
+    ) -> Result<ScanHits, DbError> {
+        let t = self.table(table)?;
+        let hits = t.visit(t.rows.iter().take(limit).map(|(pk, r)| (*pk, r)), visit);
+        self.stats.reads += hits.rows as u64 + 1;
+        Ok(hits)
+    }
+
+    /// Indexes `column` of `table` for [`Database::scan_eq`], building the
+    /// index from the rows present. Indexing a column twice is a no-op.
+    pub fn create_index(&mut self, table: &str, column: usize) -> Result<(), DbError> {
+        let ti = self.table_idx(table)?;
+        let t = &mut self.tables[ti];
+        t.check_column(column)?;
+        if t.indexes.iter().all(|(c, _)| *c != column) {
+            t.indexes.push((column, t.index_entries(column)));
+        }
+        Ok(())
+    }
+
+    /// Checks that every index holds exactly the `(cell, pk)` pairs of the
+    /// rows present; `Err` names the first index that does not.
+    pub fn check_indexes(&self) -> Result<(), String> {
+        for t in &self.tables {
+            for (col, index) in &t.indexes {
+                let expected = t.index_entries(*col);
+                if *index != expected {
+                    return Err(format!(
+                        "index {}.{} holds {} entries, the rows give {}",
+                        t.def.name,
+                        t.def.columns[*col],
+                        index.len(),
+                        expected.len()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Loads rows out of band: no transaction, no locks, no undo records,
+    /// not counted in [`DbStats`] — how a dataset is installed before the
+    /// database goes into service. The rows are durable at once.
+    ///
+    /// Stops at the first row [`Database::insert`] would reject; rows
+    /// before it stay loaded.
+    pub fn load(
+        &mut self,
+        table: &str,
+        rows: impl IntoIterator<Item = Row>,
+    ) -> Result<(), DbError> {
+        let ti = self.table_idx(table)?;
+        let t = &mut self.tables[ti];
+        for row in rows {
+            let pk = t.admit(&row)?;
+            t.replace(pk, Some(row));
+        }
+        Ok(())
     }
 
     /// Returns the largest primary key in `table`, or `None` when empty.
@@ -563,20 +778,15 @@ impl Database {
         value: Value,
     ) -> Result<(), DbError> {
         let ti = self.table_idx(table)?;
-        let ncols = self.tables[ti].def.columns.len();
-        if column >= ncols {
-            return Err(DbError::NoSuchColumn {
-                table: table.to_string(),
-                column,
-            });
-        }
         let t = &mut self.tables[ti];
-        let row = t.rows.get_mut(&pk).ok_or(DbError::NoSuchRow {
+        t.check_column(column)?;
+        let mut row = t.rows.get(&pk).cloned().ok_or(DbError::NoSuchRow {
             table: table.to_string(),
             pk,
         })?;
-        t.tainted.entry(pk).or_insert_with(|| row.clone());
         row[column] = value;
+        let old = t.replace(pk, Some(row)).expect("row read above");
+        t.tainted.entry(pk).or_insert(old);
         Ok(())
     }
 
@@ -597,14 +807,13 @@ impl Database {
                 pk: b,
             });
         }
-        let row_a = t.rows[&a].clone();
-        let row_b = t.rows[&b].clone();
-        t.tainted.entry(a).or_insert_with(|| row_a.clone());
-        t.tainted.entry(b).or_insert_with(|| row_b.clone());
-        let ra = t.rows.get_mut(&a).expect("checked above");
-        ra[1..].clone_from_slice(&row_b[1..]);
-        let rb = t.rows.get_mut(&b).expect("checked above");
-        rb[1..].clone_from_slice(&row_a[1..]);
+        let mut row_a = t.rows[&a].clone();
+        let mut row_b = t.rows[&b].clone();
+        row_a[1..].swap_with_slice(&mut row_b[1..]);
+        let old_a = t.replace(a, Some(row_a)).expect("checked above");
+        let old_b = t.replace(b, Some(row_b)).expect("checked above");
+        t.tainted.entry(a).or_insert(old_a);
+        t.tainted.entry(b).or_insert(old_b);
         Ok(())
     }
 
@@ -659,7 +868,7 @@ impl Database {
         let mut repaired = 0;
         for t in &mut self.tables {
             for (pk, old) in std::mem::take(&mut t.tainted) {
-                t.rows.insert(pk, old);
+                t.replace(pk, Some(old));
                 repaired += 1;
             }
         }
@@ -914,6 +1123,100 @@ mod tests {
         assert_eq!(rows[0][0], Value::Int(1));
         assert_eq!(rows[1][0], Value::Int(5));
         assert_eq!(db.max_pk("users").unwrap(), Some(10));
+    }
+
+    #[test]
+    fn scan_eq_answers_from_an_index_or_without_one() {
+        let (mut db, conn) = db_with_alice();
+        db.load(
+            "users",
+            (2..=9).map(|i| vec![Value::Int(i), Value::from("u"), Value::Int(i % 3)]),
+        )
+        .unwrap();
+        let collect = |db: &mut Database| {
+            let mut pks = Vec::new();
+            let hits = db
+                .scan_eq("users", 2, 1, 2, |r| pks.push(r[0].as_int().unwrap()))
+                .unwrap();
+            (pks, hits)
+        };
+        let unindexed = collect(&mut db);
+        assert_eq!(unindexed.0, [4, 7], "pk order, cut at the limit");
+        db.create_index("users", 2).unwrap();
+        db.create_index("users", 2).unwrap();
+        assert_eq!(collect(&mut db), unindexed);
+        assert_eq!(db.stats().reads, 2 * (2 + 1), "matches + 1 per query");
+
+        // An uncommitted in-place write is visible, as it is to `scan`;
+        // a cell that is no integer matches no integer.
+        let txn = db.begin(conn).unwrap();
+        db.update(txn, "users", 2, &[(2, Value::Int(1))]).unwrap();
+        db.update(txn, "users", 4, &[(2, Value::Null)]).unwrap();
+        assert_eq!(collect(&mut db).0, [2, 7]);
+        db.rollback(txn).unwrap();
+        assert_eq!(collect(&mut db).0, [4, 7]);
+
+        db.taint_row("users", 7).unwrap();
+        assert!(collect(&mut db).1.tainted);
+        assert!(!db.scan_eq("users", 2, 0, 9, |_| {}).unwrap().tainted);
+        assert_eq!(db.scan_all("users", 4, |_| {}).unwrap().rows, 4);
+        db.check_indexes().unwrap();
+        assert!(matches!(
+            db.scan_eq("users", 3, 0, 1, |_| {}).unwrap_err(),
+            DbError::NoSuchColumn { column: 3, .. }
+        ));
+        assert!(matches!(
+            db.create_index("users", 3).unwrap_err(),
+            DbError::NoSuchColumn { .. }
+        ));
+    }
+
+    #[test]
+    fn load_is_out_of_band_and_checks_rows() {
+        let (mut db, _) = db_with_alice();
+        let before = db.stats();
+        let err = db
+            .load(
+                "users",
+                vec![
+                    vec![Value::Int(2), Value::from("bob"), Value::Int(0)],
+                    vec![Value::Int(1), Value::from("dup"), Value::Int(0)],
+                    vec![Value::Int(3), Value::from("late"), Value::Int(0)],
+                ],
+            )
+            .unwrap_err();
+        assert!(matches!(err, DbError::DuplicateKey { pk: 1, .. }));
+        assert!(db.contains("users", 2), "rows before the bad one stay");
+        assert!(!db.contains("users", 3));
+        assert!(!db.contains("ghosts", 1));
+        assert_eq!(db.stats(), before, "no transaction, nothing counted");
+        assert!(matches!(
+            db.load("users", vec![vec![Value::Int(5)]]).unwrap_err(),
+            DbError::ArityMismatch { .. }
+        ));
+        db.crash();
+        assert!(db.contains("users", 2), "loaded rows are durable");
+    }
+
+    #[test]
+    fn read_with_taint_reports_both_in_one_call() {
+        let (mut db, conn) = db_with_alice();
+        db.corrupt_cell("users", 1, 2, Value::Int(-1)).unwrap();
+        let (row, tainted) = db.read_with_taint(None, "users", 1).unwrap();
+        assert_eq!(row.unwrap()[2], Value::Int(-1));
+        assert!(tainted);
+        assert_eq!(db.stats().reads, 0, "committed reads are not counted");
+        let txn = db.begin(conn).unwrap();
+        assert_eq!(
+            db.read_with_taint(Some(txn), "users", 2).unwrap(),
+            (None, false)
+        );
+        assert_eq!(db.stats().reads, 1);
+        db.commit(txn).unwrap();
+        assert_eq!(
+            db.read_with_taint(Some(txn), "users", 1).unwrap_err(),
+            DbError::NoSuchTxn
+        );
     }
 
     #[test]

@@ -174,6 +174,167 @@ fn db_repair_is_exact() {
     }
 }
 
+/// A table with two indexed columns (`a` up front, `b` part-way through
+/// the sequence, so the build-from-rows path is exercised on a dirty
+/// table) and one column that never gets an index.
+fn indexed_pair() -> (Database, Database) {
+    let schema = || {
+        vec![TableDef {
+            name: "t",
+            columns: &["id", "a", "b", "c"],
+        }]
+    };
+    let mut indexed = Database::new(schema());
+    indexed.create_index("t", 1).unwrap();
+    (indexed, Database::new(schema()))
+}
+
+/// A cell for columns 1..=3: mostly small integers (so equality queries
+/// have several hits), sometimes something that equals no integer.
+fn gen_cell(rng: &mut SimRng) -> Value {
+    match rng.uniform_u64(10) {
+        0 => Value::Null,
+        1 => Value::Float(rng.uniform_u64(4) as f64),
+        2 => Value::from("text"),
+        _ => Value::Int(rng.uniform_u64(4) as i64),
+    }
+}
+
+/// Secondary indexes are invisible except for speed: through any
+/// sequence of transactional writes, rollbacks, crashes, injected
+/// corruption and repair, every index equals one recomputed from the
+/// rows, and `scan_eq` / `scan_all` visit exactly what the full-scan
+/// reference returns — same rows, same order, same taint verdict, same
+/// `reads` — on an indexed database and on an index-free twin alike.
+#[test]
+fn db_indexes_track_every_row_image_change() {
+    const KEYS: u64 = 12;
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(0x3800 + case);
+        let (mut real, mut twin) = indexed_pair();
+        let mut conns = [(); 2].map(|()| (real.open_conn(), twin.open_conn()));
+        let mut txns: [Option<_>; 2] = [None, None];
+        let index_b_at = rng.uniform_u64(40);
+
+        for step in 0..120 {
+            if step == index_b_at {
+                real.create_index("t", 2).unwrap();
+            }
+            let slot = rng.uniform_u64(2) as usize;
+            let pk = rng.uniform_u64(KEYS) as i64;
+            // Both databases get every operation; each must answer alike.
+            macro_rules! both {
+                (|$db:ident, $t:ident| $op:expr) => {{
+                    let r = txns[slot].map(|($t, _)| {
+                        let $db = &mut real;
+                        $op
+                    });
+                    let t = txns[slot].map(|(_, $t)| {
+                        let $db = &mut twin;
+                        $op
+                    });
+                    assert_eq!(r, t, "case {case} step {step}");
+                }};
+            }
+            match rng.uniform_u64(14) {
+                0 | 1 => {
+                    if txns[slot].is_none() {
+                        let (rc, tc) = conns[slot];
+                        txns[slot] = Some((real.begin(rc).unwrap(), twin.begin(tc).unwrap()));
+                    }
+                }
+                2 | 3 => {
+                    let row = vec![
+                        Value::Int(pk),
+                        gen_cell(&mut rng),
+                        gen_cell(&mut rng),
+                        gen_cell(&mut rng),
+                    ];
+                    both!(|db, t| db.insert(t, "t", row.clone()));
+                }
+                4..=6 => {
+                    let updates: Vec<(usize, Value)> = (0..1 + rng.uniform_u64(2))
+                        .map(|_| (1 + rng.uniform_u64(3) as usize, gen_cell(&mut rng)))
+                        .collect();
+                    both!(|db, t| db.update(t, "t", pk, &updates));
+                }
+                7 => both!(|db, t| db.delete(t, "t", pk)),
+                8 => {
+                    both!(|db, t| db.commit(t));
+                    txns[slot] = None;
+                }
+                9 => {
+                    both!(|db, t| db.rollback(t));
+                    txns[slot] = None;
+                }
+                10 => {
+                    let col = 1 + rng.uniform_u64(3) as usize;
+                    let cell = gen_cell(&mut rng);
+                    assert_eq!(
+                        real.corrupt_cell("t", pk, col, cell.clone()),
+                        twin.corrupt_cell("t", pk, col, cell)
+                    );
+                }
+                11 => {
+                    let other = rng.uniform_u64(KEYS) as i64;
+                    assert_eq!(
+                        real.corrupt_swap_rows("t", pk, other),
+                        twin.corrupt_swap_rows("t", pk, other)
+                    );
+                    assert_eq!(real.taint_row("t", other), twin.taint_row("t", other));
+                }
+                12 => assert_eq!(real.repair(), twin.repair()),
+                _ => {
+                    if rng.chance(0.3) {
+                        // A crash rolls back what is open and severs every
+                        // connection.
+                        assert_eq!(real.crash(), twin.crash());
+                        txns = [None, None];
+                        for c in &mut conns {
+                            *c = (real.open_conn(), twin.open_conn());
+                        }
+                    }
+                }
+            }
+
+            real.check_indexes()
+                .unwrap_or_else(|e| panic!("case {case} step {step}: {e}"));
+            let limit = match rng.uniform_u64(3) {
+                0 => 1 + rng.uniform_u64(3) as usize,
+                _ => usize::MAX,
+            };
+            for col in 1..=3 {
+                // 4 matches nothing: the cells stop at 3.
+                for v in 0..=4 {
+                    let expected = twin
+                        .scan("t", |r| r[col].as_int() == Some(v), limit)
+                        .unwrap();
+                    for db in [&mut real, &mut twin] {
+                        let reads = db.stats().reads;
+                        let mut seen = Vec::new();
+                        let hits = db
+                            .scan_eq("t", col, v, limit, |r| seen.push(r.clone()))
+                            .unwrap();
+                        assert_eq!(seen, expected, "case {case} step {step} col {col} = {v}");
+                        assert_eq!(hits.rows, expected.len());
+                        assert_eq!(db.stats().reads - reads, expected.len() as u64 + 1);
+                        let tainted = expected
+                            .iter()
+                            .any(|r| db.is_tainted("t", r[0].as_int().unwrap()));
+                        assert_eq!(hits.tainted, tainted, "case {case} step {step}");
+                    }
+                }
+            }
+            let expected = twin.scan("t", |_| true, limit).unwrap();
+            let mut seen = Vec::new();
+            let hits = real.scan_all("t", limit, |r| seen.push(r.clone())).unwrap();
+            assert_eq!(seen, expected, "case {case} step {step}");
+            assert_eq!(hits.rows, expected.len());
+            assert_eq!(real.scan("t", |_| true, limit).unwrap(), expected);
+        }
+    }
+}
+
 /// The event queue fires events in nondecreasing time order, with
 /// FIFO order among equal timestamps.
 #[test]
