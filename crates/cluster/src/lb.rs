@@ -140,7 +140,7 @@ impl LoadBalancer {
         self.affinity.insert(sid, node);
     }
 
-    /// Drops a session binding (logout).
+    /// Drops a session binding (its client dropped the cookie).
     pub fn unassign(&mut self, sid: SessionId) {
         self.affinity.remove(&sid);
     }
@@ -309,6 +309,34 @@ mod tests {
         let mut h = TraceHashSink::new();
         h.on_event(&cap.borrow().0[0]);
         assert_eq!(h.count(), 1);
+    }
+
+    #[test]
+    fn unbinding_other_sessions_leaves_a_failed_over_session_alone() {
+        // The same traffic with (`true`) and without forgetting the
+        // sessions whose clients left while session 7 is failed over.
+        let routes = [true, false].map(|prune| {
+            let mut lb = LoadBalancer::new(3);
+            for sid in 1..=9 {
+                lb.assign(SessionId(sid), (sid % 3) as usize);
+            }
+            lb.set_redirect(1, true);
+            let mut out = Vec::new();
+            for i in 0..12 {
+                if prune && i == 4 {
+                    for sid in [1, 4, 5, 9] {
+                        lb.unassign(SessionId(sid));
+                    }
+                }
+                lb.set_redirect(1, i < 8);
+                out.push(lb.route(&req(i, Some(7)), SimTime::ZERO));
+                out.push(lb.route(&req(100 + i, Some(3)), SimTime::ZERO));
+            }
+            assert_eq!(lb.sessions_on(1), if prune { 1 } else { 3 });
+            (out, lb.failed_over())
+        });
+        assert_eq!(routes[0], routes[1], "same nodes, in the same order");
+        assert_eq!(routes[0].0[22], 1, "session 7 is back home at the end");
     }
 
     #[test]

@@ -522,9 +522,19 @@ impl World {
         }
     }
 
+    /// Unbinds, at the load balancer, the sessions whose cookies clients
+    /// just dropped: nothing will be routed by them again.
+    fn forget_dropped_sessions(&mut self) {
+        for sid in self.pool.drain_dropped_sessions() {
+            self.lb.unassign(sid);
+        }
+    }
+
     fn on_wake(&mut self, client: usize, q: &mut SimQueue) {
         let now = q.now();
-        let Some(out) = self.pool.wake(client, now) else {
+        let woken = self.pool.wake(client, now);
+        self.forget_dropped_sessions();
+        let Some(out) = woken else {
             return;
         };
         let node = self.lb.route(&out.req, now);
@@ -533,7 +543,10 @@ impl World {
         // thread until its TTL lease expires).
         let rid = out.req.id;
         let op = out.req.op;
-        q.schedule_event_at(
+        // A constant delay from a monotone clock: deadlines never decrease,
+        // so the timeouts (nearly all no-ops by the time they fire) queue
+        // in the kernel's FIFO lane, out of the heap's way.
+        q.schedule_event_fifo(
             now + CLIENT_TIMEOUT,
             "client-timeout",
             SimEvent::ClientTimeout { node, rid, op },
@@ -607,6 +620,7 @@ impl World {
             }
             None => {}
         }
+        self.forget_dropped_sessions();
         if let Some(rm) = &mut self.rm {
             // Reports arriving while the RM itself is down (ReHype) are
             // lost with it — drained and dropped, never replayed.

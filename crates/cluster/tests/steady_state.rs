@@ -147,6 +147,38 @@ fn manual_process_restart_round_trip() {
     assert_eq!(taw.bad_in(4 * 60, 5 * 60), 0.0);
 }
 
+/// The balancer's affinity table holds exactly the cookies clients hold:
+/// logout and abandonment unbind theirs as the run goes, and so does the
+/// login-prompt reset once a process restart has lost the FastS sessions.
+#[test]
+fn lb_affinity_tracks_the_cookies_clients_still_hold() {
+    let mut sim = Sim::new(SimConfig::default());
+    sim.run_until(mins(4));
+    let session_ops = |sim: &Sim| {
+        let mix = sim.world().pool.mix();
+        mix.total() as f64 * mix.percent(MixClass::SessionInitDel) / 100.0
+    };
+    assert!(
+        session_ops(&sim) > 2_000.0,
+        "thousands of logins and logouts by now, over 500 clients"
+    );
+    let held = sim.world().pool.with_session();
+    assert!(held > 100, "many clients are logged in: {held}");
+    assert_eq!(sim.world().lb.sessions_on(0), held);
+
+    sim.schedule_recovery(mins(4), 0, RecoveryAction::RestartProcess);
+    sim.run_until(mins(5));
+    let prompted = sim.world().pool.taw_ref().bad_in(4 * 60, 5 * 60);
+    assert!(
+        prompted > 50.0,
+        "lost sessions met login prompts: {prompted}"
+    );
+    sim.run_until(mins(8));
+    let held = sim.world().pool.with_session();
+    assert!(held > 100, "clients logged back in: {held}");
+    assert_eq!(sim.world().lb.sessions_on(0), held);
+}
+
 #[test]
 fn runs_are_deterministic() {
     let run = || {

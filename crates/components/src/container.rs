@@ -14,8 +14,6 @@
 //! instance attributes are all container-resident state, which is exactly
 //! *why* a component-level microreboot cures them.
 
-use std::collections::BTreeMap;
-
 use simcore::SimTime;
 use statestore::session::CorruptKind;
 
@@ -62,7 +60,9 @@ pub enum TxnMapError {
 /// a later abort cannot undo them (the ≈ "manual DB repair" rows).
 #[derive(Clone, Debug, Default)]
 pub struct TxnMethodMap {
-    entries: BTreeMap<&'static str, Option<TxnAttr>>,
+    /// Sorted by method name. A component declares one or two methods, so
+    /// the per-call [`TxnMethodMap::attr_for`] is a short linear probe.
+    entries: Vec<(&'static str, Option<TxnAttr>)>,
     invalid: bool,
     wrong: bool,
 }
@@ -70,19 +70,19 @@ pub struct TxnMethodMap {
 impl TxnMethodMap {
     /// Creates a map with every listed method `Required`.
     pub fn with_methods(methods: &[&'static str]) -> Self {
-        TxnMethodMap {
-            entries: methods
-                .iter()
-                .map(|m| (*m, Some(TxnAttr::Required)))
-                .collect(),
-            invalid: false,
-            wrong: false,
+        let mut map = TxnMethodMap::default();
+        for m in methods {
+            map.set(m, TxnAttr::Required);
         }
+        map
     }
 
     /// Declares one method with an explicit attribute.
     pub fn set(&mut self, method: &'static str, attr: TxnAttr) {
-        self.entries.insert(method, Some(attr));
+        match self.entries.binary_search_by(|&(m, _)| m.cmp(method)) {
+            Ok(i) => self.entries[i].1 = Some(attr),
+            Err(i) => self.entries.insert(i, (method, Some(attr))),
+        }
     }
 
     /// Returns the attribute to use for `method`.
@@ -90,7 +90,8 @@ impl TxnMethodMap {
         if self.invalid {
             return Err(TxnMapError::InvalidEntry);
         }
-        match self.entries.get(method) {
+        let entry = self.entries.iter().find(|(m, _)| *m == method);
+        match entry.map(|(_, attr)| attr) {
             None => Err(TxnMapError::UnknownMethod),
             Some(None) => Err(TxnMapError::NullEntry),
             Some(Some(attr)) if self.wrong => {
@@ -108,8 +109,8 @@ impl TxnMethodMap {
     pub fn corrupt(&mut self, kind: CorruptKind) {
         match kind {
             CorruptKind::SetNull => {
-                for v in self.entries.values_mut() {
-                    *v = None;
+                for (_, attr) in &mut self.entries {
+                    *attr = None;
                 }
             }
             CorruptKind::SetInvalid => self.invalid = true,
@@ -119,7 +120,7 @@ impl TxnMethodMap {
 
     /// Returns true if any corruption is present.
     pub fn is_corrupt(&self) -> bool {
-        self.invalid || self.wrong || self.entries.values().any(|v| v.is_none())
+        self.invalid || self.wrong || self.entries.iter().any(|(_, attr)| attr.is_none())
     }
 
     /// Returns true if the *wrong* (silent) corruption is present.

@@ -68,6 +68,10 @@ pub enum Resolved {
     Component(ComponentId),
     /// Target is microrebooting; retry after the given duration.
     RetryAfter(SimDuration),
+    /// The entry was corrupted to point at this *other* live component
+    /// ([`Binding::Wrong`]). The lookup itself cannot tell; the invocation
+    /// reaches a foreign interface and fails.
+    WrongComponent(ComponentId),
 }
 
 /// The name → binding table.
@@ -125,28 +129,23 @@ impl NamingRegistry {
         self.slot_of(name).map(|i| self.slots[i].1)
     }
 
-    /// Resolves `name` to a callable target.
+    /// Resolves `name` to a callable target, in one search.
     ///
     /// Note that [`Binding::Wrong`] resolves *successfully* — to the wrong
-    /// component. The corruption is invisible at lookup time; the caller
-    /// discovers it (via [`NamingRegistry::is_wrong`]) only when the
-    /// invocation reaches a foreign interface and fails.
+    /// component, reported as [`Resolved::WrongComponent`] (the comparison
+    /// detector's oracle for JNDI corruption): the corruption is invisible
+    /// at lookup time, and the caller fails only when the invocation
+    /// reaches a foreign interface.
     pub fn resolve(&mut self, name: &str) -> Result<Resolved, RegistryError> {
         self.lookups += 1;
         // A name that was never bound was never deployed: NotBound.
-        match self.slot_of(name).map(|i| self.slots[i].1) {
+        match self.get(name) {
             None | Some(Binding::Null) => Err(RegistryError::NotBound),
             Some(Binding::Dangling) => Err(RegistryError::Dangling),
             Some(Binding::Active(id)) => Ok(Resolved::Component(id)),
-            Some(Binding::Wrong(id)) => Ok(Resolved::Component(id)),
+            Some(Binding::Wrong(id)) => Ok(Resolved::WrongComponent(id)),
             Some(Binding::Sentinel { retry_after }) => Ok(Resolved::RetryAfter(retry_after)),
         }
-    }
-
-    /// Returns true if `name` currently resolves to the wrong component —
-    /// the comparison detector's oracle for JNDI corruption.
-    pub fn is_wrong(&self, name: &str) -> bool {
-        matches!(self.get(name), Some(Binding::Wrong(_)))
     }
 
     /// Returns the number of lookups served.
@@ -228,11 +227,10 @@ mod tests {
         let mut r = NamingRegistry::new();
         r.bind("C", Binding::Active(ComponentId(1)));
         r.corrupt("C", Binding::Wrong(ComponentId(7)));
-        assert_eq!(r.resolve("C"), Ok(Resolved::Component(ComponentId(7))));
-        assert!(r.is_wrong("C"));
+        assert_eq!(r.resolve("C"), Ok(Resolved::WrongComponent(ComponentId(7))));
         // Rebinding during redeployment cures it.
         r.bind("C", Binding::Active(ComponentId(1)));
-        assert!(!r.is_wrong("C"));
+        assert_eq!(r.resolve("C"), Ok(Resolved::Component(ComponentId(1))));
     }
 
     #[test]

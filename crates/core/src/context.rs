@@ -180,15 +180,13 @@ impl<'a> CallContext<'a> {
         let id = match self.inner.registry.resolve(name) {
             Err(_) => return Err(self.exception(Some(name))),
             Ok(Resolved::RetryAfter(d)) => return Err(CallError::Retry(d)),
-            Ok(Resolved::Component(id)) => id,
-        };
-        if self.inner.registry.is_wrong(name) {
             // The lookup silently resolved to the wrong component; the
             // invocation then hits a foreign interface — the
             // ClassCastException analogue (lookup-time checks cannot catch
             // this, only the call itself fails).
-            return Err(self.exception(Some(name)));
-        }
+            Ok(Resolved::WrongComponent(_)) => return Err(self.exception(Some(name))),
+            Ok(Resolved::Component(id)) => id,
+        };
         // Intermittent faults self-heal on a deadline and fail calls
         // probabilistically. The chance is drawn before the container
         // borrow below (the rng lives next to the containers in
@@ -335,14 +333,14 @@ impl<'a> CallContext<'a> {
             .inner
             .db
             .borrow_mut()
-            .scan_eq(table, column, value, limit, |_| {});
+            .scan_eq(table, column, value, limit, ());
         self.scanned(hits)
     }
 
     /// Queries the first `limit` rows of `table` in primary-key order
     /// (read-only), marking taint if any of them is corrupted.
     pub fn db_scan_all(&mut self, table: &str, limit: usize) -> Result<ScanHits, CallError> {
-        let hits = self.inner.db.borrow_mut().scan_all(table, limit, |_| {});
+        let hits = self.inner.db.borrow_mut().scan_all(table, limit, ());
         self.scanned(hits)
     }
 

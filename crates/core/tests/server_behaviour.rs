@@ -122,6 +122,52 @@ fn microreboot_cures_jndi_corruption() {
     assert_eq!(r.status, Status::Ok, "rebind cured the lookup");
 }
 
+/// One call site, one naming lookup per call: it reaches the component
+/// before a microreboot, meets the sentinel during it and the fresh
+/// binding after it, and each JNDI corruption fails it until the next
+/// microreboot rebinds the name.
+#[test]
+fn a_call_site_follows_its_binding_through_microreboots_and_corruption() {
+    let mut srv = server(true);
+    let mut t = SimTime::from_secs(1);
+    let mut next_id = 0;
+    let mut get = |srv: &mut AppServer<ToyApp>, at| {
+        next_id += 1;
+        run_one(srv, next_id, ops::GET, None, 5, at)
+    };
+    assert_eq!(get(&mut srv, t).status, Status::Ok, "active");
+    for kind in [
+        None,
+        Some(CorruptKind::SetNull),
+        Some(CorruptKind::SetInvalid),
+        Some(CorruptKind::SetWrong),
+    ] {
+        if let Some(kind) = kind {
+            let component = "Store";
+            srv.inject(ServerFault::CorruptJndi { component, kind }, t);
+            let r = get(&mut srv, t);
+            assert_eq!(r.status, Status::ServerError(500), "{kind:?}");
+            assert!(r.markers.exception_text, "{kind:?}");
+            assert_eq!(r.failed_component, Some("Store"), "{kind:?}");
+        }
+        let ticket = srv.begin_microreboot(&["Store"], t, None).unwrap();
+        srv.microreboot_crash(ticket.id, ticket.crash_at);
+        let during = get(&mut srv, ticket.crash_at);
+        assert_eq!(
+            during.status,
+            Status::RetryAfter(urb_core::calib::RETRY_AFTER),
+            "sentinel while rebooting (after {kind:?})"
+        );
+        srv.microreboot_complete(ticket.id, ticket.done_at);
+        t = ticket.done_at;
+        assert_eq!(
+            get(&mut srv, t).status,
+            Status::Ok,
+            "rebound after {kind:?}"
+        );
+    }
+}
+
 #[test]
 fn microreboot_duration_matches_calibration() {
     let mut srv = server(false);

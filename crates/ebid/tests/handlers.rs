@@ -3,6 +3,7 @@
 use ebid::ops::codes;
 use ebid::{build_server, DatasetSpec, EBid};
 use simcore::SimTime;
+use statestore::db::Row;
 use statestore::session::CorruptKind;
 use statestore::{SessionId, Value};
 use urb_core::server::make_request;
@@ -287,7 +288,7 @@ fn assert_queries_match_full_scan(db: &mut statestore::Database, spec: &DatasetS
                 .unwrap();
             let mut seen = Vec::new();
             let hits = db
-                .scan_eq(table, col, v, limit, |r| seen.push(r.clone()))
+                .scan_eq(table, col, v, limit, |r: &Row| seen.push(r.clone()))
                 .unwrap();
             assert_eq!(seen, expected, "{table}.{column} = {v}");
             assert_eq!(hits.rows, expected.len());
@@ -295,7 +296,8 @@ fn assert_queries_match_full_scan(db: &mut statestore::Database, spec: &DatasetS
     }
     for (table, limit) in [("categories", 20), ("regions", 62)] {
         let mut seen = Vec::new();
-        db.scan_all(table, limit, |r| seen.push(r.clone())).unwrap();
+        db.scan_all(table, limit, |r: &Row| seen.push(r.clone()))
+            .unwrap();
         assert_eq!(seen, db.scan(table, |_| true, limit).unwrap());
     }
 }
@@ -334,7 +336,7 @@ fn indexed_queries_match_the_full_scan_on_the_default_dataset() {
     db.delete(txn, "comments", 1).unwrap();
     let item_col = ebid::schema::column("bids", "item_id");
     let mut newest = 0;
-    db.scan_eq("bids", item_col, 1, usize::MAX, |r| {
+    db.scan_eq("bids", item_col, 1, usize::MAX, |r: &Row| {
         newest = r[0].as_int().unwrap()
     })
     .unwrap();

@@ -18,12 +18,20 @@
 //! cancelled), so a stale handle can never cancel a later occupant.
 //! Cancelled heap entries are discarded lazily when popped.
 //!
+//! Beside the heap sits a FIFO *lane* for event classes whose deadlines are
+//! non-decreasing in schedule order (a constant delay from "now", such as a
+//! per-request timeout): those entries are already sorted, so they queue in
+//! a `VecDeque` and never deepen the heap the other events sift through.
+//! The next event is whichever of the heap's top and the lane's front has
+//! the smaller `(time, sequence)` key, so firing order is the same total
+//! order as with the heap alone.
+//!
 //! Ties in time are broken by insertion order, which — together with the
 //! seeded [`SimRng`](crate::SimRng) — makes entire simulation runs
 //! deterministic.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::marker::PhantomData;
 
 use crate::time::{SimDuration, SimTime};
@@ -71,6 +79,15 @@ struct HeapEntry {
     seq: u64,
     slot: u32,
     gen: u32,
+}
+
+impl HeapEntry {
+    fn id(self) -> EventId {
+        EventId {
+            slot: self.slot,
+            gen: self.gen,
+        }
+    }
 }
 
 impl PartialEq for HeapEntry {
@@ -127,6 +144,9 @@ struct Slot<E> {
 /// ```
 pub struct EventQueue<W, E = BoxedFn<W>> {
     heap: BinaryHeap<HeapEntry>,
+    /// Entries scheduled through [`EventQueue::schedule_event_fifo`], in
+    /// ascending `(at, seq)` order by construction.
+    lane: VecDeque<HeapEntry>,
     slots: Vec<Slot<E>>,
     /// Freed slot indices, reused LIFO (the exact reuse policy does not
     /// affect determinism — firing order is fixed by `(at, seq)` — but LIFO
@@ -162,6 +182,7 @@ impl<W, E: EventPayload<W>> EventQueue<W, E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             slots: Vec::new(),
             free: Vec::new(),
             hot: None,
@@ -205,6 +226,31 @@ impl<W, E: EventPayload<W>> EventQueue<W, E> {
     ///
     /// Panics if the arena exceeds `u32::MAX` concurrent events.
     pub fn schedule_event_at(&mut self, at: SimTime, label: &'static str, payload: E) -> EventId {
+        let entry = self.occupy(at, label, payload);
+        self.push_heap(entry);
+        entry.id()
+    }
+
+    /// Schedules `payload` at `at` like [`EventQueue::schedule_event_at`],
+    /// for a class of events whose `at` never decreases from one call to
+    /// the next (a constant delay from the current time). Such entries
+    /// wait in a FIFO lane instead of the heap; firing order, cancellation
+    /// and every counter are exactly those of `schedule_event_at`. A call
+    /// whose `at` is earlier than the lane's last entry goes to the heap,
+    /// so the method is correct for any argument.
+    pub fn schedule_event_fifo(&mut self, at: SimTime, label: &'static str, payload: E) -> EventId {
+        let entry = self.occupy(at, label, payload);
+        if self.lane.back().is_some_and(|back| entry.at < back.at) {
+            self.push_heap(entry);
+        } else {
+            self.lane.push_back(entry);
+        }
+        entry.id()
+    }
+
+    /// Stores `payload` in a pooled slot and returns its queue entry, keyed
+    /// by the next sequence number.
+    fn occupy(&mut self, at: SimTime, label: &'static str, payload: E) -> HeapEntry {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -225,11 +271,15 @@ impl<W, E: EventPayload<W>> EventQueue<W, E> {
                 (i, 0)
             }
         };
-        if let Some(prev) = self.staged.replace(HeapEntry { at, seq, slot, gen }) {
+        self.live += 1;
+        HeapEntry { at, seq, slot, gen }
+    }
+
+    /// Stages `entry` for the heap, pushing the previously staged one.
+    fn push_heap(&mut self, entry: HeapEntry) {
+        if let Some(prev) = self.staged.replace(entry) {
             self.heap.push(prev);
         }
-        self.live += 1;
-        EventId { slot, gen }
     }
 
     /// Schedules `payload` to fire `delay` after the current time.
@@ -246,8 +296,8 @@ impl<W, E: EventPayload<W>> EventQueue<W, E> {
     ///
     /// Returns true if the event had not yet fired (or been cancelled).
     /// Cancellation drops the payload and frees the slot immediately; the
-    /// heap entry stays behind and is discarded when popped (its generation
-    /// no longer matches).
+    /// heap or lane entry stays behind and is discarded when popped (its
+    /// generation no longer matches).
     pub fn cancel(&mut self, id: EventId) -> bool {
         let Some(slot) = self.slots.get_mut(id.slot as usize) else {
             return false;
@@ -271,36 +321,63 @@ impl<W, E: EventPayload<W>> EventQueue<W, E> {
         true
     }
 
+    /// Removes and returns the earliest live entry if it is due by
+    /// `deadline`, discarding cancelled entries met on the way.
+    fn pop_due(&mut self, deadline: SimTime) -> Option<HeapEntry> {
+        if let Some(e) = self.staged.take() {
+            self.heap.push(e);
+        }
+        loop {
+            // `HeapEntry` orders inversely (for the max-heap): the greater
+            // entry is the one with the smaller `(at, seq)` key.
+            let (entry, from_lane) = match (self.heap.peek(), self.lane.front()) {
+                (Some(h), Some(l)) if l > h => (*l, true),
+                (Some(h), _) => (*h, false),
+                (None, Some(l)) => (*l, true),
+                (None, None) => return None,
+            };
+            let live = self.slots[entry.slot as usize].gen == entry.gen;
+            if live && entry.at > deadline {
+                return None;
+            }
+            if from_lane {
+                self.lane.pop_front();
+            } else {
+                self.heap.pop();
+            }
+            if live {
+                return Some(entry);
+            }
+            // Cancelled: the slot moved on.
+        }
+    }
+
+    /// Advances the clock to `entry` and fires it.
+    fn fire(&mut self, entry: HeapEntry, world: &mut W) -> &'static str {
+        let slot = &mut self.slots[entry.slot as usize];
+        debug_assert!(entry.at >= self.now, "time must be monotone");
+        self.now = entry.at;
+        self.fired += 1;
+        self.live -= 1;
+        let label = slot.label;
+        let payload = slot.payload.take().expect("live slot has a payload");
+        // Free the slot before firing so handlers scheduling follow-ups
+        // reuse it instead of growing the arena.
+        slot.gen = slot.gen.wrapping_add(1);
+        if let Some(prev) = self.hot.replace(entry.slot) {
+            self.free.push(prev);
+        }
+        payload.fire(world, self);
+        label
+    }
+
     /// Fires the single earliest pending event, if any.
     ///
     /// Returns the label of the fired event, or `None` if the queue was
     /// empty or contained only cancelled events.
     pub fn step(&mut self, world: &mut W) -> Option<&'static str> {
-        if let Some(e) = self.staged.take() {
-            self.heap.push(e);
-        }
-        while let Some(entry) = self.heap.pop() {
-            let slot = &mut self.slots[entry.slot as usize];
-            if slot.gen != entry.gen {
-                // Cancelled: the slot moved on.
-                continue;
-            }
-            debug_assert!(entry.at >= self.now, "time must be monotone");
-            self.now = entry.at;
-            self.fired += 1;
-            self.live -= 1;
-            let label = slot.label;
-            let payload = slot.payload.take().expect("live slot has a payload");
-            // Free the slot before firing so handlers scheduling follow-ups
-            // reuse it instead of growing the arena.
-            slot.gen = slot.gen.wrapping_add(1);
-            if let Some(prev) = self.hot.replace(entry.slot) {
-                self.free.push(prev);
-            }
-            payload.fire(world, self);
-            return Some(label);
-        }
-        None
+        let entry = self.pop_due(SimTime::FAR_FUTURE)?;
+        Some(self.fire(entry, world))
     }
 
     /// Runs events until the queue is empty.
@@ -313,25 +390,8 @@ impl<W, E: EventPayload<W>> EventQueue<W, E> {
     ///
     /// Events scheduled after `deadline` remain pending.
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
-        loop {
-            if let Some(e) = self.staged.take() {
-                self.heap.push(e);
-            }
-            let next_at = loop {
-                match self.heap.peek() {
-                    Some(e) if self.slots[e.slot as usize].gen != e.gen => {
-                        self.heap.pop();
-                    }
-                    Some(e) => break Some(e.at),
-                    None => break None,
-                }
-            };
-            match next_at {
-                Some(at) if at <= deadline => {
-                    self.step(world);
-                }
-                _ => break,
-            }
+        while let Some(entry) = self.pop_due(deadline) {
+            self.fire(entry, world);
         }
         self.now = self.now.max(deadline);
     }

@@ -215,19 +215,34 @@ impl Table {
         }
     }
 
-    /// Visits `hits` in order, noting whether any of them is tainted.
-    fn visit<'a>(
-        &'a self,
-        hits: impl Iterator<Item = (i64, &'a Row)>,
-        mut visit: impl FnMut(&Row),
-    ) -> ScanHits {
-        let mut out = ScanHits::default();
-        for (pk, row) in hits {
-            out.rows += 1;
-            out.tainted |= self.tainted.contains_key(&pk);
-            visit(row);
-        }
-        out
+    /// Counts the row with key `pk` into `hits`, noting whether it is
+    /// tainted. The taint map is empty unless corruption was injected.
+    fn hit(&self, hits: &mut ScanHits, pk: i64) {
+        hits.rows += 1;
+        hits.tainted |= !self.tainted.is_empty() && self.tainted.contains_key(&pk);
+    }
+}
+
+/// What a [`Database::scan_eq`] / [`Database::scan_all`] query does with
+/// the rows it matches: any `FnMut(&Row)` closure sees each of them, and
+/// `()` wants none — only the [`ScanHits`] — which lets an indexed query
+/// count its matches from the index without fetching a row.
+pub trait RowVisitor {
+    /// Whether [`RowVisitor::visit`] does anything with a row.
+    const WANTS_ROWS: bool;
+    /// Sees one matched row.
+    fn visit(&mut self, row: &Row);
+}
+
+impl RowVisitor for () {
+    const WANTS_ROWS: bool = false;
+    fn visit(&mut self, _: &Row) {}
+}
+
+impl<F: FnMut(&Row)> RowVisitor for F {
+    const WANTS_ROWS: bool = true;
+    fn visit(&mut self, row: &Row) {
+        self(row)
     }
 }
 
@@ -636,48 +651,62 @@ impl Database {
     /// `column` is the integer `value` — what
     /// `scan(table, |r| r[column].as_int() == Some(value), limit)` returns,
     /// without walking the table (when the column is indexed) or copying
-    /// the rows. Counts `matches + 1` reads, as `scan` does.
-    pub fn scan_eq(
+    /// the rows. Counts `matches + 1` reads, as `scan` does. `visit` is a
+    /// closure over each row, or `()` to only count (see [`RowVisitor`]).
+    pub fn scan_eq<V: RowVisitor>(
         &mut self,
         table: &str,
         column: usize,
         value: i64,
         limit: usize,
-        visit: impl FnMut(&Row),
+        mut visit: V,
     ) -> Result<ScanHits, DbError> {
         let t = self.table(table)?;
         t.check_column(column)?;
-        let hits = match t.indexes.iter().find(|(c, _)| *c == column) {
-            Some((_, index)) => t.visit(
-                index
-                    .range((value, i64::MIN)..=(value, i64::MAX))
-                    .take(limit)
-                    .map(|&(_, pk)| (pk, &t.rows[&pk])),
-                visit,
-            ),
-            None => t.visit(
-                t.rows
+        let mut hits = ScanHits::default();
+        match t.indexes.iter().find(|(c, _)| *c == column) {
+            Some((_, index)) => {
+                let matches = index.range((value, i64::MIN)..=(value, i64::MAX));
+                for &(_, pk) in matches.take(limit) {
+                    t.hit(&mut hits, pk);
+                    if V::WANTS_ROWS {
+                        visit.visit(&t.rows[&pk]);
+                    }
+                }
+            }
+            None => {
+                let matches = t
+                    .rows
                     .iter()
-                    .filter(|(_, r)| r[column].as_int() == Some(value))
-                    .take(limit)
-                    .map(|(pk, r)| (*pk, r)),
-                visit,
-            ),
-        };
+                    .filter(|(_, r)| r[column].as_int() == Some(value));
+                for (pk, row) in matches.take(limit) {
+                    t.hit(&mut hits, *pk);
+                    visit.visit(row);
+                }
+            }
+        }
         self.stats.reads += hits.rows as u64 + 1;
         Ok(hits)
     }
 
     /// Visits the first `limit` rows of `table` in primary-key order.
     /// Counts `rows + 1` reads.
-    pub fn scan_all(
+    pub fn scan_all<V: RowVisitor>(
         &mut self,
         table: &str,
         limit: usize,
-        visit: impl FnMut(&Row),
+        mut visit: V,
     ) -> Result<ScanHits, DbError> {
         let t = self.table(table)?;
-        let hits = t.visit(t.rows.iter().take(limit).map(|(pk, r)| (*pk, r)), visit);
+        let mut hits = ScanHits::default();
+        if V::WANTS_ROWS || !t.tainted.is_empty() {
+            for (pk, row) in t.rows.iter().take(limit) {
+                t.hit(&mut hits, *pk);
+                visit.visit(row);
+            }
+        } else {
+            hits.rows = t.rows.len().min(limit);
+        }
         self.stats.reads += hits.rows as u64 + 1;
         Ok(hits)
     }
@@ -1136,7 +1165,7 @@ mod tests {
         let collect = |db: &mut Database| {
             let mut pks = Vec::new();
             let hits = db
-                .scan_eq("users", 2, 1, 2, |r| pks.push(r[0].as_int().unwrap()))
+                .scan_eq("users", 2, 1, 2, |r: &Row| pks.push(r[0].as_int().unwrap()))
                 .unwrap();
             (pks, hits)
         };
@@ -1158,11 +1187,11 @@ mod tests {
 
         db.taint_row("users", 7).unwrap();
         assert!(collect(&mut db).1.tainted);
-        assert!(!db.scan_eq("users", 2, 0, 9, |_| {}).unwrap().tainted);
-        assert_eq!(db.scan_all("users", 4, |_| {}).unwrap().rows, 4);
+        assert!(!db.scan_eq("users", 2, 0, 9, ()).unwrap().tainted);
+        assert_eq!(db.scan_all("users", 4, ()).unwrap().rows, 4);
         db.check_indexes().unwrap();
         assert!(matches!(
-            db.scan_eq("users", 3, 0, 1, |_| {}).unwrap_err(),
+            db.scan_eq("users", 3, 0, 1, ()).unwrap_err(),
             DbError::NoSuchColumn { column: 3, .. }
         ));
         assert!(matches!(

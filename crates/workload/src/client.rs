@@ -155,6 +155,9 @@ impl MixCounts {
 /// The emulated client population.
 pub struct ClientPool {
     catalog: Catalog,
+    /// Per Markov state, the weights [`ClientPool::next_state`] draws from:
+    /// the state's transition weights, then its abandon weight.
+    next_weights: Vec<Vec<f64>>,
     config: ClientPoolConfig,
     clients: Vec<Client>,
     next_req: u64,
@@ -172,6 +175,9 @@ pub struct ClientPool {
     perf: Option<PerfTracker>,
     retries_issued: u64,
     ledger: Option<SharedLedger>,
+    /// Cookies clients dropped (logout, login-prompt reset, abandonment)
+    /// since the last [`ClientPool::drain_dropped_sessions`].
+    dropped_sessions: Vec<SessionId>,
 }
 
 impl ClientPool {
@@ -188,6 +194,12 @@ impl ClientPool {
             .iter()
             .position(|o| o.is_login)
             .expect("catalog needs a login operation");
+        let next_weights = catalog
+            .transitions
+            .iter()
+            .zip(&catalog.abandon_weight)
+            .map(|(row, abandon)| row.iter().map(|(_, w)| *w).chain([*abandon]).collect())
+            .collect();
         let mut root = SimRng::seed_from(config.seed);
         let mut clients = Vec::with_capacity(config.clients);
         let mut next_action = 0;
@@ -206,6 +218,7 @@ impl ClientPool {
         }
         ClientPool {
             catalog,
+            next_weights,
             config,
             clients,
             next_req: 0,
@@ -219,6 +232,7 @@ impl ClientPool {
             perf: None,
             retries_issued: 0,
             ledger: None,
+            dropped_sessions: Vec::new(),
         }
     }
 
@@ -347,6 +361,14 @@ impl ClientPool {
         std::mem::take(&mut self.reports)
     }
 
+    /// Returns and clears the session ids whose cookies clients dropped —
+    /// by logging out, by resetting after a login prompt, or by abandoning
+    /// the site. No client will present them again (ids are never
+    /// reissued), so the load balancer can forget their affinity.
+    pub fn drain_dropped_sessions(&mut self) -> std::vec::Drain<'_, SessionId> {
+        self.dropped_sessions.drain(..)
+    }
+
     /// Fabricates `count` detector false positives against `node`:
     /// failure reports with no underlying request or fault, as produced
     /// by a buggy or adversarial monitor. They reach the recovery manager
@@ -422,6 +444,13 @@ impl ClientPool {
             .exponential_capped(self.config.think_mean, self.config.think_cap)
     }
 
+    /// The client forgets its session cookie and login.
+    fn drop_cookie(&mut self, client: usize) {
+        let c = &mut self.clients[client];
+        self.dropped_sessions.extend(c.session.take());
+        c.logged_in = false;
+    }
+
     fn new_action(&mut self, client: usize) {
         self.next_action += 1;
         self.clients[client].action = ActionId(self.next_action);
@@ -434,15 +463,8 @@ impl ClientPool {
     fn next_state(&mut self, client: usize) -> Option<usize> {
         let c = &mut self.clients[client];
         let row = &self.catalog.transitions[c.state];
-        let abandon = self.catalog.abandon_weight[c.state];
-        let mut weights: Vec<f64> = row.iter().map(|(_, w)| *w).collect();
-        weights.push(abandon);
-        let idx = c.rng.weighted_index(&weights)?;
-        if idx == row.len() {
-            None
-        } else {
-            Some(row[idx].0)
-        }
+        let idx = c.rng.weighted_index(&self.next_weights[c.state])?;
+        row.get(idx).map(|&(next, _)| next)
     }
 
     /// Wakes a client whose think (or retry wait) ended; returns the
@@ -476,9 +498,7 @@ impl ClientPool {
                     let action = self.clients[client].action;
                     self.emit(TelemetryEvent::ActionClosed { action: action.0 });
                     self.new_action(client);
-                    let c = &mut self.clients[client];
-                    c.session = None;
-                    c.logged_in = false;
+                    self.drop_cookie(client);
                     self.catalog.entry_state
                 }
             }
@@ -652,30 +672,26 @@ impl ClientPool {
         }
 
         // Session bookkeeping.
-        {
+        if let Some(sid) = response.set_cookie {
             let c = &mut self.clients[client];
-            if let Some(sid) = response.set_cookie {
-                c.session = Some(sid);
-                if is_login && failure.is_none() {
-                    c.logged_in = true;
-                }
-            }
-            if response.clear_cookie {
-                c.session = None;
-                c.logged_in = false;
-            }
-            if response.markers.login_prompt && pending.was_logged_in {
-                // The server no longer knows this session: drop the stale
-                // cookie and re-login on the next click.
-                c.session = None;
-                c.logged_in = false;
-                c.force_login = true;
-            }
-            if failure.is_some() && matches!(failure, Some(FailureKind::Network)) && c.logged_in {
-                // Connection-level failures leave the cookie; the session
-                // may still exist when the node comes back.
+            // A fresh cookie replaces whichever one the client still held.
+            let replaced = c.session.replace(sid).filter(|old| *old != sid);
+            self.dropped_sessions.extend(replaced);
+            if is_login && failure.is_none() {
+                c.logged_in = true;
             }
         }
+        if response.clear_cookie {
+            self.drop_cookie(client);
+        }
+        if response.markers.login_prompt && pending.was_logged_in {
+            // The server no longer knows this session: drop the stale
+            // cookie and re-login on the next click.
+            self.drop_cookie(client);
+            self.clients[client].force_login = true;
+        }
+        // Connection-level failures leave the cookie; the session may
+        // still exist when the node comes back.
         Some((client, DeliverOutcome::ThinkUntil(self.think(client, now))))
     }
 }

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use simcore::stats::{SecondSeries, Summary};
+use simcore::stats::Summary;
 use simcore::telemetry::{TelemetryEvent, TelemetrySink};
 use simcore::{SimDuration, SimTime};
 
@@ -45,17 +45,27 @@ pub struct TawSummary {
     pub bad_actions: u64,
 }
 
+/// Columns of a per-second row.
+const GOOD: usize = 0;
+const BAD: usize = 1;
+const RT_MS_SUM: usize = 2;
+const RT_N: usize = 3;
+
 /// The Taw tracker.
 #[derive(Debug, Default)]
 pub struct TawTracker {
-    series: SecondSeries,
+    /// One row per simulated second from 0 (seconds are dense): good and
+    /// bad Taw, and the response-time sum/count behind Figure 4's
+    /// timeline. Closing an action writes into the *past* seconds its
+    /// operations finished in, so the rows are addressed by index.
+    seconds: Vec<[f64; 4]>,
     /// Open actions, ordered by id so that bulk closes attribute in a
     /// deterministic order.
     open: BTreeMap<ActionId, Vec<OpRecord>>,
+    /// Emptied operation buffers of closed actions, reused by later ones.
+    spare: Vec<Vec<OpRecord>>,
     summary: TawSummary,
     response_ms: Summary,
-    /// Per-second response-time sums/counts for Figure 4 timelines.
-    rt_series: SecondSeries,
     /// Spans of eventually-failed requests per functional group (Fig 2).
     gaps: Vec<(FunctionalGroup, SimTime, SimTime)>,
     over_8s: u64,
@@ -70,6 +80,22 @@ impl TawTracker {
         TawTracker::default()
     }
 
+    /// The row of the second containing `at`.
+    fn row_mut(&mut self, at: SimTime) -> &mut [f64; 4] {
+        let s = at.second_index() as usize;
+        if s >= self.seconds.len() {
+            self.seconds.resize(s + 1, [0.0; 4]);
+        }
+        &mut self.seconds[s]
+    }
+
+    /// Sums one column over the closed range `[from, to]` of seconds.
+    fn sum_range(&self, column: usize, from: u64, to: u64) -> f64 {
+        let end = self.seconds.len().min(to.saturating_add(1) as usize);
+        let rows = self.seconds.get(from as usize..end).unwrap_or(&[]);
+        rows.iter().fold(0.0, |sum, row| sum + row[column])
+    }
+
     /// Records one completed operation under an open action.
     pub fn record_op(
         &mut self,
@@ -81,53 +107,54 @@ impl TawTracker {
     ) {
         let rt = finished_at - started_at;
         self.response_ms.record(rt.as_millis_f64());
-        self.rt_series
-            .add(finished_at, "rt_ms_sum", rt.as_millis_f64());
-        self.rt_series.incr(finished_at, "rt_n");
+        let row = self.row_mut(finished_at);
+        row[RT_MS_SUM] += rt.as_millis_f64();
+        row[RT_N] += 1.0;
         if rt > EIGHT_SECONDS {
             self.over_8s += 1;
         }
-        self.open.entry(action).or_default().push(OpRecord {
-            finished_at,
-            started_at,
-            ok,
-            group,
-        });
+        let spare = &mut self.spare;
+        self.open
+            .entry(action)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(OpRecord {
+                finished_at,
+                started_at,
+                ok,
+                group,
+            });
     }
 
     /// Closes an action, attributing its operations retroactively.
     ///
     /// The action is good only if *every* operation succeeded.
     pub fn close_action(&mut self, action: ActionId) {
-        let Some(ops) = self.open.remove(&action) else {
+        let Some(mut ops) = self.open.remove(&action) else {
             return;
         };
-        if ops.is_empty() {
-            return;
-        }
         let good = ops.iter().all(|o| o.ok);
         if good {
             self.summary.good_actions += 1;
+            self.summary.good_ops += ops.len() as u64;
         } else {
             self.summary.bad_actions += 1;
+            self.summary.bad_ops += ops.len() as u64;
         }
-        for op in ops {
+        for op in ops.drain(..) {
             if good {
-                self.summary.good_ops += 1;
-                self.series.incr(op.finished_at, "good");
+                self.row_mut(op.finished_at)[GOOD] += 1.0;
             } else {
-                self.summary.bad_ops += 1;
-                self.series.incr(op.finished_at, "bad");
+                self.row_mut(op.finished_at)[BAD] += 1.0;
                 self.gaps.push((op.group, op.started_at, op.finished_at));
             }
         }
+        self.spare.push(ops);
     }
 
     /// Closes every still-open action (end of run), in ascending action-id
     /// order (the map is ordered, so no post-hoc sort is needed).
     pub fn close_all(&mut self) {
-        let ids: Vec<ActionId> = self.open.keys().copied().collect();
-        for id in ids {
+        while let Some((&id, _)) = self.open.first_key_value() {
             self.close_action(id);
         }
     }
@@ -137,19 +164,14 @@ impl TawTracker {
         self.summary.clone()
     }
 
-    /// Returns the per-second good/bad Taw series.
-    pub fn series(&self) -> &SecondSeries {
-        &self.series
-    }
-
     /// Returns good Taw summed over a second range (inclusive).
     pub fn good_in(&self, from: u64, to: u64) -> f64 {
-        self.series.sum_range("good", from, to)
+        self.sum_range(GOOD, from, to)
     }
 
     /// Returns bad Taw summed over a second range (inclusive).
     pub fn bad_in(&self, from: u64, to: u64) -> f64 {
-        self.series.sum_range("bad", from, to)
+        self.sum_range(BAD, from, to)
     }
 
     /// Returns response-time statistics in milliseconds.
@@ -165,12 +187,8 @@ impl TawTracker {
     /// Returns the mean response time (ms) in one second of the run, or
     /// `None` if nothing finished then (Figure 4's per-second series).
     pub fn mean_rt_in_second(&self, second: u64) -> Option<f64> {
-        let n = self.rt_series.get(second, "rt_n");
-        if n == 0.0 {
-            None
-        } else {
-            Some(self.rt_series.get(second, "rt_ms_sum") / n)
-        }
+        let row = self.seconds.get(second as usize)?;
+        (row[RT_N] != 0.0).then(|| row[RT_MS_SUM] / row[RT_N])
     }
 
     /// Returns the failed-request spans per functional group (Figure 2).

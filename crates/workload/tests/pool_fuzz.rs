@@ -74,10 +74,14 @@ fn draw_outcome(rng: &mut SimRng) -> Outcome {
 }
 
 /// Whatever the server answers, the pool stays consistent: every
-/// request gets exactly one accounting entry, Taw totals add up, and
-/// the pool neither leaks pending requests nor double-counts.
+/// request gets exactly one accounting entry, Taw totals add up, the
+/// pool neither leaks pending requests nor double-counts, and every
+/// cookie it was handed is either still held by a client or reported
+/// dropped exactly once (logout, login-prompt reset, abandonment, or
+/// replacement by a newer cookie).
 #[test]
 fn pool_survives_arbitrary_response_sequences() {
+    let mut logouts = 0;
     for case in 0..64u64 {
         let mut rng = SimRng::seed_from(0xF00D + case);
         let seed = rng.uniform_u64(1000);
@@ -97,6 +101,7 @@ fn pool_survives_arbitrary_response_sequences() {
         let mut next_cookie = 100u64;
         let mut issued = 0u64;
         let mut client = 0usize;
+        let mut cookies_out = std::collections::BTreeSet::new();
         for outcome in &outcomes {
             now += SimDuration::from_millis(500);
             let Some(out) = pool.wake(client, now) else {
@@ -115,10 +120,16 @@ fn pool_survives_arbitrary_response_sequences() {
                 clear_cookie: false,
             };
             match outcome {
+                // The logout page clears the cookie.
+                Outcome::Ok if out.req.op == OpCode(4) => {
+                    resp.clear_cookie = true;
+                    logouts += 1;
+                }
                 Outcome::Ok => {}
                 Outcome::OkWithCookie => {
                     next_cookie += 1;
                     resp.set_cookie = Some(SessionId(next_cookie));
+                    cookies_out.insert(SessionId(next_cookie));
                 }
                 Outcome::ServerError => resp.status = Status::ServerError(500),
                 Outcome::NetworkError => resp.status = Status::NetworkError,
@@ -137,6 +148,13 @@ fn pool_survives_arbitrary_response_sequences() {
             if let DeliverOutcome::RetryAt(t) = what {
                 assert!(t > now, "retry is in the future");
             }
+            for dropped in pool.drain_dropped_sessions().collect::<Vec<_>>() {
+                assert!(
+                    cookies_out.remove(&dropped),
+                    "{dropped:?} dropped twice or never issued (case {case})"
+                );
+            }
+            assert_eq!(cookies_out.len(), pool.with_session(), "case {case}");
             client = (client + 1) % 8;
         }
         // No request is still owned unless it is an unanswered wake (we
@@ -156,6 +174,7 @@ fn pool_survives_arbitrary_response_sequences() {
             s.bad_ops
         );
     }
+    assert!(logouts > 20, "the cases reach the logout page: {logouts}");
 }
 
 /// Same seed, same behaviour: the pool is deterministic.

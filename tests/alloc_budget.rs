@@ -13,10 +13,12 @@ use microreboot::cluster::{Sim, SimConfig, StoreChoice};
 use microreboot::simcore::SimTime;
 
 /// Allocations per issued request the steady request path may make.
-/// Measured 11.64 when the budget was set (34.02 before database queries
-/// stopped copying rows); the headroom is for the path to grow features,
-/// not to absorb a per-request `Vec` or `clone` that crept back in.
-const BUDGET: f64 = 24.0;
+/// Measured 9.29 when the budget was set (11.64 before the client pool
+/// and the Taw tracker stopped building a `Vec` per wake and per action,
+/// 34.02 before database queries stopped copying rows). The 15 % of
+/// headroom is for the path to grow a feature, not to absorb a
+/// per-request `Vec` or `clone` that crept back in.
+const BUDGET: f64 = 10.7;
 
 struct CountingAlloc;
 

@@ -5,7 +5,7 @@
 //! seeds, so a failure here is always reproducible with no shrink step.
 
 use microreboot::simcore::{EventQueue, SimDuration, SimRng, SimTime};
-use microreboot::statestore::db::TableDef;
+use microreboot::statestore::db::{Row, TableDef};
 use microreboot::statestore::lease::LeaseTable;
 use microreboot::statestore::session::{SessionId, SessionObject, SessionStore};
 use microreboot::statestore::{Database, FastS, Ssm, Value};
@@ -205,7 +205,8 @@ fn gen_cell(rng: &mut SimRng) -> Value {
 /// corruption and repair, every index equals one recomputed from the
 /// rows, and `scan_eq` / `scan_all` visit exactly what the full-scan
 /// reference returns — same rows, same order, same taint verdict, same
-/// `reads` — on an indexed database and on an index-free twin alike.
+/// `reads` — on an indexed database and on an index-free twin alike, and
+/// whether or not the query has a consumer for the rows.
 #[test]
 fn db_indexes_track_every_row_image_change() {
     const KEYS: u64 = 12;
@@ -313,7 +314,7 @@ fn db_indexes_track_every_row_image_change() {
                         let reads = db.stats().reads;
                         let mut seen = Vec::new();
                         let hits = db
-                            .scan_eq("t", col, v, limit, |r| seen.push(r.clone()))
+                            .scan_eq("t", col, v, limit, |r: &Row| seen.push(r.clone()))
                             .unwrap();
                         assert_eq!(seen, expected, "case {case} step {step} col {col} = {v}");
                         assert_eq!(hits.rows, expected.len());
@@ -322,14 +323,24 @@ fn db_indexes_track_every_row_image_change() {
                             .iter()
                             .any(|r| db.is_tainted("t", r[0].as_int().unwrap()));
                         assert_eq!(hits.tainted, tainted, "case {case} step {step}");
+                        // Counting without a row consumer answers alike.
+                        let reads = db.stats().reads;
+                        let counted = db.scan_eq("t", col, v, limit, ()).unwrap();
+                        assert_eq!(counted, hits, "case {case} step {step} col {col} = {v}");
+                        assert_eq!(db.stats().reads - reads, expected.len() as u64 + 1);
                     }
                 }
             }
             let expected = twin.scan("t", |_| true, limit).unwrap();
             let mut seen = Vec::new();
-            let hits = real.scan_all("t", limit, |r| seen.push(r.clone())).unwrap();
+            let hits = real
+                .scan_all("t", limit, |r: &Row| seen.push(r.clone()))
+                .unwrap();
             assert_eq!(seen, expected, "case {case} step {step}");
             assert_eq!(hits.rows, expected.len());
+            let reads = real.stats().reads;
+            assert_eq!(real.scan_all("t", limit, ()).unwrap(), hits);
+            assert_eq!(real.stats().reads - reads, expected.len() as u64 + 1);
             assert_eq!(real.scan("t", |_| true, limit).unwrap(), expected);
         }
     }
