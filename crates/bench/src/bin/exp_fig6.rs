@@ -82,19 +82,15 @@ fn microrejuvenation() -> (u64, Vec<(u64, f64)>, usize, bool) {
 fn jvm_rejuvenation() -> (u64, usize, bool) {
     let mut sim = Sim::new(SimConfig::default());
     inject_leaks(&mut sim);
-    // Whole-JVM rejuvenation: poll free memory, restart when it drops
-    // below the alarm.
-    fn poll(w: &mut cluster::World, q: &mut cluster::SimQueue) {
-        use cluster::ScheduleFn;
-        let now = q.now();
-        if w.nodes[0].is_up() && w.nodes[0].available_memory() < MALARM {
-            w.execute_action(0, recovery::RecoveryAction::RestartProcess, q);
+    // Whole-JVM rejuvenation: poll free memory every 5 s from outside
+    // the event loop, command a restart when it drops below the alarm.
+    for t in (5..=RUN * 60).step_by(5) {
+        sim.run_until(SimTime::from_secs(t));
+        let node = &sim.world().nodes[0];
+        if node.is_up() && node.available_memory() < MALARM {
+            sim.schedule_recovery(sim.now(), 0, recovery::RecoveryAction::RestartProcess);
         }
-        let _ = now;
-        q.schedule_fn_in(SimDuration::from_secs(5), poll);
     }
-    sim.schedule_fn(SimTime::from_secs(5), poll);
-    sim.run_until(SimTime::from_mins(RUN));
     let world = sim.finish();
     let restarts = world.nodes[0].stats().process_restarts as usize;
     let taw = world.pool.taw_ref();

@@ -5,11 +5,7 @@
 //! structural drift):
 //!
 //! * **events_per_sec** — slot-arena kernel throughput over the chain
-//!   workload of [`bench::kernel`], next to **legacy_events_per_sec**, the
-//!   same workload on a faithful replica of the seed kernel (boxed
-//!   closures + HashSet cancellation), and their ratio
-//!   **speedup_vs_legacy** — the honest measure of what the arena
-//!   refactor bought on this machine, in this build.
+//!   workload of [`bench::kernel`].
 //! * **allocs_per_1k_events** — heap allocations per 1000 events at
 //!   steady state, via a counting global allocator. The arena target is
 //!   0.000: once the slot pool is warm, schedule/fire allocates nothing.
@@ -61,20 +57,12 @@ fn allocs_now() -> u64 {
 
 /// Allocation count over one measured arena window, after warmup.
 fn arena_allocs_per_1k(warmup: u64, events: u64) -> f64 {
-    use simcore::EventQueue;
-    let mut queue: EventQueue<kernel::BenchWorld, kernel::ChainEvent> = EventQueue::new();
-    let mut world = kernel::BenchWorld::default();
-    kernel::seed_arena(&mut queue);
-    while world.fired < warmup {
-        queue.step(&mut world);
-    }
+    let (mut queue, mut world) = kernel::warm_arena(warmup);
     let before = allocs_now();
-    let fired_before = world.fired;
     while world.fired < warmup + events {
         queue.step(&mut world);
     }
-    let allocs = allocs_now() - before;
-    allocs as f64 * 1000.0 / (world.fired - fired_before) as f64
+    (allocs_now() - before) as f64 * 1000.0 / events as f64
 }
 
 /// Simulated seconds advanced per wall second on the real cluster sim.
@@ -95,15 +83,12 @@ fn cluster_sim_rate() -> f64 {
 fn run_kernel(events: u64, json_path: Option<&str>) -> std::io::Result<()> {
     let warmup = (events / 10).max(10_000);
     println!(
-        "urb-bench kernel: {events} events/kernel (+{warmup} warmup), {} chains",
+        "urb-bench kernel: {events} events (+{warmup} warmup), {} chains",
         kernel::CHAINS
     );
 
-    let (pair, _, _) = kernel::run_pair(warmup, events, 32);
-    let arena = pair.arena;
-    let arena_eps = pair.arena.events_per_sec();
-    let legacy_eps = pair.legacy.events_per_sec();
-    let speedup = pair.speedup();
+    let (arena, _) = kernel::run_arena(warmup, events);
+    let arena_eps = arena.events_per_sec();
 
     let allocs_per_1k = arena_allocs_per_1k(warmup, events.min(500_000));
 
@@ -114,8 +99,6 @@ fn run_kernel(events: u64, json_path: Option<&str>) -> std::io::Result<()> {
     let sim_rate = cluster_sim_rate();
 
     println!("  arena   {arena_eps:>14.0} events/s");
-    println!("  legacy  {legacy_eps:>14.0} events/s   (seed kernel replica)");
-    println!("  speedup {speedup:>14.2}x");
     println!("  allocs  {allocs_per_1k:>14.3} per 1k events (steady state)");
     println!("  dispatch p50 {p50} ns, p99 {p99} ns");
     println!("  cluster sim {sim_rate:>10.1} sim-seconds/wall-second (seed 7, RM on)");
@@ -123,8 +106,6 @@ fn run_kernel(events: u64, json_path: Option<&str>) -> std::io::Result<()> {
     let mut report = JsonReport::new("kernel");
     report.metric("events", arena.events);
     report.metric_f64("events_per_sec", arena_eps);
-    report.metric_f64("legacy_events_per_sec", legacy_eps);
-    report.metric_f64("speedup_vs_legacy", speedup);
     report.metric_f64("allocs_per_1k_events", allocs_per_1k);
     report.metric("p50_dispatch_ns", p50);
     report.metric("p99_dispatch_ns", p99);

@@ -1,208 +1,229 @@
-//! `urb-chaos` — deterministic fault-injection campaigns and policy
-//! tournaments.
+//! `urb-chaos` — deterministic fault-injection campaigns.
 //!
-//! **Campaign mode** (the default) sweeps a seeded scenario space (fault
-//! kind × target × injection time × optional second fault mid-recovery ×
-//! flapping schedule × detector kind × recovery-manager concurrency),
-//! runs each scenario through the cluster simulation with the hardened
-//! recovery policy, and asserts the recovery-convergence invariants on
-//! every run:
+//! A campaign sweeps a seeded scenario space (fault kind × target ×
+//! injection time × optional second fault mid-recovery × flapping
+//! schedule × detector kind × recovery-manager concurrency), runs each
+//! scenario through [`bench::chaos::run_scenario`] — which asserts the
+//! recovery invariants on every run — and, with `--strict`, re-runs it
+//! and requires the trace digest to reproduce bit-for-bit. Each run folds
+//! into a `CampaignRunDone` telemetry event; the campaign digest is the
+//! FNV fold of those events, so the whole campaign is reproducible from
+//! `(seed, runs)` alone.
 //!
-//! * the failure episode terminates — no recovery left in flight, no
-//!   conductor ticket active or queued, the node back up, no hung
-//!   requests surviving the run;
-//! * every begun reboot finished, and every manager decision was
-//!   acknowledged exactly once (`in_flight == 0` at quiescence);
-//! * quarantine is always lifted once recovery converges;
-//! * goodput returns to a fraction of its pre-fault rate, for every
-//!   fault class whose damage a reboot can actually undo;
-//! * with `--strict`, each scenario re-runs and must reproduce its trace
-//!   digest bit-for-bit.
-//!
-//! Each run folds into a `CampaignRunDone` telemetry event; the campaign
-//! digest is the FNV fold of those events, so the whole campaign is
-//! reproducible from `(seed, runs)` alone.
-//!
-//! **Tournament mode** (`urb-chaos tournament`) runs the full fault
-//! matrix under every registered recovery policy on a two-node failover
-//! cluster, scores each policy on downtime / failed requests / reboot
-//! cost / pages, marks the Pareto frontier, and writes
-//! `target/BENCH_policy_tournament.json`.
+//! Four campaigns share the one driver, [`run_campaign`]; each is a
+//! [`Campaign`] value in [`CAMPAIGNS`] holding only what is its own: the
+//! classic campaign (no subcommand), the policy `tournament`, the
+//! fail-slow `degraded` campaign (performance-parity stage armed) and the
+//! store- and link-fault `netstate` campaign (session-integrity stage
+//! armed). DESIGN.md §8 describes the harness.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use bench::chaos::{
-    self, depth_label, describe, fault_kind, run_scenario, RunOptions, TournamentOptions,
-};
-use bench::netstate::run_netstate_scenario;
+use bench::chaos::{describe, fault_kind, injected, run_scenario, RunOptions, RunOutcome, CLIENTS};
+use bench::netstate;
 use bench::report::JsonReport;
 use bench::Table;
-use faults::campaign::{self, CampaignConfig};
+use faults::campaign::{self, CampaignConfig, Scenario};
 use recovery::PolicyChoice;
 use simcore::telemetry::{TelemetrySink, TraceHashSink};
-use simcore::{MetricsRegistry, TelemetryEvent};
+use simcore::TelemetryEvent;
 
 fn usage() {
     eprintln!("usage: urb-chaos [--seed N] [--runs M] [--strict] [--verbose] [--only RUN]");
-    eprintln!("       urb-chaos tournament [--seed N] [--runs M] [--policies a,b,..] [--strict] [--verbose] [--json]");
+    eprintln!("       urb-chaos tournament [--seed N] [--runs M] [--policies a,b,..] [--strict] [--verbose] [--json] [--only RUN]");
     eprintln!("       urb-chaos degraded [--seed N] [--runs M] [--strict] [--verbose] [--json] [--only RUN]");
     eprintln!("       urb-chaos netstate [--seed N] [--runs M] [--strict] [--verbose] [--json] [--only RUN]");
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("tournament") => tournament_main(&args[1..]),
-        Some("degraded") => degraded_main(&args[1..]),
-        Some("netstate") => netstate_main(&args[1..]),
-        _ => campaign_main(&args),
+    let subcommand = CAMPAIGNS[1..]
+        .iter()
+        .find(|c| args.first().is_some_and(|a| a == c.name));
+    match subcommand {
+        Some(c) => run_campaign(c, &args[1..]),
+        None => run_campaign(&CAMPAIGNS[0], &args),
     }
 }
 
-/// The netstate (state-plane & network fault) campaign: every run
-/// injects one store-tier or link-tier fault against a two-node
-/// failover cluster on the SSM backend with the session-integrity
-/// ledger armed, and convergence additionally requires the end-to-end
-/// integrity invariants — no committed write lost, no write applied
-/// twice, no stale lease served, no reboot drawn onto a healthy
-/// component by store-tier evidence, goodput recovered.
-fn netstate_main(args: &[String]) -> ExitCode {
-    let mut seed = 7u64;
-    let mut runs = 100u64;
-    let mut only: Option<u64> = None;
-    let mut strict = false;
-    let mut verbose = false;
-    let mut write_json = false;
+/// One chaos campaign: everything the driver needs to know about a
+/// flavor, and nothing the flavors share.
+struct Campaign {
+    /// Subcommand (empty for the classic campaign).
+    name: &'static str,
+    /// The seeded scenario generator.
+    scenarios: fn(&CampaignConfig) -> Vec<Scenario>,
+    /// How a scenario runs under one of the campaign's policies.
+    options: fn(&Scenario, PolicyChoice) -> RunOptions,
+    /// `--runs` when not given.
+    default_runs: u64,
+    /// The policies the scenarios are swept across; more than one makes
+    /// `--policies` a flag of this campaign.
+    policies: &'static [PolicyChoice],
+    /// `BENCH_<report>.json` stem; `None` means no `--json` flag.
+    report: Option<&'static str>,
+    /// Prints the flavor's summary, folded from the outcomes, and records
+    /// the same numbers in the report.
+    summarize: fn(&[Scenario], &[Sweep], &mut JsonReport),
+    /// The closing line of a clean campaign.
+    held: &'static str,
+}
+
+/// A parsed command line.
+#[derive(Default)]
+struct Invocation {
+    seed: u64,
+    runs: u64,
+    only: Option<u64>,
+    strict: bool,
+    verbose: bool,
+    json: bool,
+    policies: Vec<PolicyChoice>,
+}
+
+/// One policy's pass over the campaign's scenarios.
+struct Sweep {
+    policy: PolicyChoice,
+    /// One outcome per scenario, in scenario order.
+    outcomes: Vec<RunOutcome>,
+    /// FNV fold of every run's `CampaignRunDone` event.
+    digest: u64,
+    /// Invariant violations over all runs.
+    violations: u64,
+}
+
+fn parse(c: &Campaign, args: &[String]) -> Option<Invocation> {
+    let mut inv = Invocation {
+        seed: 7,
+        runs: c.default_runs,
+        policies: c.policies.to_vec(),
+        ..Invocation::default()
+    };
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let parsed = match a.as_str() {
-            "--seed" => it.next().map(|v| v.parse().map(|n| seed = n)),
-            "--runs" => it.next().map(|v| v.parse().map(|n| runs = n)),
-            "--only" => it.next().map(|v| v.parse().map(|n| only = Some(n))),
-            "--strict" => {
-                strict = true;
-                continue;
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--seed" => inv.seed = it.next()?.parse().ok()?,
+            "--runs" => inv.runs = it.next()?.parse().ok()?,
+            "--only" => inv.only = Some(it.next()?.parse().ok()?),
+            "--strict" => inv.strict = true,
+            "--verbose" => inv.verbose = true,
+            "--json" if c.report.is_some() => inv.json = true,
+            "--policies" if c.policies.len() > 1 => {
+                inv.policies = it
+                    .next()?
+                    .split(',')
+                    .map(policy_from_label)
+                    .collect::<Option<_>>()?;
             }
-            "--verbose" => {
-                verbose = true;
-                continue;
-            }
-            "--json" => {
-                write_json = true;
-                continue;
-            }
-            _ => None,
-        };
-        match parsed {
-            Some(Ok(())) => {}
-            _ => {
-                usage();
-                return ExitCode::from(2);
-            }
+            _ => return None,
         }
     }
+    Some(inv)
+}
 
-    let mut scenarios = campaign::netstate_scenarios(&CampaignConfig { seed, runs });
-    if let Some(run) = only {
+fn policy_from_label(label: &str) -> Option<PolicyChoice> {
+    let policy = PolicyChoice::from_label(label);
+    if policy.is_none() {
+        let known: Vec<_> = PolicyChoice::ALL.iter().map(|p| p.label()).collect();
+        eprintln!("unknown policy {label:?}; known: {}", known.join(", "));
+    }
+    policy
+}
+
+/// The one campaign driver: parses the command line, runs every scenario
+/// under every policy (re-running under `--strict`), folds each run into
+/// the sweep's digest, lets the flavor summarize, writes the report, and
+/// turns violations into the failure list and the exit code.
+fn run_campaign(c: &Campaign, args: &[String]) -> ExitCode {
+    let Some(inv) = parse(c, args) else {
+        usage();
+        return ExitCode::from(2);
+    };
+    let mut scenarios = (c.scenarios)(&CampaignConfig {
+        seed: inv.seed,
+        runs: inv.runs,
+    });
+    if let Some(run) = inv.only {
         scenarios.retain(|s| s.run == run);
     }
-    let mut campaign_hash = TraceHashSink::new();
-    let mut campaign_metrics = MetricsRegistry::new();
-    let mut coverage: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut failures: Vec<(u64, String, Vec<String>)> = Vec::new();
-    let mut commit_intents = 0u64;
-    let mut dupes_discarded = 0u64;
-    let mut store_evidence = 0u64;
-    let mut retries_issued = 0u64;
-    let mut downtime_ms = 0u64;
-    let mut retry_runs = 0u64;
+    let sweeping = c.policies.len() > 1;
+    let arms = match inv.policies.len() {
+        n if sweeping => format!(" x {n} policies"),
+        _ => String::new(),
+    };
+    let strict = if inv.strict { ", strict" } else { "" };
+    let title = format!("urb-chaos {}", c.name);
+    println!(
+        "{}: seed {}, {} run(s){arms}{strict}",
+        title.trim_end(),
+        inv.seed,
+        inv.runs
+    );
 
-    for s in &scenarios {
-        let mut out = run_netstate_scenario(s);
-        if strict {
-            let again = run_netstate_scenario(s);
-            if again.digest != out.digest {
-                out.violations.push(format!(
-                    "nondeterministic: digest {:016x} vs {:016x} on re-run",
-                    out.digest, again.digest
-                ));
-            }
-        }
-        *coverage.entry(fault_kind(&s.fault)).or_insert(0) += 1;
-        commit_intents += out.commit_intents;
-        dupes_discarded += out.dupes_discarded;
-        store_evidence += out.store_evidence;
-        retries_issued += out.retries_issued;
-        downtime_ms += out.downtime_ms;
-        retry_runs += u64::from(s.budgeted_retry);
-        let done = TelemetryEvent::CampaignRunDone {
-            run: s.run,
-            digest: out.digest,
-            violations: out.violations.len() as u32,
-        };
-        campaign_hash.on_event(&done);
-        campaign_metrics.on_event(&done);
-        if verbose {
-            println!(
-                "run {:>3}  {:<38} intents {:>5}  dupes {:>4}  evidence {:>3}  retries {:>4}  digest {:016x}  {}",
-                s.run,
-                describe(s),
-                out.commit_intents,
-                out.dupes_discarded,
-                out.store_evidence,
-                out.retries_issued,
-                out.digest,
-                if out.violations.is_empty() {
-                    "ok".into()
-                } else {
-                    format!("VIOLATIONS: {}", out.violations.join("; "))
+    let mut sweeps = Vec::new();
+    for &policy in &inv.policies {
+        let mut hash = TraceHashSink::new();
+        let (mut outcomes, mut violations) = (Vec::new(), 0);
+        for s in &scenarios {
+            let opts = (c.options)(s, policy);
+            let mut out = run_scenario(s, &opts);
+            if inv.strict {
+                let again = run_scenario(s, &opts);
+                if again.digest != out.digest {
+                    out.violations.push(format!(
+                        "nondeterministic: digest {:016x} vs {:016x} on re-run",
+                        out.digest, again.digest
+                    ));
                 }
-            );
+            }
+            hash.on_event(&TelemetryEvent::CampaignRunDone {
+                run: s.run,
+                digest: out.digest,
+                violations: out.violations.len() as u32,
+            });
+            if inv.verbose {
+                if inv.only.is_some() {
+                    out.log.iter().for_each(|ev| println!("  {ev:?}"));
+                }
+                println!("{}", run_line(sweeping.then_some(policy), s, &out));
+            }
+            violations += out.violations.len() as u64;
+            outcomes.push(out);
         }
-        if !out.violations.is_empty() {
-            failures.push((s.run, describe(s), out.violations));
-        }
+        sweeps.push(Sweep {
+            policy,
+            outcomes,
+            digest: hash.value(),
+            violations,
+        });
     }
 
-    println!(
-        "urb-chaos netstate: seed {seed}, {runs} run(s){}",
-        if strict { ", strict" } else { "" }
-    );
-    let mut t = Table::new(&["fault kind", "runs"]);
-    for (kind, n) in &coverage {
-        t.row_owned(vec![(*kind).to_string(), n.to_string()]);
+    // A sweep across policies reports one digest per policy in its own
+    // table; a single-policy campaign's digest is the campaign's.
+    let mut report = JsonReport::new(c.report.unwrap_or(c.name));
+    report.metric("seed", inv.seed);
+    if sweeping {
+        report.metric("runs_per_policy", inv.runs);
+        report.metric("policies", sweeps.len() as u64);
+    } else {
+        report.metric("runs", inv.runs);
+        report.metric("violations", sweeps[0].violations);
     }
-    t.print();
-    println!(
-        "\ncommit intents: {commit_intents}; dupes discarded: {dupes_discarded}; \
-         store evidence withheld: {store_evidence}; client retries: {retries_issued} \
-         ({retry_runs} budgeted run(s)); degraded time: {downtime_ms} ms"
-    );
-    println!(
-        "netstate campaign digest {:016x} over {} run(s), {} violation(s)",
-        campaign_hash.value(),
-        campaign_metrics.counter("campaign_runs_done"),
-        campaign_metrics.counter("campaign_violations"),
-    );
-
-    if write_json {
-        let mut r = JsonReport::new("netstate_integrity");
-        r.metric("seed", seed);
-        r.metric("runs", runs);
-        r.metric(
-            "violations",
-            campaign_metrics.counter("campaign_violations"),
+    (c.summarize)(&scenarios, &sweeps, &mut report);
+    if !sweeping {
+        let label = format!("{} campaign digest", c.name);
+        println!(
+            "{} {:016x} over {} run(s), {} violation(s)",
+            label.trim_start(),
+            sweeps[0].digest,
+            sweeps[0].outcomes.len(),
+            sweeps[0].violations,
         );
-        r.metric("commit_intents", commit_intents);
-        r.metric("dupes_discarded", dupes_discarded);
-        r.metric("store_evidence_withheld", store_evidence);
-        r.metric("retries_issued", retries_issued);
-        r.metric("budgeted_retry_runs", retry_runs);
-        r.metric("downtime_ms", downtime_ms);
-        r.metric("fault_kinds_covered", coverage.len() as u64);
-        r.digest(campaign_hash.value());
-        match r.write() {
+        report.digest(sweeps[0].digest);
+    }
+    if inv.json {
+        match report.write() {
             Ok(path) => println!("wrote {path}"),
             Err(e) => {
                 eprintln!("failed to write report: {e}");
@@ -211,387 +232,160 @@ fn netstate_main(args: &[String]) -> ExitCode {
         }
     }
 
-    if failures.is_empty() {
-        println!("all session-integrity invariants held");
-        ExitCode::SUCCESS
-    } else {
-        for (run, desc, violations) in &failures {
-            eprintln!("run {run} ({desc}):");
-            for v in violations {
-                eprintln!("  - {v}");
-            }
-        }
-        ExitCode::FAILURE
+    if sweeps.iter().all(|sweep| sweep.violations == 0) {
+        println!("{}", c.held);
+        return ExitCode::SUCCESS;
     }
-}
-
-/// The degraded (fail-slow) campaign: every run injects `Fault::Degraded`
-/// with the performance plane armed, and convergence additionally
-/// requires the performance-parity invariants — baseline frozen before
-/// injection, the anomaly detected, the ladder escalating past warm
-/// restarts, and post-recovery latency/throughput back within tolerance
-/// of the frozen baseline.
-fn degraded_main(args: &[String]) -> ExitCode {
-    let mut seed = 7u64;
-    let mut runs = 12u64;
-    let mut only: Option<u64> = None;
-    let mut strict = false;
-    let mut verbose = false;
-    let mut write_json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let parsed = match a.as_str() {
-            "--seed" => it.next().map(|v| v.parse().map(|n| seed = n)),
-            "--runs" => it.next().map(|v| v.parse().map(|n| runs = n)),
-            "--only" => it.next().map(|v| v.parse().map(|n| only = Some(n))),
-            "--strict" => {
-                strict = true;
-                continue;
-            }
-            "--verbose" => {
-                verbose = true;
-                continue;
-            }
-            "--json" => {
-                write_json = true;
-                continue;
-            }
-            _ => None,
-        };
-        match parsed {
-            Some(Ok(())) => {}
-            _ => {
-                usage();
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let mut scenarios = campaign::degraded_scenarios(&CampaignConfig { seed, runs });
-    if let Some(run) = only {
-        scenarios.retain(|s| s.run == run);
-    }
-    let opts = RunOptions {
-        perf: Some(workload::PerfConfig::default()),
-        // Three times the classic client load: fail-slow detection is
-        // statistical, and the degraded targets' ops need enough traffic
-        // per judgement window (>= min_window_ops) to earn verdicts. The
-        // classic campaigns keep the lighter load their digests pin.
-        clients: 180,
-        debug: only.is_some() && verbose,
-        ..RunOptions::default()
-    };
-    let mut campaign_hash = TraceHashSink::new();
-    let mut campaign_metrics = MetricsRegistry::new();
-    let mut failures: Vec<(u64, String, Vec<String>)> = Vec::new();
-    let mut depth_counts = [0u64; 5];
-    let mut detection_ms: Vec<u64> = Vec::new();
-    let mut parity_ms: Vec<u64> = Vec::new();
-    let mut anomaly_windows = 0u64;
-
-    for s in &scenarios {
-        let mut out = run_scenario(s, &opts);
-        if strict {
-            let again = run_scenario(s, &opts);
-            if again.digest != out.digest {
-                out.violations.push(format!(
-                    "nondeterministic: digest {:016x} vs {:016x} on re-run",
-                    out.digest, again.digest
-                ));
-            }
-        }
-        let perf = out.perf.unwrap_or_default();
-        depth_counts[usize::from(perf.escalation_depth.min(4))] += 1;
-        detection_ms.extend(perf.detection_latency_ms);
-        parity_ms.extend(perf.parity_after_ms);
-        anomaly_windows += perf.anomalies;
-        let done = TelemetryEvent::CampaignRunDone {
-            run: s.run,
-            digest: out.digest,
-            violations: out.violations.len() as u32,
-        };
-        campaign_hash.on_event(&done);
-        campaign_metrics.on_event(&done);
-        if verbose {
-            println!(
-                "run {:>3}  {:<36} detect {:>6} ms  parity {:>7} ms  depth {:<15} digest {:016x}  {}",
-                s.run,
-                describe(s),
-                perf.detection_latency_ms
-                    .map_or("-".into(), |v| v.to_string()),
-                perf.parity_after_ms.map_or("-".into(), |v| v.to_string()),
-                depth_label(perf.escalation_depth),
-                out.digest,
-                if out.violations.is_empty() {
-                    "ok".into()
-                } else {
-                    format!("VIOLATIONS: {}", out.violations.join("; "))
-                }
-            );
-        }
-        if !out.violations.is_empty() {
-            failures.push((s.run, describe(s), out.violations));
-        }
-    }
-
-    let mean = |v: &[u64]| {
-        if v.is_empty() {
-            0
+    for sweep in &sweeps {
+        let under = if sweeping {
+            format!(" under {}", sweep.policy.label())
         } else {
-            v.iter().sum::<u64>() / v.len() as u64
+            String::new()
+        };
+        for (s, out) in scenarios.iter().zip(&sweep.outcomes) {
+            if !out.violations.is_empty() {
+                eprintln!("run {} ({}){under}:", s.run, describe(s));
+                for v in &out.violations {
+                    eprintln!("  - {v}");
+                }
+            }
         }
-    };
-    let max = |v: &[u64]| v.iter().copied().max().unwrap_or(0);
-    println!(
-        "urb-chaos degraded: seed {seed}, {runs} run(s){}",
-        if strict { ", strict" } else { "" }
-    );
-    let mut t = Table::new(&["metric", "value"]);
-    t.row_owned(vec![
-        "detection latency (ms, mean/max)".into(),
-        format!("{} / {}", mean(&detection_ms), max(&detection_ms)),
-    ]);
-    t.row_owned(vec![
-        "parity restoration (ms, mean/max)".into(),
-        format!("{} / {}", mean(&parity_ms), max(&parity_ms)),
-    ]);
-    t.row_owned(vec!["anomaly windows".into(), anomaly_windows.to_string()]);
-    for (i, count) in depth_counts.iter().enumerate() {
-        t.row_owned(vec![
-            format!("escalation depth: {}", depth_label(i as u8)),
-            count.to_string(),
-        ]);
     }
-    t.print();
-    println!(
-        "degraded campaign digest {:016x} over {} run(s), {} violation(s)",
-        campaign_hash.value(),
-        campaign_metrics.counter("campaign_runs_done"),
-        campaign_metrics.counter("campaign_violations"),
-    );
+    ExitCode::FAILURE
+}
 
-    if write_json {
-        let mut r = JsonReport::new("degraded_parity");
-        r.metric("seed", seed);
-        r.metric("runs", runs);
-        r.metric(
-            "violations",
-            campaign_metrics.counter("campaign_violations"),
+/// One `--verbose` line: the run, what it injected, what each armed
+/// stage measured, its trace digest and its verdict.
+fn run_line(policy: Option<PolicyChoice>, s: &Scenario, out: &RunOutcome) -> String {
+    let mut line = policy.map_or(String::new(), |p| format!("{:<16} ", p.label()));
+    line += &format!("run {:>4}  {:<48}  ", s.run, describe(s));
+    line += &format!("downtime {:>7} ms  ", out.downtime_ms);
+    if let Some(p) = out.perf {
+        let ms = |v: Option<u64>| v.map_or("-".into(), |v| v.to_string());
+        line += &format!(
+            "detect {:>6} ms  parity {:>7} ms  depth {:<15}  ",
+            ms(p.detection_latency_ms),
+            ms(p.parity_after_ms),
+            DEPTHS[usize::from(p.escalation_depth.min(4))],
         );
-        r.metric("anomaly_windows", anomaly_windows);
-        r.metric("detection_latency_ms_mean", mean(&detection_ms));
-        r.metric("detection_latency_ms_max", max(&detection_ms));
-        r.metric("parity_restore_ms_mean", mean(&parity_ms));
-        r.metric("parity_restore_ms_max", max(&parity_ms));
-        for (i, count) in depth_counts.iter().enumerate() {
-            r.metric(&format!("escalation.{}", depth_label(i as u8)), *count);
-        }
-        r.digest(campaign_hash.value());
-        match r.write() {
-            Ok(path) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write report: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
-
-    if failures.is_empty() {
-        println!("all parity invariants held");
-        ExitCode::SUCCESS
+    if let Some(i) = out.integrity {
+        line += &format!(
+            "intents {:>5}  dupes {:>4}  evidence {:>3}  retries {:>4}  ",
+            i.commit_intents, i.dupes_discarded, i.store_evidence, i.retries_issued,
+        );
+    }
+    line += &format!("digest {:016x}  ", out.digest);
+    if out.violations.is_empty() {
+        line + "ok"
     } else {
-        for (run, desc, violations) in &failures {
-            eprintln!("run {run} ({desc}):");
-            for v in violations {
-                eprintln!("  - {v}");
-            }
-        }
-        ExitCode::FAILURE
+        line + "VIOLATIONS: " + &out.violations.join("; ")
     }
 }
 
-fn campaign_main(args: &[String]) -> ExitCode {
-    let mut seed = 7u64;
-    let mut runs = 64u64;
-    let mut only: Option<u64> = None;
-    let mut strict = false;
-    let mut verbose = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let parsed = match a.as_str() {
-            "--seed" => it.next().map(|v| v.parse().map(|n| seed = n)),
-            "--runs" => it.next().map(|v| v.parse().map(|n| runs = n)),
-            "--only" => it.next().map(|v| v.parse().map(|n| only = Some(n))),
-            "--strict" => {
-                strict = true;
-                continue;
-            }
-            "--verbose" => {
-                verbose = true;
-                continue;
-            }
-            _ => None,
-        };
-        match parsed {
-            Some(Ok(())) => {}
-            _ => {
-                usage();
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let mut scenarios = campaign::scenarios(&CampaignConfig { seed, runs });
-    if let Some(run) = only {
-        scenarios.retain(|s| s.run == run);
-    }
-    let mut campaign_hash = TraceHashSink::new();
-    let mut campaign_metrics = MetricsRegistry::new();
+/// Prints injections per fault kind; returns how many kinds were covered.
+fn print_coverage(scenarios: &[Scenario]) -> usize {
     let mut coverage: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut failures: Vec<(u64, String, Vec<String>)> = Vec::new();
-
-    for s in &scenarios {
-        let opts = RunOptions {
-            debug: only.is_some() && verbose,
-            ..RunOptions::default()
-        };
-        let mut out = run_scenario(s, &opts);
-        if strict {
-            let again = run_scenario(s, &RunOptions::default());
-            if again.digest != out.digest {
-                out.violations.push(format!(
-                    "nondeterministic: digest {:016x} vs {:016x} on re-run",
-                    out.digest, again.digest
-                ));
-            }
-        }
-        *coverage.entry(fault_kind(&s.fault)).or_insert(0) += 1;
-        if let Some(second) = s.second {
-            *coverage.entry(fault_kind(&second.fault)).or_insert(0) += 1;
-        }
-        let done = TelemetryEvent::CampaignRunDone {
-            run: s.run,
-            digest: out.digest,
-            violations: out.violations.len() as u32,
-        };
-        campaign_hash.on_event(&done);
-        campaign_metrics.on_event(&done);
-        if verbose {
-            println!(
-                "run {:>4}  {:<44}  digest {:016x}  {}",
-                s.run,
-                describe(s),
-                out.digest,
-                if out.violations.is_empty() {
-                    "ok".into()
-                } else {
-                    format!("VIOLATIONS: {}", out.violations.join("; "))
-                }
-            );
-        }
-        if !out.violations.is_empty() {
-            failures.push((s.run, describe(s), out.violations));
-        }
+    for fault in scenarios.iter().flat_map(injected) {
+        *coverage.entry(fault_kind(&fault)).or_insert(0) += 1;
     }
-
-    println!(
-        "urb-chaos: seed {seed}, {runs} run(s){}",
-        if strict { ", strict" } else { "" }
-    );
     let mut t = Table::new(&["fault kind", "runs"]);
     for (kind, n) in &coverage {
         t.row_owned(vec![(*kind).to_string(), n.to_string()]);
     }
     t.print();
+    coverage.len()
+}
+
+/// The campaigns, classic first; the rest are subcommands by name.
+static CAMPAIGNS: [Campaign; 4] = [
+    Campaign {
+        name: "",
+        scenarios: campaign::scenarios,
+        options: |_, _| RunOptions::default(),
+        default_runs: 64,
+        policies: &[PolicyChoice::Ladder],
+        report: None,
+        summarize: classic_summary,
+        held: "all invariants held",
+    },
+    Campaign {
+        name: "tournament",
+        scenarios: campaign::tournament_scenarios,
+        options: |_, policy| RunOptions {
+            nodes: 2,
+            policy,
+            ..RunOptions::default()
+        },
+        // 18 covers every fault kind once.
+        default_runs: 18,
+        policies: PolicyChoice::ALL,
+        report: Some("policy_tournament"),
+        summarize: tournament_summary,
+        held: "all conformance invariants held",
+    },
+    Campaign {
+        name: "degraded",
+        scenarios: campaign::degraded_scenarios,
+        options: |_, _| RunOptions {
+            perf: true,
+            // Three times the classic client load: fail-slow detection is
+            // statistical, and the degraded targets' ops need enough
+            // traffic per judgement window (>= min_window_ops) to earn
+            // verdicts. The classic campaigns keep the lighter load their
+            // digests pin.
+            clients: 3 * CLIENTS,
+            ..RunOptions::default()
+        },
+        default_runs: 12,
+        policies: &[PolicyChoice::Ladder],
+        report: Some("degraded_parity"),
+        summarize: degraded_summary,
+        held: "all parity invariants held",
+    },
+    Campaign {
+        name: "netstate",
+        scenarios: campaign::netstate_scenarios,
+        options: |s, _| netstate::options(s),
+        default_runs: 100,
+        policies: &[PolicyChoice::Ladder],
+        report: Some("netstate_integrity"),
+        summarize: netstate_summary,
+        held: "all session-integrity invariants held",
+    },
+];
+
+fn classic_summary(scenarios: &[Scenario], _: &[Sweep], _: &mut JsonReport) {
+    let kinds = print_coverage(scenarios);
     println!(
-        "\nfault kinds covered: {}; flapping runs: {}; second-fault runs: {}",
-        coverage.len(),
+        "\nfault kinds covered: {kinds}; flapping runs: {}; second-fault runs: {}",
         scenarios.iter().filter(|s| s.flap.is_some()).count(),
         scenarios.iter().filter(|s| s.second.is_some()).count(),
     );
-    println!(
-        "campaign digest {:016x} over {} run(s), {} violation(s)",
-        campaign_hash.value(),
-        campaign_metrics.counter("campaign_runs_done"),
-        campaign_metrics.counter("campaign_violations"),
-    );
-
-    if failures.is_empty() {
-        println!("all invariants held");
-        ExitCode::SUCCESS
-    } else {
-        for (run, desc, violations) in &failures {
-            eprintln!("run {run} ({desc}):");
-            for v in violations {
-                eprintln!("  - {v}");
-            }
-        }
-        ExitCode::FAILURE
-    }
 }
 
-fn tournament_main(args: &[String]) -> ExitCode {
-    let mut opts = TournamentOptions {
-        seed: 7,
-        runs: 18,
-        policies: PolicyChoice::ALL.to_vec(),
-        strict: false,
-        verbose: false,
+/// Scores each policy on four minimized frontier metrics — downtime,
+/// failed requests, reboot cost, pages — and marks the Pareto frontier: a
+/// policy is on it iff no other is at-least-as-good on all four and
+/// strictly better on one.
+fn tournament_summary(_: &[Scenario], sweeps: &[Sweep], r: &mut JsonReport) {
+    let total = |sweep: &Sweep, metric: fn(&RunOutcome) -> f64| {
+        sweep.outcomes.iter().map(metric).sum::<f64>()
     };
-    let mut write_json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let parsed = match a.as_str() {
-            "--seed" => it.next().map(|v| v.parse().map(|n| opts.seed = n)),
-            "--runs" => it.next().map(|v| v.parse().map(|n| opts.runs = n)),
-            "--policies" => match it.next() {
-                Some(list) => {
-                    let mut chosen = Vec::new();
-                    for label in list.split(',') {
-                        match PolicyChoice::from_label(label) {
-                            Some(p) => chosen.push(p),
-                            None => {
-                                eprintln!("unknown policy {label:?}; known: {}", known_labels());
-                                return ExitCode::from(2);
-                            }
-                        }
-                    }
-                    opts.policies = chosen;
-                    Some(Ok(()))
-                }
-                None => None,
-            },
-            "--strict" => {
-                opts.strict = true;
-                continue;
-            }
-            "--verbose" => {
-                opts.verbose = true;
-                continue;
-            }
-            "--json" => {
-                write_json = true;
-                continue;
-            }
-            _ => None,
-        };
-        match parsed {
-            Some(Ok(())) => {}
-            _ => {
-                usage();
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    println!(
-        "urb-chaos tournament: seed {}, {} run(s) x {} policies{}",
-        opts.seed,
-        opts.runs,
-        opts.policies.len(),
-        if opts.strict { ", strict" } else { "" }
-    );
-    let scores = chaos::tournament(&opts);
+    let scores: Vec<[f64; 4]> = sweeps
+        .iter()
+        .map(|sweep| {
+            [
+                total(sweep, |o| o.downtime_ms as f64),
+                total(sweep, |o| o.failed_requests as f64),
+                total(sweep, |o| o.reboot_cost_s),
+                total(sweep, |o| o.pages as f64),
+            ]
+        })
+        .collect();
+    let dominates = |b: &[f64; 4], a: &[f64; 4]| {
+        (0..4).all(|k| b[k] <= a[k] + f64::EPSILON) && (0..4).any(|k| b[k] + f64::EPSILON < a[k])
+    };
 
     let mut t = Table::new(&[
         "policy",
@@ -603,57 +397,110 @@ fn tournament_main(args: &[String]) -> ExitCode {
         "digest",
         "pareto",
     ]);
-    for s in &scores {
+    let mut frontier = Vec::new();
+    for (sweep, score) in sweeps.iter().zip(&scores) {
+        let l = sweep.policy.label();
+        let [downtime_ms, failed_requests, reboot_cost_s, pages] = *score;
+        let pareto = !scores.iter().any(|other| dominates(other, score));
         t.row_owned(vec![
-            s.policy.label().to_string(),
-            format!("{:.1}", s.downtime_ms as f64 / 1000.0),
-            s.failed_requests.to_string(),
-            format!("{:.1}", s.reboot_cost_s),
-            s.pages.to_string(),
-            s.violations.to_string(),
-            format!("{:016x}", s.digest),
-            if s.pareto { "*" } else { "" }.to_string(),
+            l.to_string(),
+            format!("{:.1}", downtime_ms / 1000.0),
+            failed_requests.to_string(),
+            format!("{reboot_cost_s:.1}"),
+            pages.to_string(),
+            sweep.violations.to_string(),
+            format!("{:016x}", sweep.digest),
+            if pareto { "*" } else { "" }.to_string(),
         ]);
+        r.metric(&format!("{l}.downtime_ms"), downtime_ms as u64);
+        r.metric(&format!("{l}.failed_requests"), failed_requests as u64);
+        r.metric_f64(&format!("{l}.reboot_cost_s"), reboot_cost_s);
+        r.metric(&format!("{l}.pages"), pages as u64);
+        r.metric(&format!("{l}.violations"), sweep.violations);
+        r.text(&format!("{l}.digest"), &format!("{:016x}", sweep.digest));
+        r.metric(&format!("{l}.pareto"), u64::from(pareto));
+        if pareto {
+            frontier.push(l);
+        }
     }
     t.print();
-    let frontier: Vec<&str> = scores
-        .iter()
-        .filter(|s| s.pareto)
-        .map(|s| s.policy.label())
-        .collect();
     println!("\nPareto frontier: {}", frontier.join(", "));
-
-    if write_json {
-        let mut r = JsonReport::new("policy_tournament");
-        r.metric("seed", opts.seed);
-        r.metric("runs_per_policy", opts.runs);
-        r.metric("policies", opts.policies.len() as u64);
-        for s in &scores {
-            let l = s.policy.label();
-            r.metric(&format!("{l}.downtime_ms"), s.downtime_ms);
-            r.metric(&format!("{l}.failed_requests"), s.failed_requests);
-            r.metric_f64(&format!("{l}.reboot_cost_s"), s.reboot_cost_s);
-            r.metric(&format!("{l}.pages"), s.pages);
-            r.metric(&format!("{l}.violations"), s.violations);
-            r.text(&format!("{l}.digest"), &format!("{:016x}", s.digest));
-            r.metric(&format!("{l}.pareto"), u64::from(s.pareto));
-        }
-        r.text("pareto_frontier", &frontier.join(","));
-        match r.write() {
-            Ok(path) => println!("wrote {path}"),
-            Err(e) => {
-                eprintln!("failed to write report: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    r.text("pareto_frontier", &frontier.join(","));
 }
 
-fn known_labels() -> String {
-    PolicyChoice::ALL
+/// Labels of [`bench::chaos::PerfOutcome::escalation_depth`] values.
+const DEPTHS: [&str; 5] = [
+    "none",
+    "microreboot",
+    "app-restart",
+    "process-restart",
+    "os-reboot",
+];
+
+fn degraded_summary(_: &[Scenario], sweeps: &[Sweep], r: &mut JsonReport) {
+    let perf: Vec<_> = sweeps[0]
+        .outcomes
         .iter()
-        .map(|p| p.label())
-        .collect::<Vec<_>>()
-        .join(", ")
+        .map(|o| o.perf.unwrap_or_default())
+        .collect();
+    let detection_ms: Vec<u64> = perf.iter().filter_map(|p| p.detection_latency_ms).collect();
+    let parity_ms: Vec<u64> = perf.iter().filter_map(|p| p.parity_after_ms).collect();
+    let anomaly_windows: u64 = perf.iter().map(|p| p.anomalies).sum();
+    let mut depth_counts = [0u64; 5];
+    for p in &perf {
+        depth_counts[usize::from(p.escalation_depth.min(4))] += 1;
+    }
+    let mut t = Table::new(&["metric", "value"]);
+    r.metric("anomaly_windows", anomaly_windows);
+    for (label, key, ms) in [
+        ("detection latency", "detection_latency_ms", &detection_ms),
+        ("parity restoration", "parity_restore_ms", &parity_ms),
+    ] {
+        let mean = ms.iter().sum::<u64>() / ms.len().max(1) as u64;
+        let max = ms.iter().copied().max().unwrap_or(0);
+        t.row_owned(vec![
+            format!("{label} (ms, mean/max)"),
+            format!("{mean} / {max}"),
+        ]);
+        r.metric(&format!("{key}_mean"), mean);
+        r.metric(&format!("{key}_max"), max);
+    }
+    t.row_owned(vec!["anomaly windows".into(), anomaly_windows.to_string()]);
+    for (label, count) in DEPTHS.iter().zip(depth_counts) {
+        t.row_owned(vec![
+            format!("escalation depth: {label}"),
+            count.to_string(),
+        ]);
+        r.metric(&format!("escalation.{label}"), count);
+    }
+    t.print();
+}
+
+fn netstate_summary(scenarios: &[Scenario], sweeps: &[Sweep], r: &mut JsonReport) {
+    let outcomes = &sweeps[0].outcomes;
+    let integrity: Vec<_> = outcomes
+        .iter()
+        .map(|o| o.integrity.unwrap_or_default())
+        .collect();
+    let commit_intents: u64 = integrity.iter().map(|i| i.commit_intents).sum();
+    let dupes_discarded: u64 = integrity.iter().map(|i| i.dupes_discarded).sum();
+    let store_evidence: u64 = integrity.iter().map(|i| i.store_evidence).sum();
+    let retries_issued: u64 = integrity.iter().map(|i| i.retries_issued).sum();
+    let downtime_ms: u64 = outcomes.iter().map(|o| o.downtime_ms).sum();
+    let retry_runs = scenarios.iter().filter(|s| s.budgeted_retry).count() as u64;
+
+    let kinds = print_coverage(scenarios);
+    println!(
+        "\ncommit intents: {commit_intents}; dupes discarded: {dupes_discarded}; \
+         store evidence withheld: {store_evidence}; client retries: {retries_issued} \
+         ({retry_runs} budgeted run(s)); degraded time: {downtime_ms} ms"
+    );
+
+    r.metric("commit_intents", commit_intents);
+    r.metric("dupes_discarded", dupes_discarded);
+    r.metric("store_evidence_withheld", store_evidence);
+    r.metric("retries_issued", retries_issued);
+    r.metric("budgeted_retry_runs", retry_runs);
+    r.metric("downtime_ms", downtime_ms);
+    r.metric("fault_kinds_covered", kinds as u64);
 }

@@ -1,25 +1,30 @@
-//! The chaos-campaign runner: executes one [`Scenario`] against the
-//! cluster simulation and checks the recovery-convergence invariants.
+//! The chaos-campaign runner: [`run_scenario`] executes one [`Scenario`]
+//! against the cluster simulation under [`RunOptions`] and checks every
+//! recovery invariant, in stages — structural convergence, goodput
+//! recovery, then (when armed) performance parity and session integrity.
 //!
-//! Extracted from the `urb-chaos` binary so the policy tournament and the
-//! conformance tests can drive the same runner. The default
+//! It is the only function in the workspace that builds a `Sim` from a
+//! `Scenario`: the `urb-chaos` campaign driver, the policy-conformance
+//! tests and the netstate regression all run through it. The default
 //! [`RunOptions`] reproduce the classic campaign bit-for-bit (one node,
-//! the paper's recursive ladder, no failover); the tournament sweeps the
-//! same scenarios across every [`PolicyChoice`] in the registry on a
-//! two-node failover cluster and scores each policy on a
-//! downtime / failed-requests / reboot-cost / pages frontier.
+//! the paper's recursive ladder, no failover).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cluster::{LogEvent, Sim, SimConfig, StoreChoice};
+use cluster::{LogEvent, Sim, SimConfig, StoreChoice, World};
 use faults::campaign::{self, Scenario};
 use faults::Fault;
 use recovery::conductor::ConductorConfig;
 use recovery::{PolicyChoice, RmConfig};
+use simcore::metrics::reboot_begun_sym;
 use simcore::telemetry::{shared_bus, TelemetrySink, TraceHashSink};
 use simcore::{MetricsRegistry, SimDuration, SimTime, TelemetryEvent};
-use workload::DetectorKind;
+use statestore::shared_ledger;
+use workload::{DetectorKind, PerfConfig, RetryPolicy};
+
+use crate::netstate::{self, IntegrityOutcome};
+use crate::report::REBOOT_LEVELS;
 
 /// Emulated clients per node. Smaller than the paper's 500 so a
 /// multi-hundred-run campaign stays fast; plenty for the detectors.
@@ -29,35 +34,39 @@ pub const CLIENTS: usize = 60;
 /// fault that burns up the whole ladder (several useless microreboots
 /// and process restarts, each followed by a fresh OOM) before the 109 s
 /// OS reboot finally cures it, plus the 30 s request TTL.
-pub const TAIL_S: u64 = 300;
+const TAIL_S: u64 = 300;
 /// Extra grace, stepped through in 5 s slices, for runs still converging
 /// at the horizon. Exhausting it is an invariant violation.
-pub const GRACE_S: u64 = 600;
+const GRACE_S: u64 = 600;
 /// Consecutive 5 s samples that must all report quiescence before the
 /// run is declared converged — a node mid leak-OOM-restart cycle looks
 /// healthy in any single sample.
-pub const STABLE_SAMPLES: u32 = 6;
+const STABLE_SAMPLES: u32 = 6;
 
-/// How a scenario is executed: cluster shape and recovery policy. The
-/// default is the classic campaign configuration, pinned by the strict
-/// campaign digests — changing it moves them.
+/// How a scenario is executed: cluster shape, recovery policy, client
+/// retries and which optional invariant stages are armed. The default is
+/// the classic campaign configuration, pinned by the strict campaign
+/// digests — changing it moves them.
 #[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
-    /// Cluster size (faults always land on node 0).
+    /// Cluster size (faults always land on node 0). With more than one
+    /// node the LB fails traffic over during recovery.
     pub nodes: usize,
     /// The recovery policy under test.
     pub policy: PolicyChoice,
-    /// Whether the LB fails traffic over during recovery.
-    pub failover: bool,
     /// Emulated clients per node.
     pub clients: usize,
-    /// Performance-observability plane (degraded campaigns); `None`
-    /// keeps the classic configuration the pinned digests expect. When
-    /// set, the monitors run [`DetectorKind::LatencyAnomaly`] and the run
-    /// additionally checks the performance-parity invariants.
-    pub perf: Option<workload::PerfConfig>,
-    /// Dump the run's log to stdout.
-    pub debug: bool,
+    /// Performance-observability plane (degraded campaigns): the monitors
+    /// run [`DetectorKind::LatencyAnomaly`] and the run additionally
+    /// checks the performance-parity invariants.
+    pub perf: bool,
+    /// Client-side retry policy for failed operations.
+    pub retry: RetryPolicy,
+    /// Session-integrity plane (netstate campaigns): the cluster runs on
+    /// the SSM backend with one [`statestore::IntegrityLedger`] watching
+    /// both ends of the write path, and the run additionally checks the
+    /// session-integrity invariants.
+    pub integrity: bool,
 }
 
 impl Default for RunOptions {
@@ -65,10 +74,10 @@ impl Default for RunOptions {
         RunOptions {
             nodes: 1,
             policy: PolicyChoice::Ladder,
-            failover: false,
             clients: CLIENTS,
-            perf: None,
-            debug: false,
+            perf: false,
+            retry: RetryPolicy::None,
+            integrity: false,
         }
     }
 }
@@ -92,13 +101,16 @@ pub struct RunOutcome {
     /// Performance-parity measurements; `Some` only when the run had the
     /// performance plane armed ([`RunOptions::perf`]).
     pub perf: Option<PerfOutcome>,
+    /// Session-integrity measurements; `Some` only when the run had the
+    /// integrity plane armed ([`RunOptions::integrity`]).
+    pub integrity: Option<IntegrityOutcome>,
+    /// The run's notable events (injections, recoveries, pages).
+    pub log: Vec<LogEvent>,
 }
 
 /// What the performance plane observed over one degraded run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PerfOutcome {
-    /// `(node, op)` baselines frozen before injection.
-    pub baselines_frozen: u64,
     /// Latency-anomaly windows raised.
     pub anomalies: u64,
     /// Injection → first anomaly, in milliseconds (detection latency).
@@ -111,78 +123,55 @@ pub struct PerfOutcome {
     pub escalation_depth: u8,
 }
 
-/// Label for a [`PerfOutcome::escalation_depth`] value.
-pub fn depth_label(depth: u8) -> &'static str {
-    match depth {
-        0 => "none",
-        1 => "microreboot",
-        2 => "app-restart",
-        3 => "process-restart",
-        _ => "os-reboot",
-    }
-}
-
-/// Telemetry sink recording the performance plane's marks: when the
-/// baseline froze, when the first anomaly fired, and every parity
-/// restoration.
+/// Telemetry sink recording what the registry's counters cannot: how many
+/// `(node, op)` baselines froze, when the first anomaly fired, and the
+/// longest out-of-parity stretch a restoration closed.
 #[derive(Default)]
 struct PerfMarks {
     baselines_frozen: u64,
-    anomalies: u64,
     first_anomaly_at_us: Option<u64>,
-    parity_restorations: u64,
     parity_after_us_max: Option<u64>,
-    debug: bool,
 }
 
 impl TelemetrySink for PerfMarks {
     fn on_event(&mut self, event: &TelemetryEvent) {
-        if self.debug
-            && matches!(
-                event,
-                TelemetryEvent::PerfBaselineFrozen { .. }
-                    | TelemetryEvent::LatencyAnomaly { .. }
-                    | TelemetryEvent::ParityRestored { .. }
-                    | TelemetryEvent::DegradedInjected { .. }
-            )
-        {
-            eprintln!("    [perf] {event:?}");
-        }
         match event {
             TelemetryEvent::PerfBaselineFrozen { components, .. } => {
                 self.baselines_frozen += u64::from(*components);
             }
             TelemetryEvent::LatencyAnomaly { at, .. } => {
-                self.anomalies += 1;
                 self.first_anomaly_at_us.get_or_insert(at.as_micros());
             }
             TelemetryEvent::ParityRestored { after, .. } => {
-                self.parity_restorations += 1;
-                let us = after.as_micros();
-                self.parity_after_us_max = Some(self.parity_after_us_max.map_or(us, |m| m.max(us)));
+                self.parity_after_us_max = self.parity_after_us_max.max(Some(after.as_micros()));
             }
             _ => {}
         }
     }
 }
 
+/// The faults a scenario injects: the primary, then any second fault.
+pub fn injected(s: &Scenario) -> impl Iterator<Item = Fault> {
+    [Some(s.fault), s.second.map(|sf| sf.fault)]
+        .into_iter()
+        .flatten()
+}
+
 /// Short scenario description for reports.
 pub fn describe(s: &Scenario) -> String {
-    format!(
-        "{}{}{}{} [{}{}]",
-        fault_kind(&s.fault),
-        s.second
-            .map(|sf| format!("+2nd({})", fault_kind(&sf.fault)))
-            .unwrap_or_default(),
-        if s.flap.is_some() { "+flap" } else { "" },
-        if s.rm_crash.is_some() { "+rmcrash" } else { "" },
-        if s.comparison_detector {
-            "cmp"
-        } else {
-            "simple"
-        },
-        if s.parallel_rm { ",par" } else { "" },
-    )
+    let second = s.second.map_or(String::new(), |sf| {
+        format!("+2nd({})", fault_kind(&sf.fault))
+    });
+    let flap = if s.flap.is_some() { "+flap" } else { "" };
+    let rm_crash = if s.rm_crash.is_some() { "+rmcrash" } else { "" };
+    let detector = if s.comparison_detector {
+        "cmp"
+    } else {
+        "simple"
+    };
+    let par = if s.parallel_rm { ",par" } else { "" };
+    let first = fault_kind(&s.fault);
+    format!("{first}{second}{flap}{rm_crash} [{detector}{par}]")
 }
 
 /// Stable label for coverage accounting.
@@ -220,7 +209,7 @@ pub fn fault_kind(f: &Fault) -> &'static str {
 
 /// The hardened recovery-manager configuration every campaign run uses:
 /// storm damper, flap escalation and convergence watchdog all armed.
-pub fn hardened_rm(parallel: bool) -> RmConfig {
+fn hardened_rm(parallel: bool) -> RmConfig {
     RmConfig {
         max_concurrent: if parallel { 4 } else { 1 },
         // A fault on a rarely-exercised op produces evidence at well under
@@ -238,63 +227,69 @@ pub fn hardened_rm(parallel: bool) -> RmConfig {
     }
 }
 
-/// How long a request may stay hung before it counts as stuck: the
-/// server's TTL lease plus a couple of maintenance sweeps of slack. A
-/// fault on a rarely-exercised component can legitimately outlive the
-/// campaign horizon undetected (too few failures to cross the score
-/// threshold — the Figure 5 sensitivity tradeoff); the system guarantee
-/// is that the lease sweep still reaps every stuck thread on time.
-pub(crate) fn hung_bound() -> SimDuration {
-    urb_core::calib::REQUEST_TTL + SimDuration::from_secs(5)
+/// Why node `n` has not converged yet (empty once it has): a decision
+/// unacknowledged, a conductor ticket active or queued, the node down, or
+/// a request stuck past the TTL sweep bound.
+fn busy(sim: &Sim, n: usize) -> Vec<String> {
+    let mut why = Vec::new();
+    let w = sim.world();
+    let in_flight = w.rm.as_ref().map_or(0, |rm| rm.in_flight(n));
+    if in_flight != 0 {
+        why.push(format!(
+            "node {n}: {in_flight} recovery decision(s) never acknowledged"
+        ));
+    }
+    if let Some(c) = &w.conductor {
+        let (active, queued) = (c.active_count(n), c.queued_count(n));
+        if active + queued != 0 {
+            why.push(format!(
+                "node {n}: conductor not idle: {active} active, {queued} queued ticket(s)"
+            ));
+        }
+    }
+    if !w.nodes[n].is_up() {
+        why.push(format!("node {n} down at end: {:?}", w.nodes[n].state()));
+    }
+    // A request may stay hung for the server's TTL lease plus a couple of
+    // maintenance sweeps of slack. A fault on a rarely-exercised component
+    // can legitimately outlive the campaign horizon undetected (the Figure
+    // 5 sensitivity tradeoff); the guarantee is that the lease sweep still
+    // reaps every stuck thread.
+    let hung_bound = urb_core::calib::REQUEST_TTL + SimDuration::from_secs(5);
+    if let Some(age) = w.nodes[n].oldest_hung_age(sim.now()) {
+        if age > hung_bound {
+            why.push(format!(
+                "node {n}: request stuck in pipeline for {:.1}s, past the TTL sweep bound",
+                age.as_secs_f64()
+            ));
+        }
+    }
+    why
 }
 
-/// True while recovery machinery is still busy on any node. With the
-/// performance plane armed, a node out of latency parity counts as busy:
-/// convergence means performance recovered, not merely liveness.
-pub(crate) fn quiesced(sim: &Sim) -> bool {
+/// True once no node is busy. With the performance plane armed, a node
+/// out of latency parity counts as busy: convergence means performance
+/// recovered, not merely liveness.
+fn quiesced(sim: &Sim) -> bool {
     let w = sim.world();
     w.pool.perf().is_none_or(|p| p.anomalous_nodes().is_empty())
-        && (0..w.nodes.len()).all(|n| {
-            w.rm.as_ref().is_none_or(|rm| rm.in_flight(n) == 0)
-                && w.conductor
-                    .as_ref()
-                    .is_none_or(|c| c.active_count(n) == 0 && c.queued_count(n) == 0)
-                && w.nodes[n].is_up()
-                && w.nodes[n]
-                    .oldest_hung_age(sim.now())
-                    .is_none_or(|age| age <= hung_bound())
-        })
+        && (0..w.nodes.len()).all(|n| busy(sim, n).is_empty())
 }
 
 /// Structural convergence invariants shared by every campaign flavor:
-/// the episode terminated (no decision in flight, no conductor ticket
-/// active or queued), quarantine and failover redirects lifted, every
-/// node back up, and no request stuck past the TTL sweep bound.
-pub(crate) fn structural_violations(sim: &Sim) -> Vec<String> {
+/// the episode terminated (no node [`busy`]) and every quarantine and
+/// failover redirect was lifted.
+fn structural_violations(sim: &Sim) -> Vec<String> {
     let mut violations = Vec::new();
     let w = sim.world();
     for n in 0..w.nodes.len() {
-        if let Some(rm) = &w.rm {
-            let in_flight = rm.in_flight(n);
-            if in_flight != 0 {
-                violations.push(format!(
-                    "node {n}: {in_flight} recovery decision(s) never acknowledged"
-                ));
-            }
-        }
-        if let Some(c) = &w.conductor {
-            let (active, queued) = (c.active_count(n), c.queued_count(n));
-            if active + queued != 0 {
-                violations.push(format!(
-                    "node {n}: conductor not idle: {active} active, {queued} queued ticket(s)"
-                ));
-            }
-            let quarantined = c.quarantined(n);
-            if !quarantined.is_empty() {
-                violations.push(format!(
-                    "node {n}: quarantine never lifted: {quarantined:?}"
-                ));
-            }
+        violations.extend(busy(sim, n));
+        let quarantined = w.conductor.as_ref().map(|c| c.quarantined(n));
+        let quarantined = quarantined.unwrap_or_default();
+        if !quarantined.is_empty() {
+            violations.push(format!(
+                "node {n}: quarantine never lifted: {quarantined:?}"
+            ));
         }
         let lb_quarantined = w.lb.quarantined(n);
         if !lb_quarantined.is_empty() {
@@ -305,28 +300,15 @@ pub(crate) fn structural_violations(sim: &Sim) -> Vec<String> {
         if w.lb.is_redirecting(n) {
             violations.push(format!("node {n}: failover redirect never lifted"));
         }
-        if !w.nodes[n].is_up() {
-            violations.push(format!("node {n} down at end: {:?}", w.nodes[n].state()));
-        }
-        if let Some(age) = w.nodes[n].oldest_hung_age(sim.now()) {
-            if age > hung_bound() {
-                violations.push(format!(
-                    "node {n}: request stuck in pipeline for {:.1}s, past the TTL sweep bound",
-                    age.as_secs_f64()
-                ));
-            }
-        }
     }
     violations
 }
 
 /// Executes one scenario under `opts` and checks every invariant.
 pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
-    // SSM corruption needs the SSM backend to exist; everything else runs
-    // on the default node-private FastS store.
-    let wants_ssm = matches!(s.fault, Fault::CorruptSsm)
-        || s.second
-            .is_some_and(|sf| matches!(sf.fault, Fault::CorruptSsm));
+    // The integrity plane and SSM corruption need the SSM backend to
+    // exist; everything else runs on the default node-private FastS store.
+    let wants_ssm = opts.integrity || injected(s).any(|f| matches!(f, Fault::CorruptSsm));
     let mut sim = Sim::new(SimConfig {
         nodes: opts.nodes,
         clients_per_node: opts.clients,
@@ -335,33 +317,42 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         } else {
             StoreChoice::FastS
         },
-        detector: if opts.perf.is_some() {
+        detector: if opts.perf {
             DetectorKind::LatencyAnomaly
         } else if s.comparison_detector {
             DetectorKind::Comparison
         } else {
             DetectorKind::Simple
         },
-        perf: opts.perf,
+        perf: opts.perf.then(PerfConfig::default),
         rm: Some(hardened_rm(s.parallel_rm)),
         conductor: s.parallel_rm.then(ConductorConfig::default),
         policy: opts.policy,
-        failover: opts.failover,
+        failover: opts.nodes > 1,
+        retry_policy: opts.retry,
         seed: s.sim_seed,
         ..SimConfig::default()
+    });
+    // One ledger, observed from both ends of the write path.
+    let ledger = opts.integrity.then(|| {
+        let ledger = shared_ledger();
+        let w = sim.world_mut();
+        w.pool.attach_ledger(ledger.clone());
+        if let Some(ssm) = &w.ssm {
+            ssm.borrow_mut().attach_ledger(ledger.clone());
+        }
+        ledger
     });
     let bus = shared_bus();
     let hash = Rc::new(RefCell::new(TraceHashSink::new()));
     let metrics = Rc::new(RefCell::new(MetricsRegistry::new()));
-    let marks = Rc::new(RefCell::new(PerfMarks {
-        debug: opts.debug,
-        ..PerfMarks::default()
-    }));
     bus.borrow_mut().add_sink(Box::new(hash.clone()));
     bus.borrow_mut().add_sink(Box::new(metrics.clone()));
-    if opts.perf.is_some() {
+    let marks = opts.perf.then(|| {
+        let marks = Rc::new(RefCell::new(PerfMarks::default()));
         bus.borrow_mut().add_sink(Box::new(marks.clone()));
-    }
+        marks
+    });
     sim.attach_telemetry(bus);
 
     sim.schedule_fault(SimTime::from_secs(s.inject_at_s), 0, s.fault);
@@ -378,29 +369,10 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         last_injection_s = last_injection_s.max(crash.at_s + crash.outage_s);
     }
     if let Some(flap) = s.flap {
-        let fault = s.fault;
         for k in 1..=u64::from(flap.recurrences) {
             let at_s = s.inject_at_s + k * flap.gap_s;
             last_injection_s = last_injection_s.max(at_s);
-            // Re-arm through the escape hatch: a flapping fault recurs
-            // only on a live server (re-injecting into a mid-reboot node
-            // would be cured by the reboot's own state teardown anyway).
-            sim.schedule_fn(SimTime::from_secs(at_s), move |w, q| {
-                if !w.nodes[0].is_up() {
-                    return;
-                }
-                let now = q.now();
-                w.log.push(LogEvent::FaultInjected {
-                    at: now,
-                    node: 0,
-                    label: format!("flap re-arm {fault:?}"),
-                });
-                let killed = faults::inject(&mut w.nodes[0], &fault, now);
-                debug_assert!(
-                    killed.is_empty(),
-                    "flappable faults kill nothing on injection"
-                );
-            });
+            sim.schedule_fault_if_up(SimTime::from_secs(at_s), 0, s.fault);
         }
     }
 
@@ -414,29 +386,21 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         stable = if quiesced(&sim) { stable + 1 } else { 0 };
     }
 
+    // Stage 1: structural convergence.
     let mut violations = structural_violations(&sim);
-    let (failed_requests, reboot_cost_s, pages) = {
-        let m = metrics.borrow();
-        let (begun, finished) = (m.counter("reboots_begun"), m.counter("reboots_finished"));
-        if begun != finished {
-            violations.push(format!("{begun} reboot(s) begun but {finished} finished"));
-        }
-        let reboot_cost_s = m
-            .histogram("reboot_ms")
-            .map_or(0.0, |h| h.mean().as_secs_f64() * h.count() as f64);
-        (
-            m.counter("client_ops_failed"),
-            reboot_cost_s,
-            m.counter("decisions_notify_human"),
-        )
-    };
-
-    let world = sim.finish();
-    if opts.debug {
-        for ev in &world.log {
-            println!("  {ev:?}");
-        }
+    let metrics = metrics.borrow();
+    let begun = metrics.counter("reboots_begun");
+    let finished = metrics.counter("reboots_finished");
+    if begun != finished {
+        violations.push(format!("{begun} reboot(s) begun but {finished} finished"));
     }
+
+    let mut world = sim.finish();
+
+    // Stage 2: goodput. A second is degraded while goodput sits below
+    // half the pre-fault rate; a run whose every fault does reboot-curable
+    // damage must also end back above that line (the structural stage
+    // applies to every run regardless).
     let taw = world.pool.taw_ref();
     let pre_rate = if s.inject_at_s > 3 {
         taw.good_in(3, s.inject_at_s) / (s.inject_at_s - 3) as f64
@@ -444,15 +408,12 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         0.0
     };
     let degraded_below = (0.5 * pre_rate).max(1.0);
-    let mut downtime_ms = 0u64;
-    for t in s.inject_at_s..end_s {
-        if taw.good_in(t, t + 1) < degraded_below {
-            downtime_ms += 1000;
-        }
-    }
-    if expect_goodput_recovery(s) && s.inject_at_s > 4 && violations.is_empty() {
-        let pre_window = s.inject_at_s - 3;
-        let pre_rate = taw.good_in(3, s.inject_at_s) / pre_window as f64;
+    let downtime_ms = (s.inject_at_s..end_s)
+        .filter(|&t| taw.good_in(t, t + 1) < degraded_below)
+        .count() as u64
+        * 1000;
+    let curable = injected(s).all(|f| campaign::goodput_recovers(&f));
+    if curable && s.inject_at_s > 4 && violations.is_empty() {
         let post_rate = taw.good_in(end_s - 30, end_s) / 30.0;
         if pre_rate > 0.0 && post_rate < 0.5 * pre_rate {
             violations.push(format!(
@@ -461,220 +422,75 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         }
     }
 
-    // Performance-parity invariants (degraded campaigns): the fail-slow
-    // fault must be *detected* (baseline frozen pre-injection, at least
-    // one anomaly raised) and *cured* (parity restored, no node still
-    // out of parity at quiescence) — the ladder has to climb out of slow
-    // states, not just dead ones.
-    let perf = opts.perf.map(|_| {
-        let m = marks.borrow();
-        let reg = metrics.borrow();
-        if m.baselines_frozen == 0 {
-            violations.push("perf baseline never froze before injection".into());
-        }
-        if m.anomalies == 0 {
-            violations.push("fail-slow fault never raised a latency anomaly".into());
-        }
-        // A detector that fires before any fault exists is crying wolf;
-        // the statistical guards (absolute-delta floor, confirmation
-        // debounce) exist precisely so this cannot happen.
-        if let Some(first) = m.first_anomaly_at_us {
-            if first < s.inject_at_s * 1_000_000 {
-                violations.push(format!(
-                    "latency anomaly at {first} us predates the fault (false positive)"
-                ));
-            }
-        }
-        if m.parity_restorations == 0 {
-            violations.push("performance parity never restored".into());
-        }
-        if let Some(p) = world.pool.perf() {
-            let still = p.anomalous_nodes();
-            if !still.is_empty() {
-                violations.push(format!("node(s) {still:?} still out of parity at end"));
-            }
-        }
-        let depth_counters = [
-            "reboots_begun_component",
-            "reboots_begun_application",
-            "reboots_begun_process",
-            "reboots_begun_os",
-        ];
-        let escalation_depth = depth_counters
-            .iter()
-            .enumerate()
-            .filter(|(_, name)| reg.counter(name) > 0)
-            .map(|(i, _)| i as u8 + 1)
-            .max()
-            .unwrap_or(0);
-        PerfOutcome {
-            baselines_frozen: m.baselines_frozen,
-            anomalies: m.anomalies,
-            detection_latency_ms: m
-                .first_anomaly_at_us
-                .map(|us| us.saturating_sub(s.inject_at_s * 1_000_000) / 1000),
-            parity_after_ms: m.parity_after_us_max.map(|us| us / 1000),
-            escalation_depth,
-        }
-    });
+    // Stages 3 and 4, when armed.
+    let perf = marks.map(|m| perf_stage(s, &m.borrow(), &metrics, &world, &mut violations));
+    let integrity = ledger
+        .map(|l| netstate::integrity_stage(s, &l.borrow(), &metrics, &world, &mut violations));
 
     let digest = hash.borrow().value();
     RunOutcome {
         digest,
         violations,
         downtime_ms,
-        failed_requests,
-        reboot_cost_s,
-        pages,
+        failed_requests: metrics.counter("client_ops_failed"),
+        reboot_cost_s: metrics
+            .histogram("reboot_ms")
+            .map_or(0.0, |h| h.mean().as_secs_f64() * h.count() as f64),
+        pages: metrics.counter("decisions_notify_human"),
         perf,
+        integrity,
+        log: std::mem::take(&mut world.log),
     }
 }
 
-/// Whether the availability invariant applies: reboot-curable damage
-/// only. Structural invariants (termination, ack conservation, lifted
-/// quarantine) apply to every run regardless.
-pub fn expect_goodput_recovery(s: &Scenario) -> bool {
-    campaign::goodput_recovers(&s.fault)
-        && s.second
-            .is_none_or(|sf| campaign::goodput_recovers(&sf.fault))
-}
-
-// ---- policy tournament ---------------------------------------------------
-
-/// Tournament parameters.
-#[derive(Clone, Debug)]
-pub struct TournamentOptions {
-    /// Master seed for [`campaign::tournament_scenarios`].
-    pub seed: u64,
-    /// Scenarios per policy (18 covers every fault kind once).
-    pub runs: u64,
-    /// The competing policies.
-    pub policies: Vec<PolicyChoice>,
-    /// Re-run every scenario and require digest equality.
-    pub strict: bool,
-    /// Print per-run lines.
-    pub verbose: bool,
-}
-
-/// One policy's aggregate score over the full scenario matrix. All four
-/// frontier metrics are minimized.
-#[derive(Clone, Debug)]
-pub struct PolicyScore {
-    /// The policy.
-    pub policy: PolicyChoice,
-    /// Scenarios executed.
-    pub runs: u64,
-    /// Total invariant violations across the matrix.
-    pub violations: u64,
-    /// Frontier metric: Σ zero-goodput milliseconds post-injection.
-    pub downtime_ms: u64,
-    /// Frontier metric: Σ failed client operations.
-    pub failed_requests: u64,
-    /// Frontier metric: Σ seconds of reboot activity.
-    pub reboot_cost_s: f64,
-    /// Frontier metric: Σ humans paged.
-    pub pages: u64,
-    /// FNV fold of every run's `CampaignRunDone` event.
-    pub digest: u64,
-    /// On the Pareto frontier (not dominated on all four metrics).
-    pub pareto: bool,
-}
-
-/// Runs the full scenario matrix under every policy and scores the
-/// Pareto frontier over (downtime, failed requests, reboot cost, pages).
-pub fn tournament(opts: &TournamentOptions) -> Vec<PolicyScore> {
-    let scenarios = campaign::tournament_scenarios(&campaign::CampaignConfig {
-        seed: opts.seed,
-        runs: opts.runs,
-    });
-    let mut scores: Vec<PolicyScore> = opts
-        .policies
+/// Performance-parity invariants (degraded campaigns): the fail-slow
+/// fault must be *detected* (baseline frozen pre-injection, at least one
+/// anomaly raised) and *cured* (parity restored, no node still out of
+/// parity at quiescence) — the ladder has to climb out of slow states,
+/// not just dead ones.
+fn perf_stage(
+    s: &Scenario,
+    m: &PerfMarks,
+    reg: &MetricsRegistry,
+    world: &World,
+    violations: &mut Vec<String>,
+) -> PerfOutcome {
+    if m.baselines_frozen == 0 {
+        violations.push("perf baseline never froze before injection".into());
+    }
+    let anomalies = reg.counter("latency_anomalies");
+    if anomalies == 0 {
+        violations.push("fail-slow fault never raised a latency anomaly".into());
+    }
+    // A detector that fires before any fault exists is crying wolf; the
+    // statistical guards (absolute-delta floor, confirmation debounce)
+    // exist precisely so this cannot happen.
+    if let Some(first) = m.first_anomaly_at_us {
+        if first < s.inject_at_s * 1_000_000 {
+            violations.push(format!(
+                "latency anomaly at {first} us predates the fault (false positive)"
+            ));
+        }
+    }
+    if reg.counter("parity_restored") == 0 {
+        violations.push("performance parity never restored".into());
+    }
+    if let Some(p) = world.pool.perf() {
+        let still = p.anomalous_nodes();
+        if !still.is_empty() {
+            violations.push(format!("node(s) {still:?} still out of parity at end"));
+        }
+    }
+    let escalation_depth = REBOOT_LEVELS
         .iter()
-        .map(|&policy| {
-            let run_opts = RunOptions {
-                nodes: 2,
-                policy,
-                failover: true,
-                clients: CLIENTS,
-                perf: None,
-                debug: false,
-            };
-            let mut hash = TraceHashSink::new();
-            let mut score = PolicyScore {
-                policy,
-                runs: scenarios.len() as u64,
-                violations: 0,
-                downtime_ms: 0,
-                failed_requests: 0,
-                reboot_cost_s: 0.0,
-                pages: 0,
-                digest: 0,
-                pareto: false,
-            };
-            for s in &scenarios {
-                let mut out = run_scenario(s, &run_opts);
-                if opts.strict {
-                    let again = run_scenario(s, &run_opts);
-                    if again.digest != out.digest {
-                        out.violations.push(format!(
-                            "nondeterministic: digest {:016x} vs {:016x} on re-run",
-                            out.digest, again.digest
-                        ));
-                    }
-                }
-                hash.on_event(&TelemetryEvent::CampaignRunDone {
-                    run: s.run,
-                    digest: out.digest,
-                    violations: out.violations.len() as u32,
-                });
-                if opts.verbose {
-                    println!(
-                        "  {:<16} run {:>3}  {:<48} downtime {:>7} ms  {}",
-                        policy.label(),
-                        s.run,
-                        describe(s),
-                        out.downtime_ms,
-                        if out.violations.is_empty() {
-                            "ok".into()
-                        } else {
-                            format!("VIOLATIONS: {}", out.violations.join("; "))
-                        }
-                    );
-                }
-                score.violations += out.violations.len() as u64;
-                score.downtime_ms += out.downtime_ms;
-                score.failed_requests += out.failed_requests;
-                score.reboot_cost_s += out.reboot_cost_s;
-                score.pages += out.pages;
-            }
-            score.digest = hash.value();
-            score
-        })
-        .collect();
-    mark_pareto(&mut scores);
-    scores
-}
-
-/// Marks each score's `pareto` flag: a policy is on the frontier iff no
-/// other policy is at-least-as-good on all four metrics and strictly
-/// better on one.
-pub fn mark_pareto(scores: &mut [PolicyScore]) {
-    let dominated = |a: &PolicyScore, b: &PolicyScore| {
-        // b dominates a?
-        let le = b.downtime_ms <= a.downtime_ms
-            && b.failed_requests <= a.failed_requests
-            && b.reboot_cost_s <= a.reboot_cost_s + f64::EPSILON
-            && b.pages <= a.pages;
-        let lt = b.downtime_ms < a.downtime_ms
-            || b.failed_requests < a.failed_requests
-            || b.reboot_cost_s + f64::EPSILON < a.reboot_cost_s
-            || b.pages < a.pages;
-        le && lt
-    };
-    let snapshot: Vec<PolicyScore> = scores.to_vec();
-    for s in scores.iter_mut() {
-        s.pareto = !snapshot
-            .iter()
-            .any(|other| other.policy != s.policy && dominated(s, other));
+        .rposition(|&l| reg.counter_sym(reboot_begun_sym(l)) > 0)
+        .map_or(0, |i| i as u8 + 1);
+    PerfOutcome {
+        anomalies,
+        detection_latency_ms: m
+            .first_anomaly_at_us
+            .map(|us| us.saturating_sub(s.inject_at_s * 1_000_000) / 1000),
+        parity_after_ms: m.parity_after_us_max.map(|us| us / 1000),
+        escalation_depth,
     }
 }

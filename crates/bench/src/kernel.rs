@@ -1,282 +1,27 @@
-//! Kernel micro-benchmark workloads: the slot-arena event queue versus a
-//! faithful replica of the seed kernel.
+//! Kernel micro-benchmark workload: a self-rescheduling chain workload
+//! with periodic cancellations on the slot-arena event queue, with a
+//! per-event metrics fold standing in for handler work. `urb-bench kernel`
+//! times it (`BENCH_kernel.json`, DESIGN.md §9) and `tests/zero_alloc.rs`
+//! pins its steady state at zero allocations per event.
 //!
-//! The arena refactor's throughput claim (`BENCH_kernel.json`,
-//! DESIGN.md §9) has to be measured against the *pre-refactor* kernel in
-//! the same build, same machine, same workload — not against a number
-//! written down once. [`LegacyQueue`] is that baseline: a line-faithful
-//! replica of the seed `simcore::event` implementation (one
-//! `Box<dyn FnOnce>` per event in the heap entries, lazy cancellation via
-//! a `HashSet` of sequence numbers). Both kernels run the same
-//! self-rescheduling chain workload with periodic cancellations, so the
-//! ratio isolates exactly what the refactor changed: event storage,
-//! allocation traffic and cancellation bookkeeping.
-//!
-//! This module lives in `bench` (outside the lint's `SIM_CRATES`) on
-//! purpose: the replica *wants* the HashSet and the boxed closures the
-//! determinism and hot-path rules ban from the simulation crates.
+//! The seed kernel (one `Box<dyn FnOnce>` per event, lazy cancellation
+//! through a `HashSet`) used to be replicated here as a comparison
+//! baseline; the arena kernel measured 3.3x over it when it landed
+//! (EXPERIMENTS.md keeps that as history).
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
 use std::time::{Duration, Instant};
 
-use std::collections::BTreeMap;
-
-use simcore::stats::Histogram;
 use simcore::{symbol, EventPayload, EventQueue, MetricsRegistry, SimDuration, SimTime};
-
-// ---------------------------------------------------------------------------
-// The legacy kernel replica
-// ---------------------------------------------------------------------------
-
-/// Handler invoked when a legacy event fires.
-pub type LegacyFn<W> = Box<dyn FnOnce(&mut W, &mut LegacyQueue<W>)>;
-
-struct Entry<W> {
-    at: SimTime,
-    seq: u64,
-    label: &'static str,
-    f: LegacyFn<W>,
-}
-
-impl<W> PartialEq for Entry<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<W> Eq for Entry<W> {}
-
-impl<W> PartialOrd for Entry<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<W> Ord for Entry<W> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The seed kernel, preserved as a benchmark baseline: boxed closures in
-/// the heap entries, lazy cancellation through a set of sequence numbers.
-pub struct LegacyQueue<W> {
-    heap: BinaryHeap<Entry<W>>,
-    cancelled: HashSet<u64>,
-    now: SimTime,
-    next_seq: u64,
-    fired: u64,
-}
-
-impl<W> Default for LegacyQueue<W> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<W> LegacyQueue<W> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
-    pub fn new() -> Self {
-        LegacyQueue {
-            heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
-            now: SimTime::ZERO,
-            next_seq: 0,
-            fired: 0,
-        }
-    }
-
-    /// Returns the current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Returns the number of events fired so far.
-    pub fn events_fired(&self) -> u64 {
-        self.fired
-    }
-
-    /// Schedules `f` at absolute time `at`; returns its sequence number.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        label: &'static str,
-        f: impl FnOnce(&mut W, &mut LegacyQueue<W>) + 'static,
-    ) -> u64 {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry {
-            at,
-            seq,
-            label,
-            f: Box::new(f),
-        });
-        seq
-    }
-
-    /// Schedules `f` after `delay`.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        label: &'static str,
-        f: impl FnOnce(&mut W, &mut LegacyQueue<W>) + 'static,
-    ) -> u64 {
-        self.schedule_at(self.now + delay, label, f)
-    }
-
-    /// Cancels a scheduled event (lazily, exactly like the seed kernel).
-    pub fn cancel(&mut self, seq: u64) -> bool {
-        if seq >= self.next_seq || self.cancelled.contains(&seq) {
-            return false;
-        }
-        self.cancelled.insert(seq);
-        true
-    }
-
-    /// Fires the earliest pending event; returns its label.
-    pub fn step(&mut self, world: &mut W) -> Option<&'static str> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.now = entry.at;
-            self.fired += 1;
-            (entry.f)(world, self);
-            return Some(entry.label);
-        }
-        None
-    }
-
-    /// Runs events with firing time `<= deadline`, then advances the
-    /// clock to `deadline` — a line-faithful copy of the seed kernel's
-    /// driver loop, including its peek-then-pop double probe of the
-    /// cancelled set per delivered event.
-    pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
-        loop {
-            let next_at = loop {
-                match self.heap.peek() {
-                    Some(e) if self.cancelled.contains(&e.seq) => {
-                        let e = self.heap.pop().expect("peeked entry exists");
-                        self.cancelled.remove(&e.seq);
-                    }
-                    Some(e) => break Some(e.at),
-                    None => break None,
-                }
-            };
-            match next_at {
-                Some(at) if at <= deadline => {
-                    self.step(world);
-                }
-                _ => break,
-            }
-        }
-        self.now = self.now.max(deadline);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The shared workload
-// ---------------------------------------------------------------------------
 
 /// How many independent self-rescheduling chains the workload keeps live.
 pub const CHAINS: u64 = 256;
 /// Every `CANCEL_EVERY`-th chain step also schedules-then-cancels a decoy
 /// event, exercising the cancellation path at a realistic (~14%) rate.
-pub const CANCEL_EVERY: u64 = 7;
+const CANCEL_EVERY: u64 = 7;
 
-/// The seed metrics store: canonical counters in an ordered map probed by
-/// string key on every bump — exactly what the symbol table replaced.
-/// Like a warm seed registry mid-run, it holds the full canonical
-/// vocabulary (every name in [`symbol::NAMES`]), so each probe walks a
-/// realistically sized tree rather than a single node.
-pub struct LegacyRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    /// Seed histogram store: name-probed ordered map (two canonical
-    /// histograms installed, as `MetricsRegistry::new` does).
-    histograms: BTreeMap<&'static str, Histogram>,
-    /// Seed per-second series: `(second, name)`-keyed ordered map, the
-    /// pre-refactor `SecondSeries` cell storage.
-    series: BTreeMap<(u64, &'static str), f64>,
-}
-
-impl Default for LegacyRegistry {
-    fn default() -> Self {
-        let mut histograms = BTreeMap::new();
-        histograms.insert(
-            "client_op_ms",
-            Histogram::new(
-                SimDuration::from_millis(100),
-                100,
-                SimDuration::from_secs(8),
-            ),
-        );
-        histograms.insert(
-            "reboot_ms",
-            Histogram::new(SimDuration::from_millis(50), 100, SimDuration::from_secs(1)),
-        );
-        LegacyRegistry {
-            counters: symbol::NAMES.iter().map(|&n| (n, 0)).collect(),
-            histograms,
-            series: BTreeMap::new(),
-        }
-    }
-}
-
-impl LegacyRegistry {
-    /// Bumps `name` by 1 (the seed fold's per-event operation).
-    pub fn inc(&mut self, name: &'static str) {
-        *self.counters.entry(name).or_insert(0) += 1;
-    }
-
-    /// Reads a counter.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Records a duration sample (the seed fold's `observe`).
-    pub fn observe(&mut self, name: &str, d: SimDuration) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(d);
-        }
-    }
-
-    /// Reads a histogram.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Increments series `key` in the second containing `at` (the seed
-    /// `SecondSeries::incr` cell probe).
-    pub fn series_incr(&mut self, at: SimTime, key: &'static str) {
-        *self.series.entry((at.second_index(), key)).or_insert(0.0) += 1.0;
-    }
-
-    /// Sums series `key` over all seconds.
-    pub fn series_total(&self, key: &str) -> f64 {
-        self.series
-            .iter()
-            .filter(|((_, k), _)| *k == key)
-            .map(|(_, v)| *v)
-            .sum()
-    }
-}
-
-/// Counter names each fired event rotates through, mirroring the 2–3
-/// registry bumps a real request-pipeline event folds.
-pub const FOLD_NAMES: [&str; 4] = [
-    "requests_submitted",
-    "requests_completed",
-    "requests_ok",
-    "retries_sent",
-];
-
-/// The same counters as interned symbols (the post-refactor fold).
-pub const FOLD_SYMS: [simcore::Sym; 4] = [
+/// Counters each fired event rotates through, mirroring the 2–3 registry
+/// bumps a real request-pipeline event folds.
+const FOLD_SYMS: [simcore::Sym; 4] = [
     symbol::REQUESTS_SUBMITTED,
     symbol::REQUESTS_COMPLETED,
     symbol::REQUESTS_OK,
@@ -284,25 +29,19 @@ pub const FOLD_SYMS: [simcore::Sym; 4] = [
 ];
 
 /// The benchmark world: a deterministic mixer standing in for handler
-/// work, plus both generations of the metrics store. Each fired event
-/// folds the same counters into whichever store its kernel generation
-/// used, so the measured ratio covers the full per-event pipeline the
-/// refactor touched: event storage, dispatch and the telemetry fold.
+/// work, plus the metrics store and in-flight window each fired event
+/// folds into, so the measured path covers the full per-event pipeline:
+/// event storage, dispatch and the telemetry fold.
 pub struct BenchWorld {
     /// Events fired so far.
     pub fired: u64,
     /// Running checksum, so per-event work cannot be optimized away.
     pub acc: u64,
-    /// Post-refactor store: dense symbol-indexed counters.
+    /// Dense symbol-indexed counters.
     pub metrics: MetricsRegistry,
-    /// Seed store: string-probed ordered map.
-    pub legacy_metrics: LegacyRegistry,
-    /// Post-refactor in-flight window: id-sorted vec with monotone append
-    /// (the pipeline's `running` / the client pool's `req_owner` shape).
+    /// In-flight window: id-sorted vec with monotone append (the
+    /// pipeline's `running` / the client pool's `req_owner` shape).
     pub running: Vec<(u64, [u64; 4])>,
-    /// Seed in-flight window: the `BTreeMap<ReqId, RunningReq>` the
-    /// pipeline and client pool kept before the dense-index conversion.
-    pub legacy_running: BTreeMap<u64, [u64; 4]>,
 }
 
 impl Default for BenchWorld {
@@ -313,15 +52,13 @@ impl Default for BenchWorld {
             // `new`, not `default`: the canonical histograms must be
             // registered for the fold's `observe_sym` to record.
             metrics: MetricsRegistry::new(),
-            legacy_metrics: LegacyRegistry::default(),
             running: Vec::new(),
-            legacy_running: BTreeMap::new(),
         }
     }
 }
 
 impl BenchWorld {
-    fn mix(&mut self, k: u64, payload: &[u64; 4]) -> (SimDuration, usize, u64) {
+    fn touch(&mut self, now: SimTime, k: u64, payload: &[u64; 4]) -> SimDuration {
         self.fired += 1;
         // SplitMix-style mixing: cheap, but enough data dependency that
         // the event body is not dead code.
@@ -333,19 +70,15 @@ impl BenchWorld {
             .acc
             .wrapping_add(z)
             .wrapping_add(payload[0] ^ payload[3]);
-        (SimDuration::from_micros(1 + (z % 16)), (z % 3) as usize, z)
-    }
-
-    fn touch_arena(&mut self, now: SimTime, k: u64, payload: &[u64; 4]) -> SimDuration {
-        let (delay, which, z) = self.mix(k, payload);
-        // The post-refactor per-event fold: dense Vec bumps by symbol.
+        let which = (z % 3) as usize;
+        // The per-event fold: dense Vec bumps by symbol.
         self.metrics.inc_sym(symbol::CLIENT_OPS);
         self.metrics.inc_sym(FOLD_SYMS[which]);
         self.metrics.inc_sym(FOLD_SYMS[which + 1]);
-        // Post-refactor request bookkeeping, once per request lifecycle:
-        // monotone append + binary-search removal on the id-sorted vec,
-        // then the fold's completion arm — dense-slot histogram sample and
-        // hot-row series bump.
+        // Request bookkeeping, once per request lifecycle: monotone append
+        // + binary-search removal on the id-sorted vec, then the fold's
+        // completion arm — dense-slot histogram sample and hot-row series
+        // bump.
         let id = self.fired;
         if id.is_multiple_of(EVENTS_PER_REQUEST) {
             self.running.push((id, *payload));
@@ -360,59 +93,30 @@ impl BenchWorld {
                 .observe_sym(symbol::CLIENT_OP_MS, SimDuration::from_millis(z & 255));
             self.metrics.series_mut().incr_sym(now, symbol::OPS_OK);
         }
-        delay
-    }
-
-    fn touch_legacy(&mut self, now: SimTime, k: u64, payload: &[u64; 4]) -> SimDuration {
-        let (delay, which, z) = self.mix(k, payload);
-        // The seed per-event fold: ordered-map probes by string key.
-        self.legacy_metrics.inc("client_ops");
-        self.legacy_metrics.inc(FOLD_NAMES[which]);
-        self.legacy_metrics.inc(FOLD_NAMES[which + 1]);
-        // Seed request bookkeeping, once per request lifecycle: tree-map
-        // insert + remove (node churn allocates), then the fold's
-        // completion arm — name-probed histogram sample and `(second,
-        // name)` series cell probe.
-        let id = self.fired;
-        if id.is_multiple_of(EVENTS_PER_REQUEST) {
-            self.legacy_running.insert(id, *payload);
-            if id >= INFLIGHT * EVENTS_PER_REQUEST {
-                if let Some(v) = self
-                    .legacy_running
-                    .remove(&(id - INFLIGHT * EVENTS_PER_REQUEST))
-                {
-                    self.acc = self.acc.wrapping_add(v[1]);
-                }
-            }
-            self.legacy_metrics
-                .observe("client_op_ms", SimDuration::from_millis(z & 255));
-            self.legacy_metrics.series_incr(now, "ops_ok");
-        }
-        delay
+        SimDuration::from_micros(1 + (z % 16))
     }
 }
 
 /// Event payload standing in for the response structs the real
 /// simulation's deliver/complete events carry by value.
-pub const PAYLOAD: [u64; 4] = [0x5eed, 0xbeef, 0xcafe, 0xd00d];
+const PAYLOAD: [u64; 4] = [0x5eed, 0xbeef, 0xcafe, 0xd00d];
 
 /// Steady-state depth of the in-flight request window, sized like the
 /// pipeline's per-node worker pool.
-pub const INFLIGHT: u64 = 16;
+const INFLIGHT: u64 = 16;
 /// One request lifecycle (submit, complete, deliver, timeout check) spans
 /// about this many kernel events, so the per-request map churn runs every
 /// `EVENTS_PER_REQUEST`-th event.
-pub const EVENTS_PER_REQUEST: u64 = 4;
+const EVENTS_PER_REQUEST: u64 = 4;
 
-/// The arena kernel's inline event payload for the chain workload.
+/// The inline event payload for the chain workload.
 pub enum ChainEvent {
     /// One step of chain `k`: mix, fold, reschedule, sometimes cancel a
     /// decoy.
     Step {
         /// Chain index (perturbs the per-step delay).
         k: u64,
-        /// Carried-by-value event data (inline in the arena slot; a boxed
-        /// closure capture in the legacy kernel).
+        /// Carried-by-value event data, inline in the arena slot.
         payload: [u64; 4],
     },
     /// A decoy event that is always cancelled before it can fire.
@@ -423,7 +127,7 @@ impl EventPayload<BenchWorld> for ChainEvent {
     fn fire(self, world: &mut BenchWorld, queue: &mut EventQueue<BenchWorld, ChainEvent>) {
         match self {
             ChainEvent::Step { k, payload } => {
-                let delay = world.touch_arena(queue.now(), k, &payload);
+                let delay = world.touch(queue.now(), k, &payload);
                 if world.fired.is_multiple_of(CANCEL_EVERY) {
                     let decoy = queue.schedule_event_in(delay, "decoy", ChainEvent::Decoy);
                     queue.cancel(decoy);
@@ -449,30 +153,7 @@ pub fn seed_arena(queue: &mut EventQueue<BenchWorld, ChainEvent>) {
     }
 }
 
-fn legacy_chain(
-    k: u64,
-    payload: [u64; 4],
-) -> impl FnOnce(&mut BenchWorld, &mut LegacyQueue<BenchWorld>) + 'static {
-    move |world, queue| {
-        let delay = world.touch_legacy(queue.now(), k, &payload);
-        if world.fired.is_multiple_of(CANCEL_EVERY) {
-            let decoy = queue.schedule_in(delay, "decoy", |_w, _q| {
-                unreachable!("decoys are cancelled")
-            });
-            queue.cancel(decoy);
-        }
-        queue.schedule_in(delay, "chain", legacy_chain(k, payload));
-    }
-}
-
-/// Seeds `CHAINS` chains into a legacy queue.
-pub fn seed_legacy(queue: &mut LegacyQueue<BenchWorld>) {
-    for k in 0..CHAINS {
-        queue.schedule_at(SimTime::from_micros(k), "chain", legacy_chain(k, PAYLOAD));
-    }
-}
-
-/// Throughput of one kernel over the chain workload.
+/// Throughput of the kernel over the chain workload.
 #[derive(Clone, Copy, Debug)]
 pub struct Throughput {
     /// Events fired during the measured window.
@@ -488,145 +169,34 @@ impl Throughput {
     }
 }
 
-/// Runs the chain workload on the arena kernel for `events` fired events
-/// (after a `warmup` prefix that also fills the slot pool).
-pub fn run_arena(warmup: u64, events: u64) -> (Throughput, BenchWorld) {
-    let mut queue: EventQueue<BenchWorld, ChainEvent> = EventQueue::new();
+/// A queue seeded with the chain workload and stepped through `warmup`
+/// events (which also fills the slot pool).
+pub fn warm_arena(warmup: u64) -> (EventQueue<BenchWorld, ChainEvent>, BenchWorld) {
+    let mut queue = EventQueue::new();
     let mut world = BenchWorld::default();
     seed_arena(&mut queue);
     while world.fired < warmup {
         queue.step(&mut world);
     }
+    (queue, world)
+}
+
+/// Runs the chain workload for `events` fired events after a `warmup`
+/// prefix.
+pub fn run_arena(warmup: u64, events: u64) -> (Throughput, BenchWorld) {
+    let (mut queue, mut world) = warm_arena(warmup);
     let start = Instant::now();
-    let fired_before = world.fired;
     while world.fired < warmup + events {
         queue.step(&mut world);
     }
     let wall = start.elapsed();
-    (
-        Throughput {
-            events: world.fired - fired_before,
-            wall,
-        },
-        world,
-    )
-}
-
-/// Both kernels' throughput over the identical workload, measured in
-/// alternating slices.
-#[derive(Clone, Copy, Debug)]
-pub struct PairThroughput {
-    /// Arena-kernel throughput (sum of its slices).
-    pub arena: Throughput,
-    /// Legacy-kernel throughput (sum of its slices).
-    pub legacy: Throughput,
-}
-
-impl PairThroughput {
-    /// Arena events/sec over legacy events/sec.
-    pub fn speedup(&self) -> f64 {
-        self.arena.events_per_sec() / self.legacy.events_per_sec().max(1e-9)
-    }
-}
-
-/// Runs the chain workload on both kernels in `rounds` alternating timed
-/// slices (arena slice, legacy slice, repeat), after warming each.
-///
-/// Interleaving makes the *ratio* robust on noisy machines: clock
-/// throttling or a noisy neighbour mid-measurement slows both kernels
-/// about equally instead of whichever one happened to run during the
-/// slowdown.
-///
-/// Each slice drives its kernel through `run_until` — the loop the real
-/// simulation uses — over a fixed window of simulated time, so the
-/// measured path includes the driver's peek-skip-deliver logic on both
-/// sides (on the seed kernel that is two probes of the cancelled set per
-/// delivered event).
-pub fn run_pair(warmup: u64, events: u64, rounds: u64) -> (PairThroughput, BenchWorld, BenchWorld) {
-    let mut aq: EventQueue<BenchWorld, ChainEvent> = EventQueue::new();
-    let mut aw = BenchWorld::default();
-    seed_arena(&mut aq);
-    while aw.fired < warmup {
-        aq.step(&mut aw);
-    }
-    let mut lq: LegacyQueue<BenchWorld> = LegacyQueue::new();
-    let mut lw = BenchWorld::default();
-    seed_legacy(&mut lq);
-    while lw.fired < warmup {
-        lq.step(&mut lw);
-    }
-    let slice = (events / rounds.max(1)).max(1);
-    // Chain steps are 1–16 µs apart (mean 8.5), so a window of
-    // `slice * 8.5 / CHAINS` µs of simulated time delivers about `slice`
-    // events per slice.
-    let slice_sim = SimDuration::from_micros(((slice * 85) / (CHAINS * 10)).max(1));
-    let mut arena_wall = Duration::ZERO;
-    let mut legacy_wall = Duration::ZERO;
-    let mut arena_events = 0u64;
-    let mut legacy_events = 0u64;
-    for _ in 0..rounds.max(1) {
-        let before = aw.fired;
-        let deadline = aq.now() + slice_sim;
-        let t0 = Instant::now();
-        aq.run_until(&mut aw, deadline);
-        arena_wall += t0.elapsed();
-        arena_events += aw.fired - before;
-
-        let before = lw.fired;
-        let deadline = lq.now() + slice_sim;
-        let t0 = Instant::now();
-        lq.run_until(&mut lw, deadline);
-        legacy_wall += t0.elapsed();
-        legacy_events += lw.fired - before;
-    }
-    (
-        PairThroughput {
-            arena: Throughput {
-                events: arena_events,
-                wall: arena_wall,
-            },
-            legacy: Throughput {
-                events: legacy_events,
-                wall: legacy_wall,
-            },
-        },
-        aw,
-        lw,
-    )
-}
-
-/// Runs the identical workload on the legacy kernel.
-pub fn run_legacy(warmup: u64, events: u64) -> (Throughput, BenchWorld) {
-    let mut queue: LegacyQueue<BenchWorld> = LegacyQueue::new();
-    let mut world = BenchWorld::default();
-    seed_legacy(&mut queue);
-    while world.fired < warmup {
-        queue.step(&mut world);
-    }
-    let start = Instant::now();
-    let fired_before = world.fired;
-    while world.fired < warmup + events {
-        queue.step(&mut world);
-    }
-    let wall = start.elapsed();
-    (
-        Throughput {
-            events: world.fired - fired_before,
-            wall,
-        },
-        world,
-    )
+    (Throughput { events, wall }, world)
 }
 
 /// Per-event dispatch latencies (ns) over `samples` individually timed
-/// arena steps, after `warmup` untimed events.
+/// steps, after `warmup` untimed events.
 pub fn arena_dispatch_samples(warmup: u64, samples: usize) -> Vec<u64> {
-    let mut queue: EventQueue<BenchWorld, ChainEvent> = EventQueue::new();
-    let mut world = BenchWorld::default();
-    seed_arena(&mut queue);
-    while world.fired < warmup {
-        queue.step(&mut world);
-    }
+    let (mut queue, mut world) = warm_arena(warmup);
     let mut out = Vec::with_capacity(samples);
     for _ in 0..samples {
         let t = Instant::now();
@@ -651,41 +221,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_kernels_run_the_same_deterministic_workload() {
-        let (_, arena_world) = run_arena(1_000, 10_000);
-        let (_, legacy_world) = run_legacy(1_000, 10_000);
-        assert_eq!(arena_world.fired, legacy_world.fired);
-        assert_eq!(
-            arena_world.acc, legacy_world.acc,
-            "the two kernels must execute identical event sequences"
-        );
-        for (name, sym) in FOLD_NAMES.iter().zip(FOLD_SYMS) {
-            assert_eq!(
-                arena_world.metrics.counter_sym(sym),
-                legacy_world.legacy_metrics.counter(name),
-                "fold mismatch for {name}"
-            );
-        }
-        let ah = arena_world.metrics.histogram("client_op_ms").unwrap();
-        let lh = legacy_world
-            .legacy_metrics
-            .histogram("client_op_ms")
-            .unwrap();
-        assert_eq!(ah.count(), lh.count(), "histogram sample counts differ");
-        assert_eq!(ah.buckets(), lh.buckets(), "histogram shapes differ");
-        assert_eq!(
-            arena_world.metrics.series().total("ops_ok"),
-            legacy_world.legacy_metrics.series_total("ops_ok"),
-            "series totals differ"
-        );
-    }
-
-    #[test]
-    fn run_until_slices_match_the_step_driver() {
-        let (pair, aw, lw) = run_pair(1_000, 20_000, 8);
-        assert_eq!(aw.fired, lw.fired, "both kernels deliver the same events");
-        assert_eq!(aw.acc, lw.acc);
-        assert!(pair.arena.events > 0 && pair.legacy.events > 0);
+    fn the_workload_is_deterministic_and_folds_what_it_fires() {
+        let (t, a) = run_arena(1_000, 10_000);
+        let (_, b) = run_arena(1_000, 10_000);
+        assert_eq!(t.events, 10_000);
+        assert_eq!((a.fired, a.acc), (b.fired, b.acc));
+        assert_eq!(a.metrics.counter_sym(symbol::CLIENT_OPS), a.fired);
+        let h = a.metrics.histogram("client_op_ms").unwrap();
+        assert_eq!(h.count(), a.fired / EVENTS_PER_REQUEST);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! One binary per table/figure of the paper (see `src/bin/exp_*.rs`), each
 //! printing the same rows/series the paper reports, side by side with the
-//! paper's numbers where the paper gives them. Micro-benchmarks of the
-//! framework primitives live in `benches/`, driven by the in-repo
-//! [`harness::Harness`].
+//! paper's numbers where the paper gives them. The chaos campaigns
+//! (`urb-chaos`) run through [`chaos::run_scenario`]; per-layer
+//! micro-benchmarks live in the repo's benchmark package (`benchmark/`).
 //!
 //! Run a single experiment with e.g.
 //! `cargo run --release -p bench --bin exp_table3`.
@@ -12,7 +12,6 @@
 #![forbid(unsafe_code)]
 
 pub mod chaos;
-pub mod harness;
 pub mod kernel;
 pub mod netstate;
 pub mod report;

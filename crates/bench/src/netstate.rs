@@ -1,13 +1,14 @@
-//! The netstate campaign runner: state-plane and network faults against
-//! a two-node failover cluster on the SSM backend, with the end-to-end
-//! session-integrity ledger armed.
+//! The netstate campaign's share of the chaos runner: how its scenarios
+//! run, and the session-integrity stage
+//! [`run_scenario`](crate::chaos::run_scenario) runs when
+//! [`RunOptions::integrity`] is set.
 //!
 //! Where the classic campaign asks "does recovery converge?", netstate
-//! asks "did recovery *preserve the data*?". Every run wires one
-//! [`IntegrityLedger`](statestore::IntegrityLedger) between the client
-//! pool (commit intents) and the SSM (applied ids, expiries, removals),
-//! injects one store-tier or link-tier fault from
-//! [`campaign::netstate_fault`], lets the fault heal, and then checks:
+//! asks "did recovery *preserve the data*?". Every run is a two-node SSM
+//! failover cluster with one [`IntegrityLedger`] between the client pool
+//! (commit intents) and the store (applied ids, expiries, removals); one
+//! store-tier or link-tier fault from
+//! [`faults::campaign::netstate_fault`] is injected and heals, and then:
 //!
 //! 1. **No committed write lost** — every session an end user saw commit
 //!    is still probeable in the store, or disappeared through an
@@ -19,24 +20,19 @@
 //! 4. **Store blame stays off the ladder** — store-tier evidence is
 //!    tallied by the recovery manager but withheld from the policy, so a
 //!    sick store never earns a healthy component a microreboot.
-//! 5. **Goodput recovers** — every netstate fault heals, so the
-//!    availability invariant applies unconditionally.
 //!
-//! Plus the structural invariants shared with the classic campaign and,
-//! under `--strict`, bit-identical digest reproduction on re-run.
+//! on top of the structural and goodput stages every campaign shares
+//! (every netstate fault heals, so goodput must recover) and, under
+//! `--strict`, bit-identical digest reproduction on re-run.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use cluster::{Sim, SimConfig, StoreChoice};
+use cluster::World;
 use faults::campaign::Scenario;
-use faults::{Fault, NetEdge};
-use simcore::telemetry::{shared_bus, TraceHashSink};
-use simcore::{MetricsRegistry, SimDuration, SimTime};
-use statestore::{shared_ledger, SessionId};
-use workload::{DetectorKind, RetryPolicy};
+use faults::{Fault, Injection, NetEdge};
+use simcore::{MetricsRegistry, SimDuration};
+use statestore::{IntegrityLedger, SessionId};
+use workload::RetryPolicy;
 
-use crate::chaos::{self, CLIENTS, GRACE_S, STABLE_SAMPLES, TAIL_S};
+use crate::chaos::RunOptions;
 
 /// The budgeted retry policy the campaign's retry arm runs under: a
 /// small per-request budget with exponential backoff from 250 ms, capped
@@ -49,14 +45,23 @@ pub fn budgeted_policy() -> RetryPolicy {
     }
 }
 
-/// What one netstate run produced.
-pub struct NetstateOutcome {
-    /// FNV trace digest over every telemetry event of the run.
-    pub digest: u64,
-    /// Invariant violations (empty on a clean run).
-    pub violations: Vec<String>,
-    /// Degraded-goodput wall time after injection, in milliseconds.
-    pub downtime_ms: u64,
+/// How a netstate scenario runs.
+pub fn options(s: &Scenario) -> RunOptions {
+    RunOptions {
+        nodes: 2,
+        retry: if s.budgeted_retry {
+            budgeted_policy()
+        } else {
+            RetryPolicy::None
+        },
+        integrity: true,
+        ..RunOptions::default()
+    }
+}
+
+/// What the integrity plane observed over one netstate run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IntegrityOutcome {
     /// Commit intents the ledger recorded (client-visible commits over
     /// sessions with at least one applied write).
     pub commit_intents: u64,
@@ -68,127 +73,31 @@ pub struct NetstateOutcome {
     pub store_evidence: u64,
     /// Client retries issued under the run's retry policy.
     pub retries_issued: u64,
-    /// Client operations that failed outright.
-    pub failed_requests: u64,
     /// Client operations that reached a terminal outcome (ok or failed).
     /// Retried attempts are not terminal, so attempt amplification is
     /// `(total_ops + retries_issued) / total_ops`.
     pub total_ops: u64,
-    /// Reboots the ladder started (any level).
-    pub reboots_begun: u64,
 }
 
-/// Whether `f` lands purely on the store tier: the cluster's nodes stay
-/// healthy, so any reboot the ladder starts is misdirected recovery.
-fn store_tier(f: &Fault) -> bool {
-    matches!(
-        f,
-        Fault::BrickCrash { .. }
-            | Fault::BrickCorrupt { .. }
-            | Fault::LeaseStorm
-            | Fault::StoreSlow { .. }
-    )
-}
-
-/// Executes one netstate scenario and checks every integrity invariant.
-pub fn run_netstate_scenario(s: &Scenario) -> NetstateOutcome {
-    let policy = if s.budgeted_retry {
-        budgeted_policy()
-    } else {
-        RetryPolicy::None
-    };
-    run_netstate_with_policy(s, policy)
-}
-
-/// [`run_netstate_scenario`] with an explicit retry policy — the
-/// retry-storm regression runs the same scenario under naive and
-/// budgeted clients to compare amplification.
-pub fn run_netstate_with_policy(s: &Scenario, retry_policy: RetryPolicy) -> NetstateOutcome {
-    let mut sim = Sim::new(SimConfig {
-        nodes: 2,
-        clients_per_node: CLIENTS,
-        store: StoreChoice::Ssm,
-        detector: if s.comparison_detector {
-            DetectorKind::Comparison
-        } else {
-            DetectorKind::Simple
-        },
-        rm: Some(chaos::hardened_rm(false)),
-        policy: recovery::PolicyChoice::Ladder,
-        failover: true,
-        retry_policy,
-        seed: s.sim_seed,
-        ..SimConfig::default()
-    });
-
-    // One ledger, observed from both ends of the write path.
-    let ledger = shared_ledger();
-    {
-        let w = sim.world_mut();
-        w.pool.attach_ledger(ledger.clone());
-        if let Some(ssm) = &w.ssm {
-            ssm.borrow_mut().attach_ledger(ledger.clone());
-        }
-    }
-
-    let bus = shared_bus();
-    let hash = Rc::new(RefCell::new(TraceHashSink::new()));
-    let metrics = Rc::new(RefCell::new(MetricsRegistry::new()));
-    bus.borrow_mut().add_sink(Box::new(hash.clone()));
-    bus.borrow_mut().add_sink(Box::new(metrics.clone()));
-    sim.attach_telemetry(bus);
-
-    sim.schedule_fault(SimTime::from_secs(s.inject_at_s), 0, s.fault);
-
-    let horizon_s = s.inject_at_s + TAIL_S;
-    sim.run_until(SimTime::from_secs(horizon_s));
-    let mut end_s = horizon_s;
-    let mut stable = if chaos::quiesced(&sim) { 1 } else { 0 };
-    while stable < STABLE_SAMPLES && end_s < horizon_s + GRACE_S {
-        end_s += 5;
-        sim.run_until(SimTime::from_secs(end_s));
-        stable = if chaos::quiesced(&sim) { stable + 1 } else { 0 };
-    }
-
-    let mut violations = chaos::structural_violations(&sim);
-    let (failed_requests, total_ops, reboots_begun) = {
-        let m = metrics.borrow();
-        let (begun, finished) = (m.counter("reboots_begun"), m.counter("reboots_finished"));
-        if begun != finished {
-            violations.push(format!("{begun} reboot(s) begun but {finished} finished"));
-        }
-        (
-            m.counter("client_ops_failed"),
-            m.counter("client_ops"),
-            begun,
-        )
-    };
-
-    let store_evidence = sim
-        .world()
-        .rm
-        .as_ref()
-        .map_or(0, recovery::RecoveryManager::store_evidence);
-    let retries_issued = sim.world().pool.retries_issued();
-    let world = sim.finish();
-
-    // Session-integrity invariants, checked ledger-against-store.
-    let led = ledger.borrow();
-    if let Some(ssm) = &world.ssm {
-        let store = ssm.borrow();
-        let mut lost = 0u64;
-        for sid in led.committed_sessions() {
-            if !store.probe(SessionId(sid)) && !led.accounted_gone(sid) {
-                lost += 1;
-            }
-        }
-        if lost > 0 {
-            violations.push(format!(
-                "{lost} committed session(s) vanished from the store unaccounted"
-            ));
-        }
-    } else {
-        violations.push("netstate run without an SSM backend".into());
+/// Session-integrity invariants, checked ledger-against-store on the
+/// finished run.
+pub(crate) fn integrity_stage(
+    s: &Scenario,
+    led: &IntegrityLedger,
+    reg: &MetricsRegistry,
+    world: &World,
+    violations: &mut Vec<String>,
+) -> IntegrityOutcome {
+    let ssm = world.ssm.as_ref().expect("the integrity plane runs on SSM");
+    let store = ssm.borrow();
+    let lost = led
+        .committed_sessions()
+        .filter(|&sid| !store.probe(SessionId(sid)) && !led.accounted_gone(sid))
+        .count();
+    if lost > 0 {
+        violations.push(format!(
+            "{lost} committed session(s) vanished from the store unaccounted"
+        ));
     }
     if led.double_applied() > 0 {
         violations.push(format!(
@@ -212,53 +121,31 @@ pub fn run_netstate_with_policy(s: &Scenario, retry_policy: RetryPolicy) -> Nets
     {
         violations.push("node-store dupe fault ran but the dupe defense never fired".into());
     }
-    if store_tier(&s.fault) && reboots_begun > 0 {
+    // A store-tier fault leaves the cluster's nodes healthy, so any reboot
+    // the ladder starts is misdirected recovery.
+    let store_tier = matches!(faults::conversion(&s.fault), Injection::StorePlane(_));
+    let reboots_begun = reg.counter("reboots_begun");
+    if store_tier && reboots_begun > 0 {
         violations.push(format!(
             "store-tier fault drew {reboots_begun} reboot(s) onto healthy components"
         ));
     }
-
-    // Availability: every netstate fault heals, so goodput must recover.
-    let taw = world.pool.taw_ref();
-    let pre_rate = if s.inject_at_s > 3 {
-        taw.good_in(3, s.inject_at_s) / (s.inject_at_s - 3) as f64
-    } else {
-        0.0
-    };
-    let degraded_below = (0.5 * pre_rate).max(1.0);
-    let mut downtime_ms = 0u64;
-    for t in s.inject_at_s..end_s {
-        if taw.good_in(t, t + 1) < degraded_below {
-            downtime_ms += 1000;
-        }
-    }
-    if s.inject_at_s > 4 && violations.is_empty() {
-        let post_rate = taw.good_in(end_s - 30, end_s) / 30.0;
-        if pre_rate > 0.0 && post_rate < 0.5 * pre_rate {
-            violations.push(format!(
-                "goodput never recovered: {post_rate:.1} op/s at end vs {pre_rate:.1} op/s pre-fault"
-            ));
-        }
-    }
-
-    let digest = hash.borrow().value();
-    NetstateOutcome {
-        digest,
-        violations,
-        downtime_ms,
+    IntegrityOutcome {
         commit_intents: led.total_intents(),
         dupes_discarded: led.dupes_discarded(),
-        store_evidence,
-        retries_issued,
-        failed_requests,
-        total_ops,
-        reboots_begun,
+        store_evidence: world
+            .rm
+            .as_ref()
+            .map_or(0, recovery::RecoveryManager::store_evidence),
+        retries_issued: world.pool.retries_issued(),
+        total_ops: reg.counter("client_ops"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::run_scenario;
     use faults::campaign::{netstate_scenarios, CampaignConfig};
 
     fn scenario_matching(pred: impl Fn(&Scenario) -> bool) -> Scenario {
@@ -271,9 +158,10 @@ mod tests {
     #[test]
     fn a_store_tier_run_holds_every_integrity_invariant() {
         let s = scenario_matching(|s| matches!(s.fault, Fault::BrickCrash { .. }));
-        let out = run_netstate_scenario(&s);
+        let out = run_scenario(&s, &options(&s));
         assert_eq!(out.violations, Vec::<String>::new());
-        assert!(out.commit_intents > 0, "clients committed work");
+        let integrity = out.integrity.expect("integrity plane armed");
+        assert!(integrity.commit_intents > 0, "clients committed work");
     }
 
     #[test]
@@ -287,16 +175,17 @@ mod tests {
                 }
             )
         });
-        let out = run_netstate_scenario(&s);
+        let out = run_scenario(&s, &options(&s));
         assert_eq!(out.violations, Vec::<String>::new());
-        assert!(out.dupes_discarded > 0, "dupe defense fired");
+        let integrity = out.integrity.expect("integrity plane armed");
+        assert!(integrity.dupes_discarded > 0, "dupe defense fired");
     }
 
     #[test]
     fn netstate_runs_reproduce_their_digest() {
         let s = scenario_matching(|s| matches!(s.fault, Fault::LinkPartition { .. }));
-        let a = run_netstate_scenario(&s);
-        let b = run_netstate_scenario(&s);
+        let a = run_scenario(&s, &options(&s));
+        let b = run_scenario(&s, &options(&s));
         assert_eq!(a.digest, b.digest);
     }
 
@@ -324,10 +213,19 @@ mod tests {
             rm_crash: None,
             budgeted_retry: false,
         };
-        let budgeted = run_netstate_with_policy(&s, budgeted_policy());
+        let under = |retry| {
+            let opts = RunOptions {
+                retry,
+                ..options(&s)
+            };
+            run_scenario(&s, &opts)
+                .integrity
+                .expect("integrity plane armed")
+        };
+        let budgeted = under(budgeted_policy());
         // "Retry hard until it works": no backoff, a budget so deep the
         // client hammers the sick component for its whole failure burst.
-        let naive = run_netstate_with_policy(&s, RetryPolicy::NaiveImmediate { retries: 100 });
+        let naive = under(RetryPolicy::NaiveImmediate { retries: 100 });
         assert!(
             budgeted.retries_issued > 0,
             "the throwing component forced retries"

@@ -9,7 +9,7 @@ use simcore::telemetry::{RebootLevel, TelemetryEvent, TelemetrySink};
 use simcore::{symbol, MetricsRegistry};
 
 /// Reboot depths in the order the report tables print them.
-const REBOOT_LEVELS: [RebootLevel; 4] = [
+pub(crate) const REBOOT_LEVELS: [RebootLevel; 4] = [
     RebootLevel::Component,
     RebootLevel::Application,
     RebootLevel::Process,
@@ -161,11 +161,6 @@ impl TelemetrySummary {
     /// Recovery decisions taken by the manager.
     pub fn decisions(&self) -> u64 {
         self.registry.counter_sym(symbol::RECOVERY_DECISIONS)
-    }
-
-    /// Total reboots begun at any level.
-    pub fn total_reboots(&self) -> u64 {
-        self.registry.counter_sym(symbol::REBOOTS_BEGUN)
     }
 
     /// Appends the summary's rows to a two-column table.

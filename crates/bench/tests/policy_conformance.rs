@@ -91,10 +91,8 @@ fn check(policy: PolicyChoice, s: &Scenario) {
     let opts = RunOptions {
         nodes: 2,
         policy,
-        failover: true,
         clients: 30,
-        perf: None,
-        debug: false,
+        ..RunOptions::default()
     };
     let out = run_scenario(s, &opts);
     assert!(

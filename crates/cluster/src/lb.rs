@@ -185,11 +185,6 @@ impl LoadBalancer {
     pub fn failed_over(&self) -> usize {
         self.failed_over_sessions.len()
     }
-
-    /// Clears the failed-over tally (between experiment phases).
-    pub fn reset_failed_over(&mut self) {
-        self.failed_over_sessions.clear();
-    }
 }
 
 #[cfg(test)]

@@ -16,4 +16,4 @@ pub mod lb;
 pub mod sim;
 
 pub use lb::LoadBalancer;
-pub use sim::{LogEvent, ScheduleFn, Sim, SimConfig, SimEvent, SimQueue, StoreChoice, World};
+pub use sim::{LogEvent, Sim, SimConfig, SimEvent, SimQueue, StoreChoice, World};

@@ -12,9 +12,9 @@
 //! Events are a [`SimEvent`] enum stored inline in the kernel's slot
 //! arena, so the schedule/fire hot path allocates nothing: the closure
 //! per event the simulation used to box is now a tagged payload the
-//! kernel hands back to [`World`] dispatch. The closure escape hatch
-//! ([`Sim::schedule_fn`], [`ScheduleFn`]) survives as the boxed
-//! [`SimEvent::Custom`] variant for experiment one-offs.
+//! kernel hands back to [`World`] dispatch. There is no closure escape
+//! hatch: an experiment that needs a one-off steps the run from outside
+//! ([`Sim::run_until`] in slices) and schedules ordinary events.
 
 use ebid::{catalog, DatasetSpec, EBid};
 use faults::{Fault, LinkFault, NetEdge, StoreFault};
@@ -238,8 +238,7 @@ pub enum LogEvent {
 ///
 /// Every recurring event kind the simulation schedules is a plain enum
 /// variant stored inline in the kernel's slot arena — no per-event heap
-/// allocation. [`Custom`](SimEvent::Custom) boxes a closure for the
-/// experiment escape hatch only.
+/// allocation.
 pub enum SimEvent {
     /// A client's think (or retry wait) ends.
     Wake {
@@ -328,6 +327,9 @@ pub enum SimEvent {
         node: usize,
         /// The fault.
         fault: Fault,
+        /// Skip the injection when the node is mid-reboot at that instant
+        /// (a flapping fault recurs only on a live server).
+        only_if_up: bool,
     },
     /// An experiment-commanded recovery action.
     CommandRecovery {
@@ -367,12 +369,7 @@ pub enum SimEvent {
         /// The restarting brick.
         brick: usize,
     },
-    /// The experiment escape hatch: an arbitrary boxed closure.
-    Custom(CustomFn),
 }
-
-/// Boxed handler type for [`SimEvent::Custom`].
-pub type CustomFn = Box<dyn FnOnce(&mut World, &mut SimQueue)>;
 
 impl EventPayload<World> for SimEvent {
     fn fire(self, w: &mut World, q: &mut SimQueue) {
@@ -404,7 +401,11 @@ impl EventPayload<World> for SimEvent {
                 level,
                 started,
             } => w.on_conducted_done(node, id, ticket, level, started, q),
-            SimEvent::InjectFault { node, fault } => w.on_inject_fault(node, fault, q),
+            SimEvent::InjectFault {
+                node,
+                fault,
+                only_if_up,
+            } => w.on_inject_fault(node, fault, only_if_up, q),
             SimEvent::CommandRecovery { node, action } => w.execute_action(node, action, q),
             SimEvent::PolicyHoldDone {
                 node,
@@ -416,36 +417,7 @@ impl EventPayload<World> for SimEvent {
             SimEvent::SubmitDelayed { node, req } => w.on_submit_delayed(node, req, q),
             SimEvent::EdgeHeal { edge } => w.on_edge_heal(edge, q),
             SimEvent::BrickRestore { brick } => w.on_brick_restore(brick, q),
-            SimEvent::Custom(f) => f(w, q),
         }
-    }
-}
-
-/// Closure scheduling on a [`SimQueue`] (experiment escape hatch), for
-/// handlers that re-arm themselves from inside the event loop.
-pub trait ScheduleFn {
-    /// Schedules `f` at absolute time `at`.
-    fn schedule_fn_at(&mut self, at: SimTime, f: impl FnOnce(&mut World, &mut SimQueue) + 'static);
-    /// Schedules `f` after `delay`.
-    fn schedule_fn_in(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut World, &mut SimQueue) + 'static,
-    );
-}
-
-impl ScheduleFn for SimQueue {
-    fn schedule_fn_at(&mut self, at: SimTime, f: impl FnOnce(&mut World, &mut SimQueue) + 'static) {
-        // urb-lint: allow(D008) — the sanctioned escape hatch: experiment one-offs box a closure; recurring kinds are SimEvent variants.
-        self.schedule_event_at(at, "custom", SimEvent::Custom(Box::new(f)));
-    }
-
-    fn schedule_fn_in(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut World, &mut SimQueue) + 'static,
-    ) {
-        self.schedule_fn_at(self.now() + delay, f);
     }
 }
 
@@ -848,7 +820,7 @@ impl World {
     /// One path for every depth: map the action to its [`RebootLevel`],
     /// begin the recovery through the server's lifecycle API, run (or
     /// schedule) the crash phase, and schedule the completion.
-    pub fn execute_action(&mut self, node: usize, action: RecoveryAction, q: &mut SimQueue) {
+    fn execute_action(&mut self, node: usize, action: RecoveryAction, q: &mut SimQueue) {
         let now = q.now();
         self.log.push(LogEvent::RecoveryStarted {
             at: now,
@@ -1138,7 +1110,10 @@ impl World {
         }
     }
 
-    fn on_inject_fault(&mut self, node: usize, fault: Fault, q: &mut SimQueue) {
+    fn on_inject_fault(&mut self, node: usize, fault: Fault, only_if_up: bool, q: &mut SimQueue) {
+        if only_if_up && !self.nodes[node].is_up() {
+            return;
+        }
         let now = q.now();
         self.log.push(LogEvent::FaultInjected {
             at: now,
@@ -1356,7 +1331,6 @@ impl Sim {
                 detector: config.detector,
                 retry_policy: config.retry_policy,
                 seed: config.seed ^ 0x00c1_1e17,
-                ..ClientPoolConfig::default()
             },
         );
         if let Some(perf) = config.perf {
@@ -1466,8 +1440,27 @@ impl Sim {
     /// pool instead, spread across the busiest read/write ops so the
     /// diagnosis engine sees a plausible — but entirely false — pattern.
     pub fn schedule_fault(&mut self, at: SimTime, node: usize, fault: Fault) {
-        self.queue
-            .schedule_event_at(at, "inject-fault", SimEvent::InjectFault { node, fault });
+        self.schedule_injection(at, node, fault, false);
+    }
+
+    /// Schedules a recurrence of a flapping fault: injected like
+    /// [`Sim::schedule_fault`], but only if the node is up at `at` —
+    /// re-injecting into a mid-reboot node would be cured by the
+    /// reboot's own state teardown anyway.
+    pub fn schedule_fault_if_up(&mut self, at: SimTime, node: usize, fault: Fault) {
+        self.schedule_injection(at, node, fault, true);
+    }
+
+    fn schedule_injection(&mut self, at: SimTime, node: usize, fault: Fault, only_if_up: bool) {
+        self.queue.schedule_event_at(
+            at,
+            "inject-fault",
+            SimEvent::InjectFault {
+                node,
+                fault,
+                only_if_up,
+            },
+        );
     }
 
     /// Schedules a crash of the recovery manager itself at `at`, with the
@@ -1508,15 +1501,6 @@ impl Sim {
         self.world.rejuv[node] = Some(RejuvenationService::new(components, malarm, msufficient));
         self.queue
             .schedule_event_in(period, "rejuv-poll", SimEvent::RejuvPoll { node, period });
-    }
-
-    /// Schedules an arbitrary closure (experiment escape hatch).
-    pub fn schedule_fn(
-        &mut self,
-        at: SimTime,
-        f: impl FnOnce(&mut World, &mut SimQueue) + 'static,
-    ) {
-        self.queue.schedule_fn_at(at, f);
     }
 
     /// Runs the simulation up to (and including) `deadline`.

@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cluster::{LogEvent, Sim, SimConfig};
+use cluster::{Sim, SimConfig};
 use faults::Fault;
 use recovery::{RmConfig, RmStats};
 use simcore::telemetry::{shared_bus, TraceHashSink};
@@ -61,19 +61,7 @@ fn flapping_episode(hardened: bool) -> (u64, u64, RmStats) {
     bus.borrow_mut().add_sink(Box::new(metrics.clone()));
     sim.attach_telemetry(bus);
     for k in 0..6u64 {
-        sim.schedule_fn(SimTime::from_secs(20 + 40 * k), move |w, q| {
-            if !w.nodes[0].is_up() {
-                return;
-            }
-            let now = q.now();
-            w.log.push(LogEvent::FaultInjected {
-                at: now,
-                node: 0,
-                label: format!("flap re-injection {FLAP_FAULT:?}"),
-            });
-            let killed = faults::inject(&mut w.nodes[0], &FLAP_FAULT, now);
-            debug_assert!(killed.is_empty());
-        });
+        sim.schedule_fault_if_up(SimTime::from_secs(20 + 40 * k), 0, FLAP_FAULT);
     }
     sim.run_until(SimTime::from_secs(360));
     let stats = RmStats::from_registry(&metrics.borrow());

@@ -17,7 +17,7 @@
 use simcore::SimTime;
 use statestore::session::CorruptKind;
 
-use crate::descriptor::{ComponentDescriptor, ComponentKind};
+use crate::descriptor::ComponentDescriptor;
 
 /// Lifecycle state of a container.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -436,11 +436,6 @@ impl Container {
         self.crash();
         self.state = ContainerState::Stopped;
         self.classloader_gen += 1;
-    }
-
-    /// Returns true if the component is an entity bean.
-    pub fn is_entity(&self) -> bool {
-        self.descriptor.kind == ComponentKind::EntityBean
     }
 }
 

@@ -51,8 +51,6 @@ pub struct DependencyGraph {
     by_name: BTreeMap<&'static str, ComponentId>,
     /// Weak references, directed (A uses B).
     jndi_out: Vec<Vec<ComponentId>>,
-    /// Hard references, stored undirected.
-    group_adj: Vec<Vec<ComponentId>>,
     /// Recovery-group index per component; groups are numbered densely.
     group_of: Vec<usize>,
     groups: Vec<Vec<ComponentId>>,
@@ -77,6 +75,7 @@ impl DependencyGraph {
         };
         let n = descriptors.len();
         let mut jndi_out = vec![Vec::new(); n];
+        // Hard references, undirected.
         let mut group_adj = vec![Vec::new(); n];
         for (i, d) in descriptors.iter().enumerate() {
             for r in d.jndi_refs {
@@ -115,7 +114,6 @@ impl DependencyGraph {
             names,
             by_name,
             jndi_out,
-            group_adj,
             group_of,
             groups,
         })
@@ -164,11 +162,6 @@ impl DependencyGraph {
     /// Returns the weak (naming-service) references of `id`.
     pub fn jndi_refs(&self, id: ComponentId) -> &[ComponentId] {
         &self.jndi_out[id.0]
-    }
-
-    /// Returns the undirected hard-reference neighbours of `id`.
-    pub fn group_neighbours(&self, id: ComponentId) -> &[ComponentId] {
-        &self.group_adj[id.0]
     }
 
     /// Returns a deployment order in which every weak reference points to

@@ -439,15 +439,6 @@ impl<'a> CallContext<'a> {
         r
     }
 
-    /// Deletes a row inside the request transaction.
-    pub fn db_delete(&mut self, table: &'static str, pk: i64) -> Result<(), CallError> {
-        let r = self.db_write(move |db, t| db.delete(t, table, pk));
-        if r.is_ok() {
-            self.note_autocommit(table, pk);
-        }
-        r
-    }
-
     /// Inserts a row or — if the key already exists — overwrites the
     /// existing row's non-key columns.
     ///
@@ -483,11 +474,6 @@ impl<'a> CallContext<'a> {
     fn charge_session_access(&mut self) {
         self.cpu += self.inner.session.access_cpu();
         self.latency += self.inner.session.access_latency();
-    }
-
-    /// Returns the client's session id, if it presented a cookie.
-    pub fn session_id(&self) -> Option<SessionId> {
-        self.session
     }
 
     /// Reads the client's session object.

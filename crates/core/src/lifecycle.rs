@@ -593,19 +593,4 @@ impl<A: Application> AppServer<A> {
     pub fn process_restart_complete(&mut self, now: SimTime) {
         self.complete_level(RebootLevel::Process, now);
     }
-
-    /// Reboots the node's operating system (the recursive policy's last
-    /// resort). Clears even extra-JVM leaks.
-    pub fn begin_os_reboot(&mut self, now: SimTime) -> (SimTime, Vec<Response>) {
-        let ticket = self
-            .begin_recovery(RebootLevel::OperatingSystem, &[], now, None)
-            .expect("OS reboot is always possible");
-        let killed = self.recovery_crash(ticket.id, now);
-        (ticket.done_at, killed)
-    }
-
-    /// Completes an OS reboot.
-    pub fn os_reboot_complete(&mut self, now: SimTime) {
-        self.complete_level(RebootLevel::OperatingSystem, now);
-    }
 }

@@ -89,15 +89,6 @@ impl RejuvenationService {
         }
     }
 
-    /// Creates a service with the paper's thresholds for a given heap.
-    pub fn with_default_thresholds(components: Vec<&'static str>, heap_capacity: u64) -> Self {
-        Self::new(
-            components,
-            (heap_capacity as f64 * DEFAULT_MALARM_FRACTION) as u64,
-            (heap_capacity as f64 * DEFAULT_MSUFFICIENT_FRACTION) as u64,
-        )
-    }
-
     /// Returns the alarm threshold.
     pub fn malarm(&self) -> u64 {
         self.malarm

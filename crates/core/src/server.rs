@@ -431,14 +431,6 @@ impl<A: Application> AppServer<A> {
         &self.app
     }
 
-    /// Fail-slow degradation factors currently in effect, as
-    /// `(component, permille)` pairs. Microreboots leave these behind
-    /// (warm restarts reuse the degraded pools); coarse recovery levels
-    /// clear them.
-    pub fn degraded_components(&self) -> &[(&'static str, u32)] {
-        &self.inner.degraded
-    }
-
     /// Returns the hosted application mutably (fault-injection hooks).
     pub fn app_mut(&mut self) -> &mut A {
         &mut self.app
@@ -475,15 +467,6 @@ impl<A: Application> AppServer<A> {
             self.inner.component_heap_bytes(),
             self.inner.session.in_process_bytes() as u64,
         )
-    }
-
-    /// Returns each component's current heap footprint.
-    pub fn component_heap(&self) -> Vec<(&'static str, u64)> {
-        self.inner
-            .containers
-            .iter()
-            .map(|c| (c.descriptor.name, c.heap_bytes()))
-            .collect()
     }
 
     /// Returns the container for `name` (tests and experiments).

@@ -268,11 +268,6 @@ impl RecoveryManager {
         }
     }
 
-    /// Returns the hosted policy's registry choice.
-    pub fn policy_choice(&self) -> PolicyChoice {
-        self.choice
-    }
-
     /// Returns lifetime counters (a view over the metrics registry).
     pub fn stats(&self) -> RmStats {
         RmStats::from_registry(&self.metrics)

@@ -44,11 +44,6 @@ pub fn level_suffix(level: RebootLevel) -> &'static str {
     }
 }
 
-/// Canonical counter name for a [`DecisionKind`].
-pub fn decision_counter(decision: DecisionKind) -> &'static str {
-    decision_sym(decision).name()
-}
-
 /// Canonical counter symbol for a [`DecisionKind`].
 pub fn decision_sym(decision: DecisionKind) -> Sym {
     match decision {
@@ -278,18 +273,6 @@ impl MetricsRegistry {
             }
             None => {
                 self.sketches.insert(name, sketch);
-            }
-        }
-    }
-
-    /// Records one value into sketch `name`, if registered.
-    pub fn observe_sketch(&mut self, name: &str, v: u64) {
-        match symbol::lookup(name) {
-            Some(sym) => self.observe_sketch_sym(sym, v),
-            None => {
-                if let Some(sk) = self.sketches.get_mut(name) {
-                    sk.observe(v);
-                }
             }
         }
     }

@@ -22,8 +22,6 @@
 //! clamped into the top bucket rather than dropped, so the sketch never
 //! loses mass — only resolution — on outliers.
 
-use crate::time::SimDuration;
-
 /// Linear subbuckets per octave; bounds relative error to `1/SUBBUCKETS`.
 pub const SUBBUCKETS: u64 = 16;
 const SUBBUCKET_BITS: u32 = 4;
@@ -93,11 +91,6 @@ impl QuantileSketch {
         if v > self.max {
             self.max = v.min(MAX_VALUE);
         }
-    }
-
-    /// Records a [`SimDuration`] in microseconds. Allocation-free.
-    pub fn observe_duration(&mut self, d: SimDuration) {
-        self.observe(d.as_micros());
     }
 
     /// Number of recorded values.

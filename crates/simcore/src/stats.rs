@@ -33,11 +33,6 @@ impl Summary {
         self.sorted = false;
     }
 
-    /// Records a duration sample in milliseconds.
-    pub fn record_duration_ms(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
     /// Returns the number of samples.
     pub fn count(&self) -> usize {
         self.samples.len()

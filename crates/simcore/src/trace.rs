@@ -60,15 +60,6 @@ impl TraceRecorder {
     pub fn count(&self) -> u64 {
         self.hash.count()
     }
-
-    /// Consumes the recorder into a [`Trace`].
-    pub fn into_trace(self) -> Trace {
-        Trace {
-            digest: self.hash.value(),
-            events: self.events,
-            kernel: None,
-        }
-    }
 }
 
 impl TelemetrySink for TraceRecorder {

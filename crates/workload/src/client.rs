@@ -57,19 +57,20 @@ pub enum RetryPolicy {
     },
 }
 
+/// Mean think time (paper: 7 s).
+const THINK_MEAN: SimDuration = SimDuration::from_secs(7);
+/// Think-time cap (paper: 70 s).
+const THINK_CAP: SimDuration = SimDuration::from_secs(70);
+/// How many `Retry-After` rounds a client honours before giving up.
+const MAX_RETRIES: u32 = 3;
+
 /// Pool configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientPoolConfig {
     /// Number of concurrent emulated clients.
     pub clients: usize,
-    /// Mean think time (paper: 7 s).
-    pub think_mean: SimDuration,
-    /// Think-time cap (paper: 70 s).
-    pub think_cap: SimDuration,
     /// Which failure detector the monitors run.
     pub detector: DetectorKind,
-    /// How many `Retry-After` rounds a client honours before giving up.
-    pub max_retries: u32,
     /// Client-side retry policy for failed operations.
     pub retry_policy: RetryPolicy,
     /// RNG seed.
@@ -80,10 +81,7 @@ impl Default for ClientPoolConfig {
     fn default() -> Self {
         ClientPoolConfig {
             clients: 500,
-            think_mean: SimDuration::from_secs(7),
-            think_cap: SimDuration::from_secs(70),
             detector: DetectorKind::Simple,
-            max_retries: 3,
             retry_policy: RetryPolicy::None,
             seed: 0xc11e,
         }
@@ -407,12 +405,11 @@ impl ClientPool {
 
     /// Staggered initial wake times, de-synchronizing the population.
     pub fn initial_wakes(&mut self, now: SimTime) -> Vec<(usize, SimTime)> {
-        let mean = self.config.think_mean;
         (0..self.clients.len())
             .map(|i| {
                 let jitter = self.clients[i]
                     .rng
-                    .exponential_capped(mean, self.config.think_cap);
+                    .exponential_capped(THINK_MEAN, THINK_CAP);
                 (i, now + jitter)
             })
             .collect()
@@ -439,9 +436,7 @@ impl ClientPool {
 
     fn think(&mut self, client: usize, now: SimTime) -> SimTime {
         let c = &mut self.clients[client];
-        now + c
-            .rng
-            .exponential_capped(self.config.think_mean, self.config.think_cap)
+        now + c.rng.exponential_capped(THINK_MEAN, THINK_CAP)
     }
 
     /// The client forgets its session cookie and login.
@@ -572,7 +567,7 @@ impl ClientPool {
 
         // Transparent Retry-After handling (Section 6.2).
         if let Some(d) = response.wants_retry() {
-            if pending.attempts < self.config.max_retries {
+            if pending.attempts < MAX_RETRIES {
                 let c = &mut self.clients[client];
                 c.retry_pending = true;
                 c.pending = Some(pending);

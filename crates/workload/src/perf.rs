@@ -62,10 +62,6 @@ pub struct PerfConfig {
     pub min_baseline_ops: u64,
     /// Minimum successful ops in a window before that op is judged.
     pub min_window_ops: u64,
-    /// Live p95 above `baseline_p95 * this / 1000` flags an anomaly.
-    pub p95_multiplier_permille: u32,
-    /// Live p99 above `baseline_p99 * this / 1000` flags an anomaly.
-    pub p99_multiplier_permille: u32,
     /// A relative breach only counts when the live quantile also exceeds
     /// the baseline by at least this many microseconds. Tiny-baseline ops
     /// (a cheap page whose p95 is single-digit milliseconds) double on
@@ -76,19 +72,6 @@ pub struct PerfConfig {
     /// raised. One noisy window is weather; the same op breaching
     /// back-to-back windows is climate.
     pub confirm_windows: u32,
-    /// Drain margin added past a recovery's scheduled completion when
-    /// masking judgement windows.
-    pub mask_margin: SimDuration,
-    /// Parity needs every judged op's p95/p99 within
-    /// `baseline * this / 1000` — tighter than the anomaly multiplier so
-    /// a node hovering just under the alarm line is not declared cured.
-    pub parity_tolerance_permille: u32,
-    /// Parity also needs the node's window throughput at or above
-    /// `baseline_rate * this / 1000`.
-    pub throughput_floor_permille: u32,
-    /// Consecutive in-tolerance windows (after an anomaly) that restore
-    /// parity.
-    pub parity_windows: u32,
 }
 
 impl Default for PerfConfig {
@@ -98,17 +81,29 @@ impl Default for PerfConfig {
             window: SimDuration::from_secs(5),
             min_baseline_ops: 20,
             min_window_ops: 5,
-            p95_multiplier_permille: 2000,
-            p99_multiplier_permille: 2500,
             min_delta_us: 15_000,
             confirm_windows: 2,
-            mask_margin: SimDuration::from_secs(2),
-            parity_tolerance_permille: 1500,
-            throughput_floor_permille: 700,
-            parity_windows: 3,
         }
     }
 }
+
+/// Live p95 above `baseline_p95 * this / 1000` flags an anomaly.
+const P95_MULTIPLIER_PERMILLE: u64 = 2000;
+/// Live p99 above `baseline_p99 * this / 1000` flags an anomaly.
+const P99_MULTIPLIER_PERMILLE: u64 = 2500;
+/// Drain margin added past a recovery's scheduled completion when
+/// masking judgement windows.
+const MASK_MARGIN: SimDuration = SimDuration::from_secs(2);
+/// Parity needs every judged op's p95/p99 within `baseline * this / 1000`
+/// — tighter than the anomaly multiplier so a node hovering just under
+/// the alarm line is not declared cured.
+const PARITY_TOLERANCE_PERMILLE: u64 = 1500;
+/// Parity also needs the node's window throughput at or above
+/// `baseline_rate * this / 1000`.
+const THROUGHPUT_FLOOR_PERMILLE: u128 = 700;
+/// Consecutive in-tolerance windows (after an anomaly) that restore
+/// parity.
+const PARITY_WINDOWS: u32 = 3;
 
 /// Frozen per-op latency baseline (integer microseconds).
 #[derive(Clone, Copy, Debug)]
@@ -127,7 +122,7 @@ struct AnomalyState {
     /// to be *affirmatively* judged clean — a window where a hot op is
     /// too thin to judge holds the parity count (silence from the op
     /// that was slow is not evidence of recovery). An op unjudged for
-    /// `2 * parity_windows` straight windows is retired: its traffic
+    /// `2 * PARITY_WINDOWS` straight windows is retired: its traffic
     /// moved away, and the throughput floor already guards against
     /// "nothing completes, so nothing is slow".
     hot: BTreeMap<u16, u32>,
@@ -234,7 +229,7 @@ impl PerfTracker {
     /// service's steady state. Masked windows are discarded outright —
     /// they neither raise anomalies nor count toward parity.
     pub fn mask_recovery(&mut self, until: SimTime) {
-        let until = until + self.config.mask_margin;
+        let until = until + MASK_MARGIN;
         self.masked_until = Some(self.masked_until.map_or(until, |m| m.max(until)));
     }
 
@@ -316,7 +311,7 @@ impl PerfTracker {
         let freeze_us = self.config.freeze_at.as_micros() as u128;
         let window_us = self.config.window.as_micros() as u128;
         (window_ops as u128) * freeze_us * 1000
-            >= (self.config.throughput_floor_permille as u128) * (total as u128) * window_us
+            >= THROUGHPUT_FLOOR_PERMILLE * (total as u128) * window_us
     }
 
     fn judge_window(&mut self, now: SimTime, out: &mut Vec<PerfEvent>) {
@@ -335,10 +330,9 @@ impl PerfTracker {
             let r95 = live95.saturating_mul(1000) / b.p95;
             let r99 = live99.saturating_mul(1000) / b.p99;
             let worst = r95.max(r99);
-            let breach = (r95 > u64::from(self.config.p95_multiplier_permille)
+            let breach = (r95 > P95_MULTIPLIER_PERMILLE
                 && live95 >= b.p95 + self.config.min_delta_us)
-                || (r99 > u64::from(self.config.p99_multiplier_permille)
-                    && live99 >= b.p99 + self.config.min_delta_us);
+                || (r99 > P99_MULTIPLIER_PERMILLE && live99 >= b.p99 + self.config.min_delta_us);
             if breach {
                 let streak = self.breach_streak.entry((node, op)).or_insert(0);
                 *streak += 1;
@@ -353,10 +347,7 @@ impl PerfTracker {
             } else {
                 self.breach_streak.remove(&(node, op));
             }
-            judged.insert(
-                (node, op),
-                worst <= u64::from(self.config.parity_tolerance_permille),
-            );
+            judged.insert((node, op), worst <= PARITY_TOLERANCE_PERMILLE);
         }
         // Advance/clear per-node anomaly state.
         let nodes: Vec<usize> = self.anomaly.keys().copied().collect();
@@ -368,7 +359,7 @@ impl PerfTracker {
                 continue;
             }
             let throughput = self.throughput_ok(node);
-            let stale_after = self.config.parity_windows.saturating_mul(2).max(1);
+            let stale_after = 2 * PARITY_WINDOWS;
             let Some(state) = self.anomaly.get_mut(&node) else {
                 continue;
             };
@@ -400,7 +391,7 @@ impl PerfTracker {
                 .all(|(_, within)| *within);
             if all_within && throughput {
                 state.clean_windows += 1;
-                if state.clean_windows >= self.config.parity_windows {
+                if state.clean_windows >= PARITY_WINDOWS {
                     out.push(PerfEvent::ParityRestored {
                         node,
                         after: now - state.since,
@@ -439,7 +430,6 @@ mod tests {
             min_window_ops: 5,
             min_delta_us: 0,
             confirm_windows: 1,
-            ..PerfConfig::default()
         }
     }
 
