@@ -58,6 +58,28 @@ echo "==> urbmark: the benchmark's frozen public surface compiles, its package t
 cargo test --manifest-path benchmark/Cargo.toml --offline --target-dir target/benchmark -q
 CARGO_TARGET_DIR=target/benchmark benchmark/run.sh --quick > /dev/null
 
+echo "==> urbmark fingerprints: every seed still simulates what benchmark/BASELINE.json recorded"
+# A simulator speed-up must leave every simulated statistic identical.
+# The quick report above only checks that two runs of this build agree
+# with each other; this compares the build with the recorded baseline.
+python3 - <<'PY'
+import json, subprocess, sys
+baseline = json.load(open("benchmark/BASELINE.json"))
+moved = []
+for seed in (7, 11):
+    for workload, want in baseline[f"seed_{seed}"]["fingerprints"].items():
+        out = subprocess.run(
+            ["target/benchmark/release/urbmark", "--workload", workload,
+             "--seed", str(seed), "--seconds", "1", "--trace", "0"],
+            capture_output=True, text=True, check=True).stdout
+        got = [l.split()[-1] for l in out.splitlines() if l.startswith("sim_fingerprint ")]
+        if got != [want]:
+            moved.append(f"{workload} seed {seed}: BASELINE.json {want}, this build {got}")
+if moved:
+    sys.exit("sim_fingerprint moved:\n  " + "\n  ".join(moved))
+print("    8 fingerprints (4 workloads x seeds 7, 11) equal benchmark/BASELINE.json")
+PY
+
 echo "==> perf trajectory: regenerate repo-root BENCH_*.json"
 cargo run --release -q -p bench --bin exp_parallel_recovery > /dev/null
 cargo run --release -q -p bench --bin urb-bench -- \

@@ -530,9 +530,13 @@ impl<'a> CallContext<'a> {
             return Err(self.exception(None));
         };
         self.session_accessed = true;
-        self.session_cache = Some(Some(obj.clone()));
-        match self.inner.session.write(sid, obj) {
-            Ok(()) => Ok(()),
+        match self.inner.session.write(sid, obj.clone()) {
+            Ok(()) => {
+                // Only what the store accepted may be served back to later
+                // reads of this request.
+                self.session_cache = Some(Some(obj));
+                Ok(())
+            }
             Err(_) => {
                 self.markers.store_error = true;
                 Err(self.exception(None))

@@ -8,8 +8,8 @@ use statestore::{FastS, Ssm, Value};
 use urb_core::server::{make_request, ProcState, ServerFault};
 use urb_core::testkit::{ops, ToyApp};
 use urb_core::{
-    share_db, share_ssm, AppServer, RejuvenationAction, RejuvenationService, ServerConfig,
-    SessionBackend, Started, Status, SubmitOutcome,
+    share_db, share_ssm, AppServer, Application, CallContext, CallError, RejuvenationAction,
+    RejuvenationService, Request, ServerConfig, SessionBackend, Started, Status, SubmitOutcome,
 };
 
 fn server(retry: bool) -> AppServer<ToyApp> {
@@ -26,8 +26,8 @@ fn server(retry: bool) -> AppServer<ToyApp> {
 }
 
 /// Runs one request synchronously: submit, pump, complete.
-fn run_one(
-    srv: &mut AppServer<ToyApp>,
+fn run_one<A: Application>(
+    srv: &mut AppServer<A>,
     id: u64,
     op: urb_core::OpCode,
     session: Option<statestore::SessionId>,
@@ -445,6 +445,87 @@ fn ssm_sessions_survive_process_restart() {
     let r = run_one(&mut srv, 2, ops::CART_ADD, Some(sid), 7, ready);
     assert!(!r.markers.login_prompt, "SSM session survived the restart");
     assert_eq!(r.status, Status::Ok);
+}
+
+/// `ToyApp`, except that CART_ADD writes its cart object, ignores the
+/// store's verdict, reads the session back in the same request and records
+/// the `cart_item` that read saw (`None` inside: the read failed).
+#[derive(Default)]
+struct WriteThenRead {
+    toy: ToyApp,
+    read_back: Option<Option<i64>>,
+}
+
+impl Application for WriteThenRead {
+    fn descriptors(&self) -> Vec<components::descriptor::ComponentDescriptor> {
+        self.toy.descriptors()
+    }
+    fn methods_of(&self, component: &str) -> &'static [&'static str] {
+        self.toy.methods_of(component)
+    }
+    fn web_component(&self) -> &'static str {
+        self.toy.web_component()
+    }
+    fn base_cost(&self, op: urb_core::OpCode) -> SimDuration {
+        self.toy.base_cost(op)
+    }
+    fn handle(&mut self, ctx: &mut CallContext<'_>, req: &Request) -> Result<(), CallError> {
+        if req.op != ops::CART_ADD {
+            return self.toy.handle(ctx, req);
+        }
+        let mut obj = statestore::SessionObject::new();
+        obj.set("user_id", 42i64);
+        obj.set("cart_item", ctx.arg());
+        let _ = ctx.session_write(obj);
+        let cart = |o: statestore::SessionObject| o.get("cart_item").and_then(Value::as_int);
+        self.read_back = Some(ctx.session_read().ok().flatten().and_then(cart));
+        Ok(())
+    }
+    fn session_valid(&self, obj: &statestore::SessionObject) -> bool {
+        self.toy.session_valid(obj)
+    }
+    fn on_component_reinit(&mut self, component: &str) {
+        self.toy.on_component_reinit(component);
+    }
+    fn on_process_restart(&mut self) {
+        self.toy.on_process_restart();
+    }
+}
+
+#[test]
+fn a_rejected_session_write_is_not_served_back_to_the_same_request() {
+    let ssm = share_ssm(Ssm::new(3));
+    let mut srv = AppServer::new(
+        WriteThenRead::default(),
+        ServerConfig::default(),
+        share_db(ToyApp::seeded_db(10)),
+        SessionBackend::Ssm(ssm.clone()),
+    );
+    let t = SimTime::from_secs(1);
+    let sid = run_one(&mut srv, 1, ops::LOGIN, None, 42, t)
+        .set_cookie
+        .unwrap();
+    run_one(&mut srv, 2, ops::CART_ADD, Some(sid), 7, t);
+    assert_eq!(
+        srv.app().read_back,
+        Some(Some(7)),
+        "an accepted write reads back"
+    );
+
+    // Partitioned store: the write is refused, and so is the read — the
+    // request must not be handed the object the store never took.
+    ssm.borrow_mut().set_partitioned(true);
+    run_one(&mut srv, 3, ops::CART_ADD, Some(sid), 8, t);
+    assert_eq!(srv.app().read_back, Some(None));
+    ssm.borrow_mut().clear_net_faults();
+
+    // Lossy link that drops every second access: burn the passing one, so
+    // the request's write is dropped and its read gets through — to what
+    // the store holds, which is still the cart of request 2.
+    ssm.borrow_mut().set_lossy(500);
+    statestore::SessionStore::read(&mut *ssm.borrow_mut(), sid).unwrap();
+    run_one(&mut srv, 4, ops::CART_ADD, Some(sid), 9, t);
+    assert_eq!(srv.app().read_back, Some(Some(7)));
 }
 
 #[test]

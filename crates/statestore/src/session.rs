@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 
 use simcore::SimDuration;
 
@@ -52,9 +53,14 @@ impl std::error::Error for StoreError {}
 /// Objects are read and written atomically — the store API deliberately has
 /// no partial-update operation, mirroring FastS/SSM's
 /// "read/write HttpSession objects atomically" contract.
+///
+/// Copy-on-write: a clone shares the attribute map, and the first mutation
+/// of a shared object copies the map before changing it. A store, the
+/// request that read from it and every SSM replica therefore hold one map
+/// until somebody writes; nobody can see anybody else's mutation.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionObject {
-    attrs: BTreeMap<String, Value>,
+    attrs: Rc<BTreeMap<String, Value>>,
     tainted: bool,
 }
 
@@ -66,7 +72,7 @@ impl SessionObject {
 
     /// Sets attribute `key` to `value`.
     pub fn set(&mut self, key: &str, value: impl Into<Value>) {
-        self.attrs.insert(key.to_string(), value.into());
+        Rc::make_mut(&mut self.attrs).insert(key.to_string(), value.into());
     }
 
     /// Returns attribute `key`, if present.
@@ -76,7 +82,7 @@ impl SessionObject {
 
     /// Removes attribute `key`, returning its old value.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        self.attrs.remove(key)
+        Rc::make_mut(&mut self.attrs).remove(key)
     }
 
     /// Returns the number of attributes.
@@ -96,8 +102,8 @@ impl SessionObject {
 
     /// Serializes the object for checksumming/marshalling.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for (k, v) in &self.attrs {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        for (k, v) in self.attrs.iter() {
             out.extend_from_slice(&(k.len() as u64).to_le_bytes());
             out.extend_from_slice(k.as_bytes());
             v.encode_into(&mut out);
@@ -105,9 +111,18 @@ impl SessionObject {
         out
     }
 
+    /// Returns the length of [`SessionObject::encode`]'s output without
+    /// building it.
+    pub fn encoded_len(&self) -> usize {
+        self.attrs
+            .iter()
+            .map(|(k, v)| 8 + k.len() + v.encoded_len())
+            .sum()
+    }
+
     /// Returns the approximate in-memory size in bytes (for the heap model).
     pub fn approx_bytes(&self) -> usize {
-        64 + self.encode().len() * 2
+        64 + self.encoded_len() * 2
     }
 
     /// Marks this object as corrupted by fault injection.
@@ -187,19 +202,16 @@ pub trait SessionStore {
 /// * `SetWrong` perturbs integer attributes plausibly (off-by-one million),
 ///   which passes validation but yields wrong answers.
 pub fn corrupt_object(obj: &mut SessionObject, kind: CorruptKind) {
-    let keys: Vec<String> = obj.attrs.keys().cloned().collect();
-    for k in keys {
-        let old = obj.attrs.get(&k).cloned().unwrap_or(Value::Null);
-        let new = match (kind, &old) {
+    for v in Rc::make_mut(&mut obj.attrs).values_mut() {
+        *v = match (kind, &*v) {
             (CorruptKind::SetNull, _) => Value::Null,
             (CorruptKind::SetInvalid, Value::Int(_)) => Value::Int(i64::MAX),
             (CorruptKind::SetInvalid, _) => Value::Str("\u{fffd}invalid\u{fffd}".into()),
             // Off-by-one: the classic "swapped/shifted id" — valid by every
             // application check, wrong for this user.
-            (CorruptKind::SetWrong, Value::Int(v)) => Value::Int(v.wrapping_add(1)),
-            (CorruptKind::SetWrong, other) => other.clone(),
+            (CorruptKind::SetWrong, Value::Int(n)) => Value::Int(n.wrapping_add(1)),
+            (CorruptKind::SetWrong, _) => continue,
         };
-        obj.attrs.insert(k, new);
     }
     obj.mark_tainted();
 }

@@ -9,8 +9,13 @@
 //! garbage-collected automatically, and every stored object carries a
 //! checksum: corruption is detected on read and the bad object is
 //! discarded rather than served (Table 2).
+//!
+//! The simulated bricks are columns of one session-keyed table, not maps
+//! of their own: an entry has one slot per brick, and the slots a write
+//! reached point at one shared payload (DESIGN.md section 14).
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use simcore::{SimDuration, SimTime, TelemetryEvent};
 
@@ -23,20 +28,66 @@ pub const DEFAULT_REPLICAS: usize = 3;
 /// Default session lease term (idle sessions expire after this).
 pub const DEFAULT_LEASE: SimDuration = SimDuration::from_mins(30);
 
+/// What one accepted write stored. Every brick the write reached holds
+/// the same `Rc<Payload>`; nothing mutates a payload in place while it is
+/// shared (the corruption surface goes through `Rc::make_mut`).
 #[derive(Clone, Debug)]
-struct StoredObject {
+struct Payload {
     bytes: Vec<u8>,
     checksum: u64,
     /// Decoded object kept alongside its marshalled form; reads verify the
     /// checksum over `bytes` before handing this out.
     object: SessionObject,
-    expires: SimTime,
 }
 
+impl Payload {
+    /// Flips the first marshalled byte, or the recorded checksum when the
+    /// marshalled form is empty: either way the copy fails verification.
+    fn mangle(&mut self) {
+        match self.bytes.first_mut() {
+            Some(byte) => *byte ^= 0xff,
+            None => self.checksum ^= 0xdead_beef,
+        }
+    }
+}
+
+/// Everything the store knows about one session. An entry outlives its
+/// object: the applied id and wire sequence stay authoritative after a
+/// logout, an expiry or the loss of every brick.
 #[derive(Clone, Debug, Default)]
-struct Brick {
-    objects: BTreeMap<SessionId, StoredObject>,
-    up: bool,
+struct Entry {
+    /// Applied id: bumped on every accepted write. Store-level (survives
+    /// brick failures) — the "store-side applied id" half of the integrity
+    /// ledger.
+    version: u64,
+    /// Highest wire-delivery sequence applied; a redelivered (duplicated)
+    /// write carries an already-applied sequence and is discarded instead
+    /// of mutating state twice.
+    seq: u64,
+    /// Lease expiry of the stored object. One per session, not per brick:
+    /// every brick that holds a copy got it from the latest write and is
+    /// renewed by the same reads, so their leases never differ.
+    expires: SimTime,
+    /// One slot per brick (empty when nothing is stored). The slot of a
+    /// brick that is down is always `None`.
+    slots: Vec<Option<Rc<Payload>>>,
+}
+
+impl Entry {
+    /// Returns true if any brick holds a copy (lapsed lease or not).
+    fn holds(&self) -> bool {
+        self.slots.iter().any(Option::is_some)
+    }
+
+    /// Returns true if any brick's copy is injection-tainted.
+    fn tainted(&self) -> bool {
+        self.slots.iter().flatten().any(|p| p.object.is_tainted())
+    }
+
+    /// Drops every brick's copy and the slot row with it.
+    fn clear(&mut self) {
+        self.slots = Vec::new();
+    }
 }
 
 /// Counters describing an SSM's lifetime activity.
@@ -84,20 +135,15 @@ fn checksum(bytes: &[u8]) -> u64 {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Ssm {
-    bricks: Vec<Brick>,
+    /// Every session the store ever accepted a write for.
+    entries: BTreeMap<SessionId, Entry>,
+    /// Which bricks are up; the length is the replica count.
+    up: Vec<bool>,
     lease: SimDuration,
     /// The store's notion of current time, advanced by the hosting
     /// simulation so leases can expire.
     now: SimTime,
     stats: SsmStats,
-    /// Per-session applied-id authority: bumped on every accepted write.
-    /// Store-level (survives brick failures) — this is the "store-side
-    /// applied id" half of the integrity ledger.
-    versions: BTreeMap<SessionId, u64>,
-    /// Highest wire-delivery sequence applied per session; a redelivered
-    /// (duplicated) write carries an already-applied sequence and is
-    /// discarded instead of mutating state twice.
-    applied_seq: BTreeMap<SessionId, u64>,
     /// Wire-delivery sequence counter.
     write_seq: u64,
     /// node↔store edge fault surface: true black-holes every access.
@@ -138,18 +184,11 @@ impl Ssm {
     pub fn with_lease(replicas: usize, lease: SimDuration) -> Self {
         assert!(replicas > 0, "SSM needs at least one brick");
         Ssm {
-            bricks: vec![
-                Brick {
-                    objects: BTreeMap::new(),
-                    up: true,
-                };
-                replicas
-            ],
+            entries: BTreeMap::new(),
+            up: vec![true; replicas],
             lease,
             now: SimTime::ZERO,
             stats: SsmStats::default(),
-            versions: BTreeMap::new(),
-            applied_seq: BTreeMap::new(),
             write_seq: 0,
             partitioned: false,
             lossy_permille: 0,
@@ -177,10 +216,15 @@ impl Ssm {
     /// Returns true if any up brick still holds an object for `id`
     /// (regardless of lease state — an uncollected object is not lost).
     pub fn probe(&self, id: SessionId) -> bool {
-        self.bricks
+        self.entries.get(&id).is_some_and(Entry::holds)
+    }
+
+    /// The sessions some brick holds a copy of, in id order.
+    fn held(&self) -> impl DoubleEndedIterator<Item = (SessionId, &Entry)> {
+        self.entries
             .iter()
-            .filter(|b| b.up)
-            .any(|b| b.objects.contains_key(&id))
+            .filter(|(_, e)| e.holds())
+            .map(|(id, e)| (*id, e))
     }
 
     // ---- node↔store network fault surface -----------------------------
@@ -238,15 +282,17 @@ impl Ssm {
 
     /// Returns true if an armed network fault swallows this access.
     fn net_drops_access(&mut self) -> bool {
-        if self.partitioned {
-            self.stats.net_unavailable += 1;
-            return true;
+        let dropped = self.partitioned || Self::thin(&mut self.lossy_counter, self.lossy_permille);
+        self.stats.net_unavailable += u64::from(dropped);
+        dropped
+    }
+
+    /// An access that needs a live brick behind a working link.
+    fn reach_a_brick(&mut self) -> Result<(), StoreError> {
+        if self.net_drops_access() || self.bricks_up() == 0 {
+            return Err(StoreError::Unavailable);
         }
-        if Self::thin(&mut self.lossy_counter, self.lossy_permille) {
-            self.stats.net_unavailable += 1;
-            return true;
-        }
-        false
+        Ok(())
     }
 
     fn note_expired(&mut self, id: SessionId) {
@@ -263,39 +309,34 @@ impl Ssm {
     /// Applies one wire delivery of a write. The applied-id check makes
     /// writes idempotent per delivery sequence: a duplicated delivery is
     /// discarded instead of bumping the session's applied id twice.
-    fn apply_write(
-        &mut self,
-        id: SessionId,
-        obj: SessionObject,
-        seq: u64,
-    ) -> Result<(), StoreError> {
-        if self.applied_seq.get(&id).is_some_and(|&s| s >= seq) {
+    fn apply_write(&mut self, id: SessionId, obj: SessionObject, seq: u64) {
+        let entry = self.entries.entry(id).or_default();
+        if entry.seq >= seq {
             self.stats.dupes_discarded += 1;
             if let Some(l) = &self.ledger {
                 l.borrow_mut().on_dupe_discarded(id.0);
             }
-            return Ok(());
+            return;
         }
         let bytes = obj.encode();
-        let sum = checksum(&bytes);
-        let stored = StoredObject {
+        let payload = Rc::new(Payload {
+            checksum: checksum(&bytes),
             bytes,
-            checksum: sum,
             object: obj,
-            expires: self.now + self.lease,
-        };
-        for brick in self.bricks.iter_mut().filter(|b| b.up) {
-            brick.objects.insert(id, stored.clone());
+        });
+        entry.slots.resize(self.up.len(), None);
+        for (slot, &up) in entry.slots.iter_mut().zip(&self.up) {
+            if up {
+                *slot = Some(payload.clone());
+            }
         }
-        self.applied_seq.insert(id, seq);
-        let version = self.versions.entry(id).or_insert(0);
-        *version += 1;
-        let version = *version;
+        entry.expires = self.now + self.lease;
+        entry.seq = seq;
+        entry.version += 1;
         if let Some(l) = &self.ledger {
-            l.borrow_mut().on_applied(id.0, version);
+            l.borrow_mut().on_applied(id.0, entry.version);
         }
         self.stats.writes += 1;
-        Ok(())
     }
 
     /// Advances the store's clock (the hosting simulation calls this).
@@ -312,40 +353,42 @@ impl Ssm {
     ///
     /// Returns false if the index is out of range.
     pub fn fail_brick(&mut self, idx: usize) -> bool {
-        let at = self.now;
-        match self.bricks.get_mut(idx) {
-            Some(b) => {
-                if b.up {
-                    b.up = false;
-                    b.objects.clear();
-                    self.events
-                        .push(TelemetryEvent::BrickFailed { brick: idx, at });
-                }
-                true
-            }
-            None => false,
-        }
+        self.set_brick(idx, false)
     }
 
     /// Brings a failed brick back (empty; it repopulates on writes).
     pub fn restore_brick(&mut self, idx: usize) -> bool {
-        let at = self.now;
-        match self.bricks.get_mut(idx) {
-            Some(b) => {
-                if !b.up {
-                    b.up = true;
-                    self.events
-                        .push(TelemetryEvent::BrickRestored { brick: idx, at });
+        self.set_brick(idx, true)
+    }
+
+    fn set_brick(&mut self, idx: usize, up: bool) -> bool {
+        let Some(state) = self.up.get_mut(idx) else {
+            return false;
+        };
+        if *state != up {
+            *state = up;
+            let (brick, at) = (idx, self.now);
+            if up {
+                self.events
+                    .push(TelemetryEvent::BrickRestored { brick, at });
+            } else {
+                // The brick's contents die with it.
+                for slot in self
+                    .entries
+                    .values_mut()
+                    .filter_map(|e| e.slots.get_mut(idx))
+                {
+                    *slot = None;
                 }
-                true
+                self.events.push(TelemetryEvent::BrickFailed { brick, at });
             }
-            None => false,
         }
+        true
     }
 
     /// Returns how many bricks are up.
     pub fn bricks_up(&self) -> usize {
-        self.bricks.iter().filter(|b| b.up).count()
+        self.up.iter().filter(|up| **up).count()
     }
 
     /// Flips a byte of the stored object for `id` on every brick
@@ -354,17 +397,16 @@ impl Ssm {
     /// Returns false if no brick holds the session.
     pub fn corrupt_bits(&mut self, id: SessionId) -> bool {
         let mut hit = false;
-        for brick in &mut self.bricks {
-            if let Some(stored) = brick.objects.get_mut(&id) {
-                if let Some(byte) = stored.bytes.first_mut() {
-                    *byte ^= 0xff;
-                } else {
-                    // Empty marshalled form: corrupt the checksum instead.
-                    stored.checksum ^= 0xdead_beef;
-                }
-                stored.object.mark_tainted();
-                hit = true;
-            }
+        for copy in self
+            .entries
+            .get_mut(&id)
+            .into_iter()
+            .flat_map(|e| e.slots.iter_mut().flatten())
+        {
+            let copy = Rc::make_mut(copy);
+            copy.mangle();
+            copy.object.mark_tainted();
+            hit = true;
         }
         hit
     }
@@ -372,57 +414,38 @@ impl Ssm {
     /// Corrupts an arbitrary live session (the most recently created, so
     /// the victim is likely active), returning its id.
     pub fn corrupt_any(&mut self) -> Option<SessionId> {
-        let id = self
-            .bricks
-            .iter()
-            .filter(|b| b.up)
-            .flat_map(|b| b.objects.keys())
-            .max()
-            .copied()?;
+        let (id, _) = self.held().next_back()?;
         self.corrupt_bits(id);
         Some(id)
     }
 
-    /// Expires sessions whose lease lapsed; returns how many were removed.
-    pub fn gc(&mut self) -> usize {
-        let now = self.now;
-        let mut seen = std::collections::BTreeSet::new();
-        for brick in &mut self.bricks {
-            let expired: Vec<SessionId> = brick
-                .objects
-                .iter()
-                .filter(|(_, o)| o.expires <= now)
-                .map(|(id, _)| *id)
-                .collect();
-            for id in expired {
-                brick.objects.remove(&id);
-                seen.insert(id);
+    /// Expires `ids` exactly as a natural lease lapse would, in order.
+    fn expire(&mut self, ids: Vec<SessionId>) -> usize {
+        for id in &ids {
+            if let Some(e) = self.entries.get_mut(id) {
+                e.clear();
             }
-        }
-        for id in &seen {
             self.note_expired(*id);
         }
-        seen.len()
+        ids.len()
+    }
+
+    /// Expires sessions whose lease lapsed; returns how many were removed.
+    pub fn gc(&mut self) -> usize {
+        let lapsed = self
+            .held()
+            .filter(|(_, e)| e.expires <= self.now)
+            .map(|(id, _)| id)
+            .collect();
+        self.expire(lapsed)
     }
 
     /// Prematurely expires every live session (the `LeaseStorm` fault):
     /// objects are removed and accounted exactly as a natural lease lapse
     /// would be, in deterministic (id) order. Returns how many expired.
     pub fn storm_leases(&mut self) -> usize {
-        let ids: std::collections::BTreeSet<SessionId> = self
-            .bricks
-            .iter()
-            .filter(|b| b.up)
-            .flat_map(|b| b.objects.keys())
-            .copied()
-            .collect();
-        for id in &ids {
-            for brick in &mut self.bricks {
-                brick.objects.remove(id);
-            }
-            self.note_expired(*id);
-        }
-        ids.len()
+        let all = self.held().map(|(id, _)| id).collect();
+        self.expire(all)
     }
 
     /// Makes one brick return checksum-failing garbage: flips a byte of
@@ -430,19 +453,14 @@ impl Ssm {
     /// the damage via the per-object checksum, discard the bad copy, and
     /// serve a surviving replica. Returns how many objects were mangled.
     pub fn corrupt_brick(&mut self, idx: usize) -> usize {
-        let Some(brick) = self.bricks.get_mut(idx) else {
-            return 0;
-        };
-        if !brick.up {
-            return 0;
-        }
         let mut mangled = 0;
-        for stored in brick.objects.values_mut() {
-            if let Some(byte) = stored.bytes.first_mut() {
-                *byte ^= 0xff;
-            } else {
-                stored.checksum ^= 0xdead_beef;
-            }
+        for copy in self
+            .entries
+            .values_mut()
+            .filter_map(|e| e.slots.get_mut(idx))
+            .flatten()
+        {
+            Rc::make_mut(copy).mangle();
             mangled += 1;
         }
         mangled
@@ -451,26 +469,13 @@ impl Ssm {
     /// Returns the number of injection-tainted sessions still stored on
     /// any live brick.
     pub fn tainted_sessions(&self) -> usize {
-        let mut ids = std::collections::BTreeSet::new();
-        for brick in self.bricks.iter().filter(|b| b.up) {
-            for (id, o) in &brick.objects {
-                if o.object.is_tainted() {
-                    ids.insert(*id);
-                }
-            }
-        }
-        ids.len()
+        self.entries.values().filter(|e| e.tainted()).count()
     }
 
     /// Returns true if the stored object for `id` is injection-tainted on
     /// any brick (the comparison detector's oracle).
     pub fn is_tainted(&self, id: SessionId) -> bool {
-        self.bricks.iter().any(|b| {
-            b.objects
-                .get(&id)
-                .map(|o| o.object.is_tainted())
-                .unwrap_or(false)
-        })
+        self.entries.get(&id).is_some_and(Entry::tainted)
     }
 }
 
@@ -480,97 +485,72 @@ impl SessionStore for Ssm {
     }
 
     fn write(&mut self, id: SessionId, obj: SessionObject) -> Result<(), StoreError> {
-        if self.net_drops_access() {
-            return Err(StoreError::Unavailable);
-        }
-        if self.bricks_up() == 0 {
-            return Err(StoreError::Unavailable);
-        }
+        self.reach_a_brick()?;
         self.write_seq += 1;
         let seq = self.write_seq;
         if Self::thin(&mut self.dupe_counter, self.dupe_permille) {
             // The duplicating link delivers this write twice: the replay
             // carries the same wire sequence and must be discarded by the
             // applied-id check, not applied again.
-            self.apply_write(id, obj.clone(), seq)?;
-            self.apply_write(id, obj, seq)
-        } else {
-            self.apply_write(id, obj, seq)
+            self.apply_write(id, obj.clone(), seq);
         }
+        self.apply_write(id, obj, seq);
+        Ok(())
     }
 
     fn read(&mut self, id: SessionId) -> Result<Option<SessionObject>, StoreError> {
-        if self.net_drops_access() {
-            return Err(StoreError::Unavailable);
-        }
-        if self.bricks_up() == 0 {
-            return Err(StoreError::Unavailable);
-        }
+        self.reach_a_brick()?;
         let now = self.now;
-        let mut found_any = false;
-        let mut discarded_any = false;
-        let mut expired_any = false;
-        let mut result: Option<(SessionObject, SimTime)> = None;
-        for brick in self.bricks.iter_mut().filter(|b| b.up) {
-            let Some(stored) = brick.objects.get(&id) else {
-                continue;
-            };
-            if stored.expires <= now {
-                brick.objects.remove(&id);
-                expired_any = true;
-                continue;
-            }
-            found_any = true;
-            if checksum(&stored.bytes) != stored.checksum {
+        let Some(entry) = self.entries.get_mut(&id).filter(|e| e.holds()) else {
+            return Ok(None);
+        };
+        if entry.expires <= now {
+            // The lease lapsed and the read reaped the object: account
+            // the disappearance.
+            entry.clear();
+            self.note_expired(id);
+            return Ok(None);
+        }
+        // Every brick checks its copy against the checksum recorded with
+        // it. The verdict depends on the payload alone, so a brick sharing
+        // the payload of one already verified needs no pass of its own.
+        let mut good: Option<Rc<Payload>> = None;
+        for slot in &mut entry.slots {
+            let Some(copy) = slot else { continue };
+            if good.as_ref().is_some_and(|g| Rc::ptr_eq(g, copy))
+                || checksum(&copy.bytes) == copy.checksum
+            {
+                good.get_or_insert_with(|| copy.clone());
+            } else {
                 // Integrity violation: discard the bad object rather than
                 // serve it.
-                brick.objects.remove(&id);
-                discarded_any = true;
+                *slot = None;
                 self.stats.checksum_discards += 1;
-                continue;
-            }
-            if result.is_none() {
-                result = Some((stored.object.clone(), stored.expires));
             }
         }
-        match result {
-            Some((obj, expires)) => {
-                if expires <= now {
-                    // Defensive ledger check: serving past expiry would be
-                    // a stale-lease violation. The filter above makes this
-                    // unreachable; the ledger proves it stays that way.
-                    if let Some(l) = &self.ledger {
-                        l.borrow_mut().on_stale_serve(id.0);
-                    }
-                }
-                // Lease renewal on access.
-                let expires = now + self.lease;
-                for brick in self.bricks.iter_mut().filter(|b| b.up) {
-                    if let Some(s) = brick.objects.get_mut(&id) {
-                        s.expires = expires;
-                    }
-                }
-                self.stats.reads += 1;
-                Ok(Some(obj))
-            }
-            None if found_any && discarded_any => Err(StoreError::CorruptDiscarded(id)),
-            None => {
-                if expired_any {
-                    // The lease lapsed and the read reaped the object:
-                    // account the disappearance.
-                    self.note_expired(id);
-                }
-                Ok(None)
+        let Some(good) = good else {
+            return Err(StoreError::CorruptDiscarded(id));
+        };
+        if entry.expires <= now {
+            // Defensive ledger check: serving past expiry would be a
+            // stale-lease violation. The reaping above makes this
+            // unreachable; the ledger proves it stays that way.
+            if let Some(l) = &self.ledger {
+                l.borrow_mut().on_stale_serve(id.0);
             }
         }
+        // Lease renewal on access.
+        entry.expires = now + self.lease;
+        self.stats.reads += 1;
+        Ok(Some(good.object.clone()))
     }
 
     fn remove(&mut self, id: SessionId) -> Result<(), StoreError> {
         if self.net_drops_access() {
             return Err(StoreError::Unavailable);
         }
-        for brick in self.bricks.iter_mut().filter(|b| b.up) {
-            brick.objects.remove(&id);
+        if let Some(e) = self.entries.get_mut(&id) {
+            e.clear();
         }
         if let Some(l) = &self.ledger {
             l.borrow_mut().on_removed(id.0);
@@ -579,15 +559,7 @@ impl SessionStore for Ssm {
     }
 
     fn live_sessions(&self) -> usize {
-        let mut ids = std::collections::BTreeSet::new();
-        for brick in self.bricks.iter().filter(|b| b.up) {
-            for (id, o) in &brick.objects {
-                if o.expires > self.now {
-                    ids.insert(*id);
-                }
-            }
-        }
-        ids.len()
+        self.held().filter(|(_, e)| e.expires > self.now).count()
     }
 
     fn survives_process_restart(&self) -> bool {

@@ -88,6 +88,16 @@ impl Value {
             }
         }
     }
+
+    /// Returns how many bytes [`Value::encode_into`] appends.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            Value::Null => 0,
+            Value::Int(_) | Value::Float(_) => 8,
+            Value::Str(s) => 8 + s.len(),
+            Value::Bool(_) => 1,
+        }
+    }
 }
 
 impl fmt::Display for Value {

@@ -3,22 +3,33 @@
 //!
 //! Wall-clock speed can only be reported; heap allocations per request at
 //! a fixed seed repeat exactly on any machine, so they can be gated. The
-//! set-up is the benchmark's `steady_fasts_1n` (1 node × 500 clients on
-//! FastS, no recovery manager, no bus, no faults) with a shorter window.
+//! set-ups are the benchmark's two steady workloads with a shorter window:
+//! `steady_fasts_1n` (1 node × 500 clients on FastS, no recovery manager,
+//! no bus, no faults) and `steady_ssm_2n` (2 nodes × 500 clients on SSM
+//! with failover, an idle recovery manager and the digest + metrics bus).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use microreboot::cluster::{Sim, SimConfig, StoreChoice};
-use microreboot::simcore::SimTime;
+use microreboot::recovery::RmConfig;
+use microreboot::simcore::telemetry::{shared_bus, TraceHashSink};
+use microreboot::simcore::{MetricsRegistry, SimTime};
 
-/// Allocations per issued request the steady request path may make.
-/// Measured 9.29 when the budget was set (11.64 before the client pool
-/// and the Taw tracker stopped building a `Vec` per wake and per action,
-/// 34.02 before database queries stopped copying rows). The 15 % of
-/// headroom is for the path to grow a feature, not to absorb a
-/// per-request `Vec` or `clone` that crept back in.
-const BUDGET: f64 = 10.7;
+/// Allocations per issued request the steady request path may make on
+/// FastS. Measured 5.17 when the budget was set (9.29 before session
+/// objects became copy-on-write, 11.64 before the client pool and the Taw
+/// tracker stopped building a `Vec` per wake and per action, 34.02 before
+/// database queries stopped copying rows). The 15 % of headroom is for the
+/// path to grow a feature, not to absorb a per-request `Vec` or `clone`
+/// that crept back in.
+const FASTS_BUDGET: f64 = 5.9;
+
+/// The same on SSM, where a logged-in request also marshals its session
+/// and every write reaches three bricks. Measured 5.86 when the budget was
+/// set (11.82 while each brick held its own deep copy).
+const SSM_BUDGET: f64 = 6.7;
 
 struct CountingAlloc;
 
@@ -57,16 +68,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Returns (allocations, requests issued) in the measured window.
-fn measured_window() -> (u64, u64) {
-    let mut sim = Sim::new(SimConfig {
-        nodes: 1,
-        clients_per_node: 500,
-        store: StoreChoice::FastS,
-        rm: None,
-        seed: 7,
-        ..SimConfig::default()
-    });
+/// Returns (allocations, requests issued) in the measured window of a
+/// simulation of `config`, with the digest + metrics bus if `bus`.
+fn measured_window(config: SimConfig, bus: bool) -> (u64, u64) {
+    let mut sim = Sim::new(config);
+    if bus {
+        let bus = shared_bus();
+        bus.borrow_mut()
+            .add_sink(Box::new(Rc::new(RefCell::new(TraceHashSink::new()))));
+        bus.borrow_mut()
+            .add_sink(Box::new(Rc::new(RefCell::new(MetricsRegistry::new()))));
+        sim.attach_telemetry(bus);
+    }
     sim.run_until(SimTime::from_secs(60));
     let issued_before = sim.world().pool.mix().total();
     let allocs_before = allocs();
@@ -75,20 +88,54 @@ fn measured_window() -> (u64, u64) {
     (allocs, sim.world().pool.mix().total() - issued_before)
 }
 
-#[test]
-fn steady_request_path_stays_within_its_allocation_budget() {
-    let first = measured_window();
+/// Measures `config` twice and holds the (exactly repeating) allocations
+/// per issued request against `budget`.
+fn assert_within_budget(config: SimConfig, bus: bool, budget: f64) {
+    let first = measured_window(config.clone(), bus);
     assert_eq!(
         first,
-        measured_window(),
+        measured_window(config, bus),
         "same seed, same allocations and requests"
     );
     let (allocs, requests) = first;
     assert!(requests > 5_000, "the window carries load: {requests}");
     let per_request = allocs as f64 / requests as f64;
     assert!(
-        per_request <= BUDGET,
-        "{per_request:.2} allocations per request ({allocs} over {requests}) exceeds {BUDGET}"
+        per_request <= budget,
+        "{per_request:.2} allocations per request ({allocs} over {requests}) exceeds {budget}"
     );
     println!("allocations per request: {per_request:.3} ({allocs} over {requests})");
+}
+
+#[test]
+fn steady_request_path_stays_within_its_allocation_budget() {
+    assert_within_budget(
+        SimConfig {
+            nodes: 1,
+            clients_per_node: 500,
+            store: StoreChoice::FastS,
+            rm: None,
+            seed: 7,
+            ..SimConfig::default()
+        },
+        false,
+        FASTS_BUDGET,
+    );
+}
+
+#[test]
+fn steady_ssm_request_path_stays_within_its_allocation_budget() {
+    assert_within_budget(
+        SimConfig {
+            nodes: 2,
+            clients_per_node: 500,
+            store: StoreChoice::Ssm,
+            failover: true,
+            rm: Some(RmConfig::default()),
+            seed: 7,
+            ..SimConfig::default()
+        },
+        true,
+        SSM_BUDGET,
+    );
 }

@@ -7,7 +7,9 @@
 use microreboot::simcore::{EventQueue, SimDuration, SimRng, SimTime};
 use microreboot::statestore::db::{Row, TableDef};
 use microreboot::statestore::lease::LeaseTable;
-use microreboot::statestore::session::{SessionId, SessionObject, SessionStore};
+use microreboot::statestore::session::{
+    corrupt_object, CorruptKind, SessionId, SessionObject, SessionStore,
+};
 use microreboot::statestore::{Database, FastS, Ssm, Value};
 
 const CASES: u64 = 64;
@@ -417,6 +419,119 @@ fn ssm_roundtrip_is_lossless() {
         ssm.write(SessionId(1), obj.clone()).unwrap();
         let got = ssm.read(SessionId(1)).unwrap().unwrap();
         assert_eq!(got, obj, "case {case}");
+    }
+}
+
+/// A random session object over every `Value` variant (sometimes empty).
+fn gen_session_object(rng: &mut SimRng) -> SessionObject {
+    let mut obj = SessionObject::new();
+    let keys = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
+    for key in &keys[..rng.uniform_usize(keys.len() + 1)] {
+        match rng.uniform_u64(5) {
+            0 => obj.set(key, Value::Null),
+            1 => obj.set(key, rng.next_u64() as i64),
+            2 => obj.set(key, "x".repeat(rng.uniform_usize(40))),
+            3 => obj.set(key, rng.unit_f64()),
+            _ => obj.set(key, rng.chance(0.5)),
+        }
+    }
+    obj
+}
+
+/// A random mutation through the object's public surface.
+fn mutate(rng: &mut SimRng, obj: &mut SessionObject) {
+    match rng.uniform_u64(5) {
+        0 => obj.set("alpha", rng.next_u64() as i64),
+        1 => obj.set("fresh", "added"),
+        2 => drop(obj.remove("beta")),
+        3 => obj.mark_tainted(),
+        _ => corrupt_object(obj, CorruptKind::SetNull),
+    }
+}
+
+/// Copy-on-write is invisible: no holder of a session object — a clone,
+/// a request that read it, the store that serves it — ever sees another
+/// holder's mutation, and the encoded length is the encoding's length.
+#[test]
+fn session_object_sharing_is_unobservable() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(0x6800 + case);
+        let original = gen_session_object(&mut rng);
+        assert_eq!(
+            original.encoded_len(),
+            original.encode().len(),
+            "case {case}"
+        );
+
+        // Clones: either side may mutate, the other keeps its encoding.
+        let frozen = original.encode();
+        let mut a = original.clone();
+        let mut b = a.clone();
+        assert_eq!(b.encode(), frozen);
+        mutate(&mut rng, &mut b);
+        assert_eq!(
+            a.encode(),
+            frozen,
+            "case {case}: clone mutated, original moved"
+        );
+        let b_frozen = b.encode();
+        assert_eq!(b.encoded_len(), b_frozen.len());
+        mutate(&mut rng, &mut a);
+        assert_eq!(
+            b.encode(),
+            b_frozen,
+            "case {case}: original mutated, clone moved"
+        );
+
+        // What a store handed out is the reader's own, and what the reader
+        // does with it is not the store's.
+        let sid = SessionId(1);
+        let replacement = gen_session_object(&mut rng);
+        let mut fasts = FastS::new();
+        let mut ssm = Ssm::new(3);
+        fasts.write(sid, original.clone()).unwrap();
+        ssm.write(sid, original.clone()).unwrap();
+        let mut from_fasts = fasts.read(sid).unwrap().unwrap();
+        let mut from_ssm = ssm.read(sid).unwrap().unwrap();
+
+        mutate(&mut rng, &mut from_fasts);
+        mutate(&mut rng, &mut from_ssm);
+        assert_eq!(fasts.read(sid).unwrap().unwrap(), original, "case {case}");
+        assert_eq!(ssm.read(sid).unwrap().unwrap(), original, "case {case}");
+        assert!(
+            !fasts.is_tainted(sid) && !ssm.is_tainted(sid),
+            "case {case}"
+        );
+
+        let held_fasts = fasts.read(sid).unwrap().unwrap();
+        let held_ssm = ssm.read(sid).unwrap().unwrap();
+        match rng.uniform_u64(3) {
+            0 => {
+                fasts.write(sid, replacement.clone()).unwrap();
+                ssm.write(sid, replacement.clone()).unwrap();
+            }
+            1 => {
+                fasts.corrupt(sid, CorruptKind::SetInvalid);
+                ssm.corrupt_bits(sid);
+            }
+            _ => {
+                fasts.corrupt(sid, CorruptKind::SetWrong);
+                // One mangled brick is masked by its siblings, which must
+                // still verify: the damage was done to that brick's copy.
+                ssm.corrupt_brick(rng.uniform_usize(3));
+                assert_eq!(ssm.read(sid).unwrap().unwrap(), original, "case {case}");
+                assert_eq!(ssm.stats().checksum_discards, 1, "case {case}");
+            }
+        }
+        assert_eq!(
+            held_fasts, original,
+            "case {case}: FastS reached a reader's copy"
+        );
+        assert_eq!(
+            held_ssm, original,
+            "case {case}: SSM reached a reader's copy"
+        );
+        assert_eq!(held_ssm.encode(), frozen, "case {case}");
     }
 }
 
