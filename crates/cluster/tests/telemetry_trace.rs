@@ -37,32 +37,13 @@ fn trace_hash(seed: u64) -> (u64, u64) {
     digest
 }
 
-/// The kernel-speed refactor (arena event storage, interned telemetry
-/// keys, lazy encoding) must be behaviour-invisible: the exact digests
-/// recorded before the refactor (EXPERIMENTS.md, "trace digests") have to
-/// reproduce bit-for-bit on the refactored kernel. If an intentional
-/// behaviour change moves these, re-pin them alongside the EXPERIMENTS.md
-/// provenance note — but a kernel-only change must never move them.
-#[test]
-fn refactored_kernel_reproduces_the_pinned_trace_digests() {
-    assert_eq!(
-        trace_hash(7),
-        (0xe68ddcae494f97d4, 28_335),
-        "seed-7 trace digest drifted from the pre-refactor pin"
-    );
-    assert_eq!(
-        trace_hash(11),
-        (0xb6641c8980978708, 28_515),
-        "seed-11 trace digest drifted from the pre-refactor pin"
-    );
-}
-
 /// The recovery-policy extraction (the recursive ladder moved behind the
 /// [`recovery::RecoveryPolicy`] trait, selected via [`PolicyChoice`]) must
 /// also be behaviour-invisible: explicitly asking for the paper ladder has
 /// to reproduce the same pinned digests as the default config, proving the
 /// trait indirection, the policy registry, and the `PolicyArmed` plumbing
-/// leave the paper configuration bit-for-bit untouched.
+/// leave the paper configuration bit-for-bit untouched. (The default-config
+/// pin itself lives in the root `tests/wire_pins.rs`, which tier-1 runs.)
 #[test]
 fn ladder_behind_policy_trait_reproduces_the_pinned_trace_digests() {
     let ladder_hash = |seed: u64| -> (u64, u64) {

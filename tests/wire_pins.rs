@@ -1,0 +1,97 @@
+//! Tier-1 pins of the two things every recorded digest in this repo
+//! stands on: the canonical byte encoding of the telemetry stream, and
+//! the seeded scenario generators' draw sequences. A refactor of either
+//! surface must leave every value here untouched; an intentional change
+//! re-pins them alongside an EXPERIMENTS.md provenance note.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use microreboot::cluster::{Sim, SimConfig};
+use microreboot::faults::campaign::{
+    degraded_scenarios, netstate_scenarios, scenarios, tournament_scenarios, CampaignConfig,
+    Scenario,
+};
+use microreboot::faults::Fault;
+use microreboot::recovery::RmConfig;
+use microreboot::simcore::telemetry::{shared_bus, TraceHashSink};
+use microreboot::simcore::SimTime;
+
+/// Runs two simulated minutes with a mid-run fault and an RM-driven
+/// recovery, hashing every telemetry event; returns (digest, count).
+fn trace_hash(seed: u64) -> (u64, u64) {
+    let mut sim = Sim::new(SimConfig {
+        seed,
+        rm: Some(RmConfig::default()),
+        ..SimConfig::default()
+    });
+    let bus = shared_bus();
+    let sink = Rc::new(RefCell::new(TraceHashSink::new()));
+    bus.borrow_mut().add_sink(Box::new(sink.clone()));
+    sim.attach_telemetry(bus);
+    sim.schedule_fault(
+        SimTime::from_mins(1),
+        0,
+        Fault::TransientException {
+            component: "BrowseCategories",
+            calls: 30,
+        },
+    );
+    sim.run_until(SimTime::from_mins(2));
+    let digest = (sink.borrow().value(), sink.borrow().count());
+    digest
+}
+
+/// The exact digests recorded before the kernel-speed refactor
+/// (EXPERIMENTS.md, "trace digests") have to reproduce bit-for-bit: a
+/// change that is meant to be behaviour-invisible must never move them.
+#[test]
+fn refactored_kernel_reproduces_the_pinned_trace_digests() {
+    assert_eq!(
+        trace_hash(7),
+        (0xe68ddcae494f97d4, 28_335),
+        "seed-7 trace digest drifted from the pre-refactor pin"
+    );
+    assert_eq!(
+        trace_hash(11),
+        (0xb6641c8980978708, 28_515),
+        "seed-11 trace digest drifted from the pre-refactor pin"
+    );
+}
+
+/// FNV-1a 64 over the `Debug` rendering of a generator's first 64
+/// scenarios: moves if any rng draw, its order, or any drawn value does.
+fn scenario_hash(generate: fn(&CampaignConfig) -> Vec<Scenario>, seed: u64) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for s in generate(&CampaignConfig { seed, runs: 64 }) {
+        for b in format!("{s:?}").bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+#[test]
+fn scenario_generators_reproduce_the_pinned_draws() {
+    type Generator = fn(&CampaignConfig) -> Vec<Scenario>;
+    let generators: [(&str, Generator); 4] = [
+        ("scenarios", scenarios),
+        ("tournament_scenarios", tournament_scenarios),
+        ("degraded_scenarios", degraded_scenarios),
+        ("netstate_scenarios", netstate_scenarios),
+    ];
+    let got = generators.map(|(name, generate)| {
+        let (seed_7, seed_11) = (scenario_hash(generate, 7), scenario_hash(generate, 11));
+        format!("{name} {seed_7:016x} {seed_11:016x}")
+    });
+    assert_eq!(
+        got,
+        [
+            "scenarios 02311b9cdf7be3aa 9767beacb60a5754",
+            "tournament_scenarios e464ce8eb59f7e09 84f2cf5a7977ce75",
+            "degraded_scenarios 63404c62612b6bd1 948bcd6f8371c6d0",
+            "netstate_scenarios 1a7a67f05f607008 4ab400901a4d685a",
+        ],
+        "a generator draw moved"
+    );
+}
