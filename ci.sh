@@ -15,7 +15,7 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> urb-lint --deny-all (determinism + exhaustiveness + state-safety gate, timed)"
+echo "==> urb-lint --deny-all (determinism + state-safety + pragma-hygiene gate, timed)"
 # The item-model layer must not regress CI latency: the whole-workspace
 # lint (including the cargo-run dispatch overhead; the binary is already
 # built by the build step above) has a wall-clock budget.
@@ -27,6 +27,12 @@ if [ "$lint_ms" -gt "${LINT_BUDGET_MS:-5000}" ]; then
   echo "urb-lint exceeded its latency budget: ${lint_ms}ms > ${LINT_BUDGET_MS:-5000}ms" >&2
   exit 1
 fi
+
+echo "==> size (reported, not gated): the two counters ROADMAP tracks per PR"
+rs_files=$(find crates src tests examples -name '*.rs')
+echo "    workspace .rs lines: $(echo "$rs_files" | xargs cat | wc -l)"
+echo "    public items:        $(echo "$rs_files" | grep -v fixtures/ \
+  | xargs grep -hE '^\s*pub (fn|struct|enum|trait|const|type|static|mod) ' | wc -l)"
 
 echo "==> urb-trace smoke: record + strict verify + summary + same-seed diff"
 cargo run --release -q -p bench --bin urb-trace -- record target/ci_trace_a.jsonl --seed 7

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use bench::chaos::{describe, fault_kind, injected, run_scenario, RunOptions, RunOutcome, CLIENTS};
+use bench::chaos::{describe, injected, run_scenario, RunOptions, RunOutcome, CLIENTS};
 use bench::netstate;
 use bench::report::JsonReport;
 use bench::Table;
@@ -287,7 +287,7 @@ fn run_line(policy: Option<PolicyChoice>, s: &Scenario, out: &RunOutcome) -> Str
 fn print_coverage(scenarios: &[Scenario]) -> usize {
     let mut coverage: BTreeMap<&'static str, u64> = BTreeMap::new();
     for fault in scenarios.iter().flat_map(injected) {
-        *coverage.entry(fault_kind(&fault)).or_insert(0) += 1;
+        *coverage.entry(fault.kind().label()).or_insert(0) += 1;
     }
     let mut t = Table::new(&["fault kind", "runs"]);
     for (kind, n) in &coverage {

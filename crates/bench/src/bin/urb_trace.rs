@@ -31,11 +31,10 @@ use bench::Table;
 use cluster::{Sim, SimConfig};
 use faults::Fault;
 use recovery::RmConfig;
-use simcore::metrics::level_suffix;
 use simcore::telemetry::shared_bus;
 use simcore::trace::{
-    assemble_episodes, availability_timeline, event_kind, event_to_json, taw_dip, KernelGauges,
-    Trace, TraceRecorder,
+    assemble_episodes, availability_timeline, event_to_json, taw_dip, KernelGauges, Trace,
+    TraceRecorder,
 };
 use simcore::{MetricsRegistry, QuantileSketch, SimTime, TelemetryEvent};
 use workload::FunctionalGroup;
@@ -227,7 +226,7 @@ fn cmd_summary(args: &[String]) -> Result<ExitCode, String> {
             i.to_string(),
             ep.node.to_string(),
             ep.trigger(),
-            level_suffix(ep.level).to_string(),
+            ep.level.label().to_string(),
             format!("{:.3}", ep.begun_at.as_secs_f64()),
             format!("{:.1}", ep.duration.as_millis_f64()),
             ep.detection_to_recovery()
@@ -465,10 +464,10 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     // Per-kind count deltas.
     let mut kinds: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
     for ev in &a.events {
-        kinds.entry(event_kind(ev)).or_insert((0, 0)).0 += 1;
+        kinds.entry(ev.kind()).or_insert((0, 0)).0 += 1;
     }
     for ev in &b.events {
-        kinds.entry(event_kind(ev)).or_insert((0, 0)).1 += 1;
+        kinds.entry(ev.kind()).or_insert((0, 0)).1 += 1;
     }
     println!("\nper-kind event counts:");
     let mut t = Table::new(&["kind", "a", "b", "delta"]);

@@ -160,7 +160,7 @@ pub fn injected(s: &Scenario) -> impl Iterator<Item = Fault> {
 /// Short scenario description for reports.
 pub fn describe(s: &Scenario) -> String {
     let second = s.second.map_or(String::new(), |sf| {
-        format!("+2nd({})", fault_kind(&sf.fault))
+        format!("+2nd({})", sf.fault.kind().label())
     });
     let flap = if s.flap.is_some() { "+flap" } else { "" };
     let rm_crash = if s.rm_crash.is_some() { "+rmcrash" } else { "" };
@@ -170,41 +170,8 @@ pub fn describe(s: &Scenario) -> String {
         "simple"
     };
     let par = if s.parallel_rm { ",par" } else { "" };
-    let first = fault_kind(&s.fault);
+    let first = s.fault.kind().label();
     format!("{first}{second}{flap}{rm_crash} [{detector}{par}]")
-}
-
-/// Stable label for coverage accounting.
-pub fn fault_kind(f: &Fault) -> &'static str {
-    match f {
-        Fault::Deadlock { .. } => "deadlock",
-        Fault::InfiniteLoop { .. } => "infinite-loop",
-        Fault::AppMemoryLeak { .. } => "app-memory-leak",
-        Fault::TransientException { .. } => "transient-exception",
-        Fault::Intermittent { .. } => "intermittent",
-        Fault::SpuriousReports { .. } => "spurious-reports",
-        Fault::CorruptPrimaryKeys { .. } => "corrupt-primary-keys",
-        Fault::CorruptJndi { .. } => "corrupt-jndi",
-        Fault::CorruptTxnMap { .. } => "corrupt-txn-map",
-        Fault::CorruptBeanAttrs { .. } => "corrupt-bean-attrs",
-        Fault::CorruptFastS { .. } => "corrupt-fasts",
-        Fault::CorruptSsm => "corrupt-ssm",
-        Fault::CorruptDb { .. } => "corrupt-db",
-        Fault::MemLeakIntraJvm { .. } => "memleak-intra-jvm",
-        Fault::MemLeakExtraJvm { .. } => "memleak-extra-jvm",
-        Fault::BitFlipMemory => "bitflip-memory",
-        Fault::BitFlipRegisters => "bitflip-registers",
-        Fault::BadSyscalls => "bad-syscalls",
-        Fault::Degraded { .. } => "degraded",
-        Fault::BrickCrash { .. } => "brick-crash",
-        Fault::BrickCorrupt { .. } => "brick-corrupt",
-        Fault::LeaseStorm => "lease-storm",
-        Fault::StoreSlow { .. } => "store-slow",
-        Fault::LinkPartition { .. } => "link-partition",
-        Fault::LinkLossy { .. } => "link-lossy",
-        Fault::LinkDelay { .. } => "link-delay",
-        Fault::LinkDupe { .. } => "link-dupe",
-    }
 }
 
 /// The hardened recovery-manager configuration every campaign run uses:

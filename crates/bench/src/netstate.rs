@@ -8,7 +8,7 @@
 //! failover cluster with one [`IntegrityLedger`] between the client pool
 //! (commit intents) and the store (applied ids, expiries, removals); one
 //! store-tier or link-tier fault from
-//! [`faults::campaign::netstate_fault`] is injected and heals, and then:
+//! [`faults::Tier::Netstate`] is injected and heals, and then:
 //!
 //! 1. **No committed write lost** — every session an end user saw commit
 //!    is still probeable in the store, or disappeared through an

@@ -15,35 +15,8 @@
 use simcore::rng::SimRng;
 use statestore::session::CorruptKind;
 
-use crate::{Fault, NetEdge};
-
-/// Components the campaign aims faults at. A mix of read paths, write
-/// paths, and the entity bean shared by both, mirroring the Table 2
-/// targets.
-pub const TARGETS: &[&str] = &[
-    "MakeBid",
-    "SearchItemsByCategory",
-    "ViewItem",
-    "BrowseCategories",
-    "RegisterNewUser",
-    "CommitBid",
-    "Item",
-];
-
-/// Components the fail-slow (degraded) campaign aims at: the subset of
-/// [`TARGETS`] on request paths hot enough for black-box latency
-/// monitoring to see. A slowdown inside a bean that serves a handful of
-/// requests per minute never earns a latency baseline or a judged
-/// window at this load — the perf plane is *blind* to it by design (the
-/// paper's detectors share the limit: you cannot observe what no
-/// request exercises), so aiming the campaign there would only assert
-/// that blindness, not exercise recovery.
-pub const DEGRADED_TARGETS: &[&str] = &[
-    "SearchItemsByCategory",
-    "ViewItem",
-    "BrowseCategories",
-    "Item",
-];
+use crate::kind::{draw, FaultKind, Tier};
+use crate::Fault;
 
 /// A second fault injected while the system is (likely) still recovering
 /// from the first — the overlapping-failure case.
@@ -119,74 +92,18 @@ pub struct CampaignConfig {
     pub runs: u64,
 }
 
-/// Draws one fault from the catalogue. Every [`Fault`] variant has an arm
-/// here — urb-lint rule E005 enforces that the campaign can reach the
-/// entire fault model.
-pub fn campaign_fault(rng: &mut SimRng) -> Fault {
-    let component = *rng.pick(TARGETS).expect("TARGETS is non-empty");
-    let kind = match rng.uniform_usize(3) {
-        0 => CorruptKind::SetNull,
-        1 => CorruptKind::SetInvalid,
-        _ => CorruptKind::SetWrong,
-    };
-    match rng.uniform_usize(18) {
-        0 => Fault::Deadlock { component },
-        1 => Fault::InfiniteLoop { component },
-        2 => Fault::AppMemoryLeak {
-            component,
-            // Aggressive per-call leak so heap pressure shows up within a
-            // short campaign horizon.
-            bytes_per_call: 4 << 20,
-            persistent: rng.chance(0.25),
-        },
-        3 => Fault::TransientException {
-            component,
-            calls: u32::MAX,
-        },
-        4 => Fault::Intermittent {
-            component,
-            permille: 250 + 250 * rng.uniform_u64(3) as u32,
-            heals_after_s: if rng.chance(0.5) {
-                Some(20 + rng.uniform_u64(40))
-            } else {
-                None
-            },
-        },
-        5 => Fault::SpuriousReports {
-            reports: 8 + rng.uniform_u64(25) as u32,
-        },
-        6 => Fault::CorruptPrimaryKeys { kind },
-        7 => Fault::CorruptJndi { component, kind },
-        8 => Fault::CorruptTxnMap { component, kind },
-        9 => Fault::CorruptBeanAttrs { component, kind },
-        10 => Fault::CorruptFastS { kind },
-        11 => Fault::CorruptSsm,
-        12 => Fault::CorruptDb { kind },
-        13 => Fault::MemLeakIntraJvm {
-            bytes_per_sec: 40 << 20,
-        },
-        14 => Fault::MemLeakExtraJvm {
-            bytes_per_sec: 40 << 20,
-        },
-        15 => Fault::BitFlipMemory,
-        16 => Fault::BitFlipRegisters,
-        _ => Fault::BadSyscalls,
+/// Draws from `tier` until the fault is of the kind a round-robin over
+/// the tier's kinds assigns to `run` — deterministic, and every draw still
+/// flows through the tier's one distribution.
+fn draw_round_robin(tier: Tier, run: u64, rng: &mut SimRng) -> Fault {
+    let kinds = FaultKind::tier_kinds(tier);
+    let want = kinds[(run % kinds.len() as u64) as usize];
+    loop {
+        let fault = draw(tier, rng);
+        if fault.kind() == want {
+            return fault;
+        }
     }
-}
-
-/// True if the fault lives in a component and a microreboot cures it —
-/// the population that can meaningfully flap (recur after each recovery).
-pub fn flappable(fault: &Fault) -> bool {
-    matches!(
-        fault,
-        Fault::Deadlock { .. }
-            | Fault::InfiniteLoop { .. }
-            | Fault::TransientException { .. }
-            | Fault::Intermittent { .. }
-            | Fault::CorruptJndi { .. }
-            | Fault::CorruptTxnMap { .. }
-            | Fault::CorruptBeanAttrs { .. }
-    )
 }
 
 /// True if the scenario's goodput is expected to return to (near)
@@ -230,11 +147,11 @@ pub fn scenarios(cfg: &CampaignConfig) -> Vec<Scenario> {
     (0..cfg.runs)
         .map(|run| {
             let mut rng = master.fork();
-            let fault = campaign_fault(&mut rng);
+            let fault = draw(Tier::Classic, &mut rng);
             let inject_at_s = 8 + rng.uniform_u64(8);
             let second = if rng.chance(0.30) {
                 Some(SecondFault {
-                    fault: campaign_fault(&mut rng),
+                    fault: draw(Tier::Classic, &mut rng),
                     // Lands 2–10 s behind the first fault: inside the
                     // detection + reboot window of every recovery level.
                     at_s: inject_at_s + 2 + rng.uniform_u64(8),
@@ -242,7 +159,7 @@ pub fn scenarios(cfg: &CampaignConfig) -> Vec<Scenario> {
             } else {
                 None
             };
-            let flap = if flappable(&fault) && rng.chance(0.35) {
+            let flap = if fault.kind().flappable() && rng.chance(0.35) {
                 Some(FlapSchedule {
                     recurrences: 1 + rng.uniform_u64(3) as u32,
                     gap_s: 35 + rng.uniform_u64(15),
@@ -267,7 +184,7 @@ pub fn scenarios(cfg: &CampaignConfig) -> Vec<Scenario> {
 }
 
 /// Generates the policy-tournament scenarios: like [`scenarios`], but the
-/// fault kind is forced round-robin over the full 18-kind catalogue so a
+/// fault kind is forced round-robin over the classic tier's kinds so a
 /// small per-policy matrix still covers every kind, the RM is always
 /// serial (policies own their escalation, the conductor stays out of the
 /// comparison), and a quarter of the runs crash the RM itself mid-run.
@@ -277,26 +194,17 @@ pub fn tournament_scenarios(cfg: &CampaignConfig) -> Vec<Scenario> {
     (0..cfg.runs)
         .map(|run| {
             let mut rng = master.fork();
-            // Rejection-sample until the drawn fault matches this run's
-            // assigned kind — deterministic, and keeps every draw flowing
-            // through the same campaign_fault distribution.
-            let want = (run % 18) as usize;
-            let fault = loop {
-                let f = campaign_fault(&mut rng);
-                if fault_kind_index(&f) == want {
-                    break f;
-                }
-            };
+            let fault = draw_round_robin(Tier::Classic, run, &mut rng);
             let inject_at_s = 8 + rng.uniform_u64(8);
             let second = if rng.chance(0.25) {
                 Some(SecondFault {
-                    fault: campaign_fault(&mut rng),
+                    fault: draw(Tier::Classic, &mut rng),
                     at_s: inject_at_s + 2 + rng.uniform_u64(8),
                 })
             } else {
                 None
             };
-            let flap = if flappable(&fault) && rng.chance(0.5) {
+            let flap = if fault.kind().flappable() && rng.chance(0.5) {
                 Some(FlapSchedule {
                     recurrences: 1 + rng.uniform_u64(3) as u32,
                     gap_s: 35 + rng.uniform_u64(15),
@@ -328,65 +236,6 @@ pub fn tournament_scenarios(cfg: &CampaignConfig) -> Vec<Scenario> {
         .collect()
 }
 
-/// Maps a fault to its `campaign_fault` catalogue index (the arm that
-/// produced it), used by the tournament's round-robin kind assignment.
-fn fault_kind_index(fault: &Fault) -> usize {
-    match fault {
-        Fault::Deadlock { .. } => 0,
-        Fault::InfiniteLoop { .. } => 1,
-        Fault::AppMemoryLeak { .. } => 2,
-        Fault::TransientException { .. } => 3,
-        Fault::Intermittent { .. } => 4,
-        Fault::SpuriousReports { .. } => 5,
-        Fault::CorruptPrimaryKeys { .. } => 6,
-        Fault::CorruptJndi { .. } => 7,
-        Fault::CorruptTxnMap { .. } => 8,
-        Fault::CorruptBeanAttrs { .. } => 9,
-        Fault::CorruptFastS { .. } => 10,
-        Fault::CorruptSsm => 11,
-        Fault::CorruptDb { .. } => 12,
-        Fault::MemLeakIntraJvm { .. } => 13,
-        Fault::MemLeakExtraJvm { .. } => 14,
-        Fault::BitFlipMemory => 15,
-        Fault::BitFlipRegisters => 16,
-        Fault::BadSyscalls => 17,
-        // Outside the classic 18-kind draw: only `degraded_fault`
-        // generates it, so the tournament round-robin (mod 18) and the
-        // classic campaign digests never see this index.
-        Fault::Degraded { .. } => 18,
-        // 19–26: the state-plane and network tier, likewise outside the
-        // classic draw — only `netstate_fault` generates them.
-        Fault::BrickCrash { .. } => 19,
-        Fault::BrickCorrupt { .. } => 20,
-        Fault::LeaseStorm => 21,
-        Fault::StoreSlow { .. } => 22,
-        Fault::LinkPartition { .. } => 23,
-        Fault::LinkLossy { .. } => 24,
-        Fault::LinkDelay { .. } => 25,
-        Fault::LinkDupe { .. } => 26,
-    }
-}
-
-/// Draws one fail-slow fault for the degraded campaign. Lives beside
-/// [`campaign_fault`] instead of inside its 18-way draw so the classic
-/// campaign's pinned digests never move; urb-lint rule E005 accepts
-/// `Fault` variants handled by either generator.
-pub fn degraded_fault(rng: &mut SimRng) -> Fault {
-    let component = *rng
-        .pick(DEGRADED_TARGETS)
-        .expect("DEGRADED_TARGETS is non-empty");
-    Fault::Degraded {
-        component,
-        // 3x–6x service-time inflation: far past any sane anomaly
-        // multiplier even after end-to-end overheads (network, queueing)
-        // dilute the per-component slowdown, yet correct answers
-        // throughout. A mere 2x on one op sits at the black-box
-        // detector's ROC floor and would probe the detector, not the
-        // recovery loop.
-        factor_permille: 3000 + 1000 * rng.uniform_u64(4) as u32,
-    }
-}
-
 /// Generates the degraded campaign matrix: every run injects a fail-slow
 /// [`Fault::Degraded`], and a fraction re-inject it after recovery (the
 /// warm-restart-residual scenario — each microreboot leaves the slowdown
@@ -397,7 +246,7 @@ pub fn degraded_scenarios(cfg: &CampaignConfig) -> Vec<Scenario> {
     (0..cfg.runs)
         .map(|run| {
             let mut rng = master.fork();
-            let fault = degraded_fault(&mut rng);
+            let fault = draw(Tier::Degraded, &mut rng);
             // Injection lands after the perf plane's default 30 s
             // baseline freeze: a fail-slow fault is only detectable
             // against a frozen pre-fault snapshot.
@@ -426,61 +275,8 @@ pub fn degraded_scenarios(cfg: &CampaignConfig) -> Vec<Scenario> {
         .collect()
 }
 
-/// Draws one state-plane or network fault for the netstate campaign.
-/// Lives beside [`campaign_fault`] instead of inside its 18-way draw so
-/// the classic campaign's pinned digests never move; urb-lint rule E005
-/// accepts `Fault` variants handled by any of the generators.
-pub fn netstate_fault(rng: &mut SimRng) -> Fault {
-    // The SSM replicates across 3 bricks; a single-brick fault must be
-    // masked by the surviving replicas.
-    let brick = rng.uniform_usize(3);
-    let edge = if rng.chance(0.5) {
-        NetEdge::LbNode
-    } else {
-        NetEdge::NodeStore
-    };
-    // Long enough for detectors and clients to feel it, short enough
-    // that goodput can recover well inside the post-heal tail.
-    let heals_after_s = 15 + rng.uniform_u64(20);
-    match rng.uniform_usize(8) {
-        0 => Fault::BrickCrash {
-            brick,
-            heals_after_s,
-        },
-        1 => Fault::BrickCorrupt { brick },
-        2 => Fault::LeaseStorm,
-        3 => Fault::StoreSlow {
-            // 2x–5x access-time inflation.
-            factor_permille: 2000 + 1000 * rng.uniform_u64(4) as u32,
-            heals_after_s,
-        },
-        4 => Fault::LinkPartition {
-            edge,
-            heals_after_s,
-        },
-        5 => Fault::LinkLossy {
-            edge,
-            // 10%–40% loss.
-            permille: 100 + 100 * rng.uniform_u64(4) as u32,
-            heals_after_s,
-        },
-        6 => Fault::LinkDelay {
-            edge,
-            // 20–100 ms of added one-way latency.
-            extra_ms: 20 + 20 * rng.uniform_u64(5),
-            heals_after_s,
-        },
-        _ => Fault::LinkDupe {
-            edge,
-            // 5%–20% duplication.
-            permille: 50 + 50 * rng.uniform_u64(4) as u32,
-            heals_after_s,
-        },
-    }
-}
-
 /// Generates the netstate campaign matrix: every run injects one
-/// state-plane or network fault, round-robin over the 8 kinds so even a
+/// state-plane or network fault, round-robin over the tier's kinds so even a
 /// small matrix covers the whole tier, with half the runs arming the
 /// budgeted client retry policy. A pure function of the config, with
 /// forked per-run streams like [`scenarios`].
@@ -489,15 +285,7 @@ pub fn netstate_scenarios(cfg: &CampaignConfig) -> Vec<Scenario> {
     (0..cfg.runs)
         .map(|run| {
             let mut rng = master.fork();
-            // Rejection-sample until the drawn fault matches this run's
-            // assigned kind, like the tournament's round-robin.
-            let want = 19 + (run % 8) as usize;
-            let fault = loop {
-                let f = netstate_fault(&mut rng);
-                if fault_kind_index(&f) == want {
-                    break f;
-                }
-            };
+            let fault = draw_round_robin(Tier::Netstate, run, &mut rng);
             let inject_at_s = 8 + rng.uniform_u64(8);
             Scenario {
                 run,
@@ -518,6 +306,8 @@ pub fn netstate_scenarios(cfg: &CampaignConfig) -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kind::DEGRADED_TARGETS;
+    use crate::NetEdge;
 
     #[test]
     fn scenarios_are_deterministic() {
@@ -561,9 +351,8 @@ mod tests {
     fn tournament_round_robin_covers_every_fault_kind() {
         let cfg = CampaignConfig { seed: 7, runs: 18 };
         let all = tournament_scenarios(&cfg);
-        let mut kinds: Vec<usize> = all.iter().map(|s| fault_kind_index(&s.fault)).collect();
-        kinds.sort_unstable();
-        assert_eq!(kinds, (0..18).collect::<Vec<_>>());
+        let kinds: Vec<FaultKind> = all.iter().map(|s| s.fault.kind()).collect();
+        assert_eq!(kinds, FaultKind::tier_kinds(Tier::Classic));
         assert!(
             all.iter().all(|s| !s.parallel_rm),
             "tournament RM is serial"
@@ -639,10 +428,9 @@ mod tests {
     fn netstate_round_robin_covers_the_whole_tier() {
         let cfg = CampaignConfig { seed: 7, runs: 32 };
         let all = netstate_scenarios(&cfg);
-        let mut kinds: Vec<usize> = all.iter().map(|s| fault_kind_index(&s.fault)).collect();
-        kinds.sort_unstable();
-        kinds.dedup();
-        assert_eq!(kinds, (19..27).collect::<Vec<_>>());
+        let tier = FaultKind::tier_kinds(Tier::Netstate);
+        let kinds: Vec<FaultKind> = all.iter().map(|s| s.fault.kind()).collect();
+        assert_eq!(kinds, tier.repeat(32 / tier.len()));
         // Both client populations are represented.
         assert!(all.iter().any(|s| s.budgeted_retry) && all.iter().any(|s| !s.budgeted_retry));
         // Both faultable edges are represented.
@@ -686,7 +474,7 @@ mod tests {
         };
         for s in scenarios(&cfg) {
             if s.flap.is_some() {
-                assert!(flappable(&s.fault), "{:?} cannot flap", s.fault);
+                assert!(s.fault.kind().flappable(), "{:?} cannot flap", s.fault);
             }
         }
     }

@@ -20,6 +20,9 @@ use urb_core::server::ServerFault;
 use urb_core::{AppServer, Response};
 
 pub mod campaign;
+mod kind;
+
+pub use kind::{draw, FaultKind, Tier};
 
 /// Every fault class Table 2 injects.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -201,22 +204,14 @@ pub enum Fault {
     },
 }
 
-/// A faultable network edge in the three-tier topology.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetEdge {
-    /// Load balancer ↔ application node.
-    LbNode,
-    /// Application node ↔ state store.
-    NodeStore,
-}
-
-impl NetEdge {
-    /// Stable wire code for telemetry (0 = LB↔node, 1 = node↔store).
-    pub fn code(self) -> u8 {
-        match self {
-            NetEdge::LbNode => 0,
-            NetEdge::NodeStore => 1,
-        }
+simcore::code_enum! {
+    /// A faultable network edge in the three-tier topology, with its
+    /// stable wire code for telemetry.
+    pub enum NetEdge {
+        /// Load balancer ↔ application node.
+        LbNode = 0 => "lb-node",
+        /// Application node ↔ state store.
+        NodeStore = 1 => "node-store",
     }
 }
 
@@ -542,8 +537,8 @@ pub fn table2_catalogue() -> Vec<CatalogueRow> {
 ///
 /// [`conversion`] is the single source of truth mapping the catalogue onto
 /// these routes; [`inject`] (and the cluster layer, for client-plane
-/// faults) interprets them. New `Fault` variants must add exactly one arm
-/// to `conversion` — urb-lint rule E005 enforces this.
+/// faults) interprets them. The match is exhaustive, so a new `Fault`
+/// variant does not compile until it has a route.
 #[derive(Clone, Copy, Debug)]
 pub enum Injection {
     /// Delivered through the server's `ServerFault` hooks.

@@ -1,28 +1,28 @@
-//! `urb-lint`: the workspace's determinism and exhaustiveness contract,
-//! as a machine-checked gate.
+//! `urb-lint`: the part of the workspace's contract that rustc cannot
+//! see, as a machine-checked gate.
 //!
 //! Every claim the reproduction makes — lost-work accounting, Taw dips,
-//! golden-trace digests — rests on the simulation being deterministic.
-//! This crate enforces that contract statically, in two rule families:
+//! golden-trace digests — rests on the simulation being deterministic and
+//! on reboots really wiping what they claim to wipe. This crate enforces
+//! that statically, in two rule families applied to every `src/` file of
+//! the simulation crates ([`SIM_CRATES`]):
 //!
-//! * **Determinism rules (`D001`–`D008`)**, applied to every `src/` file
-//!   of the simulation crates ([`SIM_CRATES`]): unordered containers in
-//!   sim state, iteration over them, wall-clock and ambient
-//!   nondeterminism, float accumulation over unordered containers, and
-//!   (`D008`) kernel hot-path regressions — heap-boxed event closures on
-//!   schedule paths and string-keyed metric bumps built with `format!` —
-//!   outside the sanctioned closure-compat module
-//!   (`simcore/src/event.rs`).
-//! * **Exhaustiveness rules (`E001`–`E006`)**, applied to the canonical
-//!   telemetry and fault surfaces: every `TelemetryEvent` variant must
-//!   have an `encode_into` arm, trace encode/parse/kind arms, and a
-//!   `MetricsRegistry` fold arm (with no wildcard), every `RebootLevel`
-//!   must be handled in `lifecycle.rs`, every `faults::Fault` variant
-//!   must have both an injection-conversion arm and a campaign-generator
-//!   arm (so urb-chaos can reach the whole fault model), and (`E006`)
-//!   every `RecoveryPolicy` implementation must be registered in the
-//!   `PolicyChoice` tournament registry with every variant constructible,
-//!   labelled, coded and rostered in `ALL`.
+//! * **Determinism rules (`D001`–`D008`)**: unordered containers in sim
+//!   state, iteration over them, wall-clock and ambient nondeterminism,
+//!   float accumulation over unordered containers, and (`D008`) kernel
+//!   hot-path regressions — heap-boxed event closures on schedule paths
+//!   and string-keyed metric bumps built with `format!` — outside the
+//!   sanctioned closure-compat module (`simcore/src/event.rs`).
+//! * **Crash-only state-safety rules (`S001`–`S004`)**, over a light
+//!   cross-file item model ([`model`]): volatile-state fields no reset
+//!   wipes, mutable globals, interior mutability hidden from the wipe,
+//!   and cross-node state access outside event dispatch.
+//!
+//! Exhaustiveness — every event kind encoded, traced and folded, every
+//! fault kind routed and drawable, every policy registered — is not
+//! linted: each of those schemas is one `macro_rules!` table
+//! (`telemetry_events!`, `fault_kinds!`, `code_enum!`) plus exhaustive
+//! matches, so a missing arm is a compile error.
 //!
 //! The escape hatch is a pragma comment on the offending line or the
 //! line above: `// urb-lint: allow(D001) — <justification>`. A pragma
@@ -87,24 +87,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "D008",
         "heap-boxed event closure or string-keyed metric bump on the kernel hot path",
-    ),
-    ("E001", "TelemetryEvent variant missing an encode_into arm"),
-    (
-        "E002",
-        "TelemetryEvent variant missing a trace encode/parse/kind arm",
-    ),
-    (
-        "E003",
-        "TelemetryEvent variant missing (or wildcarded) in the MetricsRegistry fold",
-    ),
-    ("E004", "RebootLevel variant unhandled in lifecycle.rs"),
-    (
-        "E005",
-        "Fault variant missing an injection-conversion or campaign-generator arm",
-    ),
-    (
-        "E006",
-        "RecoveryPolicy impl or PolicyChoice variant missing from the tournament registry",
     ),
     (
         "S001",
@@ -1054,448 +1036,6 @@ pub fn stale_pragma_diags(
 }
 
 // ---------------------------------------------------------------------------
-// Exhaustiveness rules
-// ---------------------------------------------------------------------------
-
-/// One named source for the exhaustiveness checks.
-pub struct ExhaustInput<'a> {
-    /// Diagnostic path label.
-    pub label: &'a str,
-    /// File contents.
-    pub src: &'a str,
-}
-
-/// An enum variant with the line it is declared on.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Variant {
-    /// Variant name.
-    pub name: String,
-    /// 1-indexed declaration line.
-    pub line: usize,
-}
-
-/// Extracts the variants of `enum <name>` from masked source.
-pub fn enum_variants(src: &str, name: &str) -> Vec<Variant> {
-    let masked = mask_source(src);
-    let mut out = Vec::new();
-    let anchor = format!("enum {name}");
-    let Some((start_line, body)) = body_after(&masked.code, &anchor) else {
-        return out;
-    };
-    let mut depth = 0i32;
-    for (off, line) in body.iter().enumerate() {
-        let at_depth_zero = depth == 0;
-        for c in line.chars() {
-            match c {
-                '{' | '(' | '[' => depth += 1,
-                '}' | ')' | ']' => depth -= 1,
-                _ => {}
-            }
-        }
-        if !at_depth_zero {
-            continue;
-        }
-        let t = line.trim_start();
-        if t.starts_with('#') || t.is_empty() {
-            continue;
-        }
-        let ident: String = t
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if ident.chars().next().is_some_and(|c| c.is_ascii_uppercase()) {
-            out.push(Variant {
-                name: ident,
-                line: start_line + off,
-            });
-        }
-    }
-    out
-}
-
-/// Finds `anchor` in the masked code and returns `(first_body_line_1idx,
-/// body_lines)` for the brace-delimited block that follows it.
-fn body_after(code: &[String], anchor: &str) -> Option<(usize, Vec<String>)> {
-    let (mut li, mut col) = code
-        .iter()
-        .enumerate()
-        .find_map(|(i, l)| l.find(anchor).map(|c| (i, c + anchor.len())))?;
-    // Scan to the opening brace.
-    loop {
-        if let Some(off) = code.get(li)?[col..].find('{') {
-            col += off + 1;
-            break;
-        }
-        li += 1;
-        col = 0;
-    }
-    let mut depth = 1i32;
-    let mut body = Vec::new();
-    let first_line = li + 1;
-    let mut cur = code[li][col..].to_string();
-    loop {
-        let mut cut = None;
-        for (ci, c) in cur.char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        cut = Some(ci);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        if let Some(ci) = cut {
-            body.push(cur[..ci].to_string());
-            return Some((first_line, body));
-        }
-        body.push(cur);
-        li += 1;
-        cur = code.get(li)?.clone();
-    }
-}
-
-fn camel_to_snake(name: &str) -> String {
-    let mut out = String::new();
-    for (i, c) in name.chars().enumerate() {
-        if c.is_ascii_uppercase() {
-            if i > 0 {
-                out.push('_');
-            }
-            out.push(c.to_ascii_lowercase());
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-fn body_text(code: &[String], anchor: &str) -> Option<String> {
-    body_after(code, anchor).map(|(_, lines)| lines.join("\n"))
-}
-
-/// Cross-checks the telemetry surfaces. `telemetry` is required (it
-/// declares the enums); the other three are checked when given, so
-/// fixtures can exercise each rule in isolation.
-pub fn check_exhaustiveness(
-    telemetry: &ExhaustInput,
-    trace: Option<&ExhaustInput>,
-    metrics: Option<&ExhaustInput>,
-    lifecycle: Option<&ExhaustInput>,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let variants = enum_variants(telemetry.src, "TelemetryEvent");
-    let levels = enum_variants(telemetry.src, "RebootLevel");
-    let tel_code = mask_source(telemetry.src).code;
-
-    // E001: every variant has an encode_into arm.
-    if let Some(body) = body_text(&tel_code, "fn encode_into") {
-        for v in &variants {
-            if !body.contains(&format!("TelemetryEvent::{}", v.name)) {
-                diags.push(Diagnostic {
-                    file: telemetry.label.to_string(),
-                    line: v.line,
-                    rule: "E001",
-                    message: format!(
-                        "TelemetryEvent::{} has no encode_into arm (digests would miss it)",
-                        v.name
-                    ),
-                    fix: "add a match arm with a fresh tag byte in encode_into".to_string(),
-                });
-            }
-        }
-    }
-
-    // E002: trace kind/encode/parse arms.
-    if let Some(trace) = trace {
-        let code = mask_source(trace.src).code;
-        let surfaces = [
-            ("fn event_kind", "event_kind"),
-            ("fn event_to_json", "event_to_json"),
-        ];
-        for (anchor, what) in surfaces {
-            if let Some(body) = body_text(&code, anchor) {
-                for v in &variants {
-                    if !body.contains(&format!("TelemetryEvent::{}", v.name)) {
-                        diags.push(Diagnostic {
-                            file: trace.label.to_string(),
-                            line: 1,
-                            rule: "E002",
-                            message: format!("TelemetryEvent::{} has no {what} arm", v.name),
-                            fix: format!("add a match arm for the variant in {what}"),
-                        });
-                    }
-                }
-            }
-        }
-        // The parse arms match on string keys, which the masking blanks
-        // out: check the raw lines of the function's span instead.
-        if let Some((first_line, body)) = body_after(&code, "fn event_from_json") {
-            let raw: Vec<&str> = trace.src.lines().collect();
-            let span = raw[first_line - 1..(first_line - 1 + body.len()).min(raw.len())].join("\n");
-            for v in &variants {
-                let key = format!("\"{}\"", camel_to_snake(&v.name));
-                if !span.contains(&key) {
-                    diags.push(Diagnostic {
-                        file: trace.label.to_string(),
-                        line: 1,
-                        rule: "E002",
-                        message: format!(
-                            "TelemetryEvent::{} ({key}) has no event_from_json arm",
-                            v.name
-                        ),
-                        fix: "add a parse arm so round-tripping stays total".to_string(),
-                    });
-                }
-            }
-        }
-    }
-
-    // E003: the MetricsRegistry fold names every variant, no wildcard.
-    if let Some(metrics) = metrics {
-        let code = mask_source(metrics.src).code;
-        if let Some((impl_start, impl_body)) =
-            body_after(&code, "impl TelemetrySink for MetricsRegistry")
-        {
-            if let Some((fn_start, fn_body)) = body_after(&impl_body, "fn on_event") {
-                let body = fn_body.join("\n");
-                for v in &variants {
-                    if !body.contains(&format!("TelemetryEvent::{}", v.name)) {
-                        diags.push(Diagnostic {
-                            file: metrics.label.to_string(),
-                            line: impl_start,
-                            rule: "E003",
-                            message: format!(
-                                "TelemetryEvent::{} is not folded by MetricsRegistry",
-                                v.name
-                            ),
-                            fix: "add an explicit match arm (even if it only counts)".to_string(),
-                        });
-                    }
-                }
-                for (off, wline) in wildcard_arms(&fn_body) {
-                    diags.push(Diagnostic {
-                        file: metrics.label.to_string(),
-                        line: impl_start + fn_start + off - 1,
-                        rule: "E003",
-                        message: format!(
-                            "wildcard arm `{}` defeats the exhaustiveness guarantee",
-                            wline.trim()
-                        ),
-                        fix: "enumerate the remaining variants explicitly".to_string(),
-                    });
-                }
-            }
-        }
-    }
-
-    // E004: every RebootLevel is handled in lifecycle.rs.
-    if let Some(lifecycle) = lifecycle {
-        let code = mask_source(lifecycle.src).code.join("\n");
-        for lv in &levels {
-            if !code.contains(&format!("RebootLevel::{}", lv.name)) {
-                diags.push(Diagnostic {
-                    file: lifecycle.label.to_string(),
-                    line: 1,
-                    rule: "E004",
-                    message: format!("RebootLevel::{} is never handled in the lifecycle", lv.name),
-                    fix: "handle the level in the reboot state machine".to_string(),
-                });
-            }
-        }
-    }
-    diags
-}
-
-/// Cross-checks the fault model (E005): every `Fault` variant declared in
-/// the faults crate must have an arm in `fn conversion` (so it routes to
-/// an injection) and, when the campaign module is given, an arm in
-/// `fn campaign_fault` (so urb-chaos can draw it). A variant missing from
-/// either is a hole in the adversarial coverage the campaign claims.
-pub fn check_fault_exhaustiveness(
-    faults: &ExhaustInput,
-    campaign: Option<&ExhaustInput>,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let variants = enum_variants(faults.src, "Fault");
-    let code = mask_source(faults.src).code;
-    if let Some(body) = body_text(&code, "fn conversion") {
-        for v in &variants {
-            if !body.contains(&format!("Fault::{}", v.name)) {
-                diags.push(Diagnostic {
-                    file: faults.label.to_string(),
-                    line: v.line,
-                    rule: "E005",
-                    message: format!(
-                        "Fault::{} has no arm in `conversion` (it cannot be injected)",
-                        v.name
-                    ),
-                    fix: "route the variant to an Injection in fn conversion".to_string(),
-                });
-            }
-        }
-    }
-    if let Some(campaign) = campaign {
-        let code = mask_source(campaign.src).code;
-        // The campaign module may split generation across several draw
-        // functions (the classic 18-way `campaign_fault`, the fail-slow
-        // `degraded_fault`, the state-plane/network `netstate_fault`); a
-        // variant reachable from any of them is covered.
-        let mut covered = String::new();
-        let mut any_generator = false;
-        for f in [
-            "fn campaign_fault",
-            "fn degraded_fault",
-            "fn netstate_fault",
-        ] {
-            if let Some(body) = body_text(&code, f) {
-                any_generator = true;
-                covered.push_str(&body);
-            }
-        }
-        if any_generator {
-            for v in &variants {
-                if !covered.contains(&format!("Fault::{}", v.name)) {
-                    diags.push(Diagnostic {
-                        file: campaign.label.to_string(),
-                        line: 1,
-                        rule: "E005",
-                        message: format!(
-                            "Fault::{} has no campaign generator arm (none of campaign_fault, \
-                             degraded_fault or netstate_fault draws it, so urb-chaos can never \
-                             reach it)",
-                            v.name
-                        ),
-                        fix: "add a generator arm for the variant in fn campaign_fault, \
-                              fn degraded_fault or fn netstate_fault"
-                            .to_string(),
-                    });
-                }
-            }
-        }
-    }
-    diags
-}
-
-/// Cross-checks the recovery-policy registry (E006). Every
-/// `impl RecoveryPolicy for <Type>` across the recovery crate's sources
-/// must be constructed in `PolicyChoice::build` — otherwise the policy
-/// can never enter a tournament — and every `PolicyChoice` variant must
-/// appear in the `ALL` roster and the `build`/`label`/`code` match
-/// bodies, otherwise it is unrosterable, unconstructible, unlabelled or
-/// has no `PolicyArmed` wire code.
-pub fn check_policy_exhaustiveness(
-    policy: &ExhaustInput,
-    impls: &[ExhaustInput],
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let code = mask_source(policy.src).code;
-    let variants = enum_variants(policy.src, "PolicyChoice");
-    // The registry surfaces all live in the inherent `impl PolicyChoice`
-    // block (the file also has other `fn label`s, e.g. PolicyLevel's).
-    let Some((_, impl_body)) = body_after(&code, "impl PolicyChoice") else {
-        return diags;
-    };
-    for (anchor, what) in [
-        ("fn build", "build (unconstructible)"),
-        ("fn label", "label (no registry label)"),
-        ("fn code", "code (no PolicyArmed wire code)"),
-    ] {
-        if let Some(body) = body_text(&impl_body, anchor) {
-            for v in &variants {
-                if !body.contains(&format!("PolicyChoice::{}", v.name)) {
-                    diags.push(Diagnostic {
-                        file: policy.label.to_string(),
-                        line: v.line,
-                        rule: "E006",
-                        message: format!("PolicyChoice::{} has no arm in fn {what}", v.name),
-                        fix: "add a match arm for the variant in the registry".to_string(),
-                    });
-                }
-            }
-        }
-    }
-    if let Some(start) = impl_body.iter().position(|l| l.contains("const ALL")) {
-        let mut roster = String::new();
-        for line in &impl_body[start..] {
-            roster.push_str(line);
-            roster.push('\n');
-            if line.contains("];") {
-                break;
-            }
-        }
-        for v in &variants {
-            if !roster.contains(&format!("PolicyChoice::{}", v.name)) {
-                diags.push(Diagnostic {
-                    file: policy.label.to_string(),
-                    line: v.line,
-                    rule: "E006",
-                    message: format!(
-                        "PolicyChoice::{} is missing from the ALL roster (tournaments skip it)",
-                        v.name
-                    ),
-                    fix: "add the variant to PolicyChoice::ALL".to_string(),
-                });
-            }
-        }
-    }
-    if let Some(build) = body_text(&impl_body, "fn build") {
-        for input in impls {
-            let masked = mask_source(input.src).code;
-            for (idx, line) in masked.iter().enumerate() {
-                let Some(pos) = line.find("impl RecoveryPolicy for ") else {
-                    continue;
-                };
-                let rest = &line[pos + "impl RecoveryPolicy for ".len()..];
-                let ty: String = rest
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                if !ty.is_empty() && !build.contains(&ty) {
-                    diags.push(Diagnostic {
-                        file: input.label.to_string(),
-                        line: idx + 1,
-                        rule: "E006",
-                        message: format!(
-                            "{ty} implements RecoveryPolicy but is never built by PolicyChoice::build"
-                        ),
-                        fix: "register the policy under a PolicyChoice variant in fn build"
-                            .to_string(),
-                    });
-                }
-            }
-        }
-    }
-    diags
-}
-
-/// `_ =>` arms at the top level of the first `match` in `fn_body`,
-/// as `(line_offset_within_body, line_text)`.
-fn wildcard_arms(fn_body: &[String]) -> Vec<(usize, String)> {
-    let Some((start, match_body)) = body_after(fn_body, "match ") else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    for (off, line) in match_body.iter().enumerate() {
-        if depth == 0 && line.trim_start().starts_with("_ ") && line.contains("=>") {
-            out.push((start + off, line.clone()));
-        }
-        for c in line.chars() {
-            match c {
-                '{' | '(' => depth += 1,
-                '}' | ')' => depth -= 1,
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // Workspace driver
 // ---------------------------------------------------------------------------
 
@@ -1525,11 +1065,8 @@ fn rel_label(root: &Path, path: &Path) -> String {
 }
 
 /// Lints a workspace rooted at `root`: determinism and state-safety
-/// rules over every `src/` file of the [`SIM_CRATES`], then the
-/// exhaustiveness cross-checks over the canonical telemetry surfaces
-/// (when present, so fixture trees exercising only the determinism rules
-/// still work), and finally stale-pragma detection over the union of
-/// pre-suppression hits.
+/// rules over every `src/` file of the [`SIM_CRATES`], then stale-pragma
+/// detection over the union of pre-suppression hits.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let mut diags = Vec::new();
     let mut raw_hits: BTreeSet<(String, String, usize)> = BTreeSet::new();
@@ -1568,86 +1105,6 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
         }
     }
 
-    let tel_path = root.join("crates/simcore/src/telemetry.rs");
-    if tel_path.is_file() {
-        let tel_src =
-            fs::read_to_string(&tel_path).map_err(|e| format!("{}: {e}", tel_path.display()))?;
-        let read_opt = |rel: &str| -> Option<(String, String)> {
-            let p = root.join(rel);
-            fs::read_to_string(&p).ok().map(|s| (rel.to_string(), s))
-        };
-        let trace = read_opt("crates/simcore/src/trace.rs");
-        let metrics = read_opt("crates/simcore/src/metrics.rs");
-        let lifecycle = read_opt("crates/core/src/lifecycle.rs");
-        fn as_input(t: &Option<(String, String)>) -> Option<ExhaustInput<'_>> {
-            t.as_ref().map(|(l, s)| ExhaustInput { label: l, src: s })
-        }
-        let (trace_i, metrics_i, lifecycle_i) =
-            (as_input(&trace), as_input(&metrics), as_input(&lifecycle));
-        diags.extend(check_exhaustiveness(
-            &ExhaustInput {
-                label: &rel_label(root, &tel_path),
-                src: &tel_src,
-            },
-            trace_i.as_ref(),
-            metrics_i.as_ref(),
-            lifecycle_i.as_ref(),
-        ));
-    }
-
-    let faults_path = root.join("crates/faults/src/lib.rs");
-    if faults_path.is_file() {
-        let faults_src = fs::read_to_string(&faults_path)
-            .map_err(|e| format!("{}: {e}", faults_path.display()))?;
-        let campaign_path = root.join("crates/faults/src/campaign.rs");
-        let campaign_src = fs::read_to_string(&campaign_path).ok();
-        let campaign_i = campaign_src.as_ref().map(|s| ExhaustInput {
-            label: "crates/faults/src/campaign.rs",
-            src: s,
-        });
-        diags.extend(check_fault_exhaustiveness(
-            &ExhaustInput {
-                label: &rel_label(root, &faults_path),
-                src: &faults_src,
-            },
-            campaign_i.as_ref(),
-        ));
-    }
-
-    let policy_path = root.join("crates/recovery/src/policy.rs");
-    if policy_path.is_file() {
-        let policy_src = fs::read_to_string(&policy_path)
-            .map_err(|e| format!("{}: {e}", policy_path.display()))?;
-        let rec_dir = root.join("crates/recovery/src");
-        let mut files = Vec::new();
-        rs_files_sorted(&rec_dir, &mut files)?;
-        let sources: Vec<(String, String)> = files
-            .iter()
-            .map(|f| {
-                fs::read_to_string(f)
-                    .map(|s| (rel_label(root, f), s))
-                    .map_err(|e| format!("{}: {e}", f.display()))
-            })
-            .collect::<Result<_, _>>()?;
-        let impls: Vec<ExhaustInput> = sources
-            .iter()
-            .map(|(l, s)| ExhaustInput { label: l, src: s })
-            .collect();
-        diags.extend(check_policy_exhaustiveness(
-            &ExhaustInput {
-                label: &rel_label(root, &policy_path),
-                src: &policy_src,
-            },
-            &impls,
-        ));
-    }
-
-    // E-rule hits land at their diagnostic sites (they have no separate
-    // suppression pass), so an allow(E…) pragma is live only where its
-    // rule actually fires.
-    for d in &diags {
-        raw_hits.insert((d.file.clone(), d.rule.to_string(), d.line));
-    }
     diags.extend(stale_pragma_diags(&pragmas_by_file, &raw_hits));
 
     diags.sort();
@@ -1671,13 +1128,6 @@ mod tests {
         let m = mask_source("fn f<'a>(s: &'a str) { let r = r#\"HashSet\"#; }");
         assert!(!m.code[0].contains("HashSet"));
         assert!(m.code[0].contains("fn f<'a>(s: &'a str)"));
-    }
-
-    #[test]
-    fn camel_to_snake_matches_trace_names() {
-        assert_eq!(camel_to_snake("LbFailover"), "lb_failover");
-        assert_eq!(camel_to_snake("TtlSweep"), "ttl_sweep");
-        assert_eq!(camel_to_snake("RequestSubmitted"), "request_submitted");
     }
 
     #[test]

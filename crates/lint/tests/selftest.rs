@@ -5,10 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-use urb_lint::{
-    check_exhaustiveness, check_fault_exhaustiveness, check_policy_exhaustiveness,
-    check_state_safety, lint_source, lint_workspace, ExhaustInput,
-};
+use urb_lint::{check_state_safety, lint_source, lint_workspace};
 
 fn fixture(rel: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -82,243 +79,6 @@ fn bare_and_unknown_pragmas_are_violations() {
         vec![("P001", 5), ("P001", 7)],
         "diagnostics: {diags:#?}"
     );
-}
-
-#[test]
-fn negative_control_missing_encode_arm_is_caught() {
-    let telemetry = fixture("exhaustiveness/telemetry_bad.rs");
-    let diags = check_exhaustiveness(
-        &ExhaustInput {
-            label: "telemetry_bad.rs",
-            src: &telemetry,
-        },
-        None,
-        None,
-        None,
-    );
-    assert_eq!(diags.len(), 1, "diagnostics: {diags:#?}");
-    assert_eq!(diags[0].rule, "E001");
-    assert!(diags[0].message.contains("DummyEvent"), "{}", diags[0]);
-    // Anchored at the variant's declaration line in the fixture.
-    assert_eq!(diags[0].line, 20, "{}", diags[0]);
-}
-
-#[test]
-fn trace_surface_gaps_are_caught_per_function() {
-    let telemetry = fixture("exhaustiveness/telemetry_good.rs");
-    let trace = fixture("exhaustiveness/trace_bad.rs");
-    let diags = check_exhaustiveness(
-        &ExhaustInput {
-            label: "telemetry_good.rs",
-            src: &telemetry,
-        },
-        Some(&ExhaustInput {
-            label: "trace_bad.rs",
-            src: &trace,
-        }),
-        None,
-        None,
-    );
-    let e002: Vec<&str> = diags
-        .iter()
-        .filter(|d| d.rule == "E002")
-        .map(|d| d.message.as_str())
-        .collect();
-    assert_eq!(e002.len(), 3, "kind, encoder and parser: {diags:#?}");
-    assert!(e002.iter().all(|m| m.contains("RebootBegun")), "{e002:#?}");
-}
-
-#[test]
-fn metrics_wildcard_and_missing_variant_are_caught() {
-    let telemetry = fixture("exhaustiveness/telemetry_good.rs");
-    let metrics = fixture("exhaustiveness/metrics_bad.rs");
-    let diags = check_exhaustiveness(
-        &ExhaustInput {
-            label: "telemetry_good.rs",
-            src: &telemetry,
-        },
-        None,
-        Some(&ExhaustInput {
-            label: "metrics_bad.rs",
-            src: &metrics,
-        }),
-        None,
-    );
-    assert_eq!(diags.len(), 2, "missing RebootBegun + wildcard: {diags:#?}");
-    assert!(diags.iter().all(|d| d.rule == "E003"));
-    assert!(diags.iter().any(|d| d.message.contains("RebootBegun")));
-    assert!(diags.iter().any(|d| d.message.contains("wildcard")));
-}
-
-#[test]
-fn lifecycle_unhandled_level_is_caught() {
-    let telemetry = fixture("exhaustiveness/telemetry_good.rs");
-    let lifecycle = fixture("exhaustiveness/lifecycle_bad.rs");
-    let diags = check_exhaustiveness(
-        &ExhaustInput {
-            label: "telemetry_good.rs",
-            src: &telemetry,
-        },
-        None,
-        None,
-        Some(&ExhaustInput {
-            label: "lifecycle_bad.rs",
-            src: &lifecycle,
-        }),
-    );
-    assert_eq!(diags.len(), 1, "diagnostics: {diags:#?}");
-    assert_eq!(diags[0].rule, "E004");
-    assert!(diags[0].message.contains("Process"), "{}", diags[0]);
-}
-
-#[test]
-fn good_exhaustiveness_fixtures_are_clean() {
-    let telemetry = fixture("exhaustiveness/telemetry_good.rs");
-    let trace = fixture("exhaustiveness/trace_good.rs");
-    let metrics = fixture("exhaustiveness/metrics_good.rs");
-    let lifecycle = fixture("exhaustiveness/lifecycle_good.rs");
-    let diags = check_exhaustiveness(
-        &ExhaustInput {
-            label: "telemetry_good.rs",
-            src: &telemetry,
-        },
-        Some(&ExhaustInput {
-            label: "trace_good.rs",
-            src: &trace,
-        }),
-        Some(&ExhaustInput {
-            label: "metrics_good.rs",
-            src: &metrics,
-        }),
-        Some(&ExhaustInput {
-            label: "lifecycle_good.rs",
-            src: &lifecycle,
-        }),
-    );
-    assert!(diags.is_empty(), "unexpected: {diags:#?}");
-}
-
-#[test]
-fn fault_variant_without_conversion_arm_is_caught() {
-    let faults = fixture("exhaustiveness/faults_bad.rs");
-    let diags = check_fault_exhaustiveness(
-        &ExhaustInput {
-            label: "faults_bad.rs",
-            src: &faults,
-        },
-        None,
-    );
-    // CorruptDb and SpuriousReports both hide behind the wildcard arm.
-    assert_eq!(diags.len(), 2, "diagnostics: {diags:#?}");
-    assert!(diags.iter().all(|d| d.rule == "E005"));
-    assert!(diags.iter().any(|d| d.message.contains("SpuriousReports")));
-    assert!(diags.iter().any(|d| d.message.contains("CorruptDb")));
-}
-
-#[test]
-fn fault_variant_without_campaign_arm_is_caught() {
-    let faults = fixture("exhaustiveness/faults_good.rs");
-    let campaign = fixture("exhaustiveness/campaign_bad.rs");
-    let diags = check_fault_exhaustiveness(
-        &ExhaustInput {
-            label: "faults_good.rs",
-            src: &faults,
-        },
-        Some(&ExhaustInput {
-            label: "campaign_bad.rs",
-            src: &campaign,
-        }),
-    );
-    assert_eq!(diags.len(), 1, "diagnostics: {diags:#?}");
-    assert_eq!(diags[0].rule, "E005");
-    assert_eq!(diags[0].file, "campaign_bad.rs");
-    assert!(diags[0].message.contains("SpuriousReports"), "{}", diags[0]);
-}
-
-#[test]
-fn split_generator_coverage_counts_as_covered() {
-    let faults = fixture("exhaustiveness/faults_good.rs");
-    let campaign = fixture("exhaustiveness/campaign_split_good.rs");
-    let diags = check_fault_exhaustiveness(
-        &ExhaustInput {
-            label: "faults_good.rs",
-            src: &faults,
-        },
-        Some(&ExhaustInput {
-            label: "campaign_split_good.rs",
-            src: &campaign,
-        }),
-    );
-    assert!(diags.is_empty(), "unexpected: {diags:#?}");
-}
-
-#[test]
-fn three_way_generator_split_counts_as_covered() {
-    let faults = fixture("exhaustiveness/faults_good.rs");
-    let campaign = fixture("exhaustiveness/campaign_netstate_good.rs");
-    let diags = check_fault_exhaustiveness(
-        &ExhaustInput {
-            label: "faults_good.rs",
-            src: &faults,
-        },
-        Some(&ExhaustInput {
-            label: "campaign_netstate_good.rs",
-            src: &campaign,
-        }),
-    );
-    assert!(diags.is_empty(), "unexpected: {diags:#?}");
-}
-
-#[test]
-fn good_fault_fixture_is_clean() {
-    let faults = fixture("exhaustiveness/faults_good.rs");
-    let diags = check_fault_exhaustiveness(
-        &ExhaustInput {
-            label: "faults_good.rs",
-            src: &faults,
-        },
-        None,
-    );
-    assert!(diags.is_empty(), "unexpected: {diags:#?}");
-}
-
-#[test]
-fn unregistered_policy_and_missing_variant_surfaces_are_caught() {
-    let policy = fixture("exhaustiveness/policy_bad.rs");
-    let input = ExhaustInput {
-        label: "policy_bad.rs",
-        src: &policy,
-    };
-    let diags = check_policy_exhaustiveness(&input, std::slice::from_ref(&input));
-    assert_eq!(diags.len(), 4, "diagnostics: {diags:#?}");
-    assert!(diags.iter().all(|d| d.rule == "E006"));
-    // Hedge: missing from fn build, fn label and the ALL roster.
-    assert_eq!(
-        diags
-            .iter()
-            .filter(|d| d.message.contains("PolicyChoice::Hedge"))
-            .count(),
-        3,
-        "diagnostics: {diags:#?}"
-    );
-    // OrphanPolicy implements the trait but is never built.
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.message.contains("OrphanPolicy") && d.message.contains("never built")),
-        "diagnostics: {diags:#?}"
-    );
-}
-
-#[test]
-fn good_policy_fixture_is_clean() {
-    let policy = fixture("exhaustiveness/policy_good.rs");
-    let input = ExhaustInput {
-        label: "policy_good.rs",
-        src: &policy,
-    };
-    let diags = check_policy_exhaustiveness(&input, std::slice::from_ref(&input));
-    assert!(diags.is_empty(), "unexpected: {diags:#?}");
 }
 
 #[test]

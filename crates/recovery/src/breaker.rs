@@ -12,7 +12,7 @@ use simcore::SimTime;
 use workload::detect::FailureReport;
 
 use crate::manager::{RecoveryAction, RmConfig};
-use crate::policy::{Evidence, PathOf, PolicyCtx, PolicyLevel, RecoveryPolicy};
+use crate::policy::{Evidence, PathOf, PolicyChoice, PolicyCtx, PolicyLevel, RecoveryPolicy};
 
 /// Breaker wire states (the `BreakerTransition` telemetry payload).
 const CLOSED: u8 = 0;
@@ -99,7 +99,7 @@ impl CircuitBreakerPolicy {
 
 impl RecoveryPolicy for CircuitBreakerPolicy {
     fn name(&self) -> &'static str {
-        "circuit-breaker"
+        PolicyChoice::CircuitBreaker.label()
     }
 
     fn observe(&mut self, r: &FailureReport, _ctx: &mut PolicyCtx<'_>) {

@@ -16,7 +16,7 @@ use simcore::SimTime;
 use workload::detect::FailureReport;
 
 use crate::manager::{RecoveryAction, RmConfig};
-use crate::policy::{Evidence, PathOf, PolicyCtx, PolicyLevel, RecoveryPolicy};
+use crate::policy::{Evidence, PathOf, PolicyChoice, PolicyCtx, PolicyLevel, RecoveryPolicy};
 
 #[derive(Debug, Default)]
 struct Node {
@@ -54,7 +54,7 @@ impl FailoverFirstPolicy {
 
 impl RecoveryPolicy for FailoverFirstPolicy {
     fn name(&self) -> &'static str {
-        "failover-first"
+        PolicyChoice::FailoverFirst.label()
     }
 
     fn observe(&mut self, r: &FailureReport, _ctx: &mut PolicyCtx<'_>) {

@@ -13,7 +13,7 @@ use simcore::{SimRng, SimTime};
 use workload::detect::FailureReport;
 
 use crate::manager::{RecoveryAction, RmConfig};
-use crate::policy::{Evidence, PathOf, PolicyCtx, PolicyLevel, RecoveryPolicy};
+use crate::policy::{Evidence, PathOf, PolicyChoice, PolicyCtx, PolicyLevel, RecoveryPolicy};
 
 /// Deferrals granted per quiet period.
 const BUDGET: u32 = 3;
@@ -78,7 +78,7 @@ impl RetryHedgePolicy {
 
 impl RecoveryPolicy for RetryHedgePolicy {
     fn name(&self) -> &'static str {
-        "retry-hedge"
+        PolicyChoice::RetryHedge.label()
     }
 
     fn observe(&mut self, r: &FailureReport, _ctx: &mut PolicyCtx<'_>) {

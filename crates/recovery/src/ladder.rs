@@ -17,7 +17,7 @@ use urb_core::OpCode;
 use workload::detect::{FailureKind, FailureReport};
 
 use crate::manager::{RecoveryAction, RmConfig};
-use crate::policy::{PathOf, PolicyCtx, PolicyLevel, RecoveryPolicy};
+use crate::policy::{PathOf, PolicyChoice, PolicyCtx, PolicyLevel, RecoveryPolicy};
 
 /// Evidence weight of one latency-anomaly report in the diagnosis score.
 ///
@@ -262,9 +262,9 @@ impl LadderPolicy {
 impl RecoveryPolicy for LadderPolicy {
     fn name(&self) -> &'static str {
         if self.config.start_level == PolicyLevel::Process {
-            "reboot-first"
+            PolicyChoice::RebootFirst.label()
         } else {
-            "paper-ladder"
+            PolicyChoice::Ladder.label()
         }
     }
 

@@ -137,77 +137,39 @@ pub trait RecoveryPolicy {
     fn crash(&mut self, now: SimTime, ctx: &mut PolicyCtx<'_>);
 }
 
-/// The tournament registry: every [`RecoveryPolicy`] implementation the
-/// repo ships, by name. urb-lint rule E006 checks that each
-/// `impl RecoveryPolicy` appears in [`PolicyChoice::build`] and that
-/// every variant here is constructible, labelled and coded.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum PolicyChoice {
-    /// The paper's recursive ladder (the pinned default).
-    Ladder,
-    /// The ladder started at the JVM rung: the "recover by process
-    /// restart" baseline the paper compares microreboots against.
-    RebootFirst,
-    /// Circuit breaker: trip on error-rate windows, half-open probe after
-    /// recovery, escalating cooldowns and rungs on re-trips.
-    CircuitBreaker,
-    /// Bulkhead: admission-isolate the suspect blast radius first; only
-    /// reboot when isolation alone does not clear the evidence.
-    Bulkhead,
-    /// Retry budget with hedging: spend a deferral budget letting client
-    /// retries absorb the failure, hedging with a cheap microreboot;
-    /// escalate when the budget runs dry.
-    RetryHedge,
-    /// Failover-first: move traffic away before rebooting anything.
-    FailoverFirst,
+simcore::code_enum! {
+    /// The tournament registry: every [`RecoveryPolicy`] implementation
+    /// the repo ships, one row each — its wire code (the `PolicyArmed`
+    /// telemetry payload) and its stable label (report keys, CLI
+    /// `--policies`, [`RecoveryPolicy::name`]). `ALL` is tournament order.
+    /// [`PolicyChoice::build`] matches exhaustively, so a row without a
+    /// constructor does not compile.
+    #[derive(PartialOrd, Ord)]
+    pub enum PolicyChoice {
+        /// The paper's recursive ladder (the pinned default).
+        Ladder = 0 => "paper-ladder",
+        /// The ladder started at the JVM rung: the "recover by process
+        /// restart" baseline the paper compares microreboots against.
+        RebootFirst = 1 => "reboot-first",
+        /// Circuit breaker: trip on error-rate windows, half-open probe
+        /// after recovery, escalating cooldowns and rungs on re-trips.
+        CircuitBreaker = 2 => "circuit-breaker",
+        /// Bulkhead: admission-isolate the suspect blast radius first;
+        /// only reboot when isolation alone does not clear the evidence.
+        Bulkhead = 3 => "bulkhead",
+        /// Retry budget with hedging: spend a deferral budget letting
+        /// client retries absorb the failure, hedging with a cheap
+        /// microreboot; escalate when the budget runs dry.
+        RetryHedge = 4 => "retry-hedge",
+        /// Failover-first: move traffic away before rebooting anything.
+        FailoverFirst = 5 => "failover-first",
+    }
 }
 
 /// URL-prefix → component-path mapping used by diagnosis.
 pub type PathOf = fn(OpCode) -> &'static [&'static str];
 
 impl PolicyChoice {
-    /// Every registered policy, in tournament order.
-    pub const ALL: &'static [PolicyChoice] = &[
-        PolicyChoice::Ladder,
-        PolicyChoice::RebootFirst,
-        PolicyChoice::CircuitBreaker,
-        PolicyChoice::Bulkhead,
-        PolicyChoice::RetryHedge,
-        PolicyChoice::FailoverFirst,
-    ];
-
-    /// The policy's stable registry label (report keys, CLI `--policies`).
-    pub fn label(self) -> &'static str {
-        match self {
-            PolicyChoice::Ladder => "paper-ladder",
-            PolicyChoice::RebootFirst => "reboot-first",
-            PolicyChoice::CircuitBreaker => "circuit-breaker",
-            PolicyChoice::Bulkhead => "bulkhead",
-            PolicyChoice::RetryHedge => "retry-hedge",
-            PolicyChoice::FailoverFirst => "failover-first",
-        }
-    }
-
-    /// The policy's wire code (the `PolicyArmed` telemetry payload).
-    pub fn code(self) -> u8 {
-        match self {
-            PolicyChoice::Ladder => 0,
-            PolicyChoice::RebootFirst => 1,
-            PolicyChoice::CircuitBreaker => 2,
-            PolicyChoice::Bulkhead => 3,
-            PolicyChoice::RetryHedge => 4,
-            PolicyChoice::FailoverFirst => 5,
-        }
-    }
-
-    /// Resolves a CLI label back to its choice.
-    pub fn from_label(label: &str) -> Option<PolicyChoice> {
-        PolicyChoice::ALL
-            .iter()
-            .copied()
-            .find(|c| c.label() == label)
-    }
-
     /// Builds the policy for an `nodes`-node cluster.
     ///
     /// `seed` feeds any randomized tie-breaking the policy performs (only

@@ -18,7 +18,9 @@
 //!   (log-linear HDR-style), the latency substrate of the
 //!   performance-observability plane,
 //! * [`trace`] — recovery-episode assembly and the deterministic JSONL
-//!   trace format the `urb-trace` inspection CLI consumes.
+//!   trace format the `urb-trace` inspection CLI consumes,
+//! * [`wire`] — the per-type byte/JSON field trait and the `code_enum!`
+//!   table macro every event, fault-kind and policy schema is written in.
 //!
 //! Everything is single-threaded and fully deterministic: a simulation run is
 //! a pure function of its seed and parameters, which is what lets the
@@ -55,6 +57,7 @@ pub mod symbol;
 pub mod telemetry;
 pub mod time;
 pub mod trace;
+pub mod wire;
 
 pub use event::{EventId, EventPayload, EventQueue};
 pub use metrics::MetricsRegistry;

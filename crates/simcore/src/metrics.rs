@@ -34,16 +34,6 @@ use crate::telemetry::{
 };
 use crate::time::{SimDuration, SimTime};
 
-/// Suffix for a [`RebootLevel`]-indexed counter family.
-pub fn level_suffix(level: RebootLevel) -> &'static str {
-    match level {
-        RebootLevel::Component => "component",
-        RebootLevel::Application => "application",
-        RebootLevel::Process => "process",
-        RebootLevel::OperatingSystem => "os",
-    }
-}
-
 /// Canonical counter symbol for a [`DecisionKind`].
 pub fn decision_sym(decision: DecisionKind) -> Sym {
     match decision {
@@ -342,57 +332,48 @@ impl MetricsRegistry {
 }
 
 impl TelemetrySink for MetricsRegistry {
-    /// The canonical event → metric fold.
+    /// The canonical event → metric fold: every event bumps its kind's
+    /// counter (a column of the `telemetry_events!` table); the kinds
+    /// below fold more than that.
     fn on_event(&mut self, event: &TelemetryEvent) {
+        self.inc_sym(event.counter());
         match *event {
-            TelemetryEvent::RequestSubmitted { .. } => self.inc_sym(symbol::REQUESTS_SUBMITTED),
             TelemetryEvent::RequestCompleted {
                 disposition, at, ..
-            } => {
-                self.inc_sym(symbol::REQUESTS_COMPLETED);
-                match disposition {
-                    Disposition::Ok => self.inc_sym(symbol::REQUESTS_OK),
-                    Disposition::HttpError => {
-                        self.inc_sym(symbol::REQUESTS_HTTP_ERROR);
-                        self.series.incr_sym(at, symbol::REQ_FAIL);
-                    }
-                    Disposition::NetworkError => {
-                        self.inc_sym(symbol::REQUESTS_NETWORK_ERROR);
-                        self.series.incr_sym(at, symbol::REQ_FAIL);
-                    }
+            } => match disposition {
+                Disposition::Ok => self.inc_sym(symbol::REQUESTS_OK),
+                Disposition::HttpError => {
+                    self.inc_sym(symbol::REQUESTS_HTTP_ERROR);
+                    self.series.incr_sym(at, symbol::REQ_FAIL);
                 }
-            }
-            TelemetryEvent::RetrySent { .. } => self.inc_sym(symbol::RETRIES_SENT),
+                Disposition::NetworkError => {
+                    self.inc_sym(symbol::REQUESTS_NETWORK_ERROR);
+                    self.series.incr_sym(at, symbol::REQ_FAIL);
+                }
+            },
             TelemetryEvent::RequestKilled { cause, at, .. } => {
-                self.inc_sym(symbol::REQUESTS_KILLED);
                 self.series.incr_sym(at, symbol::KILLED);
                 self.inc_sym(kill_sym(cause));
             }
             TelemetryEvent::RebootBegun { level, at, .. } => {
-                self.inc_sym(symbol::REBOOTS_BEGUN);
                 self.series.incr_sym(at, symbol::REBOOTS);
                 self.inc_sym(reboot_begun_sym(level));
             }
             TelemetryEvent::RebootFinished {
                 level, duration, ..
             } => {
-                self.inc_sym(symbol::REBOOTS_FINISHED);
                 self.observe_sym(symbol::REBOOT_MS, duration);
                 self.inc_sym(reboot_finished_sym(level));
             }
-            TelemetryEvent::DetectorFired { .. } => self.inc_sym(symbol::DETECTOR_FIRES),
             TelemetryEvent::RecoveryDecision { decision, .. } => {
-                self.inc_sym(symbol::RECOVERY_DECISIONS);
                 self.inc_sym(decision_sym(decision));
             }
-            TelemetryEvent::RejuvenationTick { .. } => self.inc_sym(symbol::REJUVENATION_TICKS),
             TelemetryEvent::ClientOp {
                 started_at,
                 finished_at,
                 ok,
                 ..
             } => {
-                self.inc_sym(symbol::CLIENT_OPS);
                 self.observe_sym(symbol::CLIENT_OP_MS, finished_at - started_at);
                 self.observe_sketch_sym(
                     symbol::CLIENT_OP_US,
@@ -406,43 +387,14 @@ impl TelemetrySink for MetricsRegistry {
                     self.series.incr_sym(finished_at, symbol::OPS_FAIL);
                 }
             }
-            TelemetryEvent::ActionClosed { .. } => self.inc_sym(symbol::ACTIONS_CLOSED),
-            TelemetryEvent::RecoveryQueued { .. } => self.inc_sym(symbol::RECOVERIES_QUEUED),
-            TelemetryEvent::RecoveryCoalesced { .. } => self.inc_sym(symbol::RECOVERIES_COALESCED),
-            TelemetryEvent::QuarantineOn { .. } => self.inc_sym(symbol::QUARANTINE_ON),
-            TelemetryEvent::QuarantineOff { .. } => self.inc_sym(symbol::QUARANTINE_OFF),
-            TelemetryEvent::LbFailover { .. } => self.inc_sym(symbol::LB_FAILOVERS),
             TelemetryEvent::TtlSweep { reaped, .. } => {
-                self.inc_sym(symbol::TTL_SWEEPS);
                 self.add_sym(symbol::TTL_SWEEP_REAPED, u64::from(reaped));
             }
-            TelemetryEvent::StormDamped { .. } => self.inc_sym(symbol::STORM_DAMPED),
-            TelemetryEvent::FlapEscalated { .. } => self.inc_sym(symbol::FLAP_ESCALATIONS),
-            TelemetryEvent::WatchdogEscalated { .. } => self.inc_sym(symbol::WATCHDOG_ESCALATIONS),
-            TelemetryEvent::EscalationSaturated { .. } => {
-                self.inc_sym(symbol::ESCALATIONS_SATURATED)
-            }
             TelemetryEvent::CampaignRunDone { violations, .. } => {
-                self.inc_sym(symbol::CAMPAIGN_RUNS_DONE);
                 self.add_sym(symbol::CAMPAIGN_VIOLATIONS, u64::from(violations));
             }
-            TelemetryEvent::PolicyArmed { .. } => self.inc_sym(symbol::POLICIES_ARMED),
-            TelemetryEvent::BreakerTransition { .. } => self.inc_sym(symbol::BREAKER_TRANSITIONS),
-            TelemetryEvent::HedgeDeferred { .. } => self.inc_sym(symbol::HEDGE_DEFERRALS),
-            TelemetryEvent::RmCrashed { .. } => self.inc_sym(symbol::RM_CRASHES),
-            TelemetryEvent::RmRebooted { .. } => self.inc_sym(symbol::RM_REBOOTS),
-            TelemetryEvent::FailoverEngaged { .. } => self.inc_sym(symbol::FAILOVERS_ENGAGED),
-            TelemetryEvent::PerfBaselineFrozen { .. } => {
-                self.inc_sym(symbol::PERF_BASELINES_FROZEN)
-            }
-            TelemetryEvent::LatencyAnomaly { .. } => self.inc_sym(symbol::LATENCY_ANOMALIES),
-            TelemetryEvent::ParityRestored { .. } => self.inc_sym(symbol::PARITY_RESTORED),
-            TelemetryEvent::DegradedInjected { .. } => self.inc_sym(symbol::DEGRADED_INJECTED),
-            TelemetryEvent::BrickFailed { .. } => self.inc_sym(symbol::BRICKS_FAILED),
-            TelemetryEvent::BrickRestored { .. } => self.inc_sym(symbol::BRICKS_RESTORED),
-            TelemetryEvent::LeaseExpired { .. } => self.inc_sym(symbol::LEASES_EXPIRED),
-            TelemetryEvent::NetFaultInjected { .. } => self.inc_sym(symbol::NET_FAULTS_INJECTED),
-            TelemetryEvent::NetFaultHealed { .. } => self.inc_sym(symbol::NET_FAULTS_HEALED),
+            // Every other kind is fully described by its counter.
+            _ => {}
         }
     }
 }

@@ -23,19 +23,24 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use crate::code_enum;
+use crate::symbol::{self, Sym};
 use crate::time::{SimDuration, SimTime};
+use crate::wire::{self, Field};
 
-/// How deep a reboot reaches (the recursive recovery policy's levels).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum RebootLevel {
-    /// Microreboot of one or more components (EJBs or the WAR).
-    Component,
-    /// Restart of the whole application inside the running server.
-    Application,
-    /// Restart of the JVM process (and the server in it).
-    Process,
-    /// Reboot of the operating system.
-    OperatingSystem,
+code_enum! {
+    /// How deep a reboot reaches (the recursive recovery policy's levels).
+    #[derive(PartialOrd, Ord, Hash)]
+    pub enum RebootLevel {
+        /// Microreboot of one or more components (EJBs or the WAR).
+        Component = 0 => "component",
+        /// Restart of the whole application inside the running server.
+        Application = 1 => "application",
+        /// Restart of the JVM process (and the server in it).
+        Process = 2 => "process",
+        /// Reboot of the operating system.
+        OperatingSystem = 3 => "os",
+    }
 }
 
 impl RebootLevel {
@@ -61,755 +66,501 @@ impl RebootLevel {
         }
         false
     }
+}
 
-    fn code(self) -> u8 {
-        match self {
-            RebootLevel::Component => 0,
-            RebootLevel::Application => 1,
-            RebootLevel::Process => 2,
-            RebootLevel::OperatingSystem => 3,
-        }
+code_enum! {
+    /// How an accounted response left the server.
+    pub enum Disposition {
+        /// 2xx (or an honoured `Retry-After`).
+        Ok = 0 => "ok",
+        /// 4xx/5xx.
+        HttpError = 1 => "http_error",
+        /// Connection-level failure or timeout.
+        NetworkError = 2 => "network_error",
     }
 }
 
-/// How an accounted response left the server.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Disposition {
-    /// 2xx (or an honoured `Retry-After`).
-    Ok,
-    /// 4xx/5xx.
-    HttpError,
-    /// Connection-level failure or timeout.
-    NetworkError,
-}
-
-impl Disposition {
-    fn code(self) -> u8 {
-        match self {
-            Disposition::Ok => 0,
-            Disposition::HttpError => 1,
-            Disposition::NetworkError => 2,
-        }
+code_enum! {
+    /// What killed an in-flight request.
+    pub enum KillCause {
+        /// A microreboot's thread kill.
+        Microreboot = 0 => "microreboot",
+        /// An app/process/OS restart's kill-everything.
+        Restart = 1 => "restart",
+        /// The server's request-TTL lease sweep.
+        Ttl = 2 => "ttl",
     }
 }
 
-/// What killed an in-flight request.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum KillCause {
-    /// A microreboot's thread kill.
-    Microreboot,
-    /// An app/process/OS restart's kill-everything.
-    Restart,
-    /// The server's request-TTL lease sweep.
-    Ttl,
-}
-
-impl KillCause {
-    fn code(self) -> u8 {
-        match self {
-            KillCause::Microreboot => 0,
-            KillCause::Restart => 1,
-            KillCause::Ttl => 2,
-        }
+code_enum! {
+    /// Which rung of the recursive policy the recovery manager chose.
+    pub enum DecisionKind {
+        /// Microreboot of a diagnosed EJB.
+        EjbMicroreboot = 0 => "ejb_microreboot",
+        /// Microreboot of the web component.
+        WarMicroreboot = 1 => "war_microreboot",
+        /// Whole-application restart.
+        AppRestart = 2 => "app_restart",
+        /// JVM process restart.
+        ProcessRestart = 3 => "process_restart",
+        /// Operating-system reboot.
+        OsReboot = 4 => "os_reboot",
+        /// Automated recovery exhausted; page a human.
+        NotifyHuman = 5 => "notify_human",
+        /// Bulkhead admission isolation of a blast radius (no reboot yet).
+        Isolate = 6 => "isolate",
+        /// Traffic failover away from the node before any reboot.
+        Failover = 7 => "failover",
     }
 }
 
-/// Which rung of the recursive policy the recovery manager chose.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DecisionKind {
-    /// Microreboot of a diagnosed EJB.
-    EjbMicroreboot,
-    /// Microreboot of the web component.
-    WarMicroreboot,
-    /// Whole-application restart.
-    AppRestart,
-    /// JVM process restart.
-    ProcessRestart,
-    /// Operating-system reboot.
-    OsReboot,
-    /// Automated recovery exhausted; page a human.
-    NotifyHuman,
-    /// Bulkhead admission isolation of a blast radius (no reboot yet).
-    Isolate,
-    /// Traffic failover away from the node before any reboot.
-    Failover,
-}
-
-impl DecisionKind {
-    fn code(self) -> u8 {
-        match self {
-            DecisionKind::EjbMicroreboot => 0,
-            DecisionKind::WarMicroreboot => 1,
-            DecisionKind::AppRestart => 2,
-            DecisionKind::ProcessRestart => 3,
-            DecisionKind::OsReboot => 4,
-            DecisionKind::NotifyHuman => 5,
-            DecisionKind::Isolate => 6,
-            DecisionKind::Failover => 7,
+/// Declares [`TelemetryEvent`] from one row per variant:
+///
+/// ```text
+/// /// variant docs
+/// <tag byte> <Variant> "<JSONL kind>" => <COUNTER symbol> {
+///     /// field docs
+///     <field>: <type> [as <wider wire type>] = "<JSON key>",
+/// }
+/// ```
+///
+/// and generates the enum, the canonical encoding (tag byte, then each
+/// field's [`Field::put`] in row order), `kind()` / `KINDS`, the per-kind
+/// counter, and the JSONL field writer and parser. A row whose field type
+/// has no [`Field`] impl, or whose counter is not a canonical symbol, does
+/// not compile; there is no second place to forget.
+macro_rules! telemetry_events {
+    (@wire $field:ident) => { $field };
+    (@wire $field:ident $wire:ty) => { <$wire>::from($field) };
+    ($(
+        $(#[$vmeta:meta])*
+        $tag:literal $variant:ident $kind:literal => $counter:ident {
+            $( $(#[$fmeta:meta])* $field:ident : $ty:ty $(as $wire:ty)? = $key:literal ),* $(,)?
         }
-    }
+    )+) => {
+        /// One structured event from anywhere in the stack.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum TelemetryEvent {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty ),* } ),+
+        }
+
+        impl TelemetryEvent {
+            /// Every event kind's JSONL `"t"` value, in tag order.
+            pub const KINDS: &'static [&'static str] = &[$($kind),+];
+
+            /// Appends the event's canonical byte encoding (tag byte, then
+            /// each field little-endian, times as microseconds) to `buf`.
+            pub fn encode_into(&self, buf: &mut Vec<u8>) {
+                match *self {
+                    $( TelemetryEvent::$variant { $($field),* } => {
+                        buf.push($tag);
+                        $( Field::put(telemetry_events!(@wire $field $($wire)?), buf); )*
+                    } )+
+                }
+            }
+
+            /// The snake_case kind name of the event — the JSONL `"t"` value.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( TelemetryEvent::$variant { .. } => $kind ),+
+                }
+            }
+
+            /// The canonical counter every event of this kind bumps.
+            pub(crate) fn counter(&self) -> Sym {
+                match self {
+                    $( TelemetryEvent::$variant { .. } => symbol::$counter ),+
+                }
+            }
+
+            /// Appends the event's fields as `,"key":value` JSON members,
+            /// in row order.
+            pub(crate) fn write_json_fields(&self, out: &mut String) {
+                match *self {
+                    $( TelemetryEvent::$variant { $($field),* } => {
+                        $(
+                            out.push_str(concat!(",\"", $key, "\":"));
+                            Field::write_json($field, out);
+                        )*
+                    } )+
+                }
+            }
+
+            /// Rebuilds an event of kind `kind` from the members of the flat
+            /// JSON object `line`.
+            pub(crate) fn from_json_fields(
+                kind: &str,
+                line: &str,
+            ) -> Result<TelemetryEvent, String> {
+                Ok(match kind {
+                    $( $kind => TelemetryEvent::$variant {
+                        $( $field: wire::field(line, $key)? ),*
+                    }, )+
+                    other => return Err(format!("unknown event type \"{other}\"")),
+                })
+            }
+        }
+    };
 }
 
-/// One structured event from anywhere in the stack.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TelemetryEvent {
+telemetry_events! {
     /// A request arrived at a node.
-    RequestSubmitted {
+    0 RequestSubmitted "request_submitted" => REQUESTS_SUBMITTED {
         /// Node it arrived at.
-        node: usize,
+        node: usize = "node",
         /// Request id.
-        req: u64,
+        req: u64 = "req",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A response was accounted (at rejection, or at delivery).
-    RequestCompleted {
+    1 RequestCompleted "request_completed" => REQUESTS_COMPLETED {
         /// Serving node.
-        node: usize,
+        node: usize = "node",
         /// Request id.
-        req: u64,
+        req: u64 = "req",
         /// Outcome class.
-        disposition: Disposition,
+        disposition: Disposition = "disposition",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A `Retry-After` was answered from a sentinel binding.
-    RetrySent {
+    2 RetrySent "retry_sent" => RETRIES_SENT {
         /// Serving node.
-        node: usize,
+        node: usize = "node",
         /// Request id.
-        req: u64,
+        req: u64 = "req",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// An in-flight request was killed.
-    RequestKilled {
+    3 RequestKilled "request_killed" => REQUESTS_KILLED {
         /// Node it died on.
-        node: usize,
+        node: usize = "node",
         /// Request id.
-        req: u64,
+        req: u64 = "req",
         /// Who killed it.
-        cause: KillCause,
+        cause: KillCause = "cause",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A recovery action's destructive phase was scheduled/begun.
-    RebootBegun {
+    4 RebootBegun "reboot_begun" => REBOOTS_BEGUN {
         /// Target node.
-        node: usize,
+        node: usize = "node",
         /// Reboot depth.
-        level: RebootLevel,
+        level: RebootLevel = "level",
         /// Component-group size (0 for coarse levels).
-        members: u32,
+        members: u32 = "members",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A recovery action finished reinitializing.
-    RebootFinished {
+    5 RebootFinished "reboot_finished" => REBOOTS_FINISHED {
         /// Target node.
-        node: usize,
+        node: usize = "node",
         /// Reboot depth.
-        level: RebootLevel,
+        level: RebootLevel = "level",
         /// Wall-clock (simulated) begin-to-done span.
-        duration: SimDuration,
+        duration: SimDuration = "duration_us",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A client-side failure detector reported to the recovery manager.
-    DetectorFired {
+    6 DetectorFired "detector_fired" => DETECTOR_FIRES {
         /// Implicated node.
-        node: usize,
+        node: usize = "node",
         /// Failing operation code.
-        op: u16,
+        op: u16 = "op",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The recovery manager committed to an action.
-    RecoveryDecision {
+    7 RecoveryDecision "recovery_decision" => RECOVERY_DECISIONS {
         /// Target node.
-        node: usize,
+        node: usize = "node",
         /// Chosen rung.
-        decision: DecisionKind,
+        decision: DecisionKind = "decision",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The rejuvenation service polled a node's free memory.
-    RejuvenationTick {
+    8 RejuvenationTick "rejuvenation_tick" => REJUVENATION_TICKS {
         /// Polled node.
-        node: usize,
+        node: usize = "node",
         /// Free heap observed.
-        free_bytes: u64,
+        free_bytes: u64 = "free_bytes",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The client emulator recorded one operation under an open action.
-    ClientOp {
+    9 ClientOp "client_op" => CLIENT_OPS {
         /// Owning user action.
-        action: u64,
+        action: u64 = "action",
         /// Functional group code (see `workload::catalog`).
-        group: u8,
+        group: u8 = "group",
         /// When the operation was first sent.
-        started_at: SimTime,
+        started_at: SimTime = "started_us",
         /// When its response arrived.
-        finished_at: SimTime,
+        finished_at: SimTime = "finished_us",
         /// Whether the detectors saw it succeed.
-        ok: bool,
-    },
+        ok: bool = "ok",
+    }
     /// The client emulator closed a user action (Taw attribution point).
-    ActionClosed {
+    10 ActionClosed "action_closed" => ACTIONS_CLOSED {
         /// The closed action.
-        action: u64,
-    },
+        action: u64 = "action",
+    }
     /// The recovery conductor deferred an action behind a conflicting
     /// in-flight recovery.
-    RecoveryQueued {
+    11 RecoveryQueued "recovery_queued" => RECOVERIES_QUEUED {
         /// Target node.
-        node: usize,
+        node: usize = "node",
         /// Reboot depth of the deferred action.
-        level: RebootLevel,
+        level: RebootLevel = "level",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The recovery conductor merged an action into an overlapping
     /// in-flight or queued recovery instead of running it twice.
-    RecoveryCoalesced {
+    12 RecoveryCoalesced "recovery_coalesced" => RECOVERIES_COALESCED {
         /// Target node.
-        node: usize,
+        node: usize = "node",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// Quarantine admission engaged (or its blast radius changed) on a
     /// node: requests whose call path touches the rebooting groups are
     /// shed at the door.
-    QuarantineOn {
+    13 QuarantineOn "quarantine_on" => QUARANTINE_ON {
         /// Quarantining node.
-        node: usize,
+        node: usize = "node",
         /// Components currently in the blast radius.
-        members: u32,
+        members: u32 = "members",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// Quarantine admission disengaged on a node (no group rebooting).
-    QuarantineOff {
+    14 QuarantineOff "quarantine_off" => QUARANTINE_OFF {
         /// Node back to full admission.
-        node: usize,
+        node: usize = "node",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The load balancer redirected a session-bound request away from its
     /// home node (Section 5.3 failover) because the home was draining or
     /// its blast radius covered the request's call path.
-    LbFailover {
+    15 LbFailover "lb_failover" => LB_FAILOVERS {
         /// The session's home node the request was steered away from.
-        from: usize,
+        from: usize = "from",
         /// The node that received it instead.
-        to: usize,
+        to: usize = "to",
         /// The redirected request.
-        req: u64,
+        req: u64 = "req",
         /// The failed-over session.
-        session: u64,
+        session: u64 = "session",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The server's request-TTL lease sweep ran over a node that had hung
     /// requests: `reaped` leases had expired and were purged, `pending`
     /// hung requests remain scheduled for a later sweep.
-    TtlSweep {
+    16 TtlSweep "ttl_sweep" => TTL_SWEEPS {
         /// Swept node.
-        node: usize,
+        node: usize = "node",
         /// Hung requests whose lease has not yet expired.
-        pending: u32,
+        pending: u32 = "pending",
         /// Hung requests purged by this sweep.
-        reaped: u32,
+        reaped: u32 = "reaped",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The recovery manager's reboot-storm damper suppressed a repeated
     /// microreboot of the same component, deferring the decision until
     /// the exponential backoff expires.
-    StormDamped {
+    17 StormDamped "storm_damped" => STORM_DAMPED {
         /// Target node.
-        node: usize,
+        node: usize = "node",
         /// Consecutive same-component microreboots observed so far.
-        strikes: u32,
+        strikes: u32 = "strikes",
         /// How long the damper holds the next attempt back.
-        backoff: SimDuration,
+        backoff: SimDuration = "backoff_us",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// Flap-driven escalation: a component failed again within the flap
     /// window after recovering, so the manager climbed the ladder instead
     /// of re-microrebooting forever.
-    FlapEscalated {
+    18 FlapEscalated "flap_escalated" => FLAP_ESCALATIONS {
         /// Target node.
-        node: usize,
+        node: usize = "node",
         /// Recoveries of the flapping component inside the window.
-        flaps: u32,
+        flaps: u32 = "flaps",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The convergence watchdog escalated an episode that exceeded its
     /// time bound without the failure reports going quiet.
-    WatchdogEscalated {
+    19 WatchdogEscalated "watchdog_escalated" => WATCHDOG_ESCALATIONS {
         /// Target node.
-        node: usize,
+        node: usize = "node",
         /// How long the episode had been running.
-        elapsed: SimDuration,
+        elapsed: SimDuration = "elapsed_us",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The policy ladder tried to escalate past `Human`: automated
     /// recovery is exhausted and the decision saturated in place.
-    EscalationSaturated {
+    20 EscalationSaturated "escalation_saturated" => ESCALATIONS_SATURATED {
         /// Target node.
-        node: usize,
+        node: usize = "node",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A fault-injection campaign run finished (emitted by `urb-chaos`
     /// onto the campaign's own bus, one per scenario).
-    CampaignRunDone {
+    21 CampaignRunDone "campaign_run_done" => CAMPAIGN_RUNS_DONE {
         /// Zero-based run index within the campaign.
-        run: u64,
+        run: u64 = "run",
         /// Per-run trace digest.
-        digest: u64,
+        digest: u64 = "digest",
         /// Invariant violations observed in this run.
-        violations: u32,
-    },
+        violations: u32 = "violations",
+    }
     /// A non-default recovery policy was armed on the recovery manager
     /// (emitted once, when telemetry attaches; the paper's ladder stays
     /// silent so default-config traces are unchanged).
-    PolicyArmed {
+    22 PolicyArmed "policy_armed" => POLICIES_ARMED {
         /// The policy's registry code (`PolicyChoice::code`).
-        policy: u8,
+        policy: u8 = "policy",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A circuit-breaker policy changed state on a node
     /// (0 = closed, 1 = open/tripped, 2 = half-open probe).
-    BreakerTransition {
+    23 BreakerTransition "breaker_transition" => BREAKER_TRANSITIONS {
         /// Target node.
-        node: usize,
+        node: usize = "node",
         /// New breaker state code.
-        state: u8,
+        state: u8 = "state",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A retry-budget policy deferred a recovery decision, betting the
     /// failure is transient and client retries will ride it out.
-    HedgeDeferred {
+    24 HedgeDeferred "hedge_deferred" => HEDGE_DEFERRALS {
         /// Target node.
-        node: usize,
+        node: usize = "node",
         /// Deferrals left in the node's budget.
-        budget_left: u32,
+        budget_left: u32 = "budget_left",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The recovery manager itself crashed mid-episode (ReHype-style):
     /// all volatile diagnosis state is lost.
-    RmCrashed {
+    25 RmCrashed "rm_crashed" => RM_CRASHES {
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The recovery manager finished rebooting and resumed polling with a
     /// blank diagnosis slate.
-    RmRebooted {
+    26 RmRebooted "rm_rebooted" => RM_REBOOTS {
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A failover-first policy engaged: traffic is redirected away from
     /// the node before (instead of) rebooting anything on it.
-    FailoverEngaged {
+    27 FailoverEngaged "failover_engaged" => FAILOVERS_ENGAGED {
         /// Node traffic is steered away from.
-        node: usize,
+        node: usize = "node",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The performance-observability plane froze its pre-fault baseline:
     /// per-component latency quantiles and throughput are snapshotted and
     /// every later window is judged against them.
-    PerfBaselineFrozen {
+    28 PerfBaselineFrozen "perf_baseline_frozen" => PERF_BASELINES_FROZEN {
         /// Monitored node.
-        node: usize,
+        node: usize = "node",
         /// How many components had enough samples to baseline.
-        components: u32,
+        components: u32 = "components",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// The latency-anomaly (fail-slow) detector fired: a component's live
     /// sketch drifted beyond the configured multipliers of its baseline.
-    LatencyAnomaly {
+    29 LatencyAnomaly "latency_anomaly" => LATENCY_ANOMALIES {
         /// Implicated node.
-        node: usize,
+        node: usize = "node",
         /// Operation code whose latency drifted.
-        op: u16,
+        op: u16 = "op",
         /// Observed p95 over baseline p95, in permille (2500 = 2.5x).
-        ratio_permille: u32,
+        ratio_permille: u32 = "ratio_permille",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// Post-recovery performance parity: the live quantiles and throughput
     /// returned within tolerance of the frozen baseline and stayed there.
-    ParityRestored {
+    30 ParityRestored "parity_restored" => PARITY_RESTORED {
         /// Recovered node.
-        node: usize,
+        node: usize = "node",
         /// How long parity took from the first anomaly.
-        after: SimDuration,
+        after: SimDuration = "after_us",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A degraded-mode (fail-slow) fault was injected: the component keeps
     /// answering, just slowly.
-    DegradedInjected {
+    31 DegradedInjected "degraded_injected" => DEGRADED_INJECTED {
         /// Target node.
-        node: usize,
+        node: usize = "node",
         /// Service-time inflation, in permille (4000 = 4x).
-        factor_permille: u32,
+        factor_permille: u32 = "factor_permille",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A replica brick of the external session store went down (crash or
     /// induced failure). Its stored objects are gone; surviving replicas
     /// keep serving.
-    BrickFailed {
+    32 BrickFailed "brick_failed" => BRICKS_FAILED {
         /// Brick index within the store.
-        brick: usize,
+        brick: usize = "brick",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A failed brick rejoined the store. It comes back empty and
     /// repopulates lazily as sessions are written.
-    BrickRestored {
+    33 BrickRestored "brick_restored" => BRICKS_RESTORED {
         /// Brick index within the store.
-        brick: usize,
+        brick: usize = "brick",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A session's lease lapsed (naturally or via a lease storm) and the
     /// store dropped its state.
-    LeaseExpired {
+    34 LeaseExpired "lease_expired" => LEASES_EXPIRED {
         /// The expired session id.
-        session: u64,
+        session: u64 = "session",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// A network fault was armed on a cluster edge (LB↔node or
     /// node↔store).
-    NetFaultInjected {
+    35 NetFaultInjected "net_fault_injected" => NET_FAULTS_INJECTED {
         /// Edge code (0 = LB↔node, 1 = node↔store).
-        edge: u8,
+        edge: u8 as u64 = "edge",
         /// Fault kind code (0 partition, 1 lossy, 2 delay, 3 dupe,
         /// 4 store-slow, 5 brick-corrupt).
-        kind: u8,
+        kind: u8 as u64 = "kind",
         /// When.
-        at: SimTime,
-    },
+        at: SimTime = "at_us",
+    }
     /// All network faults on a cluster edge healed.
-    NetFaultHealed {
+    36 NetFaultHealed "net_fault_healed" => NET_FAULTS_HEALED {
         /// Edge code (0 = LB↔node, 1 = node↔store).
-        edge: u8,
+        edge: u8 as u64 = "edge",
         /// When.
-        at: SimTime,
-    },
-}
-
-impl TelemetryEvent {
-    /// Appends the event's canonical byte encoding (tag byte, then each
-    /// field little-endian, times as microseconds) to `buf`.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        fn put_u64(buf: &mut Vec<u8>, v: u64) {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        fn put_time(buf: &mut Vec<u8>, t: SimTime) {
-            put_u64(buf, t.as_micros());
-        }
-        match *self {
-            TelemetryEvent::RequestSubmitted { node, req, at } => {
-                buf.push(0);
-                put_u64(buf, node as u64);
-                put_u64(buf, req);
-                put_time(buf, at);
-            }
-            TelemetryEvent::RequestCompleted {
-                node,
-                req,
-                disposition,
-                at,
-            } => {
-                buf.push(1);
-                put_u64(buf, node as u64);
-                put_u64(buf, req);
-                buf.push(disposition.code());
-                put_time(buf, at);
-            }
-            TelemetryEvent::RetrySent { node, req, at } => {
-                buf.push(2);
-                put_u64(buf, node as u64);
-                put_u64(buf, req);
-                put_time(buf, at);
-            }
-            TelemetryEvent::RequestKilled {
-                node,
-                req,
-                cause,
-                at,
-            } => {
-                buf.push(3);
-                put_u64(buf, node as u64);
-                put_u64(buf, req);
-                buf.push(cause.code());
-                put_time(buf, at);
-            }
-            TelemetryEvent::RebootBegun {
-                node,
-                level,
-                members,
-                at,
-            } => {
-                buf.push(4);
-                put_u64(buf, node as u64);
-                buf.push(level.code());
-                put_u64(buf, u64::from(members));
-                put_time(buf, at);
-            }
-            TelemetryEvent::RebootFinished {
-                node,
-                level,
-                duration,
-                at,
-            } => {
-                buf.push(5);
-                put_u64(buf, node as u64);
-                buf.push(level.code());
-                put_u64(buf, duration.as_micros());
-                put_time(buf, at);
-            }
-            TelemetryEvent::DetectorFired { node, op, at } => {
-                buf.push(6);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(op));
-                put_time(buf, at);
-            }
-            TelemetryEvent::RecoveryDecision { node, decision, at } => {
-                buf.push(7);
-                put_u64(buf, node as u64);
-                buf.push(decision.code());
-                put_time(buf, at);
-            }
-            TelemetryEvent::RejuvenationTick {
-                node,
-                free_bytes,
-                at,
-            } => {
-                buf.push(8);
-                put_u64(buf, node as u64);
-                put_u64(buf, free_bytes);
-                put_time(buf, at);
-            }
-            TelemetryEvent::ClientOp {
-                action,
-                group,
-                started_at,
-                finished_at,
-                ok,
-            } => {
-                buf.push(9);
-                put_u64(buf, action);
-                buf.push(group);
-                put_time(buf, started_at);
-                put_time(buf, finished_at);
-                buf.push(u8::from(ok));
-            }
-            TelemetryEvent::ActionClosed { action } => {
-                buf.push(10);
-                put_u64(buf, action);
-            }
-            TelemetryEvent::RecoveryQueued { node, level, at } => {
-                buf.push(11);
-                put_u64(buf, node as u64);
-                buf.push(level.code());
-                put_time(buf, at);
-            }
-            TelemetryEvent::RecoveryCoalesced { node, at } => {
-                buf.push(12);
-                put_u64(buf, node as u64);
-                put_time(buf, at);
-            }
-            TelemetryEvent::QuarantineOn { node, members, at } => {
-                buf.push(13);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(members));
-                put_time(buf, at);
-            }
-            TelemetryEvent::QuarantineOff { node, at } => {
-                buf.push(14);
-                put_u64(buf, node as u64);
-                put_time(buf, at);
-            }
-            TelemetryEvent::LbFailover {
-                from,
-                to,
-                req,
-                session,
-                at,
-            } => {
-                buf.push(15);
-                put_u64(buf, from as u64);
-                put_u64(buf, to as u64);
-                put_u64(buf, req);
-                put_u64(buf, session);
-                put_time(buf, at);
-            }
-            TelemetryEvent::TtlSweep {
-                node,
-                pending,
-                reaped,
-                at,
-            } => {
-                buf.push(16);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(pending));
-                put_u64(buf, u64::from(reaped));
-                put_time(buf, at);
-            }
-            TelemetryEvent::StormDamped {
-                node,
-                strikes,
-                backoff,
-                at,
-            } => {
-                buf.push(17);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(strikes));
-                put_u64(buf, backoff.as_micros());
-                put_time(buf, at);
-            }
-            TelemetryEvent::FlapEscalated { node, flaps, at } => {
-                buf.push(18);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(flaps));
-                put_time(buf, at);
-            }
-            TelemetryEvent::WatchdogEscalated { node, elapsed, at } => {
-                buf.push(19);
-                put_u64(buf, node as u64);
-                put_u64(buf, elapsed.as_micros());
-                put_time(buf, at);
-            }
-            TelemetryEvent::EscalationSaturated { node, at } => {
-                buf.push(20);
-                put_u64(buf, node as u64);
-                put_time(buf, at);
-            }
-            TelemetryEvent::CampaignRunDone {
-                run,
-                digest,
-                violations,
-            } => {
-                buf.push(21);
-                put_u64(buf, run);
-                put_u64(buf, digest);
-                put_u64(buf, u64::from(violations));
-            }
-            TelemetryEvent::PolicyArmed { policy, at } => {
-                buf.push(22);
-                buf.push(policy);
-                put_time(buf, at);
-            }
-            TelemetryEvent::BreakerTransition { node, state, at } => {
-                buf.push(23);
-                put_u64(buf, node as u64);
-                buf.push(state);
-                put_time(buf, at);
-            }
-            TelemetryEvent::HedgeDeferred {
-                node,
-                budget_left,
-                at,
-            } => {
-                buf.push(24);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(budget_left));
-                put_time(buf, at);
-            }
-            TelemetryEvent::RmCrashed { at } => {
-                buf.push(25);
-                put_time(buf, at);
-            }
-            TelemetryEvent::RmRebooted { at } => {
-                buf.push(26);
-                put_time(buf, at);
-            }
-            TelemetryEvent::FailoverEngaged { node, at } => {
-                buf.push(27);
-                put_u64(buf, node as u64);
-                put_time(buf, at);
-            }
-            TelemetryEvent::PerfBaselineFrozen {
-                node,
-                components,
-                at,
-            } => {
-                buf.push(28);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(components));
-                put_time(buf, at);
-            }
-            TelemetryEvent::LatencyAnomaly {
-                node,
-                op,
-                ratio_permille,
-                at,
-            } => {
-                buf.push(29);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(op));
-                put_u64(buf, u64::from(ratio_permille));
-                put_time(buf, at);
-            }
-            TelemetryEvent::ParityRestored { node, after, at } => {
-                buf.push(30);
-                put_u64(buf, node as u64);
-                put_u64(buf, after.as_micros());
-                put_time(buf, at);
-            }
-            TelemetryEvent::DegradedInjected {
-                node,
-                factor_permille,
-                at,
-            } => {
-                buf.push(31);
-                put_u64(buf, node as u64);
-                put_u64(buf, u64::from(factor_permille));
-                put_time(buf, at);
-            }
-            TelemetryEvent::BrickFailed { brick, at } => {
-                buf.push(32);
-                put_u64(buf, brick as u64);
-                put_time(buf, at);
-            }
-            TelemetryEvent::BrickRestored { brick, at } => {
-                buf.push(33);
-                put_u64(buf, brick as u64);
-                put_time(buf, at);
-            }
-            TelemetryEvent::LeaseExpired { session, at } => {
-                buf.push(34);
-                put_u64(buf, session);
-                put_time(buf, at);
-            }
-            TelemetryEvent::NetFaultInjected { edge, kind, at } => {
-                buf.push(35);
-                put_u64(buf, u64::from(edge));
-                put_u64(buf, u64::from(kind));
-                put_time(buf, at);
-            }
-            TelemetryEvent::NetFaultHealed { edge, at } => {
-                buf.push(36);
-                put_u64(buf, u64::from(edge));
-                put_time(buf, at);
-            }
-        }
+        at: SimTime = "at_us",
     }
 }
 
@@ -1306,6 +1057,12 @@ mod tests {
                 cat(&[vec![36], le(0), le(1_500_000)]),
             ),
         ];
+        let covered: Vec<&str> = cases.iter().map(|(ev, _)| ev.kind()).collect();
+        assert_eq!(
+            covered,
+            TelemetryEvent::KINDS,
+            "every table row needs a golden case, in tag order"
+        );
         for (ev, want) in cases {
             let mut got = Vec::new();
             ev.encode_into(&mut got);

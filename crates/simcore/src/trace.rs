@@ -26,9 +26,10 @@
 use std::collections::VecDeque;
 
 use crate::telemetry::{
-    DecisionKind, Disposition, KillCause, RebootLevel, TelemetryEvent, TelemetrySink, TraceHashSink,
+    DecisionKind, Disposition, RebootLevel, TelemetryEvent, TelemetrySink, TraceHashSink,
 };
 use crate::time::{SimDuration, SimTime};
+use crate::wire::{field, json_str};
 
 /// The JSONL schema version written into the `meta` line.
 pub const TRACE_FORMAT_VERSION: u64 = 1;
@@ -166,60 +167,35 @@ impl Trace {
 
     /// Parses a JSONL trace. `episode` lines are skipped (episodes are
     /// derived data — reassemble them from the events); unknown line
-    /// types are an error so schema drift is loud.
+    /// types are an error so schema drift is loud. Every error names the
+    /// offending line (`line N: …`).
     pub fn parse(text: &str) -> Result<Trace, String> {
-        let mut digest = None;
-        let mut declared_events = None;
-        let mut kernel = None;
+        let mut meta = None;
         let mut events = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
+        for (idx, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
-            let kind = json_str(line, "t")
-                .ok_or_else(|| format!("line {}: missing \"t\" field", lineno + 1))?;
-            match kind {
-                "meta" => {
-                    let version = json_u64(line, "version")
-                        .ok_or_else(|| format!("line {}: meta without version", lineno + 1))?;
-                    if version != TRACE_FORMAT_VERSION {
-                        return Err(format!(
-                            "unsupported trace format version {version} (expected {TRACE_FORMAT_VERSION})"
-                        ));
-                    }
-                    declared_events = json_u64(line, "events");
-                    let hex = json_str(line, "digest")
-                        .ok_or_else(|| format!("line {}: meta without digest", lineno + 1))?;
-                    digest = Some(
-                        u64::from_str_radix(hex, 16)
-                            .map_err(|e| format!("line {}: bad digest: {e}", lineno + 1))?,
-                    );
-                    if let (Some(events_fired), Some(queue_depth), Some(sim_micros)) = (
-                        json_u64(line, "des_events_fired"),
-                        json_u64(line, "des_queue_depth"),
-                        json_u64(line, "sim_micros"),
-                    ) {
-                        kernel = Some(KernelGauges {
-                            events_fired,
-                            queue_depth,
-                            sim_micros,
-                        });
-                    }
+            let at_line = |e: String| format!("line {}: {e}", idx + 1);
+            match json_str(line, "t") {
+                None => return Err(at_line("missing \"t\" field".to_string())),
+                Some("meta") => meta = Some((idx + 1, parse_meta(line).map_err(at_line)?)),
+                Some("episode") => {}
+                Some(kind) => {
+                    events.push(TelemetryEvent::from_json_fields(kind, line).map_err(at_line)?)
                 }
-                "episode" => {}
-                _ => events
-                    .push(event_from_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?),
             }
         }
-        let digest = digest.ok_or("trace has no meta line")?;
-        if let Some(n) = declared_events {
-            if n as usize != events.len() {
-                return Err(format!(
-                    "meta declares {n} events but {} were parsed",
-                    events.len()
-                ));
-            }
+        // `to_jsonl` writes the meta line first, so that is where a trace
+        // without one is broken.
+        let (meta_line, (digest, declared_events, kernel)) =
+            meta.ok_or("line 1: trace has no meta line")?;
+        if let Some(n) = declared_events.filter(|&n| n != events.len() as u64) {
+            return Err(format!(
+                "line {meta_line}: meta declares {n} events but {} were parsed",
+                events.len()
+            ));
         }
         Ok(Trace {
             digest,
@@ -235,357 +211,50 @@ impl Trace {
     }
 }
 
+/// Reads a `meta` line: the declared digest, the declared event count if
+/// present, and the kernel gauges if all three were recorded.
+fn parse_meta(line: &str) -> Result<(u64, Option<u64>, Option<KernelGauges>), String> {
+    let version: u64 = field(line, "version")?;
+    if version != TRACE_FORMAT_VERSION {
+        return Err(format!(
+            "unsupported trace format version {version} (expected {TRACE_FORMAT_VERSION})"
+        ));
+    }
+    let hex = json_str(line, "digest").ok_or("meta without digest")?;
+    let digest = u64::from_str_radix(hex, 16).map_err(|e| format!("bad digest: {e}"))?;
+    let gauge = |key| field::<u64>(line, key).ok();
+    let kernel = match (
+        gauge("des_events_fired"),
+        gauge("des_queue_depth"),
+        gauge("sim_micros"),
+    ) {
+        (Some(events_fired), Some(queue_depth), Some(sim_micros)) => Some(KernelGauges {
+            events_fired,
+            queue_depth,
+            sim_micros,
+        }),
+        _ => None,
+    };
+    Ok((digest, gauge("events"), kernel))
+}
+
 // ---------------------------------------------------------------------------
 // JSONL encoding of events
 // ---------------------------------------------------------------------------
 
-fn level_str(level: RebootLevel) -> &'static str {
-    match level {
-        RebootLevel::Component => "component",
-        RebootLevel::Application => "application",
-        RebootLevel::Process => "process",
-        RebootLevel::OperatingSystem => "os",
-    }
-}
-
-fn level_from_str(s: &str) -> Option<RebootLevel> {
-    match s {
-        "component" => Some(RebootLevel::Component),
-        "application" => Some(RebootLevel::Application),
-        "process" => Some(RebootLevel::Process),
-        "os" => Some(RebootLevel::OperatingSystem),
-        _ => None,
-    }
-}
-
-fn disposition_str(d: Disposition) -> &'static str {
-    match d {
-        Disposition::Ok => "ok",
-        Disposition::HttpError => "http_error",
-        Disposition::NetworkError => "network_error",
-    }
-}
-
-fn disposition_from_str(s: &str) -> Option<Disposition> {
-    match s {
-        "ok" => Some(Disposition::Ok),
-        "http_error" => Some(Disposition::HttpError),
-        "network_error" => Some(Disposition::NetworkError),
-        _ => None,
-    }
-}
-
-fn cause_str(c: KillCause) -> &'static str {
-    match c {
-        KillCause::Microreboot => "microreboot",
-        KillCause::Restart => "restart",
-        KillCause::Ttl => "ttl",
-    }
-}
-
-fn cause_from_str(s: &str) -> Option<KillCause> {
-    match s {
-        "microreboot" => Some(KillCause::Microreboot),
-        "restart" => Some(KillCause::Restart),
-        "ttl" => Some(KillCause::Ttl),
-        _ => None,
-    }
-}
-
-fn decision_str(d: DecisionKind) -> &'static str {
-    match d {
-        DecisionKind::EjbMicroreboot => "ejb_microreboot",
-        DecisionKind::WarMicroreboot => "war_microreboot",
-        DecisionKind::AppRestart => "app_restart",
-        DecisionKind::ProcessRestart => "process_restart",
-        DecisionKind::OsReboot => "os_reboot",
-        DecisionKind::NotifyHuman => "notify_human",
-        DecisionKind::Isolate => "isolate",
-        DecisionKind::Failover => "failover",
-    }
-}
-
-fn decision_from_str(s: &str) -> Option<DecisionKind> {
-    match s {
-        "ejb_microreboot" => Some(DecisionKind::EjbMicroreboot),
-        "war_microreboot" => Some(DecisionKind::WarMicroreboot),
-        "app_restart" => Some(DecisionKind::AppRestart),
-        "process_restart" => Some(DecisionKind::ProcessRestart),
-        "os_reboot" => Some(DecisionKind::OsReboot),
-        "notify_human" => Some(DecisionKind::NotifyHuman),
-        "isolate" => Some(DecisionKind::Isolate),
-        "failover" => Some(DecisionKind::Failover),
-        _ => None,
-    }
-}
-
-/// The snake_case kind name of an event — the JSONL `"t"` value.
-pub fn event_kind(ev: &TelemetryEvent) -> &'static str {
-    match *ev {
-        TelemetryEvent::RequestSubmitted { .. } => "request_submitted",
-        TelemetryEvent::RequestCompleted { .. } => "request_completed",
-        TelemetryEvent::RetrySent { .. } => "retry_sent",
-        TelemetryEvent::RequestKilled { .. } => "request_killed",
-        TelemetryEvent::RebootBegun { .. } => "reboot_begun",
-        TelemetryEvent::RebootFinished { .. } => "reboot_finished",
-        TelemetryEvent::DetectorFired { .. } => "detector_fired",
-        TelemetryEvent::RecoveryDecision { .. } => "recovery_decision",
-        TelemetryEvent::RejuvenationTick { .. } => "rejuvenation_tick",
-        TelemetryEvent::ClientOp { .. } => "client_op",
-        TelemetryEvent::ActionClosed { .. } => "action_closed",
-        TelemetryEvent::RecoveryQueued { .. } => "recovery_queued",
-        TelemetryEvent::RecoveryCoalesced { .. } => "recovery_coalesced",
-        TelemetryEvent::QuarantineOn { .. } => "quarantine_on",
-        TelemetryEvent::QuarantineOff { .. } => "quarantine_off",
-        TelemetryEvent::LbFailover { .. } => "lb_failover",
-        TelemetryEvent::TtlSweep { .. } => "ttl_sweep",
-        TelemetryEvent::StormDamped { .. } => "storm_damped",
-        TelemetryEvent::FlapEscalated { .. } => "flap_escalated",
-        TelemetryEvent::WatchdogEscalated { .. } => "watchdog_escalated",
-        TelemetryEvent::EscalationSaturated { .. } => "escalation_saturated",
-        TelemetryEvent::CampaignRunDone { .. } => "campaign_run_done",
-        TelemetryEvent::PolicyArmed { .. } => "policy_armed",
-        TelemetryEvent::BreakerTransition { .. } => "breaker_transition",
-        TelemetryEvent::HedgeDeferred { .. } => "hedge_deferred",
-        TelemetryEvent::RmCrashed { .. } => "rm_crashed",
-        TelemetryEvent::RmRebooted { .. } => "rm_rebooted",
-        TelemetryEvent::FailoverEngaged { .. } => "failover_engaged",
-        TelemetryEvent::PerfBaselineFrozen { .. } => "perf_baseline_frozen",
-        TelemetryEvent::LatencyAnomaly { .. } => "latency_anomaly",
-        TelemetryEvent::ParityRestored { .. } => "parity_restored",
-        TelemetryEvent::DegradedInjected { .. } => "degraded_injected",
-        TelemetryEvent::BrickFailed { .. } => "brick_failed",
-        TelemetryEvent::BrickRestored { .. } => "brick_restored",
-        TelemetryEvent::LeaseExpired { .. } => "lease_expired",
-        TelemetryEvent::NetFaultInjected { .. } => "net_fault_injected",
-        TelemetryEvent::NetFaultHealed { .. } => "net_fault_healed",
-    }
-}
-
-/// Renders one event as a single JSON object line (no trailing newline).
+/// Renders one event as a single JSON object line (no trailing newline):
+/// the `"t"` discriminator, then the fields its table row declares.
 pub fn event_to_json(ev: &TelemetryEvent) -> String {
-    match *ev {
-        TelemetryEvent::RequestSubmitted { node, req, at } => format!(
-            "{{\"t\":\"request_submitted\",\"node\":{node},\"req\":{req},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::RequestCompleted {
-            node,
-            req,
-            disposition,
-            at,
-        } => format!(
-            "{{\"t\":\"request_completed\",\"node\":{node},\"req\":{req},\"disposition\":\"{}\",\"at_us\":{}}}",
-            disposition_str(disposition),
-            at.as_micros()
-        ),
-        TelemetryEvent::RetrySent { node, req, at } => format!(
-            "{{\"t\":\"retry_sent\",\"node\":{node},\"req\":{req},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::RequestKilled {
-            node,
-            req,
-            cause,
-            at,
-        } => format!(
-            "{{\"t\":\"request_killed\",\"node\":{node},\"req\":{req},\"cause\":\"{}\",\"at_us\":{}}}",
-            cause_str(cause),
-            at.as_micros()
-        ),
-        TelemetryEvent::RebootBegun {
-            node,
-            level,
-            members,
-            at,
-        } => format!(
-            "{{\"t\":\"reboot_begun\",\"node\":{node},\"level\":\"{}\",\"members\":{members},\"at_us\":{}}}",
-            level_str(level),
-            at.as_micros()
-        ),
-        TelemetryEvent::RebootFinished {
-            node,
-            level,
-            duration,
-            at,
-        } => format!(
-            "{{\"t\":\"reboot_finished\",\"node\":{node},\"level\":\"{}\",\"duration_us\":{},\"at_us\":{}}}",
-            level_str(level),
-            duration.as_micros(),
-            at.as_micros()
-        ),
-        TelemetryEvent::DetectorFired { node, op, at } => format!(
-            "{{\"t\":\"detector_fired\",\"node\":{node},\"op\":{op},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::RecoveryDecision { node, decision, at } => format!(
-            "{{\"t\":\"recovery_decision\",\"node\":{node},\"decision\":\"{}\",\"at_us\":{}}}",
-            decision_str(decision),
-            at.as_micros()
-        ),
-        TelemetryEvent::RejuvenationTick {
-            node,
-            free_bytes,
-            at,
-        } => format!(
-            "{{\"t\":\"rejuvenation_tick\",\"node\":{node},\"free_bytes\":{free_bytes},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::ClientOp {
-            action,
-            group,
-            started_at,
-            finished_at,
-            ok,
-        } => format!(
-            "{{\"t\":\"client_op\",\"action\":{action},\"group\":{group},\"started_us\":{},\"finished_us\":{},\"ok\":{ok}}}",
-            started_at.as_micros(),
-            finished_at.as_micros()
-        ),
-        TelemetryEvent::ActionClosed { action } => {
-            format!("{{\"t\":\"action_closed\",\"action\":{action}}}")
-        }
-        TelemetryEvent::RecoveryQueued { node, level, at } => format!(
-            "{{\"t\":\"recovery_queued\",\"node\":{node},\"level\":\"{}\",\"at_us\":{}}}",
-            level_str(level),
-            at.as_micros()
-        ),
-        TelemetryEvent::RecoveryCoalesced { node, at } => format!(
-            "{{\"t\":\"recovery_coalesced\",\"node\":{node},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::QuarantineOn { node, members, at } => format!(
-            "{{\"t\":\"quarantine_on\",\"node\":{node},\"members\":{members},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::QuarantineOff { node, at } => format!(
-            "{{\"t\":\"quarantine_off\",\"node\":{node},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::LbFailover {
-            from,
-            to,
-            req,
-            session,
-            at,
-        } => format!(
-            "{{\"t\":\"lb_failover\",\"from\":{from},\"to\":{to},\"req\":{req},\"session\":{session},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::TtlSweep {
-            node,
-            pending,
-            reaped,
-            at,
-        } => format!(
-            "{{\"t\":\"ttl_sweep\",\"node\":{node},\"pending\":{pending},\"reaped\":{reaped},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::StormDamped {
-            node,
-            strikes,
-            backoff,
-            at,
-        } => format!(
-            "{{\"t\":\"storm_damped\",\"node\":{node},\"strikes\":{strikes},\"backoff_us\":{},\"at_us\":{}}}",
-            backoff.as_micros(),
-            at.as_micros()
-        ),
-        TelemetryEvent::FlapEscalated { node, flaps, at } => format!(
-            "{{\"t\":\"flap_escalated\",\"node\":{node},\"flaps\":{flaps},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::WatchdogEscalated { node, elapsed, at } => format!(
-            "{{\"t\":\"watchdog_escalated\",\"node\":{node},\"elapsed_us\":{},\"at_us\":{}}}",
-            elapsed.as_micros(),
-            at.as_micros()
-        ),
-        TelemetryEvent::EscalationSaturated { node, at } => format!(
-            "{{\"t\":\"escalation_saturated\",\"node\":{node},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::CampaignRunDone {
-            run,
-            digest,
-            violations,
-        } => format!("{{\"t\":\"campaign_run_done\",\"run\":{run},\"digest\":{digest},\"violations\":{violations}}}"),
-        TelemetryEvent::PolicyArmed { policy, at } => format!(
-            "{{\"t\":\"policy_armed\",\"policy\":{policy},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::BreakerTransition { node, state, at } => format!(
-            "{{\"t\":\"breaker_transition\",\"node\":{node},\"state\":{state},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::HedgeDeferred {
-            node,
-            budget_left,
-            at,
-        } => format!(
-            "{{\"t\":\"hedge_deferred\",\"node\":{node},\"budget_left\":{budget_left},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::RmCrashed { at } => {
-            format!("{{\"t\":\"rm_crashed\",\"at_us\":{}}}", at.as_micros())
-        }
-        TelemetryEvent::RmRebooted { at } => {
-            format!("{{\"t\":\"rm_rebooted\",\"at_us\":{}}}", at.as_micros())
-        }
-        TelemetryEvent::FailoverEngaged { node, at } => format!(
-            "{{\"t\":\"failover_engaged\",\"node\":{node},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::PerfBaselineFrozen {
-            node,
-            components,
-            at,
-        } => format!(
-            "{{\"t\":\"perf_baseline_frozen\",\"node\":{node},\"components\":{components},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::LatencyAnomaly {
-            node,
-            op,
-            ratio_permille,
-            at,
-        } => format!(
-            "{{\"t\":\"latency_anomaly\",\"node\":{node},\"op\":{op},\"ratio_permille\":{ratio_permille},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::ParityRestored { node, after, at } => format!(
-            "{{\"t\":\"parity_restored\",\"node\":{node},\"after_us\":{},\"at_us\":{}}}",
-            after.as_micros(),
-            at.as_micros()
-        ),
-        TelemetryEvent::DegradedInjected {
-            node,
-            factor_permille,
-            at,
-        } => format!(
-            "{{\"t\":\"degraded_injected\",\"node\":{node},\"factor_permille\":{factor_permille},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::BrickFailed { brick, at } => format!(
-            "{{\"t\":\"brick_failed\",\"brick\":{brick},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::BrickRestored { brick, at } => format!(
-            "{{\"t\":\"brick_restored\",\"brick\":{brick},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::LeaseExpired { session, at } => format!(
-            "{{\"t\":\"lease_expired\",\"session\":{session},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::NetFaultInjected { edge, kind, at } => format!(
-            "{{\"t\":\"net_fault_injected\",\"edge\":{edge},\"kind\":{kind},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-        TelemetryEvent::NetFaultHealed { edge, at } => format!(
-            "{{\"t\":\"net_fault_healed\",\"edge\":{edge},\"at_us\":{}}}",
-            at.as_micros()
-        ),
-    }
+    let mut out = format!("{{\"t\":\"{}\"", ev.kind());
+    ev.write_json_fields(&mut out);
+    out.push('}');
+    out
+}
+
+/// Parses one event line written by [`event_to_json`].
+pub fn event_from_json(line: &str) -> Result<TelemetryEvent, String> {
+    let kind = json_str(line, "t").ok_or("missing \"t\" field")?;
+    TelemetryEvent::from_json_fields(kind, line)
 }
 
 fn episode_to_json(index: usize, ep: &RecoveryEpisode) -> String {
@@ -594,7 +263,7 @@ fn episode_to_json(index: usize, ep: &RecoveryEpisode) -> String {
          \"detector_fires\":{},\"queued\":{},\"coalesced\":{},\"begun_us\":{},\"finished_us\":{},\
          \"duration_us\":{},\"killed\":{},\"failed\":{},\"retried\":{}}}",
         ep.node,
-        level_str(ep.level),
+        ep.level.label(),
         ep.trigger(),
         ep.detector_fires,
         ep.queued,
@@ -606,243 +275,6 @@ fn episode_to_json(index: usize, ep: &RecoveryEpisode) -> String {
         ep.failed,
         ep.retried
     )
-}
-
-// ---------------------------------------------------------------------------
-// JSONL decoding (key-scanning parser over flat objects)
-// ---------------------------------------------------------------------------
-
-fn find_key<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let idx = line.find(&pat)?;
-    Some(line[idx + pat.len()..].trim_start())
-}
-
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = find_key(line, key)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = find_key(line, key)?.strip_prefix('"')?;
-    rest.find('"').map(|end| &rest[..end])
-}
-
-fn json_bool(line: &str, key: &str) -> Option<bool> {
-    let rest = find_key(line, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-fn need_u64(line: &str, key: &str) -> Result<u64, String> {
-    json_u64(line, key).ok_or_else(|| format!("missing integer field \"{key}\""))
-}
-
-fn need_time(line: &str, key: &str) -> Result<SimTime, String> {
-    need_u64(line, key).map(SimTime::from_micros)
-}
-
-fn need_str<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    json_str(line, key).ok_or_else(|| format!("missing string field \"{key}\""))
-}
-
-/// Parses one event line written by [`event_to_json`].
-pub fn event_from_json(line: &str) -> Result<TelemetryEvent, String> {
-    let kind = need_str(line, "t")?;
-    let ev = match kind {
-        "request_submitted" => TelemetryEvent::RequestSubmitted {
-            node: need_u64(line, "node")? as usize,
-            req: need_u64(line, "req")?,
-            at: need_time(line, "at_us")?,
-        },
-        "request_completed" => TelemetryEvent::RequestCompleted {
-            node: need_u64(line, "node")? as usize,
-            req: need_u64(line, "req")?,
-            disposition: disposition_from_str(need_str(line, "disposition")?)
-                .ok_or("bad disposition")?,
-            at: need_time(line, "at_us")?,
-        },
-        "retry_sent" => TelemetryEvent::RetrySent {
-            node: need_u64(line, "node")? as usize,
-            req: need_u64(line, "req")?,
-            at: need_time(line, "at_us")?,
-        },
-        "request_killed" => TelemetryEvent::RequestKilled {
-            node: need_u64(line, "node")? as usize,
-            req: need_u64(line, "req")?,
-            cause: cause_from_str(need_str(line, "cause")?).ok_or("bad kill cause")?,
-            at: need_time(line, "at_us")?,
-        },
-        "reboot_begun" => TelemetryEvent::RebootBegun {
-            node: need_u64(line, "node")? as usize,
-            level: level_from_str(need_str(line, "level")?).ok_or("bad level")?,
-            members: need_u64(line, "members")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "reboot_finished" => TelemetryEvent::RebootFinished {
-            node: need_u64(line, "node")? as usize,
-            level: level_from_str(need_str(line, "level")?).ok_or("bad level")?,
-            duration: SimDuration::from_micros(need_u64(line, "duration_us")?),
-            at: need_time(line, "at_us")?,
-        },
-        "detector_fired" => TelemetryEvent::DetectorFired {
-            node: need_u64(line, "node")? as usize,
-            op: need_u64(line, "op")? as u16,
-            at: need_time(line, "at_us")?,
-        },
-        "recovery_decision" => TelemetryEvent::RecoveryDecision {
-            node: need_u64(line, "node")? as usize,
-            decision: decision_from_str(need_str(line, "decision")?).ok_or("bad decision")?,
-            at: need_time(line, "at_us")?,
-        },
-        "rejuvenation_tick" => TelemetryEvent::RejuvenationTick {
-            node: need_u64(line, "node")? as usize,
-            free_bytes: need_u64(line, "free_bytes")?,
-            at: need_time(line, "at_us")?,
-        },
-        "client_op" => TelemetryEvent::ClientOp {
-            action: need_u64(line, "action")?,
-            group: need_u64(line, "group")? as u8,
-            started_at: need_time(line, "started_us")?,
-            finished_at: need_time(line, "finished_us")?,
-            ok: json_bool(line, "ok").ok_or("missing bool field \"ok\"")?,
-        },
-        "action_closed" => TelemetryEvent::ActionClosed {
-            action: need_u64(line, "action")?,
-        },
-        "recovery_queued" => TelemetryEvent::RecoveryQueued {
-            node: need_u64(line, "node")? as usize,
-            level: level_from_str(need_str(line, "level")?).ok_or("bad level")?,
-            at: need_time(line, "at_us")?,
-        },
-        "recovery_coalesced" => TelemetryEvent::RecoveryCoalesced {
-            node: need_u64(line, "node")? as usize,
-            at: need_time(line, "at_us")?,
-        },
-        "quarantine_on" => TelemetryEvent::QuarantineOn {
-            node: need_u64(line, "node")? as usize,
-            members: need_u64(line, "members")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "quarantine_off" => TelemetryEvent::QuarantineOff {
-            node: need_u64(line, "node")? as usize,
-            at: need_time(line, "at_us")?,
-        },
-        "lb_failover" => TelemetryEvent::LbFailover {
-            from: need_u64(line, "from")? as usize,
-            to: need_u64(line, "to")? as usize,
-            req: need_u64(line, "req")?,
-            session: need_u64(line, "session")?,
-            at: need_time(line, "at_us")?,
-        },
-        "ttl_sweep" => TelemetryEvent::TtlSweep {
-            node: need_u64(line, "node")? as usize,
-            pending: need_u64(line, "pending")? as u32,
-            reaped: need_u64(line, "reaped")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "storm_damped" => TelemetryEvent::StormDamped {
-            node: need_u64(line, "node")? as usize,
-            strikes: need_u64(line, "strikes")? as u32,
-            backoff: SimDuration::from_micros(need_u64(line, "backoff_us")?),
-            at: need_time(line, "at_us")?,
-        },
-        "flap_escalated" => TelemetryEvent::FlapEscalated {
-            node: need_u64(line, "node")? as usize,
-            flaps: need_u64(line, "flaps")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "watchdog_escalated" => TelemetryEvent::WatchdogEscalated {
-            node: need_u64(line, "node")? as usize,
-            elapsed: SimDuration::from_micros(need_u64(line, "elapsed_us")?),
-            at: need_time(line, "at_us")?,
-        },
-        "escalation_saturated" => TelemetryEvent::EscalationSaturated {
-            node: need_u64(line, "node")? as usize,
-            at: need_time(line, "at_us")?,
-        },
-        "campaign_run_done" => TelemetryEvent::CampaignRunDone {
-            run: need_u64(line, "run")?,
-            digest: need_u64(line, "digest")?,
-            violations: need_u64(line, "violations")? as u32,
-        },
-        "policy_armed" => TelemetryEvent::PolicyArmed {
-            policy: need_u64(line, "policy")? as u8,
-            at: need_time(line, "at_us")?,
-        },
-        "breaker_transition" => TelemetryEvent::BreakerTransition {
-            node: need_u64(line, "node")? as usize,
-            state: need_u64(line, "state")? as u8,
-            at: need_time(line, "at_us")?,
-        },
-        "hedge_deferred" => TelemetryEvent::HedgeDeferred {
-            node: need_u64(line, "node")? as usize,
-            budget_left: need_u64(line, "budget_left")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "rm_crashed" => TelemetryEvent::RmCrashed {
-            at: need_time(line, "at_us")?,
-        },
-        "rm_rebooted" => TelemetryEvent::RmRebooted {
-            at: need_time(line, "at_us")?,
-        },
-        "failover_engaged" => TelemetryEvent::FailoverEngaged {
-            node: need_u64(line, "node")? as usize,
-            at: need_time(line, "at_us")?,
-        },
-        "perf_baseline_frozen" => TelemetryEvent::PerfBaselineFrozen {
-            node: need_u64(line, "node")? as usize,
-            components: need_u64(line, "components")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "latency_anomaly" => TelemetryEvent::LatencyAnomaly {
-            node: need_u64(line, "node")? as usize,
-            op: need_u64(line, "op")? as u16,
-            ratio_permille: need_u64(line, "ratio_permille")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "parity_restored" => TelemetryEvent::ParityRestored {
-            node: need_u64(line, "node")? as usize,
-            after: SimDuration::from_micros(need_u64(line, "after_us")?),
-            at: need_time(line, "at_us")?,
-        },
-        "degraded_injected" => TelemetryEvent::DegradedInjected {
-            node: need_u64(line, "node")? as usize,
-            factor_permille: need_u64(line, "factor_permille")? as u32,
-            at: need_time(line, "at_us")?,
-        },
-        "brick_failed" => TelemetryEvent::BrickFailed {
-            brick: need_u64(line, "brick")? as usize,
-            at: need_time(line, "at_us")?,
-        },
-        "brick_restored" => TelemetryEvent::BrickRestored {
-            brick: need_u64(line, "brick")? as usize,
-            at: need_time(line, "at_us")?,
-        },
-        "lease_expired" => TelemetryEvent::LeaseExpired {
-            session: need_u64(line, "session")?,
-            at: need_time(line, "at_us")?,
-        },
-        "net_fault_injected" => TelemetryEvent::NetFaultInjected {
-            edge: need_u64(line, "edge")? as u8,
-            kind: need_u64(line, "kind")? as u8,
-            at: need_time(line, "at_us")?,
-        },
-        "net_fault_healed" => TelemetryEvent::NetFaultHealed {
-            edge: need_u64(line, "edge")? as u8,
-            at: need_time(line, "at_us")?,
-        },
-        other => return Err(format!("unknown event type \"{other}\"")),
-    };
-    Ok(ev)
 }
 
 // ---------------------------------------------------------------------------
@@ -923,9 +355,9 @@ impl RecoveryEpisode {
         match self.decision {
             Some(d) => {
                 if self.detector_fires > 0 {
-                    format!("detector x{} -> {}", self.detector_fires, decision_str(d))
+                    format!("detector x{} -> {}", self.detector_fires, d.label())
                 } else {
-                    decision_str(d).to_string()
+                    d.label().to_string()
                 }
             }
             None => "unattributed".to_string(),
@@ -1228,7 +660,7 @@ pub fn strict_attribution(events: &[TelemetryEvent]) -> StrictReport {
     };
 
     for (idx, ev) in events.iter().enumerate() {
-        let kind = event_kind(ev);
+        let kind = ev.kind();
         let slot: Option<Option<usize>> = match *ev {
             TelemetryEvent::RebootBegun {
                 node, level, at, ..
@@ -1407,6 +839,7 @@ pub fn taw_dip(timeline: &[SecondAvail], episode: &RecoveryEpisode) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::KillCause;
 
     fn sample_events() -> Vec<TelemetryEvent> {
         let t = SimTime::from_secs;
@@ -1639,6 +1072,12 @@ mod tests {
             },
             TelemetryEvent::NetFaultHealed { edge: 0, at: t },
         ];
+        let covered: Vec<&str> = all.iter().map(TelemetryEvent::kind).collect();
+        assert_eq!(
+            covered,
+            TelemetryEvent::KINDS,
+            "every table row needs a round-trip case, in tag order"
+        );
         for ev in &all {
             let line = event_to_json(ev);
             let back = event_from_json(&line).expect("parse back");
@@ -1680,6 +1119,38 @@ mod tests {
              {\"t\":\"no_such_event\",\"action\":1}"
         )
         .is_err());
+    }
+
+    /// The parser converts with a range check and names the line and the
+    /// field, instead of `as`-casting a `u64` into whatever the variant
+    /// holds and leaving `verify` to blame the digest.
+    #[test]
+    fn parse_rejects_out_of_range_and_malformed_values() {
+        let meta = "{\"t\":\"meta\",\"version\":1,\"events\":1,\"digest\":\"00000000000000aa\"}";
+        let parse = |event: &str| Trace::parse(&format!("{meta}\n{event}")).map(|t| t.events);
+        assert_eq!(
+            parse("{\"t\":\"detector_fired\",\"node\":0,\"op\":70000,\"at_us\":1}"),
+            Err("line 2: field \"op\": 70000 out of range for u16".to_string())
+        );
+        assert_eq!(
+            parse("{\"t\":\"action_closed\",\"action\":18446744073709551616}"),
+            Err("line 2: field \"action\": 18446744073709551616 out of range for u64".to_string())
+        );
+        assert_eq!(
+            parse(
+                "{\"t\":\"client_op\",\"action\":1,\"group\":2,\"started_us\":3,\
+                 \"finished_us\":4,\"ok\":truex}"
+            ),
+            Err("line 2: field \"ok\": \"truex\" is not a boolean".to_string())
+        );
+        assert_eq!(
+            parse("{\"t\":\"detector_fired\",\"node\":0,\"op\":65535,\"at_us\":1}"),
+            Ok(vec![TelemetryEvent::DetectorFired {
+                node: 0,
+                op: u16::MAX,
+                at: SimTime::from_micros(1),
+            }])
+        );
     }
 
     #[test]
@@ -1781,10 +1252,21 @@ mod tests {
             + 1;
         let report = strict_attribution(&events[..cut]);
         assert!(!report.is_fully_attributed());
-        let kinds: Vec<&str> = report.unattributed.iter().map(|(_, k)| *k).collect();
-        assert!(kinds.contains(&"reboot_begun"), "{kinds:?}");
-        assert!(kinds.contains(&"recovery_decision"), "{kinds:?}");
-        assert!(kinds.contains(&"quarantine_on"), "{kinds:?}");
+        let dangling: Vec<&TelemetryEvent> = report
+            .unattributed
+            .iter()
+            .map(|&(idx, kind)| {
+                assert_eq!(kind, events[idx].kind());
+                &events[idx]
+            })
+            .collect();
+        let has = |pred: fn(&TelemetryEvent) -> bool| dangling.iter().any(|e| pred(e));
+        assert!(has(|e| matches!(e, TelemetryEvent::RebootBegun { .. })));
+        assert!(has(|e| matches!(
+            e,
+            TelemetryEvent::RecoveryDecision { .. }
+        )));
+        assert!(has(|e| matches!(e, TelemetryEvent::QuarantineOn { .. })));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! than an external property-testing framework: every run explores the same
 //! seeds, so a failure here is always reproducible with no shrink step.
 
-use microreboot::simcore::{EventQueue, SimDuration, SimRng, SimTime};
+use microreboot::simcore::trace::event_from_json;
+use microreboot::simcore::{EventQueue, SimDuration, SimRng, SimTime, TelemetryEvent, Trace};
 use microreboot::statestore::db::{Row, TableDef};
 use microreboot::statestore::lease::LeaseTable;
 use microreboot::statestore::session::{
@@ -560,4 +561,91 @@ fn fasts_revalidation_is_exact() {
         let expected = user_ids.iter().filter(|v| **v > 0).count();
         assert_eq!(fasts.live_sessions(), expected, "case {case}");
     }
+}
+
+/// Every key any `telemetry_events!` row reads. The parser scans for the
+/// keys a kind needs, so one object carrying them all parses as every
+/// kind — which builds a corpus covering the whole table without naming
+/// a single variant here.
+const EVERY_KEY: &str = "\"node\":1,\"req\":2,\"at_us\":9000000,\"disposition\":\"http_error\",\
+    \"cause\":\"ttl\",\"level\":\"process\",\"members\":3,\"duration_us\":4000000,\"op\":5,\
+    \"decision\":\"process_restart\",\"free_bytes\":6,\"action\":7,\"group\":8,\"started_us\":9,\
+    \"finished_us\":10,\"ok\":true,\"from\":1,\"to\":0,\"session\":11,\"pending\":12,\"reaped\":13,\
+    \"strikes\":14,\"backoff_us\":15,\"flaps\":16,\"elapsed_us\":17,\"run\":18,\"digest\":19,\
+    \"violations\":20,\"policy\":2,\"state\":1,\"budget_left\":21,\"components\":22,\
+    \"ratio_permille\":23,\"after_us\":24,\"factor_permille\":25,\"brick\":2,\"edge\":1,\"kind\":3";
+
+/// Removes one `"key":value` member (never the leading `"t"`) from a flat
+/// JSON object line.
+fn drop_a_member(rng: &mut SimRng, line: &str) -> String {
+    let starts: Vec<usize> = line.match_indices(",\"").map(|(i, _)| i).collect();
+    let Some(&start) = rng.pick(&starts) else {
+        return line.to_string();
+    };
+    let rest = &line[start + 1..];
+    let len = rest.find(",\"").unwrap_or(rest.len() - 1);
+    format!("{}{}", &line[..start], &rest[len..])
+}
+
+/// `urb-trace` reads files people hand it: whatever is in them, the
+/// parser must answer with `Ok` or with an error naming the line — never
+/// a panic, never a bare message `verify` cannot point at.
+#[test]
+fn trace_parser_never_panics_and_always_names_the_line() {
+    let events: Vec<TelemetryEvent> = TelemetryEvent::KINDS
+        .iter()
+        .map(|kind| {
+            event_from_json(&format!("{{\"t\":\"{kind}\",{EVERY_KEY}}}")).expect("corpus line")
+        })
+        .collect();
+    let corpus = Trace::from_events(events).to_jsonl();
+    assert_eq!(
+        Trace::parse(&corpus).map(|t| t.events.len()),
+        Ok(TelemetryEvent::KINDS.len())
+    );
+    let lines: Vec<&str> = corpus.lines().collect();
+    assert!(
+        lines.len() > TelemetryEvent::KINDS.len() + 1,
+        "has an episode line too"
+    );
+
+    let mut rng = SimRng::seed_from(0x7ace);
+    let mut rejected = 0;
+    for case in 0..12_000 {
+        let mut doc: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+        let at = rng.uniform_usize(doc.len());
+        let line = doc[at].clone();
+        doc[at] = match case % 5 {
+            0 => line[..rng.uniform_usize(line.len() + 1)].to_string(),
+            1 => {
+                let mut bytes = line.into_bytes();
+                let i = rng.uniform_usize(bytes.len());
+                bytes[i] = rng.uniform_u64(256) as u8;
+                String::from_utf8_lossy(&bytes).into_owned()
+            }
+            2 => {
+                let other = *rng.pick(&lines).expect("corpus has lines");
+                let head = rng.uniform_usize(line.len() + 1);
+                let tail = rng.uniform_usize(other.len() + 1);
+                format!("{}{}", &line[..head], &other[tail..])
+            }
+            3 => line.replacen("\"t\":\"", "\"t\":\"no_such_", 1),
+            _ => drop_a_member(&mut rng, &line),
+        };
+        let _ = event_from_json(&doc[at]);
+        if let Err(e) = Trace::parse(&doc.join("\n")) {
+            rejected += 1;
+            let named = e
+                .strip_prefix("line ")
+                .and_then(|rest| rest.split_once(':'));
+            assert!(
+                named.is_some_and(|(n, _)| n.parse::<usize>().is_ok()),
+                "case {case}: error does not name its line: {e}"
+            );
+        }
+    }
+    assert!(
+        rejected > 6_000,
+        "most mutations must be rejected, got {rejected}"
+    );
 }
