@@ -34,27 +34,30 @@ echo "    workspace .rs lines: $(echo "$rs_files" | xargs cat | wc -l)"
 echo "    public items:        $(echo "$rs_files" | grep -v fixtures/ \
   | xargs grep -hE '^\s*pub (fn|struct|enum|trait|const|type|static|mod) ' | wc -l)"
 
-echo "==> urb-trace smoke: record + strict verify + summary + same-seed diff"
-cargo run --release -q -p bench --bin urb-trace -- record target/ci_trace_a.jsonl --seed 7
-cargo run --release -q -p bench --bin urb-trace -- record target/ci_trace_b.jsonl --seed 7
-cargo run --release -q -p bench --bin urb-trace -- verify target/ci_trace_a.jsonl --strict
-cargo run --release -q -p bench --bin urb-trace -- summary target/ci_trace_a.jsonl
-cargo run --release -q -p bench --bin urb-trace -- diff target/ci_trace_a.jsonl target/ci_trace_b.jsonl
+urb=target/release/urb # the one bench executable, built by the first step
 
-echo "==> urb-chaos smoke campaign: 64 strict runs at the acceptance seed"
-cargo run --release -q -p bench --bin urb-chaos -- --seed 7 --runs 64 --strict
+echo "==> urb exp all: the evaluation record reproduces byte for byte"
+# Also writes target/BENCH_parallel_recovery.json for the trajectory step.
+$urb exp all | cmp - experiments_output.txt
 
-echo "==> urb-chaos policy tournament: full fault matrix x every policy, strict"
-cargo run --release -q -p bench --bin urb-chaos -- tournament \
-  --seed 7 --runs "${TOURNAMENT_RUNS:-18}" --strict --json
+echo "==> urb trace smoke: record + strict verify + summary + same-seed diff"
+$urb trace record target/ci_trace_a.jsonl --seed 7
+$urb trace record target/ci_trace_b.jsonl --seed 7
+$urb trace verify target/ci_trace_a.jsonl --strict
+$urb trace summary target/ci_trace_a.jsonl
+$urb trace diff target/ci_trace_a.jsonl target/ci_trace_b.jsonl
 
-echo "==> urb-chaos degraded campaign: fail-slow matrix, performance-parity strict"
-cargo run --release -q -p bench --bin urb-chaos -- degraded \
-  --seed 7 --runs "${DEGRADED_RUNS:-12}" --strict --json
+echo "==> urb chaos smoke campaign: 64 strict runs at the acceptance seed"
+$urb chaos --seed 7 --runs 64 --strict
 
-echo "==> urb-chaos netstate campaign: state-plane & network faults, session-integrity strict"
-cargo run --release -q -p bench --bin urb-chaos -- netstate \
-  --seed 7 --runs "${NETSTATE_RUNS:-100}" --strict --json
+echo "==> urb chaos policy tournament: full fault matrix x every policy, strict"
+$urb chaos tournament --seed 7 --runs "${TOURNAMENT_RUNS:-18}" --strict --json
+
+echo "==> urb chaos degraded campaign: fail-slow matrix, performance-parity strict"
+$urb chaos degraded --seed 7 --runs "${DEGRADED_RUNS:-12}" --strict --json
+
+echo "==> urb chaos netstate campaign: state-plane & network faults, session-integrity strict"
+$urb chaos netstate --seed 7 --runs "${NETSTATE_RUNS:-100}" --strict --json
 
 echo "==> urbmark: the benchmark's frozen public surface compiles, its package tests and the quick report's gates pass"
 # benchmark/ is a package of its own (outside the workspace), so nothing
@@ -86,18 +89,14 @@ if moved:
 print("    8 fingerprints (4 workloads x seeds 7, 11) equal benchmark/BASELINE.json")
 PY
 
-echo "==> perf trajectory: regenerate repo-root BENCH_*.json"
-cargo run --release -q -p bench --bin exp_parallel_recovery > /dev/null
-cargo run --release -q -p bench --bin urb-bench -- \
-  kernel --events "${KERNEL_BENCH_EVENTS:-1000000}" --json target/BENCH_kernel.json > /dev/null
-for name in BENCH_kernel BENCH_parallel_recovery BENCH_policy_tournament BENCH_degraded_parity BENCH_netstate_integrity; do
+echo "==> trajectory: the repo-root BENCH_*.json reports reproduce"
+for name in BENCH_parallel_recovery BENCH_policy_tournament BENCH_degraded_parity BENCH_netstate_integrity; do
   fresh="target/${name}.json"
   committed="${name}.json"
   if [ -f "$committed" ]; then
-    # Fail on structural drift (key-set changes) against the committed
-    # baseline. Wall-clock numbers are machine-dependent and only
-    # reported; a campaign report is simulated end to end, so at the
-    # committed run count every value must reproduce exactly.
+    # Every report is simulated end to end, so every value must reproduce
+    # exactly — unless a *_RUNS override changed the campaign's size, when
+    # only the key set is compared.
     python3 - "$committed" "$fresh" <<'PY'
 import json, sys
 committed_path, fresh_path = sys.argv[1], sys.argv[2]
@@ -106,16 +105,11 @@ fresh = json.load(open(fresh_path))
 drift = sorted(set(committed) ^ set(fresh))
 if drift:
     sys.exit(f"structural drift in {fresh_path} vs {committed_path}: {drift}")
-for runs in ("runs", "runs_per_policy"):
-    if runs in committed and committed[runs] == fresh[runs]:
-        moved = {k: (committed[k], fresh[k]) for k in committed if committed[k] != fresh[k]}
-        if moved:
-            sys.exit(f"simulated values moved in {fresh_path} vs {committed_path}: {moved}")
-        print(f"    {fresh_path}: all {len(fresh)} values equal the committed report")
-if "events_per_sec" in committed:
-    old, new = committed["events_per_sec"], fresh["events_per_sec"]
-    print(f"    kernel events/sec: committed {old:,.0f} -> fresh {new:,.0f} "
-          f"({(new - old) / old:+.1%})")
+if all(committed.get(runs) == fresh.get(runs) for runs in ("runs", "runs_per_policy")):
+    moved = {k: (committed[k], fresh[k]) for k in committed if committed[k] != fresh[k]}
+    if moved:
+        sys.exit(f"simulated values moved in {fresh_path} vs {committed_path}: {moved}")
+    print(f"    {fresh_path}: all {len(fresh)} values equal the committed report")
 PY
   fi
   cp "$fresh" "$committed"

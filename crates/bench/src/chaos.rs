@@ -4,7 +4,7 @@
 //! recovery, then (when armed) performance parity and session integrity.
 //!
 //! It is the only function in the workspace that builds a `Sim` from a
-//! `Scenario`: the `urb-chaos` campaign driver, the policy-conformance
+//! `Scenario`: the `urb chaos` campaign driver, the policy-conformance
 //! tests and the netstate regression all run through it. The default
 //! [`RunOptions`] reproduce the classic campaign bit-for-bit (one node,
 //! the paper's recursive ladder, no failover).
@@ -18,13 +18,12 @@ use faults::Fault;
 use recovery::conductor::ConductorConfig;
 use recovery::{PolicyChoice, RmConfig};
 use simcore::metrics::reboot_begun_sym;
-use simcore::telemetry::{shared_bus, TelemetrySink, TraceHashSink};
+use simcore::telemetry::{shared_bus, RebootLevel, TelemetrySink, TraceHashSink};
 use simcore::{MetricsRegistry, SimDuration, SimTime, TelemetryEvent};
 use statestore::shared_ledger;
 use workload::{DetectorKind, PerfConfig, RetryPolicy};
 
 use crate::netstate::{self, IntegrityOutcome};
-use crate::report::REBOOT_LEVELS;
 
 /// Emulated clients per node. Smaller than the paper's 500 so a
 /// multi-hundred-run campaign stays fast; plenty for the detectors.
@@ -448,7 +447,13 @@ fn perf_stage(
             violations.push(format!("node(s) {still:?} still out of parity at end"));
         }
     }
-    let escalation_depth = REBOOT_LEVELS
+    let depths = [
+        RebootLevel::Component,
+        RebootLevel::Application,
+        RebootLevel::Process,
+        RebootLevel::OperatingSystem,
+    ];
+    let escalation_depth = depths
         .iter()
         .rposition(|&l| reg.counter_sym(reboot_begun_sym(l)) > 0)
         .map_or(0, |i| i as u8 + 1);

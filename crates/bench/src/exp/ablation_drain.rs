@@ -7,38 +7,26 @@
 //! delay and reports failed requests per microreboot against the recovery
 //! time added.
 
-use bench::report::banner;
-use bench::Table;
-use cluster::{Sim, SimConfig};
+use super::commanded_run;
+use crate::report::{banner, Table};
+use cluster::SimConfig;
 use recovery::RecoveryAction;
-use simcore::{SimDuration, SimTime};
+use simcore::SimDuration;
 
 const TRIALS: u32 = 20;
 
-fn run(drain_ms: u64, retry: bool) -> f64 {
-    let drain = if drain_ms == 0 {
-        None
-    } else {
-        Some(SimDuration::from_millis(drain_ms))
-    };
-    let mut sim = Sim::new(SimConfig {
+fn measure(drain_ms: u64, retry: bool) -> f64 {
+    let config = SimConfig {
         retry_enabled: retry,
-        drain,
+        drain: (drain_ms > 0).then(|| SimDuration::from_millis(drain_ms)),
         ..SimConfig::default()
-    });
-    for i in 0..TRIALS {
-        sim.schedule_recovery(
-            SimTime::from_secs(60 + 20 * i as u64),
-            0,
-            RecoveryAction::microreboot(&["ViewItem"]),
-        );
-    }
-    sim.run_until(SimTime::from_secs(60 + 20 * TRIALS as u64 + 60));
-    let world = sim.finish();
+    };
+    let action = RecoveryAction::microreboot(&["ViewItem"]);
+    let world = commanded_run(config, &action, TRIALS, 20, 60);
     world.pool.taw_ref().summary().bad_ops as f64 / TRIALS as f64
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Ablation: drain delay vs saved requests (extends Table 6's footnote)");
     println!("(20 microreboots of BrowseCategories under load)\n");
     let mut t = Table::new(&[
@@ -48,8 +36,8 @@ fn main() {
         "recovery time added",
     ]);
     for drain in [0u64, 50, 100, 200, 400, 800] {
-        let no_retry = run(drain, false);
-        let retry = run(drain, true);
+        let no_retry = measure(drain, false);
+        let retry = measure(drain, true);
         t.row_owned(vec![
             format!("{drain}"),
             format!("{no_retry:.1}"),
@@ -63,4 +51,5 @@ fn main() {
     println!("but WITHOUT retries it lengthens the sentinel window, so every extra");
     println!("millisecond of drain turns new arrivals into failures — drain only pays");
     println!("when transparent retries are on, and saturates past ~100-200 ms.");
+    Ok(())
 }

@@ -7,8 +7,7 @@
 //! measuring recovery-group size, microreboot duration, and the number of
 //! requests a microreboot kills.
 
-use bench::report::banner;
-use bench::Table;
+use crate::report::{banner, Table};
 use components::descriptor::{ComponentDescriptor, ComponentKind};
 use components::graph::DependencyGraph;
 use simcore::{SimDuration, SimTime};
@@ -28,23 +27,17 @@ struct ChainApp {
 
 const N: usize = 16;
 
-fn bean_names() -> Vec<&'static str> {
-    // Static names for the 16 beans.
-    vec![
-        "B00", "B01", "B02", "B03", "B04", "B05", "B06", "B07", "B08", "B09", "B10", "B11", "B12",
-        "B13", "B14", "B15",
-    ]
-}
+/// The beans' names.
+static NAMES: [&str; N] = [
+    "B00", "B01", "B02", "B03", "B04", "B05", "B06", "B07", "B08", "B09", "B10", "B11", "B12",
+    "B13", "B14", "B15",
+];
 
 /// Hard-reference slices: beans are partitioned into blocks of
 /// `block_size`; each bean hard-links its successor within the block, so
 /// the recovery groups are exactly the blocks.
 fn refs_for(i: usize, block_size: usize) -> &'static [&'static str] {
-    static NAMES: [&str; 16] = [
-        "B00", "B01", "B02", "B03", "B04", "B05", "B06", "B07", "B08", "B09", "B10", "B11", "B12",
-        "B13", "B14", "B15",
-    ];
-    if block_size <= 1 || (i % block_size) == block_size - 1 || i + 1 >= NAMES.len() {
+    if block_size <= 1 || (i % block_size) == block_size - 1 || i + 1 >= N {
         &[]
     } else {
         &NAMES[i + 1..i + 2]
@@ -55,7 +48,7 @@ impl Application for ChainApp {
     fn descriptors(&self) -> Vec<ComponentDescriptor> {
         let mut d = vec![ComponentDescriptor::new("Web", ComponentKind::Web)
             .with_costs(SimDuration::from_millis(71), SimDuration::from_millis(957))];
-        for (i, name) in bean_names().into_iter().enumerate() {
+        for (i, name) in NAMES.into_iter().enumerate() {
             d.push(
                 ComponentDescriptor::new(name, ComponentKind::EntityBean)
                     .with_group_refs(refs_for(i, self.block_size))
@@ -79,9 +72,7 @@ impl Application for ChainApp {
 
     fn handle(&mut self, ctx: &mut CallContext<'_>, req: &Request) -> Result<(), CallError> {
         // Each request touches one bean, chosen by its argument.
-        let names = bean_names();
-        let bean = names[(req.arg as usize) % names.len()];
-        ctx.call(bean, "op", |_| Ok(()))
+        ctx.call(NAMES[req.arg as usize % N], "op", |_| Ok(()))
     }
 
     fn session_valid(&self, _obj: &statestore::session::SessionObject) -> bool {
@@ -138,7 +129,7 @@ fn measure(block_size: usize) -> (usize, SimDuration, u64, usize) {
     (group_size, ticket.done_at - t, killed, blocked)
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Ablation: dependency density vs microreboot cost (Section 8)");
     println!("(16 entity beans partitioned into recovery groups of varying size;");
     println!(" B00 microreboots while requests touch every bean)\n");
@@ -161,4 +152,5 @@ fn main() {
     println!("\nas the paper warns: hard references chain recovery groups together;");
     println!("with one giant group a 'micro' reboot takes 4x longer and blocks the");
     println!("whole application — exactly why crash-only design minimizes coupling.");
+    Ok(())
 }

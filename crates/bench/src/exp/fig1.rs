@@ -20,56 +20,47 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bench::report::{banner, ratio, TelemetrySummary};
-use bench::Table;
-use cluster::{Sim, SimConfig};
+use super::{recovered_run, HOT_FAULT};
+use crate::report::{banner, ratio, Table, TelemetrySummary};
+use cluster::SimConfig;
 use faults::Fault;
-use recovery::{PolicyLevel, RmConfig};
+use recovery::PolicyLevel;
 use simcore::telemetry::shared_bus;
-use simcore::SimTime;
 use statestore::session::CorruptKind;
 use workload::TawSummary;
 
 /// Runs the 40-minute scenario; returns (summary, per-10s bad series,
 /// recovery count, telemetry fold).
-fn run(start_level: PolicyLevel) -> (TawSummary, Vec<(u64, f64, f64)>, usize, TelemetrySummary) {
-    let mut sim = Sim::new(SimConfig {
-        rm: Some(RmConfig {
-            start_level,
-            ..RmConfig::default()
-        }),
-        ..SimConfig::default()
-    });
+fn measure(
+    start_level: PolicyLevel,
+) -> (TawSummary, Vec<(u64, f64, f64)>, usize, TelemetrySummary) {
     let bus = shared_bus();
     let telemetry = Rc::new(RefCell::new(TelemetrySummary::default()));
     bus.borrow_mut().add_sink(Box::new(telemetry.clone()));
-    sim.attach_telemetry(bus);
-    sim.schedule_fault(
-        SimTime::from_mins(10),
-        0,
-        Fault::CorruptTxnMap {
-            component: "Item",
-            kind: CorruptKind::SetNull,
-        },
+    let faults = [
+        (
+            10 * 60,
+            Fault::CorruptTxnMap {
+                component: "Item",
+                kind: CorruptKind::SetNull,
+            },
+        ),
+        (
+            20 * 60,
+            Fault::CorruptJndi {
+                component: "RegisterNewUser",
+                kind: CorruptKind::SetNull,
+            },
+        ),
+        (30 * 60, HOT_FAULT),
+    ];
+    let world = recovered_run(
+        start_level,
+        SimConfig::default(),
+        Some(bus),
+        &faults,
+        40 * 60,
     );
-    sim.schedule_fault(
-        SimTime::from_mins(20),
-        0,
-        Fault::CorruptJndi {
-            component: "RegisterNewUser",
-            kind: CorruptKind::SetNull,
-        },
-    );
-    sim.schedule_fault(
-        SimTime::from_mins(30),
-        0,
-        Fault::TransientException {
-            component: "BrowseCategories",
-            calls: u32::MAX,
-        },
-    );
-    sim.run_until(SimTime::from_mins(40));
-    let world = sim.finish();
     let taw = world.pool.taw_ref();
     let mut series = Vec::new();
     for bucket in 0..(40 * 6) {
@@ -87,12 +78,13 @@ fn run(start_level: PolicyLevel) -> (TawSummary, Vec<(u64, f64, f64)>, usize, Te
     (summary, series, recoveries, fold)
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Figure 1: Taw comparison — JVM process restart vs EJB microreboot");
     println!("(three faults at t=10/20/30 min; 500 clients, 1 node, FastS)\n");
 
-    let (restart, restart_series, restart_events, restart_telemetry) = run(PolicyLevel::Process);
-    let (urb, urb_series, urb_events, urb_telemetry) = run(PolicyLevel::Ejb);
+    let (restart, restart_series, restart_events, restart_telemetry) =
+        measure(PolicyLevel::Process);
+    let (urb, urb_series, urb_events, urb_telemetry) = measure(PolicyLevel::Ejb);
 
     // Full per-10s series as JSON, for plotting. Hand-rolled writer: the
     // rows are flat numbers, so a serializer dependency isn't warranted.
@@ -183,4 +175,5 @@ fn main() {
 
     restart_telemetry.print("Telemetry fold — process-restart run:");
     urb_telemetry.print("Telemetry fold — microreboot run:");
+    Ok(())
 }

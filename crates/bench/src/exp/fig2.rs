@@ -8,32 +8,27 @@
 //! group gaps for ~20+ seconds; with a microreboot only the User Account
 //! group (which contains RegisterNewUser) shows a brief gap.
 
-use bench::report::banner;
-use cluster::{Sim, SimConfig};
+use super::recovered_run;
+use crate::report::banner;
+use cluster::SimConfig;
 use faults::Fault;
-use recovery::{PolicyLevel, RmConfig};
+use recovery::PolicyLevel;
 use simcore::SimTime;
 use statestore::session::CorruptKind;
 use workload::catalog::FunctionalGroup;
 
-fn run(start_level: PolicyLevel) -> Vec<String> {
-    let mut sim = Sim::new(SimConfig {
-        rm: Some(RmConfig {
-            start_level,
-            ..RmConfig::default()
-        }),
-        ..SimConfig::default()
-    });
-    sim.schedule_fault(
-        SimTime::from_secs(1200),
-        0,
-        Fault::CorruptJndi {
-            component: "RegisterNewUser",
-            kind: CorruptKind::SetNull,
-        },
+fn measure(start_level: PolicyLevel) -> Vec<String> {
+    let fault = Fault::CorruptJndi {
+        component: "RegisterNewUser",
+        kind: CorruptKind::SetNull,
+    };
+    let world = recovered_run(
+        start_level,
+        SimConfig::default(),
+        None,
+        &[(1200, fault)],
+        1260,
     );
-    sim.run_until(SimTime::from_secs(1260));
-    let world = sim.finish();
     let taw = world.pool.taw_ref();
     let mut lines = Vec::new();
     for group in FunctionalGroup::ALL {
@@ -52,21 +47,22 @@ fn run(start_level: PolicyLevel) -> Vec<String> {
     lines
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Figure 2: functional disruption during one recovery event");
     println!("('#' = no user perceived the group as unavailable in that second;");
     println!(" ' ' = some request overlapping that second eventually failed)");
     println!("\ntimeline: seconds 1195..1235; fault injected at t=1200\n");
 
     println!("PROCESS RESTART");
-    for line in run(PolicyLevel::Process) {
+    for line in measure(PolicyLevel::Process) {
         println!("{line}");
     }
     println!("\nMICROREBOOT");
-    for line in run(PolicyLevel::Ejb) {
+    for line in measure(PolicyLevel::Ejb) {
         println!("{line}");
     }
     println!("\npaper: during a microreboot all operations in other functional groups");
     println!("succeed; a process restart blanks every group for the full ~20 s outage");
     println!("plus the session-loss tail.");
+    Ok(())
 }

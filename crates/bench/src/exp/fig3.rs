@@ -12,12 +12,10 @@
 //! on the failed node (avg 2,280); with microreboots they stay roughly
 //! constant (~162) regardless of cluster size.
 
-use bench::report::banner;
-use bench::Table;
-use cluster::{Sim, SimConfig, StoreChoice};
-use faults::Fault;
-use recovery::{PolicyLevel, RmConfig};
-use simcore::SimTime;
+use super::{recovered_run, HOT_FAULT};
+use crate::report::{banner, Table};
+use cluster::{SimConfig, StoreChoice};
+use recovery::PolicyLevel;
 
 struct RunResult {
     failed_requests: u64,
@@ -27,31 +25,14 @@ struct RunResult {
     peak_rt_ms: f64,
 }
 
-fn run(nodes: usize, start_level: PolicyLevel) -> RunResult {
-    run_with_store(nodes, start_level, StoreChoice::FastS)
-}
-
-fn run_with_store(nodes: usize, start_level: PolicyLevel, store: StoreChoice) -> RunResult {
-    let mut sim = Sim::new(SimConfig {
+fn measure(nodes: usize, start_level: PolicyLevel, store: StoreChoice) -> RunResult {
+    let config = SimConfig {
         nodes,
         store,
         failover: true,
-        rm: Some(RmConfig {
-            start_level,
-            ..RmConfig::default()
-        }),
         ..SimConfig::default()
-    });
-    sim.schedule_fault(
-        SimTime::from_mins(3),
-        0,
-        Fault::TransientException {
-            component: "BrowseCategories",
-            calls: u32::MAX,
-        },
-    );
-    sim.run_until(SimTime::from_mins(10));
-    let mut world = sim.finish();
+    };
+    let mut world = recovered_run(start_level, config, None, &[(3 * 60, HOT_FAULT)], 10 * 60);
     let s = world.pool.taw_ref().summary();
     let over_8s = world.pool.taw_ref().over_8s();
     let peak_rt_ms = world.pool.taw().response_ms().percentile(1.0);
@@ -64,7 +45,7 @@ fn run_with_store(nodes: usize, start_level: PolicyLevel, store: StoreChoice) ->
     }
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Figure 3: failover under normal load (500 clients/node, FastS)");
     let mut t = Table::new(&[
         "nodes",
@@ -78,8 +59,8 @@ fn main() {
     let mut restart_failed = Vec::new();
     let mut urb_failed = Vec::new();
     for nodes in [2usize, 4, 6, 8] {
-        let restart = run(nodes, PolicyLevel::Process);
-        let urb = run(nodes, PolicyLevel::Ejb);
+        let restart = measure(nodes, PolicyLevel::Process, StoreChoice::FastS);
+        let urb = measure(nodes, PolicyLevel::Ejb, StoreChoice::FastS);
         restart_failed.push(restart.failed_requests);
         urb_failed.push(urb.failed_requests);
         t.row_owned(vec![
@@ -124,8 +105,8 @@ fn main() {
         "uRB: >8s",
     ]);
     for nodes in [2usize, 4] {
-        let restart = run_with_store(nodes, PolicyLevel::Process, StoreChoice::Ssm);
-        let urb = run_with_store(nodes, PolicyLevel::Ejb, StoreChoice::Ssm);
+        let restart = measure(nodes, PolicyLevel::Process, StoreChoice::Ssm);
+        let urb = measure(nodes, PolicyLevel::Ejb, StoreChoice::Ssm);
         t2.row_owned(vec![
             format!("{nodes}"),
             format!("{}", restart.failed_requests),
@@ -139,4 +120,5 @@ fn main() {
     println!("\nwith SSM the restart no longer strands sessions (failed counts drop)");
     println!("but the redirected load + cache repopulation still hurts; the uRB is");
     println!("over before the cluster notices (paper: >8 s responses vs unobservable).");
+    Ok(())
 }

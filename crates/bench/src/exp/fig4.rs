@@ -11,12 +11,10 @@
 //! threshold during failover (paper: 3,227/530/55/9 for restarts on
 //! 2/4/6/8 nodes vs 3/0/0/0 for microreboots).
 
-use bench::report::banner;
-use bench::Table;
-use cluster::{Sim, SimConfig};
-use faults::Fault;
-use recovery::{PolicyLevel, RmConfig};
-use simcore::SimTime;
+use super::{recovered_run, HOT_FAULT};
+use crate::report::{banner, Table};
+use cluster::SimConfig;
+use recovery::PolicyLevel;
 
 struct RunResult {
     over_8s: u64,
@@ -24,29 +22,16 @@ struct RunResult {
     series: Vec<(u64, Option<f64>)>,
 }
 
-fn run(nodes: usize, start_level: PolicyLevel) -> RunResult {
-    let mut sim = Sim::new(SimConfig {
+fn measure(nodes: usize, start_level: PolicyLevel) -> RunResult {
+    let config = SimConfig {
         nodes,
         clients_per_node: 1000,
         failover: true,
-        rm: Some(RmConfig {
-            start_level,
-            ..RmConfig::default()
-        }),
         ..SimConfig::default()
-    });
+    };
     // Let the doubled load stabilize before injecting (paper: the 13-min
     // interval exists for exactly this).
-    sim.schedule_fault(
-        SimTime::from_secs(400),
-        0,
-        Fault::TransientException {
-            component: "BrowseCategories",
-            calls: u32::MAX,
-        },
-    );
-    sim.run_until(SimTime::from_secs(780));
-    let world = sim.finish();
+    let world = recovered_run(start_level, config, None, &[(400, HOT_FAULT)], 780);
     let taw = world.pool.taw_ref();
     let mut series = Vec::new();
     let mut peak: f64 = 0.0;
@@ -66,7 +51,7 @@ fn run(nodes: usize, start_level: PolicyLevel) -> RunResult {
     }
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Figure 4 + Table 4: failover under doubled load (1000 clients/node)");
 
     let mut t4 = Table::new(&[
@@ -81,8 +66,8 @@ fn main() {
     let paper = [(2usize, 3227u64, 3u64), (4, 530, 0), (6, 55, 0), (8, 9, 0)];
     let mut two_node_series = None;
     for (nodes, p_restart, p_urb) in paper {
-        let restart = run(nodes, PolicyLevel::Process);
-        let urb = run(nodes, PolicyLevel::Ejb);
+        let restart = measure(nodes, PolicyLevel::Process);
+        let urb = measure(nodes, PolicyLevel::Ejb);
         t4.row_owned(vec![
             format!("{nodes}"),
             format!("{p_restart}"),
@@ -117,4 +102,5 @@ fn main() {
     println!("\npaper shape: the restart's 19 s outage dumps a whole node's load on the");
     println!("survivors — on 2 nodes response times blow past the 8 s abandonment");
     println!("threshold; microreboots leave response time flat at every cluster size.");
+    Ok(())
 }

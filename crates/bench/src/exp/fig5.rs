@@ -12,66 +12,47 @@
 //! With microreboots, availability stays above the restart-with-perfect-
 //! detection line even at very high false-positive rates (paper: 98%).
 
-use bench::report::{banner, ratio};
-use bench::Table;
-use cluster::{Sim, SimConfig};
-use faults::Fault;
+use super::{commanded_run, recovered_run, HOT_FAULT};
+use crate::report::{banner, ratio, Table};
+use cluster::SimConfig;
 use recovery::{PolicyLevel, RecoveryAction, RmConfig};
-use simcore::{SimDuration, SimTime};
+use simcore::SimDuration;
 
-fn bad_ops(start_level: PolicyLevel, tdet: SimDuration) -> u64 {
-    let mut sim = Sim::new(SimConfig {
+/// Failed requests when detection takes `tdet` seconds.
+fn bad_ops(start_level: PolicyLevel, tdet: u64) -> u64 {
+    let config = SimConfig {
         rm: Some(RmConfig {
-            start_level,
-            detection_delay: tdet,
+            detection_delay: SimDuration::from_secs(tdet),
             ..RmConfig::default()
         }),
         ..SimConfig::default()
-    });
-    sim.schedule_fault(
-        SimTime::from_mins(2),
-        0,
-        Fault::TransientException {
-            component: "BrowseCategories",
-            calls: u32::MAX,
-        },
-    );
-    sim.run_until(SimTime::from_mins(2) + tdet + SimDuration::from_mins(4));
-    let world = sim.finish();
+    };
+    let until = 2 * 60 + tdet + 4 * 60;
+    let world = recovered_run(start_level, config, None, &[(2 * 60, HOT_FAULT)], until);
     world.pool.taw_ref().summary().bad_ops
 }
 
 fn useless_recoveries(n: u32, action: RecoveryAction) -> u64 {
-    let mut sim = Sim::new(SimConfig::default());
     let spacing = match action {
-        RecoveryAction::RestartProcess => 40u64,
+        RecoveryAction::RestartProcess => 40,
         _ => 10,
     };
-    for i in 0..n {
-        sim.schedule_recovery(
-            SimTime::from_secs(60 + spacing * i as u64),
-            0,
-            action.clone(),
-        );
-    }
-    sim.run_until(SimTime::from_secs(60 + spacing * n as u64 + 120));
-    let world = sim.finish();
+    let world = commanded_run(SimConfig::default(), &action, n, spacing, 120);
     world.pool.taw_ref().summary().bad_ops
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Figure 5 (left): failed requests vs detection time Tdet");
     let mut t = Table::new(&["Tdet (s)", "process restart", "microreboot"]);
-    let restart_at_zero = bad_ops(PolicyLevel::Process, SimDuration::ZERO);
+    let restart_at_zero = bad_ops(PolicyLevel::Process, 0);
     let mut crossover = None;
     for tdet in [0u64, 5, 10, 20, 30, 40, 53, 60, 80, 100] {
-        let d = SimDuration::from_secs(tdet);
         let restart = if tdet == 0 {
             restart_at_zero
         } else {
-            bad_ops(PolicyLevel::Process, d)
+            bad_ops(PolicyLevel::Process, tdet)
         };
-        let urb = bad_ops(PolicyLevel::Ejb, d);
+        let urb = bad_ops(PolicyLevel::Ejb, tdet);
         if crossover.is_none() && urb > restart_at_zero {
             crossover = Some(tdet);
         }
@@ -120,4 +101,5 @@ fn main() {
          false-positive rate of ~{max_fp:.0}% (paper: 98%).",
         ratio(per_restart as f64, per_urb)
     );
+    Ok(())
 }

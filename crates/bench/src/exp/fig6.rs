@@ -12,8 +12,7 @@
 //! microrejuvenation failed 1,383 — an order of magnitude — and good Taw
 //! never dropped to zero.
 
-use bench::report::{banner, ratio};
-use bench::Table;
+use crate::report::{banner, ratio, Table};
 use cluster::{LogEvent, Sim, SimConfig};
 use faults::Fault;
 use simcore::{SimDuration, SimTime};
@@ -46,6 +45,11 @@ fn inject_leaks(sim: &mut Sim) {
     );
 }
 
+/// "Good Taw never dropped to zero": every 10 s window has some goodput.
+fn never_zero(taw: &workload::TawTracker) -> bool {
+    (1..RUN * 6 - 1).all(|w| taw.good_in(w * 10, w * 10 + 9) != 0.0)
+}
+
 fn microrejuvenation() -> (u64, Vec<(u64, f64)>, usize, bool) {
     let mut sim = Sim::new(SimConfig::default());
     inject_leaks(&mut sim);
@@ -68,15 +72,7 @@ fn microrejuvenation() -> (u64, Vec<(u64, f64)>, usize, bool) {
         })
         .count();
     let taw = world.pool.taw_ref();
-    // "Good Taw never dropped to zero": check every 10 s window has some
-    // goodput.
-    let mut never_zero = true;
-    for w in 1..(RUN * 6 - 1) {
-        if taw.good_in(w * 10, w * 10 + 9) == 0.0 {
-            never_zero = false;
-        }
-    }
-    (taw.summary().bad_ops, memory, rejuvs, never_zero)
+    (taw.summary().bad_ops, memory, rejuvs, never_zero(taw))
 }
 
 fn jvm_rejuvenation() -> (u64, usize, bool) {
@@ -94,16 +90,10 @@ fn jvm_rejuvenation() -> (u64, usize, bool) {
     let world = sim.finish();
     let restarts = world.nodes[0].stats().process_restarts as usize;
     let taw = world.pool.taw_ref();
-    let mut never_zero = true;
-    for w in 1..(RUN * 6 - 1) {
-        if taw.good_in(w * 10, w * 10 + 9) == 0.0 {
-            never_zero = false;
-        }
-    }
-    (taw.summary().bad_ops, restarts, never_zero)
+    (taw.summary().bad_ops, restarts, never_zero(taw))
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Figure 6: available memory under microrejuvenation (30-minute run)");
     let (urb_bad, memory, rejuv_events, urb_never_zero) = microrejuvenation();
     let (jvm_bad, jvm_restarts, jvm_never_zero) = jvm_rejuvenation();
@@ -150,4 +140,5 @@ fn main() {
         ratio(jvm_bad as f64, urb_bad.max(1) as f64)
     );
     println!("turning planned total downtime into planned partial downtime.");
+    Ok(())
 }

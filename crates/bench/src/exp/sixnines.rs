@@ -14,12 +14,11 @@
 //! cost gives how many failures per year each regime tolerates
 //! (paper: 23 restarts vs 329 failovers+uRBs vs 683 uRBs).
 
-use bench::report::banner;
-use bench::Table;
-use cluster::{Sim, SimConfig};
+use super::recovered_run;
+use crate::report::{banner, Table};
+use cluster::SimConfig;
 use faults::Fault;
-use recovery::{PolicyLevel, RmConfig};
-use simcore::SimTime;
+use recovery::PolicyLevel;
 
 struct Regime {
     label: &'static str,
@@ -28,34 +27,26 @@ struct Regime {
     retry: bool,
 }
 
-fn run(regime: &Regime, events: u32) -> (f64, u64) {
-    let mut sim = Sim::new(SimConfig {
+fn measure(regime: &Regime, events: u32) -> (f64, u64) {
+    let config = SimConfig {
         nodes: 8,
         failover: regime.failover,
         retry_enabled: regime.retry,
-        rm: Some(RmConfig {
-            start_level: regime.start_level,
-            ..RmConfig::default()
-        }),
         ..SimConfig::default()
-    });
-    for i in 0..events {
-        sim.schedule_fault(
-            SimTime::from_secs(120 + 90 * i as u64),
-            0,
-            Fault::TransientException {
-                component: "BrowseCategories",
-                calls: 4000,
-            },
-        );
-    }
-    sim.run_until(SimTime::from_secs(120 + 90 * events as u64 + 120));
-    let world = sim.finish();
+    };
+    let fault = Fault::TransientException {
+        component: "BrowseCategories",
+        calls: 4000,
+    };
+    let events = u64::from(events);
+    let faults: Vec<_> = (0..events).map(|i| (120 + 90 * i, fault)).collect();
+    let until = 120 + 90 * events + 120;
+    let world = recovered_run(regime.start_level, config, None, &faults, until);
     let s = world.pool.taw_ref().summary();
     (s.bad_ops as f64 / events as f64, s.good_ops + s.bad_ops)
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Section 6.1: pre-failover microreboots and the six-nines budget");
     let regimes = [
         Regime {
@@ -77,24 +68,12 @@ fn main() {
             retry: true,
         },
     ];
-    let mut t = Table::new(&[
-        "regime",
-        "failed req / recovery",
-        "allowed failures/yr @ six nines",
-        "paper",
-    ]);
     let mut total_served = 0u64;
     let mut per_event = Vec::new();
     for regime in &regimes {
-        let (avg_failed, served) = run(regime, 4);
+        let (avg_failed, served) = measure(regime, 4);
         total_served = total_served.max(served);
         per_event.push(avg_failed);
-        t.row_owned(vec![
-            regime.label.to_string(),
-            format!("{avg_failed:.0}"),
-            String::new(),
-            String::new(),
-        ]);
     }
     // Six-nines arithmetic, following the paper: extrapolate the 8-node
     // cluster's request volume to 24 nodes over a year; the budget is
@@ -104,22 +83,21 @@ fn main() {
     let yearly_24node = rps_8node * 3.0 * 365.25 * 24.0 * 3600.0;
     let budget = yearly_24node * 1e-6;
     let paper = ["23", "329", "683"];
-    let mut t2 = Table::new(&[
+    let mut t = Table::new(&[
         "regime",
         "failed req / recovery",
         "allowed failures/yr @ six nines",
         "paper",
     ]);
     for (i, regime) in regimes.iter().enumerate() {
-        t2.row_owned(vec![
+        t.row_owned(vec![
             regime.label.to_string(),
             format!("{:.0}", per_event[i]),
             format!("{:.0}", budget / per_event[i].max(1.0)),
             paper[i].to_string(),
         ]);
     }
-    let _ = t;
-    t2.print();
+    t.print();
     println!(
         "\n(24-node cluster serving ~{:.1}e9 requests/year; six-nines budget {:.0}k failures)",
         yearly_24node / 1e9,
@@ -128,4 +106,5 @@ fn main() {
     println!("\nPaper's conclusion: writing microrebootable software that may fail almost");
     println!("twice a day beats writing software that must not fail more than once every");
     println!("two weeks.");
+    Ok(())
 }

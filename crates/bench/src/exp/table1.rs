@@ -4,13 +4,12 @@
 //! eBid server for 20 simulated minutes and reports the observed request
 //! mix by class, next to the paper's Table 1.
 
-use bench::report::banner;
-use bench::Table;
+use crate::report::{banner, Table};
 use cluster::{Sim, SimConfig};
 use simcore::SimTime;
 use workload::catalog::MixClass;
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Table 1: client workload used in evaluating microreboot-based recovery");
     let mut sim = Sim::new(SimConfig::default());
     sim.run_until(SimTime::from_mins(20));
@@ -30,4 +29,5 @@ fn main() {
     }
     t.print();
     println!("\ntotal requests issued: {}", world.pool.mix().total());
+    Ok(())
 }

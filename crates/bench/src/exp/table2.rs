@@ -10,8 +10,7 @@
 //! survived recovery and required manual repair (database repair / tainted
 //! session data) for 100% correctness.
 
-use bench::report::banner;
-use bench::Table;
+use crate::report::{banner, Table};
 use cluster::{Sim, SimConfig};
 use faults::{microreboot_curable, table2_catalogue, CatalogueRow, Fault};
 use recovery::RecoveryAction;
@@ -46,21 +45,16 @@ fn ladder(fault: &Fault) -> Vec<(&'static str, RecoveryAction)> {
     steps
 }
 
-/// Damage snapshot used to separate *active* faults from residual data
-/// damage awaiting manual repair.
+/// Damage snapshot (tainted database rows) used to separate *active*
+/// faults from residual data damage awaiting manual repair.
 ///
-/// Session taint only counts for FastS: SSM's checksums guarantee that a
-/// tainted object is discarded on its next access, so it never needs
-/// manual repair.
-fn damage(sim: &Sim) -> (usize, usize) {
-    let world = sim.world();
-    // Only the database counts toward the ≈ (manual repair) column:
-    // tainted session objects are either actively failing (the ladder
-    // keeps escalating) or orphaned cookies nobody will ever present —
-    // and wrong session data that matters shows up as database damage
-    // through the writes it causes.
-    let db_tainted = world.nodes[0].db().borrow().tainted_rows();
-    (db_tainted, 0)
+/// Only the database counts toward the ≈ (manual repair) column: tainted
+/// session objects are either actively failing (the ladder keeps
+/// escalating) or orphaned cookies nobody will ever present — and wrong
+/// session data that matters shows up as database damage through the
+/// writes it causes.
+fn damage(sim: &Sim) -> usize {
+    sim.world().nodes[0].db().borrow().tainted_rows()
 }
 
 /// Counts failures relevant to *resuscitation* in `[now, until)`.
@@ -77,7 +71,7 @@ fn observe(sim: &mut Sim, until: SimTime, ignore_session_loss: bool) -> usize {
     // keep tripping the comparison detector until a manual repair).
     // Session damage stays *active*: the wronged users keep getting wrong
     // answers until the object is evicted.
-    let db_damage_grew = after.0 > before.0;
+    let db_damage_grew = after > before;
     let reports = sim.world_mut().pool.drain_reports();
     reports
         .iter()
@@ -85,7 +79,7 @@ fn observe(sim: &mut Sim, until: SimTime, ignore_session_loss: bool) -> usize {
             if ignore_session_loss && r.kind == workload::detect::FailureKind::SessionLoss {
                 return false;
             }
-            r.kind != workload::detect::FailureKind::Comparison || db_damage_grew || after.0 == 0
+            r.kind != workload::detect::FailureKind::Comparison || db_damage_grew || after == 0
         })
         .count()
 }
@@ -151,10 +145,7 @@ fn run_row(row: &CatalogueRow) -> Outcome {
                 }
             }
         }
-        let more = if clean_streak >= 16 { 0 } else { 1 };
-        if more == 0 {
-            level = "unnecessary".into();
-        } else {
+        if clean_streak < 16 {
             resuscitated = false;
             let mut t = sim.now();
             for (label, action) in ladder(&row.fault) {
@@ -184,9 +175,7 @@ fn run_row(row: &CatalogueRow) -> Outcome {
     }
 
     // Did recovery leave damage that needs manual repair (≈)?
-    let (db_tainted, sess_tainted) = damage(&sim);
-    let db_damaged = db_tainted > 0;
-    let manual = db_damaged || sess_tainted > 0;
+    let db_damaged = damage(&sim) > 0;
 
     // Special Table 2 labels.
     if level == "unnecessary" {
@@ -209,12 +198,12 @@ fn run_row(row: &CatalogueRow) -> Outcome {
     }
     Outcome {
         level,
-        manual,
+        manual: db_damaged,
         resuscitated,
     }
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Table 2: recovery from injected faults — worst-case scenarios");
     println!("(recursive policy driven by the comparison-based detector)\n");
     let mut t = Table::new(&[
@@ -248,4 +237,5 @@ fn main() {
     );
     println!("(the SSM row counts as curable: the checksum discards the bad object");
     println!("with no reboot; DB corruption and sub-JVM faults need more, as in the paper)");
+    Ok(())
 }

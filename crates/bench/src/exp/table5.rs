@@ -5,12 +5,11 @@
 //! server (whose hooks — sentinel binding, retry interception — are the
 //! only additions on the fast path), each with FastS and with SSM.
 
-use bench::report::banner;
-use bench::Table;
+use crate::report::{banner, Table};
 use cluster::{Sim, SimConfig, StoreChoice};
 use simcore::SimTime;
 
-fn run(store: StoreChoice, urb_enabled: bool) -> (f64, f64) {
+fn measure(store: StoreChoice, urb_enabled: bool) -> (f64, f64) {
     let mut sim = Sim::new(SimConfig {
         store,
         // The µRB-enabled server's fast-path additions are the retry
@@ -28,19 +27,26 @@ fn run(store: StoreChoice, urb_enabled: bool) -> (f64, f64) {
     (rps, latency)
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Table 5: performance comparison (steady state, fault-free, 500 clients)");
-    let paper = [
-        ("JBoss + eBid/FastS", 72.09, 15.02),
-        ("JBossuRB + eBid/FastS", 72.42, 16.08),
-        ("JBoss + eBid/SSM", 71.63, 28.43),
-        ("JBossuRB + eBid/SSM", 70.86, 27.69),
-    ];
+    // (configuration, paper req/s, paper ms, store, microreboot-enabled)
     let configs = [
-        (StoreChoice::FastS, false),
-        (StoreChoice::FastS, true),
-        (StoreChoice::Ssm, false),
-        (StoreChoice::Ssm, true),
+        (
+            "JBoss + eBid/FastS",
+            72.09,
+            15.02,
+            StoreChoice::FastS,
+            false,
+        ),
+        (
+            "JBossuRB + eBid/FastS",
+            72.42,
+            16.08,
+            StoreChoice::FastS,
+            true,
+        ),
+        ("JBoss + eBid/SSM", 71.63, 28.43, StoreChoice::Ssm, false),
+        ("JBossuRB + eBid/SSM", 70.86, 27.69, StoreChoice::Ssm, true),
     ];
     let mut t = Table::new(&[
         "configuration",
@@ -49,8 +55,8 @@ fn main() {
         "paper lat (ms)",
         "measured lat",
     ]);
-    for ((label, p_thr, p_lat), (store, urb)) in paper.iter().zip(configs.iter()) {
-        let (rps, lat) = run(*store, *urb);
+    for (label, p_thr, p_lat, store, urb) in configs {
+        let (rps, lat) = measure(store, urb);
         t.row_owned(vec![
             label.to_string(),
             format!("{p_thr:.2}"),
@@ -62,4 +68,5 @@ fn main() {
     t.print();
     println!("\nShape check: throughput within ~2% across configurations; SSM adds");
     println!("marshalling + network latency (paper: +70-90% latency).");
+    Ok(())
 }

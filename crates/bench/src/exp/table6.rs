@@ -14,50 +14,36 @@
 //! BrowseCategories 20→8→0, SearchItemsByCategory 31→15→0,
 //! Authenticate 20→9→1).
 
-use bench::report::banner;
-use bench::Table;
+use super::commanded_run;
+use crate::report::{banner, Table};
 use cluster::{Sim, SimConfig};
 use recovery::RecoveryAction;
 use simcore::{SimDuration, SimTime};
 
 const TRIALS: u32 = 10;
 
-/// Returns total failed requests attributable to 10 microreboots of
-/// `component` (bad Taw over the run minus a fault-free baseline of the
-/// same seed).
-fn run(component: &'static str, retry: bool, drain: bool) -> f64 {
-    let drain = if drain {
-        Some(urb_core::calib::DRAIN_DELAY)
-    } else {
-        None
-    };
-    let mut sim = Sim::new(SimConfig {
+/// Returns total failed requests over a run of 10 microreboots of
+/// `component`, 30 s apart (the caller subtracts the fault-free baseline
+/// of the same seed and interval).
+fn measure(component: &'static str, retry: bool, drain: bool) -> f64 {
+    let config = SimConfig {
         retry_enabled: retry,
-        drain,
+        drain: drain.then_some(urb_core::calib::DRAIN_DELAY),
         ..SimConfig::default()
-    });
-    for i in 0..TRIALS {
-        sim.schedule_recovery(
-            SimTime::from_secs(60 + 30 * i as u64),
-            0,
-            RecoveryAction::microreboot(&[component]),
-        );
-    }
-    let end = SimTime::from_secs(60 + 30 * TRIALS as u64 + 60);
-    sim.run_until(end);
-    let world = sim.finish();
+    };
+    let action = RecoveryAction::microreboot(&[component]);
+    let world = commanded_run(config, &action, TRIALS, 30, 60);
     world.pool.taw_ref().summary().bad_ops as f64
 }
 
 /// Fault-free baseline failures for the same interval (background noise).
 fn baseline() -> f64 {
     let mut sim = Sim::new(SimConfig::default());
-    sim.run_until(SimTime::from_secs(60 + 30 * TRIALS as u64 + 60));
-    let world = sim.finish();
-    world.pool.taw_ref().summary().bad_ops as f64
+    sim.run_until(SimTime::from_secs(60 + 30 * u64::from(TRIALS) + 60));
+    sim.finish().pool.taw_ref().summary().bad_ops as f64
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Table 6: masking microreboots with HTTP/1.1 Retry-After");
     println!("(total failed requests across 10 microreboots of each component)\n");
     let base = baseline();
@@ -75,9 +61,9 @@ fn main() {
         "delay & retry",
     ]);
     for (component, (p_no, p_retry, p_delay)) in components {
-        let no_retry = (run(component, false, false) - base).max(0.0);
-        let retry = (run(component, true, false) - base).max(0.0);
-        let delay = (run(component, true, true) - base).max(0.0);
+        let no_retry = (measure(component, false, false) - base).max(0.0);
+        let retry = (measure(component, true, false) - base).max(0.0);
+        let delay = (measure(component, true, true) - base).max(0.0);
         t.row_owned(vec![
             component.to_string(),
             format!("{p_no} / {p_retry} / {p_delay}"),
@@ -95,4 +81,5 @@ fn main() {
         }
     );
     println!("analyze that trade-off further — exp_ablation_drain does)");
+    Ok(())
 }

@@ -7,45 +7,36 @@
 //! reports mean ± standard deviation of the failed-request counts — the
 //! error bars for the headline "order of magnitude" claim.
 
-use bench::report::{banner, ratio};
-use bench::Table;
-use cluster::{Sim, SimConfig};
+use super::recovered_run;
+use crate::report::{banner, ratio, Table};
+use cluster::SimConfig;
 use faults::Fault;
-use recovery::{PolicyLevel, RmConfig};
+use recovery::PolicyLevel;
 use simcore::stats::Summary;
-use simcore::SimTime;
 use statestore::session::CorruptKind;
 
-fn run(start_level: PolicyLevel, seed: u64) -> u64 {
-    let mut sim = Sim::new(SimConfig {
-        rm: Some(RmConfig {
-            start_level,
-            ..RmConfig::default()
-        }),
+fn measure(start_level: PolicyLevel, seed: u64) -> u64 {
+    let config = SimConfig {
         seed,
         ..SimConfig::default()
-    });
-    sim.schedule_fault(
-        SimTime::from_mins(3),
-        0,
-        Fault::CorruptJndi {
-            component: "RegisterNewUser",
-            kind: CorruptKind::SetNull,
-        },
-    );
-    sim.run_until(SimTime::from_mins(7));
-    sim.finish().pool.taw_ref().summary().bad_ops
+    };
+    let fault = Fault::CorruptJndi {
+        component: "RegisterNewUser",
+        kind: CorruptKind::SetNull,
+    };
+    let world = recovered_run(start_level, config, None, &[(3 * 60, fault)], 7 * 60);
+    world.pool.taw_ref().summary().bad_ops
 }
 
-fn main() {
+pub(super) fn run() -> Result<(), String> {
     banner("Variance: one fault, one automatic recovery, ten seeds");
     let seeds: Vec<u64> = (1..=10).map(|i| 0x5eed_0000 + i * 7919).collect();
     let mut restart = Summary::new();
     let mut urb = Summary::new();
     let mut t = Table::new(&["seed", "restart failed", "uRB failed"]);
     for seed in &seeds {
-        let r = run(PolicyLevel::Process, *seed);
-        let u = run(PolicyLevel::Ejb, *seed);
+        let r = measure(PolicyLevel::Process, *seed);
+        let u = measure(PolicyLevel::Ejb, *seed);
         restart.record(r as f64);
         urb.record(u as f64);
         t.row_owned(vec![format!("{seed:#x}"), format!("{r}"), format!("{u}")]);
@@ -71,4 +62,5 @@ fn main() {
     );
     println!("claim is robust to workload randomness, as the paper's 10-trial");
     println!("averages found on real hardware.");
+    Ok(())
 }

@@ -6,25 +6,17 @@
 //! `BENCH_<exp>.json` files next to the text tables.
 
 use simcore::telemetry::{RebootLevel, TelemetryEvent, TelemetrySink};
-use simcore::{symbol, MetricsRegistry};
-
-/// Reboot depths in the order the report tables print them.
-pub(crate) const REBOOT_LEVELS: [RebootLevel; 4] = [
-    RebootLevel::Component,
-    RebootLevel::Application,
-    RebootLevel::Process,
-    RebootLevel::OperatingSystem,
-];
+use simcore::MetricsRegistry;
 
 /// A simple aligned-column table printer.
 ///
 /// # Examples
 ///
 /// ```
-/// use bench::Table;
+/// use bench::report::Table;
 ///
 /// let mut t = Table::new(&["component", "paper (ms)", "measured (ms)"]);
-/// t.row(&["ViewItem", "446", "449.2"]);
+/// t.row_owned(vec!["ViewItem".into(), "446".into(), "449.2".into()]);
 /// let out = t.render();
 /// assert!(out.contains("ViewItem"));
 /// ```
@@ -47,13 +39,6 @@ impl Table {
     /// # Panics
     ///
     /// Panics on column-count mismatch — a bug in the experiment code.
-    pub fn row(&mut self, cells: &[&str]) {
-        assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
-        self.rows
-            .push(cells.iter().map(|s| s.to_string()).collect());
-    }
-
-    /// Appends a row of owned strings.
     pub fn row_owned(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         self.rows.push(cells);
@@ -104,7 +89,7 @@ impl Table {
 /// kills, reboots by level, detector fires and recovery decisions — without
 /// reaching into any component's private stats. Since the registry refactor
 /// this is a *view* over the canonical [`MetricsRegistry`] fold: the sink
-/// delegates to the registry and the accessors are named-counter reads.
+/// delegates to the registry and the printed rows are named-counter reads.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetrySummary {
     registry: MetricsRegistry,
@@ -116,109 +101,40 @@ impl TelemetrySummary {
         &self.registry
     }
 
-    /// Requests submitted across all nodes.
-    pub fn submitted(&self) -> u64 {
-        self.registry.counter_sym(symbol::REQUESTS_SUBMITTED)
-    }
-
-    /// Requests completed (any disposition).
-    pub fn completed(&self) -> u64 {
-        self.registry.counter_sym(symbol::REQUESTS_COMPLETED)
-    }
-
-    /// Transparent retries sent (Retry-After).
-    pub fn retries(&self) -> u64 {
-        self.registry.counter_sym(symbol::RETRIES_SENT)
-    }
-
-    /// Requests killed by any reboot or TTL purge.
-    pub fn killed(&self) -> u64 {
-        self.registry.counter_sym(symbol::REQUESTS_KILLED)
-    }
-
-    /// Reboots begun, indexed by [`simcore::telemetry::RebootLevel`] depth
-    /// (component, application, process, OS).
-    pub fn reboots_begun(&self) -> [u64; 4] {
-        REBOOT_LEVELS.map(|l| {
-            self.registry
-                .counter_sym(simcore::metrics::reboot_begun_sym(l))
-        })
-    }
-
-    /// Reboots finished, same indexing.
-    pub fn reboots_finished(&self) -> [u64; 4] {
-        REBOOT_LEVELS.map(|l| {
-            self.registry
-                .counter_sym(simcore::metrics::reboot_finished_sym(l))
-        })
-    }
-
-    /// End-to-end failure reports that reached the recovery manager.
-    pub fn detector_fires(&self) -> u64 {
-        self.registry.counter_sym(symbol::DETECTOR_FIRES)
-    }
-
-    /// Recovery decisions taken by the manager.
-    pub fn decisions(&self) -> u64 {
-        self.registry.counter_sym(symbol::RECOVERY_DECISIONS)
-    }
-
-    /// Appends the summary's rows to a two-column table.
-    pub fn rows(&self, table: &mut Table) {
-        let reg = &self.registry;
-        let count = |name: &str| reg.counter(name).to_string();
-        table.row_owned(vec![
-            "requests submitted".into(),
-            count("requests_submitted"),
-        ]);
-        table.row_owned(vec![
-            "requests completed".into(),
-            count("requests_completed"),
-        ]);
-        table.row_owned(vec!["retries sent".into(), count("retries_sent")]);
-        table.row_owned(vec!["requests killed".into(), count("requests_killed")]);
-        let begun = self.reboots_begun();
-        let finished = self.reboots_finished();
-        for (i, label) in [
-            "microreboots",
-            "app restarts",
-            "process restarts",
-            "OS reboots",
-        ]
-        .iter()
-        .enumerate()
-        {
-            table.row_owned(vec![
-                (*label).into(),
-                format!("{} begun / {} finished", begun[i], finished[i]),
-            ]);
-        }
-        table.row_owned(vec!["detector reports".into(), count("detector_fires")]);
-        table.row_owned(vec![
-            "recovery decisions".into(),
-            count("recovery_decisions"),
-        ]);
-        table.row_owned(vec![
-            "rejuvenation ticks".into(),
-            count("rejuvenation_ticks"),
-        ]);
-        table.row_owned(vec!["client ops".into(), count("client_ops")]);
-        table.row_owned(vec!["actions closed".into(), count("actions_closed")]);
-        table.row_owned(vec!["recoveries queued".into(), count("recoveries_queued")]);
-        table.row_owned(vec![
-            "recoveries coalesced".into(),
-            count("recoveries_coalesced"),
-        ]);
-        table.row_owned(vec!["quarantines".into(), count("quarantine_on")]);
-        table.row_owned(vec!["LB failovers".into(), count("lb_failovers")]);
-        table.row_owned(vec!["TTL sweeps".into(), count("ttl_sweeps")]);
-    }
-
-    /// Prints the summary as a titled table.
+    /// Prints the summary as a titled two-column table.
     pub fn print(&self, title: &str) {
+        let reg = &self.registry;
+        let count = |counter: &str| reg.counter(counter).to_string();
+        let reboots = |level: RebootLevel| {
+            let begun = reg.counter_sym(simcore::metrics::reboot_begun_sym(level));
+            let finished = reg.counter_sym(simcore::metrics::reboot_finished_sym(level));
+            format!("{begun} begun / {finished} finished")
+        };
+        let rows = [
+            ("requests submitted", count("requests_submitted")),
+            ("requests completed", count("requests_completed")),
+            ("retries sent", count("retries_sent")),
+            ("requests killed", count("requests_killed")),
+            ("microreboots", reboots(RebootLevel::Component)),
+            ("app restarts", reboots(RebootLevel::Application)),
+            ("process restarts", reboots(RebootLevel::Process)),
+            ("OS reboots", reboots(RebootLevel::OperatingSystem)),
+            ("detector reports", count("detector_fires")),
+            ("recovery decisions", count("recovery_decisions")),
+            ("rejuvenation ticks", count("rejuvenation_ticks")),
+            ("client ops", count("client_ops")),
+            ("actions closed", count("actions_closed")),
+            ("recoveries queued", count("recoveries_queued")),
+            ("recoveries coalesced", count("recoveries_coalesced")),
+            ("quarantines", count("quarantine_on")),
+            ("LB failovers", count("lb_failovers")),
+            ("TTL sweeps", count("ttl_sweeps")),
+        ];
         println!("\n{title}");
         let mut t = Table::new(&["telemetry", "count"]);
-        self.rows(&mut t);
+        for (label, value) in rows {
+            t.row_owned(vec![label.into(), value]);
+        }
         t.print();
     }
 }
@@ -292,22 +208,17 @@ impl JsonReport {
         }
     }
 
-    /// Renders the report as a JSON object.
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"experiment\": \"{}\"", self.exp));
+    /// Writes the report as a JSON object to `target/BENCH_<exp>.json`;
+    /// returns the path written.
+    pub fn write(&self) -> std::io::Result<String> {
+        let mut out = format!("{{\n  \"experiment\": \"{}\"", self.exp);
         for (k, v) in &self.entries {
             out.push_str(&format!(",\n  \"{k}\": {v}"));
         }
         out.push_str("\n}\n");
-        out
-    }
-
-    /// Writes `target/BENCH_<exp>.json`; returns the path written.
-    pub fn write(&self) -> std::io::Result<String> {
         let path = format!("target/BENCH_{}.json", self.exp);
         std::fs::create_dir_all("target")?;
-        std::fs::write(&path, self.render())?;
+        std::fs::write(&path, out)?;
         Ok(path)
     }
 }
@@ -333,7 +244,7 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new(&["a", "long-header"]);
-        t.row(&["xxxxxx", "1"]);
+        t.row_owned(vec!["xxxxxx".into(), "1".into()]);
         let out = t.render();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -345,7 +256,7 @@ mod tests {
     #[should_panic(expected = "column count mismatch")]
     fn row_width_is_checked() {
         let mut t = Table::new(&["a", "b"]);
-        t.row(&["only-one"]);
+        t.row_owned(vec!["only-one".into()]);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! `urb-chaos` — deterministic fault-injection campaigns.
+//! `urb chaos` — deterministic fault-injection campaigns.
 //!
 //! A campaign sweeps a seeded scenario space (fault kind × target ×
 //! injection time × optional second fault mid-recovery × flapping
@@ -12,7 +12,7 @@
 //!
 //! Four campaigns share the one driver, [`run_campaign`]; each is a
 //! [`Campaign`] value in [`CAMPAIGNS`] holding only what is its own: the
-//! classic campaign (no subcommand), the policy `tournament`, the
+//! classic campaign (no name given), the policy `tournament`, the
 //! fail-slow `degraded` campaign (performance-parity stage armed) and the
 //! store- and link-fault `netstate` campaign (session-integrity stage
 //! armed). DESIGN.md §8 describes the harness.
@@ -22,36 +22,33 @@ use std::process::ExitCode;
 
 use bench::chaos::{describe, injected, run_scenario, RunOptions, RunOutcome, CLIENTS};
 use bench::netstate;
-use bench::report::JsonReport;
-use bench::Table;
+use bench::report::{JsonReport, Table};
 use faults::campaign::{self, CampaignConfig, Scenario};
 use recovery::PolicyChoice;
 use simcore::telemetry::{TelemetrySink, TraceHashSink};
 use simcore::TelemetryEvent;
 
-fn usage() {
-    eprintln!("usage: urb-chaos [--seed N] [--runs M] [--strict] [--verbose] [--only RUN]");
-    eprintln!("       urb-chaos tournament [--seed N] [--runs M] [--policies a,b,..] [--strict] [--verbose] [--json] [--only RUN]");
-    eprintln!("       urb-chaos degraded [--seed N] [--runs M] [--strict] [--verbose] [--json] [--only RUN]");
-    eprintln!("       urb-chaos netstate [--seed N] [--runs M] [--strict] [--verbose] [--json] [--only RUN]");
-}
+use crate::number;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let subcommand = CAMPAIGNS[1..]
-        .iter()
-        .find(|c| args.first().is_some_and(|a| a == c.name));
-    match subcommand {
-        Some(c) => run_campaign(c, &args[1..]),
-        None => run_campaign(&CAMPAIGNS[0], &args),
+/// `urb chaos [<campaign>] <flags>`: the named campaign, else the classic.
+pub(crate) fn run(args: &[String]) -> Result<ExitCode, String> {
+    match args.split_first() {
+        Some((name, flags)) if !name.starts_with("--") => {
+            let campaign = CAMPAIGNS[1..]
+                .iter()
+                .find(|c| c.name == name)
+                .ok_or_else(|| format!("unknown campaign {name:?}"))?;
+            run_campaign(campaign, flags)
+        }
+        _ => run_campaign(&CAMPAIGNS[0], args),
     }
 }
 
 /// One chaos campaign: everything the driver needs to know about a
 /// flavor, and nothing the flavors share.
-struct Campaign {
-    /// Subcommand (empty for the classic campaign).
-    name: &'static str,
+pub(crate) struct Campaign {
+    /// Its name on the command line (empty for the classic campaign).
+    pub(crate) name: &'static str,
     /// The seeded scenario generator.
     scenarios: fn(&CampaignConfig) -> Vec<Scenario>,
     /// How a scenario runs under one of the campaign's policies.
@@ -93,7 +90,7 @@ struct Sweep {
     violations: u64,
 }
 
-fn parse(c: &Campaign, args: &[String]) -> Option<Invocation> {
+fn parse(c: &Campaign, args: &[String]) -> Result<Invocation, String> {
     let mut inv = Invocation {
         seed: 7,
         runs: c.default_runs,
@@ -103,43 +100,39 @@ fn parse(c: &Campaign, args: &[String]) -> Option<Invocation> {
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--seed" => inv.seed = it.next()?.parse().ok()?,
-            "--runs" => inv.runs = it.next()?.parse().ok()?,
-            "--only" => inv.only = Some(it.next()?.parse().ok()?),
+            "--seed" => inv.seed = number(&mut it, flag)?,
+            "--runs" => inv.runs = number(&mut it, flag)?,
+            "--only" => inv.only = Some(number(&mut it, flag)?),
             "--strict" => inv.strict = true,
             "--verbose" => inv.verbose = true,
             "--json" if c.report.is_some() => inv.json = true,
             "--policies" if c.policies.len() > 1 => {
                 inv.policies = it
-                    .next()?
+                    .next()
+                    .ok_or("--policies needs a list")?
                     .split(',')
                     .map(policy_from_label)
-                    .collect::<Option<_>>()?;
+                    .collect::<Result<_, _>>()?;
             }
-            _ => return None,
+            _ => return Err(format!("unknown flag {flag:?} for this campaign")),
         }
     }
-    Some(inv)
+    Ok(inv)
 }
 
-fn policy_from_label(label: &str) -> Option<PolicyChoice> {
-    let policy = PolicyChoice::from_label(label);
-    if policy.is_none() {
+fn policy_from_label(label: &str) -> Result<PolicyChoice, String> {
+    PolicyChoice::from_label(label).ok_or_else(|| {
         let known: Vec<_> = PolicyChoice::ALL.iter().map(|p| p.label()).collect();
-        eprintln!("unknown policy {label:?}; known: {}", known.join(", "));
-    }
-    policy
+        format!("unknown policy {label:?}; known: {}", known.join(", "))
+    })
 }
 
 /// The one campaign driver: parses the command line, runs every scenario
 /// under every policy (re-running under `--strict`), folds each run into
 /// the sweep's digest, lets the flavor summarize, writes the report, and
 /// turns violations into the failure list and the exit code.
-fn run_campaign(c: &Campaign, args: &[String]) -> ExitCode {
-    let Some(inv) = parse(c, args) else {
-        usage();
-        return ExitCode::from(2);
-    };
+fn run_campaign(c: &Campaign, args: &[String]) -> Result<ExitCode, String> {
+    let inv = parse(c, args)?;
     let mut scenarios = (c.scenarios)(&CampaignConfig {
         seed: inv.seed,
         runs: inv.runs,
@@ -153,7 +146,7 @@ fn run_campaign(c: &Campaign, args: &[String]) -> ExitCode {
         _ => String::new(),
     };
     let strict = if inv.strict { ", strict" } else { "" };
-    let title = format!("urb-chaos {}", c.name);
+    let title = format!("urb chaos {}", c.name);
     println!(
         "{}: seed {}, {} run(s){arms}{strict}",
         title.trim_end(),
@@ -227,14 +220,14 @@ fn run_campaign(c: &Campaign, args: &[String]) -> ExitCode {
             Ok(path) => println!("wrote {path}"),
             Err(e) => {
                 eprintln!("failed to write report: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
 
     if sweeps.iter().all(|sweep| sweep.violations == 0) {
         println!("{}", c.held);
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     for sweep in &sweeps {
         let under = if sweeping {
@@ -251,7 +244,7 @@ fn run_campaign(c: &Campaign, args: &[String]) -> ExitCode {
             }
         }
     }
-    ExitCode::FAILURE
+    Ok(ExitCode::FAILURE)
 }
 
 /// One `--verbose` line: the run, what it injected, what each armed
@@ -297,8 +290,8 @@ fn print_coverage(scenarios: &[Scenario]) -> usize {
     coverage.len()
 }
 
-/// The campaigns, classic first; the rest are subcommands by name.
-static CAMPAIGNS: [Campaign; 4] = [
+/// The campaigns, classic first; the rest are chosen by name.
+pub(crate) static CAMPAIGNS: [Campaign; 4] = [
     Campaign {
         name: "",
         scenarios: campaign::scenarios,

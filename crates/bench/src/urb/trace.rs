@@ -1,24 +1,24 @@
-//! `urb-trace` — inspect deterministic JSONL telemetry traces.
+//! `urb trace` — inspect deterministic JSONL telemetry traces.
 //!
 //! Turns the opaque FNV trace digest into an actionable view of what a
 //! run's recovery actually looked like, per episode and per second:
 //!
-//! * `urb-trace record <out.jsonl> [--seed N]` — run the standard seeded
-//!   fault scenario (two simulated minutes, a transient exception in
+//! * `record <out.jsonl> [--seed N]` — run the standard seeded fault
+//!   scenario (two simulated minutes, a transient exception in
 //!   `BrowseCategories` at t=60 s, automatic recovery) and write its
-//!   full trace, so CI and the other subcommands have a cheap input;
+//!   full trace, so CI and the other commands have a cheap input;
 //!   `--degraded` records the fail-slow scenario instead (performance
 //!   plane armed, a 4x slowdown injected at t=40 s) so the summary and
 //!   timeline views have anomaly and parity marks to show;
-//! * `urb-trace summary <trace.jsonl>` — one row per recovery episode:
-//!   trigger, rung, duration, lost work, paper-style Taw dip;
-//! * `urb-trace timeline <trace.jsonl>` — per-second availability in the
-//!   style of the paper's Figures 1/2/4/6;
-//! * `urb-trace diff <a.jsonl> <b.jsonl>` — first diverging event plus
-//!   per-kind count deltas (exit 1 when the traces diverge);
-//! * `urb-trace verify <trace.jsonl> [--strict]` — recompute the FNV
-//!   digest and check it against the `meta` line (exit 1 on mismatch);
-//!   with `--strict`, also re-run episode assembly and fail unless every
+//! * `summary <trace.jsonl>` — one row per recovery episode: trigger,
+//!   rung, duration, lost work, paper-style Taw dip;
+//! * `timeline <trace.jsonl>` — per-second availability in the style of
+//!   the paper's Figures 1/2/4/6;
+//! * `diff <a.jsonl> <b.jsonl>` — first diverging event plus per-kind
+//!   count deltas (exit 1 when the traces diverge);
+//! * `verify <trace.jsonl> [--strict]` — recompute the FNV digest and
+//!   check it against the `meta` line (exit 1 on mismatch); with
+//!   `--strict`, also re-run episode assembly and fail unless every
 //!   event is attributed to an episode or to steady state.
 
 use std::cell::RefCell;
@@ -27,7 +27,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::rc::Rc;
 
-use bench::Table;
+use bench::report::Table;
 use cluster::{Sim, SimConfig};
 use faults::Fault;
 use recovery::RmConfig;
@@ -39,36 +39,16 @@ use simcore::trace::{
 use simcore::{MetricsRegistry, QuantileSketch, SimTime, TelemetryEvent};
 use workload::FunctionalGroup;
 
-fn usage() {
-    eprintln!(
-        "usage:\n  \
-         urb-trace record <out.jsonl> [--seed N] [--degraded]\n  \
-         urb-trace summary <trace.jsonl>\n  \
-         urb-trace timeline <trace.jsonl>\n  \
-         urb-trace diff <a.jsonl> <b.jsonl>\n  \
-         urb-trace verify <trace.jsonl> [--strict]"
-    );
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("record") => cmd_record(&args[1..]),
-        Some("summary") => cmd_summary(&args[1..]),
-        Some("timeline") => cmd_timeline(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
-        _ => {
-            usage();
-            return ExitCode::from(2);
-        }
-    };
-    match result {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("urb-trace: {msg}");
-            ExitCode::from(2)
-        }
+/// `urb trace <command> <args>`.
+pub(crate) fn run(args: &[String]) -> Result<ExitCode, String> {
+    let (command, args) = args.split_first().ok_or("trace needs a command")?;
+    match command.as_str() {
+        "record" => cmd_record(args),
+        "summary" => cmd_summary(args),
+        "timeline" => cmd_timeline(args),
+        "diff" => cmd_diff(args),
+        "verify" => cmd_verify(args),
+        other => Err(format!("unknown trace command {other:?}")),
     }
 }
 
@@ -91,13 +71,7 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
+            "--seed" => seed = crate::number(&mut it, a)?,
             "--degraded" => degraded = true,
             other => return Err(format!("unknown record flag {other}")),
         }
@@ -246,7 +220,7 @@ fn cmd_summary(args: &[String]) -> Result<ExitCode, String> {
 /// Client-observed latency quantiles per functional group, replayed from
 /// the trace's `ClientOp` events through the same streaming sketch the
 /// live performance plane uses.
-fn print_latency_table(events: &[simcore::TelemetryEvent]) {
+fn print_latency_table(events: &[TelemetryEvent]) {
     let mut sketches: BTreeMap<u8, QuantileSketch> = BTreeMap::new();
     for ev in events {
         if let TelemetryEvent::ClientOp {
@@ -287,7 +261,7 @@ fn print_latency_table(events: &[simcore::TelemetryEvent]) {
 /// The performance plane's marks, when the trace contains any: baseline
 /// freezes, degraded injections, confirmed anomalies and parity
 /// restorations — when performance, not just liveness, recovered.
-fn print_perf_marks(events: &[simcore::TelemetryEvent]) {
+fn print_perf_marks(events: &[TelemetryEvent]) {
     let mut lines = Vec::new();
     let mut anomalies = 0u64;
     let mut first_anomaly: Option<(SimTime, usize, u32)> = None;
@@ -364,22 +338,18 @@ fn cmd_timeline(args: &[String]) -> Result<ExitCode, String> {
         BTreeMap::new();
     for ev in &trace.events {
         let mark = match *ev {
-            simcore::TelemetryEvent::RebootBegun { at, .. } => Some((at, "<reboot begun")),
-            simcore::TelemetryEvent::RebootFinished { at, .. } => Some((at, "<reboot done")),
-            simcore::TelemetryEvent::DegradedInjected { at, .. } => {
-                Some((at, "<degraded injected"))
-            }
-            simcore::TelemetryEvent::LatencyAnomaly { at, .. } => Some((at, "<latency anomaly")),
-            simcore::TelemetryEvent::ParityRestored { at, .. } => Some((at, "<parity restored")),
+            TelemetryEvent::RebootBegun { at, .. } => Some((at, "<reboot begun")),
+            TelemetryEvent::RebootFinished { at, .. } => Some((at, "<reboot done")),
+            TelemetryEvent::DegradedInjected { at, .. } => Some((at, "<degraded injected")),
+            TelemetryEvent::LatencyAnomaly { at, .. } => Some((at, "<latency anomaly")),
+            TelemetryEvent::ParityRestored { at, .. } => Some((at, "<parity restored")),
             // The netstate plane's marks: store bricks dying and coming
             // back, leases expiring en masse, link faults arming/healing.
-            simcore::TelemetryEvent::BrickFailed { at, .. } => Some((at, "<brick failed")),
-            simcore::TelemetryEvent::BrickRestored { at, .. } => Some((at, "<brick restored")),
-            simcore::TelemetryEvent::LeaseExpired { at, .. } => Some((at, "<lease expired")),
-            simcore::TelemetryEvent::NetFaultInjected { at, .. } => {
-                Some((at, "<net fault injected"))
-            }
-            simcore::TelemetryEvent::NetFaultHealed { at, .. } => Some((at, "<net fault healed")),
+            TelemetryEvent::BrickFailed { at, .. } => Some((at, "<brick failed")),
+            TelemetryEvent::BrickRestored { at, .. } => Some((at, "<brick restored")),
+            TelemetryEvent::LeaseExpired { at, .. } => Some((at, "<lease expired")),
+            TelemetryEvent::NetFaultInjected { at, .. } => Some((at, "<net fault injected")),
+            TelemetryEvent::NetFaultHealed { at, .. } => Some((at, "<net fault healed")),
             _ => None,
         };
         if let Some((at, label)) = mark {

@@ -1,15 +1,16 @@
-//! Pins what the one campaign driver must not move: each `urb-chaos`
+//! Pins what the one campaign driver must not move: each `urb chaos`
 //! flavor at a small size reproduces the campaign digest captured from
 //! the four hand-copied drivers it replaced, with zero violations, and
-//! every subcommand turns a bad command line into exit code 2 plus usage.
+//! every campaign turns a bad command line into exit code 2 plus usage.
 
 use std::process::{Command, Output};
 
 fn urb_chaos(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_urb-chaos"))
+    Command::new(env!("CARGO_BIN_EXE_urb"))
+        .arg("chaos")
         .args(args)
         .output()
-        .expect("urb-chaos runs")
+        .expect("urb runs")
 }
 
 /// Runs a campaign and asserts it exits clean with `expected` lines among
@@ -31,7 +32,7 @@ fn classic_campaign_digest_is_pinned() {
     assert_campaign(
         &["--seed", "7", "--runs", "16", "--strict"],
         &[
-            "urb-chaos: seed 7, 16 run(s), strict",
+            "urb chaos: seed 7, 16 run(s), strict",
             "campaign digest 8487a1c45ea4ff74 over 16 run(s), 0 violation(s)",
             "all invariants held",
         ],
@@ -68,7 +69,7 @@ fn tournament_digests_are_pinned_per_policy() {
             "paper-ladder,reboot-first",
         ],
         &[
-            "urb-chaos tournament: seed 7, 6 run(s) x 2 policies",
+            "urb chaos tournament: seed 7, 6 run(s) x 2 policies",
             "paper-ladder  27.0          281          148.5            0      0           1aa4ced07bc51f48  *",
             "reboot-first  19.0          380          242.7            0      0           6fd1a13ca94d0ed0  *",
             "Pareto frontier: paper-ladder, reboot-first",
@@ -77,20 +78,22 @@ fn tournament_digests_are_pinned_per_policy() {
 }
 
 #[test]
-fn a_bad_command_line_exits_2_with_usage_on_every_subcommand() {
+fn a_bad_command_line_exits_2_with_usage_on_every_campaign() {
     for sub in [None, Some("tournament"), Some("degraded"), Some("netstate")] {
         for bad in [
             &["--bogus"][..],
             &["--runs"],
             &["--seed", "x"],
             &["--policies", "no-such-policy"],
+            &["no-such-campaign"],
         ] {
             let args: Vec<&str> = sub.into_iter().chain(bad.iter().copied()).collect();
             let out = urb_chaos(&args);
             assert_eq!(out.status.code(), Some(2), "{args:?}");
             assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
             let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(stderr.contains("usage: urb-chaos"), "{args:?}: {stderr}");
+            assert!(stderr.contains("usage: urb exp"), "{args:?}: {stderr}");
+            assert!(stderr.contains("tournament, degraded, netstate"));
         }
     }
     // `--json` exists only where there is a report to write.

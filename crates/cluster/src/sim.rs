@@ -101,8 +101,6 @@ pub struct SimConfig {
     /// ([`RetryPolicy::None`]) reproduces the historical behavior; the
     /// netstate campaign arms the naive or budgeted populations.
     pub retry_policy: RetryPolicy,
-    /// Dataset shape.
-    pub dataset: DatasetSpec,
     /// Master seed.
     pub seed: u64,
 }
@@ -122,7 +120,6 @@ impl Default for SimConfig {
             conductor: None,
             failover: false,
             retry_policy: RetryPolicy::None,
-            dataset: DatasetSpec::default(),
             seed: 0xeb1d,
         }
     }
@@ -297,25 +294,14 @@ pub enum SimEvent {
         /// When the microreboot began.
         started: SimTime,
     },
-    /// A (non-conducted) recovery action completes.
+    /// A reboot of any depth completes.
     RecoveryDone {
         /// The recovering node.
         node: usize,
         /// The reboot ticket.
         id: RebootId,
-        /// The recovery depth.
-        level: RebootLevel,
-        /// When it began.
-        started: SimTime,
-    },
-    /// A conducted recovery ticket completes.
-    ConductedDone {
-        /// The recovering node.
-        node: usize,
-        /// The reboot ticket.
-        id: RebootId,
-        /// The conductor ticket to settle.
-        ticket: TicketId,
+        /// The conductor ticket to settle, when the reboot was conducted.
+        ticket: Option<TicketId>,
         /// The recovery depth.
         level: RebootLevel,
         /// When it began.
@@ -391,16 +377,10 @@ impl EventPayload<World> for SimEvent {
             SimEvent::RecoveryDone {
                 node,
                 id,
-                level,
-                started,
-            } => w.on_recovery_done(node, id, level, started, q),
-            SimEvent::ConductedDone {
-                node,
-                id,
                 ticket,
                 level,
                 started,
-            } => w.on_conducted_done(node, id, ticket, level, started, q),
+            } => w.on_recovery_done(node, id, ticket, level, started, q),
             SimEvent::InjectFault {
                 node,
                 fault,
@@ -788,10 +768,13 @@ impl World {
         self.pump_node(node, q);
     }
 
+    /// Completes a reboot and acknowledges it: straight to the manager,
+    /// or through the conductor ticket that carried it.
     fn on_recovery_done(
         &mut self,
         node: usize,
         id: RebootId,
+        ticket: Option<TicketId>,
         level: RebootLevel,
         started: SimTime,
         q: &mut SimQueue,
@@ -810,16 +793,22 @@ impl World {
             action,
             started,
         });
-        self.recovery_finished(node, now);
-        self.redirect(node, false);
-        self.pump_node(node, q);
+        match ticket {
+            Some(ticket) => {
+                self.pump_node(node, q);
+                self.finish_conducted(node, ticket, q);
+            }
+            None => {
+                self.recovery_finished(node, now);
+                self.redirect(node, false);
+                self.pump_node(node, q);
+            }
+        }
     }
 
-    /// Executes a recovery action on a node (from the RM or an experiment).
-    ///
-    /// One path for every depth: map the action to its [`RebootLevel`],
-    /// begin the recovery through the server's lifecycle API, run (or
-    /// schedule) the crash phase, and schedule the completion.
+    /// Executes a recovery action on a node (from the RM or an
+    /// experiment): a policy-plane hold or a human page here, a reboot of
+    /// any depth through [`World::begin_reboot`].
     fn execute_action(&mut self, node: usize, action: RecoveryAction, q: &mut SimQueue) {
         let now = q.now();
         self.log.push(LogEvent::RecoveryStarted {
@@ -827,11 +816,7 @@ impl World {
             node,
             action: format!("{action:?}"),
         });
-        let (level, components) = match action {
-            RecoveryAction::Microreboot { components } => (RebootLevel::Component, components),
-            RecoveryAction::RestartApp => (RebootLevel::Application, Vec::new()),
-            RecoveryAction::RestartProcess => (RebootLevel::Process, Vec::new()),
-            RecoveryAction::RebootOs => (RebootLevel::OperatingSystem, Vec::new()),
+        match action {
             RecoveryAction::Isolate { components } => {
                 // Bulkhead: admission-control the blast radius instead of
                 // rebooting — the LB sheds the components' traffic for a
@@ -856,7 +841,6 @@ impl World {
                         started: now,
                     },
                 );
-                return;
             }
             RecoveryAction::Failover => {
                 // Failover-first: steer the node's traffic to its peers
@@ -876,12 +860,37 @@ impl World {
                         started: now,
                     },
                 );
-                return;
             }
             RecoveryAction::NotifyHuman => {
                 self.log.push(LogEvent::HumanNotified { at: now, node });
                 self.recovery_finished(node, now);
-                return;
+            }
+            reboot => self.begin_reboot(node, reboot, None, q),
+        }
+    }
+
+    /// Begins the reboot `action` names on `node` — the one path for every
+    /// depth, conducted (`ticket`) or not: map the action to its
+    /// [`RebootLevel`], begin the recovery through the server's lifecycle
+    /// API, run (or schedule) the crash phase, and schedule the
+    /// completion.
+    fn begin_reboot(
+        &mut self,
+        node: usize,
+        action: RecoveryAction,
+        ticket: Option<TicketId>,
+        q: &mut SimQueue,
+    ) {
+        let now = q.now();
+        let (level, components) = match action {
+            RecoveryAction::Microreboot { components } => (RebootLevel::Component, components),
+            RecoveryAction::RestartApp => (RebootLevel::Application, Vec::new()),
+            RecoveryAction::RestartProcess => (RebootLevel::Process, Vec::new()),
+            RecoveryAction::RebootOs => (RebootLevel::OperatingSystem, Vec::new()),
+            RecoveryAction::NotifyHuman
+            | RecoveryAction::Isolate { .. }
+            | RecoveryAction::Failover => {
+                unreachable!("policy-plane actions are not reboots")
             }
         };
         // The drain window (Table 6) only applies to microreboots; coarse
@@ -891,22 +900,26 @@ impl World {
             _ => None,
         };
         let names: Vec<&str> = components.iter().map(|c| c.as_str()).collect();
-        let ticket = match self.nodes[node].begin_recovery(level, &names, now, drain) {
-            Ok(t) => t,
-            Err(_) => {
-                // Nothing to do (already rebooting, or the process is
-                // down); unblock the manager so it can escalate.
-                self.recovery_finished(node, now);
-                return;
+        let Ok(reboot) = self.nodes[node].begin_recovery(level, &names, now, drain) else {
+            // Nothing to do (already rebooting, a racing reboot holds a
+            // member, or the process is down): settle the action so the
+            // manager can escalate.
+            match ticket {
+                Some(ticket) => self.finish_conducted(node, ticket, q),
+                None => self.recovery_finished(node, now),
             }
+            return;
         };
-        self.redirect(node, true);
-        self.pool.perf_mask(ticket.done_at);
-        let id = ticket.id;
+        match ticket {
+            Some(_) => self.sync_routing(node),
+            None => self.redirect(node, true),
+        }
+        self.pool.perf_mask(reboot.done_at);
+        let id = reboot.id;
         if level == RebootLevel::Component {
             // The crash phase waits out the drain window.
             q.schedule_event_at(
-                ticket.crash_at,
+                reboot.crash_at,
                 "recovery-crash",
                 SimEvent::RecoveryCrash { node, id },
             );
@@ -915,11 +928,12 @@ impl World {
             self.schedule_deliveries(node, killed, q);
         }
         q.schedule_event_at(
-            ticket.done_at,
+            reboot.done_at,
             "recovery-done",
             SimEvent::RecoveryDone {
                 node,
                 id,
+                ticket,
                 level,
                 started: now,
             },
@@ -1005,90 +1019,12 @@ impl World {
 
     /// Begins executing a conductor ticket on a node.
     fn start_conducted(&mut self, node: usize, cmd: StartCmd, q: &mut SimQueue) {
-        let now = q.now();
         self.log.push(LogEvent::RecoveryStarted {
-            at: now,
+            at: q.now(),
             node,
             action: format!("{:?}", cmd.action),
         });
-        let (level, components) = match cmd.action {
-            RecoveryAction::Microreboot { components } => (RebootLevel::Component, components),
-            RecoveryAction::RestartApp => (RebootLevel::Application, Vec::new()),
-            RecoveryAction::RestartProcess => (RebootLevel::Process, Vec::new()),
-            RecoveryAction::RebootOs => (RebootLevel::OperatingSystem, Vec::new()),
-            RecoveryAction::NotifyHuman
-            | RecoveryAction::Isolate { .. }
-            | RecoveryAction::Failover => {
-                unreachable!("policy-plane actions bypass the conductor")
-            }
-        };
-        let drain = match level {
-            RebootLevel::Component => self.drain,
-            _ => None,
-        };
-        let names: Vec<&str> = components.iter().map(|c| c.as_str()).collect();
-        let ticket = match self.nodes[node].begin_recovery(level, &names, now, drain) {
-            Ok(t) => t,
-            Err(_) => {
-                // The node cannot take this reboot (process down, or a
-                // racing non-conducted reboot holds a member): settle the
-                // ticket so the manager can escalate.
-                self.finish_conducted(node, cmd.ticket, q);
-                return;
-            }
-        };
-        self.sync_routing(node);
-        self.pool.perf_mask(ticket.done_at);
-        let id = ticket.id;
-        if level == RebootLevel::Component {
-            q.schedule_event_at(
-                ticket.crash_at,
-                "recovery-crash",
-                SimEvent::RecoveryCrash { node, id },
-            );
-        } else {
-            let killed = self.nodes[node].recovery_crash(id, now);
-            self.schedule_deliveries(node, killed, q);
-        }
-        let tid = cmd.ticket;
-        q.schedule_event_at(
-            ticket.done_at,
-            "recovery-done",
-            SimEvent::ConductedDone {
-                node,
-                id,
-                ticket: tid,
-                level,
-                started: now,
-            },
-        );
-    }
-
-    fn on_conducted_done(
-        &mut self,
-        node: usize,
-        id: RebootId,
-        ticket: TicketId,
-        level: RebootLevel,
-        started: SimTime,
-        q: &mut SimQueue,
-    ) {
-        let now = q.now();
-        let members = self.nodes[node].recovery_complete(id, now);
-        let action = match level {
-            RebootLevel::Component => format!("microreboot {members:?}"),
-            RebootLevel::Application => "app restart".into(),
-            RebootLevel::Process => "process restart".into(),
-            RebootLevel::OperatingSystem => "OS reboot".into(),
-        };
-        self.log.push(LogEvent::RecoveryFinished {
-            at: now,
-            node,
-            action,
-            started,
-        });
-        self.pump_node(node, q);
-        self.finish_conducted(node, ticket, q);
+        self.begin_reboot(node, cmd.action, Some(cmd.ticket), q);
     }
 
     /// Settles a finished (or unexecutable) ticket: acknowledges every
@@ -1299,7 +1235,8 @@ pub struct Sim {
 impl Sim {
     /// Builds a simulation per `config` and arms the client population.
     pub fn new(config: SimConfig) -> Self {
-        let db = share_db(config.dataset.generate(config.seed));
+        let dataset = DatasetSpec::default();
+        let db = share_db(dataset.generate(config.seed));
         let shared_ssm = match config.store {
             StoreChoice::Ssm => Some(share_ssm(Ssm::new(3))),
             StoreChoice::FastS => None,
@@ -1311,7 +1248,7 @@ impl Sim {
                 _ => SessionBackend::FastS(statestore::FastS::new()),
             };
             let server = AppServer::new(
-                EBid::new(config.dataset),
+                EBid::new(dataset),
                 ServerConfig {
                     node: n,
                     retry_enabled: config.retry_enabled,
@@ -1325,7 +1262,7 @@ impl Sim {
             nodes.push(server);
         }
         let mut pool = ClientPool::new(
-            catalog(&config.dataset),
+            catalog(&dataset),
             ClientPoolConfig {
                 clients: config.nodes * config.clients_per_node,
                 detector: config.detector,

@@ -21,8 +21,8 @@
 //! generates, so a cancelled microreboot's scheduled completion becomes a
 //! harmless no-op instead of racing the restart that replaced it.
 //!
-//! The per-level methods (`begin_microreboot`, `begin_app_restart`, ...)
-//! survive as thin wrappers over the unified API.
+//! `begin_microreboot` / `microreboot_crash` / `microreboot_complete`
+//! name the component level of the same API.
 
 use components::descriptor::ComponentId;
 use components::registry::Binding;
@@ -146,11 +146,6 @@ impl RecoveryLifecycle {
     /// [`RebootLevel::supersedes`], i.e. the escalation chain).
     fn cancel_finer(&mut self, level: RebootLevel) {
         self.active.retain(|r| !level.supersedes(r.level));
-    }
-
-    /// Returns the id of the in-flight recovery at `level`, if any.
-    fn active_id_at(&self, level: RebootLevel) -> Option<RebootId> {
-        self.active.iter().find(|r| r.level == level).map(|r| r.id)
     }
 
     /// In-flight component-level recoveries as `(members, crash_at,
@@ -530,13 +525,7 @@ impl<A: Application> AppServer<A> {
         }
     }
 
-    fn complete_level(&mut self, level: RebootLevel, now: SimTime) {
-        if let Some(id) = self.lifecycle.active_id_at(level) {
-            self.recovery_complete(id, now);
-        }
-    }
-
-    // ---- legacy per-level wrappers -----------------------------------
+    // ---- the component level, by name ---------------------------------
 
     /// Begins a microreboot of `targets` (component names), expanded to
     /// their recovery groups. See [`AppServer::begin_recovery`].
@@ -559,38 +548,5 @@ impl<A: Application> AppServer<A> {
     /// [`AppServer::recovery_complete`].
     pub fn microreboot_complete(&mut self, id: RebootId, now: SimTime) -> Vec<&'static str> {
         self.recovery_complete(id, now)
-    }
-
-    /// Restarts the whole application in place. Returns the completion
-    /// instant and the killed requests' responses.
-    ///
-    /// Fails when the JVM itself is down — a dead process cannot redeploy
-    /// an application; the caller must escalate to a process restart.
-    pub fn begin_app_restart(
-        &mut self,
-        now: SimTime,
-    ) -> Result<(SimTime, Vec<Response>), RebootError> {
-        let ticket = self.begin_recovery(RebootLevel::Application, &[], now, None)?;
-        let killed = self.recovery_crash(ticket.id, now);
-        Ok((ticket.done_at, killed))
-    }
-
-    /// Completes an application restart.
-    pub fn app_restart_complete(&mut self, now: SimTime) {
-        self.complete_level(RebootLevel::Application, now);
-    }
-
-    /// `kill -9`s the JVM and begins a process restart.
-    pub fn begin_process_restart(&mut self, now: SimTime) -> (SimTime, Vec<Response>) {
-        let ticket = self
-            .begin_recovery(RebootLevel::Process, &[], now, None)
-            .expect("process restart is always possible");
-        let killed = self.recovery_crash(ticket.id, now);
-        (ticket.done_at, killed)
-    }
-
-    /// Completes a process restart.
-    pub fn process_restart_complete(&mut self, now: SimTime) {
-        self.complete_level(RebootLevel::Process, now);
     }
 }

@@ -71,7 +71,10 @@ fn coarse_recovery_cancels_active_microreboot() {
     srv.microreboot_crash(ticket.id, t);
     assert_eq!(srv.active_microreboots().len(), 1);
 
-    let (ready, _) = srv.begin_process_restart(t);
+    let restart = srv
+        .begin_recovery(RebootLevel::Process, &[], t, None)
+        .unwrap();
+    srv.recovery_crash(restart.id, t);
     assert_eq!(
         srv.active_microreboots().len(),
         0,
@@ -85,7 +88,7 @@ fn coarse_recovery_cancels_active_microreboot() {
     assert!(revived.is_empty(), "cancelled reboot completes nothing");
     assert!(matches!(srv.state(), ProcState::JvmRestarting { .. }));
 
-    srv.process_restart_complete(ready);
+    srv.recovery_complete(restart.id, restart.done_at);
     assert!(srv.is_up());
 }
 

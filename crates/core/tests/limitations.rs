@@ -10,6 +10,7 @@
 
 use simcore::SimTime;
 use statestore::{Database, Value};
+use urb_core::server::RebootLevel;
 use urb_core::testkit::ToyApp;
 use urb_core::{share_db, AppServer, ServerConfig, SessionBackend};
 
@@ -74,11 +75,14 @@ fn process_restart_releases_external_db_locks_via_tcp_teardown() {
     // connection, the database notices, and the rogue session's locks
     // release. (The simulation models this as the database severing all
     // connections when the hosting process dies.)
-    let (ready, _) = srv.begin_process_restart(t);
+    let restart = srv
+        .begin_recovery(RebootLevel::Process, &[], t, None)
+        .unwrap();
+    srv.recovery_crash(restart.id, t);
     {
         // The OS-level connection teardown: every connection of the dead
         // process closes. The server's own pooled connection is closed by
-        // begin_process_restart; the rogue connection belongs to the same
+        // the restart's crash phase; the rogue connection belongs to the same
         // process, so the experiment closes it the way the OS would.
         let mut db = db.borrow_mut();
         let all: Vec<_> = (0..64)
@@ -89,7 +93,7 @@ fn process_restart_releases_external_db_locks_via_tcp_teardown() {
             let _ = db.close_conn(c);
         }
     }
-    srv.process_restart_complete(ready);
+    srv.recovery_complete(restart.id, restart.done_at);
     assert!(
         !lock_is_held(&mut db.borrow_mut()),
         "TCP teardown released the rogue lock"

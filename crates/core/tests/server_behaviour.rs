@@ -5,7 +5,7 @@
 use simcore::{SimDuration, SimTime};
 use statestore::session::CorruptKind;
 use statestore::{FastS, Ssm, Value};
-use urb_core::server::{make_request, ProcState, ServerFault};
+use urb_core::server::{make_request, ProcState, RebootLevel, RebootTicket, ServerFault};
 use urb_core::testkit::{ops, ToyApp};
 use urb_core::{
     share_db, share_ssm, AppServer, Application, CallContext, CallError, RejuvenationAction,
@@ -23,6 +23,18 @@ fn server(retry: bool) -> AppServer<ToyApp> {
         db,
         SessionBackend::FastS(FastS::new()),
     )
+}
+
+/// Begins a coarse restart and runs its crash phase (coarse levels kill at
+/// once); the caller completes it with `recovery_complete`.
+fn begin_restart(
+    srv: &mut AppServer<ToyApp>,
+    level: RebootLevel,
+    now: SimTime,
+) -> (RebootTicket, Vec<urb_core::Response>) {
+    let ticket = srv.begin_recovery(level, &[], now, None).unwrap();
+    let killed = srv.recovery_crash(ticket.id, now);
+    (ticket, killed)
 }
 
 /// Runs one request synchronously: submit, pump, complete.
@@ -402,7 +414,8 @@ fn process_restart_loses_fasts_sessions() {
     let r = run_one(&mut srv, 1, ops::LOGIN, None, 42, t);
     let sid = r.set_cookie.unwrap();
 
-    let (ready, killed) = srv.begin_process_restart(t);
+    let (restart, killed) = begin_restart(&mut srv, RebootLevel::Process, t);
+    let ready = restart.done_at;
     assert!(killed.is_empty());
     assert!(ready - t >= SimDuration::from_secs(19), "~19 s restart");
     assert_eq!(srv.state(), ProcState::JvmRestarting { until: ready });
@@ -418,7 +431,7 @@ fn process_restart_loses_fasts_sessions() {
     );
     assert_eq!(r.status, Status::NetworkError);
 
-    srv.process_restart_complete(ready);
+    srv.recovery_complete(restart.id, ready);
     assert!(srv.is_up());
     assert_eq!(srv.app().restarts, 1);
 
@@ -440,8 +453,9 @@ fn ssm_sessions_survive_process_restart() {
     let t = SimTime::from_secs(1);
     let r = run_one(&mut srv, 1, ops::LOGIN, None, 42, t);
     let sid = r.set_cookie.unwrap();
-    let (ready, _) = srv.begin_process_restart(t);
-    srv.process_restart_complete(ready);
+    let (restart, _) = begin_restart(&mut srv, RebootLevel::Process, t);
+    let ready = restart.done_at;
+    srv.recovery_complete(restart.id, ready);
     let r = run_one(&mut srv, 2, ops::CART_ADD, Some(sid), 7, ready);
     assert!(!r.markers.login_prompt, "SSM session survived the restart");
     assert_eq!(r.status, Status::Ok);
@@ -535,7 +549,8 @@ fn app_restart_is_cheaper_than_process_restart_and_keeps_fasts() {
     let r = run_one(&mut srv, 1, ops::LOGIN, None, 42, t);
     let sid = r.set_cookie.unwrap();
 
-    let (ready, _) = srv.begin_app_restart(t).unwrap();
+    let (restart, _) = begin_restart(&mut srv, RebootLevel::Application, t);
+    let ready = restart.done_at;
     let dur = ready - t;
     assert!(dur > SimDuration::from_secs(7) && dur < SimDuration::from_secs(9));
 
@@ -550,7 +565,7 @@ fn app_restart_is_cheaper_than_process_restart_and_keeps_fasts() {
     );
     assert_eq!(r.status, Status::ServerError(503));
 
-    srv.app_restart_complete(ready);
+    srv.recovery_complete(restart.id, ready);
     // FastS lives in the server, outside the application: it survived.
     let r = run_one(&mut srv, 3, ops::CART_ADD, Some(sid), 7, ready);
     assert!(!r.markers.login_prompt);
@@ -592,8 +607,8 @@ fn bit_flip_registers_crashes_the_process() {
     assert_eq!(srv.state(), ProcState::Crashed);
     let r = run_one(&mut srv, 1, ops::GET, None, 5, t);
     assert_eq!(r.status, Status::NetworkError);
-    let (ready, _) = srv.begin_process_restart(t);
-    srv.process_restart_complete(ready);
+    let (restart, _) = begin_restart(&mut srv, RebootLevel::Process, t);
+    srv.recovery_complete(restart.id, restart.done_at);
     assert!(srv.is_up());
 }
 
@@ -652,8 +667,9 @@ fn oom_without_rejuvenation_kills_the_jvm() {
     }
     assert_eq!(srv.state(), ProcState::DownOom);
     // JVM restart reclaims the intra-JVM leak.
-    let (ready, _) = srv.begin_process_restart(t + SimDuration::from_secs(11));
-    srv.process_restart_complete(ready);
+    let at = t + SimDuration::from_secs(11);
+    let (restart, _) = begin_restart(&mut srv, RebootLevel::Process, at);
+    srv.recovery_complete(restart.id, restart.done_at);
     assert!(srv.available_memory() > 800 << 20);
 }
 
@@ -693,7 +709,7 @@ fn microreboot_rejected_while_down_and_double_targets_coalesce() {
     srv.microreboot_crash(ticket.id, t);
     srv.microreboot_complete(ticket.id, ticket.done_at);
 
-    srv.begin_process_restart(ticket.done_at);
+    begin_restart(&mut srv, RebootLevel::Process, ticket.done_at);
     let err = srv
         .begin_microreboot(&["Store"], ticket.done_at, None)
         .unwrap_err();

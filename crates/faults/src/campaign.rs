@@ -1,4 +1,4 @@
-//! Deterministic randomized fault-injection campaigns (urb-chaos).
+//! Deterministic randomized fault-injection campaigns (urb chaos).
 //!
 //! A campaign is a seeded sweep over the adversarial scenario space:
 //! fault kind × target component × injection time × an optional second
@@ -9,7 +9,7 @@
 //! which is what lets the harness assert digest equality as an invariant.
 //!
 //! The module only *describes* scenarios; executing them against a
-//! `cluster::Sim` lives in the urb-chaos binary, keeping this crate free
+//! `cluster::Sim` lives in `urb chaos` (crates/bench), keeping this crate free
 //! of a dependency cycle with the cluster layer.
 
 use simcore::rng::SimRng;

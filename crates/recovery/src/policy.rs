@@ -12,7 +12,7 @@
 //! strategies as competitors. Each lives behind [`RecoveryPolicy`], a
 //! deterministic, seeded, telemetry-fed decision interface; the
 //! [`RecoveryManager`](crate::RecoveryManager) hosts whichever one
-//! [`PolicyChoice`] names, and `urb-chaos policy-tournament` races them
+//! [`PolicyChoice`] names, and `urb chaos tournament` races them
 //! under an identical fault matrix.
 
 use components::CompName;

@@ -18,7 +18,7 @@
 //!   (log-linear HDR-style), the latency substrate of the
 //!   performance-observability plane,
 //! * [`trace`] — recovery-episode assembly and the deterministic JSONL
-//!   trace format the `urb-trace` inspection CLI consumes,
+//!   trace format the `urb trace` inspection CLI consumes,
 //! * [`wire`] — the per-type byte/JSON field trait and the `code_enum!`
 //!   table macro every event, fault-kind and policy schema is written in.
 //!

@@ -417,7 +417,7 @@ telemetry_events! {
         /// When.
         at: SimTime = "at_us",
     }
-    /// A fault-injection campaign run finished (emitted by `urb-chaos`
+    /// A fault-injection campaign run finished (emitted by `urb chaos`
     /// onto the campaign's own bus, one per scenario).
     21 CampaignRunDone "campaign_run_done" => CAMPAIGN_RUNS_DONE {
         /// Zero-based run index within the campaign.

@@ -90,7 +90,7 @@ pub fn digest_of(events: &[TelemetryEvent]) -> u64 {
 }
 
 /// End-of-run DES kernel health, carried on the trace's `meta` line so
-/// `urb-trace summary` can show it offline. Only the deterministic
+/// `urb trace summary` can show it offline. Only the deterministic
 /// gauges from [`crate::metrics::record_kernel_gauges`] are stored —
 /// wall-clock throughput would make recorded traces differ between
 /// machines and break byte-for-byte trace comparison.
@@ -598,7 +598,7 @@ pub fn assemble_episodes(events: &[TelemetryEvent]) -> Vec<RecoveryEpisode> {
 }
 
 // ---------------------------------------------------------------------------
-// Strict attribution (`urb-trace verify --strict`)
+// Strict attribution (`urb trace verify --strict`)
 // ---------------------------------------------------------------------------
 
 /// The result of classifying every event of a trace as belonging to a

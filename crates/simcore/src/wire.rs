@@ -2,7 +2,7 @@
 //!
 //! A value that travels in a [`crate::telemetry::TelemetryEvent`] is a
 //! [`Field`]: it knows its canonical byte encoding (what trace digests
-//! hash) and its JSONL rendering (what `urb-trace` reads back). The
+//! hash) and its JSONL rendering (what `urb trace` reads back). The
 //! layout rule is by type — `u8`, `bool` and the fieldless code enums
 //! take one byte, every other integer and both time types take a
 //! little-endian `u64` — so a table row only has to name a field's type.

@@ -587,7 +587,7 @@ fn drop_a_member(rng: &mut SimRng, line: &str) -> String {
     format!("{}{}", &line[..start], &rest[len..])
 }
 
-/// `urb-trace` reads files people hand it: whatever is in them, the
+/// `urb trace` reads files people hand it: whatever is in them, the
 /// parser must answer with `Ok` or with an error naming the line — never
 /// a panic, never a bare message `verify` cannot point at.
 #[test]
