@@ -8,7 +8,7 @@
 //! requests a microreboot kills.
 
 use crate::report::{banner, Table};
-use components::descriptor::{ComponentDescriptor, ComponentKind};
+use components::descriptor::{ComponentDescriptor, ComponentId, ComponentKind};
 use components::graph::DependencyGraph;
 use simcore::{SimDuration, SimTime};
 use statestore::FastS;
@@ -72,7 +72,8 @@ impl Application for ChainApp {
 
     fn handle(&mut self, ctx: &mut CallContext<'_>, req: &Request) -> Result<(), CallError> {
         // Each request touches one bean, chosen by its argument.
-        ctx.call(NAMES[req.arg as usize % N], "op", |_| Ok(()))
+        // Bean `i` is deployed right after the web component.
+        ctx.call(ComponentId(1 + req.arg as usize % N), "op", |_| Ok(()))
     }
 
     fn session_valid(&self, _obj: &statestore::session::SessionObject) -> bool {
@@ -114,7 +115,7 @@ fn measure(block_size: usize) -> (usize, SimDuration, u64, usize) {
     for i in 0..N as u64 {
         let req = make_request(1000 + i, OpCode(0), None, true, i as i64, probe_t);
         if let SubmitOutcome::Admitted = srv.submit(req, probe_t) {
-            for started in srv.pump(probe_t) {
+            for started in srv.pump(probe_t).to_vec() {
                 if let Some(resp) = srv.complete(started.req, started.cpu_done_at) {
                     // Count only the probes; earlier queued load drains
                     // through the same pump.

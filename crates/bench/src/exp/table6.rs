@@ -80,6 +80,6 @@ pub(super) fn run() -> Result<(), String> {
             format!("{d}")
         }
     );
-    println!("analyze that trade-off further — exp_ablation_drain does)");
+    println!("analyze that trade-off further — urb exp ablation_drain does)");
     Ok(())
 }

@@ -78,6 +78,8 @@ impl LoadBalancer {
         let Some(path_of) = self.path_of else {
             return false;
         };
+        // `AppServer::new` interned every deployed name; one it never saw
+        // is no component of this cluster and sits in no quarantine set.
         (path_of)(op)
             .iter()
             .any(|c| CompName::lookup(c).is_some_and(|c| self.quarantine[node].contains(&c)))

@@ -1,19 +1,19 @@
 //! Interned component names.
 //!
 //! Component names originate as `&'static str` literals in deployment
-//! descriptors, but everything downstream of the descriptors — the naming
-//! registry, recovery actions, the conductor's conflict sets — wants a
-//! small `Copy` identifier it can compare, hash and store without
+//! descriptors, but everything downstream of one server — recovery
+//! actions, the conductor's conflict sets, the LB's quarantine sets —
+//! wants a small `Copy` identifier it can compare, hash and store without
 //! threading `'static` lifetimes through every layer. [`CompName`] is that
 //! identifier: a process-wide interned symbol. Interning the same string
 //! twice yields the same symbol, and [`CompName::as_str`] recovers the
-//! original name for display and for the graph/registry APIs that still
-//! speak strings.
+//! original name for display and for the graph APIs that still speak
+//! strings.
 //!
-//! The interner is a global table behind a `Mutex` (names are interned a
-//! handful of times at deployment; lookups on hot paths go through the
-//! already-resolved `CompName`). Symbols are never freed: component sets
-//! are tiny (eBid has 21) and live for the process.
+//! The interner is a global table behind a `Mutex` (a server interns its
+//! descriptor names once, when it is built; the request path holds
+//! `ComponentId` handles and never comes here). Symbols are never freed:
+//! component sets are tiny (eBid has 27) and live for the process.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -13,10 +13,10 @@
 //!   the transitive closure of container-spanning references that must be
 //!   microrebooted together (eBid's `EntityGroup`),
 //! * [`intern`] — interned component names ([`CompName`]): the small
-//!   `Copy` identifiers the registry, recovery actions and the conductor
-//!   use instead of threading `&'static str` everywhere,
-//! * [`registry`] — the JNDI-like naming service mapping component names to
-//!   bindings, including the `Sentinel` binding used to mask microreboots
+//!   `Copy` identifiers recovery actions and the conductor use instead of
+//!   threading `&'static str` everywhere,
+//! * [`registry`] — the JNDI-like naming service mapping component names
+//!   (held as their deployment handles) to bindings, including the `Sentinel` binding used to mask microreboots
 //!   with call-level retries (Section 6.2) and the corruption surface used
 //!   by Table 2's "corrupt JNDI entries" faults,
 //! * [`container`] — per-component containers: lifecycle state, instance

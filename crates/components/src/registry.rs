@@ -15,7 +15,6 @@
 use simcore::SimDuration;
 
 use crate::descriptor::ComponentId;
-use crate::intern::CompName;
 
 /// What a name resolves to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -74,7 +73,13 @@ pub enum Resolved {
     WrongComponent(ComponentId),
 }
 
-/// The name → binding table.
+/// The name → binding table, keyed by the name's deployment handle.
+///
+/// Deployment resolves each component *name* once, into its dense
+/// [`ComponentId`]; callers hold that handle and the table is indexed by
+/// it. The indirection itself stays: every invocation still resolves its
+/// handle here, so a sentinel bound between two calls of one request, or
+/// an injected corruption, is seen by the very next call.
 ///
 /// # Examples
 ///
@@ -82,18 +87,16 @@ pub enum Resolved {
 /// use components::descriptor::ComponentId;
 /// use components::registry::{Binding, NamingRegistry, Resolved};
 ///
+/// let make_bid = ComponentId(3);
 /// let mut jndi = NamingRegistry::new();
-/// jndi.bind("MakeBid", Binding::Active(ComponentId(3)));
-/// assert_eq!(jndi.resolve("MakeBid"), Ok(Resolved::Component(ComponentId(3))));
+/// jndi.bind(make_bid, Binding::Active(make_bid));
+/// assert_eq!(jndi.resolve(make_bid), Ok(Resolved::Component(make_bid)));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct NamingRegistry {
-    /// Bindings sorted by component name. The set is tiny (one entry per
-    /// deployed component) and changes only at deploy/undeploy time, so
-    /// the hot [`NamingRegistry::resolve`] path is a binary search over a
-    /// dense vec — no interner mutex, no tree-node pointer chases.
-    slots: Vec<(&'static str, Binding)>,
-    lookups: u64,
+    /// One slot per handle; `None` = nothing bound under it (never
+    /// deployed, or unbound by a teardown).
+    slots: Vec<Option<Binding>>,
 }
 
 impl NamingRegistry {
@@ -102,44 +105,29 @@ impl NamingRegistry {
         NamingRegistry::default()
     }
 
-    fn slot_of(&self, name: &str) -> Option<usize> {
-        self.slots.binary_search_by(|&(n, _)| n.cmp(name)).ok()
-    }
-
-    /// Binds (or rebinds) `name`, interning it.
-    pub fn bind(&mut self, name: &'static str, binding: Binding) {
-        // Interning is a side effect other layers rely on (quarantine
-        // matching resolves names through the interner); binding itself
-        // keys on the string.
-        CompName::intern(name);
-        match self.slots.binary_search_by(|&(n, _)| n.cmp(name)) {
-            Ok(i) => self.slots[i].1 = binding,
-            Err(i) => self.slots.insert(i, (name, binding)),
+    /// Binds (or rebinds) `name`.
+    pub fn bind(&mut self, name: ComponentId, binding: Binding) {
+        if name.0 >= self.slots.len() {
+            self.slots.resize(name.0 + 1, None);
         }
+        self.slots[name.0] = Some(binding);
     }
 
     /// Removes the binding for `name`, returning it.
-    pub fn unbind(&mut self, name: &str) -> Option<Binding> {
-        let i = self.slot_of(name)?;
-        Some(self.slots.remove(i).1)
+    pub fn unbind(&mut self, name: ComponentId) -> Option<Binding> {
+        self.slots.get_mut(name.0)?.take()
     }
 
-    /// Returns the raw binding without resolving it.
-    pub fn get(&self, name: &str) -> Option<Binding> {
-        self.slot_of(name).map(|i| self.slots[i].1)
-    }
-
-    /// Resolves `name` to a callable target, in one search.
+    /// Resolves `name` to a callable target.
     ///
     /// Note that [`Binding::Wrong`] resolves *successfully* — to the wrong
     /// component, reported as [`Resolved::WrongComponent`] (the comparison
     /// detector's oracle for JNDI corruption): the corruption is invisible
     /// at lookup time, and the caller fails only when the invocation
     /// reaches a foreign interface.
-    pub fn resolve(&mut self, name: &str) -> Result<Resolved, RegistryError> {
-        self.lookups += 1;
+    pub fn resolve(&self, name: ComponentId) -> Result<Resolved, RegistryError> {
         // A name that was never bound was never deployed: NotBound.
-        match self.get(name) {
+        match self.slots.get(name.0).copied().flatten() {
             None | Some(Binding::Null) => Err(RegistryError::NotBound),
             Some(Binding::Dangling) => Err(RegistryError::Dangling),
             Some(Binding::Active(id)) => Ok(Resolved::Component(id)),
@@ -148,31 +136,16 @@ impl NamingRegistry {
         }
     }
 
-    /// Returns the number of lookups served.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-
-    /// Returns the number of bound names (of any binding kind).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Returns true if nothing is bound.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Corrupts the entry for `name` to `binding` (fault-injection surface).
     ///
-    /// Returns false if the name was never bound (nothing to corrupt).
-    pub fn corrupt(&mut self, name: &str, binding: Binding) -> bool {
-        match self.slot_of(name) {
-            Some(i) => {
-                self.slots[i].1 = binding;
+    /// Returns false if the name is not bound (nothing to corrupt).
+    pub fn corrupt(&mut self, name: ComponentId, binding: Binding) -> bool {
+        match self.slots.get_mut(name.0) {
+            Some(slot @ Some(_)) => {
+                *slot = Some(binding);
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 }
@@ -181,27 +154,29 @@ impl NamingRegistry {
 mod tests {
     use super::*;
 
+    const A: ComponentId = ComponentId(0);
+    const C: ComponentId = ComponentId(1);
+
     #[test]
     fn bind_resolve_unbind() {
         let mut r = NamingRegistry::new();
-        r.bind("A", Binding::Active(ComponentId(0)));
-        assert_eq!(r.resolve("A"), Ok(Resolved::Component(ComponentId(0))));
-        assert_eq!(r.unbind("A"), Some(Binding::Active(ComponentId(0))));
-        assert_eq!(r.resolve("A"), Err(RegistryError::NotBound));
-        assert_eq!(r.lookups(), 2);
+        r.bind(A, Binding::Active(A));
+        assert_eq!(r.resolve(A), Ok(Resolved::Component(A)));
+        assert_eq!(r.unbind(A), Some(Binding::Active(A)));
+        assert_eq!(r.resolve(A), Err(RegistryError::NotBound));
     }
 
     #[test]
     fn sentinel_resolves_to_retry() {
         let mut r = NamingRegistry::new();
         r.bind(
-            "B",
+            C,
             Binding::Sentinel {
                 retry_after: SimDuration::from_secs(2),
             },
         );
         assert_eq!(
-            r.resolve("B"),
+            r.resolve(C),
             Ok(Resolved::RetryAfter(SimDuration::from_secs(2)))
         );
     }
@@ -209,34 +184,36 @@ mod tests {
     #[test]
     fn null_corruption_fails_lookup() {
         let mut r = NamingRegistry::new();
-        r.bind("C", Binding::Active(ComponentId(1)));
-        assert!(r.corrupt("C", Binding::Null));
-        assert_eq!(r.resolve("C"), Err(RegistryError::NotBound));
+        r.bind(C, Binding::Active(C));
+        assert!(r.corrupt(C, Binding::Null));
+        assert_eq!(r.resolve(C), Err(RegistryError::NotBound));
     }
 
     #[test]
     fn dangling_corruption_fails_differently() {
         let mut r = NamingRegistry::new();
-        r.bind("C", Binding::Active(ComponentId(1)));
-        r.corrupt("C", Binding::Dangling);
-        assert_eq!(r.resolve("C"), Err(RegistryError::Dangling));
+        r.bind(C, Binding::Active(C));
+        r.corrupt(C, Binding::Dangling);
+        assert_eq!(r.resolve(C), Err(RegistryError::Dangling));
     }
 
     #[test]
     fn wrong_corruption_resolves_to_wrong_component() {
         let mut r = NamingRegistry::new();
-        r.bind("C", Binding::Active(ComponentId(1)));
-        r.corrupt("C", Binding::Wrong(ComponentId(7)));
-        assert_eq!(r.resolve("C"), Ok(Resolved::WrongComponent(ComponentId(7))));
+        r.bind(C, Binding::Active(C));
+        r.corrupt(C, Binding::Wrong(ComponentId(7)));
+        assert_eq!(r.resolve(C), Ok(Resolved::WrongComponent(ComponentId(7))));
         // Rebinding during redeployment cures it.
-        r.bind("C", Binding::Active(ComponentId(1)));
-        assert_eq!(r.resolve("C"), Ok(Resolved::Component(ComponentId(1))));
+        r.bind(C, Binding::Active(C));
+        assert_eq!(r.resolve(C), Ok(Resolved::Component(C)));
     }
 
     #[test]
     fn corrupting_unbound_name_reports_false() {
         let mut r = NamingRegistry::new();
-        assert!(!r.corrupt("Ghost", Binding::Null));
-        assert!(r.is_empty());
+        assert!(!r.corrupt(ComponentId(9), Binding::Null));
+        r.bind(C, Binding::Active(C));
+        assert!(!r.corrupt(A, Binding::Null), "a gap below a bound slot");
+        assert_eq!(r.resolve(A), Err(RegistryError::NotBound));
     }
 }

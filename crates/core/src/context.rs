@@ -16,7 +16,7 @@ use components::registry::Resolved;
 use simcore::{SimDuration, SimTime};
 use statestore::db::{Row, ScanHits};
 use statestore::session::{SessionId, SessionObject, StoreError};
-use statestore::{DbError, TxnId, Value};
+use statestore::{DbError, TableId, TxnId, Value};
 
 use crate::app::CallError;
 use crate::calib;
@@ -30,6 +30,24 @@ pub enum HangKind {
     Park,
     /// Infinite loop: the thread burns its CPU until killed.
     Hog,
+}
+
+/// The components a request entered: one bit per dense [`ComponentId`],
+/// which is why a deployment holds at most [`ComponentSet::CAPACITY`]
+/// components (`AppServer::new` refuses more).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct ComponentSet(u64);
+
+impl ComponentSet {
+    pub(crate) const CAPACITY: usize = u64::BITS as usize;
+
+    pub(crate) fn insert(&mut self, id: ComponentId) {
+        self.0 |= 1 << id.0;
+    }
+
+    pub(crate) fn contains(self, id: ComponentId) -> bool {
+        self.0 >> id.0 & 1 == 1
+    }
 }
 
 /// The capability handle a request handler runs against.
@@ -56,7 +74,7 @@ pub struct CallContext<'a> {
     /// The open request transaction, if any.
     pub(crate) txn: Option<TxnId>,
     /// Components entered by this request.
-    pub(crate) touched: Vec<ComponentId>,
+    pub(crate) touched: ComponentSet,
     /// Set when the request hung inside a component.
     pub(crate) hang: Option<(ComponentId, HangKind)>,
     /// Sticky flag: a (corrupt) transaction method map told us to run
@@ -71,7 +89,7 @@ pub struct CallContext<'a> {
     /// Rows written outside the request transaction (autocommit under a
     /// corrupt transaction method map): they cannot be rolled back and
     /// become divergence if the request later fails.
-    pub(crate) autocommitted: Vec<(&'static str, i64)>,
+    pub(crate) autocommitted: Vec<(TableId, i64)>,
     /// Taint that propagates into writes: the request's *inputs* (session
     /// state, instance attributes, generated keys) were corrupted, so
     /// values it computes — and stores — differ from the fault-free twin's.
@@ -102,7 +120,7 @@ impl<'a> CallContext<'a> {
             markers: BodyMarkers::default(),
             failed_component: None,
             txn: None,
-            touched: Vec::new(),
+            touched: ComponentSet::default(),
             hang: None,
             autocommit: false,
             session_cache: None,
@@ -153,38 +171,45 @@ impl<'a> CallContext<'a> {
         self.markers.invalid_data = true;
     }
 
-    fn exception(&mut self, component: Option<&'static str>) -> CallError {
+    /// The name `target` was deployed under; only failure paths ask.
+    fn name_of(&self, target: ComponentId) -> Option<&'static str> {
+        let container = self.inner.containers.get(target.0)?;
+        Some(container.descriptor.name)
+    }
+
+    fn exception(&mut self, component: Option<ComponentId>) -> CallError {
         self.markers.exception_text = true;
         if self.failed_component.is_none() {
-            self.failed_component = component;
+            self.failed_component = component.and_then(|c| self.name_of(c));
         }
         CallError::Exception
     }
 
     // ---- component invocation ------------------------------------------
 
-    /// Invokes business method `method` on component `name`, running `f`
-    /// as its body.
+    /// Invokes business method `method` on the component deployed under
+    /// the handle `target`, running `f` as its body.
     ///
     /// This is the interceptor chain: naming lookup, sentinel check,
     /// container state check, fault semantics, instance-pool service,
     /// transaction-attribute lookup and in-flight accounting all happen
-    /// here, before and after `f`.
+    /// here, before and after `f`. The handle is resolved on *every* call:
+    /// a sentinel is bound between two calls of one request (Section 6.2).
     pub fn call<T>(
         &mut self,
-        name: &'static str,
+        target: ComponentId,
         method: &'static str,
         f: impl FnOnce(&mut CallContext<'a>) -> Result<T, CallError>,
     ) -> Result<T, CallError> {
         self.cpu += calib::CALL_OVERHEAD;
-        let id = match self.inner.registry.resolve(name) {
-            Err(_) => return Err(self.exception(Some(name))),
+        let id = match self.inner.registry.resolve(target) {
+            Err(_) => return Err(self.exception(Some(target))),
             Ok(Resolved::RetryAfter(d)) => return Err(CallError::Retry(d)),
             // The lookup silently resolved to the wrong component; the
             // invocation then hits a foreign interface — the
             // ClassCastException analogue (lookup-time checks cannot catch
             // this, only the call itself fails).
-            Ok(Resolved::WrongComponent(_)) => return Err(self.exception(Some(name))),
+            Ok(Resolved::WrongComponent(_)) => return Err(self.exception(Some(target))),
             Ok(Resolved::Component(id)) => id,
         };
         // Intermittent faults self-heal on a deadline and fail calls
@@ -209,23 +234,23 @@ impl<'a> CallContext<'a> {
             }
             if c.faults.transient_exceptions > 0 {
                 c.faults.transient_exceptions -= 1;
-                return Err(self.exception(Some(name)));
+                return Err(self.exception(Some(target)));
             }
             if intermittent_fails {
-                return Err(self.exception(Some(name)));
+                return Err(self.exception(Some(target)));
             }
             if c.faults.deadlocked {
                 c.call_enter();
                 self.hang = Some((id, HangKind::Park));
-                self.touch(id);
-                self.failed_component = Some(name);
+                self.touched.insert(id);
+                self.failed_component = self.name_of(target);
                 return Err(CallError::Hang);
             }
             if c.faults.infinite_loop {
                 c.call_enter();
                 self.hang = Some((id, HangKind::Hog));
-                self.touch(id);
-                self.failed_component = Some(name);
+                self.touched.insert(id);
+                self.failed_component = self.name_of(target);
                 return Err(CallError::Hang);
             }
             if c.faults.leak_per_call > 0 {
@@ -236,7 +261,7 @@ impl<'a> CallContext<'a> {
                 match c.pool.serve() {
                     InstanceOutcome::Clean => {}
                     InstanceOutcome::FailedAndDiscarded(_) => {
-                        return Err(self.exception(Some(name)));
+                        return Err(self.exception(Some(target)));
                     }
                     InstanceOutcome::ServedWrong => {
                         self.tainted = true;
@@ -247,7 +272,7 @@ impl<'a> CallContext<'a> {
             let is_entity_store =
                 c.descriptor.kind == ComponentKind::EntityBean && method == "store";
             match c.txn_map.attr_for(method) {
-                Err(_) => return Err(self.exception(Some(name))),
+                Err(_) => return Err(self.exception(Some(target))),
                 Ok(TxnAttr::Required) => {}
                 // Container-managed persistence requires a transaction
                 // context for entity writes: a (corruptly) flipped
@@ -255,13 +280,13 @@ impl<'a> CallContext<'a> {
                 // analogue. Elsewhere it silently strips transactionality
                 // from subsequent writes.
                 Ok(TxnAttr::NotSupported) if is_entity_store => {
-                    return Err(self.exception(Some(name)));
+                    return Err(self.exception(Some(target)));
                 }
                 Ok(TxnAttr::NotSupported) => self.autocommit = true,
             }
             c.call_enter();
         }
-        self.touch(id);
+        self.touched.insert(id);
         let result = f(self);
         match &result {
             Err(CallError::Hang) => {
@@ -271,15 +296,9 @@ impl<'a> CallContext<'a> {
             _ => self.inner.containers[id.0].call_exit(),
         }
         if result.is_err() && self.failed_component.is_none() {
-            self.failed_component = Some(name);
+            self.failed_component = self.name_of(target);
         }
         result
-    }
-
-    fn touch(&mut self, id: ComponentId) {
-        if !self.touched.contains(&id) {
-            self.touched.push(id);
-        }
     }
 
     // ---- database access -------------------------------------------------
@@ -303,7 +322,7 @@ impl<'a> CallContext<'a> {
     }
 
     /// Reads a row; `None` if absent.
-    pub fn db_read(&mut self, table: &str, pk: i64) -> Result<Option<Row>, CallError> {
+    pub fn db_read(&mut self, table: TableId, pk: i64) -> Result<Option<Row>, CallError> {
         self.cpu += calib::DB_READ_COST;
         let read = self
             .inner
@@ -324,7 +343,7 @@ impl<'a> CallContext<'a> {
     /// taint if any matched row is corrupted.
     pub fn db_scan_eq(
         &mut self,
-        table: &str,
+        table: TableId,
         column: usize,
         value: i64,
         limit: usize,
@@ -339,7 +358,7 @@ impl<'a> CallContext<'a> {
 
     /// Queries the first `limit` rows of `table` in primary-key order
     /// (read-only), marking taint if any of them is corrupted.
-    pub fn db_scan_all(&mut self, table: &str, limit: usize) -> Result<ScanHits, CallError> {
+    pub fn db_scan_all(&mut self, table: TableId, limit: usize) -> Result<ScanHits, CallError> {
         let hits = self.inner.db.borrow_mut().scan_all(table, limit, ());
         self.scanned(hits)
     }
@@ -356,7 +375,7 @@ impl<'a> CallContext<'a> {
     }
 
     /// Returns the largest primary key in `table`.
-    pub fn db_max_pk(&mut self, table: &str) -> Result<Option<i64>, CallError> {
+    pub fn db_max_pk(&mut self, table: TableId) -> Result<Option<i64>, CallError> {
         self.cpu += calib::DB_READ_COST;
         let r = self.inner.db.borrow().max_pk(table);
         r.map_err(|_| self.exception(None))
@@ -401,7 +420,7 @@ impl<'a> CallContext<'a> {
         }
     }
 
-    fn note_autocommit(&mut self, table: &'static str, pk: i64) {
+    fn note_autocommit(&mut self, table: TableId, pk: i64) {
         if self.autocommit && !self.autocommitted.contains(&(table, pk)) {
             self.autocommitted.push((table, pk));
         }
@@ -416,7 +435,8 @@ impl<'a> CallContext<'a> {
     }
 
     /// Inserts a row inside the request transaction.
-    pub fn db_insert(&mut self, table: &'static str, row: Row) -> Result<(), CallError> {
+    pub fn db_insert(&mut self, table: TableId, row: impl Into<Row>) -> Result<(), CallError> {
+        let row = row.into();
         let pk = row[0].as_int().unwrap_or(0);
         let r = self.db_write(|db, t| db.insert(t, table, row));
         if r.is_ok() {
@@ -428,7 +448,7 @@ impl<'a> CallContext<'a> {
     /// Updates row cells inside the request transaction.
     pub fn db_update(
         &mut self,
-        table: &'static str,
+        table: TableId,
         pk: i64,
         updates: &[(usize, Value)],
     ) -> Result<(), CallError> {
@@ -449,9 +469,10 @@ impl<'a> CallContext<'a> {
     /// needing manual repair (Table 2's ≈ rows).
     pub fn db_insert_or_overwrite(
         &mut self,
-        table: &'static str,
-        row: Row,
+        table: TableId,
+        row: impl Into<Row>,
     ) -> Result<bool, CallError> {
+        let row = row.into();
         let pk = match row[0].as_int() {
             Some(pk) => pk,
             None => return Err(self.exception(None)),
@@ -464,7 +485,7 @@ impl<'a> CallContext<'a> {
         let _ = self.inner.db.borrow_mut().taint_row(table, pk);
         self.tainted = true;
         self.taint_propagates = true;
-        let updates: Vec<(usize, Value)> = row.into_iter().enumerate().skip(1).collect();
+        let updates: Vec<(usize, Value)> = row.iter().cloned().enumerate().skip(1).collect();
         self.db_update(table, pk, &updates)?;
         Ok(true)
     }

@@ -266,7 +266,7 @@ impl<A: Application> AppServer<A> {
                 for m in &rec.members {
                     let name = self.inner.graph.name_of(*m);
                     self.inner.containers[m.0].complete_start(now);
-                    self.inner.registry.bind(name, Binding::Active(*m));
+                    self.inner.registry.bind(*m, Binding::Active(*m));
                     self.app.on_component_reinit(name);
                     names.push(name);
                 }
@@ -366,9 +366,8 @@ impl<A: Application> AppServer<A> {
         // Bind sentinels now: new callers see Retry-After for the whole
         // window (Section 6.2 binds the sentinel before the reboot).
         for m in &members {
-            let name = self.inner.graph.name_of(*m);
             self.inner.registry.bind(
-                name,
+                *m,
                 Binding::Sentinel {
                     retry_after: calib::RETRY_AFTER,
                 },
@@ -495,7 +494,7 @@ impl<A: Application> AppServer<A> {
             c.full_stop();
         }
         for id in self.inner.graph.all_ids() {
-            self.inner.registry.unbind(self.inner.graph.name_of(id));
+            self.inner.registry.unbind(id);
         }
     }
 
@@ -519,9 +518,7 @@ impl<A: Application> AppServer<A> {
             let c = &mut self.inner.containers[id.0];
             c.begin_start();
             c.complete_start(now);
-            self.inner
-                .registry
-                .bind(self.inner.graph.name_of(id), Binding::Active(id));
+            self.inner.registry.bind(id, Binding::Active(id));
         }
     }
 

@@ -14,7 +14,7 @@ use components::descriptor::ComponentId;
 use simcore::SimTime;
 use statestore::TxnId;
 
-use crate::context::HangKind;
+use crate::context::{ComponentSet, HangKind};
 use crate::request::{ReqId, Request, Response};
 use crate::workers::{AdmitError, WorkerPool};
 
@@ -22,7 +22,7 @@ use crate::workers::{AdmitError, WorkerPool};
 pub(crate) struct RunningReq {
     pub(crate) req: Request,
     pub(crate) response: Response,
-    pub(crate) touched: Vec<ComponentId>,
+    pub(crate) touched: ComponentSet,
     pub(crate) txn: Option<TxnId>,
 }
 
@@ -145,7 +145,7 @@ impl RequestPipeline {
         let running_ids: Vec<ReqId> = self
             .running
             .iter()
-            .filter(|(_, rr)| rr.touched.iter().any(|t| members.contains(t)))
+            .filter(|(_, rr)| members.iter().any(|m| rr.touched.contains(*m)))
             .map(|&(id, _)| id)
             .collect();
         for rid in running_ids {

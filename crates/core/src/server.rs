@@ -25,17 +25,18 @@
 use components::container::Container;
 use components::descriptor::ComponentId;
 use components::graph::DependencyGraph;
+use components::intern::CompName;
 use components::registry::{Binding, NamingRegistry};
 use simcore::telemetry::{Disposition, KillCause, SharedBus, TelemetryEvent, TelemetrySink};
 use simcore::{MetricsRegistry, SimDuration, SimRng, SimTime};
 use statestore::db::ConnId;
 use statestore::session::{CorruptKind, SessionId};
-use statestore::TxnId;
+use statestore::{TableId, TxnId};
 
 use crate::app::{Application, CallError};
 use crate::backend::{SessionBackend, SharedDb};
 use crate::calib;
-use crate::context::{CallContext, HangKind};
+use crate::context::{CallContext, ComponentSet, HangKind};
 use crate::heap::HeapModel;
 use crate::pipeline::{HungReq, RequestPipeline, RunningReq};
 use crate::request::{BodyMarkers, OpCode, ReqId, Request, Response, Status};
@@ -306,7 +307,7 @@ pub struct ServerInner {
     /// Fail-slow degradation factors (permille) per component. Survives
     /// microreboots — a warm restart reuses the degraded pools — and is
     /// cleared only by the coarse recovery levels.
-    pub(crate) degraded: Vec<(&'static str, u32)>,
+    pub(crate) degraded: Vec<(ComponentId, u32)>,
     last_maintenance: SimTime,
     metrics: MetricsRegistry,
     bus: Option<SharedBus>,
@@ -359,6 +360,8 @@ pub struct AppServer<A: Application> {
     pub(crate) inner: ServerInner,
     pub(crate) pipeline: RequestPipeline,
     pub(crate) lifecycle: RecoveryLifecycle,
+    /// What the last [`AppServer::pump`] started (its buffer, reused).
+    started: Vec<Started>,
 }
 
 impl<A: Application> AppServer<A> {
@@ -370,10 +373,16 @@ impl<A: Application> AppServer<A> {
     /// # Panics
     ///
     /// Panics if the application's descriptors are inconsistent (duplicate
-    /// names, unknown references, missing web component) — deployment-time
-    /// configuration errors.
+    /// names, unknown references, missing web component) or more than 64
+    /// of them — deployment-time configuration errors.
     pub fn new(app: A, config: ServerConfig, db: SharedDb, session: SessionBackend) -> Self {
         let descriptors = app.descriptors();
+        assert!(
+            descriptors.len() <= ComponentSet::CAPACITY,
+            "{} components deployed; a request tracks those it entered in a {}-bit set",
+            descriptors.len(),
+            ComponentSet::CAPACITY
+        );
         let graph = DependencyGraph::build(&descriptors).expect("valid deployment descriptors");
         let web_id = graph
             .id_of(app.web_component())
@@ -385,7 +394,11 @@ impl<A: Application> AppServer<A> {
             let mut c = Container::new(d.clone(), app.methods_of(d.name));
             c.begin_start();
             c.complete_start(SimTime::ZERO);
-            registry.bind(d.name, Binding::Active(id));
+            registry.bind(id, Binding::Active(id));
+            // The one place a server interns its component names: layers
+            // that only see names (the LB's quarantine match) look them
+            // up with `CompName::lookup`.
+            CompName::intern(d.name);
             containers.push(c);
         }
         AppServer {
@@ -415,6 +428,7 @@ impl<A: Application> AppServer<A> {
             },
             pipeline: RequestPipeline::new(config.cpus, config.threads),
             lifecycle: RecoveryLifecycle::new(),
+            started: Vec::new(),
         }
     }
 
@@ -637,11 +651,11 @@ impl<A: Application> AppServer<A> {
     ///
     /// The caller schedules [`AppServer::complete`] at each
     /// [`Started::cpu_done_at`].
-    pub fn pump(&mut self, now: SimTime) -> Vec<Started> {
+    pub fn pump(&mut self, now: SimTime) -> &[Started] {
+        self.started.clear();
         if !self.lifecycle.is_up() {
-            return Vec::new();
+            return &self.started;
         }
-        let mut started = Vec::new();
         loop {
             // Every free CPU takes a request at the same instant, so each
             // request of the batch sees the backlog the whole batch leaves.
@@ -653,11 +667,11 @@ impl<A: Application> AppServer<A> {
             for _ in 0..batch {
                 let req = self.pipeline.pop_ready().expect("counted startable");
                 if let Some(s) = self.execute(req, now, backlog) {
-                    started.push(s);
+                    self.started.push(s);
                 }
             }
         }
-        started
+        &self.started
     }
 
     /// Runs one request's handler, deciding its fate.
@@ -688,7 +702,7 @@ impl<A: Application> AppServer<A> {
                 RunningReq {
                     req,
                     response: resp,
-                    touched: Vec::new(),
+                    touched: ComponentSet::default(),
                     txn: None,
                 },
             );
@@ -708,7 +722,7 @@ impl<A: Application> AppServer<A> {
         ctx.charge(base);
         let result = if web_active {
             ctx.inner.containers[web_id.0].call_enter();
-            ctx.touched.push(web_id);
+            ctx.touched.insert(web_id);
             let r = app.handle(&mut ctx, &req);
             ctx.finalize_session();
             if !matches!(r, Err(CallError::Hang)) {
@@ -815,7 +829,7 @@ impl<A: Application> AppServer<A> {
                     if !autocommitted.is_empty() {
                         let mut db = self.inner.db.borrow_mut();
                         for (table, pk) in &autocommitted {
-                            let _ = db.taint_row(table, *pk);
+                            let _ = db.taint_row(*table, *pk);
                         }
                     }
                     None
@@ -823,20 +837,11 @@ impl<A: Application> AppServer<A> {
                 // Fail-slow degradation: any request that touched a
                 // degraded component burns inflated CPU (the answer stays
                 // correct — only the latency moves).
-                let slow = if self.inner.degraded.is_empty() {
-                    1.0
-                } else {
-                    let mut permille = 1000u32;
-                    for m in &touched {
-                        let name = self.inner.graph.name_of(*m);
-                        for (comp, f) in &self.inner.degraded {
-                            if *comp == name {
-                                permille = permille.max(*f);
-                            }
-                        }
-                    }
-                    f64::from(permille) / 1000.0
-                };
+                let degraded = self.inner.degraded.iter();
+                let permille = degraded
+                    .filter(|(component, _)| touched.contains(*component))
+                    .fold(1000, |worst, (_, factor)| worst.max(*factor));
+                let slow = f64::from(permille) / 1000.0;
                 let cpu = SimDuration::from_secs_f64(cpu.as_secs_f64() * congestion * slow);
                 let cpu_done_at = now + cpu.max(SimDuration::from_micros(500));
                 let response = Response {
@@ -1037,22 +1042,20 @@ impl<A: Application> AppServer<A> {
                 }
             }
             ServerFault::CorruptJndi { component, kind } => {
-                let binding = match kind {
-                    CorruptKind::SetNull => Binding::Null,
-                    CorruptKind::SetInvalid => Binding::Dangling,
-                    CorruptKind::SetWrong => {
+                if let Some(victim) = self.inner.graph.id_of(component) {
+                    let web_id = self.inner.web_id;
+                    let binding = match kind {
+                        CorruptKind::SetNull => Binding::Null,
+                        CorruptKind::SetInvalid => Binding::Dangling,
                         // Point the name at some other live component.
-                        let victim = self.inner.graph.id_of(component);
-                        let wrong = self
-                            .inner
-                            .graph
-                            .all_ids()
-                            .find(|id| Some(*id) != victim && *id != self.inner.web_id)
-                            .unwrap_or(self.inner.web_id);
-                        Binding::Wrong(wrong)
-                    }
-                };
-                self.inner.registry.corrupt(component, binding);
+                        CorruptKind::SetWrong => Binding::Wrong(
+                            (self.inner.graph.all_ids())
+                                .find(|id| *id != victim && *id != web_id)
+                                .unwrap_or(web_id),
+                        ),
+                    };
+                    self.inner.registry.corrupt(victim, binding);
+                }
             }
             ServerFault::CorruptTxnMap { component, kind } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
@@ -1074,9 +1077,9 @@ impl<A: Application> AppServer<A> {
                 component,
                 factor_permille,
             } => {
-                if comp_mut(&mut self.inner, component).is_some() {
-                    self.inner.degraded.retain(|(n, _)| *n != component);
-                    self.inner.degraded.push((component, factor_permille));
+                if let Some(id) = self.inner.graph.id_of(component) {
+                    self.inner.degraded.retain(|(c, _)| *c != id);
+                    self.inner.degraded.push((id, factor_permille));
                     self.inner.emit(TelemetryEvent::DegradedInjected {
                         node: self.inner.node,
                         factor_permille,
@@ -1108,11 +1111,11 @@ struct CtxParts {
     markers: BodyMarkers,
     failed_component: Option<&'static str>,
     txn: Option<TxnId>,
-    touched: Vec<ComponentId>,
+    touched: ComponentSet,
     hang: Option<(ComponentId, HangKind)>,
     set_cookie: Option<SessionId>,
     clear_cookie: bool,
-    autocommitted: Vec<(&'static str, i64)>,
+    autocommitted: Vec<(TableId, i64)>,
 }
 
 fn ctx_into_parts(ctx: CallContext<'_>) -> CtxParts {

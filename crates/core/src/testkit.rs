@@ -7,11 +7,11 @@
 //! the microreboot kill paths. The real evaluation application (eBid)
 //! lives in the `ebid` crate.
 
-use components::descriptor::{ComponentDescriptor, ComponentKind};
+use components::descriptor::{ComponentDescriptor, ComponentId, ComponentKind};
 use simcore::SimDuration;
 use statestore::db::TableDef;
 use statestore::session::SessionObject;
-use statestore::{Database, Value};
+use statestore::{Database, TableId, Value};
 
 use crate::app::{Application, CallError};
 use crate::context::CallContext;
@@ -32,6 +32,12 @@ pub mod ops {
     /// Add item `arg` to the session cart.
     pub const CART_ADD: OpCode = OpCode(4);
 }
+
+// Deployment handles: positions in `descriptors()` and `schema()`.
+const FRONT: ComponentId = ComponentId(1);
+const STORE: ComponentId = ComponentId(2);
+const LEDGER: ComponentId = ComponentId(3);
+const ITEMS: TableId = TableId(0);
 
 /// The toy crash-only application.
 #[derive(Default)]
@@ -59,7 +65,7 @@ impl ToyApp {
     /// Builds a database pre-populated with `n` items valued 0.
     pub fn seeded_db(n: i64) -> Database {
         let mut db = Database::new(Self::schema());
-        db.load("items", (1..=n).map(|i| vec![Value::Int(i), Value::Int(0)]))
+        db.load(ITEMS, (1..=n).map(|i| vec![Value::Int(i), Value::Int(0)]))
             .expect("unique ids");
         db
     }
@@ -110,9 +116,9 @@ impl Application for ToyApp {
 
     fn handle(&mut self, ctx: &mut CallContext<'_>, req: &Request) -> Result<(), CallError> {
         match req.op {
-            ops::GET => ctx.call("Front", "get", |ctx| {
-                ctx.call("Store", "read", |ctx| {
-                    let row = ctx.db_read("items", ctx.arg())?;
+            ops::GET => ctx.call(FRONT, "get", |ctx| {
+                ctx.call(STORE, "read", |ctx| {
+                    let row = ctx.db_read(ITEMS, ctx.arg())?;
                     match row {
                         Some(r) => {
                             if r[1].as_int().unwrap_or(0) < 0 {
@@ -127,28 +133,28 @@ impl Application for ToyApp {
                     }
                 })
             }),
-            ops::PUT => ctx.call("Front", "put", |ctx| {
-                ctx.call("Store", "write", |ctx| {
+            ops::PUT => ctx.call(FRONT, "put", |ctx| {
+                ctx.call(STORE, "write", |ctx| {
                     let pk = ctx.arg();
-                    let row = ctx.db_read("items", pk)?;
+                    let row = ctx.db_read(ITEMS, pk)?;
                     match row {
                         Some(r) => {
                             let v = r[1].as_int().unwrap_or(0);
-                            ctx.db_update("items", pk, &[(1, Value::Int(v + 1))])
+                            ctx.db_update(ITEMS, pk, &[(1, Value::Int(v + 1))])
                         }
-                        None => ctx.db_insert("items", vec![Value::Int(pk), Value::Int(1)]),
+                        None => ctx.db_insert(ITEMS, [Value::Int(pk), Value::Int(1)]),
                     }
                 })?;
-                ctx.call("Ledger", "append", |_| Ok(()))
+                ctx.call(LEDGER, "append", |_| Ok(()))
             }),
-            ops::LOGIN => ctx.call("Front", "login", |ctx| {
+            ops::LOGIN => ctx.call(FRONT, "login", |ctx| {
                 ctx.new_session();
                 let mut obj = SessionObject::new();
                 obj.set("user_id", ctx.arg());
                 ctx.session_write(obj)
             }),
-            ops::LOGOUT => ctx.call("Front", "logout", |ctx| ctx.end_session()),
-            ops::CART_ADD => ctx.call("Front", "cart_add", |ctx| {
+            ops::LOGOUT => ctx.call(FRONT, "logout", |ctx| ctx.end_session()),
+            ops::CART_ADD => ctx.call(FRONT, "cart_add", |ctx| {
                 match ctx.session_read()? {
                     Some(mut obj) => {
                         match obj.get("user_id") {

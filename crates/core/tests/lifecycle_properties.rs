@@ -117,7 +117,7 @@ fn no_inflight_request_survives_web_microreboot_crash() {
                 SubmitOutcome::Rejected(_) => {}
             }
         }
-        let started = srv.pump(t);
+        let started = srv.pump(t).to_vec();
 
         // Complete a random subset of what started running.
         let mut completed = Vec::new();

@@ -231,7 +231,7 @@ fn microreboot_kills_overlapping_inflight_and_rolls_back() {
     // Start a PUT but do not complete it.
     let req = make_request(1, ops::PUT, None, false, 5, t);
     srv.submit(req, t);
-    let started = srv.pump(t);
+    let started = srv.pump(t).to_vec();
     assert_eq!(started.len(), 1);
 
     let ticket = srv.begin_microreboot(&["Store"], t, None).unwrap();
@@ -256,7 +256,7 @@ fn drain_delay_lets_inflight_finish() {
     let t = SimTime::from_secs(1);
     let req = make_request(1, ops::GET, None, true, 5, t);
     srv.submit(req, t);
-    let started = srv.pump(t);
+    let started = srv.pump(t).to_vec();
     let ticket = srv
         .begin_microreboot(&["Store"], t, Some(urb_core::calib::DRAIN_DELAY))
         .unwrap();
@@ -279,7 +279,7 @@ fn deadlock_hangs_until_microreboot() {
     srv.inject(ServerFault::Deadlock { component: "Store" }, t);
     let req = make_request(1, ops::GET, None, true, 5, t);
     srv.submit(req, t);
-    let started = srv.pump(t);
+    let started = srv.pump(t).to_vec();
     assert!(
         started.is_empty(),
         "hung request never schedules completion"
@@ -729,4 +729,71 @@ fn stats_count_the_things_that_happened() {
     assert_eq!(s.submitted, 2);
     assert_eq!(s.microreboots, 1);
     assert_eq!(s.retries_sent, 1);
+}
+
+/// A web component (handle 0) and `beans` entity beans `B1..`, each its
+/// own recovery group; a request calls the bean its argument names.
+struct WideApp {
+    beans: usize,
+}
+
+impl Application for WideApp {
+    fn descriptors(&self) -> Vec<components::descriptor::ComponentDescriptor> {
+        use components::descriptor::{ComponentDescriptor, ComponentKind};
+        let bean = |i| -> &'static str { Box::leak(format!("B{i}").into_boxed_str()) };
+        std::iter::once(ComponentDescriptor::new("Web", ComponentKind::Web))
+            .chain(
+                (1..=self.beans)
+                    .map(|i| ComponentDescriptor::new(bean(i), ComponentKind::EntityBean)),
+            )
+            .collect()
+    }
+    fn methods_of(&self, _component: &str) -> &'static [&'static str] {
+        &["op"]
+    }
+    fn web_component(&self) -> &'static str {
+        "Web"
+    }
+    fn base_cost(&self, _op: urb_core::OpCode) -> SimDuration {
+        SimDuration::from_millis(8)
+    }
+    fn handle(&mut self, ctx: &mut CallContext<'_>, req: &Request) -> Result<(), CallError> {
+        let bean = components::descriptor::ComponentId(req.arg as usize);
+        ctx.call(bean, "op", |_| Ok(()))
+    }
+    fn session_valid(&self, _obj: &statestore::SessionObject) -> bool {
+        true
+    }
+    fn on_component_reinit(&mut self, _component: &str) {}
+    fn on_process_restart(&mut self) {}
+}
+
+fn wide_server(beans: usize) -> AppServer<WideApp> {
+    AppServer::new(
+        WideApp { beans },
+        ServerConfig::default(),
+        share_db(ToyApp::seeded_db(1)),
+        SessionBackend::FastS(FastS::new()),
+    )
+}
+
+#[test]
+fn the_touched_set_spans_all_64_components() {
+    // A request through handles 0 (Web) and 63 (the last bean) dies with
+    // either, and only with those.
+    for (target, dies) in [("Web", true), ("B63", true), ("B62", false), ("B1", false)] {
+        let mut srv = wide_server(63);
+        let t = SimTime::from_secs(1);
+        srv.submit(make_request(1, ops::GET, None, true, 63, t), t);
+        assert_eq!(srv.pump(t).len(), 1);
+        let ticket = srv.begin_microreboot(&[target], t, None).unwrap();
+        let killed = srv.microreboot_crash(ticket.id, t).len();
+        assert_eq!(killed, usize::from(dies), "microreboot of {target}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "65 components deployed")]
+fn a_65th_component_is_refused_at_deployment() {
+    wide_server(64);
 }

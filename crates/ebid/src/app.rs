@@ -9,16 +9,19 @@
 
 use components::descriptor::ComponentDescriptor;
 use simcore::SimDuration;
+use statestore::db::Row;
 use statestore::session::{CorruptKind, SessionObject};
-use statestore::Value;
+use statestore::{TableId, Value};
 use urb_core::app::{Application, CallError};
 use urb_core::context::CallContext;
 use urb_core::request::{OpCode, Request};
 
-use crate::components::{descriptors, methods_of};
+use crate::components::{descriptors, ejb, methods_of};
 use crate::keygen::{KeyGen, KeyResult};
 use crate::ops::codes;
-use crate::schema::DatasetSpec;
+use crate::schema::{
+    bids, buy_now, categories, comments, items, old_items, regions, users, DatasetSpec,
+};
 
 /// Largest user id the application accepts as plausible.
 const MAX_PLAUSIBLE_ID: i64 = 1 << 40;
@@ -94,13 +97,9 @@ impl EBid {
     }
 
     /// Produces the next primary key for `table` via IdentityManager.
-    fn next_id(
-        &mut self,
-        ctx: &mut CallContext<'_>,
-        table: &'static str,
-    ) -> Result<i64, CallError> {
+    fn next_id(&mut self, ctx: &mut CallContext<'_>, table: TableId) -> Result<i64, CallError> {
         let keygen = &mut self.keygen;
-        ctx.call("IdentityManager", "next_id", |ctx| {
+        ctx.call(ejb::IDENTITY_MANAGER, "next_id", |ctx| {
             let max = ctx.db_max_pk(table)?;
             match keygen.next(table, max) {
                 KeyResult::Fresh(id) => Ok(id),
@@ -120,13 +119,15 @@ impl EBid {
 
     /// Reads an item row, raising the null-dereference analogue on
     /// corrupted cells and flagging implausible content.
-    fn load_item(ctx: &mut CallContext<'_>, item: i64) -> Result<Option<Vec<Value>>, CallError> {
-        let row = ctx.db_read("items", item)?;
+    fn load_item(ctx: &mut CallContext<'_>, item: i64) -> Result<Option<Row>, CallError> {
+        let row = ctx.db_read(items::TABLE, item)?;
         if let Some(r) = &row {
-            if r[1].is_null() || r[6].is_null() {
+            if r[items::NAME].is_null() || r[items::MAX_BID].is_null() {
                 return Err(CallError::Exception);
             }
-            if r[6].as_float().unwrap_or(0.0) < 0.0 || r[0].as_int().unwrap_or(0) < 0 {
+            if r[items::MAX_BID].as_float().unwrap_or(0.0) < 0.0
+                || r[items::ID].as_int().unwrap_or(0) < 0
+            {
                 ctx.mark_invalid_data();
             }
         }
@@ -230,57 +231,59 @@ impl Application for EBid {
             }
 
             // ---- browsing ------------------------------------------------
-            codes::BROWSE_CATEGORIES => ctx.call("BrowseCategories", "list", |ctx| {
-                ctx.call("Category", "load", |ctx| {
-                    ctx.db_scan_all("categories", 20)?;
+            codes::BROWSE_CATEGORIES => ctx.call(ejb::BROWSE_CATEGORIES, "list", |ctx| {
+                ctx.call(ejb::CATEGORY, "load", |ctx| {
+                    ctx.db_scan_all(categories::TABLE, 20)?;
                     Ok(())
                 })
             }),
-            codes::BROWSE_REGIONS => ctx.call("BrowseRegions", "list", |ctx| {
-                ctx.call("Region", "load", |ctx| {
-                    ctx.db_scan_all("regions", 62)?;
+            codes::BROWSE_REGIONS => ctx.call(ejb::BROWSE_REGIONS, "list", |ctx| {
+                ctx.call(ejb::REGION, "load", |ctx| {
+                    ctx.db_scan_all(regions::TABLE, 62)?;
                     Ok(())
                 })
             }),
-            codes::BROWSE_ITEMS_IN_CATEGORY => ctx.call("BrowseCategories", "items_in", |ctx| {
-                ctx.call("Category", "load", |ctx| {
-                    let cat = ctx.db_read("categories", arg)?;
-                    if cat.is_none() {
-                        ctx.mark_invalid_data();
-                    }
-                    Ok(())
-                })?;
-                ctx.call("Item", "load", |ctx| {
-                    ctx.db_scan_eq("items", 3, arg, 25)?;
-                    Ok(())
+            codes::BROWSE_ITEMS_IN_CATEGORY => {
+                ctx.call(ejb::BROWSE_CATEGORIES, "items_in", |ctx| {
+                    ctx.call(ejb::CATEGORY, "load", |ctx| {
+                        let cat = ctx.db_read(categories::TABLE, arg)?;
+                        if cat.is_none() {
+                            ctx.mark_invalid_data();
+                        }
+                        Ok(())
+                    })?;
+                    ctx.call(ejb::ITEM, "load", |ctx| {
+                        ctx.db_scan_eq(items::TABLE, items::CATEGORY_ID, arg, 25)?;
+                        Ok(())
+                    })
                 })
-            }),
-            codes::BROWSE_ITEMS_IN_REGION => ctx.call("BrowseRegions", "items_in", |ctx| {
-                ctx.call("Region", "load", |ctx| {
-                    let region = ctx.db_read("regions", arg)?;
+            }
+            codes::BROWSE_ITEMS_IN_REGION => ctx.call(ejb::BROWSE_REGIONS, "items_in", |ctx| {
+                ctx.call(ejb::REGION, "load", |ctx| {
+                    let region = ctx.db_read(regions::TABLE, arg)?;
                     if region.is_none() {
                         ctx.mark_invalid_data();
                     }
                     Ok(())
                 })?;
-                ctx.call("Item", "load", |ctx| {
-                    ctx.db_scan_eq("items", 4, arg, 25)?;
+                ctx.call(ejb::ITEM, "load", |ctx| {
+                    ctx.db_scan_eq(items::TABLE, items::REGION_ID, arg, 25)?;
                     Ok(())
                 })
             }),
 
             // ---- viewing -------------------------------------------------
-            codes::VIEW_ITEM => ctx.call("ViewItem", "view", |ctx| {
-                let row = ctx.call("Item", "load", |ctx| Self::load_item(ctx, arg))?;
+            codes::VIEW_ITEM => ctx.call(ejb::VIEW_ITEM, "view", |ctx| {
+                let row = ctx.call(ejb::ITEM, "load", |ctx| Self::load_item(ctx, arg))?;
                 match row {
                     Some(r) => {
-                        let seller = r[2].as_int().unwrap_or(0);
+                        let seller = r[items::SELLER_ID].as_int().unwrap_or(0);
                         if seller <= 0 {
                             ctx.mark_invalid_data();
                             return Ok(());
                         }
-                        ctx.call("User", "load", |ctx| {
-                            if ctx.db_read("users", seller)?.is_none() {
+                        ctx.call(ejb::USER, "load", |ctx| {
+                            if ctx.db_read(users::TABLE, seller)?.is_none() {
                                 ctx.mark_invalid_data();
                             }
                             Ok(())
@@ -292,15 +295,15 @@ impl Application for EBid {
                     }
                 }
             }),
-            codes::VIEW_USER_INFO => ctx.call("ViewUserInfo", "view", |ctx| {
-                ctx.call("User", "load", |ctx| {
-                    let user = ctx.db_read("users", arg)?;
+            codes::VIEW_USER_INFO => ctx.call(ejb::VIEW_USER_INFO, "view", |ctx| {
+                ctx.call(ejb::USER, "load", |ctx| {
+                    let user = ctx.db_read(users::TABLE, arg)?;
                     match user {
                         Some(u) => {
-                            if u[1].is_null() {
+                            if u[users::NICKNAME].is_null() {
                                 return Err(CallError::Exception);
                             }
-                            if u[2].as_int().unwrap_or(0) < 0 {
+                            if u[users::RATING].as_int().unwrap_or(0) < 0 {
                                 ctx.mark_invalid_data();
                             }
                             Ok(())
@@ -311,27 +314,27 @@ impl Application for EBid {
                         }
                     }
                 })?;
-                ctx.call("UserFeedback", "load", |ctx| {
-                    ctx.db_scan_eq("comments", 2, arg, 10)?;
+                ctx.call(ejb::USER_FEEDBACK, "load", |ctx| {
+                    ctx.db_scan_eq(comments::TABLE, comments::TO_USER, arg, 10)?;
                     Ok(())
                 })
             }),
-            codes::VIEW_BID_HISTORY => ctx.call("ViewBidHistory", "history", |ctx| {
-                ctx.call("Bid", "load", |ctx| {
-                    ctx.db_scan_eq("bids", 2, arg, 20)?;
+            codes::VIEW_BID_HISTORY => ctx.call(ejb::VIEW_BID_HISTORY, "history", |ctx| {
+                ctx.call(ejb::BID, "load", |ctx| {
+                    ctx.db_scan_eq(bids::TABLE, bids::ITEM_ID, arg, 20)?;
                     Ok(())
                 })?;
-                ctx.call("Item", "load", |ctx| {
+                ctx.call(ejb::ITEM, "load", |ctx| {
                     Self::load_item(ctx, arg)?;
                     Ok(())
                 })?;
-                ctx.call("User", "load", |_| Ok(()))
+                ctx.call(ejb::USER, "load", |_| Ok(()))
             }),
-            codes::VIEW_PAST_AUCTION => ctx.call("ViewItem", "view_old", |ctx| {
-                ctx.call("OldItem", "load", |ctx| {
-                    let row = ctx.db_read("old_items", arg)?;
+            codes::VIEW_PAST_AUCTION => ctx.call(ejb::VIEW_ITEM, "view_old", |ctx| {
+                ctx.call(ejb::OLD_ITEM, "load", |ctx| {
+                    let row = ctx.db_read(old_items::TABLE, arg)?;
                     match row {
-                        Some(r) if r[1].is_null() => Err(CallError::Exception),
+                        Some(r) if r[old_items::NAME].is_null() => Err(CallError::Exception),
                         Some(_) => Ok(()),
                         None => {
                             ctx.mark_invalid_data();
@@ -345,52 +348,52 @@ impl Application for EBid {
                     ctx.mark_login_prompt();
                     return Ok(());
                 };
-                ctx.call("AboutMe", "summary", |ctx| {
-                    ctx.call("User", "load", |ctx| {
-                        if ctx.db_read("users", user)?.is_none() {
+                ctx.call(ejb::ABOUT_ME, "summary", |ctx| {
+                    ctx.call(ejb::USER, "load", |ctx| {
+                        if ctx.db_read(users::TABLE, user)?.is_none() {
                             ctx.mark_invalid_data();
                         }
                         Ok(())
                     })?;
-                    ctx.call("Item", "load", |ctx| {
-                        ctx.db_scan_eq("items", 2, user, 10)?;
+                    ctx.call(ejb::ITEM, "load", |ctx| {
+                        ctx.db_scan_eq(items::TABLE, items::SELLER_ID, user, 10)?;
                         Ok(())
                     })?;
-                    ctx.call("Bid", "load", |ctx| {
-                        ctx.db_scan_eq("bids", 1, user, 10)?;
+                    ctx.call(ejb::BID, "load", |ctx| {
+                        ctx.db_scan_eq(bids::TABLE, bids::USER_ID, user, 10)?;
                         Ok(())
                     })?;
-                    ctx.call("BuyNow", "load", |ctx| {
-                        ctx.db_scan_eq("buy_now", 1, user, 10)?;
+                    ctx.call(ejb::BUY_NOW, "load", |ctx| {
+                        ctx.db_scan_eq(buy_now::TABLE, buy_now::BUYER_ID, user, 10)?;
                         Ok(())
                     })?;
-                    ctx.call("UserFeedback", "load", |ctx| {
-                        ctx.db_scan_eq("comments", 2, user, 10)?;
+                    ctx.call(ejb::USER_FEEDBACK, "load", |ctx| {
+                        ctx.db_scan_eq(comments::TABLE, comments::TO_USER, user, 10)?;
                         Ok(())
                     })
                 })
             }
 
             // ---- search --------------------------------------------------
-            codes::SEARCH_BY_CATEGORY => ctx.call("SearchItemsByCategory", "search", |ctx| {
-                ctx.call("Item", "load", |ctx| {
-                    ctx.db_scan_eq("items", 3, arg, 25)?;
+            codes::SEARCH_BY_CATEGORY => ctx.call(ejb::SEARCH_ITEMS_BY_CATEGORY, "search", |ctx| {
+                ctx.call(ejb::ITEM, "load", |ctx| {
+                    ctx.db_scan_eq(items::TABLE, items::CATEGORY_ID, arg, 25)?;
                     Ok(())
                 })
             }),
-            codes::SEARCH_BY_REGION => ctx.call("SearchItemsByRegion", "search", |ctx| {
-                ctx.call("Item", "load", |ctx| {
-                    ctx.db_scan_eq("items", 4, arg, 25)?;
+            codes::SEARCH_BY_REGION => ctx.call(ejb::SEARCH_ITEMS_BY_REGION, "search", |ctx| {
+                ctx.call(ejb::ITEM, "load", |ctx| {
+                    ctx.db_scan_eq(items::TABLE, items::REGION_ID, arg, 25)?;
                     Ok(())
                 })
             }),
 
             // ---- session management ---------------------------------------
-            codes::LOGIN => ctx.call("Authenticate", "login", |ctx| {
-                let user = ctx.call("User", "load", |ctx| {
-                    let row = ctx.db_read("users", arg)?;
+            codes::LOGIN => ctx.call(ejb::AUTHENTICATE, "login", |ctx| {
+                let user = ctx.call(ejb::USER, "load", |ctx| {
+                    let row = ctx.db_read(users::TABLE, arg)?;
                     match row {
-                        Some(u) if u[1].is_null() => Err(CallError::Exception),
+                        Some(u) if u[users::NICKNAME].is_null() => Err(CallError::Exception),
                         Some(_) => Ok(Some(arg)),
                         None => Ok(None),
                     }
@@ -408,14 +411,14 @@ impl Application for EBid {
                     }
                 }
             }),
-            codes::LOGOUT => ctx.call("Authenticate", "logout", |ctx| ctx.end_session()),
+            codes::LOGOUT => ctx.call(ejb::AUTHENTICATE, "logout", |ctx| ctx.end_session()),
             codes::REGISTER_NEW_USER => {
-                let id = self.next_id(ctx, "users")?;
-                ctx.call("RegisterNewUser", "register", |ctx| {
-                    ctx.call("User", "store", |ctx| {
+                let id = self.next_id(ctx, users::TABLE)?;
+                ctx.call(ejb::REGISTER_NEW_USER, "register", |ctx| {
+                    ctx.call(ejb::USER, "store", |ctx| {
                         ctx.db_insert_or_overwrite(
-                            "users",
-                            vec![
+                            users::TABLE,
+                            [
                                 Value::Int(id),
                                 Value::from(format!("user-{id}")),
                                 Value::Int(0),
@@ -438,11 +441,11 @@ impl Application for EBid {
                     ctx.mark_login_prompt();
                     return Ok(());
                 };
-                ctx.call("MakeBid", "select", |ctx| {
-                    let row = ctx.call("Item", "load", |ctx| Self::load_item(ctx, arg))?;
+                ctx.call(ejb::MAKE_BID, "select", |ctx| {
+                    let row = ctx.call(ejb::ITEM, "load", |ctx| Self::load_item(ctx, arg))?;
                     match row {
                         Some(r) => {
-                            let current = r[6].as_float().unwrap_or(0.0);
+                            let current = r[items::MAX_BID].as_float().unwrap_or(0.0);
                             obj.set("bid_item", arg);
                             obj.set("bid_amount", current + 10.0);
                             ctx.session_write(obj)
@@ -459,8 +462,8 @@ impl Application for EBid {
                     ctx.mark_login_prompt();
                     return Ok(());
                 };
-                ctx.call("DoBuyNow", "select", |ctx| {
-                    let row = ctx.call("Item", "load", |ctx| Self::load_item(ctx, arg))?;
+                ctx.call(ejb::DO_BUY_NOW, "select", |ctx| {
+                    let row = ctx.call(ejb::ITEM, "load", |ctx| Self::load_item(ctx, arg))?;
                     match row {
                         Some(_) => {
                             obj.set("buy_item", arg);
@@ -478,9 +481,9 @@ impl Application for EBid {
                     ctx.mark_login_prompt();
                     return Ok(());
                 };
-                ctx.call("LeaveUserFeedback", "select", |ctx| {
-                    ctx.call("User", "load", |ctx| {
-                        if ctx.db_read("users", arg)?.is_none() {
+                ctx.call(ejb::LEAVE_USER_FEEDBACK, "select", |ctx| {
+                    ctx.call(ejb::USER, "load", |ctx| {
+                        if ctx.db_read(users::TABLE, arg)?.is_none() {
                             ctx.mark_invalid_data();
                         }
                         Ok(())
@@ -501,20 +504,20 @@ impl Application for EBid {
                     .get("bid_amount")
                     .and_then(Value::as_float)
                     .unwrap_or(110.0);
-                let bid_id = self.next_id(ctx, "bids")?;
-                ctx.call("CommitBid", "commit", |ctx| {
+                let bid_id = self.next_id(ctx, bids::TABLE)?;
+                ctx.call(ejb::COMMIT_BID, "commit", |ctx| {
                     // Validate the item first (reads Item), then record
                     // the bid, then update the item's auction state.
-                    let row = ctx.call("Item", "load", |ctx| Self::load_item(ctx, item))?;
+                    let row = ctx.call(ejb::ITEM, "load", |ctx| Self::load_item(ctx, item))?;
                     let Some(r) = row else {
                         ctx.mark_invalid_data();
                         return Ok(());
                     };
-                    let bids = r[7].as_int().unwrap_or(0);
-                    ctx.call("Bid", "store", |ctx| {
+                    let nb_bids = r[items::NB_BIDS].as_int().unwrap_or(0);
+                    ctx.call(ejb::BID, "store", |ctx| {
                         ctx.db_insert_or_overwrite(
-                            "bids",
-                            vec![
+                            bids::TABLE,
+                            [
                                 Value::Int(bid_id),
                                 Value::Int(user),
                                 Value::Int(item),
@@ -523,11 +526,14 @@ impl Application for EBid {
                         )?;
                         Ok(())
                     })?;
-                    ctx.call("Item", "store", |ctx| {
+                    ctx.call(ejb::ITEM, "store", |ctx| {
                         ctx.db_update(
-                            "items",
+                            items::TABLE,
                             item,
-                            &[(6, Value::Float(amount)), (7, Value::Int(bids + 1))],
+                            &[
+                                (items::MAX_BID, Value::Float(amount)),
+                                (items::NB_BIDS, Value::Int(nb_bids + 1)),
+                            ],
                         )
                     })
                 })
@@ -538,18 +544,18 @@ impl Application for EBid {
                     return Ok(());
                 };
                 let item = Self::session_ref(ctx, &obj, "buy_item", arg)?;
-                let buy_id = self.next_id(ctx, "buy_now")?;
-                ctx.call("CommitBuyNow", "commit", |ctx| {
-                    let row = ctx.call("Item", "load", |ctx| Self::load_item(ctx, item))?;
+                let buy_id = self.next_id(ctx, buy_now::TABLE)?;
+                ctx.call(ejb::COMMIT_BUY_NOW, "commit", |ctx| {
+                    let row = ctx.call(ejb::ITEM, "load", |ctx| Self::load_item(ctx, item))?;
                     let Some(r) = row else {
                         ctx.mark_invalid_data();
                         return Ok(());
                     };
-                    let qty = r[5].as_int().unwrap_or(1);
-                    ctx.call("BuyNow", "store", |ctx| {
+                    let qty = r[items::QUANTITY].as_int().unwrap_or(1);
+                    ctx.call(ejb::BUY_NOW, "store", |ctx| {
                         ctx.db_insert_or_overwrite(
-                            "buy_now",
-                            vec![
+                            buy_now::TABLE,
+                            [
                                 Value::Int(buy_id),
                                 Value::Int(user),
                                 Value::Int(item),
@@ -558,8 +564,12 @@ impl Application for EBid {
                         )?;
                         Ok(())
                     })?;
-                    ctx.call("Item", "store", |ctx| {
-                        ctx.db_update("items", item, &[(5, Value::Int((qty - 1).max(0)))])
+                    ctx.call(ejb::ITEM, "store", |ctx| {
+                        ctx.db_update(
+                            items::TABLE,
+                            item,
+                            &[(items::QUANTITY, Value::Int((qty - 1).max(0)))],
+                        )
                     })
                 })
             }
@@ -569,12 +579,12 @@ impl Application for EBid {
                     return Ok(());
                 };
                 let target = Self::session_ref(ctx, &obj, "fb_user", arg)?;
-                let comment_id = self.next_id(ctx, "comments")?;
-                ctx.call("CommitUserFeedback", "commit", |ctx| {
-                    ctx.call("UserFeedback", "store", |ctx| {
+                let comment_id = self.next_id(ctx, comments::TABLE)?;
+                ctx.call(ejb::COMMIT_USER_FEEDBACK, "commit", |ctx| {
+                    ctx.call(ejb::USER_FEEDBACK, "store", |ctx| {
                         ctx.db_insert_or_overwrite(
-                            "comments",
-                            vec![
+                            comments::TABLE,
+                            [
                                 Value::Int(comment_id),
                                 Value::Int(user),
                                 Value::Int(target),
@@ -584,12 +594,16 @@ impl Application for EBid {
                         )?;
                         Ok(())
                     })?;
-                    ctx.call("User", "store", |ctx| {
-                        let row = ctx.db_read("users", target)?;
+                    ctx.call(ejb::USER, "store", |ctx| {
+                        let row = ctx.db_read(users::TABLE, target)?;
                         match row {
                             Some(u) => {
-                                let rating = u[2].as_int().unwrap_or(0);
-                                ctx.db_update("users", target, &[(2, Value::Int(rating + 1))])
+                                let rating = u[users::RATING].as_int().unwrap_or(0);
+                                ctx.db_update(
+                                    users::TABLE,
+                                    target,
+                                    &[(users::RATING, Value::Int(rating + 1))],
+                                )
                             }
                             None => {
                                 ctx.mark_invalid_data();
@@ -604,12 +618,12 @@ impl Application for EBid {
                     ctx.mark_login_prompt();
                     return Ok(());
                 };
-                let item_id = self.next_id(ctx, "items")?;
-                ctx.call("RegisterNewItem", "register", |ctx| {
-                    ctx.call("Item", "store", |ctx| {
+                let item_id = self.next_id(ctx, items::TABLE)?;
+                ctx.call(ejb::REGISTER_NEW_ITEM, "register", |ctx| {
+                    ctx.call(ejb::ITEM, "store", |ctx| {
                         ctx.db_insert_or_overwrite(
-                            "items",
-                            vec![
+                            items::TABLE,
+                            [
                                 Value::Int(item_id),
                                 Value::from(format!("item-{item_id}")),
                                 Value::Int(user),

@@ -50,60 +50,68 @@ fn entity(
         .with_base_bytes(4 << 20)
 }
 
-/// Returns eBid's full descriptor set.
-pub fn descriptors() -> Vec<ComponentDescriptor> {
-    vec![
-        // --- web tier (Table 3: WAR 71 ms crash, 957 ms reinit) ---
-        ComponentDescriptor::new(WAR, ComponentKind::Web)
-            .with_costs(ms(71), ms(957))
-            .with_base_bytes(24 << 20),
-        // --- entity beans ---
-        // EntityGroup members: max reinit 449 + 4×85 increments ≈ 789 ms,
-        // max crash 12 + 4×6 ≈ 36 ms (Table 3 EntityGroup row).
-        entity("Category", &[], 9, 395),
-        entity("Region", &[], 10, 400),
-        entity("User", &[], 11, 430),
-        entity("Item", &["Category", "Region", "User"], 12, 449),
-        entity("Bid", &["Item", "User"], 10, 420),
-        // Standalone entities (their own Table 3 rows).
-        entity("BuyNow", &[], 9, 462),
-        entity("IdentityManager", &[], 10, 451),
-        entity("OldItem", &[], 10, 519),
-        entity("UserFeedback", &[], 11, 472),
-        // --- stateless session beans (Table 3 rows) ---
-        session(
-            "AboutMe",
-            &["User", "Item", "Bid", "BuyNow", "UserFeedback"],
-            9,
-            542,
-        ),
-        session("Authenticate", &["User"], 12, 479),
-        session("BrowseCategories", &["Category", "Item"], 11, 400),
-        session("BrowseRegions", &["Region", "Item"], 15, 401),
-        session("CommitBid", &["IdentityManager", "Bid", "Item"], 8, 525),
-        session(
-            "CommitBuyNow",
-            &["IdentityManager", "BuyNow", "Item"],
-            9,
-            462,
-        ),
-        session(
-            "CommitUserFeedback",
-            &["IdentityManager", "UserFeedback", "User"],
-            9,
-            522,
-        ),
-        session("DoBuyNow", &["Item"], 10, 417),
-        session("LeaveUserFeedback", &["User"], 10, 474),
-        session("MakeBid", &["Item"], 9, 505),
-        session("RegisterNewItem", &["IdentityManager", "Item"], 13, 434),
-        session("RegisterNewUser", &["IdentityManager", "User"], 13, 588),
-        session("SearchItemsByCategory", &["Item"], 14, 428),
-        session("SearchItemsByRegion", &["Item"], 8, 564),
-        session("ViewBidHistory", &["Bid", "Item", "User"], 11, 496),
-        session("ViewItem", &["Item", "User", "OldItem"], 10, 436),
-        session("ViewUserInfo", &["User", "UserFeedback"], 10, 405),
-    ]
+/// The roster, declared once: a row is a component's handle and its
+/// descriptor. `descriptors()` is the rows in order and a handle is its
+/// row's position, which is the `ComponentId` deployment gives it, so the
+/// two cannot disagree; `schema::tests::handles_name_what_they_claim`
+/// checks each row's two spellings of the name.
+macro_rules! roster {
+    ($($handle:ident: $descriptor:expr,)*) => {
+        #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+        enum Position { $($handle),* }
+
+        /// The handles `app.rs` calls components through.
+        #[allow(dead_code)] // the server enters the WAR itself
+        pub(crate) mod ejb {
+            use components::descriptor::ComponentId;
+            $(pub(crate) const $handle: ComponentId = ComponentId(super::Position::$handle as usize);)*
+            #[cfg(test)]
+            pub(crate) const SPELT: &[&str] = &[$(stringify!($handle)),*];
+        }
+
+        /// Returns eBid's full descriptor set.
+        pub fn descriptors() -> Vec<ComponentDescriptor> {
+            vec![$($descriptor),*]
+        }
+    };
+}
+
+roster! {
+    // --- web tier (Table 3: WAR 71 ms crash, 957 ms reinit) ---
+    WAR: ComponentDescriptor::new(WAR, ComponentKind::Web)
+        .with_costs(ms(71), ms(957))
+        .with_base_bytes(24 << 20),
+    // --- entity beans ---
+    // EntityGroup members: max reinit 449 + 4×85 increments ≈ 789 ms,
+    // max crash 12 + 4×6 ≈ 36 ms (Table 3 EntityGroup row).
+    CATEGORY: entity("Category", &[], 9, 395),
+    REGION: entity("Region", &[], 10, 400),
+    USER: entity("User", &[], 11, 430),
+    ITEM: entity("Item", &["Category", "Region", "User"], 12, 449),
+    BID: entity("Bid", &["Item", "User"], 10, 420),
+    // Standalone entities (their own Table 3 rows).
+    BUY_NOW: entity("BuyNow", &[], 9, 462),
+    IDENTITY_MANAGER: entity("IdentityManager", &[], 10, 451),
+    OLD_ITEM: entity("OldItem", &[], 10, 519),
+    USER_FEEDBACK: entity("UserFeedback", &[], 11, 472),
+    // --- stateless session beans (Table 3 rows) ---
+    ABOUT_ME: session("AboutMe", &["User", "Item", "Bid", "BuyNow", "UserFeedback"], 9, 542),
+    AUTHENTICATE: session("Authenticate", &["User"], 12, 479),
+    BROWSE_CATEGORIES: session("BrowseCategories", &["Category", "Item"], 11, 400),
+    BROWSE_REGIONS: session("BrowseRegions", &["Region", "Item"], 15, 401),
+    COMMIT_BID: session("CommitBid", &["IdentityManager", "Bid", "Item"], 8, 525),
+    COMMIT_BUY_NOW: session("CommitBuyNow", &["IdentityManager", "BuyNow", "Item"], 9, 462),
+    COMMIT_USER_FEEDBACK: session("CommitUserFeedback", &["IdentityManager", "UserFeedback", "User"], 9, 522),
+    DO_BUY_NOW: session("DoBuyNow", &["Item"], 10, 417),
+    LEAVE_USER_FEEDBACK: session("LeaveUserFeedback", &["User"], 10, 474),
+    MAKE_BID: session("MakeBid", &["Item"], 9, 505),
+    REGISTER_NEW_ITEM: session("RegisterNewItem", &["IdentityManager", "Item"], 13, 434),
+    REGISTER_NEW_USER: session("RegisterNewUser", &["IdentityManager", "User"], 13, 588),
+    SEARCH_ITEMS_BY_CATEGORY: session("SearchItemsByCategory", &["Item"], 14, 428),
+    SEARCH_ITEMS_BY_REGION: session("SearchItemsByRegion", &["Item"], 8, 564),
+    VIEW_BID_HISTORY: session("ViewBidHistory", &["Bid", "Item", "User"], 11, 496),
+    VIEW_ITEM: session("ViewItem", &["Item", "User", "OldItem"], 10, 436),
+    VIEW_USER_INFO: session("ViewUserInfo", &["User", "UserFeedback"], 10, 405),
 }
 
 /// Business methods per component (builds the transaction method maps).

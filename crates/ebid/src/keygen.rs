@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 
 use statestore::session::CorruptKind;
+use statestore::TableId;
 
 /// One table's next-key state.
 #[derive(Clone, Copy, Debug)]
@@ -38,7 +39,7 @@ pub enum KeyResult {
 // urb-lint: volatile-state(reset)
 #[derive(Clone, Debug, Default)]
 pub struct KeyGen {
-    states: BTreeMap<&'static str, KeyState>,
+    states: BTreeMap<TableId, KeyState>,
     corrupt: Option<CorruptKind>,
 }
 
@@ -70,7 +71,7 @@ impl KeyGen {
     /// Produces the next key for `table`, reconciling the cached counter
     /// with the database's `SELECT MAX(id)` so that several nodes sharing
     /// one database never hand out colliding keys.
-    pub fn next(&mut self, table: &'static str, max_in_db: Option<i64>) -> KeyResult {
+    pub fn next(&mut self, table: TableId, max_in_db: Option<i64>) -> KeyResult {
         let state = self.states.entry(table).or_insert(KeyState::Cold);
         let floor = max_in_db.unwrap_or(0) + 1;
         let base = match *state {
@@ -103,46 +104,45 @@ impl KeyGen {
 mod tests {
     use super::*;
 
+    const BIDS: TableId = TableId(3);
+    const ITEMS: TableId = TableId(1);
+
     #[test]
     fn fresh_keys_are_sequential_from_db_max() {
         let mut k = KeyGen::new();
-        assert_eq!(k.next("bids", Some(100)), KeyResult::Fresh(101));
-        assert_eq!(
-            k.next("bids", Some(100)),
-            KeyResult::Fresh(102),
-            "cache warm"
-        );
+        assert_eq!(k.next(BIDS, Some(100)), KeyResult::Fresh(101));
+        assert_eq!(k.next(BIDS, Some(100)), KeyResult::Fresh(102), "cache warm");
         // Another node advanced the table: the floor wins over the cache.
-        assert_eq!(k.next("bids", Some(999)), KeyResult::Fresh(1000));
-        assert_eq!(k.next("items", Some(10)), KeyResult::Fresh(11));
+        assert_eq!(k.next(BIDS, Some(999)), KeyResult::Fresh(1000));
+        assert_eq!(k.next(ITEMS, Some(10)), KeyResult::Fresh(11));
     }
 
     #[test]
     fn empty_table_starts_at_one() {
         let mut k = KeyGen::new();
-        assert_eq!(k.next("bids", None), KeyResult::Fresh(1));
+        assert_eq!(k.next(BIDS, None), KeyResult::Fresh(1));
     }
 
     #[test]
     fn null_corruption_fails_generation() {
         let mut k = KeyGen::new();
         k.corrupt(CorruptKind::SetNull);
-        assert_eq!(k.next("bids", Some(5)), KeyResult::NullFailure);
+        assert_eq!(k.next(BIDS, Some(5)), KeyResult::NullFailure);
     }
 
     #[test]
     fn invalid_corruption_yields_negative_ids() {
         let mut k = KeyGen::new();
-        k.next("bids", Some(5)); // warms the cache to 7
+        k.next(BIDS, Some(5)); // warms the cache to 7
         k.corrupt(CorruptKind::SetInvalid);
-        assert_eq!(k.next("bids", Some(5)), KeyResult::Invalid(-7));
+        assert_eq!(k.next(BIDS, Some(5)), KeyResult::Invalid(-7));
     }
 
     #[test]
     fn wrong_corruption_collides_with_existing_rows() {
         let mut k = KeyGen::new();
         k.corrupt(CorruptKind::SetWrong);
-        match k.next("bids", Some(1000)) {
+        match k.next(BIDS, Some(1000)) {
             KeyResult::WrongExisting(id) => assert!((1..=1000).contains(&id)),
             other => panic!("expected collision, got {other:?}"),
         }
@@ -152,10 +152,10 @@ mod tests {
     fn reset_clears_cache_and_corruption() {
         let mut k = KeyGen::new();
         k.corrupt(CorruptKind::SetWrong);
-        k.next("bids", Some(50));
+        k.next(BIDS, Some(50));
         k.reset();
         assert!(!k.is_corrupt());
         // Reseeds from the database again.
-        assert_eq!(k.next("bids", Some(200)), KeyResult::Fresh(201));
+        assert_eq!(k.next(BIDS, Some(200)), KeyResult::Fresh(201));
     }
 }

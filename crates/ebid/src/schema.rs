@@ -10,84 +10,65 @@
 
 use simcore::SimRng;
 use statestore::db::TableDef;
-use statestore::{Database, Value};
+use statestore::{Database, TableId, Value};
 
-/// Column layout of each table (index 0 is always the integer pk).
-pub fn schema() -> Vec<TableDef> {
-    vec![
-        TableDef {
-            name: "users",
-            // rating counts feedback; balance in cents.
-            columns: &["id", "nickname", "rating", "balance", "region_id"],
-        },
-        TableDef {
-            name: "items",
-            columns: &[
-                "id",
-                "name",
-                "seller_id",
-                "category_id",
-                "region_id",
-                "quantity",
-                "max_bid",
-                "nb_bids",
-                "buy_now_price",
-            ],
-        },
-        TableDef {
-            name: "old_items",
-            columns: &["id", "name", "seller_id", "final_price"],
-        },
-        TableDef {
-            name: "bids",
-            columns: &["id", "user_id", "item_id", "amount"],
-        },
-        TableDef {
-            name: "buy_now",
-            columns: &["id", "buyer_id", "item_id", "quantity"],
-        },
-        TableDef {
-            name: "categories",
-            columns: &["id", "name"],
-        },
-        TableDef {
-            name: "regions",
-            columns: &["id", "name"],
-        },
-        TableDef {
-            name: "comments",
-            columns: &["id", "from_user", "to_user", "rating", "text_len"],
-        },
-    ]
+/// The schema, declared once: a row is a table, its module name the
+/// table's name, holding each column's handle and name in order (index 0
+/// is always the integer pk). [`schema`] is the rows in order, a table's
+/// [`TableId`] its row's position and a column handle its position in the
+/// row, so handles and schema cannot disagree;
+/// `handles_name_what_they_claim` checks each column's two spellings.
+macro_rules! tables {
+    ($($table:ident { $($column:ident: $name:literal),* })*) => {
+        #[allow(non_camel_case_types)]
+        enum Position { $($table),* }
+
+        $(#[allow(dead_code)] // the handlers touch only some columns
+        pub(crate) mod $table {
+            #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+            enum Position { $($column),* }
+            pub(crate) const TABLE: statestore::TableId =
+                statestore::TableId(super::Position::$table as usize);
+            $(pub(crate) const $column: usize = Position::$column as usize;)*
+            #[cfg(test)]
+            pub(crate) const SPELT: &[&str] = &[$(stringify!($column)),*];
+        })*
+
+        /// Column layout of each table.
+        pub fn schema() -> Vec<TableDef> {
+            vec![$(TableDef { name: stringify!($table), columns: &[$($name),*] }),*]
+        }
+        #[cfg(test)]
+        const SPELT: &[&[&str]] = &[$($table::SPELT),*];
+    };
 }
 
-/// Returns the position of `column` in `table`'s rows.
-///
-/// # Panics
-///
-/// Panics if the schema has no such table or column — a definition bug.
-pub fn column(table: &str, column: &str) -> usize {
-    let schema = schema();
-    let def = schema
-        .iter()
-        .find(|t| t.name == table)
-        .unwrap_or_else(|| panic!("no table {table} in the eBid schema"));
-    def.columns
-        .iter()
-        .position(|c| *c == column)
-        .unwrap_or_else(|| panic!("no column {column} in table {table}"))
+tables! {
+    // rating counts feedback; balance in cents.
+    users { ID: "id", NICKNAME: "nickname", RATING: "rating", BALANCE: "balance", REGION_ID: "region_id" }
+    items {
+        ID: "id", NAME: "name", SELLER_ID: "seller_id", CATEGORY_ID: "category_id",
+        REGION_ID: "region_id", QUANTITY: "quantity", MAX_BID: "max_bid", NB_BIDS: "nb_bids",
+        BUY_NOW_PRICE: "buy_now_price"
+    }
+    old_items { ID: "id", NAME: "name", SELLER_ID: "seller_id", FINAL_PRICE: "final_price" }
+    bids { ID: "id", USER_ID: "user_id", ITEM_ID: "item_id", AMOUNT: "amount" }
+    buy_now { ID: "id", BUYER_ID: "buyer_id", ITEM_ID: "item_id", QUANTITY: "quantity" }
+    categories { ID: "id", NAME: "name" }
+    regions { ID: "id", NAME: "name" }
+    comments { ID: "id", FROM_USER: "from_user", TO_USER: "to_user", RATING: "rating", TEXT_LEN: "text_len" }
 }
 
 /// The `(table, column)` pairs eBid's handlers select on by equality
 /// (`Database::scan_eq`); [`DatasetSpec::generate`] indexes each.
-pub const INDEXES: &[(&str, &str)] = &[
-    ("items", "seller_id"),
-    ("items", "category_id"),
-    ("items", "region_id"),
-    ("bids", "user_id"),
-    ("bids", "item_id"),
-    ("buy_now", "buyer_id"),
-    ("comments", "to_user"),
+pub const INDEXES: &[(TableId, usize)] = &[
+    (items::TABLE, items::SELLER_ID),
+    (items::TABLE, items::CATEGORY_ID),
+    (items::TABLE, items::REGION_ID),
+    (bids::TABLE, bids::USER_ID),
+    (bids::TABLE, bids::ITEM_ID),
+    (buy_now::TABLE, buy_now::BUYER_ID),
+    (comments::TABLE, comments::TO_USER),
 ];
 
 /// Size parameters for dataset generation.
@@ -148,20 +129,19 @@ impl DatasetSpec {
         let mut db = Database::new(schema());
 
         db.load(
-            "categories",
-            (1..=self.categories)
-                .map(|i| vec![Value::Int(i), Value::from(format!("category-{i}"))]),
+            categories::TABLE,
+            (1..=self.categories).map(|i| [Value::Int(i), Value::from(format!("category-{i}"))]),
         )
         .expect("fresh table, distinct ids");
         db.load(
-            "regions",
-            (1..=self.regions).map(|i| vec![Value::Int(i), Value::from(format!("region-{i}"))]),
+            regions::TABLE,
+            (1..=self.regions).map(|i| [Value::Int(i), Value::from(format!("region-{i}"))]),
         )
         .expect("fresh table, distinct ids");
         db.load(
-            "users",
+            users::TABLE,
             (1..=self.users).map(|i| {
-                vec![
+                [
                     Value::Int(i),
                     Value::from(format!("user-{i}")),
                     Value::Int(rng.uniform_u64(50) as i64),
@@ -172,10 +152,10 @@ impl DatasetSpec {
         )
         .expect("fresh table, distinct ids");
         db.load(
-            "items",
+            items::TABLE,
             (1..=self.items).map(|i| {
                 let start = 100 + rng.uniform_u64(10_000) as i64;
-                vec![
+                [
                     Value::Int(i),
                     Value::from(format!("item-{i}")),
                     Value::Int(1 + rng.uniform_u64(self.users as u64) as i64),
@@ -190,9 +170,9 @@ impl DatasetSpec {
         )
         .expect("fresh table, distinct ids");
         db.load(
-            "old_items",
+            old_items::TABLE,
             (1..=self.old_items).map(|i| {
-                vec![
+                [
                     Value::Int(i),
                     Value::from(format!("old-item-{i}")),
                     Value::Int(1 + rng.uniform_u64(self.users as u64) as i64),
@@ -202,9 +182,9 @@ impl DatasetSpec {
         )
         .expect("fresh table, distinct ids");
         db.load(
-            "bids",
+            bids::TABLE,
             (1..=self.bids).map(|i| {
-                vec![
+                [
                     Value::Int(i),
                     Value::Int(1 + rng.uniform_u64(self.users as u64) as i64),
                     Value::Int(1 + rng.uniform_u64(self.items as u64) as i64),
@@ -214,9 +194,9 @@ impl DatasetSpec {
         )
         .expect("fresh table, distinct ids");
         db.load(
-            "buy_now",
+            buy_now::TABLE,
             (1..=self.buys).map(|i| {
-                vec![
+                [
                     Value::Int(i),
                     Value::Int(1 + rng.uniform_u64(self.users as u64) as i64),
                     Value::Int(1 + rng.uniform_u64(self.items as u64) as i64),
@@ -226,9 +206,9 @@ impl DatasetSpec {
         )
         .expect("fresh table, distinct ids");
         db.load(
-            "comments",
+            comments::TABLE,
             (1..=self.comments).map(|i| {
-                vec![
+                [
                     Value::Int(i),
                     Value::Int(1 + rng.uniform_u64(self.users as u64) as i64),
                     Value::Int(1 + rng.uniform_u64(self.users as u64) as i64),
@@ -239,9 +219,9 @@ impl DatasetSpec {
         )
         .expect("fresh table, distinct ids");
 
-        for (table, name) in INDEXES {
-            db.create_index(table, column(table, name))
-                .expect("column taken from the schema");
+        for &(table, column) in INDEXES {
+            db.create_index(table, column)
+                .expect("handles taken from the schema");
         }
         db
     }
@@ -272,6 +252,22 @@ mod tests {
         assert_eq!(db.table_len("buy_now").unwrap(), 5);
         assert_eq!(db.table_len("comments").unwrap(), 10);
         assert!(db.is_consistent());
+    }
+
+    #[test]
+    fn handles_name_what_they_claim() {
+        let schema = schema();
+        for (def, spelt) in schema.iter().zip(SPELT) {
+            let lower: Vec<String> = spelt.iter().map(|c| c.to_lowercase()).collect();
+            assert_eq!(def.columns, lower, "{}", def.name);
+        }
+        let deployed = crate::components::descriptors();
+        for (d, spelt) in deployed.iter().zip(crate::components::ejb::SPELT) {
+            assert_eq!(d.name.to_uppercase(), spelt.replace('_', ""));
+        }
+        // `tests/handlers.rs` resolves each query's names on its own and
+        // looks for the pair here.
+        assert!(INDEXES.iter().all(|(t, c)| *c < schema[t.0].columns.len()));
     }
 
     #[test]

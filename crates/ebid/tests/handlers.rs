@@ -5,7 +5,7 @@ use ebid::{build_server, DatasetSpec, EBid};
 use simcore::SimTime;
 use statestore::db::Row;
 use statestore::session::CorruptKind;
-use statestore::{SessionId, Value};
+use statestore::{SessionId, TableId, Value};
 use urb_core::server::make_request;
 use urb_core::{AppServer, OpCode, Response, ServerConfig, SessionBackend, Status, SubmitOutcome};
 
@@ -277,11 +277,20 @@ fn query_shapes(spec: &DatasetSpec) -> [(&'static str, &'static str, usize, i64)
     ]
 }
 
+/// Resolves a table and column name against the schema, independently of
+/// the handles `app.rs` holds.
+fn handle_of(table: &str, column: &str) -> (TableId, usize) {
+    let schema = ebid::db_schema();
+    let t = schema.iter().position(|t| t.name == table).unwrap();
+    let c = schema[t].columns.iter().position(|c| *c == column);
+    (TableId(t), c.unwrap())
+}
+
 /// Asserts every query shape, for every argument value (and one past
 /// each end), visits what the full-scan reference returns.
 fn assert_queries_match_full_scan(db: &mut statestore::Database, spec: &DatasetSpec) {
     for (table, column, limit, max) in query_shapes(spec) {
-        let col = ebid::schema::column(table, column);
+        let (_, col) = handle_of(table, column);
         for v in 0..=max + 1 {
             let expected = db
                 .scan(table, |r| r[col].as_int() == Some(v), limit)
@@ -307,7 +316,7 @@ fn indexed_queries_match_the_full_scan_on_the_default_dataset() {
     let spec = DatasetSpec::default();
     for (table, column, ..) in query_shapes(&spec) {
         assert!(
-            ebid::schema::INDEXES.contains(&(table, column)),
+            ebid::schema::INDEXES.contains(&handle_of(table, column)),
             "{table}.{column} is queried by equality but not indexed"
         );
     }
@@ -334,7 +343,7 @@ fn indexed_queries_match_the_full_scan_on_the_default_dataset() {
     db.update(txn, "items", 1, &[(3, Value::Int(spec.categories))])
         .unwrap();
     db.delete(txn, "comments", 1).unwrap();
-    let item_col = ebid::schema::column("bids", "item_id");
+    let (_, item_col) = handle_of("bids", "item_id");
     let mut newest = 0;
     db.scan_eq("bids", item_col, 1, usize::MAX, |r: &Row| {
         newest = r[0].as_int().unwrap()

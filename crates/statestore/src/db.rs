@@ -26,9 +26,14 @@
 //! Equality queries ([`Database::scan_eq`]) are answered from secondary
 //! indexes ([`Database::create_index`]) and visit rows by reference, so a
 //! query costs the host O(matches), not O(table).
+//!
+//! Every operation names its table through a [`TableRef`]: the [`TableId`]
+//! an application resolved when it was deployed, or the name itself,
+//! searched for on that call. Rows are shared ([`Row`]), never copied.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::rc::Rc;
 
 use simcore::SimDuration;
 
@@ -118,7 +123,41 @@ impl ConnId {
 }
 
 /// A table row: one [`Value`] per column, column 0 being the primary key.
-pub type Row = Vec<Value>;
+///
+/// Row images are immutable and reference-counted: a read hands out the
+/// stored image (a count bump), a write installs a new image, and the undo
+/// log and the taint map keep the old `Rc` rather than a copy — so a `Row`
+/// a reader holds never changes under it.
+pub type Row = Rc<[Value]>;
+
+/// A table's position in the schema: its name, resolved.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct TableId(pub usize);
+
+/// How a [`Database`] call names its table: by [`TableId`] (the request
+/// path — no search) or by name (tools, fault injection, tests — a search
+/// of the schema, then the same code).
+pub trait TableRef: Copy {
+    /// The table's position in `db`'s schema.
+    fn resolve(self, db: &Database) -> Result<usize, DbError>;
+}
+
+impl TableRef for TableId {
+    fn resolve(self, db: &Database) -> Result<usize, DbError> {
+        if self.0 < db.tables.len() {
+            Ok(self.0)
+        } else {
+            Err(DbError::NoSuchTable(format!("#{}", self.0)))
+        }
+    }
+}
+
+impl TableRef for &str {
+    fn resolve(self, db: &Database) -> Result<usize, DbError> {
+        let found = db.tables.iter().position(|t| t.def.name == self);
+        found.ok_or_else(|| DbError::NoSuchTable(self.to_string()))
+    }
+}
 
 /// Definition of one table: its name and column names.
 ///
@@ -181,8 +220,23 @@ impl Table {
             .collect()
     }
 
+    fn no_such_row(&self, pk: i64) -> DbError {
+        DbError::NoSuchRow {
+            table: self.def.name.to_string(),
+            pk,
+        }
+    }
+
+    /// A new image of row `pk` with every `(column, value)` of `updates`
+    /// written over it in order; the columns are in range.
+    fn patched(&self, pk: i64, updates: &[(usize, Value)]) -> Result<Row, DbError> {
+        let old = self.rows.get(&pk).ok_or_else(|| self.no_such_row(pk))?;
+        let cell = |(i, v)| updates.iter().rfind(|u| u.0 == i).map_or(v, |u| &u.1);
+        Ok(old.iter().enumerate().map(cell).cloned().collect())
+    }
+
     /// Checks a row offered for insertion, returning its primary key.
-    fn admit(&self, row: &Row) -> Result<i64, DbError> {
+    fn admit(&self, row: &[Value]) -> Result<i64, DbError> {
         let table = self.def.name;
         let expected = self.def.columns.len();
         if row.len() != expected {
@@ -300,7 +354,6 @@ pub struct DbStats {
 /// ```
 pub struct Database {
     tables: Vec<Table>,
-    by_name: BTreeMap<&'static str, usize>,
     txns: BTreeMap<u64, Txn>,
     conns: BTreeMap<u64, Vec<u64>>,
     locks: BTreeMap<(usize, i64), u64>,
@@ -317,16 +370,15 @@ impl Database {
     /// Panics if two tables share a name or a table has no columns — schema
     /// definition bugs, not runtime conditions.
     pub fn new(schema: Vec<TableDef>) -> Self {
-        let mut by_name = BTreeMap::new();
-        let mut tables = Vec::new();
+        let mut tables: Vec<Table> = Vec::new();
         for def in schema {
             assert!(
                 !def.columns.is_empty(),
                 "table {} must have at least the pk column",
                 def.name
             );
-            let prev = by_name.insert(def.name, tables.len());
-            assert!(prev.is_none(), "duplicate table name {}", def.name);
+            let duplicate = tables.iter().any(|t| t.def.name == def.name);
+            assert!(!duplicate, "duplicate table name {}", def.name);
             tables.push(Table {
                 def,
                 rows: BTreeMap::new(),
@@ -336,7 +388,6 @@ impl Database {
         }
         Database {
             tables,
-            by_name,
             txns: BTreeMap::new(),
             conns: BTreeMap::new(),
             locks: BTreeMap::new(),
@@ -357,22 +408,12 @@ impl Database {
     }
 
     /// Returns the number of rows in one table.
-    pub fn table_len(&self, table: &str) -> Result<usize, DbError> {
+    pub fn table_len(&self, table: impl TableRef) -> Result<usize, DbError> {
         Ok(self.table(table)?.rows.len())
     }
 
-    fn table(&self, name: &str) -> Result<&Table, DbError> {
-        self.by_name
-            .get(name)
-            .map(|i| &self.tables[*i])
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
-    }
-
-    fn table_idx(&self, name: &str) -> Result<usize, DbError> {
-        self.by_name
-            .get(name)
-            .copied()
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+    fn table(&self, table: impl TableRef) -> Result<&Table, DbError> {
+        Ok(&self.tables[table.resolve(self)?])
     }
 
     // ---- connections -----------------------------------------------------
@@ -512,8 +553,14 @@ impl Database {
     // ---- data operations ---------------------------------------------
 
     /// Inserts a full row; column 0 is the primary key.
-    pub fn insert(&mut self, txn: TxnId, table: &str, row: Row) -> Result<(), DbError> {
-        let ti = self.table_idx(table)?;
+    pub fn insert(
+        &mut self,
+        txn: TxnId,
+        table: impl TableRef,
+        row: impl Into<Row>,
+    ) -> Result<(), DbError> {
+        let ti = table.resolve(self)?;
+        let row = row.into();
         let pk = self.tables[ti].admit(&row)?;
         self.lock(txn, ti, pk)?;
         self.tables[ti].replace(pk, Some(row));
@@ -527,12 +574,17 @@ impl Database {
     }
 
     /// Reads a row inside a transaction (sees in-place uncommitted state).
-    pub fn read(&mut self, txn: TxnId, table: &str, pk: i64) -> Result<Option<Row>, DbError> {
+    pub fn read(
+        &mut self,
+        txn: TxnId,
+        table: impl TableRef,
+        pk: i64,
+    ) -> Result<Option<Row>, DbError> {
         Ok(self.read_with_taint(Some(txn), table, pk)?.0)
     }
 
     /// Reads a committed row without a transaction (read-only access path).
-    pub fn read_committed(&self, table: &str, pk: i64) -> Result<Option<Row>, DbError> {
+    pub fn read_committed(&self, table: impl TableRef, pk: i64) -> Result<Option<Row>, DbError> {
         Ok(self.table(table)?.rows.get(&pk).cloned())
     }
 
@@ -542,7 +594,7 @@ impl Database {
     pub fn read_with_taint(
         &mut self,
         txn: Option<TxnId>,
-        table: &str,
+        table: impl TableRef,
         pk: i64,
     ) -> Result<(Option<Row>, bool), DbError> {
         if let Some(txn) = txn {
@@ -556,7 +608,7 @@ impl Database {
     }
 
     /// Returns true if `table` exists and holds a row with key `pk`.
-    pub fn contains(&self, table: &str, pk: i64) -> bool {
+    pub fn contains(&self, table: impl TableRef, pk: i64) -> bool {
         self.table(table)
             .map(|t| t.rows.contains_key(&pk))
             .unwrap_or(false)
@@ -566,31 +618,22 @@ impl Database {
     pub fn update(
         &mut self,
         txn: TxnId,
-        table: &str,
+        table: impl TableRef,
         pk: i64,
         updates: &[(usize, Value)],
     ) -> Result<(), DbError> {
-        let ti = self.table_idx(table)?;
-        let ncols = self.tables[ti].def.columns.len();
-        for (col, _) in updates {
-            if *col == 0 || *col >= ncols {
+        let ti = table.resolve(self)?;
+        let t = &self.tables[ti];
+        for &(column, _) in updates {
+            if column == 0 || column >= t.def.columns.len() {
                 return Err(DbError::NoSuchColumn {
-                    table: table.to_string(),
-                    column: *col,
+                    table: t.def.name.to_string(),
+                    column,
                 });
             }
         }
-        if !self.tables[ti].rows.contains_key(&pk) {
-            return Err(DbError::NoSuchRow {
-                table: table.to_string(),
-                pk,
-            });
-        }
+        let row = t.patched(pk, updates)?;
         self.lock(txn, ti, pk)?;
-        let mut row = self.tables[ti].rows[&pk].clone();
-        for (col, v) in updates {
-            row[*col] = v.clone();
-        }
         let old = self.tables[ti]
             .replace(pk, Some(row))
             .expect("existence checked above");
@@ -604,13 +647,10 @@ impl Database {
     }
 
     /// Deletes a row.
-    pub fn delete(&mut self, txn: TxnId, table: &str, pk: i64) -> Result<(), DbError> {
-        let ti = self.table_idx(table)?;
+    pub fn delete(&mut self, txn: TxnId, table: impl TableRef, pk: i64) -> Result<(), DbError> {
+        let ti = table.resolve(self)?;
         if !self.tables[ti].rows.contains_key(&pk) {
-            return Err(DbError::NoSuchRow {
-                table: table.to_string(),
-                pk,
-            });
+            return Err(self.tables[ti].no_such_row(pk));
         }
         self.lock(txn, ti, pk)?;
         let old = self.tables[ti]
@@ -631,7 +671,12 @@ impl Database {
     /// This walks the whole table and copies every hit. It is the reference
     /// the indexed queries are tested against; the request path uses
     /// [`Database::scan_eq`] and [`Database::scan_all`].
-    pub fn scan<F>(&mut self, table: &str, filter: F, limit: usize) -> Result<Vec<Row>, DbError>
+    pub fn scan<F>(
+        &mut self,
+        table: impl TableRef,
+        filter: F,
+        limit: usize,
+    ) -> Result<Vec<Row>, DbError>
     where
         F: Fn(&Row) -> bool,
     {
@@ -655,7 +700,7 @@ impl Database {
     /// closure over each row, or `()` to only count (see [`RowVisitor`]).
     pub fn scan_eq<V: RowVisitor>(
         &mut self,
-        table: &str,
+        table: impl TableRef,
         column: usize,
         value: i64,
         limit: usize,
@@ -693,7 +738,7 @@ impl Database {
     /// Counts `rows + 1` reads.
     pub fn scan_all<V: RowVisitor>(
         &mut self,
-        table: &str,
+        table: impl TableRef,
         limit: usize,
         mut visit: V,
     ) -> Result<ScanHits, DbError> {
@@ -713,8 +758,8 @@ impl Database {
 
     /// Indexes `column` of `table` for [`Database::scan_eq`], building the
     /// index from the rows present. Indexing a column twice is a no-op.
-    pub fn create_index(&mut self, table: &str, column: usize) -> Result<(), DbError> {
-        let ti = self.table_idx(table)?;
+    pub fn create_index(&mut self, table: impl TableRef, column: usize) -> Result<(), DbError> {
+        let ti = table.resolve(self)?;
         let t = &mut self.tables[ti];
         t.check_column(column)?;
         if t.indexes.iter().all(|(c, _)| *c != column) {
@@ -751,12 +796,13 @@ impl Database {
     /// before it stay loaded.
     pub fn load(
         &mut self,
-        table: &str,
-        rows: impl IntoIterator<Item = Row>,
+        table: impl TableRef,
+        rows: impl IntoIterator<Item = impl Into<Row>>,
     ) -> Result<(), DbError> {
-        let ti = self.table_idx(table)?;
+        let ti = table.resolve(self)?;
         let t = &mut self.tables[ti];
         for row in rows {
+            let row = row.into();
             let pk = t.admit(&row)?;
             t.replace(pk, Some(row));
         }
@@ -764,7 +810,7 @@ impl Database {
     }
 
     /// Returns the largest primary key in `table`, or `None` when empty.
-    pub fn max_pk(&self, table: &str) -> Result<Option<i64>, DbError> {
+    pub fn max_pk(&self, table: impl TableRef) -> Result<Option<i64>, DbError> {
         Ok(self.table(table)?.rows.keys().next_back().copied())
     }
 
@@ -801,19 +847,15 @@ impl Database {
     /// restore it. Corrupting the same row twice keeps the oldest image.
     pub fn corrupt_cell(
         &mut self,
-        table: &str,
+        table: impl TableRef,
         pk: i64,
         column: usize,
         value: Value,
     ) -> Result<(), DbError> {
-        let ti = self.table_idx(table)?;
+        let ti = table.resolve(self)?;
         let t = &mut self.tables[ti];
         t.check_column(column)?;
-        let mut row = t.rows.get(&pk).cloned().ok_or(DbError::NoSuchRow {
-            table: table.to_string(),
-            pk,
-        })?;
-        row[column] = value;
+        let row = t.patched(pk, &[(column, value)])?;
         let old = t.replace(pk, Some(row)).expect("row read above");
         t.tainted.entry(pk).or_insert(old);
         Ok(())
@@ -821,26 +863,21 @@ impl Database {
 
     /// Swaps two rows' non-key columns out-of-band (the paper's "wrong but
     /// valid value" corruption, e.g. swapping IDs between two users).
-    pub fn corrupt_swap_rows(&mut self, table: &str, a: i64, b: i64) -> Result<(), DbError> {
-        let ti = self.table_idx(table)?;
+    pub fn corrupt_swap_rows(
+        &mut self,
+        table: impl TableRef,
+        a: i64,
+        b: i64,
+    ) -> Result<(), DbError> {
+        let ti = table.resolve(self)?;
         let t = &mut self.tables[ti];
-        if !t.rows.contains_key(&a) {
-            return Err(DbError::NoSuchRow {
-                table: table.to_string(),
-                pk: a,
-            });
-        }
-        if !t.rows.contains_key(&b) {
-            return Err(DbError::NoSuchRow {
-                table: table.to_string(),
-                pk: b,
-            });
-        }
-        let mut row_a = t.rows[&a].clone();
-        let mut row_b = t.rows[&b].clone();
-        row_a[1..].swap_with_slice(&mut row_b[1..]);
-        let old_a = t.replace(a, Some(row_a)).expect("checked above");
-        let old_b = t.replace(b, Some(row_b)).expect("checked above");
+        let old_a = t.rows.get(&a).cloned().ok_or_else(|| t.no_such_row(a))?;
+        let old_b = t.rows.get(&b).cloned().ok_or_else(|| t.no_such_row(b))?;
+        let key_with = |key: &Row, rest: &Row| -> Row {
+            key.iter().take(1).chain(&rest[1..]).cloned().collect()
+        };
+        t.replace(a, Some(key_with(&old_a, &old_b)));
+        t.replace(b, Some(key_with(&old_b, &old_a)));
         t.tainted.entry(a).or_insert(old_a);
         t.tainted.entry(b).or_insert(old_b);
         Ok(())
@@ -856,14 +893,10 @@ impl Database {
     /// twin's — exactly the state Table 2 marks as needing manual repair.
     /// Call this *before* the wrong write so repair restores the pre-write
     /// image.
-    pub fn taint_row(&mut self, table: &str, pk: i64) -> Result<(), DbError> {
-        let ti = self.table_idx(table)?;
+    pub fn taint_row(&mut self, table: impl TableRef, pk: i64) -> Result<(), DbError> {
+        let ti = table.resolve(self)?;
         let t = &mut self.tables[ti];
-        let row = t.rows.get(&pk).ok_or(DbError::NoSuchRow {
-            table: table.to_string(),
-            pk,
-        })?;
-        let image = row.clone();
+        let image = t.rows.get(&pk).cloned().ok_or_else(|| t.no_such_row(pk))?;
         t.tainted.entry(pk).or_insert(image);
         Ok(())
     }
@@ -873,7 +906,7 @@ impl Database {
     /// The comparison-based failure detector uses this as its oracle: a
     /// response computed from a tainted row differs from the known-good
     /// instance's response.
-    pub fn is_tainted(&self, table: &str, pk: i64) -> bool {
+    pub fn is_tainted(&self, table: impl TableRef, pk: i64) -> bool {
         self.table(table)
             .map(|t| t.tainted.contains_key(&pk))
             .unwrap_or(false)

@@ -18,18 +18,20 @@ use microreboot::simcore::telemetry::{shared_bus, TraceHashSink};
 use microreboot::simcore::{MetricsRegistry, SimTime};
 
 /// Allocations per issued request the steady request path may make on
-/// FastS. Measured 5.17 when the budget was set (9.29 before session
-/// objects became copy-on-write, 11.64 before the client pool and the Taw
-/// tracker stopped building a `Vec` per wake and per action, 34.02 before
-/// database queries stopped copying rows). The 15 % of headroom is for the
-/// path to grow a feature, not to absorb a per-request `Vec` or `clone`
-/// that crept back in.
-const FASTS_BUDGET: f64 = 5.9;
+/// FastS. Measured 1.87 when the budget was set (5.17 before rows became
+/// shared `Rc` images and `touched` / `pump` stopped building a `Vec` per
+/// request, 9.29 before session objects became copy-on-write, 11.64 before
+/// the client pool and the Taw tracker stopped building a `Vec` per wake
+/// and per action, 34.02 before database queries stopped copying rows).
+/// The 15 % of headroom is for the path to grow a feature, not to absorb a
+/// per-request `Vec` or `clone` that crept back in.
+const FASTS_BUDGET: f64 = 2.15;
 
 /// The same on SSM, where a logged-in request also marshals its session
-/// and every write reaches three bricks. Measured 5.86 when the budget was
-/// set (11.82 while each brick held its own deep copy).
-const SSM_BUDGET: f64 = 6.7;
+/// and every write reaches three bricks. Measured 2.56 when the budget was
+/// set (5.86 with copied rows, 11.82 while each brick held its own deep
+/// copy).
+const SSM_BUDGET: f64 = 2.94;
 
 struct CountingAlloc;
 

@@ -4,14 +4,19 @@
 //! than an external property-testing framework: every run explores the same
 //! seeds, so a failure here is always reproducible with no shrink step.
 
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use microreboot::components::descriptor::ComponentId;
+use microreboot::components::registry::{Binding, NamingRegistry, RegistryError, Resolved};
 use microreboot::simcore::trace::event_from_json;
 use microreboot::simcore::{EventQueue, SimDuration, SimRng, SimTime, TelemetryEvent, Trace};
-use microreboot::statestore::db::{Row, TableDef};
+use microreboot::statestore::db::{ConnId, Row, TableDef, TableRef};
 use microreboot::statestore::lease::LeaseTable;
 use microreboot::statestore::session::{
     corrupt_object, CorruptKind, SessionId, SessionObject, SessionStore,
 };
-use microreboot::statestore::{Database, FastS, Ssm, Value};
+use microreboot::statestore::{Database, FastS, Ssm, TableId, TxnId, Value};
 
 const CASES: u64 = 64;
 
@@ -345,6 +350,283 @@ fn db_indexes_track_every_row_image_change() {
             assert_eq!(real.scan_all("t", limit, ()).unwrap(), hits);
             assert_eq!(real.stats().reads - reads, expected.len() as u64 + 1);
             assert_eq!(real.scan("t", |_| true, limit).unwrap(), expected);
+        }
+    }
+}
+
+/// One step of a script that exercises every table-taking operation of
+/// the database, on two tables, in and out of a transaction.
+#[derive(Clone, Debug)]
+enum Step {
+    Begin,
+    Commit,
+    Rollback,
+    Crash,
+    Repair,
+    Insert(usize, i64, Value),
+    Load(usize, i64, Value),
+    Update(usize, i64, usize, Value),
+    Delete(usize, i64),
+    Read(usize, i64),
+    Scan(usize, usize, i64, usize),
+    CreateIndex(usize, usize),
+    CorruptCell(usize, i64, usize, Value),
+    CorruptSwap(usize, i64, i64),
+    TaintRow(usize, i64),
+}
+
+fn gen_script(rng: &mut SimRng) -> Vec<Step> {
+    (0..80)
+        .map(|_| {
+            let table = rng.uniform_usize(3); // 2 = no such table
+            let pk = rng.uniform_u64(10) as i64;
+            let col = rng.uniform_usize(4); // 3 = no such column
+            match rng.uniform_u64(20) {
+                0..=2 => Step::Begin,
+                3 => Step::Commit,
+                4 => Step::Rollback,
+                5 => Step::Crash,
+                6 => Step::Repair,
+                7 | 8 => Step::Insert(table, pk, gen_cell(rng)),
+                9 => Step::Load(table, pk, gen_cell(rng)),
+                10 | 11 => Step::Update(table, pk, col, gen_cell(rng)),
+                12 => Step::Delete(table, pk),
+                13 | 14 => Step::Read(table, pk),
+                15 => Step::Scan(
+                    table,
+                    col,
+                    rng.uniform_u64(4) as i64,
+                    1 + rng.uniform_usize(5),
+                ),
+                16 => Step::CreateIndex(table, col),
+                17 => Step::CorruptCell(table, pk, col, gen_cell(rng)),
+                18 => Step::CorruptSwap(table, pk, rng.uniform_u64(10) as i64),
+                _ => Step::TaintRow(table, pk),
+            }
+        })
+        .collect()
+}
+
+/// A database under a script: it names its tables the way `tables` does.
+struct Scripted<T> {
+    db: Database,
+    tables: [T; 3],
+    conn: ConnId,
+    txn: Option<TxnId>,
+    /// Every row a read handed out, with a deep copy taken at that moment.
+    held: Vec<(Row, Vec<Value>)>,
+}
+
+impl<T: TableRef> Scripted<T> {
+    fn new(tables: [T; 3]) -> Self {
+        let def = |name| TableDef {
+            name,
+            columns: &["id", "a", "b"],
+        };
+        let mut db = Database::new(vec![def("t"), def("u")]);
+        db.create_index(tables[0], 1).unwrap();
+        let conn = db.open_conn();
+        Scripted {
+            db,
+            tables,
+            conn,
+            txn: None,
+            held: Vec::new(),
+        }
+    }
+
+    /// Applies `step`, returning everything it could observe.
+    fn apply(&mut self, step: &Step) -> String {
+        let db = &mut self.db;
+        let table = |i: usize| self.tables[i];
+        let row = |pk: i64, v: &Value| vec![Value::Int(pk), v.clone(), Value::Int(pk % 3)];
+        match step {
+            Step::Begin => {
+                self.txn.get_or_insert_with(|| db.begin(self.conn).unwrap());
+                String::new()
+            }
+            Step::Commit => format!("{:?}", self.txn.take().map(|t| db.commit(t))),
+            Step::Rollback => format!("{:?}", self.txn.take().map(|t| db.rollback(t))),
+            Step::Crash => {
+                db.crash();
+                self.txn = None;
+                self.conn = db.open_conn();
+                String::new()
+            }
+            Step::Repair => format!("{}", db.repair()),
+            Step::Insert(t, pk, v) => match self.txn {
+                Some(txn) => format!("{:?}", db.insert(txn, table(*t), row(*pk, v))),
+                None => String::new(),
+            },
+            Step::Load(t, pk, v) => format!("{:?}", db.load(table(*t), [row(*pk, v)])),
+            Step::Update(t, pk, col, v) => match self.txn {
+                Some(txn) => {
+                    let updates = [(*col, v.clone())];
+                    format!("{:?}", db.update(txn, table(*t), *pk, &updates))
+                }
+                None => String::new(),
+            },
+            Step::Delete(t, pk) => match self.txn {
+                Some(txn) => format!("{:?}", db.delete(txn, table(*t), *pk)),
+                None => String::new(),
+            },
+            Step::Read(t, pk) => {
+                let t = table(*t);
+                let committed = db.read_committed(t, *pk);
+                let with_taint = db.read_with_taint(self.txn, t, *pk);
+                let in_txn = self.txn.map(|txn| db.read(txn, t, *pk));
+                if let (Ok(Some(a)), Ok((Some(b), _))) = (&committed, &with_taint) {
+                    assert!(Rc::ptr_eq(a, b), "two reads share the stored image");
+                    self.held.push((a.clone(), a.to_vec()));
+                }
+                format!(
+                    "{committed:?} {with_taint:?} {in_txn:?} {} {} {:?} {:?}",
+                    db.contains(t, *pk),
+                    db.is_tainted(t, *pk),
+                    db.max_pk(t),
+                    db.table_len(t),
+                )
+            }
+            Step::Scan(t, col, v, limit) => {
+                let t = table(*t);
+                let mut seen = Vec::new();
+                let eq = db.scan_eq(t, *col, *v, *limit, |r: &Row| seen.push(r.clone()));
+                let all = db.scan_all(t, *limit, |r: &Row| seen.push(r.clone()));
+                let column = (*col).min(2);
+                let full = db.scan(t, |r| r[column].as_int() == Some(*v), *limit);
+                let out = format!("{eq:?} {all:?} {full:?} {seen:?}");
+                self.held
+                    .extend(seen.into_iter().map(|r| (r.clone(), r.to_vec())));
+                out
+            }
+            Step::CreateIndex(t, col) => format!("{:?}", db.create_index(table(*t), *col)),
+            Step::CorruptCell(t, pk, col, v) => {
+                format!("{:?}", db.corrupt_cell(table(*t), *pk, *col, v.clone()))
+            }
+            Step::CorruptSwap(t, a, b) => format!("{:?}", db.corrupt_swap_rows(table(*t), *a, *b)),
+            Step::TaintRow(t, pk) => format!("{:?}", db.taint_row(table(*t), *pk)),
+        }
+    }
+}
+
+/// A table handle is its name, resolved: every operation answers the same
+/// — values, errors, counters — whether its table is given as a `TableId`
+/// or as the name that id stands for (an id past the schema like a name
+/// not in it).
+#[test]
+fn db_by_id_is_by_name() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(0x4000 + case);
+        let mut by_name = Scripted::new(["t", "u", "ghost"]);
+        let mut by_id = Scripted::new([TableId(0), TableId(1), TableId(2)]);
+        for (n, step) in gen_script(&mut rng).iter().enumerate() {
+            let named = by_name
+                .apply(step)
+                .replace(r#"NoSuchTable("ghost")"#, "NoSuchTable");
+            let handled = by_id
+                .apply(step)
+                .replace(r##"NoSuchTable("#2")"##, "NoSuchTable");
+            assert_eq!(named, handled, "case {case} step {n}: {step:?}");
+        }
+        assert_eq!(by_name.db.stats(), by_id.db.stats(), "case {case}");
+        assert_eq!(by_name.db.tainted_rows(), by_id.db.tainted_rows());
+    }
+}
+
+/// Sharing row images is unobservable: a `Row` handed to a reader is the
+/// stored image itself, yet no later update, rollback, delete, crash,
+/// injected corruption, taint or repair changes it, and the indexes equal
+/// the rows throughout. Rollback and repair put back the very image they
+/// displaced — the undo log and the taint map keep the `Rc`, not a copy.
+#[test]
+fn db_row_sharing_is_unobservable() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(0x5000 + case);
+        let mut s = Scripted::new([TableId(0), TableId(1), TableId(2)]);
+        for (n, step) in gen_script(&mut rng).iter().enumerate() {
+            s.apply(step);
+            for (row, copy) in &s.held {
+                assert_eq!(row[..], copy[..], "case {case} step {n}: {step:?}");
+            }
+            s.db.check_indexes()
+                .unwrap_or_else(|e| panic!("case {case} step {n}: {step:?}: {e}"));
+        }
+
+        let mut db = fresh_db();
+        db.load("t", [[Value::Int(1), Value::Int(10)]]).unwrap();
+        let original = db.read_committed("t", 1).unwrap().unwrap();
+        let conn = db.open_conn();
+        let txn = db.begin(conn).unwrap();
+        db.update(txn, "t", 1, &[(1, gen_cell(&mut rng))]).unwrap();
+        if rng.chance(0.5) {
+            db.delete(txn, "t", 1).unwrap();
+        }
+        db.rollback(txn).unwrap();
+        let restored = db.read_committed("t", 1).unwrap().unwrap();
+        assert!(
+            Rc::ptr_eq(&original, &restored),
+            "case {case}: rollback copied"
+        );
+        db.corrupt_cell("t", 1, 1, Value::Null).unwrap();
+        db.taint_row("t", 1).unwrap();
+        db.repair();
+        let repaired = db.read_committed("t", 1).unwrap().unwrap();
+        assert!(
+            Rc::ptr_eq(&original, &repaired),
+            "case {case}: repair copied"
+        );
+    }
+}
+
+/// The registry indexed by deployment handle is the naming service keyed
+/// by name: through any sequence of bind / unbind / corrupt, every handle
+/// resolves as its name does in a name-keyed model — sentinel, null,
+/// dangling and wrong bindings, unbind-then-rebind, a gap below a bound
+/// handle, and a handle no deployment ever issued.
+#[test]
+fn registry_handles_resolve_like_names() {
+    const NAMES: [&str; 6] = ["WAR", "Item", "Bid", "User", "ViewItem", "NeverDeployed"];
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(0x7000 + case);
+        let mut registry = NamingRegistry::new();
+        let mut model: BTreeMap<&str, Binding> = BTreeMap::new();
+        for step in 0..120 {
+            let i = rng.uniform_usize(NAMES.len());
+            let (handle, name) = (ComponentId(i), NAMES[i]);
+            let binding = match rng.uniform_u64(5) {
+                0 => Binding::Active(handle),
+                1 => Binding::Sentinel {
+                    retry_after: SimDuration::from_millis(rng.uniform_u64(3_000)),
+                },
+                2 => Binding::Null,
+                3 => Binding::Dangling,
+                _ => Binding::Wrong(ComponentId(rng.uniform_usize(5))),
+            };
+            match rng.uniform_u64(4) {
+                0 if name != "NeverDeployed" => {
+                    registry.bind(handle, binding);
+                    model.insert(name, binding);
+                }
+                1 => assert_eq!(registry.unbind(handle), model.remove(name)),
+                2 => {
+                    let bound = model.get_mut(name).map(|b| *b = binding).is_some();
+                    assert_eq!(registry.corrupt(handle, binding), bound);
+                }
+                _ => {}
+            }
+            for (i, name) in NAMES.iter().enumerate() {
+                let expected = match model.get(name) {
+                    None | Some(Binding::Null) => Err(RegistryError::NotBound),
+                    Some(Binding::Dangling) => Err(RegistryError::Dangling),
+                    Some(Binding::Active(id)) => Ok(Resolved::Component(*id)),
+                    Some(Binding::Wrong(id)) => Ok(Resolved::WrongComponent(*id)),
+                    Some(Binding::Sentinel { retry_after }) => {
+                        Ok(Resolved::RetryAfter(*retry_after))
+                    }
+                };
+                let got = registry.resolve(ComponentId(i));
+                assert_eq!(got, expected, "case {case} step {step}: {name}");
+            }
         }
     }
 }

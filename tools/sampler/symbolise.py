@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Flat profile of a sampler.so run: self time per function, by `nm`.
+
+    symbolise.py BINARY SAMPLES [--under NAME] [--top N]
+
+BINARY is the profiled executable (built with frame pointers; a release
+build keeps its symbols unless stripped). `--under NAME` keeps only the
+samples with a caller whose name contains NAME (`run_until`: the
+simulation proper, without set-up). Each sample is charged to its leaf
+frame. A leaf in a shared library is named from the dynamic symbols when
+it is inside an exported function (malloc, free), else by its library —
+and, when the word on top of the stack is a return address into BINARY,
+by that caller: `[libc.so.6] < NamingRegistry::resolve` is the memcmp
+under `resolve`.
+"""
+import argparse
+import bisect
+import collections
+import os
+import re
+import subprocess
+
+args = argparse.ArgumentParser()
+args.add_argument("binary")
+args.add_argument("samples")
+args.add_argument("--under")
+args.add_argument("--top", type=int, default=15)
+args = args.parse_args()
+binary = os.path.realpath(args.binary)
+
+stacks, maps, bias = [], [], {}  # maps: (start, end, path); bias: path -> load bias
+for line in open(args.samples):
+    if line.startswith("# map "):
+        span, _, _, _, _, path = line[6:].split(None, 5)
+        start, end = (int(x, 16) for x in span.split("-"))
+        maps.append((start, end, os.path.realpath(path.strip())))
+    elif line.startswith("# obj "):
+        fields = line.split()
+        path = fields[3] if len(fields) > 3 else binary
+        bias[os.path.realpath(path)] = int(fields[2], 16)
+    elif not line.startswith("#"):
+        stacks.append([int(pc, 16) for pc in line.split()])
+
+tables = {}  # path -> (sorted symbol starts in the file, ends, names)
+
+
+def table_of(path):
+    if path not in tables:
+        dynamic = [] if path == binary else ["-D"]
+        nm = subprocess.run(["nm", "-C", "-S", "--defined-only", *dynamic, path],
+                            capture_output=True, text=True).stdout
+        symbols = []
+        for line in nm.splitlines():
+            parts = line.split(" ", 3)
+            if len(parts) == 4 and parts[2] in "tTwW":
+                start = int(parts[0], 16)
+                # Drop the `::h0123456789abcdef` hash rustc appends.
+                name = re.sub(r"::h[0-9a-f]{16}$", "", parts[3])
+                symbols.append((start, start + int(parts[1], 16), name))
+        symbols.sort()
+        tables[path] = tuple(zip(*symbols)) if symbols else ((), (), ())
+    return tables[path]
+
+
+def name_of(pc):
+    """(name, whether `pc` is in BINARY); outside any known function the
+    name is the mapped file's, in brackets."""
+    for start, end, path in maps:
+        if start <= pc < end and path in bias:
+            starts, ends, names = table_of(path)
+            at = bisect.bisect_right(starts, pc - bias[path]) - 1
+            inside = at >= 0 and pc - bias[path] < ends[at]
+            name = names[at] if inside else "[" + os.path.basename(path) + "]"
+            return name, path == binary
+    return "[unknown]", False
+
+
+flat = collections.Counter()
+for pc, top_of_stack, *callers in stacks:
+    caller, caller_in_binary = name_of(top_of_stack)
+    if args.under and not any(args.under in name_of(c)[0] for c in callers):
+        continue
+    leaf, in_binary = name_of(pc)
+    if not in_binary and caller_in_binary:
+        leaf += " < " + caller
+    flat[leaf] += 1
+total = sum(flat.values())
+print(f"{total} samples" + (f" under {args.under}" if args.under else "")
+      + f" of {len(stacks)}")
+for name, count in flat.most_common(args.top):
+    print(f"{100 * count / total:5.1f} %  {count:6}  {name[:96]}")
