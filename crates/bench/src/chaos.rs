@@ -21,7 +21,7 @@ use simcore::metrics::reboot_begun_sym;
 use simcore::telemetry::{shared_bus, RebootLevel, TelemetrySink, TraceHashSink};
 use simcore::{MetricsRegistry, SimDuration, SimTime, TelemetryEvent};
 use statestore::shared_ledger;
-use workload::{DetectorKind, PerfConfig, RetryPolicy};
+use workload::{DetectorKind, RetryPolicy};
 
 use crate::netstate::{self, IntegrityOutcome};
 
@@ -290,7 +290,7 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         } else {
             DetectorKind::Simple
         },
-        perf: opts.perf.then(PerfConfig::default),
+        perf: opts.perf,
         rm: Some(hardened_rm(s.parallel_rm)),
         conductor: s.parallel_rm.then(ConductorConfig::default),
         policy: opts.policy,

@@ -37,7 +37,7 @@ use crate::chaos::RunOptions;
 /// The budgeted retry policy the campaign's retry arm runs under: a
 /// small per-request budget with exponential backoff from 250 ms, capped
 /// at 8 s. Amplification stays under 2x even when every attempt fails.
-pub fn budgeted_policy() -> RetryPolicy {
+pub(crate) fn budgeted_policy() -> RetryPolicy {
     RetryPolicy::Budgeted {
         budget: 4,
         base: SimDuration::from_millis(250),

@@ -224,7 +224,7 @@ impl JsonReport {
 }
 
 /// Prints an experiment banner.
-pub fn banner(title: &str) {
+pub(crate) fn banner(title: &str) {
     println!("\n=== {title} ===\n");
 }
 

@@ -85,7 +85,7 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
             seed,
             clients_per_node: 180,
             detector: workload::DetectorKind::LatencyAnomaly,
-            perf: Some(workload::PerfConfig::default()),
+            perf: true,
             rm: Some(RmConfig::default()),
             ..SimConfig::default()
         })

@@ -1,5 +1,6 @@
-//! Conformance properties every [`RecoveryPolicy`] implementation must
-//! satisfy, checked through the chaos runner's invariant battery:
+//! Conformance properties every registered recovery policy
+//! ([`recovery::PolicyChoice`]) must satisfy, checked through the chaos
+//! runner's invariant battery:
 //!
 //! * **bounded-grace termination** — the failure episode converges within
 //!   the campaign tail + grace window (no policy may loop forever);
@@ -12,8 +13,6 @@
 //!   redirects never outlive the episode;
 //! * **determinism** — a re-run of the same scenario reproduces the
 //!   trace digest bit-for-bit.
-//!
-//! [`RecoveryPolicy`]: recovery::RecoveryPolicy
 
 use bench::chaos::{run_scenario, RunOptions};
 use faults::campaign::{FlapSchedule, RmCrashSchedule, Scenario};

@@ -143,12 +143,12 @@ impl LoadBalancer {
     }
 
     /// Drops a session binding (its client dropped the cookie).
-    pub fn unassign(&mut self, sid: SessionId) {
+    pub(crate) fn unassign(&mut self, sid: SessionId) {
         self.affinity.remove(&sid);
     }
 
     /// Starts (or stops) redirecting traffic away from `node`.
-    pub fn set_redirect(&mut self, node: usize, on: bool) {
+    pub(crate) fn set_redirect(&mut self, node: usize, on: bool) {
         if node < self.nodes {
             self.redirecting[node] = on;
         }
@@ -161,7 +161,7 @@ impl LoadBalancer {
 
     /// Installs the URL-prefix → component-path map used for quarantine
     /// routing (without it, quarantine sets are ignored).
-    pub fn set_path_map(&mut self, path_of: fn(OpCode) -> &'static [&'static str]) {
+    pub(crate) fn set_path_map(&mut self, path_of: fn(OpCode) -> &'static [&'static str]) {
         self.path_of = Some(path_of);
     }
 

@@ -8,12 +8,14 @@
 //! (optionally) a shared SSM, plus hooks to inject faults and command
 //! recovery at chosen instants.
 //!
-//! Every experiment in the `bench` crate is a [`sim::Sim`] run.
+//! Every experiment in the `bench` crate is a [`Sim`] run.
 
 #![forbid(unsafe_code)]
 
-pub mod lb;
-pub mod sim;
+mod lb;
+mod net;
+mod recover;
+mod sim;
 
 pub use lb::LoadBalancer;
 pub use sim::{LogEvent, Sim, SimConfig, SimEvent, SimQueue, StoreChoice, World};

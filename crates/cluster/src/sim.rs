@@ -17,21 +17,20 @@
 //! ([`Sim::run_until`] in slices) and schedules ordinary events.
 
 use ebid::{catalog, DatasetSpec, EBid};
-use faults::{Fault, LinkFault, NetEdge, StoreFault};
-use recovery::conductor::{Conductor, ConductorConfig, StartCmd, Submission, TicketId};
+use faults::{Fault, NetEdge};
+use recovery::conductor::{Conductor, ConductorConfig, TicketId};
 use recovery::{PolicyChoice, RecoveryAction, RecoveryManager, RmConfig};
 use simcore::telemetry::{SharedBus, TelemetryEvent};
 use simcore::{EventPayload, EventQueue, SimDuration, SimTime};
 use statestore::Ssm;
 use urb_core::backend::{share_db, share_ssm, SessionBackend, SharedSsm};
-use urb_core::rejuvenation::{RejuvenationAction, RejuvenationService};
+use urb_core::rejuvenation::RejuvenationService;
 use urb_core::server::{RebootId, RebootLevel};
 use urb_core::{AppServer, OpCode, ReqId, Request, Response, ServerConfig, SubmitOutcome};
-use workload::{
-    ClientPool, ClientPoolConfig, DeliverOutcome, DetectorKind, PerfConfig, RetryPolicy,
-};
+use workload::{ClientPool, ClientPoolConfig, DeliverOutcome, DetectorKind, RetryPolicy};
 
 use crate::lb::LoadBalancer;
+use crate::net::NetShim;
 
 /// How long an emulated client waits for a response before giving up.
 ///
@@ -41,12 +40,7 @@ use crate::lb::LoadBalancer;
 /// requests (deadlocks, infinite loops) are purged earlier by the
 /// server's own 30-second request TTL, whose `TimedOut` response is what
 /// the monitors attribute to the stuck URL.
-pub const CLIENT_TIMEOUT: SimDuration = SimDuration::from_secs(60);
-
-/// How long a policy-plane hold (bulkhead isolation or failover-first
-/// redirection) lasts before the executor lifts it and acknowledges the
-/// action back to the recovery manager.
-pub const POLICY_HOLD: SimDuration = SimDuration::from_secs(10);
+const CLIENT_TIMEOUT: SimDuration = SimDuration::from_secs(60);
 
 /// The cluster simulation's event queue: [`SimEvent`] payloads pooled in
 /// the kernel's slot arena.
@@ -77,11 +71,11 @@ pub struct SimConfig {
     /// Which detector the monitors run.
     pub detector: DetectorKind,
     /// Performance-observability plane (latency sketches, fail-slow
-    /// anomaly detection, parity gating); `None` keeps it off. Enabling
+    /// anomaly detection, parity gating), off by default. Enabling
     /// it adds telemetry events and failure reports but schedules no
     /// events and draws no randomness of its own — it piggybacks on the
     /// per-second maintenance sweep.
-    pub perf: Option<PerfConfig>,
+    pub perf: bool,
     /// Recovery-manager configuration; `None` disables automatic recovery
     /// (experiments then command recovery directly).
     pub rm: Option<RmConfig>,
@@ -114,7 +108,7 @@ impl Default for SimConfig {
             retry_enabled: false,
             drain: None,
             detector: DetectorKind::Comparison,
-            perf: None,
+            perf: false,
             rm: None,
             policy: PolicyChoice::Ladder,
             conductor: None,
@@ -123,71 +117,6 @@ impl Default for SimConfig {
             seed: 0xeb1d,
         }
     }
-}
-
-/// Deterministic fault shim on the LB↔node wire.
-///
-/// Requests pass through it on submit and responses on delivery; an
-/// armed [`LinkFault`] black-holes, thins, delays or duplicates them.
-/// Thinning is counter-based (no RNG), so same-seed runs reproduce
-/// bit-identically, and with no fault armed every hook is a no-op — the
-/// shim cannot perturb pinned traces. A duplication fault doubles
-/// deliveries on the response half only: the client pool's request-owner
-/// table discards the echo, which is exactly the at-least-once case the
-/// end-to-end integrity plane must absorb.
-#[derive(Default)]
-pub struct NetShim {
-    fault: Option<LinkFault>,
-    counter: u64,
-}
-
-impl NetShim {
-    fn arm(&mut self, fault: LinkFault) {
-        self.fault = Some(fault);
-        self.counter = 0;
-    }
-
-    fn heal(&mut self) {
-        self.fault = None;
-    }
-
-    /// True if the wire swallows this message.
-    fn drops(&mut self) -> bool {
-        match self.fault {
-            Some(LinkFault::Partition) => true,
-            Some(LinkFault::Lossy { permille }) => thin(&mut self.counter, permille),
-            _ => false,
-        }
-    }
-
-    /// Extra one-way latency, when a delay fault is armed.
-    fn delay(&self) -> Option<SimDuration> {
-        match self.fault {
-            Some(LinkFault::Delay { extra }) => Some(extra),
-            _ => None,
-        }
-    }
-
-    /// True if the wire delivers this message twice.
-    fn dupes(&mut self) -> bool {
-        match self.fault {
-            Some(LinkFault::Dupe { permille }) => thin(&mut self.counter, permille),
-            _ => false,
-        }
-    }
-}
-
-/// Deterministic thinning: fires on the messages where the running
-/// `permille` quota crosses an integer boundary (mirrors the SSM's
-/// node↔store shim).
-fn thin(counter: &mut u64, permille: u32) -> bool {
-    if permille == 0 {
-        return false;
-    }
-    let before = *counter * u64::from(permille) / 1000;
-    *counter += 1;
-    let after = *counter * u64::from(permille) / 1000;
-    after > before
 }
 
 /// A notable event, for experiment reports.
@@ -394,7 +323,7 @@ impl EventPayload<World> for SimEvent {
             } => w.on_policy_hold_done(node, failover, started, q),
             SimEvent::RmCrash => w.on_rm_crash(q),
             SimEvent::RmReboot => w.on_rm_reboot(q),
-            SimEvent::SubmitDelayed { node, req } => w.on_submit_delayed(node, req, q),
+            SimEvent::SubmitDelayed { node, req } => w.submit_to(node, req, q),
             SimEvent::EdgeHeal { edge } => w.on_edge_heal(edge, q),
             SimEvent::BrickRestore { brick } => w.on_brick_restore(brick, q),
         }
@@ -421,17 +350,17 @@ pub struct World {
     /// (state-plane faults and the integrity ledger attach through it).
     pub ssm: Option<SharedSsm>,
     /// The LB↔node wire shim.
-    net: NetShim,
-    failover: bool,
-    drain: Option<SimDuration>,
+    pub(crate) net: NetShim,
+    pub(crate) failover: bool,
+    pub(crate) drain: Option<SimDuration>,
     /// The RM's own process is down (ReHype): reports are lost, polls
     /// skip, acknowledgements are dropped until the reboot completes.
-    rm_down: bool,
-    bus: Option<SharedBus>,
+    pub(crate) rm_down: bool,
+    pub(crate) bus: Option<SharedBus>,
 }
 
 impl World {
-    fn pump_node(&mut self, node: usize, q: &mut SimQueue) {
+    pub(crate) fn pump_node(&mut self, node: usize, q: &mut SimQueue) {
         let now = q.now();
         for started in self.nodes[node].pump(now) {
             let rid = started.req;
@@ -443,7 +372,7 @@ impl World {
         }
     }
 
-    fn schedule_deliveries(
+    pub(crate) fn schedule_deliveries(
         &mut self,
         node: usize,
         responses: impl IntoIterator<Item = Response>,
@@ -518,17 +447,13 @@ impl World {
             );
             return;
         }
-        // urb-lint: allow(S004) — the LB's routing decision is the cluster's one sanctioned cross-node entry; under the sharded kernel (ROADMAP item 1) this submit becomes a shard-targeted event send.
-        match self.nodes[node].submit(out.req, now) {
-            SubmitOutcome::Rejected(resp) => self.schedule_deliveries(node, Some(resp), q),
-            SubmitOutcome::Admitted => self.pump_node(node, q),
-        }
+        self.submit_to(node, out.req, q);
     }
 
-    /// Delivers a request the wire's delay fault held back.
-    fn on_submit_delayed(&mut self, node: usize, req: Request, q: &mut SimQueue) {
-        let now = q.now();
-        match self.nodes[node].submit(req, now) {
+    /// Hands a routed request to its node: straight from the client's wake,
+    /// or once the wire's delay fault lets it through.
+    fn submit_to(&mut self, node: usize, req: Request, q: &mut SimQueue) {
+        match self.nodes[node].submit(req, q.now()) {
             SubmitOutcome::Rejected(resp) => self.schedule_deliveries(node, Some(resp), q),
             SubmitOutcome::Admitted => self.pump_node(node, q),
         }
@@ -573,13 +498,19 @@ impl World {
             None => {}
         }
         self.forget_dropped_sessions();
-        if let Some(rm) = &mut self.rm {
-            // Reports arriving while the RM itself is down (ReHype) are
-            // lost with it — drained and dropped, never replayed.
-            for r in self.pool.drain_reports() {
-                if !self.rm_down {
-                    rm.report(&r);
-                }
+        self.forward_reports();
+    }
+
+    /// Hands the pool's queued failure reports to the recovery manager.
+    /// Reports arriving while the RM itself is down (ReHype) are lost with
+    /// it — drained and dropped, never replayed.
+    fn forward_reports(&mut self) {
+        let Some(rm) = &mut self.rm else {
+            return;
+        };
+        for r in self.pool.drain_reports() {
+            if !self.rm_down {
+                rm.report(&r);
             }
         }
     }
@@ -599,14 +530,8 @@ impl World {
         // queue at all — classic reports drain on delivery, and their
         // timing is part of the pinned-digest contract.
         self.pool.perf_tick(now);
-        if self.pool.perf().is_some() && self.rm.is_some() {
-            for r in self.pool.drain_reports() {
-                if !self.rm_down {
-                    if let Some(rm) = &mut self.rm {
-                        rm.report(&r);
-                    }
-                }
-            }
+        if self.pool.perf().is_some() {
+            self.forward_reports();
         }
         // Forward state-store telemetry (brick failures/restores, lease
         // expiries) accumulated since the last sweep. Empty in healthy
@@ -619,430 +544,10 @@ impl World {
         );
     }
 
-    /// Forwards the SSM's queued telemetry events to the bus (and drops
-    /// them when no bus is attached, so the queue cannot grow unbounded).
-    fn drain_store_events(&mut self) {
-        let Some(ssm) = &self.ssm else {
-            return;
-        };
-        let events = ssm.borrow_mut().take_events();
-        if let Some(bus) = &self.bus {
-            let mut bus = bus.borrow_mut();
-            for ev in &events {
-                bus.emit(ev);
-            }
-        }
-    }
-
-    /// Emits a net-fault telemetry mark, when a bus is attached.
-    fn emit_net(&mut self, ev: TelemetryEvent) {
+    /// Emits a telemetry event of the world's own, when a bus is attached.
+    pub(crate) fn emit(&mut self, ev: TelemetryEvent) {
         if let Some(bus) = &self.bus {
             bus.borrow_mut().emit(&ev);
-        }
-    }
-
-    fn on_rejuv_poll(&mut self, node: usize, period: SimDuration, q: &mut SimQueue) {
-        let now = q.now();
-        if matches!(self.rejuv.get(node), Some(Some(_))) {
-            let free = self.nodes[node].available_memory();
-            if let Some(bus) = &self.bus {
-                bus.borrow_mut().emit(&TelemetryEvent::RejuvenationTick {
-                    node,
-                    free_bytes: free,
-                    at: now,
-                });
-            }
-        }
-        if let Some(Some(service)) = self.rejuv.get_mut(node) {
-            // Record the outcome of a finished rejuvenation microreboot
-            // (free memory was sampled after the reboot completed).
-            let action = {
-                let server = &mut self.nodes[node];
-                service.check(server, now)
-            };
-            match action {
-                RejuvenationAction::Idle => {}
-                RejuvenationAction::Microreboot { component, ticket } => {
-                    self.log.push(LogEvent::RecoveryStarted {
-                        at: now,
-                        node,
-                        action: format!("rejuvenation microreboot {component}"),
-                    });
-                    self.pool.perf_mask(ticket.done_at);
-                    let id = ticket.id;
-                    q.schedule_event_at(
-                        ticket.crash_at,
-                        "rejuv-crash",
-                        SimEvent::RecoveryCrash { node, id },
-                    );
-                    q.schedule_event_at(
-                        ticket.done_at,
-                        "rejuv-done",
-                        SimEvent::RejuvDone {
-                            node,
-                            id,
-                            period,
-                            started: now,
-                        },
-                    );
-                    return; // The done handler reschedules the poll.
-                }
-                RejuvenationAction::NeedsProcessRestart => {
-                    self.execute_action(node, RecoveryAction::RestartProcess, q);
-                }
-            }
-        }
-        q.schedule_event_in(period, "rejuv-poll", SimEvent::RejuvPoll { node, period });
-    }
-
-    fn on_rejuv_done(
-        &mut self,
-        node: usize,
-        id: RebootId,
-        period: SimDuration,
-        started: SimTime,
-        q: &mut SimQueue,
-    ) {
-        let t = q.now();
-        let members = self.nodes[node].recovery_complete(id, t);
-        let free = self.nodes[node].available_memory();
-        if let Some(Some(service)) = self.rejuv.get_mut(node) {
-            service.record_completion(free);
-        }
-        self.log.push(LogEvent::RecoveryFinished {
-            at: t,
-            node,
-            action: format!("rejuvenation microreboot {members:?}"),
-            started,
-        });
-        self.pump_node(node, q);
-        // Re-check immediately: one component may not have released
-        // enough.
-        self.on_rejuv_poll(node, period, q);
-    }
-
-    fn on_rm_poll(&mut self, q: &mut SimQueue) {
-        let now = q.now();
-        if self.rm.is_some() && !self.rm_down {
-            for node in 0..self.nodes.len() {
-                // With a conductor the manager may issue several decisions
-                // per poll (up to its concurrency budget); the baseline
-                // keeps the historical one-decision-per-poll cadence.
-                loop {
-                    let action = self.rm.as_mut().and_then(|rm| rm.decide(node, now));
-                    let Some(action) = action else { break };
-                    if self.conductor.is_some() {
-                        self.conduct(node, action, q);
-                    } else {
-                        self.execute_action(node, action, q);
-                        break;
-                    }
-                }
-            }
-        }
-        q.schedule_event_in(SimDuration::from_millis(300), "rm-poll", SimEvent::RmPoll);
-    }
-
-    fn redirect(&mut self, node: usize, on: bool) {
-        if self.failover && self.lb.nodes() > 1 {
-            self.lb.set_redirect(node, on);
-        }
-    }
-
-    fn recovery_finished(&mut self, node: usize, now: SimTime) {
-        // Acknowledgements raised while the RM is down are lost (ReHype);
-        // post-reboot the policy's saturating bookkeeping absorbs any
-        // stragglers for actions it no longer remembers.
-        if self.rm_down {
-            return;
-        }
-        if let Some(rm) = &mut self.rm {
-            rm.recovery_finished(node, now);
-        }
-    }
-
-    fn on_recovery_crash(&mut self, node: usize, id: RebootId, q: &mut SimQueue) {
-        let now = q.now();
-        let killed = self.nodes[node].recovery_crash(id, now);
-        self.schedule_deliveries(node, killed, q);
-        self.pump_node(node, q);
-    }
-
-    /// Completes a reboot and acknowledges it: straight to the manager,
-    /// or through the conductor ticket that carried it.
-    fn on_recovery_done(
-        &mut self,
-        node: usize,
-        id: RebootId,
-        ticket: Option<TicketId>,
-        level: RebootLevel,
-        started: SimTime,
-        q: &mut SimQueue,
-    ) {
-        let now = q.now();
-        let members = self.nodes[node].recovery_complete(id, now);
-        let action = match level {
-            RebootLevel::Component => format!("microreboot {members:?}"),
-            RebootLevel::Application => "app restart".into(),
-            RebootLevel::Process => "process restart".into(),
-            RebootLevel::OperatingSystem => "OS reboot".into(),
-        };
-        self.log.push(LogEvent::RecoveryFinished {
-            at: now,
-            node,
-            action,
-            started,
-        });
-        match ticket {
-            Some(ticket) => {
-                self.pump_node(node, q);
-                self.finish_conducted(node, ticket, q);
-            }
-            None => {
-                self.recovery_finished(node, now);
-                self.redirect(node, false);
-                self.pump_node(node, q);
-            }
-        }
-    }
-
-    /// Executes a recovery action on a node (from the RM or an
-    /// experiment): a policy-plane hold or a human page here, a reboot of
-    /// any depth through [`World::begin_reboot`].
-    fn execute_action(&mut self, node: usize, action: RecoveryAction, q: &mut SimQueue) {
-        let now = q.now();
-        self.log.push(LogEvent::RecoveryStarted {
-            at: now,
-            node,
-            action: format!("{action:?}"),
-        });
-        match action {
-            RecoveryAction::Isolate { components } => {
-                // Bulkhead: admission-control the blast radius instead of
-                // rebooting — the LB sheds the components' traffic for a
-                // hold period, then the hold-done handler lifts it and
-                // acknowledges the action.
-                let members = components.len() as u32;
-                self.lb.set_quarantine(node, components);
-                if let Some(bus) = &self.bus {
-                    bus.borrow_mut().emit(&TelemetryEvent::QuarantineOn {
-                        node,
-                        members,
-                        at: now,
-                    });
-                }
-                self.pool.perf_mask(now + POLICY_HOLD);
-                q.schedule_event_in(
-                    POLICY_HOLD,
-                    "policy-hold",
-                    SimEvent::PolicyHoldDone {
-                        node,
-                        failover: false,
-                        started: now,
-                    },
-                );
-            }
-            RecoveryAction::Failover => {
-                // Failover-first: steer the node's traffic to its peers
-                // for a hold period without touching the node itself.
-                if let Some(bus) = &self.bus {
-                    bus.borrow_mut()
-                        .emit(&TelemetryEvent::FailoverEngaged { node, at: now });
-                }
-                self.redirect(node, true);
-                self.pool.perf_mask(now + POLICY_HOLD);
-                q.schedule_event_in(
-                    POLICY_HOLD,
-                    "policy-hold",
-                    SimEvent::PolicyHoldDone {
-                        node,
-                        failover: true,
-                        started: now,
-                    },
-                );
-            }
-            RecoveryAction::NotifyHuman => {
-                self.log.push(LogEvent::HumanNotified { at: now, node });
-                self.recovery_finished(node, now);
-            }
-            reboot => self.begin_reboot(node, reboot, None, q),
-        }
-    }
-
-    /// Begins the reboot `action` names on `node` — the one path for every
-    /// depth, conducted (`ticket`) or not: map the action to its
-    /// [`RebootLevel`], begin the recovery through the server's lifecycle
-    /// API, run (or schedule) the crash phase, and schedule the
-    /// completion.
-    fn begin_reboot(
-        &mut self,
-        node: usize,
-        action: RecoveryAction,
-        ticket: Option<TicketId>,
-        q: &mut SimQueue,
-    ) {
-        let now = q.now();
-        let (level, components) = match action {
-            RecoveryAction::Microreboot { components } => (RebootLevel::Component, components),
-            RecoveryAction::RestartApp => (RebootLevel::Application, Vec::new()),
-            RecoveryAction::RestartProcess => (RebootLevel::Process, Vec::new()),
-            RecoveryAction::RebootOs => (RebootLevel::OperatingSystem, Vec::new()),
-            RecoveryAction::NotifyHuman
-            | RecoveryAction::Isolate { .. }
-            | RecoveryAction::Failover => {
-                unreachable!("policy-plane actions are not reboots")
-            }
-        };
-        // The drain window (Table 6) only applies to microreboots; coarse
-        // restarts kill unconditionally.
-        let drain = match level {
-            RebootLevel::Component => self.drain,
-            _ => None,
-        };
-        let names: Vec<&str> = components.iter().map(|c| c.as_str()).collect();
-        let Ok(reboot) = self.nodes[node].begin_recovery(level, &names, now, drain) else {
-            // Nothing to do (already rebooting, a racing reboot holds a
-            // member, or the process is down): settle the action so the
-            // manager can escalate.
-            match ticket {
-                Some(ticket) => self.finish_conducted(node, ticket, q),
-                None => self.recovery_finished(node, now),
-            }
-            return;
-        };
-        match ticket {
-            Some(_) => self.sync_routing(node),
-            None => self.redirect(node, true),
-        }
-        self.pool.perf_mask(reboot.done_at);
-        let id = reboot.id;
-        if level == RebootLevel::Component {
-            // The crash phase waits out the drain window.
-            q.schedule_event_at(
-                reboot.crash_at,
-                "recovery-crash",
-                SimEvent::RecoveryCrash { node, id },
-            );
-        } else {
-            let killed = self.nodes[node].recovery_crash(id, now);
-            self.schedule_deliveries(node, killed, q);
-        }
-        q.schedule_event_at(
-            reboot.done_at,
-            "recovery-done",
-            SimEvent::RecoveryDone {
-                node,
-                id,
-                ticket,
-                level,
-                started: now,
-            },
-        );
-    }
-
-    /// Lifts an expired policy-plane hold and acknowledges the action.
-    fn on_policy_hold_done(
-        &mut self,
-        node: usize,
-        failover: bool,
-        started: SimTime,
-        q: &mut SimQueue,
-    ) {
-        let now = q.now();
-        if failover {
-            self.redirect(node, false);
-        } else {
-            self.lb.set_quarantine(node, Vec::new());
-            if let Some(bus) = &self.bus {
-                bus.borrow_mut()
-                    .emit(&TelemetryEvent::QuarantineOff { node, at: now });
-            }
-        }
-        self.log.push(LogEvent::RecoveryFinished {
-            at: now,
-            node,
-            action: if failover {
-                "failover hold".into()
-            } else {
-                "isolation hold".into()
-            },
-            started,
-        });
-        self.recovery_finished(node, now);
-        self.pump_node(node, q);
-    }
-
-    /// The RM's own process crashes (ReHype): volatile diagnosis state is
-    /// wiped; reports, polls and acknowledgements are lost until reboot.
-    fn on_rm_crash(&mut self, q: &mut SimQueue) {
-        let now = q.now();
-        if let Some(rm) = &mut self.rm {
-            rm.crash(now);
-            self.rm_down = true;
-        }
-    }
-
-    /// The RM finishes rebooting and resumes from a blank slate.
-    fn on_rm_reboot(&mut self, q: &mut SimQueue) {
-        let now = q.now();
-        if let Some(rm) = &mut self.rm {
-            rm.rebooted(now);
-            self.rm_down = false;
-        }
-    }
-
-    /// Routes a manager decision through the conductor: expansion to the
-    /// recovery group, coalescing, conflict scheduling and quarantine.
-    fn conduct(&mut self, node: usize, action: RecoveryAction, q: &mut SimQueue) {
-        // Human pages and policy-plane holds are not reboots — nothing to
-        // schedule around; the executor handles them directly.
-        if matches!(
-            action,
-            RecoveryAction::NotifyHuman | RecoveryAction::Isolate { .. } | RecoveryAction::Failover
-        ) {
-            self.execute_action(node, action, q);
-            return;
-        }
-        let now = q.now();
-        let conductor = self
-            .conductor
-            .as_mut()
-            .expect("conduct requires a conductor");
-        match conductor.submit(node, action, now) {
-            Submission::Started(cmd) => self.start_conducted(node, cmd, q),
-            // Queued and coalesced decisions are settled (acknowledged to
-            // the manager) when their carrying ticket finishes.
-            Submission::Queued(_) | Submission::Coalesced(_) => {}
-        }
-        self.sync_routing(node);
-    }
-
-    /// Begins executing a conductor ticket on a node.
-    fn start_conducted(&mut self, node: usize, cmd: StartCmd, q: &mut SimQueue) {
-        self.log.push(LogEvent::RecoveryStarted {
-            at: q.now(),
-            node,
-            action: format!("{:?}", cmd.action),
-        });
-        self.begin_reboot(node, cmd.action, Some(cmd.ticket), q);
-    }
-
-    /// Settles a finished (or unexecutable) ticket: acknowledges every
-    /// decision it carried to the manager, refreshes routing, and starts
-    /// whatever the conductor promoted from the queue.
-    fn finish_conducted(&mut self, node: usize, ticket: TicketId, q: &mut SimQueue) {
-        let now = q.now();
-        let fin = self
-            .conductor
-            .as_mut()
-            .expect("conducted tickets require a conductor")
-            .on_finished(node, ticket, now);
-        for _ in 0..fin.acks {
-            self.recovery_finished(node, now);
-        }
-        self.sync_routing(node);
-        for cmd in fin.start {
-            self.start_conducted(node, cmd, q);
         }
     }
 
@@ -1083,145 +588,6 @@ impl World {
                 let killed = faults::inject(&mut self.nodes[node], &fault, now);
                 self.schedule_deliveries(node, killed, q);
             }
-        }
-    }
-
-    /// Delivers a state-plane fault into the shared SSM. A no-op on
-    /// FastS-only clusters (there is no external store to break).
-    fn inject_store_fault(&mut self, fault: StoreFault, q: &mut SimQueue) {
-        let now = q.now();
-        let Some(ssm) = self.ssm.clone() else {
-            return;
-        };
-        ssm.borrow_mut().advance_to(now);
-        match fault {
-            StoreFault::BrickCrash { brick, heals_after } => {
-                ssm.borrow_mut().fail_brick(brick);
-                q.schedule_event_at(
-                    now + heals_after,
-                    "brick-restore",
-                    SimEvent::BrickRestore { brick },
-                );
-            }
-            StoreFault::BrickCorrupt { brick } => {
-                ssm.borrow_mut().corrupt_brick(brick);
-                self.emit_net(TelemetryEvent::NetFaultInjected {
-                    edge: NetEdge::NodeStore.code(),
-                    kind: 5,
-                    at: now,
-                });
-            }
-            StoreFault::LeaseStorm => {
-                ssm.borrow_mut().storm_leases();
-            }
-            StoreFault::Slow {
-                factor_permille,
-                heals_after,
-            } => {
-                // The SSM's base access RTT is 6.2 ms; the fault inflates
-                // it by factor_permille/1000.
-                let extra = SimDuration::from_micros(6_200 * u64::from(factor_permille) / 1000);
-                ssm.borrow_mut().set_extra_latency(extra);
-                self.emit_net(TelemetryEvent::NetFaultInjected {
-                    edge: NetEdge::NodeStore.code(),
-                    kind: 4,
-                    at: now,
-                });
-                q.schedule_event_at(
-                    now + heals_after,
-                    "edge-heal",
-                    SimEvent::EdgeHeal {
-                        edge: NetEdge::NodeStore,
-                    },
-                );
-            }
-        }
-        self.drain_store_events();
-    }
-
-    /// Arms a network fault on an edge and schedules its heal. LB↔node
-    /// faults live in the wire shim; node↔store faults arm the SSM's own
-    /// deterministic shim (a no-op on FastS-only clusters).
-    fn inject_net_fault(
-        &mut self,
-        edge: NetEdge,
-        fault: LinkFault,
-        heals_after: SimDuration,
-        q: &mut SimQueue,
-    ) {
-        let now = q.now();
-        match edge {
-            NetEdge::LbNode => self.net.arm(fault),
-            NetEdge::NodeStore => {
-                let Some(ssm) = &self.ssm else {
-                    return;
-                };
-                let mut s = ssm.borrow_mut();
-                s.advance_to(now);
-                match fault {
-                    LinkFault::Partition => s.set_partitioned(true),
-                    LinkFault::Lossy { permille } => s.set_lossy(permille),
-                    LinkFault::Delay { extra } => s.set_extra_latency(extra),
-                    LinkFault::Dupe { permille } => s.set_dupe(permille),
-                }
-            }
-        }
-        let kind = match fault {
-            LinkFault::Partition => 0,
-            LinkFault::Lossy { .. } => 1,
-            LinkFault::Delay { .. } => 2,
-            LinkFault::Dupe { .. } => 3,
-        };
-        self.emit_net(TelemetryEvent::NetFaultInjected {
-            edge: edge.code(),
-            kind,
-            at: now,
-        });
-        q.schedule_event_at(now + heals_after, "edge-heal", SimEvent::EdgeHeal { edge });
-    }
-
-    /// Heals every armed fault on an edge.
-    fn on_edge_heal(&mut self, edge: NetEdge, q: &mut SimQueue) {
-        let now = q.now();
-        match edge {
-            NetEdge::LbNode => self.net.heal(),
-            NetEdge::NodeStore => {
-                if let Some(ssm) = &self.ssm {
-                    ssm.borrow_mut().clear_net_faults();
-                }
-            }
-        }
-        self.emit_net(TelemetryEvent::NetFaultHealed {
-            edge: edge.code(),
-            at: now,
-        });
-    }
-
-    /// A crashed SSM brick restarts (empty; it repopulates on writes).
-    fn on_brick_restore(&mut self, brick: usize, q: &mut SimQueue) {
-        let now = q.now();
-        if let Some(ssm) = &self.ssm {
-            let mut s = ssm.borrow_mut();
-            s.advance_to(now);
-            s.restore_brick(brick);
-        }
-        self.drain_store_events();
-    }
-
-    /// Reconciles LB routing with the conductor's view of the node: coarse
-    /// recoveries drain the whole node, component recoveries quarantine
-    /// only their blast radius (or drain the node when quarantine is off).
-    fn sync_routing(&mut self, node: usize) {
-        let Some(conductor) = &self.conductor else {
-            return;
-        };
-        let coarse = conductor.has_coarse_active(node);
-        let component = conductor.has_component_active(node);
-        let quarantine_on = conductor.config().quarantine;
-        let members = quarantine_on.then(|| conductor.quarantined(node));
-        self.redirect(node, coarse || (component && !quarantine_on));
-        if let Some(members) = members {
-            self.lb.set_quarantine(node, members);
         }
     }
 }
@@ -1270,8 +636,8 @@ impl Sim {
                 seed: config.seed ^ 0x00c1_1e17,
             },
         );
-        if let Some(perf) = config.perf {
-            pool.enable_perf(perf);
+        if config.perf {
+            pool.enable_perf();
         }
         let rm = config.rm.map(|rm_config| {
             RecoveryManager::with_policy(

@@ -28,7 +28,7 @@ use faults::Fault;
 use recovery::{RmConfig, RmStats};
 use simcore::telemetry::{shared_bus, TelemetryEvent, TelemetrySink, TraceHashSink};
 use simcore::{MetricsRegistry, SimDuration, SimTime};
-use workload::{DetectorKind, PerfConfig};
+use workload::DetectorKind;
 
 /// The digest the degraded episode must reproduce, byte for byte.
 /// Re-pin deliberately (and say why in the commit) when the perf plane,
@@ -98,7 +98,7 @@ fn degraded_episode() -> (u64, u64, RmStats, Marks) {
         // so the hot ops earn latency verdicts every judgement window.
         clients_per_node: 180,
         detector: DetectorKind::LatencyAnomaly,
-        perf: Some(PerfConfig::default()),
+        perf: true,
         rm: Some(hardened_rm()),
         seed: 0xdeb5,
         ..SimConfig::default()

@@ -38,7 +38,7 @@ fn trace_hash(seed: u64) -> (u64, u64) {
 }
 
 /// The recovery-policy extraction (the recursive ladder moved behind the
-/// [`recovery::RecoveryPolicy`] trait, selected via [`PolicyChoice`]) must
+/// `RecoveryPolicy` trait, selected via [`PolicyChoice`]) must
 /// also be behaviour-invisible: explicitly asking for the paper ladder has
 /// to reproduce the same pinned digests as the default config, proving the
 /// trait indirection, the policy registry, and the `PolicyArmed` plumbing

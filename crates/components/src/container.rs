@@ -14,7 +14,6 @@
 //! instance attributes are all container-resident state, which is exactly
 //! *why* a component-level microreboot cures them.
 
-use simcore::SimTime;
 use statestore::session::CorruptKind;
 
 use crate::descriptor::ComponentDescriptor;
@@ -69,7 +68,7 @@ pub struct TxnMethodMap {
 
 impl TxnMethodMap {
     /// Creates a map with every listed method `Required`.
-    pub fn with_methods(methods: &[&'static str]) -> Self {
+    pub(crate) fn with_methods(methods: &[&'static str]) -> Self {
         let mut map = TxnMethodMap::default();
         for m in methods {
             map.set(m, TxnAttr::Required);
@@ -123,11 +122,6 @@ impl TxnMethodMap {
         self.invalid || self.wrong || self.entries.iter().any(|(_, attr)| attr.is_none())
     }
 
-    /// Returns true if the *wrong* (silent) corruption is present.
-    pub fn is_wrong(&self) -> bool {
-        self.wrong
-    }
-
     /// Returns the number of declared methods.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -156,8 +150,6 @@ struct Instance {
 #[derive(Clone, Debug, Default)]
 pub struct InstancePool {
     free: Vec<Instance>,
-    created: u64,
-    discarded: u64,
 }
 
 /// What serving a call with a pooled instance produced.
@@ -175,11 +167,9 @@ pub enum InstanceOutcome {
 
 impl InstancePool {
     /// Creates a pool pre-populated with `initial` clean instances.
-    pub fn with_initial(initial: usize) -> Self {
+    pub(crate) fn with_initial(initial: usize) -> Self {
         InstancePool {
             free: vec![Instance { corrupt: None }; initial],
-            created: initial as u64,
-            discarded: 0,
         }
     }
 
@@ -188,21 +178,10 @@ impl InstancePool {
         self.free.len()
     }
 
-    /// Returns lifetime creation/discard counters.
-    pub fn churn(&self) -> (u64, u64) {
-        (self.created, self.discarded)
-    }
-
     /// Serves one call with the next pooled instance (creating one if the
     /// pool is empty), applying corruption semantics.
     pub fn serve(&mut self) -> InstanceOutcome {
-        let inst = match self.free.pop() {
-            Some(i) => i,
-            None => {
-                self.created += 1;
-                Instance { corrupt: None }
-            }
-        };
+        let inst = self.free.pop().unwrap_or(Instance { corrupt: None });
         match inst.corrupt {
             None => {
                 self.free.push(inst);
@@ -210,7 +189,6 @@ impl InstancePool {
             }
             Some(kind @ (CorruptKind::SetNull | CorruptKind::SetInvalid)) => {
                 // Detectable failure: discard the bad instance.
-                self.discarded += 1;
                 InstanceOutcome::FailedAndDiscarded(kind)
             }
             Some(CorruptKind::SetWrong) => {
@@ -230,14 +208,8 @@ impl InstancePool {
         self.free.len()
     }
 
-    /// Returns true if any pooled instance is corrupted.
-    pub fn any_corrupt(&self) -> bool {
-        self.free.iter().any(|i| i.corrupt.is_some())
-    }
-
     /// Destroys all pooled instances (microreboot crash phase).
-    pub fn destroy_all(&mut self) {
-        self.discarded += self.free.len() as u64;
+    pub(crate) fn destroy_all(&mut self) {
         self.free.clear();
     }
 }
@@ -283,10 +255,6 @@ pub struct Container {
     // urb-lint: allow(S001) — immutable deployment metadata; survives every reboot level by design (Section 3.2).
     pub descriptor: ComponentDescriptor,
     state: ContainerState,
-    /// Generation of the component's classloader. Preserved across
-    /// microreboots (Section 3.2); bumped only by full application
-    /// redeployment or a process restart.
-    classloader_gen: u32,
     /// How many times this container has been microrebooted.
     microreboots: u64,
     /// Per-method transaction metadata, rebuilt on reinit.
@@ -299,32 +267,25 @@ pub struct Container {
     leaked_bytes: u64,
     /// Calls currently executing inside this component.
     inflight: u32,
-    /// Calls served since the last (re)initialization.
-    calls_served: u64,
-    /// When the container last became active.
-    active_since: SimTime,
     /// Methods this component exposes (used to rebuild the txn map).
     methods: &'static [&'static str],
 }
 
 impl Container {
     /// Default number of pooled instances created at initialization.
-    pub const DEFAULT_POOL: usize = 8;
+    pub(crate) const DEFAULT_POOL: usize = 8;
 
     /// Creates a stopped container for `descriptor`.
     pub fn new(descriptor: ComponentDescriptor, methods: &'static [&'static str]) -> Self {
         Container {
             descriptor,
             state: ContainerState::Stopped,
-            classloader_gen: 0,
             microreboots: 0,
             txn_map: TxnMethodMap::default(),
             pool: InstancePool::default(),
             faults: FaultFlags::default(),
             leaked_bytes: 0,
             inflight: 0,
-            calls_served: 0,
-            active_since: SimTime::ZERO,
             methods,
         }
     }
@@ -339,11 +300,6 @@ impl Container {
         self.state == ContainerState::Active
     }
 
-    /// Returns the classloader generation.
-    pub fn classloader_gen(&self) -> u32 {
-        self.classloader_gen
-    }
-
     /// Returns how many microreboots this container has undergone.
     pub fn microreboots(&self) -> u64 {
         self.microreboots
@@ -354,16 +310,6 @@ impl Container {
         self.inflight
     }
 
-    /// Returns calls served since the last (re)initialization.
-    pub fn calls_served(&self) -> u64 {
-        self.calls_served
-    }
-
-    /// Returns when the container last became active.
-    pub fn active_since(&self) -> SimTime {
-        self.active_since
-    }
-
     /// Records a call entering the component.
     pub fn call_enter(&mut self) {
         self.inflight += 1;
@@ -372,7 +318,6 @@ impl Container {
     /// Records a call leaving the component (normally or killed).
     pub fn call_exit(&mut self) {
         self.inflight = self.inflight.saturating_sub(1);
-        self.calls_served += 1;
     }
 
     /// Returns the container's current heap footprint in bytes.
@@ -418,24 +363,18 @@ impl Container {
     }
 
     /// Completes reinitialization: fresh pool, fresh metadata, active.
-    ///
-    /// The classloader generation is *not* bumped — microreboots preserve
-    /// the classloader (Section 3.2).
-    pub fn complete_start(&mut self, now: SimTime) {
+    pub fn complete_start(&mut self) {
         self.pool = InstancePool::with_initial(Self::DEFAULT_POOL);
         self.txn_map = TxnMethodMap::with_methods(self.methods);
         self.state = ContainerState::Active;
-        self.active_since = now;
-        self.calls_served = 0;
         self.microreboots += 1;
     }
 
     /// Full shutdown (application stop or process restart): everything is
-    /// discarded and the classloader generation advances.
+    /// discarded.
     pub fn full_stop(&mut self) {
         self.crash();
         self.state = ContainerState::Stopped;
-        self.classloader_gen += 1;
     }
 }
 
@@ -455,7 +394,7 @@ mod tests {
     fn started() -> Container {
         let mut c = container();
         c.begin_start();
-        c.complete_start(SimTime::ZERO);
+        c.complete_start();
         c
     }
 
@@ -466,17 +405,15 @@ mod tests {
         assert_eq!(c.heap_bytes(), 0);
         c.begin_start();
         assert_eq!(c.state(), ContainerState::Starting);
-        c.complete_start(SimTime::from_secs(1));
+        c.complete_start();
         assert!(c.is_active());
-        assert_eq!(c.active_since(), SimTime::from_secs(1));
         assert_eq!(c.heap_bytes(), 1 << 20);
         assert_eq!(c.microreboots(), 1);
     }
 
     #[test]
-    fn microreboot_clears_faults_and_leaks_but_keeps_classloader() {
+    fn microreboot_clears_faults_and_leaks() {
         let mut c = started();
-        let gen = c.classloader_gen();
         c.faults.deadlocked = true;
         c.faults.leak_per_call = 1024;
         c.leak(4096);
@@ -487,22 +424,22 @@ mod tests {
         let reclaimed = c.crash();
         assert_eq!(reclaimed, 4096);
         c.begin_start();
-        c.complete_start(SimTime::from_secs(2));
+        c.complete_start();
 
         assert!(!c.faults.any());
         assert!(!c.txn_map.is_corrupt());
         assert_eq!(c.leaked_bytes(), 0);
-        assert_eq!(c.classloader_gen(), gen, "classloader preserved");
         assert_eq!(c.microreboots(), 2);
     }
 
     #[test]
-    fn full_stop_bumps_classloader_generation() {
+    fn full_stop_discards_everything() {
         let mut c = started();
-        let gen = c.classloader_gen();
+        c.leak(4096);
         c.full_stop();
         assert_eq!(c.state(), ContainerState::Stopped);
-        assert_eq!(c.classloader_gen(), gen + 1);
+        assert_eq!(c.heap_bytes(), 0);
+        assert_eq!(c.pool.idle(), 0);
     }
 
     #[test]
@@ -515,7 +452,6 @@ mod tests {
         c.call_exit();
         c.call_exit();
         assert_eq!(c.inflight(), 0);
-        assert_eq!(c.calls_served(), 3);
     }
 
     #[test]
@@ -539,7 +475,7 @@ mod tests {
             Ok(TxnAttr::NotSupported),
             "wrong corruption silently flips the attribute"
         );
-        assert!(m.is_wrong());
+        assert!(m.is_corrupt());
     }
 
     #[test]
@@ -549,7 +485,6 @@ mod tests {
         assert_eq!(p.idle(), 2);
 
         p.corrupt_all(CorruptKind::SetNull);
-        assert!(p.any_corrupt());
         assert_eq!(
             p.serve(),
             InstanceOutcome::FailedAndDiscarded(CorruptKind::SetNull)
@@ -561,10 +496,7 @@ mod tests {
         );
         // Pool now empty: a fresh clean instance is created on demand.
         assert_eq!(p.serve(), InstanceOutcome::Clean);
-        assert!(!p.any_corrupt());
-        let (created, discarded) = p.churn();
-        assert_eq!(created, 3);
-        assert_eq!(discarded, 2);
+        assert_eq!(p.idle(), 1, "and it stays pooled");
     }
 
     #[test]
@@ -573,7 +505,6 @@ mod tests {
         p.corrupt_all(CorruptKind::SetWrong);
         assert_eq!(p.serve(), InstanceOutcome::ServedWrong);
         assert_eq!(p.serve(), InstanceOutcome::ServedWrong, "not discarded");
-        assert!(p.any_corrupt());
     }
 
     #[test]

@@ -49,8 +49,6 @@ impl std::error::Error for GraphError {}
 pub struct DependencyGraph {
     names: Vec<&'static str>,
     by_name: BTreeMap<&'static str, ComponentId>,
-    /// Weak references, directed (A uses B).
-    jndi_out: Vec<Vec<ComponentId>>,
     /// Recovery-group index per component; groups are numbered densely.
     group_of: Vec<usize>,
     groups: Vec<Vec<ComponentId>>,
@@ -74,12 +72,12 @@ impl DependencyGraph {
                 .ok_or(GraphError::UnknownReference { from, to })
         };
         let n = descriptors.len();
-        let mut jndi_out = vec![Vec::new(); n];
         // Hard references, undirected.
         let mut group_adj = vec![Vec::new(); n];
         for (i, d) in descriptors.iter().enumerate() {
+            // Weak (naming-service) references only need to resolve.
             for r in d.jndi_refs {
-                jndi_out[i].push(look(d.name, r)?);
+                look(d.name, r)?;
             }
             for r in d.group_refs {
                 let j = look(d.name, r)?;
@@ -113,7 +111,6 @@ impl DependencyGraph {
         Ok(DependencyGraph {
             names,
             by_name,
-            jndi_out,
             group_of,
             groups,
         })
@@ -157,60 +154,6 @@ impl DependencyGraph {
     /// Returns all recovery groups (each sorted, densely numbered).
     pub fn recovery_groups(&self) -> &[Vec<ComponentId>] {
         &self.groups
-    }
-
-    /// Returns the weak (naming-service) references of `id`.
-    pub fn jndi_refs(&self, id: ComponentId) -> &[ComponentId] {
-        &self.jndi_out[id.0]
-    }
-
-    /// Returns a deployment order in which every weak reference points to
-    /// an already-deployed component where possible.
-    ///
-    /// J2EE servers use reference information to order deployment; cycles
-    /// (legal with naming-service indirection) are broken by falling back
-    /// to id order for the strongly-connected remainder.
-    pub fn deploy_order(&self) -> Vec<ComponentId> {
-        let n = self.names.len();
-        // indegree[v] = number of undeployed components v still waits on
-        // (edge v -> dep means "v uses dep", so dep deploys first).
-        let mut indegree = vec![0usize; n];
-        for (v, deps) in self.jndi_out.iter().enumerate() {
-            indegree[v] = deps.len();
-        }
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (v, deps) in self.jndi_out.iter().enumerate() {
-            for d in deps {
-                rev[d.0].push(v);
-            }
-        }
-        let mut order = Vec::with_capacity(n);
-        let mut ready: Vec<usize> = (0..n).filter(|v| indegree[*v] == 0).collect();
-        ready.sort_unstable();
-        let mut queue = std::collections::VecDeque::from(ready);
-        let mut placed = vec![false; n];
-        while let Some(v) = queue.pop_front() {
-            if placed[v] {
-                continue;
-            }
-            placed[v] = true;
-            order.push(ComponentId(v));
-            for &w in &rev[v] {
-                if indegree[w] > 0 {
-                    indegree[w] -= 1;
-                    if indegree[w] == 0 {
-                        queue.push_back(w);
-                    }
-                }
-            }
-        }
-        // Cycle remainder: deterministic id order.
-        for (v, done) in placed.iter().enumerate() {
-            if !done {
-                order.push(ComponentId(v));
-            }
-        }
-        order
     }
 }
 
@@ -288,32 +231,6 @@ mod tests {
                 to: "Ghost"
             }
         );
-    }
-
-    #[test]
-    fn deploy_order_respects_weak_refs() {
-        let graph = DependencyGraph::build(&[
-            d("App", &["Mid"], &[]),
-            d("Mid", &["Base"], &[]),
-            d("Base", &[], &[]),
-        ])
-        .unwrap();
-        let order: Vec<&str> = graph
-            .deploy_order()
-            .iter()
-            .map(|id| graph.name_of(*id))
-            .collect();
-        let pos = |n: &str| order.iter().position(|x| *x == n).unwrap();
-        assert!(pos("Base") < pos("Mid"));
-        assert!(pos("Mid") < pos("App"));
-        assert_eq!(order.len(), 3);
-    }
-
-    #[test]
-    fn deploy_order_handles_cycles() {
-        let graph = DependencyGraph::build(&[d("A", &["B"], &[]), d("B", &["A"], &[])]).unwrap();
-        let order = graph.deploy_order();
-        assert_eq!(order.len(), 2, "cycle still deploys every component");
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl SessionBackend {
 
     /// CPU consumed by one store access (marshalling and the in-process
     /// part of the call). Holds a worker.
-    pub fn access_cpu(&self) -> SimDuration {
+    pub(crate) fn access_cpu(&self) -> SimDuration {
         match self {
             SessionBackend::FastS(_) => SimDuration::from_micros(50),
             // SSM marshals the object and drives the network stack.
@@ -90,7 +90,7 @@ impl SessionBackend {
     /// held). Zero for the in-process store. The SSM adds whatever extra
     /// RTT an armed store-slow or link-delay fault currently imposes
     /// (zero when healthy, so pinned traces are unaffected).
-    pub fn access_latency(&self) -> SimDuration {
+    pub(crate) fn access_latency(&self) -> SimDuration {
         match self {
             SessionBackend::FastS(_) => SimDuration::ZERO,
             SessionBackend::Ssm(s) => {

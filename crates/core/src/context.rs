@@ -435,7 +435,11 @@ impl<'a> CallContext<'a> {
     }
 
     /// Inserts a row inside the request transaction.
-    pub fn db_insert(&mut self, table: TableId, row: impl Into<Row>) -> Result<(), CallError> {
+    pub(crate) fn db_insert(
+        &mut self,
+        table: TableId,
+        row: impl Into<Row>,
+    ) -> Result<(), CallError> {
         let row = row.into();
         let pk = row[0].as_int().unwrap_or(0);
         let r = self.db_write(|db, t| db.insert(t, table, row));

@@ -40,11 +40,6 @@ impl HeapModel {
         }
     }
 
-    /// Returns the heap capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Returns free heap given the bytes used by application components
     /// and in-process session state.
     pub fn free(&self, component_bytes: u64, session_bytes: u64) -> u64 {
@@ -55,34 +50,24 @@ impl HeapModel {
 
     /// Returns true if the JVM would throw `OutOfMemoryError` at this
     /// usage.
-    pub fn is_oom(&self, component_bytes: u64, session_bytes: u64) -> bool {
+    pub(crate) fn is_oom(&self, component_bytes: u64, session_bytes: u64) -> bool {
         self.free(component_bytes, session_bytes) == 0
     }
 
     /// Returns true if the host itself is out of memory (extra-JVM leak
     /// exceeded host headroom) — only an OS reboot helps.
-    pub fn host_oom(&self) -> bool {
+    pub(crate) fn host_oom(&self) -> bool {
         self.extra_jvm_leaked >= self.host_headroom
     }
 
     /// Adds an intra-JVM (outside-application) leak.
-    pub fn leak_intra_jvm(&mut self, bytes: u64) {
+    pub(crate) fn leak_intra_jvm(&mut self, bytes: u64) {
         self.intra_jvm_leaked = self.intra_jvm_leaked.saturating_add(bytes);
     }
 
     /// Adds an extra-JVM (native/kernel) leak.
-    pub fn leak_extra_jvm(&mut self, bytes: u64) {
+    pub(crate) fn leak_extra_jvm(&mut self, bytes: u64) {
         self.extra_jvm_leaked = self.extra_jvm_leaked.saturating_add(bytes);
-    }
-
-    /// Returns bytes leaked intra-JVM outside the application.
-    pub fn intra_jvm_leaked(&self) -> u64 {
-        self.intra_jvm_leaked
-    }
-
-    /// Returns bytes leaked outside the JVM.
-    pub fn extra_jvm_leaked(&self) -> u64 {
-        self.extra_jvm_leaked
     }
 
     /// A JVM restart reclaims intra-JVM leaks (but not extra-JVM ones).
@@ -91,7 +76,7 @@ impl HeapModel {
     }
 
     /// An OS reboot reclaims everything.
-    pub fn on_os_reboot(&mut self) {
+    pub(crate) fn on_os_reboot(&mut self) {
         self.intra_jvm_leaked = 0;
         self.extra_jvm_leaked = 0;
     }
@@ -120,15 +105,13 @@ mod tests {
     }
 
     #[test]
-    fn restart_clears_intra_but_not_extra() {
+    fn restart_reclaims_intra_jvm_leaks() {
         let mut h = HeapModel::new(GIB, 100 << 20);
+        let healthy = h.free(0, 0);
         h.leak_intra_jvm(10 << 20);
-        h.leak_extra_jvm(10 << 20);
+        assert_eq!(h.free(0, 0), healthy - (10 << 20));
         h.on_process_restart();
-        assert_eq!(h.intra_jvm_leaked(), 0);
-        assert_eq!(h.extra_jvm_leaked(), 10 << 20);
-        h.on_os_reboot();
-        assert_eq!(h.extra_jvm_leaked(), 0);
+        assert_eq!(h.free(0, 0), healthy);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod calib;
 pub mod context;
 pub mod heap;
 pub mod lifecycle;
-pub mod microcheckpoint;
 pub mod pipeline;
 pub mod rejuvenation;
 pub mod request;
@@ -44,7 +43,6 @@ pub mod workers;
 pub use app::{Application, CallError};
 pub use backend::{share_db, share_ssm, SessionBackend, SharedDb, SharedSsm};
 pub use context::CallContext;
-pub use microcheckpoint::{Checkpoint, MicrocheckpointStore, TaskId};
 pub use rejuvenation::{RejuvenationAction, RejuvenationService};
 pub use request::{BodyMarkers, OpCode, ReqId, Request, Response, Status};
 pub use server::{

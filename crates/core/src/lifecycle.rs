@@ -265,7 +265,7 @@ impl<A: Application> AppServer<A> {
                 let mut names = Vec::with_capacity(rec.members.len());
                 for m in &rec.members {
                     let name = self.inner.graph.name_of(*m);
-                    self.inner.containers[m.0].complete_start(now);
+                    self.inner.containers[m.0].complete_start();
                     self.inner.registry.bind(*m, Binding::Active(*m));
                     self.app.on_component_reinit(name);
                     names.push(name);
@@ -280,7 +280,7 @@ impl<A: Application> AppServer<A> {
                 names
             }
             RebootLevel::Application => {
-                self.restart_containers(now);
+                self.restart_containers();
                 for id in self.inner.graph.all_ids() {
                     self.app.on_component_reinit(self.inner.graph.name_of(id));
                 }
@@ -290,7 +290,7 @@ impl<A: Application> AppServer<A> {
                 Vec::new()
             }
             RebootLevel::Process | RebootLevel::OperatingSystem => {
-                self.restart_containers(now);
+                self.restart_containers();
                 self.app.on_process_restart();
                 self.lifecycle.state = ProcState::Up;
                 Vec::new()
@@ -513,11 +513,11 @@ impl<A: Application> AppServer<A> {
     }
 
     /// Restarts every container and rebinds every name (coarse completes).
-    fn restart_containers(&mut self, now: SimTime) {
+    fn restart_containers(&mut self) {
         for id in self.inner.graph.all_ids() {
             let c = &mut self.inner.containers[id.0];
             c.begin_start();
-            c.complete_start(now);
+            c.complete_start();
             self.inner.registry.bind(id, Binding::Active(id));
         }
     }

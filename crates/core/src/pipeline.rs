@@ -89,12 +89,12 @@ impl RequestPipeline {
     }
 
     /// Returns the number of hung requests.
-    pub fn hung_count(&self) -> usize {
+    pub(crate) fn hung_count(&self) -> usize {
         self.hung.len()
     }
 
     /// Returns when the longest-hung request got stuck, if any is stuck.
-    pub fn oldest_hung(&self) -> Option<SimTime> {
+    pub(crate) fn oldest_hung(&self) -> Option<SimTime> {
         self.hung.iter().map(|(_, h)| h.since).min()
     }
 

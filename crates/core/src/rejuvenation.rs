@@ -15,12 +15,6 @@ use simcore::SimTime;
 use crate::app::Application;
 use crate::server::{AppServer, RebootTicket};
 
-/// Default alarm threshold (paper: 35% of the 1 GB heap ≈ 350 MB free).
-pub const DEFAULT_MALARM_FRACTION: f64 = 0.35;
-
-/// Default sufficiency threshold (paper: 80% ≈ 800 MB free).
-pub const DEFAULT_MSUFFICIENT_FRACTION: f64 = 0.80;
-
 /// What the rejuvenation service decided on one check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RejuvenationAction {

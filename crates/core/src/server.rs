@@ -393,7 +393,7 @@ impl<A: Application> AppServer<A> {
             let id = graph.id_of(d.name).expect("descriptor is in graph");
             let mut c = Container::new(d.clone(), app.methods_of(d.name));
             c.begin_start();
-            c.complete_start(SimTime::ZERO);
+            c.complete_start();
             registry.bind(id, Binding::Active(id));
             // The one place a server interns its component names: layers
             // that only see names (the LB's quarantine match) look them
@@ -529,7 +529,7 @@ impl<A: Application> AppServer<A> {
 
     /// If `op`'s static call path touches a microrebooting recovery group,
     /// returns when the last such microreboot completes.
-    pub fn quarantine_until(&self, op: OpCode) -> Option<SimTime> {
+    pub(crate) fn quarantine_until(&self, op: OpCode) -> Option<SimTime> {
         let path = self.app.call_path(op);
         if path.is_empty() {
             return None;

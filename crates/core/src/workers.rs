@@ -66,13 +66,13 @@ impl WorkerPool {
     }
 
     /// Returns the number of CPUs currently free.
-    pub fn free_cpus(&self) -> usize {
+    pub(crate) fn free_cpus(&self) -> usize {
         self.cpus
             .saturating_sub(self.in_service.len() + self.cpu_hogs.len())
     }
 
     /// Returns the number of threads currently held.
-    pub fn threads_held(&self) -> usize {
+    pub(crate) fn threads_held(&self) -> usize {
         self.in_service.len() + self.cpu_hogs.len() + self.parked.len() + self.queue.len()
     }
 
@@ -86,11 +86,6 @@ impl WorkerPool {
         self.parked.len()
     }
 
-    /// Returns the number of CPU-hogging (looping) requests.
-    pub fn cpu_hogs(&self) -> usize {
-        self.cpu_hogs.len()
-    }
-
     /// Admits a request, queueing it for a CPU.
     pub fn admit(&mut self, req: Request) -> Result<(), AdmitError> {
         if self.threads_held() >= self.threads {
@@ -101,12 +96,12 @@ impl WorkerPool {
     }
 
     /// Returns how many queued requests the free CPUs can start now.
-    pub fn startable(&self) -> usize {
+    pub(crate) fn startable(&self) -> usize {
         self.free_cpus().min(self.queue.len())
     }
 
     /// Starts the next queued request if a CPU is free, returning it.
-    pub fn pop_ready(&mut self) -> Option<Request> {
+    pub(crate) fn pop_ready(&mut self) -> Option<Request> {
         if self.free_cpus() == 0 {
             return None;
         }
@@ -117,7 +112,7 @@ impl WorkerPool {
 
     /// Converts an in-service request into a parked (deadlocked) one,
     /// freeing its CPU but keeping its thread.
-    pub fn park(&mut self, id: ReqId) {
+    pub(crate) fn park(&mut self, id: ReqId) {
         if let Some(pos) = self.in_service.iter().position(|r| *r == id) {
             self.in_service.swap_remove(pos);
             self.parked.push(id);
@@ -125,7 +120,7 @@ impl WorkerPool {
     }
 
     /// Converts an in-service request into a CPU hog (infinite loop).
-    pub fn hog(&mut self, id: ReqId) {
+    pub(crate) fn hog(&mut self, id: ReqId) {
         if let Some(pos) = self.in_service.iter().position(|r| *r == id) {
             self.in_service.swap_remove(pos);
             self.cpu_hogs.push(id);
@@ -169,7 +164,7 @@ impl WorkerPool {
 
     /// Kills everything (process restart), returning the ids of all
     /// requests that were holding resources.
-    pub fn kill_all(&mut self) -> Vec<ReqId> {
+    pub(crate) fn kill_all(&mut self) -> Vec<ReqId> {
         let mut ids: Vec<ReqId> = self.in_service.drain(..).collect();
         ids.append(&mut self.cpu_hogs);
         ids.append(&mut self.parked);
@@ -245,7 +240,6 @@ mod tests {
         start_ready(&mut p);
         p.hog(ReqId(1));
         assert_eq!(p.free_cpus(), 1, "loop burns one CPU");
-        assert_eq!(p.cpu_hogs(), 1);
         // Killing the hog restores capacity (what a microreboot does).
         assert!(p.kill(ReqId(1)));
         assert_eq!(p.free_cpus(), 2);

@@ -16,9 +16,6 @@
 use components::descriptor::{ComponentDescriptor, ComponentKind};
 use simcore::SimDuration;
 
-/// Names of the five `EntityGroup` members.
-pub const ENTITY_GROUP: [&str; 5] = ["Category", "Region", "User", "Item", "Bid"];
-
 /// Name of the web component.
 pub const WAR: &str = "WAR";
 
@@ -173,7 +170,7 @@ mod tests {
             .iter()
             .map(|id| graph.name_of(*id))
             .collect();
-        let mut expected = ENTITY_GROUP.to_vec();
+        let mut expected = vec!["Category", "Region", "User", "Item", "Bid"];
         expected.sort_unstable();
         let mut got = group.clone();
         got.sort_unstable();

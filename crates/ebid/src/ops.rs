@@ -13,17 +13,17 @@ pub mod codes {
     use urb_core::OpCode;
 
     /// The home page (static).
-    pub const HOME: OpCode = OpCode(0);
+    pub(crate) const HOME: OpCode = OpCode(0);
     /// The help page (static).
-    pub const HELP: OpCode = OpCode(1);
+    pub(crate) const HELP: OpCode = OpCode(1);
     /// The sell-an-item form (static, logged-in).
     pub const SELL_ITEM_FORM: OpCode = OpCode(2);
     /// The registration form (static).
-    pub const REGISTER_USER_FORM: OpCode = OpCode(3);
+    pub(crate) const REGISTER_USER_FORM: OpCode = OpCode(3);
     /// List all categories.
     pub const BROWSE_CATEGORIES: OpCode = OpCode(4);
     /// List all regions.
-    pub const BROWSE_REGIONS: OpCode = OpCode(5);
+    pub(crate) const BROWSE_REGIONS: OpCode = OpCode(5);
     /// List the items in a category.
     pub const BROWSE_ITEMS_IN_CATEGORY: OpCode = OpCode(6);
     /// List the items in a region.
@@ -51,13 +51,13 @@ pub mod codes {
     /// Select an item to bid on (session update).
     pub const MAKE_BID: OpCode = OpCode(18);
     /// Select an item to buy now (session update).
-    pub const DO_BUY_NOW: OpCode = OpCode(19);
+    pub(crate) const DO_BUY_NOW: OpCode = OpCode(19);
     /// Select a user to leave feedback for (session update).
     pub const LEAVE_USER_FEEDBACK: OpCode = OpCode(20);
     /// Commit a bid (database update; commit point).
     pub const COMMIT_BID: OpCode = OpCode(21);
     /// Commit a buy-now purchase.
-    pub const COMMIT_BUY_NOW: OpCode = OpCode(22);
+    pub(crate) const COMMIT_BUY_NOW: OpCode = OpCode(22);
     /// Commit user feedback.
     pub const COMMIT_USER_FEEDBACK: OpCode = OpCode(23);
     /// Put a new item up for auction.

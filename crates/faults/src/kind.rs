@@ -173,7 +173,7 @@ macro_rules! fault_kinds {
 
         impl FaultKind {
             /// The kinds a tier's generator draws from, in draw-index order.
-            pub fn tier_kinds(tier: Tier) -> &'static [FaultKind] {
+            pub(crate) fn tier_kinds(tier: Tier) -> &'static [FaultKind] {
                 match tier {
                     $( Tier::$tier => &[$(FaultKind::$kind),+] ),+
                 }
@@ -182,7 +182,7 @@ macro_rules! fault_kinds {
             /// True if the fault lives in a component and a microreboot
             /// cures it — the population that can meaningfully flap
             /// (recur after each recovery).
-            pub fn flappable(self) -> bool {
+            pub(crate) fn flappable(self) -> bool {
                 match self {
                     $($( FaultKind::$kind => $flappable ),+),+
                 }

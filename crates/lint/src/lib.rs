@@ -10,9 +10,8 @@
 //! * **Determinism rules (`D001`–`D008`)**: unordered containers in sim
 //!   state, iteration over them, wall-clock and ambient nondeterminism,
 //!   float accumulation over unordered containers, and (`D008`) kernel
-//!   hot-path regressions — heap-boxed event closures on schedule paths
-//!   and string-keyed metric bumps built with `format!` — outside the
-//!   sanctioned closure-compat module (`simcore/src/event.rs`).
+//!   hot-path regressions — string-keyed metric bumps built with
+//!   `format!`.
 //! * **Crash-only state-safety rules (`S001`–`S004`)**, over a light
 //!   cross-file item model ([`model`]): volatile-state fields no reset
 //!   wipes, mutable globals, interior mutability hidden from the wipe,
@@ -84,10 +83,7 @@ pub const RULES: &[(&str, &str)] = &[
         "filesystem iteration (read_dir) has platform-dependent order",
     ),
     ("D007", "float accumulation over an unordered container"),
-    (
-        "D008",
-        "heap-boxed event closure or string-keyed metric bump on the kernel hot path",
-    ),
+    ("D008", "string-keyed metric bump on the kernel hot path"),
     (
         "S001",
         "volatile-state struct field not wiped by any reset-family method",
@@ -650,33 +646,20 @@ pub fn lint_source_with_hits(label: &str, src: &str) -> FileLint {
                 "collect and sort directory entries before iterating",
             );
         }
-        // D008: kernel hot-path regressions. The slot-arena kernel stores
-        // event payloads inline; a `Box::new` closure on a schedule path
-        // reintroduces the per-event allocation the arena removed, and a
-        // `format!`-built metric key reintroduces per-bump heap traffic the
-        // symbol table removed. `simcore/src/event.rs` is sanctioned: it
-        // *implements* the boxed-closure compatibility API.
-        if !label.ends_with("simcore/src/event.rs") {
-            let boxed_closure = line.contains("Box::new(|") || line.contains("Box::new(move");
-            let boxed_on_schedule = line.contains("Box::new(") && line.contains("schedule");
-            if boxed_closure || boxed_on_schedule {
+        // D008: kernel hot-path regressions. A `format!`-built metric key
+        // reintroduces the per-bump heap traffic the symbol table removed.
+        // (Events cannot regress the same way: the kernel only stores
+        // `EventPayload` values inline, there is no closure to box.)
+        for pat in [".counter(&format!", ".inc(&format!", ".add(&format!"] {
+            if line.contains(pat) {
                 push(
                     "D008",
-                    "heap-boxed event closure on the kernel hot path".to_string(),
-                    "use an inline event-payload enum variant (or justify with // urb-lint: allow(D008) — …)",
+                    format!(
+                        "string-keyed metric bump `{}` allocates per call",
+                        &pat[1..]
+                    ),
+                    "use an interned simcore::symbol and the *_sym registry API",
                 );
-            }
-            for pat in [".counter(&format!", ".inc(&format!", ".add(&format!"] {
-                if line.contains(pat) {
-                    push(
-                        "D008",
-                        format!(
-                            "string-keyed metric bump `{}` allocates per call",
-                            &pat[1..]
-                        ),
-                        "use an interned simcore::symbol and the *_sym registry API",
-                    );
-                }
             }
         }
     }

@@ -1,12 +1,8 @@
-//! Kernel hot-path regression fixture: boxed event closures and
-//! string-keyed metric bumps that D008 must flag, plus one pragma'd site.
-pub fn schedule_everything(q: &mut Queue, reg: &mut Registry) {
-    q.schedule_event_at(at, "tick", Event::Custom(Box::new(move |w, q| w.tick(q))));
-    let f = || ();
-    q.schedule_at(at, "tock", Box::new(f));
+//! Kernel hot-path regression fixture: string-keyed metric bumps that D008
+//! must flag, plus one pragma'd site.
+pub fn bump_everything(reg: &mut Registry) {
     reg.inc(&format!("reboots_begun_{suffix}"));
     reg.counter(&format!("decisions_{kind}"));
-    // urb-lint: allow(D008) — compat shim measured off the hot path.
-    q.schedule_event_at(at, "ok", Event::Custom(Box::new(f)));
-    let sink: Box<dyn Sink> = Box::new(CollectorSink::default());
+    // urb-lint: allow(D008) — report-time key, built once per run off the hot path.
+    reg.add(&format!("summary_{kind}"), 1);
 }

@@ -1,6 +1,6 @@
-//! Bad-workspace member: a boxed closure on a schedule path (D008).
-pub fn arm(q: &mut Queue) {
-    q.schedule_at(at, "poll", Box::new(move |w, q| w.poll(q)));
+//! Bad-workspace member: a string-keyed metric bump on the hot path (D008).
+pub fn arm(reg: &mut Registry) {
+    reg.inc(&format!("polls_{node}"));
 }
 
 /// A sweep that touches every node outside dispatch (S004).

@@ -207,23 +207,8 @@ impl Conductor {
         TicketId(self.next_ticket)
     }
 
-    fn level_of(action: &RecoveryAction) -> RebootLevel {
-        match action {
-            RecoveryAction::Microreboot { .. } => RebootLevel::Component,
-            RecoveryAction::RestartApp => RebootLevel::Application,
-            RecoveryAction::RestartProcess => RebootLevel::Process,
-            // NotifyHuman, Isolate and Failover normally bypass the
-            // conductor (the executor handles them directly); if submitted
-            // anyway they are treated as maximally exclusive.
-            RecoveryAction::RebootOs
-            | RecoveryAction::NotifyHuman
-            | RecoveryAction::Isolate { .. }
-            | RecoveryAction::Failover => RebootLevel::OperatingSystem,
-        }
-    }
-
     /// Expands component names to the union of their recovery groups.
-    pub fn expand(&self, components: &[CompName]) -> Vec<CompName> {
+    pub(crate) fn expand(&self, components: &[CompName]) -> Vec<CompName> {
         let mut members: Vec<CompName> = Vec::new();
         for c in components {
             match self.group_of.get(c) {
@@ -263,7 +248,12 @@ impl Conductor {
 
     /// Submits a manager decision for `node`, returning what to do with it.
     pub fn submit(&mut self, node: usize, action: RecoveryAction, now: SimTime) -> Submission {
-        let level = Self::level_of(&action);
+        // The page and the holds normally bypass the conductor (the
+        // executor handles them directly); if submitted anyway they are
+        // treated as maximally exclusive.
+        let level = action
+            .reboot_level()
+            .unwrap_or(RebootLevel::OperatingSystem);
         if level == RebootLevel::Component {
             let RecoveryAction::Microreboot { components } = &action else {
                 unreachable!("component level implies a microreboot action");

@@ -22,15 +22,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod breaker;
-pub mod bulkhead;
+mod breaker;
 pub mod conductor;
-pub mod failover;
-pub mod hedge;
-pub mod ladder;
-pub mod manager;
-pub mod policy;
+mod evidence;
+mod hedge;
+mod ladder;
+mod manager;
+mod policy;
+mod rung;
 
 pub use conductor::{Conductor, ConductorConfig, Finished, StartCmd, Submission, TicketId};
 pub use manager::{RecoveryAction, RecoveryManager, RmConfig, RmStats};
-pub use policy::{PolicyChoice, PolicyCtx, PolicyLevel, RecoveryPolicy};
+pub use policy::{PolicyChoice, PolicyLevel};

@@ -1,21 +1,21 @@
 //! The recovery manager: the host that wires a pluggable
 //! [`RecoveryPolicy`] to monitors, telemetry and the executor.
 //!
-//! The manager owns the metrics registry and the telemetry bus; the
-//! hosted policy (the paper's recursive ladder by default — see
-//! [`crate::ladder`]) owns all diagnosis state. The host is also what
-//! makes the RM itself rebootable (ReHype-style): [`RecoveryManager::crash`]
-//! wipes the policy's volatile state while the host survives, and late
-//! acknowledgements for pre-crash actions are absorbed safely.
+//! The manager owns the configuration, the metrics registry and the
+//! telemetry bus; the hosted policy (the paper's recursive ladder by
+//! default) owns all diagnosis state and nothing else. The host is also
+//! what makes the RM itself rebootable (ReHype-style):
+//! [`RecoveryManager::crash`] wipes the policy's volatile state while the
+//! host survives, and late acknowledgements for pre-crash actions are
+//! absorbed safely.
 
-use simcore::telemetry::{SharedBus, TelemetryEvent, TelemetrySink};
+use simcore::telemetry::{RebootLevel, SharedBus, TelemetryEvent};
 use simcore::{MetricsRegistry, SimDuration, SimTime};
-use urb_core::OpCode;
 use workload::detect::{FailureKind, FailureReport};
 
 use components::CompName;
 
-use crate::policy::{PolicyChoice, PolicyCtx, PolicyLevel, RecoveryPolicy};
+use crate::policy::{PathOf, PolicyChoice, PolicyCtx, PolicyLevel, RecoveryPolicy};
 
 /// A recovery action the manager wants executed on a node.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,9 +56,23 @@ impl RecoveryAction {
     }
 
     /// Builds an isolation action from string names, interning them.
-    pub fn isolate(names: &[&'static str]) -> RecoveryAction {
+    pub(crate) fn isolate(names: &[&'static str]) -> RecoveryAction {
         RecoveryAction::Isolate {
             components: names.iter().map(|n| CompName::intern(n)).collect(),
+        }
+    }
+
+    /// The depth of reboot the action commands; `None` for the holds and
+    /// the page, which reboot nothing.
+    pub fn reboot_level(&self) -> Option<RebootLevel> {
+        match self {
+            RecoveryAction::Microreboot { .. } => Some(RebootLevel::Component),
+            RecoveryAction::RestartApp => Some(RebootLevel::Application),
+            RecoveryAction::RestartProcess => Some(RebootLevel::Process),
+            RecoveryAction::RebootOs => Some(RebootLevel::OperatingSystem),
+            RecoveryAction::Isolate { .. }
+            | RecoveryAction::Failover
+            | RecoveryAction::NotifyHuman => None,
         }
     }
 }
@@ -76,11 +90,6 @@ pub struct RmConfig {
     /// Extra detection delay before acting on the first report (the
     /// `Tdet` knob swept in Figure 5).
     pub detection_delay: SimDuration,
-    /// Aftershock suppression: reports arriving within this long of a
-    /// completed recovery are ignored — they are the recovery's own damage
-    /// (killed requests, 503s during the reboot), not evidence that the
-    /// fault persists.
-    pub settle: SimDuration,
     /// How long after a recovery completes (past the settle window) new
     /// failures count as "the same problem" and escalate the ladder.
     pub observation: SimDuration,
@@ -131,7 +140,6 @@ impl Default for RmConfig {
             score_threshold: 6.0,
             score_window: SimDuration::from_secs(10),
             detection_delay: SimDuration::ZERO,
-            settle: SimDuration::from_secs(3),
             observation: SimDuration::from_secs(30),
             start_level: PolicyLevel::Ejb,
             recurrence_limit: 8,
@@ -212,8 +220,9 @@ pub struct RecoveryManager {
     // urb-lint: allow(S001) — registry identity, not diagnosis state: a ReHype reboot restarts the same policy.
     choice: PolicyChoice,
     policy: Box<dyn RecoveryPolicy>,
-    metrics: MetricsRegistry,
-    bus: Option<SharedBus>,
+    /// The host's stable storage — configuration, registry, bus — lent to
+    /// the policy on every call; `crash` wipes the policy, never this.
+    ctx: PolicyCtx,
     // urb-lint: allow(S001) — an evidence tally for the run report, not diagnosis state a reboot must clear.
     store_evidence: u64,
 }
@@ -221,12 +230,7 @@ pub struct RecoveryManager {
 impl RecoveryManager {
     /// Creates a manager hosting the paper's ladder — the pinned-digest
     /// default, bit-identical to the pre-trait manager.
-    pub fn new(
-        nodes: usize,
-        config: RmConfig,
-        path_of: fn(OpCode) -> &'static [&'static str],
-        web: &'static str,
-    ) -> Self {
+    pub fn new(nodes: usize, config: RmConfig, path_of: PathOf, web: &'static str) -> Self {
         Self::with_policy(PolicyChoice::Ladder, nodes, config, path_of, web, 0)
     }
 
@@ -235,15 +239,20 @@ impl RecoveryManager {
         choice: PolicyChoice,
         nodes: usize,
         config: RmConfig,
-        path_of: fn(OpCode) -> &'static [&'static str],
+        path_of: PathOf,
         web: &'static str,
         seed: u64,
     ) -> Self {
         RecoveryManager {
             choice,
-            policy: choice.build(nodes, config, path_of, web, seed),
-            metrics: MetricsRegistry::new(),
-            bus: None,
+            policy: choice.build(nodes, config.start_level, seed),
+            ctx: PolicyCtx {
+                config,
+                path_of,
+                web,
+                metrics: MetricsRegistry::new(),
+                bus: None,
+            },
             store_evidence: 0,
         }
     }
@@ -255,32 +264,23 @@ impl RecoveryManager {
     /// event; the ladder stays silent so pinned baseline traces are
     /// byte-identical to the pre-trait manager's.
     pub fn attach_telemetry(&mut self, bus: SharedBus) {
-        self.bus = Some(bus);
+        self.ctx.bus = Some(bus);
         if self.choice != PolicyChoice::Ladder {
-            let ev = TelemetryEvent::PolicyArmed {
+            self.ctx.emit(TelemetryEvent::PolicyArmed {
                 policy: self.choice.code(),
                 at: SimTime::ZERO,
-            };
-            self.metrics.on_event(&ev);
-            if let Some(bus) = &self.bus {
-                bus.borrow_mut().emit(&ev);
-            }
+            });
         }
     }
 
     /// Returns lifetime counters (a view over the metrics registry).
     pub fn stats(&self) -> RmStats {
-        RmStats::from_registry(&self.metrics)
+        RmStats::from_registry(&self.ctx.metrics)
     }
 
     /// Returns the manager's metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Returns the node's current ladder rung.
-    pub fn level_of(&self, node: usize) -> PolicyLevel {
-        self.policy.level_of(node)
+        &self.ctx.metrics
     }
 
     /// Actions issued on `node` still awaiting `recovery_finished`.
@@ -290,11 +290,7 @@ impl RecoveryManager {
 
     /// Ingests one failure report from a monitor.
     pub fn report(&mut self, r: &FailureReport) {
-        let mut ctx = PolicyCtx {
-            metrics: &mut self.metrics,
-            bus: &self.bus,
-        };
-        ctx.emit(TelemetryEvent::DetectorFired {
+        self.ctx.emit(TelemetryEvent::DetectorFired {
             node: r.node,
             op: r.op.0,
             at: r.at,
@@ -308,7 +304,7 @@ impl RecoveryManager {
             self.store_evidence += 1;
             return;
         }
-        self.policy.observe(r, &mut ctx);
+        self.policy.observe(r);
     }
 
     /// Reports attributed to the state store rather than any component
@@ -322,48 +318,31 @@ impl RecoveryManager {
     /// Returns `None` while evidence is insufficient, detection is still
     /// within `Tdet`, or a recovery is already in flight.
     pub fn decide(&mut self, node: usize, now: SimTime) -> Option<RecoveryAction> {
-        let mut ctx = PolicyCtx {
-            metrics: &mut self.metrics,
-            bus: &self.bus,
-        };
-        self.policy.decide(node, now, &mut ctx)
+        self.policy.decide(node, now, &mut self.ctx)
     }
 
     /// Marks a commanded recovery as finished, closing the episode.
     pub fn recovery_finished(&mut self, node: usize, now: SimTime) {
-        let mut ctx = PolicyCtx {
-            metrics: &mut self.metrics,
-            bus: &self.bus,
-        };
-        self.policy.recovery_finished(node, now, &mut ctx);
+        self.policy.recovery_finished(node, now, &mut self.ctx);
     }
 
     /// The RM host crashes (ReHype): the hosted policy loses all volatile
     /// diagnosis state; the registry and bus (stable storage) survive.
     pub fn crash(&mut self, now: SimTime) {
-        let mut ctx = PolicyCtx {
-            metrics: &mut self.metrics,
-            bus: &self.bus,
-        };
-        ctx.emit(TelemetryEvent::RmCrashed { at: now });
-        self.policy.crash(now, &mut ctx);
+        self.ctx.emit(TelemetryEvent::RmCrashed { at: now });
+        self.policy.crash();
     }
 
     /// The RM host finishes rebooting and resumes duty.
     pub fn rebooted(&mut self, now: SimTime) {
-        let mut ctx = PolicyCtx {
-            metrics: &mut self.metrics,
-            bus: &self.bus,
-        };
-        ctx.emit(TelemetryEvent::RmRebooted { at: now });
+        self.ctx.emit(TelemetryEvent::RmRebooted { at: now });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::SimDuration;
-    use workload::detect::{FailureKind, FailureReport};
+    use urb_core::OpCode;
 
     fn path(op: OpCode) -> &'static [&'static str] {
         match op.0 {

@@ -5,13 +5,10 @@
 //! invokes the event's payload with mutable access to both the world and the
 //! queue so that handlers can schedule follow-on events.
 //!
-//! Payloads are pluggable via [`EventPayload`]: a simulation that knows its
-//! own event shapes (the cluster simulation's `SimEvent` enum) stores them
-//! inline in a slab of pooled slots, so the schedule/fire path performs no
-//! heap allocation once the slab has grown to the run's high-water mark. The
-//! default payload, [`BoxedFn`], keeps the original closure-based API
-//! (`schedule_at`/`schedule_in`) working unchanged for tests and small
-//! drivers that prefer ergonomics over allocation counts.
+//! Payloads are an [`EventPayload`] type of the simulation's own (the
+//! cluster simulation's `SimEvent` enum), stored inline in a slab of pooled
+//! slots, so the schedule/fire path performs no heap allocation once the
+//! slab has grown to the run's high-water mark.
 //!
 //! Cancellation is sound across slot reuse: an [`EventId`] carries the
 //! slot's generation, bumped every time the slot is vacated (fired or
@@ -47,9 +44,6 @@ pub struct EventId {
     gen: u32,
 }
 
-/// Handler invoked when an event fires.
-pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut EventQueue<W>)>;
-
 /// What an event does when it fires.
 ///
 /// Implementations consume themselves; the queue has already freed the
@@ -58,17 +52,6 @@ pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut EventQueue<W>)>;
 pub trait EventPayload<W>: Sized {
     /// Fires the event against the world.
     fn fire(self, world: &mut W, queue: &mut EventQueue<W, Self>);
-}
-
-/// The default payload: a boxed closure, preserving the original
-/// allocation-per-event API for callers that do not define their own event
-/// enum.
-pub struct BoxedFn<W>(EventFn<W>);
-
-impl<W> EventPayload<W> for BoxedFn<W> {
-    fn fire(self, world: &mut W, queue: &mut EventQueue<W, Self>) {
-        (self.0)(world, queue)
-    }
 }
 
 /// A heap entry is four words and `Copy`: ordering data plus the arena
@@ -125,24 +108,30 @@ struct Slot<E> {
     payload: Option<E>,
 }
 
-/// A deterministic future-event list over a world type `W`.
-///
-/// The second type parameter is the event payload; it defaults to
-/// [`BoxedFn`] so `EventQueue<W>` keeps the closure-based API.
+/// A deterministic future-event list over a world type `W` and an event
+/// payload type `E`.
 ///
 /// # Examples
 ///
 /// ```
-/// use simcore::{EventQueue, SimDuration, SimTime};
+/// use simcore::{EventPayload, EventQueue, SimTime};
 ///
-/// let mut q: EventQueue<u32> = EventQueue::new();
+/// struct Bump(u32);
+///
+/// impl EventPayload<u32> for Bump {
+///     fn fire(self, world: &mut u32, _queue: &mut EventQueue<u32, Bump>) {
+///         *world += self.0;
+///     }
+/// }
+///
+/// let mut q = EventQueue::new();
 /// let mut world = 0u32;
-/// q.schedule_at(SimTime::from_secs(5), "bump", |w, _| *w += 1);
+/// q.schedule_event_at(SimTime::from_secs(5), "bump", Bump(1));
 /// q.run_to_completion(&mut world);
 /// assert_eq!(world, 1);
 /// assert_eq!(q.now(), SimTime::from_secs(5));
 /// ```
-pub struct EventQueue<W, E = BoxedFn<W>> {
+pub struct EventQueue<W, E> {
     heap: BinaryHeap<HeapEntry>,
     /// Entries scheduled through [`EventQueue::schedule_event_fifo`], in
     /// ascending `(at, seq)` order by construction.
@@ -397,169 +386,172 @@ impl<W, E: EventPayload<W>> EventQueue<W, E> {
     }
 }
 
-impl<W> EventQueue<W> {
-    /// Schedules `f` to run at absolute time `at`.
-    ///
-    /// Scheduling in the past is clamped to "now": the event fires at the
-    /// current time, after any already-queued events for this instant.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        label: &'static str,
-        f: impl FnOnce(&mut W, &mut EventQueue<W>) + 'static,
-    ) -> EventId {
-        self.schedule_event_at(at, label, BoxedFn(Box::new(f)))
-    }
-
-    /// Schedules `f` to run `delay` after the current time.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        label: &'static str,
-        f: impl FnOnce(&mut W, &mut EventQueue<W>) + 'static,
-    ) -> EventId {
-        self.schedule_at(self.now + delay, label, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The tests' one event type, over a log of what fired.
+    enum Ev {
+        /// Logs the number.
+        Push(u32),
+        /// Logs `n`, then reschedules itself a second later up to `until`.
+        Count { n: u32, until: u32 },
+        /// Logs 1, then schedules `Push(2)` in the past.
+        PushThenBackdate,
+    }
+
+    type Queue = EventQueue<Vec<u32>, Ev>;
+
+    impl EventPayload<Vec<u32>> for Ev {
+        fn fire(self, log: &mut Vec<u32>, q: &mut Queue) {
+            match self {
+                Ev::Push(n) => log.push(n),
+                Ev::Count { n, until } => {
+                    log.push(n);
+                    if n < until {
+                        let next = Ev::Count { n: n + 1, until };
+                        q.schedule_event_in(SimDuration::from_secs(1), "count", next);
+                    }
+                }
+                Ev::PushThenBackdate => {
+                    log.push(1);
+                    q.schedule_event_at(SimTime::from_secs(1), "clamped", Ev::Push(2));
+                }
+            }
+        }
+    }
+
     #[test]
     fn events_fire_in_time_order() {
-        let mut q: EventQueue<Vec<u32>> = EventQueue::new();
-        let mut world = Vec::new();
-        q.schedule_at(SimTime::from_secs(3), "c", |w: &mut Vec<u32>, _| w.push(3));
-        q.schedule_at(SimTime::from_secs(1), "a", |w: &mut Vec<u32>, _| w.push(1));
-        q.schedule_at(SimTime::from_secs(2), "b", |w: &mut Vec<u32>, _| w.push(2));
-        q.run_to_completion(&mut world);
-        assert_eq!(world, vec![1, 2, 3]);
+        let mut q = Queue::new();
+        let mut log = Vec::new();
+        q.schedule_event_at(SimTime::from_secs(3), "c", Ev::Push(3));
+        q.schedule_event_at(SimTime::from_secs(1), "a", Ev::Push(1));
+        q.schedule_event_at(SimTime::from_secs(2), "b", Ev::Push(2));
+        q.run_to_completion(&mut log);
+        assert_eq!(log, vec![1, 2, 3]);
         assert_eq!(q.events_fired(), 3);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q: EventQueue<Vec<u32>> = EventQueue::new();
-        let mut world = Vec::new();
-        let t = SimTime::from_secs(1);
+        let mut q = Queue::new();
+        let mut log = Vec::new();
         for i in 0..10u32 {
-            q.schedule_at(t, "tie", move |w: &mut Vec<u32>, _| w.push(i));
+            q.schedule_event_at(SimTime::from_secs(1), "tie", Ev::Push(i));
         }
-        q.run_to_completion(&mut world);
-        assert_eq!(world, (0..10).collect::<Vec<_>>());
+        q.run_to_completion(&mut log);
+        assert_eq!(log, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn handlers_can_schedule_followups() {
-        struct W {
-            count: u32,
-        }
-        fn tick(w: &mut W, q: &mut EventQueue<W>) {
-            w.count += 1;
-            if w.count < 5 {
-                q.schedule_in(SimDuration::from_secs(1), "tick", tick);
-            }
-        }
-        let mut q = EventQueue::new();
-        let mut w = W { count: 0 };
-        q.schedule_in(SimDuration::from_secs(1), "tick", tick);
-        q.run_to_completion(&mut w);
-        assert_eq!(w.count, 5);
+        let mut q = Queue::new();
+        let mut log = Vec::new();
+        let first = Ev::Count { n: 1, until: 5 };
+        q.schedule_event_in(SimDuration::from_secs(1), "count", first);
+        q.schedule_event_at(SimTime::from_secs(10), "stop", Ev::Push(99));
+        q.run_until(&mut log, SimTime::from_secs(5));
+        assert_eq!(log, vec![1, 2, 3, 4, 5]);
         assert_eq!(q.now(), SimTime::from_secs(5));
+        q.run_to_completion(&mut log);
+        assert_eq!(log.last(), Some(&99));
     }
 
     #[test]
     fn cancel_prevents_firing() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        let mut w = 0u32;
-        let id = q.schedule_at(SimTime::from_secs(1), "x", |w, _| *w += 1);
-        q.schedule_at(SimTime::from_secs(2), "y", |w, _| *w += 10);
+        let mut q = Queue::new();
+        let mut log = Vec::new();
+        let id = q.schedule_event_at(SimTime::from_secs(1), "x", Ev::Push(1));
+        q.schedule_event_at(SimTime::from_secs(2), "y", Ev::Push(10));
         assert!(q.cancel(id));
         assert!(!q.cancel(id), "double cancel reports false");
-        q.run_to_completion(&mut w);
-        assert_eq!(w, 10);
+        q.run_to_completion(&mut log);
+        assert_eq!(log, vec![10]);
     }
 
     #[test]
     fn run_until_stops_at_deadline() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        let mut w = 0u32;
-        q.schedule_at(SimTime::from_secs(1), "early", |w, _| *w += 1);
-        q.schedule_at(SimTime::from_secs(10), "late", |w, _| *w += 100);
-        q.run_until(&mut w, SimTime::from_secs(5));
-        assert_eq!(w, 1);
+        let mut q = Queue::new();
+        let mut log = Vec::new();
+        q.schedule_event_at(SimTime::from_secs(1), "early", Ev::Push(1));
+        q.schedule_event_at(SimTime::from_secs(10), "late", Ev::Push(100));
+        q.run_until(&mut log, SimTime::from_secs(5));
+        assert_eq!(log, vec![1]);
         assert_eq!(q.now(), SimTime::from_secs(5));
         assert_eq!(q.pending(), 1);
-        q.run_to_completion(&mut w);
-        assert_eq!(w, 101);
+        q.run_to_completion(&mut log);
+        assert_eq!(log, vec![1, 100]);
     }
 
     #[test]
     fn past_scheduling_clamps_to_now() {
-        let mut q: EventQueue<Vec<u32>> = EventQueue::new();
-        let mut w = Vec::new();
-        q.schedule_at(SimTime::from_secs(5), "first", |w: &mut Vec<u32>, q| {
-            w.push(1);
-            // Scheduling "in the past" fires at the current instant.
-            q.schedule_at(SimTime::from_secs(1), "clamped", |w, _| w.push(2));
-        });
-        q.run_to_completion(&mut w);
-        assert_eq!(w, vec![1, 2]);
+        let mut q = Queue::new();
+        let mut log = Vec::new();
+        // Scheduling "in the past" fires at the current instant.
+        q.schedule_event_at(SimTime::from_secs(5), "first", Ev::PushThenBackdate);
+        q.run_to_completion(&mut log);
+        assert_eq!(log, vec![1, 2]);
         assert_eq!(q.now(), SimTime::from_secs(5));
     }
 
     #[test]
     fn run_until_skips_cancelled_head() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        let mut w = 0u32;
-        let id = q.schedule_at(SimTime::from_secs(1), "x", |w, _| *w += 1);
+        let mut q = Queue::new();
+        let mut log = Vec::new();
+        let id = q.schedule_event_at(SimTime::from_secs(1), "x", Ev::Push(1));
         q.cancel(id);
-        q.run_until(&mut w, SimTime::from_secs(2));
-        assert_eq!(w, 0);
+        q.run_until(&mut log, SimTime::from_secs(2));
+        assert!(log.is_empty());
         assert_eq!(q.pending(), 0);
     }
 
     #[test]
     fn stale_id_cannot_cancel_a_reused_slot() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        let mut w = 0u32;
-        let old = q.schedule_at(SimTime::from_secs(1), "a", |w, _| *w += 1);
-        q.run_to_completion(&mut w);
-        assert_eq!(w, 1);
+        let mut q = Queue::new();
+        let mut log = Vec::new();
+        let old = q.schedule_event_at(SimTime::from_secs(1), "a", Ev::Push(1));
+        q.run_to_completion(&mut log);
+        assert_eq!(log, vec![1]);
         // The fired event's slot is reused by the next schedule; its old id
         // must be inert.
-        let fresh = q.schedule_at(SimTime::from_secs(2), "b", |w, _| *w += 10);
+        let fresh = q.schedule_event_at(SimTime::from_secs(2), "b", Ev::Push(10));
         assert!(!q.cancel(old), "stale id reports false");
-        q.run_to_completion(&mut w);
-        assert_eq!(w, 11, "the reused slot's event still fired");
+        q.run_to_completion(&mut log);
+        assert_eq!(log, vec![1, 10], "the reused slot's event still fired");
         assert!(!q.cancel(fresh), "fired event reports false");
     }
 
     #[test]
     fn slots_are_pooled_at_steady_state() {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        let mut w = 0u32;
+        let mut q = Queue::new();
+        let mut log = Vec::new();
         // A self-rescheduling chain with one live event only ever needs one
         // slot, no matter how many events fire.
-        fn tick(w: &mut u32, q: &mut EventQueue<u32>) {
-            *w += 1;
-            if *w < 100 {
-                q.schedule_in(SimDuration::from_secs(1), "tick", tick);
-            }
-        }
-        q.schedule_in(SimDuration::from_secs(1), "tick", tick);
-        q.run_to_completion(&mut w);
-        assert_eq!(w, 100);
+        let first = Ev::Count { n: 1, until: 100 };
+        q.schedule_event_in(SimDuration::from_secs(1), "count", first);
+        q.run_to_completion(&mut log);
+        assert_eq!(log.len(), 100);
         assert_eq!(q.arena_capacity(), 1, "one live event needs one slot");
     }
 
     #[test]
     fn scrambled_schedules_fire_in_total_key_order() {
+        /// Logs when it fired and the sequence number it was scheduled with.
+        struct Key(u64);
+        impl EventPayload<Vec<(SimTime, u64)>> for Key {
+            fn fire(
+                self,
+                log: &mut Vec<(SimTime, u64)>,
+                q: &mut EventQueue<Vec<(SimTime, u64)>, Key>,
+            ) {
+                log.push((q.now(), self.0));
+            }
+        }
         // Scramble insertion order with a deterministic LCG walk, including
         // time ties (broken by insertion sequence), and check events fire
         // in the exact (at, seq) total order.
-        let mut q: EventQueue<Vec<(SimTime, u64)>> = EventQueue::new();
+        let mut q = EventQueue::new();
         let mut keys = Vec::new();
         let mut x = 12345u64;
         for seq in 0..1000u64 {
@@ -568,44 +560,11 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let at = SimTime::from_micros(x % 97);
             keys.push((at, seq));
-            q.schedule_at(at, "k", move |w: &mut Vec<(SimTime, u64)>, q| {
-                w.push((q.now(), seq));
-            });
+            q.schedule_event_at(at, "k", Key(seq));
         }
         keys.sort_unstable();
         let mut fired = Vec::new();
         q.run_to_completion(&mut fired);
         assert_eq!(fired, keys);
-    }
-
-    #[test]
-    fn enum_payloads_fire_without_boxing() {
-        enum Ev {
-            Add(u32),
-            Stop,
-        }
-        impl EventPayload<Vec<u32>> for Ev {
-            fn fire(self, world: &mut Vec<u32>, queue: &mut EventQueue<Vec<u32>, Ev>) {
-                match self {
-                    Ev::Add(n) => {
-                        world.push(n);
-                        if n < 3 {
-                            queue.schedule_event_in(
-                                SimDuration::from_secs(1),
-                                "add",
-                                Ev::Add(n + 1),
-                            );
-                        }
-                    }
-                    Ev::Stop => world.push(99),
-                }
-            }
-        }
-        let mut q: EventQueue<Vec<u32>, Ev> = EventQueue::new();
-        let mut w = Vec::new();
-        q.schedule_event_at(SimTime::from_secs(1), "add", Ev::Add(1));
-        q.schedule_event_at(SimTime::from_secs(10), "stop", Ev::Stop);
-        q.run_to_completion(&mut w);
-        assert_eq!(w, vec![1, 2, 3, 99]);
     }
 }

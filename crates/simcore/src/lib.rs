@@ -14,7 +14,7 @@
 //!   [`TelemetrySink`] implementations over them,
 //! * [`metrics`] — a named counter/gauge/histogram registry folding the
 //!   event stream, the backing store for every layer's statistics,
-//! * [`sketch`] — deterministic mergeable streaming quantile sketches
+//! * [`sketch`] — deterministic streaming quantile sketches
 //!   (log-linear HDR-style), the latency substrate of the
 //!   performance-observability plane,
 //! * [`trace`] — recovery-episode assembly and the deterministic JSONL
@@ -30,18 +30,30 @@
 //! # Examples
 //!
 //! ```
-//! use simcore::{EventQueue, SimDuration, SimTime};
+//! use simcore::{EventPayload, EventQueue, SimDuration, SimTime};
 //!
 //! struct World {
 //!     ticks: u32,
 //! }
 //!
-//! let mut queue: EventQueue<World> = EventQueue::new();
+//! /// A tick that re-arms itself `more` times.
+//! struct Tick {
+//!     more: u32,
+//! }
+//!
+//! impl EventPayload<World> for Tick {
+//!     fn fire(self, world: &mut World, queue: &mut EventQueue<World, Tick>) {
+//!         world.ticks += 1;
+//!         if self.more > 0 {
+//!             let next = Tick { more: self.more - 1 };
+//!             queue.schedule_event_in(SimDuration::from_secs(1), "tick", next);
+//!         }
+//!     }
+//! }
+//!
+//! let mut queue = EventQueue::new();
 //! let mut world = World { ticks: 0 };
-//! queue.schedule_in(SimDuration::from_secs(1), "tick", |w, q| {
-//!     w.ticks += 1;
-//!     q.schedule_in(SimDuration::from_secs(1), "tick", |w, _| w.ticks += 1);
-//! });
+//! queue.schedule_event_in(SimDuration::from_secs(1), "tick", Tick { more: 1 });
 //! queue.run_until(&mut world, SimTime::from_secs(10));
 //! assert_eq!(world.ticks, 2);
 //! ```

@@ -112,7 +112,7 @@ impl SimRng {
     /// Draws from an exponential distribution with the given mean.
     ///
     /// Returns [`SimDuration::ZERO`] when the mean is zero.
-    pub fn exponential(&mut self, mean: SimDuration) -> SimDuration {
+    pub(crate) fn exponential(&mut self, mean: SimDuration) -> SimDuration {
         if mean.is_zero() {
             return SimDuration::ZERO;
         }

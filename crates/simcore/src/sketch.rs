@@ -11,9 +11,6 @@
 //!   saturation check and an array increment — so it is safe on the DES
 //!   kernel hot path (the PR-6 zero-allocation contract, pinned by
 //!   `bench/tests/zero_alloc.rs`);
-//! * `merge` adds bucket counts, which makes merging exactly associative
-//!   and commutative (integer addition), so sharded sketches combine to
-//!   the same result in any order;
 //! * quantile queries walk the cumulative counts and report a bucket's
 //!   upper bound, so estimates are deterministic and never understate.
 //!
@@ -23,7 +20,7 @@
 //! loses mass — only resolution — on outliers.
 
 /// Linear subbuckets per octave; bounds relative error to `1/SUBBUCKETS`.
-pub const SUBBUCKETS: u64 = 16;
+pub(crate) const SUBBUCKETS: u64 = 16;
 const SUBBUCKET_BITS: u32 = 4;
 /// Octaves covered: values in `[0, 2^40)` (≈ 12.7 simulated days in µs)
 /// resolve normally; larger values clamp into the top bucket.
@@ -33,9 +30,9 @@ const OCTAVES: u32 = 40;
 /// linear subbuckets.
 const BUCKETS: usize = (OCTAVES as usize - SUBBUCKET_BITS as usize + 1) * (SUBBUCKETS as usize);
 /// Largest value the sketch resolves without clamping.
-pub const MAX_VALUE: u64 = (1 << OCTAVES) - 1;
+pub(crate) const MAX_VALUE: u64 = (1 << OCTAVES) - 1;
 
-/// A mergeable fixed-bucket log-linear quantile sketch.
+/// A fixed-bucket log-linear quantile sketch.
 #[derive(Clone, Debug)]
 pub struct QuantileSketch {
     counts: Box<[u64; BUCKETS]>,
@@ -75,7 +72,7 @@ fn bucket_upper(i: usize) -> u64 {
 
 impl QuantileSketch {
     /// Creates an empty sketch. The bucket array is the only allocation
-    /// the sketch ever performs; `observe` and `merge` are allocation-free.
+    /// the sketch ever performs; `observe` is allocation-free.
     pub fn new() -> Self {
         QuantileSketch {
             counts: Box::new([0; BUCKETS]),
@@ -106,19 +103,6 @@ impl QuantileSketch {
     /// Largest recorded value (clamped to [`MAX_VALUE`]).
     pub fn max(&self) -> u64 {
         self.max
-    }
-
-    /// Folds `other` into `self` by adding bucket counts. Integer
-    /// addition makes this exactly associative and commutative: any merge
-    /// order over any sharding yields identical buckets.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-        self.total += other.total;
-        if other.max > self.max {
-            self.max = other.max;
-        }
     }
 
     /// Forgets every recorded value, keeping the allocation.
@@ -229,55 +213,6 @@ mod tests {
                     "seed {seed} q{q}: est {est} vs exact {exact} (err {err:.4})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn merge_is_associative_and_order_independent() {
-        let shards: Vec<Vec<u64>> = (0..5).map(|s| seeded_workload(s + 100, 1_000)).collect();
-        let sketches: Vec<QuantileSketch> = shards
-            .iter()
-            .map(|vals| {
-                let mut sk = QuantileSketch::new();
-                for &v in vals {
-                    sk.observe(v);
-                }
-                sk
-            })
-            .collect();
-        // Left fold, right fold, and a shuffled pairwise tree must agree.
-        let mut left = QuantileSketch::new();
-        for sk in &sketches {
-            left.merge(sk);
-        }
-        let mut right = QuantileSketch::new();
-        for sk in sketches.iter().rev() {
-            right.merge(sk);
-        }
-        let mut tree_a = sketches[0].clone();
-        tree_a.merge(&sketches[1]);
-        let mut tree_b = sketches[2].clone();
-        tree_b.merge(&sketches[3]);
-        tree_b.merge(&sketches[4]);
-        let mut tree = QuantileSketch::new();
-        tree.merge(&tree_b);
-        tree.merge(&tree_a);
-        for q in [0.5, 0.95, 0.99] {
-            assert_eq!(left.quantile(q), right.quantile(q));
-            assert_eq!(left.quantile(q), tree.quantile(q));
-        }
-        assert_eq!(left.count(), right.count());
-        assert_eq!(left.count(), tree.count());
-        assert_eq!(left.max(), tree.max());
-        // And the merge equals observing everything into one sketch.
-        let mut all = QuantileSketch::new();
-        for vals in &shards {
-            for &v in vals {
-                all.observe(v);
-            }
-        }
-        for q in [0.5, 0.95, 0.99] {
-            assert_eq!(all.quantile(q), left.quantile(q));
         }
     }
 

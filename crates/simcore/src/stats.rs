@@ -97,7 +97,7 @@ impl Summary {
     }
 }
 
-/// A latency histogram with fixed-width buckets and an over-threshold count.
+/// A latency histogram with fixed-width buckets.
 ///
 /// # Examples
 ///
@@ -105,39 +105,34 @@ impl Summary {
 /// use simcore::stats::Histogram;
 /// use simcore::SimDuration;
 ///
-/// let mut h = Histogram::new(SimDuration::from_millis(100), 100, SimDuration::from_secs(8));
+/// let mut h = Histogram::new(SimDuration::from_millis(100), 100);
 /// h.record(SimDuration::from_millis(50));
-/// h.record(SimDuration::from_secs(9));
+/// h.record(SimDuration::from_secs(11));
 /// assert_eq!(h.count(), 2);
-/// assert_eq!(h.over_threshold(), 1);
+/// assert_eq!(h.overflow(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Histogram {
     bucket_width: SimDuration,
     buckets: Vec<u64>,
     overflow: u64,
-    threshold: SimDuration,
-    over_threshold: u64,
     count: u64,
     total: SimDuration,
 }
 
 impl Histogram {
-    /// Creates a histogram with `buckets` buckets of width `bucket_width`,
-    /// counting samples above `threshold` separately.
+    /// Creates a histogram with `buckets` buckets of width `bucket_width`.
     ///
     /// # Panics
     ///
     /// Panics if `bucket_width` is zero or `buckets` is zero.
-    pub fn new(bucket_width: SimDuration, buckets: usize, threshold: SimDuration) -> Self {
+    pub fn new(bucket_width: SimDuration, buckets: usize) -> Self {
         assert!(!bucket_width.is_zero(), "bucket width must be positive");
         assert!(buckets > 0, "bucket count must be positive");
         Histogram {
             bucket_width,
             buckets: vec![0; buckets],
             overflow: 0,
-            threshold,
-            over_threshold: 0,
             count: 0,
             total: SimDuration::ZERO,
         }
@@ -147,9 +142,6 @@ impl Histogram {
     pub fn record(&mut self, d: SimDuration) {
         self.count += 1;
         self.total += d;
-        if d > self.threshold {
-            self.over_threshold += 1;
-        }
         let idx = (d.as_micros() / self.bucket_width.as_micros()) as usize;
         if idx < self.buckets.len() {
             self.buckets[idx] += 1;
@@ -161,11 +153,6 @@ impl Histogram {
     /// Returns the total number of samples.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Returns how many samples exceeded the threshold.
-    pub fn over_threshold(&self) -> u64 {
-        self.over_threshold
     }
 
     /// Returns the mean sample, or zero when empty.
@@ -255,7 +242,7 @@ impl SecondSeries {
 
     /// Adds `amount` to canonical metric `sym` in the second containing
     /// `at`: a dense-row bump while `at` stays in the current second.
-    pub fn add_sym(&mut self, at: SimTime, sym: Sym, amount: f64) {
+    pub(crate) fn add_sym(&mut self, at: SimTime, sym: Sym, amount: f64) {
         let s = at.second_index();
         if s != self.hot_second || self.hot.is_empty() {
             if s < self.hot_second {
@@ -325,11 +312,6 @@ impl SecondSeries {
         sum
     }
 
-    /// Returns the last second index that received data.
-    pub fn max_second(&self) -> u64 {
-        self.max_second
-    }
-
     /// Returns dense rows for every second from 0 to the last active one.
     pub fn rows(&self, keys: &[&'static str]) -> Vec<SeriesRow> {
         (0..=self.max_second)
@@ -374,27 +356,22 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_threshold() {
-        let mut h = Histogram::new(
-            SimDuration::from_millis(10),
-            10,
-            SimDuration::from_millis(50),
-        );
+    fn histogram_buckets_and_overflow() {
+        let mut h = Histogram::new(SimDuration::from_millis(10), 10);
         h.record(SimDuration::from_millis(5)); // bucket 0
         h.record(SimDuration::from_millis(15)); // bucket 1
-        h.record(SimDuration::from_millis(95)); // bucket 9, over threshold
-        h.record(SimDuration::from_millis(200)); // overflow, over threshold
+        h.record(SimDuration::from_millis(95)); // bucket 9
+        h.record(SimDuration::from_millis(200)); // overflow
         assert_eq!(h.count(), 4);
         assert_eq!(h.buckets()[0], 1);
         assert_eq!(h.buckets()[1], 1);
         assert_eq!(h.buckets()[9], 1);
         assert_eq!(h.overflow(), 1);
-        assert_eq!(h.over_threshold(), 2);
     }
 
     #[test]
     fn histogram_mean() {
-        let mut h = Histogram::new(SimDuration::from_millis(10), 10, SimDuration::from_secs(8));
+        let mut h = Histogram::new(SimDuration::from_millis(10), 10);
         h.record(SimDuration::from_millis(10));
         h.record(SimDuration::from_millis(30));
         assert_eq!(h.mean(), SimDuration::from_millis(20));
@@ -411,7 +388,6 @@ mod tests {
         assert_eq!(s.get(1, "bad"), 1.0);
         assert_eq!(s.total("good"), 2.0);
         assert_eq!(s.sum_range("good", 0, 1), 2.0);
-        assert_eq!(s.max_second(), 1);
     }
 
     #[test]

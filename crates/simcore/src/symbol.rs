@@ -40,7 +40,7 @@ pub fn lookup(name: &str) -> Option<Sym> {
 }
 
 /// Number of canonical counter symbols.
-pub const COUNT: usize = NAMES.len();
+pub(crate) const COUNT: usize = NAMES.len();
 
 macro_rules! symbols {
     ($($konst:ident => $name:literal),+ $(,)?) => {

@@ -22,7 +22,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// A time later than any time a simulation will reach.
-    pub const FAR_FUTURE: SimTime = SimTime(u64::MAX);
+    pub(crate) const FAR_FUTURE: SimTime = SimTime(u64::MAX);
 
     /// Creates a time from whole microseconds.
     pub const fn from_micros(us: u64) -> Self {

@@ -32,7 +32,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::wire::{field, json_str};
 
 /// The JSONL schema version written into the `meta` line.
-pub const TRACE_FORMAT_VERSION: u64 = 1;
+pub(crate) const TRACE_FORMAT_VERSION: u64 = 1;
 
 /// Records every event of a run, in order, together with its digest.
 #[derive(Clone, Debug, Default)]
@@ -81,7 +81,7 @@ impl TelemetrySink for TraceRecorder {
 
 /// Computes the FNV-1a digest of an event sequence (the same digest a
 /// [`TraceHashSink`] attached to the live run would report).
-pub fn digest_of(events: &[TelemetryEvent]) -> u64 {
+pub(crate) fn digest_of(events: &[TelemetryEvent]) -> u64 {
     let mut h = TraceHashSink::new();
     for ev in events {
         h.on_event(ev);
@@ -282,7 +282,7 @@ fn episode_to_json(index: usize, ep: &RecoveryEpisode) -> String {
 // ---------------------------------------------------------------------------
 
 /// The reboot depth a recovery-manager decision, if carried out, runs at.
-pub fn decision_level(decision: DecisionKind) -> Option<RebootLevel> {
+pub(crate) fn decision_level(decision: DecisionKind) -> Option<RebootLevel> {
     match decision {
         DecisionKind::EjbMicroreboot | DecisionKind::WarMicroreboot => Some(RebootLevel::Component),
         DecisionKind::AppRestart => Some(RebootLevel::Application),

@@ -448,11 +448,6 @@ impl Database {
         self.conns.contains_key(&conn.0)
     }
 
-    /// Returns the number of open connections.
-    pub fn open_conns(&self) -> usize {
-        self.conns.len()
-    }
-
     // ---- transactions ----------------------------------------------------
 
     /// Begins a transaction on `conn`.
@@ -541,7 +536,7 @@ impl Database {
     ///
     /// Containers call this (per component) on microreboot; [`Database::crash`]
     /// calls it for the whole store.
-    pub fn rollback_all(&mut self) -> usize {
+    pub(crate) fn rollback_all(&mut self) -> usize {
         let ids: Vec<u64> = self.txns.keys().copied().collect();
         let n = ids.len();
         for id in ids {
@@ -833,7 +828,7 @@ impl Database {
     }
 
     /// Returns the modeled redo-scan recovery time for the current dataset.
-    pub fn recovery_cost(&self) -> SimDuration {
+    pub(crate) fn recovery_cost(&self) -> SimDuration {
         // Base mount cost plus ~1 µs per committed row of log scanning.
         SimDuration::from_millis(250) + SimDuration::from_micros(self.row_count() as u64)
     }
@@ -1086,7 +1081,7 @@ mod tests {
             "uncommitted update rolled back by crash"
         );
         assert_eq!(db.active_txns(), 0);
-        assert_eq!(db.open_conns(), 0, "crash severs connections");
+        assert!(!db.conn_open(conn), "crash severs connections");
         assert_eq!(db.stats().crashes, 1);
     }
 

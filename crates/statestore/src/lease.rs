@@ -32,10 +32,10 @@ struct Lease<T> {
 ///
 /// let mut leases: LeaseTable<&str> = LeaseTable::new(SimDuration::from_secs(30));
 /// let id = leases.grant(SimTime::ZERO, "session-7");
-/// assert!(leases.is_live(SimTime::from_secs(29), id));
+/// assert_eq!(leases.payload(SimTime::from_secs(29), id), Some(&"session-7"));
 /// let expired = leases.sweep(SimTime::from_secs(31));
 /// assert_eq!(expired, vec!["session-7"]);
-/// assert!(!leases.is_live(SimTime::from_secs(31), id));
+/// assert_eq!(leases.payload(SimTime::from_secs(31), id), None);
 /// ```
 #[derive(Clone, Debug)]
 pub struct LeaseTable<T> {
@@ -54,11 +54,6 @@ impl<T> LeaseTable<T> {
         }
     }
 
-    /// Returns the lease term.
-    pub fn term(&self) -> SimDuration {
-        self.term
-    }
-
     /// Grants a lease on `payload` starting at `now`.
     pub fn grant(&mut self, now: SimTime, payload: T) -> LeaseId {
         let id = self.next_id;
@@ -73,31 +68,9 @@ impl<T> LeaseTable<T> {
         LeaseId(id)
     }
 
-    /// Renews a lease to last `term` from `now`.
-    ///
-    /// Returns false if the lease does not exist (expired and swept, or
-    /// released).
-    pub fn renew(&mut self, now: SimTime, id: LeaseId) -> bool {
-        match self.leases.get_mut(&id.0) {
-            Some(l) => {
-                l.expires = now + self.term;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Releases a lease early, returning its payload.
     pub fn release(&mut self, id: LeaseId) -> Option<T> {
         self.leases.remove(&id.0).map(|l| l.payload)
-    }
-
-    /// Returns true if the lease exists and has not expired at `now`.
-    pub fn is_live(&self, now: SimTime, id: LeaseId) -> bool {
-        self.leases
-            .get(&id.0)
-            .map(|l| l.expires > now)
-            .unwrap_or(false)
     }
 
     /// Returns the payload of a live lease.
@@ -149,22 +122,12 @@ mod tests {
     fn grant_and_query() {
         let mut t = table();
         let id = t.grant(SimTime::ZERO, 5);
-        assert!(t.is_live(SimTime::from_secs(9), id));
         assert_eq!(t.payload(SimTime::from_secs(9), id), Some(&5));
-        assert!(
-            !t.is_live(SimTime::from_secs(10), id),
+        assert_eq!(
+            t.payload(SimTime::from_secs(10), id),
+            None,
             "expiry is exclusive"
         );
-        assert_eq!(t.payload(SimTime::from_secs(10), id), None);
-    }
-
-    #[test]
-    fn renewal_extends_life() {
-        let mut t = table();
-        let id = t.grant(SimTime::ZERO, 1);
-        assert!(t.renew(SimTime::from_secs(8), id));
-        assert!(t.is_live(SimTime::from_secs(15), id));
-        assert!(!t.is_live(SimTime::from_secs(18), id));
     }
 
     #[test]
@@ -175,16 +138,15 @@ mod tests {
         let expired = t.sweep(SimTime::from_secs(12));
         assert_eq!(expired, vec![1]);
         assert_eq!(t.len(), 1);
-        assert!(t.is_live(SimTime::from_secs(12), b));
+        assert_eq!(t.payload(SimTime::from_secs(12), b), Some(&2));
     }
 
     #[test]
-    fn release_returns_payload_and_prevents_renewal() {
+    fn release_returns_payload_once() {
         let mut t = table();
         let id = t.grant(SimTime::ZERO, 9);
         assert_eq!(t.release(id), Some(9));
         assert_eq!(t.release(id), None);
-        assert!(!t.renew(SimTime::ZERO, id));
         assert!(t.is_empty());
     }
 
@@ -199,29 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn same_tick_expiry_with_renew_race_is_deterministic() {
-        // Leases that expire at the exact sweep tick, with renewals racing
-        // the sweep on the same tick, must resolve identically on every
-        // run: the renewal happens-before the sweep iff it was applied
-        // first, and the sweep order is id order regardless.
-        let run = || {
-            let mut t = table();
-            let ids: Vec<LeaseId> = (0..20u32).map(|i| t.grant(SimTime::ZERO, i)).collect();
-            // Renew every third lease at the expiry tick itself.
-            for id in ids.iter().step_by(3) {
-                assert!(t.renew(SimTime::from_secs(10), *id));
-            }
-            t.sweep(SimTime::from_secs(10))
-        };
-        let first = run();
-        let second = run();
-        assert_eq!(first, second, "same-tick race resolves identically");
-        // Exactly the non-renewed leases expired, in id order.
-        let expected: Vec<u32> = (0..20).filter(|i| i % 3 != 0).collect();
-        assert_eq!(first, expected);
-    }
-
-    #[test]
     fn grant_at_sweep_tick_survives_the_sweep() {
         // A lease granted on the same tick an expiry sweep runs must not
         // be reaped by it: expiry is exclusive, so term > 0 keeps it live.
@@ -230,7 +169,7 @@ mod tests {
         let fresh = t.grant(SimTime::from_secs(10), 2);
         let expired = t.sweep(SimTime::from_secs(10));
         assert_eq!(expired, vec![1]);
-        assert!(!t.is_live(SimTime::from_secs(10), old));
-        assert!(t.is_live(SimTime::from_secs(10), fresh));
+        assert_eq!(t.payload(SimTime::from_secs(10), old), None);
+        assert_eq!(t.payload(SimTime::from_secs(10), fresh), Some(&2));
     }
 }

@@ -121,7 +121,7 @@ impl SessionObject {
     }
 
     /// Returns the approximate in-memory size in bytes (for the heap model).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         64 + self.encoded_len() * 2
     }
 
@@ -131,11 +131,6 @@ impl SessionObject {
     /// and validators never read it.
     pub fn mark_tainted(&mut self) {
         self.tainted = true;
-    }
-
-    /// Clears the injection taint (used when corruption is repaired).
-    pub fn clear_taint(&mut self) {
-        self.tainted = false;
     }
 
     /// Returns true if fault injection has corrupted this object.
@@ -250,8 +245,6 @@ mod tests {
         assert!(o.is_tainted());
         let copy = o.clone();
         assert!(copy.is_tainted(), "taint travels with copies");
-        o.clear_taint();
-        assert!(!o.is_tainted());
     }
 
     #[test]

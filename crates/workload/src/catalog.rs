@@ -198,11 +198,6 @@ impl Catalog {
         Ok(())
     }
 
-    /// Returns the state index of an op code.
-    pub fn state_of(&self, op: OpCode) -> Option<usize> {
-        self.ops.iter().position(|o| o.op == op)
-    }
-
     /// Returns the spec of an op code.
     pub fn spec(&self, op: OpCode) -> Option<&OpSpec> {
         self.ops.iter().find(|o| o.op == op)
@@ -213,7 +208,7 @@ impl Catalog {
     /// the entry state).
     ///
     /// Used by the Table 1 harness to verify the mix.
-    pub fn stationary_mix(&self, iterations: usize) -> Vec<f64> {
+    pub(crate) fn stationary_mix(&self, iterations: usize) -> Vec<f64> {
         let n = self.ops.len();
         let mut p = vec![0.0; n];
         p[self.entry_state] = 1.0;
@@ -343,8 +338,7 @@ mod tests {
     #[test]
     fn lookup_helpers() {
         let c = two_state();
-        assert_eq!(c.state_of(OpCode(1)), Some(1));
         assert_eq!(c.spec(OpCode(0)).unwrap().name, "Home");
-        assert_eq!(c.state_of(OpCode(9)), None);
+        assert!(c.spec(OpCode(9)).is_none());
     }
 }

@@ -251,8 +251,8 @@ impl ClientPool {
     /// Arms the performance-observability plane: successful-op latencies
     /// feed the tracker's sketches, and [`ClientPool::perf_tick`] turns
     /// its verdicts into telemetry events and failure reports.
-    pub fn enable_perf(&mut self, config: PerfConfig) {
-        self.perf = Some(PerfTracker::new(config));
+    pub fn enable_perf(&mut self) {
+        self.perf = Some(PerfTracker::new(PerfConfig::default()));
     }
 
     /// Read access to the performance tracker, when armed.

@@ -34,5 +34,5 @@ pub mod taw;
 pub use catalog::{ArgKind, Catalog, FunctionalGroup, MixClass, OpSpec};
 pub use client::{ClientPool, ClientPoolConfig, DeliverOutcome, OutgoingRequest, RetryPolicy};
 pub use detect::{DetectorKind, FailureKind, FailureReport};
-pub use perf::{PerfConfig, PerfEvent, PerfTracker};
+pub use perf::{PerfEvent, PerfTracker};
 pub use taw::{TawSummary, TawTracker};

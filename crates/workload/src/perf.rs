@@ -49,29 +49,29 @@ use urb_core::OpCode;
 /// Performance-plane configuration. All windows and thresholds are
 /// deterministic integer comparisons.
 #[derive(Clone, Copy, Debug)]
-pub struct PerfConfig {
+pub(crate) struct PerfConfig {
     /// When the pre-fault baseline freezes. Everything observed before
     /// this instant is baseline; everything after is judged against it.
-    pub freeze_at: SimTime,
+    pub(crate) freeze_at: SimTime,
     /// Judgement-window length. The hosting simulation ticks the tracker
     /// every maintenance sweep; a window closes once this much simulated
     /// time has passed since the last close.
-    pub window: SimDuration,
+    pub(crate) window: SimDuration,
     /// Minimum successful ops an `(node, op)` pair needs before the
     /// freeze to earn a baseline (thin traffic yields no verdict).
-    pub min_baseline_ops: u64,
+    pub(crate) min_baseline_ops: u64,
     /// Minimum successful ops in a window before that op is judged.
-    pub min_window_ops: u64,
+    pub(crate) min_window_ops: u64,
     /// A relative breach only counts when the live quantile also exceeds
     /// the baseline by at least this many microseconds. Tiny-baseline ops
     /// (a cheap page whose p95 is single-digit milliseconds) double on
     /// ordinary queueing jitter; an absolute floor keeps "2x of almost
     /// nothing" from paging anyone.
-    pub min_delta_us: u64,
+    pub(crate) min_delta_us: u64,
     /// Consecutive breaching windows required before an anomaly is
     /// raised. One noisy window is weather; the same op breaching
     /// back-to-back windows is climate.
-    pub confirm_windows: u32,
+    pub(crate) confirm_windows: u32,
 }
 
 impl Default for PerfConfig {
@@ -191,7 +191,7 @@ pub struct PerfTracker {
 
 impl PerfTracker {
     /// Creates a tracker; it starts accumulating baseline immediately.
-    pub fn new(config: PerfConfig) -> Self {
+    pub(crate) fn new(config: PerfConfig) -> Self {
         PerfTracker {
             config,
             frozen: false,
@@ -208,16 +208,6 @@ impl PerfTracker {
         }
     }
 
-    /// Returns true once the baseline has frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
-    /// Returns the frozen `(p95, p99)` baseline for an op on a node.
-    pub fn baseline_of(&self, node: usize, op: OpCode) -> Option<(u64, u64)> {
-        self.baseline.get(&(node, op.0)).map(|b| (b.p95, b.p99))
-    }
-
     /// Returns the nodes currently out of parity.
     pub fn anomalous_nodes(&self) -> Vec<usize> {
         self.anomaly.keys().copied().collect()
@@ -228,7 +218,7 @@ impl PerfTracker {
     /// overlapping it measure the outage and the backlog drain, not the
     /// service's steady state. Masked windows are discarded outright —
     /// they neither raise anomalies nor count toward parity.
-    pub fn mask_recovery(&mut self, until: SimTime) {
+    pub(crate) fn mask_recovery(&mut self, until: SimTime) {
         let until = until + MASK_MARGIN;
         self.masked_until = Some(self.masked_until.map_or(until, |m| m.max(until)));
     }
@@ -446,9 +436,6 @@ mod tests {
         fill(&mut t, 0, 2, 3, 10_000); // Too thin for a baseline.
         let ev = t.tick(SimTime::from_secs(10));
         assert_eq!(ev, vec![PerfEvent::BaselineFrozen { node: 0, ops: 1 }]);
-        assert!(t.is_frozen());
-        assert!(t.baseline_of(0, OpCode(1)).is_some());
-        assert!(t.baseline_of(0, OpCode(2)).is_none());
         // A second tick before the window closes is silent.
         assert!(t.tick(SimTime::from_secs(11)).is_empty());
     }
@@ -458,7 +445,6 @@ mod tests {
         let mut t = PerfTracker::new(cfg());
         fill(&mut t, 0, 1, 100, 10_000);
         assert!(t.tick(SimTime::from_secs(9)).is_empty());
-        assert!(!t.is_frozen());
     }
 
     #[test]

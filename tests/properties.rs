@@ -10,7 +10,9 @@ use std::rc::Rc;
 use microreboot::components::descriptor::ComponentId;
 use microreboot::components::registry::{Binding, NamingRegistry, RegistryError, Resolved};
 use microreboot::simcore::trace::event_from_json;
-use microreboot::simcore::{EventQueue, SimDuration, SimRng, SimTime, TelemetryEvent, Trace};
+use microreboot::simcore::{
+    EventPayload, EventQueue, SimDuration, SimRng, SimTime, TelemetryEvent, Trace,
+};
 use microreboot::statestore::db::{ConnId, Row, TableDef, TableRef};
 use microreboot::statestore::lease::LeaseTable;
 use microreboot::statestore::session::{
@@ -631,6 +633,15 @@ fn registry_handles_resolve_like_names() {
     }
 }
 
+/// Logs the `(time, index)` it was scheduled with.
+struct Stamp(u64, usize);
+
+impl EventPayload<Vec<(u64, usize)>> for Stamp {
+    fn fire(self, log: &mut Vec<(u64, usize)>, _: &mut EventQueue<Vec<(u64, usize)>, Stamp>) {
+        log.push((self.0, self.1));
+    }
+}
+
 /// The event queue fires events in nondecreasing time order, with
 /// FIFO order among equal timestamps.
 #[test]
@@ -640,17 +651,10 @@ fn event_queue_is_time_ordered() {
         let times: Vec<u64> = (0..1 + rng.uniform_u64(99))
             .map(|_| rng.uniform_u64(1000))
             .collect();
-        let mut q: EventQueue<Vec<(u64, usize)>> = EventQueue::new();
+        let mut q = EventQueue::new();
         let mut world = Vec::new();
         for (i, t) in times.iter().enumerate() {
-            let t = *t;
-            q.schedule_at(
-                SimTime::from_millis(t),
-                "e",
-                move |w: &mut Vec<(u64, usize)>, _| {
-                    w.push((t, i));
-                },
-            );
+            q.schedule_event_at(SimTime::from_millis(*t), "e", Stamp(*t, i));
         }
         q.run_to_completion(&mut world);
         assert_eq!(world.len(), times.len());
