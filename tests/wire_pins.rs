@@ -1,13 +1,15 @@
-//! Tier-1 pins of the two things every recorded digest in this repo
-//! stands on: the canonical byte encoding of the telemetry stream, and
-//! the seeded scenario generators' draw sequences. A refactor of either
-//! surface must leave every value here untouched; an intentional change
-//! re-pins them alongside an EXPERIMENTS.md provenance note.
+//! Tier-1 pins of the three things every recorded digest in this repo
+//! stands on: the canonical byte encoding of the telemetry stream, the
+//! seeded scenario generators' draw sequences, and the generated eBid
+//! dataset as its queries see it. A refactor of any of these surfaces
+//! must leave every value here untouched; an intentional change re-pins
+//! them alongside an EXPERIMENTS.md provenance note.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use microreboot::cluster::{Sim, SimConfig};
+use microreboot::ebid::schema::{schema, DatasetSpec, INDEXES};
 use microreboot::faults::campaign::{
     degraded_scenarios, netstate_scenarios, scenarios, tournament_scenarios, CampaignConfig,
     Scenario,
@@ -16,6 +18,8 @@ use microreboot::faults::Fault;
 use microreboot::recovery::RmConfig;
 use microreboot::simcore::telemetry::{shared_bus, TraceHashSink};
 use microreboot::simcore::SimTime;
+use microreboot::statestore::db::Row;
+use microreboot::statestore::TableId;
 
 /// Runs two simulated minutes with a mid-run fault and an RM-driven
 /// recovery, hashing every telemetry event; returns (digest, count).
@@ -93,5 +97,59 @@ fn scenario_generators_reproduce_the_pinned_draws() {
             "netstate_scenarios 1a7a67f05f607008 4ab400901a4d685a",
         ],
         "a generator draw moved"
+    );
+}
+
+/// FNV-1a 64 over the default dataset of `seed` as every reader sees it:
+/// each table's rows in primary-key order (canonical cell encoding), then,
+/// for every [`INDEXES`] pair and every cell value present in that column
+/// in ascending order, the value, the primary keys `scan_eq` visits and
+/// the count it reports. Moves if a generator draw, a row, the membership
+/// of an index or the order inside one does.
+fn dataset_hash(seed: u64) -> u64 {
+    let mut db = DatasetSpec::default().generate(seed);
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut feed = |bytes: &[u8]| {
+        for b in bytes {
+            hash = (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut encoded = Vec::new();
+    for table in (0..schema().len()).map(TableId) {
+        let hits = db.scan_all(table, usize::MAX, |row: &Row| {
+            encoded.clear();
+            row.iter().for_each(|cell| cell.encode_into(&mut encoded));
+            feed(&encoded);
+        });
+        feed(&hits.unwrap().rows.to_le_bytes());
+    }
+    for &(table, column) in INDEXES {
+        let mut present = Vec::new();
+        db.scan_all(table, usize::MAX, |row: &Row| {
+            present.extend(row[column].as_int())
+        })
+        .unwrap();
+        present.sort_unstable();
+        present.dedup();
+        for value in present {
+            feed(&value.to_le_bytes());
+            let visit = |row: &Row| feed(&row[0].as_int().unwrap().to_le_bytes());
+            let hits = db.scan_eq(table, column, value, usize::MAX, visit);
+            feed(&hits.unwrap().rows.to_le_bytes());
+        }
+    }
+    assert_eq!(db.check_indexes(), Ok(()));
+    hash
+}
+
+/// Recorded from the row-at-a-time `load` and the `BTreeSet<(cell, pk)>`
+/// indexes, before the dataset was bulk-built: however it is installed,
+/// the dataset and every indexed query over it are bit-identical.
+#[test]
+fn generated_dataset_reproduces_the_pinned_rows_and_index_scans() {
+    assert_eq!(
+        [7, 11].map(|seed| format!("{:016x}", dataset_hash(seed))),
+        ["84211dbcf664e002", "10ffb75adba4e99d"],
+        "the generated dataset or an indexed query over it moved"
     );
 }
