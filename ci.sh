@@ -67,6 +67,25 @@ echo "==> urbmark: the benchmark's frozen public surface compiles, its package t
 cargo test --manifest-path benchmark/Cargo.toml --offline --target-dir target/benchmark -q
 CARGO_TARGET_DIR=target/benchmark benchmark/run.sh --quick > /dev/null
 
+echo "==> tools/sampler: the profiler DESIGN.md §9's stop rule depends on compiles clean and reads a profile"
+# One second of chaos_ladder_1n under the preload library, then the
+# whole-process inclusive view: it must exit 0 and name the event loop.
+# (This urbmark has no frame pointers, so stacks are one frame deep and
+# run_until is named by the ~10 of ~300 samples that land in its own
+# code; a real profile needs the RUSTFLAGS build, EXPERIMENTS.md.)
+if command -v cc > /dev/null; then
+  cc -O2 -Wall -Werror -shared -fPIC -o target/sampler.so tools/sampler/sampler.c
+  LD_PRELOAD=target/sampler.so SAMPLER_OUT=target/ci.samples \
+    target/benchmark/release/urbmark --workload chaos_ladder_1n --seed 7 --seconds 1 --trace 0 > /dev/null
+  tools/sampler/symbolise.py target/benchmark/release/urbmark target/ci.samples --inclusive --top 1000 \
+    > target/ci.profile
+  grep -q run_until target/ci.profile \
+    || { echo "the inclusive profile does not name run_until:" >&2; head target/ci.profile >&2; exit 1; }
+  echo "    $(head -n 1 target/ci.profile); run_until named"
+else
+  echo "    skipped: no cc on this box"
+fi
+
 echo "==> urbmark fingerprints: every seed still simulates what benchmark/BASELINE.json recorded"
 # A simulator speed-up must leave every simulated statistic identical.
 # The quick report above only checks that two runs of this build agree

@@ -24,14 +24,17 @@
 //! the log, abort replays it backwards.
 //!
 //! Equality queries ([`Database::scan_eq`]) are answered from secondary
-//! indexes ([`Database::create_index`]) and visit rows by reference, so a
-//! query costs the host O(matches), not O(table).
+//! indexes ([`Database::create_index`]) — posting lists, one per cell
+//! value — and visit rows by reference, so a query costs the host
+//! O(matches), not O(table), and a count-only query one map lookup. A
+//! dataset is installed in bulk ([`Database::load`]): one validation pass,
+//! then the rows and every index built from sorted input.
 //!
 //! Every operation names its table through a [`TableRef`]: the [`TableId`]
 //! an application resolved when it was deployed, or the name itself,
 //! searched for on that call. Rows are shared ([`Row`]), never copied.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -177,19 +180,68 @@ struct Table {
     /// Pre-corruption images of tainted rows, keyed by pk; presence marks
     /// the row as corrupted by out-of-band injection.
     tainted: BTreeMap<i64, Row>,
-    /// Secondary indexes: per indexed column, the `(cell, pk)` pairs of
-    /// every row whose cell in that column is an integer. A `Null`, float
-    /// or text cell is not indexed — it equals no integer.
-    indexes: Vec<(usize, BTreeSet<(i64, i64)>)>,
+    /// Secondary indexes, per indexed column.
+    indexes: Vec<(usize, Index)>,
+}
+
+/// A secondary index as posting lists: per integer cell value present in
+/// the column, the primary keys of the rows holding it, ascending — the
+/// order an equality query visits them in. A `Null`, float or text cell
+/// is not indexed (it equals no integer), and no list is ever empty, so
+/// two indexes over the same rows are equal as maps.
+type Index = BTreeMap<i64, Vec<i64>>;
+
+/// Builds the index on `column` that `rows` give: the one builder behind
+/// [`Database::create_index`], [`Database::load`] and
+/// [`Database::check_indexes`].
+///
+/// The rows come in primary-key order, so dealing the `(cell, pk)` pairs
+/// out by cell leaves every list ascending. Where the cells are dense —
+/// fewer values between the smallest and the largest than there are
+/// pairs, as ids referring to another table are — that is a counting pass
+/// and a dealing pass over an array of lists; otherwise one sort of the
+/// pairs groups them. Either way the map is built from sorted input and a
+/// list is allocated once, with half its length of room to grow: a list
+/// built full reallocates on the first insert the request path makes.
+fn build_index(rows: &BTreeMap<i64, Row>, column: usize) -> Index {
+    let cell_and_pk = |(pk, row): (&i64, &Row)| row[column].as_int().map(|cell| (cell, *pk));
+    let mut pairs: Vec<(i64, i64)> = rows.iter().filter_map(cell_and_pk).collect();
+    let cells = || pairs.iter().map(|pair| pair.0);
+    let (Some(min), Some(max)) = (cells().min(), cells().max()) else {
+        return Index::new();
+    };
+    let list_of = |len: usize| Vec::with_capacity(len + len / 2);
+    if max.abs_diff(min) < pairs.len() as u64 {
+        let slot = |cell: i64| cell.abs_diff(min) as usize;
+        let mut sizes = vec![0; slot(max) + 1];
+        cells().for_each(|cell| sizes[slot(cell)] += 1);
+        let mut lists: Vec<Vec<i64>> = sizes.into_iter().map(list_of).collect();
+        for (cell, pk) in pairs {
+            lists[slot(cell)].push(pk);
+        }
+        let listed = lists.into_iter().enumerate().filter(|(_, l)| !l.is_empty());
+        listed.map(|(at, l)| (min + at as i64, l)).collect()
+    } else {
+        pairs.sort_unstable();
+        let same_cell = pairs.chunk_by(|a, b| a.0 == b.0);
+        let listed = same_cell.map(|pairs| {
+            let mut list = list_of(pairs.len());
+            list.extend(pairs.iter().map(|pair| pair.1));
+            (pairs[0].0, list)
+        });
+        listed.collect()
+    }
 }
 
 impl Table {
     /// Installs `new` as the image of row `pk` (`None` removes the row) and
     /// returns the previous image.
     ///
-    /// Every change to a row image — transactional write, undo replay,
-    /// bulk load, injected corruption, repair — goes through here, which
-    /// is what keeps the indexes equal to the rows.
+    /// Every change to one row image — transactional write, undo replay,
+    /// injected corruption, repair — goes through here and moves the
+    /// row's primary key between posting lists as its cells change; a bulk
+    /// [`Database::load`] instead rebuilds each index from the rows it
+    /// leaves. Between them they keep the indexes equal to the rows.
     fn replace(&mut self, pk: i64, new: Option<Row>) -> Option<Row> {
         if !self.indexes.is_empty() {
             let old = self.rows.get(&pk);
@@ -198,10 +250,17 @@ impl Table {
                 let is = new.as_ref().and_then(|r| r[*col].as_int());
                 if was != is {
                     if let Some(v) = was {
-                        index.remove(&(v, pk));
+                        let list = index.get_mut(&v).expect("an indexed cell has a list");
+                        let at = list.binary_search(&pk).expect("an indexed row is listed");
+                        list.remove(at);
+                        if list.is_empty() {
+                            index.remove(&v);
+                        }
                     }
                     if let Some(v) = is {
-                        index.insert((v, pk));
+                        let list = index.entry(v).or_default();
+                        let at = list.binary_search(&pk).expect_err("listed once");
+                        list.insert(at, pk);
                     }
                 }
             }
@@ -210,14 +269,6 @@ impl Table {
             Some(row) => self.rows.insert(pk, row),
             None => self.rows.remove(&pk),
         }
-    }
-
-    /// Computes what an index on `column` must hold, from the rows.
-    fn index_entries(&self, column: usize) -> BTreeSet<(i64, i64)> {
-        self.rows
-            .iter()
-            .filter_map(|(pk, r)| r[column].as_int().map(|v| (v, *pk)))
-            .collect()
     }
 
     fn no_such_row(&self, pk: i64) -> DbError {
@@ -706,12 +757,17 @@ impl Database {
         let mut hits = ScanHits::default();
         match t.indexes.iter().find(|(c, _)| *c == column) {
             Some((_, index)) => {
-                let matches = index.range((value, i64::MIN)..=(value, i64::MAX));
-                for &(_, pk) in matches.take(limit) {
-                    t.hit(&mut hits, pk);
-                    if V::WANTS_ROWS {
-                        visit.visit(&t.rows[&pk]);
+                let list = index.get(&value).map_or(&[][..], Vec::as_slice);
+                let list = &list[..list.len().min(limit)];
+                if V::WANTS_ROWS || !t.tainted.is_empty() {
+                    for &pk in list {
+                        t.hit(&mut hits, pk);
+                        if V::WANTS_ROWS {
+                            visit.visit(&t.rows[&pk]);
+                        }
                     }
+                } else {
+                    hits.rows = list.len();
                 }
             }
             None => {
@@ -758,24 +814,25 @@ impl Database {
         let t = &mut self.tables[ti];
         t.check_column(column)?;
         if t.indexes.iter().all(|(c, _)| *c != column) {
-            t.indexes.push((column, t.index_entries(column)));
+            t.indexes.push((column, build_index(&t.rows, column)));
         }
         Ok(())
     }
 
-    /// Checks that every index holds exactly the `(cell, pk)` pairs of the
-    /// rows present; `Err` names the first index that does not.
+    /// Checks that every index is exactly the posting lists the rows
+    /// present give; `Err` names the first index that is not.
     pub fn check_indexes(&self) -> Result<(), String> {
         for t in &self.tables {
             for (col, index) in &t.indexes {
-                let expected = t.index_entries(*col);
+                let expected = build_index(&t.rows, *col);
                 if *index != expected {
+                    let entries = |index: &Index| index.values().map(Vec::len).sum::<usize>();
                     return Err(format!(
                         "index {}.{} holds {} entries, the rows give {}",
                         t.def.name,
                         t.def.columns[*col],
-                        index.len(),
-                        expected.len()
+                        entries(index),
+                        entries(&expected)
                     ));
                 }
             }
@@ -787,8 +844,14 @@ impl Database {
     /// not counted in [`DbStats`] — how a dataset is installed before the
     /// database goes into service. The rows are durable at once.
     ///
-    /// Stops at the first row [`Database::insert`] would reject; rows
-    /// before it stay loaded.
+    /// Stops at the first row [`Database::insert`] would reject, given the
+    /// table and the rows of the batch before it; those rows stay loaded.
+    ///
+    /// The batch is installed as a whole, not row by row: checked in one
+    /// pass, sorted by primary key, merged into the table by the map's
+    /// bulk builder, and the table's indexes rebuilt from the rows it then
+    /// holds — an index is a function of the rows, so it is equal to the
+    /// one row-at-a-time maintenance would have left.
     pub fn load(
         &mut self,
         table: impl TableRef,
@@ -796,12 +859,39 @@ impl Database {
     ) -> Result<(), DbError> {
         let ti = table.resolve(self)?;
         let t = &mut self.tables[ti];
-        for row in rows {
+        let rows = rows.into_iter();
+        // The admissible prefix, each row with its position in the batch.
+        let mut batch: Vec<(i64, usize, Row)> = Vec::with_capacity(rows.size_hint().0);
+        let mut rejected = Ok(());
+        for (at, row) in rows.enumerate() {
             let row = row.into();
-            let pk = t.admit(&row)?;
-            t.replace(pk, Some(row));
+            match t.admit(&row) {
+                Ok(pk) => batch.push((pk, at, row)),
+                Err(e) => {
+                    rejected = Err(e);
+                    break;
+                }
+            }
         }
-        Ok(())
+        // A key the batch repeats: the row-at-a-time load would have
+        // stopped at the earliest row that is not the first of its key.
+        batch.sort_unstable_by_key(|&(pk, at, _)| (pk, at));
+        let repeats = batch.windows(2).filter(|w| w[0].0 == w[1].0);
+        if let Some(&(pk, cut, _)) = repeats.map(|w| &w[1]).min_by_key(|r| r.1) {
+            batch.retain(|r| r.1 < cut);
+            rejected = Err(DbError::DuplicateKey {
+                table: t.def.name.to_string(),
+                pk,
+            });
+        }
+        if !batch.is_empty() {
+            let mut sorted = batch.into_iter().map(|(pk, _, row)| (pk, row)).collect();
+            t.rows.append(&mut sorted);
+            for (col, index) in &mut t.indexes {
+                *index = build_index(&t.rows, *col);
+            }
+        }
+        rejected
     }
 
     /// Returns the largest primary key in `table`, or `None` when empty.

@@ -1,12 +1,14 @@
-//! Allocation budget of the request path — the deterministic, host-
-//! independent cost counter ROADMAP aim 1 asks for.
+//! Allocation budgets of the request path and of set-up — the
+//! deterministic, host-independent cost counters ROADMAP aim 1 asks for.
 //!
-//! Wall-clock speed can only be reported; heap allocations per request at
-//! a fixed seed repeat exactly on any machine, so they can be gated. The
+//! Wall-clock speed can only be reported; heap allocations at a fixed seed
+//! repeat exactly on any machine, so they can be gated. The request-path
 //! set-ups are the benchmark's two steady workloads with a shorter window:
 //! `steady_fasts_1n` (1 node × 500 clients on FastS, no recovery manager,
 //! no bus, no faults) and `steady_ssm_2n` (2 nodes × 500 clients on SSM
 //! with failover, an idle recovery manager and the digest + metrics bus).
+//! The set-up one is `chaos_ladder_1n`'s, which builds a fresh simulation
+//! for every one of its scenarios.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
@@ -15,7 +17,7 @@ use std::rc::Rc;
 use microreboot::cluster::{Sim, SimConfig, StoreChoice};
 use microreboot::recovery::RmConfig;
 use microreboot::simcore::telemetry::{shared_bus, TraceHashSink};
-use microreboot::simcore::{MetricsRegistry, SimTime};
+use microreboot::simcore::{MetricsRegistry, SimDuration, SimTime};
 
 /// Allocations per issued request the steady request path may make on
 /// FastS. Measured 1.87 when the budget was set (5.17 before rows became
@@ -32,6 +34,15 @@ const FASTS_BUDGET: f64 = 2.15;
 /// set (5.86 with copied rows, 11.82 while each brick held its own deep
 /// copy).
 const SSM_BUDGET: f64 = 2.94;
+
+/// Allocations per dataset row that building a simulation (`Sim::new`:
+/// the 17,352-row dataset and its seven indexes, one server, 60 clients,
+/// the hardened recovery manager) may make. Measured 2.34 when the budget
+/// was set (40,575 allocations; 2.48 — 43,011 — while `load` installed a
+/// row at a time and an index was a `BTreeSet` of pairs). One per row is
+/// the row image itself; the headroom is for set-up to grow a feature,
+/// not for a per-row copy or a map built by insertion to creep back in.
+const SETUP_BUDGET: f64 = 2.69;
 
 struct CountingAlloc;
 
@@ -140,4 +151,44 @@ fn steady_ssm_request_path_stays_within_its_allocation_budget() {
         true,
         SSM_BUDGET,
     );
+}
+
+#[test]
+fn simulation_set_up_stays_within_its_allocation_budget() {
+    let config = SimConfig {
+        nodes: 1,
+        clients_per_node: 60,
+        store: StoreChoice::FastS,
+        rm: Some(RmConfig {
+            score_window: SimDuration::from_secs(90),
+            storm_limit: 3,
+            storm_backoff: SimDuration::from_secs(10),
+            flap_limit: 3,
+            flap_window: SimDuration::from_secs(300),
+            watchdog_bound: Some(SimDuration::from_secs(180)),
+            ..RmConfig::default()
+        }),
+        seed: 7,
+        ..SimConfig::default()
+    };
+    let measure = || {
+        let before = allocs();
+        let sim = Sim::new(config.clone());
+        let made = allocs() - before;
+        let rows = sim.world().nodes[0].db().borrow().row_count();
+        (made, rows)
+    };
+    // The first simulation a thread builds also fills once-per-thread and
+    // once-per-process tables (8 allocations); which test pays for the
+    // latter depends on the order the harness runs them in.
+    drop(Sim::new(config.clone()));
+    let (allocs, rows) = measure();
+    assert_eq!((allocs, rows), measure(), "same seed, same set-up");
+    assert!(rows > 15_000, "the default dataset: {rows}");
+    let per_row = allocs as f64 / rows as f64;
+    assert!(
+        per_row <= SETUP_BUDGET,
+        "{per_row:.2} allocations per dataset row ({allocs} over {rows}) exceeds {SETUP_BUDGET}"
+    );
+    println!("set-up allocations per dataset row: {per_row:.3} ({allocs} over {rows})");
 }

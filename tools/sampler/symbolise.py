@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Flat profile of a sampler.so run: self time per function, by `nm`.
+"""Profile of a sampler.so run: time per function, by `nm`.
 
-    symbolise.py BINARY SAMPLES [--under NAME] [--top N]
+    symbolise.py BINARY SAMPLES [--inclusive] [--under NAME] [--top N]
 
 BINARY is the profiled executable (built with frame pointers; a release
-build keeps its symbols unless stripped). `--under NAME` keeps only the
-samples with a caller whose name contains NAME (`run_until`: the
-simulation proper, without set-up). Each sample is charged to its leaf
-frame. A leaf in a shared library is named from the dynamic symbols when
+build keeps its symbols unless stripped). Read a profile whole-process
+and `--inclusive` first — every function ranked by the samples it is
+anywhere on the stack of, once per sample however often it recurses —
+which is the view that shows a layer whose cost is spread thinly over
+many leaves. `--under NAME` then keeps only the samples with a caller
+whose name contains NAME (`run_until`: the simulation proper, without
+set-up). Without `--inclusive` each sample is charged to its leaf frame
+alone. A leaf in a shared library is named from the dynamic symbols when
 it is inside an exported function (malloc, free), else by its library —
 and, when the word on top of the stack is a return address into BINARY,
 by that caller: `[libc.so.6] < NamingRegistry::resolve` is the memcmp
@@ -18,11 +22,16 @@ import bisect
 import collections
 import os
 import re
+import signal
 import subprocess
+
+# Piped into `head`, die of SIGPIPE as any filter does, not of a traceback.
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 args = argparse.ArgumentParser()
 args.add_argument("binary")
 args.add_argument("samples")
+args.add_argument("--inclusive", action="store_true")
 args.add_argument("--under")
 args.add_argument("--top", type=int, default=15)
 args = args.parse_args()
@@ -75,17 +84,21 @@ def name_of(pc):
     return "[unknown]", False
 
 
-flat = collections.Counter()
+ranked, total = collections.Counter(), 0
 for pc, top_of_stack, *callers in stacks:
-    caller, caller_in_binary = name_of(top_of_stack)
-    if args.under and not any(args.under in name_of(c)[0] for c in callers):
+    callers = [name_of(c)[0] for c in callers]
+    if args.under and not any(args.under in name for name in callers):
         continue
+    total += 1
     leaf, in_binary = name_of(pc)
-    if not in_binary and caller_in_binary:
-        leaf += " < " + caller
-    flat[leaf] += 1
-total = sum(flat.values())
+    caller, caller_in_binary = name_of(top_of_stack)
+    # A frameless library leaf: its caller is known only from that word.
+    through_library = not in_binary and caller_in_binary
+    if args.inclusive:
+        ranked.update({leaf, *callers, *([caller] if through_library else [])})
+    else:
+        ranked[leaf + " < " + caller if through_library else leaf] += 1
 print(f"{total} samples" + (f" under {args.under}" if args.under else "")
-      + f" of {len(stacks)}")
-for name, count in flat.most_common(args.top):
+      + f" of {len(stacks)}" + (", inclusive" if args.inclusive else ""))
+for name, count in ranked.most_common(args.top):
     print(f"{100 * count / total:5.1f} %  {count:6}  {name[:96]}")
