@@ -1,5 +1,5 @@
-//! Differential test of [`Database::load`] and the posting-list indexes
-//! against what they replaced.
+//! Differential tests of [`Database::load`], the posting-list indexes and
+//! the row store against what they replaced.
 //!
 //! `reference::Table` is one table as the database kept it before the
 //! bulk load: rows installed one at a time through `admit` + `replace`,
@@ -13,6 +13,16 @@
 //! table and into an indexed one in use — interleaved with transactional
 //! writes, rollbacks, injected corruption and repair; after every step the
 //! step's result, the rows and every query must agree.
+//!
+//! `reference::Rows` is the specification of the row store alone: a
+//! `BTreeMap` from primary key to row image that applies every write
+//! itself (it is not told what the database holds), so which keys are
+//! present, what a key reads, the largest key and the order of a scan are
+//! the map's word against the database's. Its second test drives both
+//! through the two kinds of traffic a table sees: eBid's — every insert at
+//! the largest key plus one, a rollback taking the newest inserts back —
+//! and anything-goes over a small dense key range with keys at the far
+//! ends of `i64` mixed in.
 
 use simcore::SimRng;
 use statestore::db::{Row, ScanHits, TableDef};
@@ -65,6 +75,7 @@ mod reference {
         }
 
         /// Checks a row offered for insertion, returning its primary key.
+        #[allow(clippy::or_fun_call)] // verbatim: the error built eagerly
         fn admit(&self, row: &[Value]) -> Result<i64, DbError> {
             let table = TABLE;
             let expected = COLUMNS.len();
@@ -130,6 +141,66 @@ mod reference {
                     self.replace(pk, Some(row.clone()));
                 }
             }
+        }
+    }
+
+    /// The row store, specified: the rows of one table in a `BTreeMap`, as
+    /// the database kept them before the ordered vector, every operation
+    /// answered from the map alone. The rows offered have the table's arity
+    /// and an integer key, so the errors left are the two about presence.
+    #[derive(Default)]
+    pub struct Rows {
+        pub rows: BTreeMap<i64, Row>,
+        /// The open transaction's writes, oldest first: the key and the
+        /// image it had before.
+        undo: Vec<(i64, Option<Row>)>,
+    }
+
+    impl Rows {
+        fn set(&mut self, pk: i64, new: Option<Row>) -> Option<Row> {
+            match new {
+                Some(row) => self.rows.insert(pk, row),
+                None => self.rows.remove(&pk),
+            }
+        }
+
+        /// A transactional insert (`Some`, refused when the key is
+        /// present), or update or delete (`Some` / `None`, refused when it
+        /// is absent).
+        pub fn write(&mut self, pk: i64, new: Option<Row>, insert: bool) -> Result<(), DbError> {
+            let table = TABLE.to_string();
+            match (insert, self.rows.contains_key(&pk)) {
+                (true, true) => Err(DbError::DuplicateKey { table, pk }),
+                (false, false) => Err(DbError::NoSuchRow { table, pk }),
+                _ => {
+                    let old = self.set(pk, new);
+                    self.undo.push((pk, old));
+                    Ok(())
+                }
+            }
+        }
+
+        pub fn commit(&mut self) {
+            self.undo.clear();
+        }
+
+        pub fn rollback(&mut self) {
+            while let Some((pk, old)) = self.undo.pop() {
+                self.set(pk, old);
+            }
+        }
+
+        /// Row at a time: stops at the first row whose key is present.
+        pub fn load(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<(), DbError> {
+            for row in rows {
+                let pk = row[0].as_int().unwrap();
+                if self.rows.contains_key(&pk) {
+                    let table = TABLE.to_string();
+                    return Err(DbError::DuplicateKey { table, pk });
+                }
+                self.set(pk, Some(row));
+            }
+            Ok(())
         }
     }
 }
@@ -342,4 +413,150 @@ fn bulk_load_and_posting_lists_match_the_row_at_a_time_reference() {
     }
     let [whole, stopped] = loads;
     assert!(whole > 1_000 && stopped > 1_000, "{whole} / {stopped}");
+}
+
+/// Keys far from the dense range and from each other: a lookup that
+/// subtracts one key from another overflows between them.
+const FAR_KEYS: [i64; 4] = [i64::MIN, -1 << 40, 1 << 40, i64::MAX];
+
+/// Holds the database against the row-store reference: the largest key,
+/// the length, every key present read back and every key next to one (or
+/// in and around the dense range, or far away) absent or present as the
+/// map says, and a scan in the map's order, whole and cut short.
+fn check_rows(db: &mut Database, model: &reference::Rows, limit: usize, at: &str) {
+    assert_eq!(
+        db.max_pk(TABLE).unwrap(),
+        model.rows.keys().next_back().copied(),
+        "{at}: max_pk"
+    );
+    assert_eq!(db.table_len(TABLE), Ok(model.rows.len()), "{at}: table_len");
+    let mut probes: Vec<i64> = (-6..14).chain(FAR_KEYS).collect();
+    for &pk in model.rows.keys() {
+        probes.extend([pk.saturating_sub(1), pk, pk.saturating_add(1)]);
+    }
+    for pk in probes {
+        let expected = model.rows.get(&pk);
+        assert_eq!(
+            db.contains(TABLE, pk),
+            expected.is_some(),
+            "{at}: contains {pk}"
+        );
+        let read = db.read_committed(TABLE, pk).unwrap();
+        assert_eq!(read.as_ref(), expected, "{at}: read {pk}");
+    }
+    for limit in [usize::MAX, limit] {
+        let mut visited = Vec::new();
+        let hits = db.scan_all(TABLE, limit, |r: &Row| visited.push(r.clone()));
+        assert!(
+            visited.iter().eq(model.rows.values().take(limit)),
+            "{at}: scan_all, limit {limit}: {visited:?}"
+        );
+        assert_eq!(hits.unwrap().rows, visited.len(), "{at}: scan_all hits");
+    }
+    assert_eq!(db.check_indexes(), Ok(()), "{at}");
+}
+
+#[test]
+fn row_store_matches_a_btreemap_under_append_only_and_mixed_traffic() {
+    // Inserts that landed above every key / below one, at a far key, and
+    // newest-first removals by rollback.
+    let (mut appended, mut placed, mut far, mut taken_back) = (0u32, 0u32, 0u32, 0u32);
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(0x5707_0000 + case);
+        let mut db = Database::new(vec![TableDef {
+            name: TABLE,
+            columns: COLUMNS,
+        }]);
+        let mut model = reference::Rows::default();
+        if case % 4 < 2 {
+            db.create_index(TABLE, 1).unwrap();
+        }
+        let conn = db.open_conn();
+        let mut txn = None;
+        // Even cases are eBid's traffic over a dataset loaded up front;
+        // odd ones anything, over `-4..12` and the far keys.
+        let append_only = case % 2 == 0;
+        if append_only {
+            let first = *rng.pick(&[1, -3, 1_000]).unwrap();
+            let dataset: Vec<Row> = (first..first + rng.uniform_u64(20) as i64)
+                .map(|pk| gen_row(&mut rng, pk))
+                .collect();
+            assert_eq!(db.load(TABLE, dataset.iter().cloned()), Ok(()));
+            model.load(dataset).unwrap();
+        }
+        let next_pk =
+            |model: &reference::Rows| model.rows.keys().next_back().map_or(1, |pk| pk + 1);
+
+        for step in 0..STEPS {
+            let at = format!("case {case} step {step}");
+            let pk = match rng.uniform_u64(5) {
+                _ if append_only => next_pk(&model),
+                0 => *rng.pick(&FAR_KEYS).unwrap(),
+                _ => gen_pk(&mut rng),
+            };
+            let held = model
+                .rows
+                .keys()
+                .nth(rng.uniform_usize(model.rows.len().max(1)));
+            // The key an update or a delete aims at: mostly a present one.
+            let aim = held
+                .copied()
+                .filter(|_| rng.uniform_u64(4) > 0)
+                .unwrap_or(pk);
+            let open = *txn.get_or_insert_with(|| db.begin(conn).unwrap());
+            match rng.uniform_u64(12) {
+                0..=3 => {
+                    let row = gen_row(&mut rng, pk);
+                    let above = model.rows.keys().next_back().is_none_or(|last| pk > *last);
+                    let got = db.insert(open, TABLE, row.clone());
+                    assert_eq!(got, model.write(pk, Some(row), true), "{at}: insert {pk}");
+                    if got.is_ok() {
+                        *(if above { &mut appended } else { &mut placed }) += 1;
+                        far += u32::from(FAR_KEYS.contains(&pk));
+                    }
+                }
+                4 | 5 => {
+                    let cell = gen_cell(&mut rng);
+                    let patched = model.rows.get(&aim).map(|old| {
+                        let mut cells = old.to_vec();
+                        cells[2] = cell.clone();
+                        Row::from(cells)
+                    });
+                    let got = db.update(open, TABLE, aim, &[(2, cell)]);
+                    assert_eq!(got, model.write(aim, patched, false), "{at}: update {aim}");
+                }
+                6 if !append_only => {
+                    let got = db.delete(open, TABLE, aim);
+                    assert_eq!(got, model.write(aim, None, false), "{at}: delete {aim}");
+                }
+                7 => {
+                    db.commit(txn.take().unwrap()).unwrap();
+                    model.commit();
+                }
+                8 | 9 => {
+                    let before = model.rows.len();
+                    db.rollback(txn.take().unwrap()).unwrap();
+                    model.rollback();
+                    taken_back += before.saturating_sub(model.rows.len()) as u32;
+                }
+                _ => {
+                    // A batch as drawn (any order, may repeat or collide),
+                    // or, append-only, one that follows the last key.
+                    let len = rng.uniform_u64(5) as i64;
+                    let pks: Vec<i64> = match append_only {
+                        true => (pk..pk + len).collect(),
+                        false => (0..len).map(|_| gen_pk(&mut rng)).chain([pk]).collect(),
+                    };
+                    let batch: Vec<Row> = pks.iter().map(|&pk| gen_row(&mut rng, pk)).collect();
+                    let got = db.load(TABLE, batch.iter().cloned());
+                    assert_eq!(got, model.load(batch), "{at}: load {pks:?}");
+                }
+            }
+            check_rows(&mut db, &model, rng.uniform_usize(6), &at);
+        }
+    }
+    assert!(
+        appended > 2_000 && placed > 500 && far > 100 && taken_back > 500,
+        "{appended} / {placed} / {far} / {taken_back}"
+    );
 }
