@@ -12,8 +12,8 @@ cargo test --workspace -q
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call"
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call
 
 echo "==> urb-lint --deny-all (determinism + state-safety + pragma-hygiene gate, timed)"
 # The item-model layer must not regress CI latency: the whole-workspace
@@ -69,7 +69,8 @@ CARGO_TARGET_DIR=target/benchmark benchmark/run.sh --quick > /dev/null
 
 echo "==> tools/sampler: the profiler DESIGN.md §9's stop rule depends on compiles clean and reads a profile"
 # One second of chaos_ladder_1n under the preload library, then the
-# whole-process inclusive view: it must exit 0 and name the event loop.
+# whole-process inclusive view and the per-layer one: each must exit 0
+# and name the event loop, by function and by module.
 # (This urbmark has no frame pointers, so stacks are one frame deep and
 # run_until is named by the ~10 of ~300 samples that land in its own
 # code; a real profile needs the RUSTFLAGS build, EXPERIMENTS.md.)
@@ -81,7 +82,11 @@ if command -v cc > /dev/null; then
     > target/ci.profile
   grep -q run_until target/ci.profile \
     || { echo "the inclusive profile does not name run_until:" >&2; head target/ci.profile >&2; exit 1; }
-  echo "    $(head -n 1 target/ci.profile); run_until named"
+  tools/sampler/symbolise.py target/benchmark/release/urbmark target/ci.samples --layers --top 1000 \
+    > target/ci.layers
+  grep -q 'simcore::event' target/ci.layers \
+    || { echo "the per-layer profile does not name simcore::event:" >&2; head target/ci.layers >&2; exit 1; }
+  echo "    $(head -n 1 target/ci.profile); run_until named; by layer:$(grep -m 1 'simcore::event' target/ci.layers)"
 else
   echo "    skipped: no cc on this box"
 fi

@@ -92,8 +92,8 @@ pub(super) fn run() -> Result<(), String> {
             if in_window {
                 ts.row_owned(vec![
                     format!("{s}"),
-                    r.map(|v| format!("{v:.0}")).unwrap_or("-".into()),
-                    u.map(|v| format!("{v:.0}")).unwrap_or("-".into()),
+                    r.map_or_else(|| "-".into(), |v| format!("{v:.0}")),
+                    u.map_or_else(|| "-".into(), |v| format!("{v:.0}")),
                 ]);
             }
         }

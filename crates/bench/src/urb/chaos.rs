@@ -254,7 +254,7 @@ fn run_line(policy: Option<PolicyChoice>, s: &Scenario, out: &RunOutcome) -> Str
     line += &format!("run {:>4}  {:<48}  ", s.run, describe(s));
     line += &format!("downtime {:>7} ms  ", out.downtime_ms);
     if let Some(p) = out.perf {
-        let ms = |v: Option<u64>| v.map_or("-".into(), |v| v.to_string());
+        let ms = |v: Option<u64>| v.map_or_else(|| "-".into(), |v| v.to_string());
         line += &format!(
             "detect {:>6} ms  parity {:>7} ms  depth {:<15}  ",
             ms(p.detection_latency_ms),

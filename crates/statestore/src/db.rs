@@ -176,12 +176,69 @@ pub struct TableDef {
 #[derive(Clone, Debug)]
 struct Table {
     def: TableDef,
-    rows: BTreeMap<i64, Row>,
+    rows: Rows,
     /// Pre-corruption images of tainted rows, keyed by pk; presence marks
     /// the row as corrupted by out-of-band injection.
     tainted: BTreeMap<i64, Row>,
     /// Secondary indexes, per indexed column.
     indexes: Vec<(usize, Index)>,
+}
+
+/// A table's rows in one vector, ascending by primary key.
+///
+/// The keys a table sees are close to `first, first + 1, …`: a dataset is
+/// generated that way, eBid's key generator hands out the largest key plus
+/// one, and eBid deletes nothing. So a lookup tries the place the key has
+/// when none is missing below it before it searches, and an insert above
+/// the last key, or its rollback, touches the end of the vector alone. An
+/// insert or delete elsewhere shifts the rows above it: O(n), which only
+/// tests on small tables meet.
+#[derive(Clone, Debug, Default)]
+struct Rows(Vec<(i64, Row)>);
+
+impl Rows {
+    /// Where `pk` is, or (`Err`) where it would go.
+    fn find(&self, pk: i64) -> Result<usize, usize> {
+        let rows = &self.0;
+        // Wraps to out of range, or to some other key's place, when `pk`
+        // is below the first key or farther from it than an `i64` holds.
+        let first = rows.first().map_or(pk, |first| first.0);
+        let dense = pk.wrapping_sub(first) as usize;
+        match (rows.get(dense), rows.last()) {
+            (Some(row), _) if row.0 == pk => Ok(dense),
+            (_, Some(last)) if pk <= last.0 => rows.binary_search_by_key(&pk, |row| row.0),
+            _ => Err(rows.len()),
+        }
+    }
+
+    fn get(&self, pk: i64) -> Option<&Row> {
+        self.find(pk).ok().map(|at| &self.0[at].1)
+    }
+
+    /// Installs `new` as the image of row `pk` (`None` removes the row) and
+    /// returns the previous image.
+    fn set(&mut self, pk: i64, new: Option<Row>) -> Option<Row> {
+        match (self.find(pk), new) {
+            (Ok(at), Some(row)) => return Some(std::mem::replace(&mut self.0[at].1, row)),
+            (Ok(at), None) => return Some(self.0.remove(at).1),
+            (Err(at), Some(row)) => self.0.insert(at, (pk, row)),
+            (Err(_), None) => {}
+        }
+        None
+    }
+
+    /// Takes in `batch`: ascending and not empty, no key of it present.
+    fn merge(&mut self, mut batch: Vec<(i64, Row)>) {
+        let follows = self.0.last().is_none_or(|last| last.0 < batch[0].0);
+        if self.0.is_empty() {
+            std::mem::swap(&mut self.0, &mut batch); // keep its allocation
+        }
+        self.0.append(&mut batch);
+        if !follows {
+            // Two ascending runs, which is what the stable sort merges.
+            self.0.sort_by_key(|row| row.0);
+        }
+    }
 }
 
 /// A secondary index as posting lists: per integer cell value present in
@@ -203,9 +260,9 @@ type Index = BTreeMap<i64, Vec<i64>>;
 /// pairs groups them. Either way the map is built from sorted input and a
 /// list is allocated once, with half its length of room to grow: a list
 /// built full reallocates on the first insert the request path makes.
-fn build_index(rows: &BTreeMap<i64, Row>, column: usize) -> Index {
-    let cell_and_pk = |(pk, row): (&i64, &Row)| row[column].as_int().map(|cell| (cell, *pk));
-    let mut pairs: Vec<(i64, i64)> = rows.iter().filter_map(cell_and_pk).collect();
+fn build_index(rows: &Rows, column: usize) -> Index {
+    let cell_and_pk = |(pk, row): &(i64, Row)| row[column].as_int().map(|cell| (cell, *pk));
+    let mut pairs: Vec<(i64, i64)> = rows.0.iter().filter_map(cell_and_pk).collect();
     let cells = || pairs.iter().map(|pair| pair.0);
     let (Some(min), Some(max)) = (cells().min(), cells().max()) else {
         return Index::new();
@@ -244,7 +301,7 @@ impl Table {
     /// leaves. Between them they keep the indexes equal to the rows.
     fn replace(&mut self, pk: i64, new: Option<Row>) -> Option<Row> {
         if !self.indexes.is_empty() {
-            let old = self.rows.get(&pk);
+            let old = self.rows.get(pk);
             for (col, index) in &mut self.indexes {
                 let was = old.and_then(|r| r[*col].as_int());
                 let is = new.as_ref().and_then(|r| r[*col].as_int());
@@ -265,10 +322,7 @@ impl Table {
                 }
             }
         }
-        match new {
-            Some(row) => self.rows.insert(pk, row),
-            None => self.rows.remove(&pk),
-        }
+        self.rows.set(pk, new)
     }
 
     fn no_such_row(&self, pk: i64) -> DbError {
@@ -281,7 +335,7 @@ impl Table {
     /// A new image of row `pk` with every `(column, value)` of `updates`
     /// written over it in order; the columns are in range.
     fn patched(&self, pk: i64, updates: &[(usize, Value)]) -> Result<Row, DbError> {
-        let old = self.rows.get(&pk).ok_or_else(|| self.no_such_row(pk))?;
+        let old = self.rows.get(pk).ok_or_else(|| self.no_such_row(pk))?;
         let cell = |(i, v)| updates.iter().rfind(|u| u.0 == i).map_or(v, |u| &u.1);
         Ok(old.iter().enumerate().map(cell).cloned().collect())
     }
@@ -297,10 +351,10 @@ impl Table {
                 got: row.len(),
             });
         }
-        let pk = row[0].as_int().ok_or(DbError::NullKey {
+        let pk = row[0].as_int().ok_or_else(|| DbError::NullKey {
             table: table.to_string(),
         })?;
-        if self.rows.contains_key(&pk) {
+        if self.rows.find(pk).is_ok() {
             return Err(DbError::DuplicateKey {
                 table: table.to_string(),
                 pk,
@@ -432,7 +486,7 @@ impl Database {
             assert!(!duplicate, "duplicate table name {}", def.name);
             tables.push(Table {
                 def,
-                rows: BTreeMap::new(),
+                rows: Rows::default(),
                 tainted: BTreeMap::new(),
                 indexes: Vec::new(),
             });
@@ -455,12 +509,12 @@ impl Database {
 
     /// Returns the total number of committed rows across all tables.
     pub fn row_count(&self) -> usize {
-        self.tables.iter().map(|t| t.rows.len()).sum()
+        self.tables.iter().map(|t| t.rows.0.len()).sum()
     }
 
     /// Returns the number of rows in one table.
     pub fn table_len(&self, table: impl TableRef) -> Result<usize, DbError> {
-        Ok(self.table(table)?.rows.len())
+        Ok(self.table(table)?.rows.0.len())
     }
 
     fn table(&self, table: impl TableRef) -> Result<&Table, DbError> {
@@ -631,7 +685,7 @@ impl Database {
 
     /// Reads a committed row without a transaction (read-only access path).
     pub fn read_committed(&self, table: impl TableRef, pk: i64) -> Result<Option<Row>, DbError> {
-        Ok(self.table(table)?.rows.get(&pk).cloned())
+        Ok(self.table(table)?.rows.get(pk).cloned())
     }
 
     /// Reads a row — through `txn` as [`Database::read`] does, or without
@@ -650,14 +704,12 @@ impl Database {
             self.stats.reads += 1;
         }
         let t = self.table(table)?;
-        Ok((t.rows.get(&pk).cloned(), t.tainted.contains_key(&pk)))
+        Ok((t.rows.get(pk).cloned(), t.tainted.contains_key(&pk)))
     }
 
     /// Returns true if `table` exists and holds a row with key `pk`.
     pub fn contains(&self, table: impl TableRef, pk: i64) -> bool {
-        self.table(table)
-            .map(|t| t.rows.contains_key(&pk))
-            .unwrap_or(false)
+        self.table(table).is_ok_and(|t| t.rows.find(pk).is_ok())
     }
 
     /// Updates the given `(column, value)` pairs of a row.
@@ -695,7 +747,7 @@ impl Database {
     /// Deletes a row.
     pub fn delete(&mut self, txn: TxnId, table: impl TableRef, pk: i64) -> Result<(), DbError> {
         let ti = table.resolve(self)?;
-        if !self.tables[ti].rows.contains_key(&pk) {
+        if self.tables[ti].rows.find(pk).is_err() {
             return Err(self.tables[ti].no_such_row(pk));
         }
         self.lock(txn, ti, pk)?;
@@ -727,13 +779,8 @@ impl Database {
         F: Fn(&Row) -> bool,
     {
         let t = self.table(table)?;
-        let out: Vec<Row> = t
-            .rows
-            .values()
-            .filter(|r| filter(r))
-            .take(limit)
-            .cloned()
-            .collect();
+        let rows = t.rows.0.iter().map(|(_, row)| row);
+        let out: Vec<Row> = rows.filter(|r| filter(r)).take(limit).cloned().collect();
         self.stats.reads += out.len() as u64 + 1;
         Ok(out)
     }
@@ -763,7 +810,7 @@ impl Database {
                     for &pk in list {
                         t.hit(&mut hits, pk);
                         if V::WANTS_ROWS {
-                            visit.visit(&t.rows[&pk]);
+                            visit.visit(t.rows.get(pk).expect("a listed row is present"));
                         }
                     }
                 } else {
@@ -771,10 +818,8 @@ impl Database {
                 }
             }
             None => {
-                let matches = t
-                    .rows
-                    .iter()
-                    .filter(|(_, r)| r[column].as_int() == Some(value));
+                let rows = t.rows.0.iter();
+                let matches = rows.filter(|(_, r)| r[column].as_int() == Some(value));
                 for (pk, row) in matches.take(limit) {
                     t.hit(&mut hits, *pk);
                     visit.visit(row);
@@ -796,12 +841,12 @@ impl Database {
         let t = self.table(table)?;
         let mut hits = ScanHits::default();
         if V::WANTS_ROWS || !t.tainted.is_empty() {
-            for (pk, row) in t.rows.iter().take(limit) {
+            for (pk, row) in t.rows.0.iter().take(limit) {
                 t.hit(&mut hits, *pk);
                 visit.visit(row);
             }
         } else {
-            hits.rows = t.rows.len().min(limit);
+            hits.rows = t.rows.0.len().min(limit);
         }
         self.stats.reads += hits.rows as u64 + 1;
         Ok(hits)
@@ -848,8 +893,8 @@ impl Database {
     /// table and the rows of the batch before it; those rows stay loaded.
     ///
     /// The batch is installed as a whole, not row by row: checked in one
-    /// pass, sorted by primary key, merged into the table by the map's
-    /// bulk builder, and the table's indexes rebuilt from the rows it then
+    /// pass, sorted by primary key, handed to the row store as one
+    /// ascending run, and the table's indexes rebuilt from the rows it then
     /// holds — an index is a function of the rows, so it is equal to the
     /// one row-at-a-time maintenance would have left.
     pub fn load(
@@ -885,8 +930,8 @@ impl Database {
             });
         }
         if !batch.is_empty() {
-            let mut sorted = batch.into_iter().map(|(pk, _, row)| (pk, row)).collect();
-            t.rows.append(&mut sorted);
+            let sorted = batch.into_iter().map(|(pk, _, row)| (pk, row));
+            t.rows.merge(sorted.collect());
             for (col, index) in &mut t.indexes {
                 *index = build_index(&t.rows, *col);
             }
@@ -896,7 +941,7 @@ impl Database {
 
     /// Returns the largest primary key in `table`, or `None` when empty.
     pub fn max_pk(&self, table: impl TableRef) -> Result<Option<i64>, DbError> {
-        Ok(self.table(table)?.rows.keys().next_back().copied())
+        Ok(self.table(table)?.rows.0.last().map(|last| last.0))
     }
 
     // ---- crash model -------------------------------------------------
@@ -956,8 +1001,8 @@ impl Database {
     ) -> Result<(), DbError> {
         let ti = table.resolve(self)?;
         let t = &mut self.tables[ti];
-        let old_a = t.rows.get(&a).cloned().ok_or_else(|| t.no_such_row(a))?;
-        let old_b = t.rows.get(&b).cloned().ok_or_else(|| t.no_such_row(b))?;
+        let old_a = t.rows.get(a).cloned().ok_or_else(|| t.no_such_row(a))?;
+        let old_b = t.rows.get(b).cloned().ok_or_else(|| t.no_such_row(b))?;
         let key_with = |key: &Row, rest: &Row| -> Row {
             key.iter().take(1).chain(&rest[1..]).cloned().collect()
         };
@@ -981,7 +1026,7 @@ impl Database {
     pub fn taint_row(&mut self, table: impl TableRef, pk: i64) -> Result<(), DbError> {
         let ti = table.resolve(self)?;
         let t = &mut self.tables[ti];
-        let image = t.rows.get(&pk).cloned().ok_or_else(|| t.no_such_row(pk))?;
+        let image = t.rows.get(pk).cloned().ok_or_else(|| t.no_such_row(pk))?;
         t.tainted.entry(pk).or_insert(image);
         Ok(())
     }
@@ -1316,6 +1361,41 @@ mod tests {
             db.create_index("users", 3).unwrap_err(),
             DbError::NoSuchColumn { .. }
         ));
+    }
+
+    #[test]
+    fn rows_stay_in_key_order_wherever_they_are_written() {
+        let (mut db, conn) = db_with_alice(); // key 1
+        let row = |pk: i64| vec![Value::Int(pk), Value::from("u"), Value::Int(pk)];
+        let keys = |db: &mut Database| {
+            let rows = db.scan("users", |_| true, usize::MAX).unwrap();
+            rows.iter()
+                .map(|r| r[0].as_int().unwrap())
+                .collect::<Vec<_>>()
+        };
+        let txn = db.begin(conn).unwrap();
+        // Above the last key, below the first, between two; an interleaving batch.
+        for pk in [10, 20, -5, 15] {
+            db.insert(txn, "users", row(pk)).unwrap();
+        }
+        db.load("users", [12, 30, -9].map(row)).unwrap();
+        assert_eq!(keys(&mut db), [-9, -5, 1, 10, 12, 15, 20, 30]);
+        // Absent: in a gap, in the place of another key, beyond both ends.
+        for pk in [11, -7, -10, 31, i64::MIN, i64::MAX] {
+            assert_eq!(db.read(txn, "users", pk), Ok(None), "{pk}");
+        }
+        // The first, a middle and the last row deleted, then put back.
+        for pk in [-9, 12, 30] {
+            db.delete(txn, "users", pk).unwrap();
+        }
+        assert_eq!(keys(&mut db), [-5, 1, 10, 15, 20]);
+        assert_eq!(db.max_pk("users"), Ok(Some(20)));
+        for pk in [12, 30, -9] {
+            db.insert(txn, "users", row(pk)).unwrap();
+            let read = db.read(txn, "users", pk).unwrap().unwrap();
+            assert_eq!(read[2], Value::Int(pk));
+        }
+        assert_eq!(keys(&mut db), [-9, -5, 1, 10, 12, 15, 20, 30]);
     }
 
     #[test]

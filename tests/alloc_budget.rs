@@ -20,29 +20,34 @@ use microreboot::simcore::telemetry::{shared_bus, TraceHashSink};
 use microreboot::simcore::{MetricsRegistry, SimDuration, SimTime};
 
 /// Allocations per issued request the steady request path may make on
-/// FastS. Measured 1.87 when the budget was set (5.17 before rows became
-/// shared `Rc` images and `touched` / `pump` stopped building a `Vec` per
-/// request, 9.29 before session objects became copy-on-write, 11.64 before
-/// the client pool and the Taw tracker stopped building a `Vec` per wake
-/// and per action, 34.02 before database queries stopped copying rows).
-/// The 15 % of headroom is for the path to grow a feature, not to absorb a
-/// per-request `Vec` or `clone` that crept back in.
-const FASTS_BUDGET: f64 = 2.15;
+/// FastS. Measured 1.694 (14,567 over 8,600 requests) when the budget was
+/// set — 1.83 while every insert built, and dropped, the `String` of a
+/// `NullKey` error it did not return and a table's rows were a `BTreeMap`
+/// growing a node at a time; 5.17 before rows became shared `Rc` images,
+/// 9.29 before session objects became copy-on-write, 34.02 before
+/// database queries stopped copying rows. The 15 % of headroom is for the
+/// path to grow a feature, not to absorb a per-request `Vec`, `clone` or
+/// eagerly built error that crept back in.
+const FASTS_BUDGET: f64 = 1.95;
 
 /// The same on SSM, where a logged-in request also marshals its session
-/// and every write reaches three bricks. Measured 2.56 when the budget was
-/// set (5.86 with copied rows, 11.82 while each brick held its own deep
+/// and every write reaches three bricks. Measured 2.396 (40,704 over
+/// 16,989) when the budget was set (2.53 with the eager error and the row
+/// tree, 5.86 with copied rows, 11.82 while each brick held its own deep
 /// copy).
-const SSM_BUDGET: f64 = 2.94;
+const SSM_BUDGET: f64 = 2.76;
 
 /// Allocations per dataset row that building a simulation (`Sim::new`:
 /// the 17,352-row dataset and its seven indexes, one server, 60 clients,
-/// the hardened recovery manager) may make. Measured 2.34 when the budget
-/// was set (40,575 allocations; 2.48 — 43,011 — while `load` installed a
-/// row at a time and an index was a `BTreeSet` of pairs). One per row is
-/// the row image itself; the headroom is for set-up to grow a feature,
-/// not for a per-row copy or a map built by insertion to creep back in.
-const SETUP_BUDGET: f64 = 2.69;
+/// the hardened recovery manager) may make. Measured 1.246 (21,627) when
+/// the budget was set: one per row is the row image itself, the rest the
+/// text cells, the posting lists and everything that is not the dataset.
+/// It was 2.34 (40,575) while admitting a row built the `NullKey` error's
+/// `String` whether or not the key was null — one allocation per row, the
+/// whole difference but 1,600 tree nodes — and 2.48 while `load` installed
+/// a row at a time. The headroom is for set-up to grow a feature, not for
+/// a second allocation per row to creep back in.
+const SETUP_BUDGET: f64 = 1.43;
 
 struct CountingAlloc;
 
