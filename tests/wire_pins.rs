@@ -17,21 +17,31 @@ use microreboot::faults::campaign::{
 use microreboot::faults::Fault;
 use microreboot::recovery::RmConfig;
 use microreboot::simcore::telemetry::{shared_bus, TraceHashSink};
-use microreboot::simcore::SimTime;
+use microreboot::simcore::{MetricsRegistry, SimTime};
 use microreboot::statestore::db::Row;
 use microreboot::statestore::TableId;
 
+/// What [`two_minutes`] leaves behind: the finished simulation and the two
+/// sinks it had on its bus.
+struct Run {
+    sim: Sim,
+    hash: Rc<RefCell<TraceHashSink>>,
+    registry: Rc<RefCell<MetricsRegistry>>,
+}
+
 /// Runs two simulated minutes with a mid-run fault and an RM-driven
-/// recovery, hashing every telemetry event; returns (digest, count).
-fn trace_hash(seed: u64) -> (u64, u64) {
+/// recovery, with a trace hash and a metrics registry on the bus.
+fn two_minutes(seed: u64) -> Run {
     let mut sim = Sim::new(SimConfig {
         seed,
         rm: Some(RmConfig::default()),
         ..SimConfig::default()
     });
     let bus = shared_bus();
-    let sink = Rc::new(RefCell::new(TraceHashSink::new()));
-    bus.borrow_mut().add_sink(Box::new(sink.clone()));
+    let hash = Rc::new(RefCell::new(TraceHashSink::new()));
+    let registry = Rc::new(RefCell::new(MetricsRegistry::new()));
+    bus.borrow_mut().add_sink(Box::new(hash.clone()));
+    bus.borrow_mut().add_sink(Box::new(registry.clone()));
     sim.attach_telemetry(bus);
     sim.schedule_fault(
         SimTime::from_mins(1),
@@ -42,8 +52,60 @@ fn trace_hash(seed: u64) -> (u64, u64) {
         },
     );
     sim.run_until(SimTime::from_mins(2));
-    let digest = (sink.borrow().value(), sink.borrow().count());
+    Run {
+        sim,
+        hash,
+        registry,
+    }
+}
+
+/// Hashes every telemetry event of [`two_minutes`]; returns (digest, count).
+fn trace_hash(seed: u64) -> (u64, u64) {
+    let hash = two_minutes(seed).hash;
+    let digest = (hash.borrow().value(), hash.borrow().count());
     digest
+}
+
+/// FNV-1a 64 over every registry a [`two_minutes`] run keeps — the bus's,
+/// then each node's, then the RM's: the `name=value` lines of
+/// `counters()`, then `reboot_ms` as `(count, mean in µs)`. Moves if a
+/// counter's value moves, or a counter appears in or drops out of the list.
+fn registry_hash(seed: u64) -> u64 {
+    let run = two_minutes(seed);
+    let world = run.sim.world();
+    let bus = run.registry.borrow();
+    let registries = std::iter::once(&*bus)
+        .chain(world.nodes.iter().map(|node| node.metrics()))
+        .chain(world.rm.iter().map(|rm| rm.metrics()));
+    let mut text = String::new();
+    for reg in registries {
+        for (name, value) in reg.counters() {
+            text += &format!("{name}={value}\n");
+        }
+        let reboots = reg.histogram("reboot_ms").expect("reboot_ms is registered");
+        text += &format!(
+            "reboot_ms=({}, {})\n",
+            reboots.count(),
+            reboots.mean().as_micros()
+        );
+    }
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for b in text.bytes() {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Recorded before the registry lost its series, client-latency histogram
+/// and sketch and its name side maps: what the registries count, and how
+/// long their reboots took, is what every report reads.
+#[test]
+fn metrics_registries_reproduce_the_pinned_counters() {
+    assert_eq!(
+        [7, 11].map(|seed| format!("{:016x}", registry_hash(seed))),
+        ["c44bf5fc6e430941", "06bb5676e5963f15"],
+        "a registry counter or the reboot_ms accumulator moved"
+    );
 }
 
 /// The exact digests recorded before the kernel-speed refactor
