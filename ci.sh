@@ -28,9 +28,10 @@ if [ "$lint_ms" -gt 5000 ]; then
   exit 1
 fi
 
-echo "==> size (reported, not gated): the two counters ROADMAP tracks per PR"
+echo "==> size (reported, not gated): the counters ROADMAP tracks per PR"
 rs_files=$(find crates src tests examples -name '*.rs')
 echo "    workspace .rs lines: $(echo "$rs_files" | xargs cat | wc -l)"
+echo "    crates/*/src lines:  $(find crates/*/src -name '*.rs' | xargs cat | wc -l)"
 echo "    public items:        $(echo "$rs_files" | grep -v fixtures/ \
   | xargs grep -hE '^\s*pub (fn|struct|enum|trait|const|type|static|mod) ' | wc -l)"
 

@@ -21,21 +21,20 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use super::{recovered_run, HOT_FAULT};
-use crate::report::{banner, ratio, Table, TelemetrySummary};
+use crate::report::{banner, print_telemetry, ratio, Table};
 use cluster::SimConfig;
 use faults::Fault;
 use recovery::PolicyLevel;
 use simcore::telemetry::shared_bus;
+use simcore::MetricsRegistry;
 use statestore::session::CorruptKind;
 use workload::TawSummary;
 
 /// Runs the 40-minute scenario; returns (summary, per-10s bad series,
 /// recovery count, telemetry fold).
-fn measure(
-    start_level: PolicyLevel,
-) -> (TawSummary, Vec<(u64, f64, f64)>, usize, TelemetrySummary) {
+fn measure(start_level: PolicyLevel) -> (TawSummary, Vec<(u64, f64, f64)>, usize, MetricsRegistry) {
     let bus = shared_bus();
-    let telemetry = Rc::new(RefCell::new(TelemetrySummary::default()));
+    let telemetry = Rc::new(RefCell::new(MetricsRegistry::new()));
     bus.borrow_mut().add_sink(Box::new(telemetry.clone()));
     let faults = [
         (
@@ -173,7 +172,7 @@ pub(super) fn run() -> Result<(), String> {
     }
     series_t.print();
 
-    restart_telemetry.print("Telemetry fold — process-restart run:");
-    urb_telemetry.print("Telemetry fold — microreboot run:");
+    print_telemetry(&restart_telemetry, "Telemetry fold — process-restart run:");
+    print_telemetry(&urb_telemetry, "Telemetry fold — microreboot run:");
     Ok(())
 }

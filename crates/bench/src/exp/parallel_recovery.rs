@@ -21,21 +21,21 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use super::recovered_run;
-use crate::report::{banner, ratio, JsonReport, Table, TelemetrySummary};
+use crate::report::{banner, print_telemetry, ratio, JsonReport, Table};
 use cluster::{LogEvent, SimConfig};
 use faults::Fault;
 use recovery::conductor::ConductorConfig;
 use recovery::{PolicyLevel, RmConfig};
 use simcore::telemetry::shared_bus;
 use simcore::trace::{Trace, TraceRecorder};
-use simcore::{SimDuration, SimTime};
+use simcore::{MetricsRegistry, SimDuration, SimTime};
 use workload::TawSummary;
 
 const FAULTED: [&str; 3] = ["BrowseCategories", "BrowseRegions", "SearchItemsByCategory"];
 
 struct Arm {
     taw: TawSummary,
-    telemetry: TelemetrySummary,
+    telemetry: MetricsRegistry,
     /// Per-recovery (started, finished) intervals.
     intervals: Vec<(SimTime, SimTime)>,
     /// The arm's full telemetry trace (written to `target/TRACE_*.jsonl`).
@@ -61,7 +61,7 @@ fn measure(conducted: bool) -> Arm {
         ..SimConfig::default()
     };
     let bus = shared_bus();
-    let telemetry = Rc::new(RefCell::new(TelemetrySummary::default()));
+    let telemetry = Rc::new(RefCell::new(MetricsRegistry::new()));
     bus.borrow_mut().add_sink(Box::new(telemetry.clone()));
     let recorder = Rc::new(RefCell::new(TraceRecorder::new()));
     bus.borrow_mut().add_sink(Box::new(recorder.clone()));
@@ -204,8 +204,8 @@ pub(super) fn run() -> Result<(), String> {
         100.0 * (c_union.as_millis_f64() - c_max.as_millis_f64()) / c_max.as_millis_f64()
     );
 
-    serial.telemetry.print("serialized telemetry");
-    conducted.telemetry.print("conducted telemetry");
+    print_telemetry(&serial.telemetry, "serialized telemetry");
+    print_telemetry(&conducted.telemetry, "conducted telemetry");
 
     // Full JSONL traces for `urb trace` inspection, plus the
     // machine-readable BENCH report accumulating the perf trajectory.

@@ -1,11 +1,10 @@
-//! Plain-text table formatting for experiment reports, plus a
-//! [`TelemetrySummary`] sink — a thin view over a
-//! [`simcore::metrics::MetricsRegistry`] — that folds the cross-crate
-//! telemetry stream into per-kind counters for the experiment printouts,
-//! and a [`JsonReport`] writer that emits machine-readable
+//! Plain-text table formatting for experiment reports, the telemetry
+//! table an experiment prints from a [`MetricsRegistry`] it kept on the
+//! bus, and a [`JsonReport`] writer that emits machine-readable
 //! `BENCH_<exp>.json` files next to the text tables.
 
-use simcore::telemetry::{RebootLevel, TelemetryEvent, TelemetrySink};
+use simcore::metrics::{reboot_begun_sym, reboot_finished_sym};
+use simcore::telemetry::RebootLevel;
 use simcore::MetricsRegistry;
 
 /// A simple aligned-column table printer.
@@ -82,67 +81,40 @@ impl Table {
     }
 }
 
-/// Folds the telemetry stream into per-kind counters.
-///
-/// Attach one (behind `Rc<RefCell<..>>`) to a [`simcore::telemetry::TelemetryBus`]
-/// to get an experiment-wide view of what every layer emitted — requests,
-/// kills, reboots by level, detector fires and recovery decisions — without
-/// reaching into any component's private stats. Since the registry refactor
-/// this is a *view* over the canonical [`MetricsRegistry`] fold: the sink
-/// delegates to the registry and the printed rows are named-counter reads.
-#[derive(Clone, Debug, Default)]
-pub struct TelemetrySummary {
-    registry: MetricsRegistry,
-}
-
-impl TelemetrySummary {
-    /// The backing registry (histograms, gauges and series included).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+/// Prints what a run's registry counted, as a titled two-column table.
+pub(crate) fn print_telemetry(reg: &MetricsRegistry, title: &str) {
+    let count = |counter: &str| reg.counter(counter).to_string();
+    let reboots = |level: RebootLevel| {
+        let begun = reg.counter_sym(reboot_begun_sym(level));
+        let finished = reg.counter_sym(reboot_finished_sym(level));
+        format!("{begun} begun / {finished} finished")
+    };
+    let rows = [
+        ("requests submitted", count("requests_submitted")),
+        ("requests completed", count("requests_completed")),
+        ("retries sent", count("retries_sent")),
+        ("requests killed", count("requests_killed")),
+        ("microreboots", reboots(RebootLevel::Component)),
+        ("app restarts", reboots(RebootLevel::Application)),
+        ("process restarts", reboots(RebootLevel::Process)),
+        ("OS reboots", reboots(RebootLevel::OperatingSystem)),
+        ("detector reports", count("detector_fires")),
+        ("recovery decisions", count("recovery_decisions")),
+        ("rejuvenation ticks", count("rejuvenation_ticks")),
+        ("client ops", count("client_ops")),
+        ("actions closed", count("actions_closed")),
+        ("recoveries queued", count("recoveries_queued")),
+        ("recoveries coalesced", count("recoveries_coalesced")),
+        ("quarantines", count("quarantine_on")),
+        ("LB failovers", count("lb_failovers")),
+        ("TTL sweeps", count("ttl_sweeps")),
+    ];
+    println!("\n{title}");
+    let mut t = Table::new(&["telemetry", "count"]);
+    for (label, value) in rows {
+        t.row_owned(vec![label.into(), value]);
     }
-
-    /// Prints the summary as a titled two-column table.
-    pub fn print(&self, title: &str) {
-        let reg = &self.registry;
-        let count = |counter: &str| reg.counter(counter).to_string();
-        let reboots = |level: RebootLevel| {
-            let begun = reg.counter_sym(simcore::metrics::reboot_begun_sym(level));
-            let finished = reg.counter_sym(simcore::metrics::reboot_finished_sym(level));
-            format!("{begun} begun / {finished} finished")
-        };
-        let rows = [
-            ("requests submitted", count("requests_submitted")),
-            ("requests completed", count("requests_completed")),
-            ("retries sent", count("retries_sent")),
-            ("requests killed", count("requests_killed")),
-            ("microreboots", reboots(RebootLevel::Component)),
-            ("app restarts", reboots(RebootLevel::Application)),
-            ("process restarts", reboots(RebootLevel::Process)),
-            ("OS reboots", reboots(RebootLevel::OperatingSystem)),
-            ("detector reports", count("detector_fires")),
-            ("recovery decisions", count("recovery_decisions")),
-            ("rejuvenation ticks", count("rejuvenation_ticks")),
-            ("client ops", count("client_ops")),
-            ("actions closed", count("actions_closed")),
-            ("recoveries queued", count("recoveries_queued")),
-            ("recoveries coalesced", count("recoveries_coalesced")),
-            ("quarantines", count("quarantine_on")),
-            ("LB failovers", count("lb_failovers")),
-            ("TTL sweeps", count("ttl_sweeps")),
-        ];
-        println!("\n{title}");
-        let mut t = Table::new(&["telemetry", "count"]);
-        for (label, value) in rows {
-            t.row_owned(vec![label.into(), value]);
-        }
-        t.print();
-    }
-}
-
-impl TelemetrySink for TelemetrySummary {
-    fn on_event(&mut self, event: &TelemetryEvent) {
-        self.registry.on_event(event);
-    }
+    t.print();
 }
 
 /// A machine-readable experiment report: flat key → value JSON written to
@@ -199,10 +171,9 @@ impl JsonReport {
             .push(("digest".to_string(), format!("\"{digest:016x}\"")));
     }
 
-    /// Copies every counter of a [`TelemetrySummary`]'s registry under a
-    /// `telemetry.` prefix.
-    pub fn telemetry(&mut self, summary: &TelemetrySummary) {
-        for (name, value) in summary.registry().counters() {
+    /// Copies every counter `reg` lists under a `telemetry.` prefix.
+    pub fn telemetry(&mut self, reg: &MetricsRegistry) {
+        for (name, value) in reg.counters() {
             self.entries
                 .push((format!("telemetry.{name}"), value.to_string()));
         }

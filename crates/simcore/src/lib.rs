@@ -7,13 +7,13 @@
 //! * [`EventQueue`] — a future-event list driving a user-supplied world type,
 //! * [`SimRng`] — a seeded random source with the distributions the paper's
 //!   workload needs (capped exponential think times, weighted choices),
-//! * [`stats`] — histograms, per-second time series and summary statistics
-//!   used to regenerate the paper's tables and figures,
+//! * [`stats`] — summary statistics used to regenerate the paper's tables
+//!   and figures, and the registry's reboot-duration accumulator,
 //! * [`telemetry`] — the cross-crate structured-event bus: every layer of
 //!   the stack emits [`TelemetryEvent`]s and counters are
 //!   [`TelemetrySink`] implementations over them,
-//! * [`metrics`] — a named counter/gauge/histogram registry folding the
-//!   event stream, the backing store for every layer's statistics,
+//! * [`metrics`] — the registry folding the event stream into canonical
+//!   counters, the backing store for every layer's statistics,
 //! * [`sketch`] — deterministic streaming quantile sketches
 //!   (log-linear HDR-style), the latency substrate of the
 //!   performance-observability plane,

@@ -10,12 +10,12 @@
 //! * `observe` is allocation-free and branch-cheap — two shifts, a
 //!   saturation check and an array increment — so it is safe on the DES
 //!   kernel hot path (the PR-6 zero-allocation contract, pinned by
-//!   `bench/tests/zero_alloc.rs`);
+//!   `simcore/tests/zero_alloc.rs`);
 //! * quantile queries walk the cumulative counts and report a bucket's
 //!   upper bound, so estimates are deterministic and never understate.
 //!
-//! Values are plain `u64`s; callers decide the unit (the metrics registry
-//! records latencies in microseconds). Values above [`MAX_VALUE`] are
+//! Values are plain `u64`s; callers decide the unit (the performance
+//! plane and `urb trace summary` record latencies in microseconds). Values above [`MAX_VALUE`] are
 //! clamped into the top bucket rather than dropped, so the sketch never
 //! loses mass — only resolution — on outliers.
 

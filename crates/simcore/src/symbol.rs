@@ -2,40 +2,34 @@
 //!
 //! The canonical metric fold ([`crate::metrics::MetricsRegistry`]) runs on
 //! every telemetry event, once per node registry plus once for the run-wide
-//! summary — it is squarely on the DES hot path. Probing a
+//! one — it is squarely on the DES hot path. Probing a
 //! `BTreeMap<&'static str, u64>` per counter bump costs a pointer chase and
 //! a string compare per tree level; this module replaces the probe with a
 //! compile-time symbol table: every canonical counter name is a [`Sym`] —
 //! a dense `u16` index into one fixed, alphabetically sorted `NAMES` table
-//! — and the registry stores canonical counters in a plain `Vec<u64>`
-//! indexed by symbol.
+//! — and the registry stores counters in a plain `Vec<u64>` indexed by
+//! symbol.
 //!
-//! The table is *closed*: layers inventing their own counter names at run
-//! time fall back to the registry's ordered-map side table (a cold path),
-//! and report-time iteration merges both in name order, so the refactor is
-//! invisible to every consumer that reads counters by name.
+//! The table is *closed*: every name here keys a counter the fold writes,
+//! and a name not in it reads as zero.
 //!
 //! Keep the macro invocation sorted by counter name — `lookup` binary
-//! searches `NAMES`, and the `table_is_sorted` test pins the invariant.
+//! searches `NAMES`, the registry lists counters in symbol order as name
+//! order, and the `table_is_sorted` test pins the invariant.
 
-/// A canonical counter symbol: an index into [`NAMES`].
+/// A canonical counter symbol: an index into the sorted name table.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Sym(u16);
 
 impl Sym {
     /// The symbol's dense index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         usize::from(self.0)
-    }
-
-    /// The symbol's canonical counter name.
-    pub fn name(self) -> &'static str {
-        NAMES[self.index()]
     }
 }
 
 /// Resolves a counter name to its symbol, if canonical.
-pub fn lookup(name: &str) -> Option<Sym> {
+pub(crate) fn lookup(name: &str) -> Option<Sym> {
     NAMES.binary_search(&name).ok().map(|i| Sym(i as u16))
 }
 
@@ -45,7 +39,7 @@ pub(crate) const COUNT: usize = NAMES.len();
 macro_rules! symbols {
     ($($konst:ident => $name:literal),+ $(,)?) => {
         /// Every canonical counter name, in symbol (= alphabetical) order.
-        pub const NAMES: &[&str] = &[$($name),+];
+        pub(crate) const NAMES: &[&str] = &[$($name),+];
         symbols!(@consts 0u16; $($konst => $name),+);
     };
     (@consts $idx:expr; $konst:ident => $name:literal) => {
@@ -66,8 +60,6 @@ symbols! {
     BRICKS_RESTORED => "bricks_restored",
     CAMPAIGN_RUNS_DONE => "campaign_runs_done",
     CAMPAIGN_VIOLATIONS => "campaign_violations",
-    CLIENT_OP_MS => "client_op_ms",
-    CLIENT_OP_US => "client_op_us",
     CLIENT_OPS => "client_ops",
     CLIENT_OPS_FAILED => "client_ops_failed",
     CLIENT_OPS_OK => "client_ops_ok",
@@ -85,7 +77,6 @@ symbols! {
     FAILOVERS_ENGAGED => "failovers_engaged",
     FLAP_ESCALATIONS => "flap_escalations",
     HEDGE_DEFERRALS => "hedge_deferrals",
-    KILLED => "killed",
     KILLED_MICROREBOOT => "killed_microreboot",
     KILLED_RESTART => "killed_restart",
     KILLED_TTL => "killed_ttl",
@@ -94,15 +85,11 @@ symbols! {
     LEASES_EXPIRED => "leases_expired",
     NET_FAULTS_HEALED => "net_faults_healed",
     NET_FAULTS_INJECTED => "net_faults_injected",
-    OPS_FAIL => "ops_fail",
-    OPS_OK => "ops_ok",
     PARITY_RESTORED => "parity_restored",
     PERF_BASELINES_FROZEN => "perf_baselines_frozen",
     POLICIES_ARMED => "policies_armed",
     QUARANTINE_OFF => "quarantine_off",
     QUARANTINE_ON => "quarantine_on",
-    REBOOT_MS => "reboot_ms",
-    REBOOTS => "reboots",
     REBOOTS_BEGUN => "reboots_begun",
     REBOOTS_BEGUN_APPLICATION => "reboots_begun_application",
     REBOOTS_BEGUN_COMPONENT => "reboots_begun_component",
@@ -117,7 +104,6 @@ symbols! {
     RECOVERIES_QUEUED => "recoveries_queued",
     RECOVERY_DECISIONS => "recovery_decisions",
     REJUVENATION_TICKS => "rejuvenation_ticks",
-    REQ_FAIL => "req_fail",
     REQUESTS_COMPLETED => "requests_completed",
     REQUESTS_HTTP_ERROR => "requests_http_error",
     REQUESTS_KILLED => "requests_killed",
@@ -149,16 +135,15 @@ mod tests {
         for (i, name) in NAMES.iter().enumerate() {
             let sym = lookup(name).expect("canonical name resolves");
             assert_eq!(sym.index(), i);
-            assert_eq!(sym.name(), *name);
         }
         assert_eq!(lookup("not_a_canonical_counter"), None);
     }
 
     #[test]
     fn consts_name_their_counters() {
-        assert_eq!(REQUESTS_SUBMITTED.name(), "requests_submitted");
-        assert_eq!(ACTIONS_CLOSED.name(), "actions_closed");
-        assert_eq!(WATCHDOG_ESCALATIONS.name(), "watchdog_escalations");
+        assert_eq!(NAMES[REQUESTS_SUBMITTED.index()], "requests_submitted");
+        assert_eq!(NAMES[ACTIONS_CLOSED.index()], "actions_closed");
+        assert_eq!(NAMES[WATCHDOG_ESCALATIONS.index()], "watchdog_escalations");
         assert_eq!(COUNT, NAMES.len());
     }
 }

@@ -12,9 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use simcore::{
-    symbol, EventPayload, EventQueue, MetricsRegistry, QuantileSketch, SimDuration, SimTime,
-};
+use simcore::telemetry::{Disposition, RebootLevel, TelemetryEvent, TelemetrySink};
+use simcore::{EventPayload, EventQueue, MetricsRegistry, QuantileSketch, SimDuration, SimTime};
 
 struct CountingAlloc;
 
@@ -53,9 +52,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// What the chain events fold into: the same registry surfaces a real
-/// request-pipeline event touches (counters, a histogram, the per-second
-/// series).
+/// What the chain events fold into: a registry, fed the events a real
+/// request emits through the fold the simulator runs.
 struct World {
     fired: u64,
     metrics: MetricsRegistry,
@@ -78,14 +76,29 @@ impl EventPayload<World> for Chain {
             unreachable!("decoys are always cancelled");
         };
         world.fired += 1;
-        world.metrics.inc_sym(symbol::CLIENT_OPS);
-        world.metrics.inc_sym(symbol::REQUESTS_COMPLETED);
+        let at = queue.now();
         let delay = SimDuration::from_micros(1 + (k + world.fired) % 16);
-        world.metrics.observe_sym(symbol::CLIENT_OP_MS, delay);
-        world
-            .metrics
-            .series_mut()
-            .incr_sym(queue.now(), symbol::OPS_OK);
+        world.metrics.on_event(&TelemetryEvent::ClientOp {
+            action: k,
+            group: 0,
+            started_at: at,
+            finished_at: at + delay,
+            ok: !world.fired.is_multiple_of(3),
+        });
+        world.metrics.on_event(&TelemetryEvent::RequestCompleted {
+            node: 0,
+            req: world.fired,
+            disposition: Disposition::Ok,
+            at,
+        });
+        if world.fired.is_multiple_of(50) {
+            world.metrics.on_event(&TelemetryEvent::RebootFinished {
+                node: 0,
+                level: RebootLevel::Component,
+                duration: delay,
+                at,
+            });
+        }
         if world.boxing {
             std::hint::black_box(Box::new(payload));
         }
@@ -102,8 +115,6 @@ fn allocs_over_warm_events(boxing: bool) -> u64 {
     let mut queue: EventQueue<World, Chain> = EventQueue::new();
     let mut world = World {
         fired: 0,
-        // `new`, not `default`: the canonical histograms must be
-        // registered for `observe_sym` to record.
         metrics: MetricsRegistry::new(),
         boxing,
     };
@@ -111,8 +122,8 @@ fn allocs_over_warm_events(boxing: bool) -> u64 {
         let payload = [0x5eed, 0xbeef, 0xcafe, k];
         queue.schedule_event_at(SimTime::from_micros(k), "chain", Chain::Step { k, payload });
     }
-    // Warm everything that legitimately grows once: the slot pool, the
-    // heap's backing vec and the series hot row.
+    // Warm everything that legitimately grows once: the slot pool and the
+    // heap's backing vec.
     while world.fired < 100_000 {
         queue.step(&mut world);
     }

@@ -28,7 +28,6 @@
 
 pub mod db;
 pub mod fasts;
-pub mod lease;
 pub mod ledger;
 pub mod session;
 pub mod ssm;
@@ -36,7 +35,6 @@ pub mod value;
 
 pub use db::{Database, DbError, TableId, TxnId};
 pub use fasts::FastS;
-pub use lease::{LeaseId, LeaseTable};
 pub use ledger::{shared_ledger, IntegrityLedger, SharedLedger};
 pub use session::{SessionId, SessionObject, SessionStore, StoreError};
 pub use ssm::Ssm;

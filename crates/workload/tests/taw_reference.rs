@@ -1,21 +1,43 @@
 //! The Taw tracker's dense per-second rows answer exactly what string-keyed
-//! `SecondSeries` cells answer: a reference tracker built on that series
+//! `(second, key)` cells answer: a reference tracker built on that cell
 //! arithmetic is fed the same random operations and must agree on every
 //! query the experiments and the benchmark make.
 
 use std::collections::BTreeMap;
 
-use simcore::stats::SecondSeries;
 use simcore::{SimDuration, SimRng, SimTime};
 use workload::taw::{ActionId, EIGHT_SECONDS};
 use workload::{FunctionalGroup, TawTracker};
 
 type Op = (FunctionalGroup, SimTime, SimTime, bool);
 
+/// Per-second counters keyed by name: each cell sums what was added to it,
+/// in the order it was added.
+#[derive(Default)]
+struct Cells(BTreeMap<(u64, &'static str), f64>);
+
+impl Cells {
+    fn add(&mut self, at: SimTime, key: &'static str, amount: f64) {
+        *self.0.entry((at.second_index(), key)).or_insert(0.0) += amount;
+    }
+
+    fn incr(&mut self, at: SimTime, key: &'static str) {
+        self.add(at, key, 1.0);
+    }
+
+    fn get(&self, second: u64, key: &'static str) -> f64 {
+        self.0.get(&(second, key)).copied().unwrap_or(0.0)
+    }
+
+    fn sum_range(&self, key: &'static str, from: u64, to: u64) -> f64 {
+        (from..=to).map(|s| self.get(s, key)).sum()
+    }
+}
+
 /// Section 4's accounting on per-second `(second, key)` cells.
 #[derive(Default)]
 struct Reference {
-    series: SecondSeries,
+    series: Cells,
     open: BTreeMap<u64, Vec<Op>>,
     counts: [u64; 4],
     gaps: Vec<(FunctionalGroup, SimTime, SimTime)>,

@@ -14,7 +14,6 @@ use microreboot::simcore::{
     EventPayload, EventQueue, SimDuration, SimRng, SimTime, TelemetryEvent, Trace,
 };
 use microreboot::statestore::db::{ConnId, Row, TableDef, TableRef};
-use microreboot::statestore::lease::LeaseTable;
 use microreboot::statestore::session::{
     corrupt_object, CorruptKind, SessionId, SessionObject, SessionStore,
 };
@@ -664,30 +663,6 @@ fn event_queue_is_time_ordered() {
                 assert!(pair[0].1 < pair[1].1, "FIFO among ties, case {case}");
             }
         }
-    }
-}
-
-/// Leases: an entry is live iff granted-or-renewed within the term;
-/// sweep returns each expired payload exactly once.
-#[test]
-fn lease_sweep_exactly_once() {
-    for case in 0..CASES {
-        let mut rng = SimRng::seed_from(0x5000 + case);
-        let grants: Vec<u64> = (0..1 + rng.uniform_u64(49))
-            .map(|_| rng.uniform_u64(100))
-            .collect();
-        let mut lt: LeaseTable<usize> = LeaseTable::new(SimDuration::from_secs(10));
-        let ids: Vec<_> = grants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (lt.grant(SimTime::from_secs(*t), i), *t))
-            .collect();
-        let sweep_at = SimTime::from_secs(60);
-        let expired = lt.sweep(sweep_at);
-        let should_expire = ids.iter().filter(|(_, t)| *t + 10 <= 60).count();
-        assert_eq!(expired.len(), should_expire, "case {case}");
-        // Second sweep finds nothing new.
-        assert_eq!(lt.sweep(sweep_at).len(), 0);
     }
 }
 
