@@ -125,6 +125,32 @@ fn refactored_kernel_reproduces_the_pinned_trace_digests() {
     );
 }
 
+/// The kernel's own counters after [`two_minutes`], as
+/// `Sim::record_kernel_gauges` reports them: events fired, events still
+/// pending, and the clock in µs. Events that fire without emitting
+/// anything (the no-op `ClientTimeout`s) move these and no digest above.
+fn kernel_counters(seed: u64) -> (u64, u64, u64) {
+    let run = two_minutes(seed);
+    let mut gauges = MetricsRegistry::new();
+    run.sim.record_kernel_gauges(&mut gauges, None);
+    (
+        gauges.gauge("des_events_fired") as u64,
+        gauges.gauge("des_queue_depth") as u64,
+        run.sim.now().as_micros(),
+    )
+}
+
+/// Recorded before the event queue's heap was split by horizon: which
+/// structure holds an entry must not change what fires, or when.
+#[test]
+fn event_queue_reproduces_the_pinned_kernel_counters() {
+    assert_eq!(
+        [7, 11].map(kernel_counters),
+        [(30_763, 4_814, 120_000_000), (30_900, 4_889, 120_000_000)],
+        "the kernel fired, or left pending, a different number of events"
+    );
+}
+
 /// FNV-1a 64 over the `Debug` rendering of a generator's first 64
 /// scenarios: moves if any rng draw, its order, or any drawn value does.
 fn scenario_hash(generate: fn(&CampaignConfig) -> Vec<Scenario>, seed: u64) -> u64 {
