@@ -114,6 +114,13 @@ if moved:
 print("    8 fingerprints (4 workloads x seeds 7, 11) equal benchmark/BASELINE.json")
 PY
 
+echo "==> tools/pairs.py: one alternating pair per workload at 1 s, this build on both sides"
+# How a [perf_opt] change is measured against its parent (EXPERIMENTS.md);
+# here only the plumbing: runs, fingerprint check per pair, the summary.
+tools/pairs.py target/benchmark/release/urbmark target/benchmark/release/urbmark \
+  --seeds 7 --pairs 1 --seconds 1 > target/ci.pairs
+echo "    $(grep -c 'wins' target/ci.pairs) metric lines, every pair's sim_fingerprint equal"
+
 echo "==> trajectory: the repo-root BENCH_*.json reports reproduce"
 for name in BENCH_parallel_recovery BENCH_policy_tournament BENCH_degraded_parity BENCH_netstate_integrity; do
   fresh="target/${name}.json"

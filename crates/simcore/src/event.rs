@@ -1,9 +1,9 @@
 //! The future-event list.
 //!
-//! An [`EventQueue`] owns a priority queue of `(time, sequence)`-ordered
-//! events. The run loop pops the earliest event, advances the clock, and
-//! invokes the event's payload with mutable access to both the world and the
-//! queue so that handlers can schedule follow-on events.
+//! An [`EventQueue`] holds `(time, sequence)`-ordered events. The run loop
+//! pops the earliest event, advances the clock, and invokes the event's
+//! payload with mutable access to both the world and the queue so that
+//! handlers can schedule follow-on events.
 //!
 //! Payloads are an [`EventPayload`] type of the simulation's own (the
 //! cluster simulation's `SimEvent` enum), stored inline in a slab of pooled
@@ -13,15 +13,31 @@
 //! Cancellation is sound across slot reuse: an [`EventId`] carries the
 //! slot's generation, bumped every time the slot is vacated (fired or
 //! cancelled), so a stale handle can never cancel a later occupant.
-//! Cancelled heap entries are discarded lazily when popped.
+//! Cancelled entries are discarded lazily when popped.
 //!
-//! Beside the heap sits a FIFO *lane* for event classes whose deadlines are
-//! non-decreasing in schedule order (a constant delay from "now", such as a
-//! per-request timeout): those entries are already sorted, so they queue in
-//! a `VecDeque` and never deepen the heap the other events sift through.
-//! The next event is whichever of the heap's top and the lane's front has
-//! the smaller `(time, sequence)` key, so firing order is the same total
-//! order as with the heap alone.
+//! Entries wait in one of three structures:
+//!
+//! - the *near* heap: entries due within 100 ms of the clock when they were
+//!   scheduled — the request path's own delays (a completion after its CPU
+//!   time, a delivery at +0 or after the store's round trip);
+//! - the *far* heap: every other `schedule_event_at` entry — client wakes
+//!   a think time (seconds) ahead, maintenance ticks, faults and heals;
+//! - the FIFO *lane*, for event classes whose deadlines are non-decreasing
+//!   in schedule order (a constant delay from "now", such as a per-request
+//!   timeout): those entries are already sorted, so they queue in a
+//!   `VecDeque`.
+//!
+//! A request's short events are each pushed as the new minimum, so in one
+//! heap with a client population's wakes they would sift through every
+//! level on push and again on pop; in the near heap they meet only each
+//! other. 100 ms is above the request path's delays (tens of ms at most)
+//! and below the seconds-long think times; a 1 s horizon and a
+//! threshold-free "earlier than the far heap's top" rule both measured
+//! slower. The next event is whichever of the three heads has the
+//! smallest `(time, sequence)` key. Sequence numbers are unique, so that
+//! is one total order over every entry, and the minimum of the heads is
+//! the global minimum: firing order does not depend on which structure
+//! holds an entry.
 //!
 //! Ties in time are broken by insertion order, which — together with the
 //! seeded [`SimRng`](crate::SimRng) — makes entire simulation runs
@@ -32,6 +48,9 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::marker::PhantomData;
 
 use crate::time::{SimDuration, SimTime};
+
+/// An entry due less than this far after the clock goes to the near heap.
+const NEAR: SimDuration = SimDuration::from_millis(100);
 
 /// Identifier of a scheduled event, usable for cancellation.
 ///
@@ -71,11 +90,17 @@ impl HeapEntry {
             gen: self.gen,
         }
     }
+
+    /// The `(at, seq)` key as one integer: the same order, compared
+    /// without a branch on whether the times tie.
+    fn key(self) -> u128 {
+        (u128::from(self.at.as_micros()) << 64) | u128::from(self.seq)
+    }
 }
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 
@@ -93,11 +118,16 @@ impl Ord for HeapEntry {
         // first. Which event pops next is fully determined by this total
         // order — sequence numbers are unique — so the heap's internal
         // layout is invisible to simulation traces and digests.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
+}
+
+/// Which of the queue's three structures holds an entry.
+#[derive(Clone, Copy)]
+enum Source {
+    Near,
+    Far,
+    Lane,
 }
 
 /// One pooled event slot. `gen` counts occupancies; a heap entry or
@@ -132,7 +162,10 @@ struct Slot<E> {
 /// assert_eq!(q.now(), SimTime::from_secs(5));
 /// ```
 pub struct EventQueue<W, E> {
-    heap: BinaryHeap<HeapEntry>,
+    /// Heap entries due less than [`NEAR`] after the clock when flushed.
+    near: BinaryHeap<HeapEntry>,
+    /// Every other heap entry.
+    far: BinaryHeap<HeapEntry>,
     /// Entries scheduled through [`EventQueue::schedule_event_fifo`], in
     /// ascending `(at, seq)` order by construction.
     lane: VecDeque<HeapEntry>,
@@ -145,12 +178,14 @@ pub struct EventQueue<W, E> {
     /// hint: fire-then-reschedule (the dominant DES pattern) reuses the
     /// slot it just vacated without touching the free list at all.
     hot: Option<u32>,
-    /// The most recent schedule's heap entry, staged before entering the
+    /// The most recent schedule's heap entry, staged before entering a
     /// heap. A cancel that arrives while its entry is still staged simply
     /// discards it, so schedule-then-cancel guards cost no heap traffic
     /// and leave no tombstone. The stage is flushed before any pop or
     /// peek, so firing order is still the global `(at, seq)` minimum and
-    /// traces/digests cannot observe the buffering.
+    /// traces/digests cannot observe the buffering. The clock cannot move
+    /// while an entry is staged, so routing it at the flush sees the
+    /// distance it was scheduled at.
     staged: Option<HeapEntry>,
     /// Live (scheduled, not-yet-fired, not-cancelled) events.
     live: usize,
@@ -170,7 +205,8 @@ impl<W, E: EventPayload<W>> EventQueue<W, E> {
     /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            near: BinaryHeap::new(),
+            far: BinaryHeap::new(),
             lane: VecDeque::new(),
             slots: Vec::new(),
             free: Vec::new(),
@@ -223,10 +259,10 @@ impl<W, E: EventPayload<W>> EventQueue<W, E> {
     /// Schedules `payload` at `at` like [`EventQueue::schedule_event_at`],
     /// for a class of events whose `at` never decreases from one call to
     /// the next (a constant delay from the current time). Such entries
-    /// wait in a FIFO lane instead of the heap; firing order, cancellation
+    /// wait in a FIFO lane instead of a heap; firing order, cancellation
     /// and every counter are exactly those of `schedule_event_at`. A call
-    /// whose `at` is earlier than the lane's last entry goes to the heap,
-    /// so the method is correct for any argument.
+    /// whose `at` is earlier than the lane's last entry goes to a heap, so
+    /// the method is correct for any argument.
     pub fn schedule_event_fifo(&mut self, at: SimTime, label: &'static str, payload: E) -> EventId {
         let entry = self.occupy(at, label, payload);
         if self.lane.back().is_some_and(|back| entry.at < back.at) {
@@ -264,10 +300,19 @@ impl<W, E: EventPayload<W>> EventQueue<W, E> {
         HeapEntry { at, seq, slot, gen }
     }
 
-    /// Stages `entry` for the heap, pushing the previously staged one.
+    /// Stages `entry` for a heap, flushing the previously staged one.
     fn push_heap(&mut self, entry: HeapEntry) {
         if let Some(prev) = self.staged.replace(entry) {
-            self.heap.push(prev);
+            self.flush(prev);
+        }
+    }
+
+    /// Pushes `entry` onto the heap its distance from the clock picks.
+    fn flush(&mut self, entry: HeapEntry) {
+        if entry.at < self.now + NEAR {
+            self.near.push(entry);
+        } else {
+            self.far.push(entry);
         }
     }
 
@@ -284,7 +329,7 @@ impl<W, E: EventPayload<W>> EventQueue<W, E> {
     /// Cancels a previously scheduled event.
     ///
     /// Returns true if the event had not yet fired (or been cancelled).
-    /// Cancellation drops the payload and frees the slot immediately; the
+    /// Cancellation drops the payload and frees the slot immediately; a
     /// heap or lane entry stays behind and is discarded when popped (its
     /// generation no longer matches).
     pub fn cancel(&mut self, id: EventId) -> bool {
@@ -314,25 +359,38 @@ impl<W, E: EventPayload<W>> EventQueue<W, E> {
     /// `deadline`, discarding cancelled entries met on the way.
     fn pop_due(&mut self, deadline: SimTime) -> Option<HeapEntry> {
         if let Some(e) = self.staged.take() {
-            self.heap.push(e);
+            self.flush(e);
         }
         loop {
             // `HeapEntry` orders inversely (for the max-heap): the greater
             // entry is the one with the smaller `(at, seq)` key.
-            let (entry, from_lane) = match (self.heap.peek(), self.lane.front()) {
-                (Some(h), Some(l)) if l > h => (*l, true),
-                (Some(h), _) => (*h, false),
-                (None, Some(l)) => (*l, true),
-                (None, None) => return None,
-            };
+            let mut head: Option<(HeapEntry, Source)> = None;
+            for (top, source) in [
+                (self.near.peek(), Source::Near),
+                (self.far.peek(), Source::Far),
+                (self.lane.front(), Source::Lane),
+            ] {
+                if let Some(&top) = top {
+                    if head.is_none_or(|(best, _)| top > best) {
+                        head = Some((top, source));
+                    }
+                }
+            }
+            let (entry, source) = head?;
             let live = self.slots[entry.slot as usize].gen == entry.gen;
             if live && entry.at > deadline {
                 return None;
             }
-            if from_lane {
-                self.lane.pop_front();
-            } else {
-                self.heap.pop();
+            match source {
+                Source::Near => {
+                    self.near.pop();
+                }
+                Source::Far => {
+                    self.far.pop();
+                }
+                Source::Lane => {
+                    self.lane.pop_front();
+                }
             }
             if live {
                 return Some(entry);

@@ -60,11 +60,39 @@ struct World {
     /// When set, every step also boxes its payload — the regression the
     /// gate exists to catch.
     boxing: bool,
+    /// Steps fired per [`Structure`], indexed by its discriminant.
+    held: [u64; 3],
 }
 
-/// A self-rescheduling chain step carrying its payload inline; every 7th
-/// also schedules and cancels a decoy, exercising slot reuse through the
-/// cancellation path.
+/// The queue structure a chain's reschedules wait in.
+#[derive(Clone, Copy)]
+enum Structure {
+    /// A second or more ahead.
+    Far,
+    /// A constant delay ahead, through `schedule_event_fifo`.
+    Lane,
+    /// Within 16 ms.
+    Near,
+}
+
+impl Structure {
+    /// A quarter of the chains keep to the far heap, a quarter to the
+    /// lane, half to the near heap.
+    fn of(k: u64) -> Structure {
+        match k % 4 {
+            0 => Structure::Far,
+            1 => Structure::Lane,
+            _ => Structure::Near,
+        }
+    }
+}
+
+/// The constant delay of the chains that reschedule through the FIFO lane.
+const LANE_DELAY: SimDuration = SimDuration::from_secs(1);
+
+/// A self-rescheduling chain step carrying its payload inline; chain `k`
+/// keeps to [`Structure::of`]`(k)`. Every 7th step also schedules and
+/// cancels a decoy, exercising slot reuse through the cancellation path.
 enum Chain {
     Step { k: u64, payload: [u64; 4] },
     Decoy,
@@ -76,8 +104,15 @@ impl EventPayload<World> for Chain {
             unreachable!("decoys are always cancelled");
         };
         world.fired += 1;
+        let structure = Structure::of(k);
+        world.held[structure as usize] += 1;
         let at = queue.now();
-        let delay = SimDuration::from_micros(1 + (k + world.fired) % 16);
+        let jitter = (k + world.fired) % 16;
+        let delay = match structure {
+            Structure::Far => SimDuration::from_millis(1_000 + 64 * jitter),
+            Structure::Lane => LANE_DELAY,
+            Structure::Near => SimDuration::from_millis(1 + jitter),
+        };
         world.metrics.on_event(&TelemetryEvent::ClientOp {
             action: k,
             group: 0,
@@ -106,47 +141,60 @@ impl EventPayload<World> for Chain {
             let decoy = queue.schedule_event_in(delay, "decoy", Chain::Decoy);
             queue.cancel(decoy);
         }
-        queue.schedule_event_in(delay, "chain", Chain::Step { k, payload });
+        let next = Chain::Step { k, payload };
+        match structure {
+            Structure::Lane => queue.schedule_event_fifo(at + delay, "chain", next),
+            _ => queue.schedule_event_in(delay, "chain", next),
+        };
     }
 }
 
-/// Allocations over 100 000 warm events of 256 chains.
-fn allocs_over_warm_events(boxing: bool) -> u64 {
+/// Allocations over 100 000 warm events of 256 chains, and how many of
+/// those events each [`Structure`] held.
+fn allocs_over_warm_events(boxing: bool) -> (u64, [u64; 3]) {
     let mut queue: EventQueue<World, Chain> = EventQueue::new();
     let mut world = World {
         fired: 0,
         metrics: MetricsRegistry::new(),
         boxing,
+        held: [0; 3],
     };
     for k in 0..256 {
         let payload = [0x5eed, 0xbeef, 0xcafe, k];
         queue.schedule_event_at(SimTime::from_micros(k), "chain", Chain::Step { k, payload });
     }
-    // Warm everything that legitimately grows once: the slot pool and the
-    // heap's backing vec.
+    // Warm everything that legitimately grows once: the slot pool, the two
+    // heaps' backing vecs and the lane's ring.
     while world.fired < 100_000 {
         queue.step(&mut world);
     }
-    let before = allocs();
+    let (before, held_before) = (allocs(), world.held);
     while world.fired < 200_000 {
         queue.step(&mut world);
     }
-    allocs() - before
+    let held = [0, 1, 2].map(|i| world.held[i] - held_before[i]);
+    (allocs() - before, held)
 }
 
 #[test]
 fn warm_arena_kernel_allocates_nothing_per_event() {
-    let allocs = allocs_over_warm_events(false);
+    let (allocs, held) = allocs_over_warm_events(false);
     assert_eq!(
         allocs, 0,
         "the warm arena kernel must fire events and fold counters without \
          heap allocation ({allocs} allocations over 100000 events)"
     );
+    // Every structure took part: a few hundred far and lane events each
+    // among ~99,000 near ones.
+    assert!(
+        held.iter().all(|&n| n >= 100),
+        "events per structure: {held:?}"
+    );
 }
 
 #[test]
 fn a_box_on_the_event_path_is_counted() {
-    assert_eq!(allocs_over_warm_events(true), 100_000);
+    assert_eq!(allocs_over_warm_events(true).0, 100_000);
 }
 
 /// The performance plane's streaming sketch makes the same promise: its
