@@ -432,6 +432,48 @@ mod tests {
         assert_eq!(c.microreboots(), 2);
     }
 
+    /// `Debug` with the reboot counter masked: the one field a reboot is
+    /// meant to move.
+    fn image(c: &Container) -> String {
+        let count = format!("microreboots: {}", c.microreboots());
+        format!("{c:?}").replace(&count, "microreboots: _")
+    }
+
+    #[test]
+    fn a_reboot_leaves_nothing_a_fresh_start_would_not_have() {
+        let fresh = image(&started());
+        for name in ["crash", "full_stop"] {
+            let mut c = started();
+            c.faults = FaultFlags {
+                deadlocked: true,
+                infinite_loop: true,
+                leak_per_call: 64,
+                transient_exceptions: 3,
+                intermittent_permille: 500,
+                intermittent_heals_at_us: 9,
+            };
+            c.leak(4096);
+            c.call_enter();
+            c.call_enter();
+            c.txn_map.set("extra", TxnAttr::NotSupported);
+            c.txn_map.corrupt(CorruptKind::SetNull);
+            c.txn_map.corrupt(CorruptKind::SetWrong);
+            c.pool.corrupt_all(CorruptKind::SetInvalid);
+            c.pool.serve();
+            assert_ne!(image(&c), fresh, "{name}: the set-up dirtied nothing");
+
+            if name == "crash" {
+                c.crash();
+            } else {
+                c.full_stop();
+            }
+            c.begin_start();
+            c.complete_start();
+            assert_eq!(image(&c), fresh, "{name}: a field survived the reboot");
+            assert_eq!(c.microreboots(), 2, "{name}");
+        }
+    }
+
     #[test]
     fn full_stop_discards_everything() {
         let mut c = started();

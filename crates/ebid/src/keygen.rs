@@ -158,4 +158,15 @@ mod tests {
         // Reseeds from the database again.
         assert_eq!(k.next(BIDS, Some(200)), KeyResult::Fresh(201));
     }
+
+    #[test]
+    fn reset_leaves_a_new_generator() {
+        let mut k = KeyGen::new();
+        k.corrupt(CorruptKind::SetInvalid);
+        k.next(BIDS, Some(50));
+        k.next(ITEMS, None);
+        assert_ne!(format!("{k:?}"), format!("{:?}", KeyGen::new()));
+        k.reset();
+        assert_eq!(format!("{k:?}"), format!("{:?}", KeyGen::new()));
+    }
 }
