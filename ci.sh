@@ -15,18 +15,8 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call
 
-echo "==> urb-lint --deny-all (determinism + state-safety + pragma-hygiene gate, timed)"
-# The item-model layer must not regress CI latency: the whole-workspace
-# lint (including the cargo-run dispatch overhead; the binary is already
-# built by the build step above) has a wall-clock budget.
-lint_start_ms=$(date +%s%3N)
+echo "==> urb-lint --deny-all (determinism + mutable-global + pragma-hygiene gate)"
 cargo run --release -q -p urb-lint -- --deny-all
-lint_ms=$(( $(date +%s%3N) - lint_start_ms ))
-echo "    lint wall time: ${lint_ms}ms (budget 5000ms)"
-if [ "$lint_ms" -gt 5000 ]; then
-  echo "urb-lint exceeded its latency budget: ${lint_ms}ms > 5000ms" >&2
-  exit 1
-fi
 
 echo "==> size (reported, not gated): the counters ROADMAP tracks per PR"
 rs_files=$(find crates src tests examples -name '*.rs')

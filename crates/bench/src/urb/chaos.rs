@@ -117,6 +117,10 @@ fn parse(c: &Campaign, args: &[String]) -> Result<Invocation, String> {
             _ => return Err(format!("unknown flag {flag:?} for this campaign")),
         }
     }
+    if inv.runs == 0 {
+        // Zero runs would check no invariant and still report them held.
+        return Err("--runs must be at least 1".to_string());
+    }
     Ok(inv)
 }
 

@@ -83,6 +83,7 @@ fn a_bad_command_line_exits_2_with_usage_on_every_campaign() {
         for bad in [
             &["--bogus"][..],
             &["--runs"],
+            &["--runs", "0"],
             &["--seed", "x"],
             &["--policies", "no-such-policy"],
             &["no-such-campaign"],

@@ -518,7 +518,6 @@ impl World {
     fn on_maintenance(&mut self, q: &mut SimQueue) {
         let now = q.now();
         for node in 0..self.nodes.len() {
-            // urb-lint: allow(S004) — the maintenance sweep visits every node in index order; under the sharded kernel it becomes per-shard epoch-barrier events.
             let killed = self.nodes[node].maintenance(now);
             self.schedule_deliveries(node, killed, q);
             self.pump_node(node, q);

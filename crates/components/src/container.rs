@@ -207,11 +207,6 @@ impl InstancePool {
         }
         self.free.len()
     }
-
-    /// Destroys all pooled instances (microreboot crash phase).
-    pub(crate) fn destroy_all(&mut self) {
-        self.free.clear();
-    }
 }
 
 /// Injected faults resident in a container, cleared by microrebooting it.
@@ -247,16 +242,11 @@ impl FaultFlags {
     }
 }
 
-/// The managed container for one deployed component.
-// urb-lint: volatile-state(crash, full_stop, complete_start)
-#[derive(Clone, Debug)]
-pub struct Container {
-    /// The component's descriptor (immutable deployment information).
-    // urb-lint: allow(S001) — immutable deployment metadata; survives every reboot level by design (Section 3.2).
-    pub descriptor: ComponentDescriptor,
-    state: ContainerState,
-    /// How many times this container has been microrebooted.
-    microreboots: u64,
+/// Everything in a container that a crash discards. A crash replaces the
+/// whole part with `Default::default()`, so a field added here is wiped
+/// by construction.
+#[derive(Clone, Debug, Default)]
+pub struct Volatile {
     /// Per-method transaction metadata, rebuilt on reinit.
     pub txn_map: TxnMethodMap,
     /// The instance pool, destroyed and repopulated on microreboot.
@@ -267,8 +257,22 @@ pub struct Container {
     leaked_bytes: u64,
     /// Calls currently executing inside this component.
     inflight: u32,
+}
+
+/// The managed container for one deployed component. Its durable half —
+/// descriptor, methods, lifecycle state and reboot count — survives every
+/// reboot level by design (Section 3.2); `vol` does not.
+#[derive(Clone, Debug)]
+pub struct Container {
+    /// The component's descriptor (immutable deployment information).
+    pub descriptor: ComponentDescriptor,
     /// Methods this component exposes (used to rebuild the txn map).
     methods: &'static [&'static str],
+    state: ContainerState,
+    /// How many times this container has been microrebooted.
+    microreboots: u64,
+    /// The part a crash throws away whole.
+    pub vol: Volatile,
 }
 
 impl Container {
@@ -279,14 +283,10 @@ impl Container {
     pub fn new(descriptor: ComponentDescriptor, methods: &'static [&'static str]) -> Self {
         Container {
             descriptor,
+            methods,
             state: ContainerState::Stopped,
             microreboots: 0,
-            txn_map: TxnMethodMap::default(),
-            pool: InstancePool::default(),
-            faults: FaultFlags::default(),
-            leaked_bytes: 0,
-            inflight: 0,
-            methods,
+            vol: Volatile::default(),
         }
     }
 
@@ -307,36 +307,36 @@ impl Container {
 
     /// Returns the calls currently executing inside the component.
     pub fn inflight(&self) -> u32 {
-        self.inflight
+        self.vol.inflight
     }
 
     /// Records a call entering the component.
     pub fn call_enter(&mut self) {
-        self.inflight += 1;
+        self.vol.inflight += 1;
     }
 
     /// Records a call leaving the component (normally or killed).
     pub fn call_exit(&mut self) {
-        self.inflight = self.inflight.saturating_sub(1);
+        self.vol.inflight = self.vol.inflight.saturating_sub(1);
     }
 
     /// Returns the container's current heap footprint in bytes.
     pub fn heap_bytes(&self) -> u64 {
         match self.state {
             ContainerState::Stopped => 0,
-            _ => self.descriptor.base_bytes + self.leaked_bytes,
+            _ => self.descriptor.base_bytes + self.vol.leaked_bytes,
         }
     }
 
     /// Returns bytes accumulated by the leak fault.
     pub fn leaked_bytes(&self) -> u64 {
-        self.leaked_bytes
+        self.vol.leaked_bytes
     }
 
     /// Adds `bytes` to the leak account (the server calls this per
     /// invocation while the leak fault is set).
     pub fn leak(&mut self, bytes: u64) {
-        self.leaked_bytes = self.leaked_bytes.saturating_add(bytes);
+        self.vol.leaked_bytes = self.vol.leaked_bytes.saturating_add(bytes);
     }
 
     /// Begins the crash phase of a microreboot: destroys instances,
@@ -346,14 +346,8 @@ impl Container {
     ///
     /// Returns the number of bytes the crash reclaims.
     pub fn crash(&mut self) -> u64 {
-        let reclaimed = self.leaked_bytes;
         self.state = ContainerState::Crashing;
-        self.pool.destroy_all();
-        self.txn_map = TxnMethodMap::default();
-        self.faults = FaultFlags::default();
-        self.leaked_bytes = 0;
-        self.inflight = 0;
-        reclaimed
+        std::mem::take(&mut self.vol).leaked_bytes
     }
 
     /// Marks the container as reinitializing (sentinel bound, deployer
@@ -364,8 +358,8 @@ impl Container {
 
     /// Completes reinitialization: fresh pool, fresh metadata, active.
     pub fn complete_start(&mut self) {
-        self.pool = InstancePool::with_initial(Self::DEFAULT_POOL);
-        self.txn_map = TxnMethodMap::with_methods(self.methods);
+        self.vol.pool = InstancePool::with_initial(Self::DEFAULT_POOL);
+        self.vol.txn_map = TxnMethodMap::with_methods(self.methods);
         self.state = ContainerState::Active;
         self.microreboots += 1;
     }
@@ -414,11 +408,11 @@ mod tests {
     #[test]
     fn microreboot_clears_faults_and_leaks() {
         let mut c = started();
-        c.faults.deadlocked = true;
-        c.faults.leak_per_call = 1024;
+        c.vol.faults.deadlocked = true;
+        c.vol.faults.leak_per_call = 1024;
         c.leak(4096);
-        c.txn_map.corrupt(CorruptKind::SetNull);
-        assert!(c.txn_map.is_corrupt());
+        c.vol.txn_map.corrupt(CorruptKind::SetNull);
+        assert!(c.vol.txn_map.is_corrupt());
         assert_eq!(c.heap_bytes(), (1 << 20) + 4096);
 
         let reclaimed = c.crash();
@@ -426,8 +420,8 @@ mod tests {
         c.begin_start();
         c.complete_start();
 
-        assert!(!c.faults.any());
-        assert!(!c.txn_map.is_corrupt());
+        assert!(!c.vol.faults.any());
+        assert!(!c.vol.txn_map.is_corrupt());
         assert_eq!(c.leaked_bytes(), 0);
         assert_eq!(c.microreboots(), 2);
     }
@@ -444,7 +438,7 @@ mod tests {
         let fresh = image(&started());
         for name in ["crash", "full_stop"] {
             let mut c = started();
-            c.faults = FaultFlags {
+            c.vol.faults = FaultFlags {
                 deadlocked: true,
                 infinite_loop: true,
                 leak_per_call: 64,
@@ -455,11 +449,11 @@ mod tests {
             c.leak(4096);
             c.call_enter();
             c.call_enter();
-            c.txn_map.set("extra", TxnAttr::NotSupported);
-            c.txn_map.corrupt(CorruptKind::SetNull);
-            c.txn_map.corrupt(CorruptKind::SetWrong);
-            c.pool.corrupt_all(CorruptKind::SetInvalid);
-            c.pool.serve();
+            c.vol.txn_map.set("extra", TxnAttr::NotSupported);
+            c.vol.txn_map.corrupt(CorruptKind::SetNull);
+            c.vol.txn_map.corrupt(CorruptKind::SetWrong);
+            c.vol.pool.corrupt_all(CorruptKind::SetInvalid);
+            c.vol.pool.serve();
             assert_ne!(image(&c), fresh, "{name}: the set-up dirtied nothing");
 
             if name == "crash" {
@@ -481,7 +475,7 @@ mod tests {
         c.full_stop();
         assert_eq!(c.state(), ContainerState::Stopped);
         assert_eq!(c.heap_bytes(), 0);
-        assert_eq!(c.pool.idle(), 0);
+        assert_eq!(c.vol.pool.idle(), 0);
     }
 
     #[test]
@@ -552,9 +546,9 @@ mod tests {
     #[test]
     fn leak_accounting() {
         let mut c = started();
-        c.faults.leak_per_call = 100;
+        c.vol.faults.leak_per_call = 100;
         for _ in 0..10 {
-            c.leak(c.faults.leak_per_call);
+            c.leak(c.vol.faults.leak_per_call);
         }
         assert_eq!(c.leaked_bytes(), 1000);
     }

@@ -219,7 +219,7 @@ impl<'a> CallContext<'a> {
         // runs consume no randomness.
         let intermittent_fails = {
             let now_us = self.now.as_micros();
-            let f = &mut self.inner.containers[id.0].faults;
+            let f = &mut self.inner.containers[id.0].vol.faults;
             if f.intermittent_permille > 0 && now_us >= f.intermittent_heals_at_us {
                 f.intermittent_permille = 0;
                 f.intermittent_heals_at_us = 0;
@@ -232,33 +232,33 @@ impl<'a> CallContext<'a> {
             if !c.is_active() {
                 return Err(CallError::Retry(calib::RETRY_AFTER));
             }
-            if c.faults.transient_exceptions > 0 {
-                c.faults.transient_exceptions -= 1;
+            if c.vol.faults.transient_exceptions > 0 {
+                c.vol.faults.transient_exceptions -= 1;
                 return Err(self.exception(Some(target)));
             }
             if intermittent_fails {
                 return Err(self.exception(Some(target)));
             }
-            if c.faults.deadlocked {
+            if c.vol.faults.deadlocked {
                 c.call_enter();
                 self.hang = Some((id, HangKind::Park));
                 self.touched.insert(id);
                 self.failed_component = self.name_of(target);
                 return Err(CallError::Hang);
             }
-            if c.faults.infinite_loop {
+            if c.vol.faults.infinite_loop {
                 c.call_enter();
                 self.hang = Some((id, HangKind::Hog));
                 self.touched.insert(id);
                 self.failed_component = self.name_of(target);
                 return Err(CallError::Hang);
             }
-            if c.faults.leak_per_call > 0 {
-                let n = c.faults.leak_per_call;
+            if c.vol.faults.leak_per_call > 0 {
+                let n = c.vol.faults.leak_per_call;
                 c.leak(n);
             }
             if c.descriptor.kind == ComponentKind::StatelessSessionBean {
-                match c.pool.serve() {
+                match c.vol.pool.serve() {
                     InstanceOutcome::Clean => {}
                     InstanceOutcome::FailedAndDiscarded(_) => {
                         return Err(self.exception(Some(target)));
@@ -271,7 +271,7 @@ impl<'a> CallContext<'a> {
             }
             let is_entity_store =
                 c.descriptor.kind == ComponentKind::EntityBean && method == "store";
-            match c.txn_map.attr_for(method) {
+            match c.vol.txn_map.attr_for(method) {
                 Err(_) => return Err(self.exception(Some(target))),
                 Ok(TxnAttr::Required) => {}
                 // Container-managed persistence requires a transaction

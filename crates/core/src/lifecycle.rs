@@ -88,12 +88,12 @@ struct ActiveRecovery {
 }
 
 /// The recovery state machine: process availability plus every in-flight
-/// recovery, keyed by [`RebootLevel`].
-// urb-lint: volatile-state(recovery_crash, recovery_complete, force_state)
+/// recovery, keyed by [`RebootLevel`]. No reboot wipes it: it is the
+/// machine that runs them.
 pub struct RecoveryLifecycle {
     state: ProcState,
     active: Vec<ActiveRecovery>,
-    // urb-lint: allow(S001) — monotonic RebootId allocator: surviving reboots is what keeps ids unique across them.
+    /// Monotonic [`RebootId`] allocator: ids stay unique across reboots.
     next_id: u64,
 }
 

@@ -44,7 +44,6 @@ pub(crate) struct Victim {
 }
 
 /// Admission, execution and kill bookkeeping for one server's requests.
-// urb-lint: volatile-state(take_all)
 pub struct RequestPipeline {
     workers: WorkerPool,
     /// Ordered by request id, so kill paths visit victims deterministically.
@@ -237,6 +236,7 @@ impl RequestPipeline {
             };
             victims.push(Victim { req, txn, hung_in });
         }
+        debug_assert!(self.running.is_empty() && self.hung.is_empty());
         victims
     }
 }

@@ -329,7 +329,7 @@ impl ServerInner {
     pub(crate) fn reapply_persistent_leaks(&mut self) {
         for (name, bytes) in &self.persistent_leaks {
             if let Some(id) = self.graph.id_of(name) {
-                self.containers[id.0].faults.leak_per_call = *bytes;
+                self.containers[id.0].vol.faults.leak_per_call = *bytes;
             }
         }
     }
@@ -1000,12 +1000,12 @@ impl<A: Application> AppServer<A> {
         match fault {
             ServerFault::Deadlock { component } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
-                    self.inner.containers[i].faults.deadlocked = true;
+                    self.inner.containers[i].vol.faults.deadlocked = true;
                 }
             }
             ServerFault::InfiniteLoop { component } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
-                    self.inner.containers[i].faults.infinite_loop = true;
+                    self.inner.containers[i].vol.faults.infinite_loop = true;
                 }
             }
             ServerFault::AppLeak {
@@ -1014,7 +1014,7 @@ impl<A: Application> AppServer<A> {
                 persistent,
             } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
-                    self.inner.containers[i].faults.leak_per_call = bytes_per_call;
+                    self.inner.containers[i].vol.faults.leak_per_call = bytes_per_call;
                     if persistent {
                         // A code bug: fresh instances leak too.
                         self.inner.persistent_leaks.retain(|(n, _)| *n != component);
@@ -1026,7 +1026,7 @@ impl<A: Application> AppServer<A> {
             }
             ServerFault::TransientExceptions { component, calls } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
-                    self.inner.containers[i].faults.transient_exceptions = calls;
+                    self.inner.containers[i].vol.faults.transient_exceptions = calls;
                 }
             }
             ServerFault::Intermittent {
@@ -1035,7 +1035,7 @@ impl<A: Application> AppServer<A> {
                 heals_after,
             } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
-                    let f = &mut self.inner.containers[i].faults;
+                    let f = &mut self.inner.containers[i].vol.faults;
                     f.intermittent_permille = permille.min(1000);
                     f.intermittent_heals_at_us =
                         heals_after.map_or(u64::MAX, |d| (now + d).as_micros());
@@ -1059,12 +1059,12 @@ impl<A: Application> AppServer<A> {
             }
             ServerFault::CorruptTxnMap { component, kind } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
-                    self.inner.containers[i].txn_map.corrupt(kind);
+                    self.inner.containers[i].vol.txn_map.corrupt(kind);
                 }
             }
             ServerFault::CorruptBeanAttrs { component, kind } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
-                    self.inner.containers[i].pool.corrupt_all(kind);
+                    self.inner.containers[i].vol.pool.corrupt_all(kind);
                 }
             }
             ServerFault::IntraJvmLeak { bytes_per_sec } => {

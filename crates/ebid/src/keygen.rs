@@ -35,8 +35,7 @@ pub enum KeyResult {
     WrongExisting(i64),
 }
 
-/// The per-table key generator cache.
-// urb-lint: volatile-state(reset)
+/// The per-table key generator cache: all of it volatile.
 #[derive(Clone, Debug, Default)]
 pub struct KeyGen {
     states: BTreeMap<TableId, KeyState>,
@@ -64,8 +63,7 @@ impl KeyGen {
     /// cached counters are dropped (they reseed from the database) and
     /// injected corruption is cleared with them.
     pub fn reset(&mut self) {
-        self.states.clear();
-        self.corrupt = None;
+        *self = KeyGen::default();
     }
 
     /// Produces the next key for `table`, reconciling the cached counter

@@ -3,8 +3,8 @@
 //!
 //! Every claim the reproduction makes — lost-work accounting, Taw dips,
 //! golden-trace digests — rests on the simulation being deterministic and
-//! on reboots really wiping what they claim to wipe. This crate enforces
-//! that statically, in two rule families applied to every `src/` file of
+//! on no state hiding outside every reboot boundary. This crate enforces
+//! that statically, with line-local rules applied to every `src/` file of
 //! the simulation crates ([`SIM_CRATES`]):
 //!
 //! * **Determinism rules (`D001`–`D008`)**: unordered containers in sim
@@ -12,10 +12,12 @@
 //!   float accumulation over unordered containers, and (`D008`) kernel
 //!   hot-path regressions — string-keyed metric bumps built with
 //!   `format!`.
-//! * **Crash-only state-safety rules (`S001`–`S004`)**, over a light
-//!   cross-file item model ([`model`]): volatile-state fields no reset
-//!   wipes, mutable globals, interior mutability hidden from the wipe,
-//!   and cross-node state access outside event dispatch.
+//! * **`S002`**: mutable global state (`static mut`, `thread_local!`, a
+//!   `static` holding a cell or lock), which no reboot wipes.
+//!
+//! That a reboot wipes a component's volatile state is not linted either:
+//! each such part is a struct of its own that the reset replaces whole
+//! (DESIGN.md §7, "The reboot wipe is a type").
 //!
 //! Exhaustiveness — every event kind encoded, traced and folded, every
 //! fault kind routed and drawable, every policy registered — is not
@@ -37,8 +39,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-pub mod model;
 
 /// The crates whose `src/` trees are subject to the determinism rules.
 ///
@@ -85,20 +85,8 @@ pub const RULES: &[(&str, &str)] = &[
     ("D007", "float accumulation over an unordered container"),
     ("D008", "string-keyed metric bump on the kernel hot path"),
     (
-        "S001",
-        "volatile-state struct field not wiped by any reset-family method",
-    ),
-    (
         "S002",
         "mutable global state in a sim crate lives outside every reboot boundary",
-    ),
-    (
-        "S003",
-        "interior mutability inside a volatile-state struct hides state from the reboot wipe",
-    ),
-    (
-        "S004",
-        "cross-node state access outside kernel event dispatch (sharding hazard)",
     ),
     (
         "P001",
@@ -142,11 +130,11 @@ impl fmt::Display for Diagnostic {
 
 /// A source file split into per-line code text (string/char contents and
 /// comments blanked out) and per-line comment text (for pragma parsing).
-pub struct Masked {
+struct Masked {
     /// Code with comments and literal contents replaced by spaces.
-    pub code: Vec<String>,
+    code: Vec<String>,
     /// Comment text per line (line + block comments).
-    pub comments: Vec<String>,
+    comments: Vec<String>,
 }
 
 /// Masks comments and string/char-literal contents out of `src`.
@@ -154,7 +142,7 @@ pub struct Masked {
 /// Handles line comments, nested block comments, string escapes, raw
 /// strings (`r"…"`, `r#"…"#`), and distinguishes char literals from
 /// lifetimes well enough for this codebase's lexical rules.
-pub fn mask_source(src: &str) -> Masked {
+fn mask_source(src: &str) -> Masked {
     #[derive(PartialEq)]
     enum St {
         Code,
@@ -327,18 +315,25 @@ fn raw_str_hashes(chars: &[char], i: usize) -> Option<(usize, usize)> {
 // ---------------------------------------------------------------------------
 
 /// An `// urb-lint: allow(<rule>) — <justification>` pragma.
-#[derive(Clone, Debug)]
-pub struct Pragma {
+struct Pragma {
     /// 1-indexed line the pragma comment sits on.
-    pub line: usize,
+    line: usize,
     /// The rule it allows.
-    pub rule: String,
+    rule: String,
     /// The stated justification (may be empty — then it is a violation).
-    pub justification: String,
+    justification: String,
+}
+
+impl Pragma {
+    /// The lines the pragma covers: its own (trailing-comment style) and
+    /// the one below.
+    fn covers(&self, rule: &str, line: usize) -> bool {
+        self.rule == rule && (line == self.line || line == self.line + 1)
+    }
 }
 
 /// Extracts every allow-pragma from the per-line comment text.
-pub fn extract_pragmas(masked: &Masked) -> Vec<Pragma> {
+fn extract_pragmas(masked: &Masked) -> Vec<Pragma> {
     let mut out = Vec::new();
     for (idx, comment) in masked.comments.iter().enumerate() {
         let Some(pos) = comment.find("urb-lint:") else {
@@ -366,17 +361,6 @@ pub fn extract_pragmas(masked: &Masked) -> Vec<Pragma> {
     out
 }
 
-/// The set of `(rule, line)` pairs a pragma list suppresses: a pragma
-/// covers its own line (trailing-comment style) and the line below.
-fn allowed_set(pragmas: &[Pragma]) -> BTreeSet<(String, usize)> {
-    let mut set = BTreeSet::new();
-    for p in pragmas {
-        set.insert((p.rule.clone(), p.line));
-        set.insert((p.rule.clone(), p.line + 1));
-    }
-    set
-}
-
 // ---------------------------------------------------------------------------
 // `#[cfg(test)]` skipping
 // ---------------------------------------------------------------------------
@@ -384,7 +368,7 @@ fn allowed_set(pragmas: &[Pragma]) -> BTreeSet<(String, usize)> {
 /// Marks lines belonging to `#[cfg(test)]` items (attribute line through
 /// the item's closing brace). Test code may use unordered containers and
 /// ambient state freely.
-pub fn test_line_mask(code: &[String]) -> Vec<bool> {
+fn test_line_mask(code: &[String]) -> Vec<bool> {
     let mut skipped = vec![false; code.len()];
     let mut li = 0;
     while li < code.len() {
@@ -427,7 +411,7 @@ pub fn test_line_mask(code: &[String]) -> Vec<bool> {
 // Determinism rules
 // ---------------------------------------------------------------------------
 
-pub(crate) fn find_word(line: &str, word: &str) -> Vec<usize> {
+fn find_word(line: &str, word: &str) -> Vec<usize> {
     let bytes = line.as_bytes();
     let mut out = Vec::new();
     let mut start = 0;
@@ -476,60 +460,33 @@ fn binding_name(line: &str, idx: usize) -> Option<String> {
 const ITER_METHODS: &[&str] = &[".keys()", ".values()", ".iter()", ".into_iter()", ".drain("];
 const FLOAT_SINKS: &[&str] = &[".sum(", ".sum::<", ".fold(", ".product("];
 
-/// One file's lint output plus the bookkeeping the workspace pass needs
-/// for stale-pragma (`P002`) evaluation: every rule hit recorded *before*
-/// pragma suppression, and the file's pragmas themselves.
-pub struct FileLint {
-    /// Post-suppression diagnostics.
-    pub diags: Vec<Diagnostic>,
-    /// Every `(rule, line)` that fired before pragma suppression.
-    pub raw_hits: Vec<(&'static str, usize)>,
-    /// The file's allow-pragmas.
-    pub pragmas: Vec<Pragma>,
-}
+/// Interior-mutability and global-cell types: a `static` holding one is
+/// mutable global state (`S002`). `Atomic*` is matched by prefix
+/// separately.
+const CELL_TYPES: &[&str] = &[
+    "RefCell", "Cell", "OnceCell", "OnceLock", "Lazy", "Mutex", "RwLock",
+];
 
-/// Runs the determinism rules (`D001`–`D007`, plus `P001` pragma checks)
-/// over one source file. `label` is used as the diagnostic path.
+/// Lints one source file: the determinism rules, `S002`, and the pragma
+/// checks — `P001` for a bare or unknown-rule pragma, `P002` for one whose
+/// rule no longer fires on the line it guards. `label` is used as the
+/// diagnostic path.
 pub fn lint_source(label: &str, src: &str) -> Vec<Diagnostic> {
-    lint_source_with_hits(label, src).diags
-}
-
-/// [`lint_source`], keeping the pre-suppression hits and pragmas that
-/// workspace-level stale-pragma detection needs.
-pub fn lint_source_with_hits(label: &str, src: &str) -> FileLint {
     let masked = mask_source(src);
     let pragmas = extract_pragmas(&masked);
-    let allowed = allowed_set(&pragmas);
     let skipped = test_line_mask(&masked.code);
-    let known_rules: BTreeSet<&str> = RULES.iter().map(|(r, _)| *r).collect();
 
-    let mut diags = Vec::new();
-    let mut raw_hits: Vec<(&'static str, usize)> = Vec::new();
-    for p in &pragmas {
-        if !known_rules.contains(p.rule.as_str()) {
-            diags.push(Diagnostic {
-                file: label.to_string(),
-                line: p.line,
-                rule: "P001",
-                message: format!("allow-pragma names unknown rule \"{}\"", p.rule),
-                fix: "use one of the documented rule ids (DESIGN.md §7)".to_string(),
-            });
-        } else if p
-            .justification
-            .chars()
-            .filter(|c| c.is_alphanumeric())
-            .count()
-            < 3
-        {
-            diags.push(Diagnostic {
-                file: label.to_string(),
-                line: p.line,
-                rule: "P001",
-                message: format!("allow({}) pragma has no justification", p.rule),
-                fix: "append \"— <why this site is safe>\" to the pragma".to_string(),
-            });
-        }
-    }
+    // Every rule hit, before pragma suppression.
+    let mut hits: Vec<Diagnostic> = Vec::new();
+    let mut hit = |rule: &'static str, line: usize, message: String, fix: &str| {
+        hits.push(Diagnostic {
+            file: label.to_string(),
+            line,
+            rule,
+            message,
+            fix: fix.to_string(),
+        });
+    };
 
     // Pass 1: collect names bound to unordered containers (D001 sites).
     let mut unordered: BTreeSet<String> = BTreeSet::new();
@@ -542,23 +499,17 @@ pub fn lint_source_with_hits(label: &str, src: &str) -> FileLint {
                 if let Some(name) = binding_name(line, at) {
                     unordered.insert(name);
                 }
-                let lno = idx + 1;
-                raw_hits.push(("D001", lno));
-                if allowed.contains(&("D001".to_string(), lno)) {
-                    continue;
-                }
-                diags.push(Diagnostic {
-                    file: label.to_string(),
-                    line: lno,
-                    rule: "D001",
-                    message: format!(
+                hit(
+                    "D001",
+                    idx + 1,
+                    format!(
                         "{container} in simulation state: iteration order is randomized per process"
                     ),
-                    fix: format!(
+                    &format!(
                         "use BTree{} (or justify with // urb-lint: allow(D001) — …)",
                         &container[4..]
                     ),
-                });
+                );
             }
         }
     }
@@ -569,19 +520,8 @@ pub fn lint_source_with_hits(label: &str, src: &str) -> FileLint {
             continue;
         }
         let lno = idx + 1;
-        let mut push = |rule: &'static str, message: String, fix: &str| {
-            raw_hits.push((rule, lno));
-            if !allowed.contains(&(rule.to_string(), lno)) {
-                diags.push(Diagnostic {
-                    file: label.to_string(),
-                    line: lno,
-                    rule,
-                    message,
-                    fix: fix.to_string(),
-                });
-            }
-        };
-
+        let mut push =
+            |rule: &'static str, message: String, fix: &str| hit(rule, lno, message, fix);
         for name in &unordered {
             let iterates = find_word(line, name).iter().any(|&at| {
                 let after = &line[at + name.len()..];
@@ -662,12 +602,77 @@ pub fn lint_source_with_hits(label: &str, src: &str) -> FileLint {
                 );
             }
         }
+        if line.contains("thread_local!") {
+            push(
+                "S002",
+                "thread-local state lives outside every reboot boundary".to_string(),
+                "move the state into a struct wiped by a crash()/reset path",
+            );
+        } else if let Some(at) = find_word(line, "static")
+            .into_iter()
+            // `'static` is a lifetime, not a declaration.
+            .find(|&at| at == 0 || line.as_bytes()[at - 1] != b'\'')
+        {
+            let after = line[at + "static".len()..].trim_start();
+            let holds_cell =
+                CELL_TYPES.iter().any(|t| !find_word(line, t).is_empty()) || has_atomic_type(line);
+            if after.starts_with("mut ") || holds_cell {
+                push(
+                    "S002",
+                    "mutable global state lives outside every reboot boundary".to_string(),
+                    "move the state into a struct wiped by a crash()/reset path \
+                     (or justify with // urb-lint: allow(S002) — …)",
+                );
+            }
+        }
     }
-    FileLint {
-        diags,
-        raw_hits,
-        pragmas,
+
+    let mut diags = Vec::new();
+    for p in &pragmas {
+        let known = RULES.iter().any(|(r, _)| *r == p.rule);
+        let justified = p
+            .justification
+            .chars()
+            .filter(|c| c.is_alphanumeric())
+            .count()
+            >= 3;
+        let (rule, message, fix) = if !known {
+            (
+                "P001",
+                format!("allow-pragma names unknown rule \"{}\"", p.rule),
+                "use one of the documented rule ids (DESIGN.md §7)",
+            )
+        } else if !justified {
+            (
+                "P001",
+                format!("allow({}) pragma has no justification", p.rule),
+                "append \"— <why this site is safe>\" to the pragma",
+            )
+        } else if !hits.iter().any(|h| p.covers(h.rule, h.line)) {
+            (
+                "P002",
+                format!(
+                    "allow({}) pragma is stale: {} no longer fires on the guarded line",
+                    p.rule, p.rule
+                ),
+                "delete the pragma (it suppresses nothing)",
+            )
+        } else {
+            continue;
+        };
+        diags.push(Diagnostic {
+            file: label.to_string(),
+            line: p.line,
+            rule,
+            message,
+            fix: fix.to_string(),
+        });
     }
+    diags.extend(
+        hits.into_iter()
+            .filter(|h| !pragmas.iter().any(|p| p.covers(h.rule, h.line))),
+    );
+    diags
 }
 
 fn is_for_loop_over(line: &str, name: &str) -> bool {
@@ -694,262 +699,6 @@ fn is_for_loop_over(line: &str, name: &str) -> bool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Crash-only state-safety rules (S001–S004)
-// ---------------------------------------------------------------------------
-
-/// Interior-mutability / global-cell types whose presence marks state the
-/// reboot wipe cannot see (S002 when global, S003 when inside a
-/// volatile-state struct). `Atomic*` is matched by prefix separately.
-const CELL_TYPES: &[&str] = &[
-    "RefCell", "Cell", "OnceCell", "OnceLock", "Lazy", "Mutex", "RwLock",
-];
-
-/// Output of [`check_state_safety`] over one crate.
-pub struct CrateLint {
-    /// Post-suppression diagnostics.
-    pub diags: Vec<Diagnostic>,
-    /// Every `(label, rule, line)` that fired before pragma suppression.
-    pub raw_hits: Vec<(String, &'static str, usize)>,
-}
-
-/// Runs the crash-only state-safety rules over one crate's sources
-/// (`(label, src)` pairs — the rules are cross-file within a crate):
-///
-/// * **S001** every struct carrying a `// urb-lint: volatile-state`
-///   marker must have a reset-family method whose bodies collectively
-///   mention every field, so a newly added field nobody wipes fails CI.
-///   A marker may name its methods — `volatile-state(crash, reset_all)`
-///   — and then those may live on an enclosing type (the lifecycle wipes
-///   run on `AppServer`, not on `RecoveryLifecycle` itself); a bare
-///   marker uses [`model::DEFAULT_RESET_METHODS`] plus any `reset*`
-///   method owned by the struct.
-/// * **S002** mutable global state (`static mut`, `thread_local!`, a
-///   `static` holding a cell/lock type) — state outside any reboot
-///   boundary.
-/// * **S003** interior mutability inside a volatile-state struct —
-///   state a field-wipe audit cannot see through.
-/// * **S004** (crates `cluster`/`core` only) indexing a `nodes` array
-///   with anything but a parameter of the enclosing function: kernel
-///   event dispatch hands handlers their target node index as a
-///   parameter, so a literal, a local, or a loop variable is a
-///   cross-node touch the future sharded kernel cannot order.
-///   Constructors (`new`, `with_*`) are exempt — wiring the world
-///   before the clock starts is not dispatch.
-pub fn check_state_safety(crate_name: &str, files: &[(&str, &str)]) -> CrateLint {
-    let model = model::CrateModel::parse(files);
-    let mut diags: Vec<Diagnostic> = Vec::new();
-    let mut raw_hits: Vec<(String, &'static str, usize)> = Vec::new();
-
-    for (fidx, (label, src)) in files.iter().enumerate() {
-        let masked = mask_source(src);
-        let allowed = allowed_set(&extract_pragmas(&masked));
-        let skipped = test_line_mask(&masked.code);
-        let fm = &model.files[fidx];
-        let mut push = |rule: &'static str, line: usize, message: String, fix: String| {
-            raw_hits.push((label.to_string(), rule, line));
-            if !allowed.contains(&(rule.to_string(), line)) {
-                diags.push(Diagnostic {
-                    file: label.to_string(),
-                    line,
-                    rule,
-                    message,
-                    fix,
-                });
-            }
-        };
-
-        // S002: mutable globals, per line.
-        for (idx, line) in masked.code.iter().enumerate() {
-            if skipped[idx] {
-                continue;
-            }
-            let lno = idx + 1;
-            if line.contains("thread_local!") {
-                push(
-                    "S002",
-                    lno,
-                    "thread-local state lives outside every reboot boundary".to_string(),
-                    "move the state into a struct wiped by a crash()/reset path".to_string(),
-                );
-                continue;
-            }
-            for at in find_word(line, "static") {
-                // `'static` is a lifetime, not a declaration.
-                if at > 0 && line.as_bytes()[at - 1] == b'\'' {
-                    continue;
-                }
-                let after = line[at + "static".len()..].trim_start();
-                let holds_cell = CELL_TYPES.iter().any(|t| !find_word(line, t).is_empty())
-                    || has_atomic_type(line);
-                if after.starts_with("mut ") || holds_cell {
-                    push(
-                        "S002",
-                        lno,
-                        "mutable global state lives outside every reboot boundary".to_string(),
-                        "move the state into a struct wiped by a crash()/reset path \
-                         (or justify with // urb-lint: allow(S002) — …)"
-                            .to_string(),
-                    );
-                }
-                break;
-            }
-        }
-
-        // S001 + S003: volatile-state structs.
-        for st in &fm.structs {
-            let Some(marker) = &st.marker else {
-                continue;
-            };
-            let explicit = !marker.methods.is_empty();
-            let method_names: Vec<String> = if explicit {
-                marker.methods.clone()
-            } else {
-                let mut names: Vec<String> = model::DEFAULT_RESET_METHODS
-                    .iter()
-                    .map(|m| m.to_string())
-                    .collect();
-                for f in model.files.iter().flat_map(|f| f.fns.iter()) {
-                    if f.owner.as_deref() == Some(st.name.as_str())
-                        && f.name.starts_with("reset")
-                        && !names.contains(&f.name)
-                    {
-                        names.push(f.name.clone());
-                    }
-                }
-                names
-            };
-            let mut bodies = String::new();
-            for m in &method_names {
-                let fns = model.fns_named(m, &st.name);
-                // A bare marker only trusts the struct's own methods; an
-                // explicit list may resolve to an enclosing type's wipes.
-                let fns: Vec<_> = if explicit {
-                    fns
-                } else {
-                    fns.into_iter()
-                        .filter(|f| f.owner.as_deref() == Some(st.name.as_str()))
-                        .collect()
-                };
-                if fns.is_empty() && explicit {
-                    push(
-                        "S001",
-                        marker.line,
-                        format!(
-                            "volatile-state marker on `{}` names reset method `{m}` \
-                             but no such method exists",
-                            st.name
-                        ),
-                        "fix the marker's method list (or implement the method)".to_string(),
-                    );
-                }
-                for f in fns {
-                    bodies.push_str(&f.body);
-                    bodies.push('\n');
-                }
-            }
-            if bodies.is_empty() {
-                push(
-                    "S001",
-                    st.line,
-                    format!(
-                        "volatile-state struct `{}` has no reset-family method ({})",
-                        st.name,
-                        method_names.join(", ")
-                    ),
-                    "implement a crash()/reset method that wipes every field".to_string(),
-                );
-                continue;
-            }
-            for field in &st.fields {
-                if find_word(&bodies, &field.name).is_empty() {
-                    push(
-                        "S001",
-                        field.line,
-                        format!(
-                            "field `{}` of volatile-state struct `{}` is not wiped by any \
-                             reset method ({}); a microreboot would leave residual state",
-                            field.name,
-                            st.name,
-                            method_names.join("/")
-                        ),
-                        format!(
-                            "wipe the field in {}() (or justify with \
-                             // urb-lint: allow(S001) — …)",
-                            method_names.first().map(String::as_str).unwrap_or("crash")
-                        ),
-                    );
-                }
-                if CELL_TYPES
-                    .iter()
-                    .any(|t| !find_word(&field.ty, t).is_empty())
-                    || has_atomic_type(&field.ty)
-                {
-                    push(
-                        "S003",
-                        field.line,
-                        format!(
-                            "interior mutability `{}` inside volatile-state struct `{}` \
-                             hides state from the reboot wipe",
-                            field.ty, st.name
-                        ),
-                        "store the value directly so the reset method can see it \
-                         (or justify with // urb-lint: allow(S003) — …)"
-                            .to_string(),
-                    );
-                }
-            }
-        }
-
-        // S004: cross-node indexing outside dispatch, cluster/core only.
-        if crate_name == "cluster" || crate_name == "core" {
-            for f in &fm.fns {
-                if f.name == "new" || f.name.starts_with("with_") {
-                    continue;
-                }
-                let mut flagged_lines: BTreeSet<usize> = BTreeSet::new();
-                for li in (f.line - 1)..f.end_line.min(masked.code.len()) {
-                    let line = &masked.code[li];
-                    for at in find_word(line, "nodes") {
-                        let rest = &line[at + "nodes".len()..];
-                        if !rest.starts_with('[') {
-                            continue;
-                        }
-                        let Some(close) = rest.find(']') else {
-                            continue;
-                        };
-                        let idx_expr = rest[1..close].trim();
-                        let plain_ident = !idx_expr.is_empty()
-                            && idx_expr.chars().all(|c| c.is_alphanumeric() || c == '_')
-                            && !idx_expr.chars().next().is_some_and(|c| c.is_numeric());
-                        if plain_ident && f.params.iter().any(|p| p == idx_expr) {
-                            continue;
-                        }
-                        if flagged_lines.insert(li + 1) {
-                            push(
-                                "S004",
-                                li + 1,
-                                format!(
-                                    "cross-node access `nodes[{idx_expr}]` outside kernel \
-                                     event dispatch in fn {}",
-                                    f.name
-                                ),
-                                "route the mutation through a scheduled event targeted at \
-                                 the node (or justify with // urb-lint: allow(S004) — …)"
-                                    .to_string(),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    diags.sort();
-    diags.dedup();
-    CrateLint { diags, raw_hits }
-}
-
 /// `Atomic` followed by an identifier (AtomicU64, AtomicBool, …) with a
 /// word boundary before it.
 fn has_atomic_type(text: &str) -> bool {
@@ -967,55 +716,6 @@ fn has_atomic_type(text: &str) -> bool {
         start = at + "Atomic".len();
     }
     false
-}
-
-// ---------------------------------------------------------------------------
-// Stale-pragma detection (P002)
-// ---------------------------------------------------------------------------
-
-/// Flags pragmas whose rule did not fire (pre-suppression) on the line
-/// they guard. Only pragmas that pass `P001` — known rule, real
-/// justification — are evaluated: a bare or unknown-rule pragma is
-/// already a diagnostic and double-reporting it would be noise.
-///
-/// `pragmas_by_file` pairs each file label with its pragmas; `raw_hits`
-/// is the union of every rule hit recorded before suppression, across
-/// the per-file passes and the crate-level S-rule pass.
-pub fn stale_pragma_diags(
-    pragmas_by_file: &[(String, Vec<Pragma>)],
-    raw_hits: &BTreeSet<(String, String, usize)>,
-) -> Vec<Diagnostic> {
-    let known_rules: BTreeSet<&str> = RULES.iter().map(|(r, _)| *r).collect();
-    let mut diags = Vec::new();
-    for (label, pragmas) in pragmas_by_file {
-        for p in pragmas {
-            let passes_p001 = known_rules.contains(p.rule.as_str())
-                && p.justification
-                    .chars()
-                    .filter(|c| c.is_alphanumeric())
-                    .count()
-                    >= 3;
-            if !passes_p001 {
-                continue;
-            }
-            let live = [p.line, p.line + 1]
-                .iter()
-                .any(|&l| raw_hits.contains(&(label.clone(), p.rule.clone(), l)));
-            if !live {
-                diags.push(Diagnostic {
-                    file: label.clone(),
-                    line: p.line,
-                    rule: "P002",
-                    message: format!(
-                        "allow({}) pragma is stale: {} no longer fires on the guarded line",
-                        p.rule, p.rule
-                    ),
-                    fix: "delete the pragma (it suppresses nothing)".to_string(),
-                });
-            }
-        }
-    }
-    diags
 }
 
 // ---------------------------------------------------------------------------
@@ -1040,56 +740,33 @@ fn rs_files_sorted(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-fn rel_label(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root)
-        .unwrap_or(path)
-        .display()
-        .to_string()
-}
-
-/// Lints a workspace rooted at `root`: determinism and state-safety
-/// rules over every `src/` file of the [`SIM_CRATES`], then stale-pragma
-/// detection over the union of pre-suppression hits.
+/// Lints a workspace rooted at `root`: every `src/` file of the
+/// [`SIM_CRATES`] present under it. A root holding none of them is an
+/// error, not a clean run.
 pub fn lint_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let mut diags = Vec::new();
-    let mut raw_hits: BTreeSet<(String, String, usize)> = BTreeSet::new();
-    let mut pragmas_by_file: Vec<(String, Vec<Pragma>)> = Vec::new();
+    let mut crates_found = 0;
     for krate in SIM_CRATES {
         let src_dir = root.join("crates").join(krate).join("src");
         if !src_dir.is_dir() {
             continue;
         }
+        crates_found += 1;
         let mut files = Vec::new();
         rs_files_sorted(&src_dir, &mut files)?;
-        let sources: Vec<(String, String)> = files
-            .iter()
-            .map(|file| {
-                fs::read_to_string(file)
-                    .map(|s| (rel_label(root, file), s))
-                    .map_err(|e| format!("{}: {e}", file.display()))
-            })
-            .collect::<Result<_, _>>()?;
-        for (label, src) in &sources {
-            let file_lint = lint_source_with_hits(label, src);
-            diags.extend(file_lint.diags);
-            for (rule, line) in file_lint.raw_hits {
-                raw_hits.insert((label.clone(), rule.to_string(), line));
-            }
-            pragmas_by_file.push((label.clone(), file_lint.pragmas));
-        }
-        let refs: Vec<(&str, &str)> = sources
-            .iter()
-            .map(|(l, s)| (l.as_str(), s.as_str()))
-            .collect();
-        let crate_lint = check_state_safety(krate, &refs);
-        diags.extend(crate_lint.diags);
-        for (label, rule, line) in crate_lint.raw_hits {
-            raw_hits.insert((label, rule.to_string(), line));
+        for file in files {
+            let src = fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
+            let label = file.strip_prefix(root).unwrap_or(&file).display();
+            diags.extend(lint_source(&label.to_string(), &src));
         }
     }
-
-    diags.extend(stale_pragma_diags(&pragmas_by_file, &raw_hits));
-
+    if crates_found == 0 {
+        return Err(format!(
+            "{}: no crates/<name>/src for any simulation crate ({})",
+            root.display(),
+            SIM_CRATES.join(", ")
+        ));
+    }
     diags.sort();
     Ok(diags)
 }

@@ -1,44 +1,21 @@
 //! The `urb-lint` binary: lints the workspace and reports violations.
 //!
 //! ```text
-//! urb-lint [--root PATH] [--deny-all] [--format text|json]
+//! urb-lint [--root PATH] [--deny-all]
 //! ```
 //!
-//! Diagnostics go to stdout. The default `text` format is one per line,
-//! machine-readable: `path:line: urb-lint[RULE] message; fix: …` (the
-//! shape the repo's GitHub problem matcher parses into annotations).
-//! `json` emits a single document with a `violations` array, for CI
-//! artifacts and tooling. Without `--deny-all` the run is advisory
-//! (exit 0); with it, any violation exits 1. Usage or I/O errors exit 2.
+//! Diagnostics go to stdout, one per line: `path:line: urb-lint[RULE]
+//! message; fix: …` (the shape the repo's GitHub problem matcher parses
+//! into annotations). Without `--deny-all` the run is advisory (exit 0);
+//! with it, any violation exits 1. Usage or I/O errors, and a root with no
+//! simulation crate under it, exit 2.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-enum Format {
-    Text,
-    Json,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut deny_all = false;
-    let mut format = Format::Text;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -50,18 +27,8 @@ fn main() -> ExitCode {
                 root = PathBuf::from(p);
             }
             "--deny-all" => deny_all = true,
-            "--format" => {
-                format = match args.next().as_deref() {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    other => {
-                        eprintln!("urb-lint: --format needs \"text\" or \"json\", got {other:?}");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
             "--help" | "-h" => {
-                println!("usage: urb-lint [--root PATH] [--deny-all] [--format text|json]");
+                println!("usage: urb-lint [--root PATH] [--deny-all]");
                 println!();
                 println!("rules:");
                 for (id, what) in urb_lint::RULES {
@@ -83,32 +50,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match format {
-        Format::Text => {
-            for d in &diags {
-                println!("{d}");
-            }
-        }
-        Format::Json => {
-            println!("{{");
-            println!("  \"tool\": \"urb-lint\",");
-            println!("  \"count\": {},", diags.len());
-            println!("  \"violations\": [");
-            for (i, d) in diags.iter().enumerate() {
-                println!(
-                    "    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \
-                     \"message\": \"{}\", \"fix\": \"{}\"}}{}",
-                    json_escape(&d.file),
-                    d.line,
-                    d.rule,
-                    json_escape(&d.message),
-                    json_escape(&d.fix),
-                    if i + 1 < diags.len() { "," } else { "" }
-                );
-            }
-            println!("  ]");
-            println!("}}");
-        }
+    for d in &diags {
+        println!("{d}");
     }
     if diags.is_empty() {
         eprintln!("urb-lint: clean");

@@ -1,46 +1,8 @@
-//! State-safety fixture: mutable globals, an unwiped field, interior
-//! mutability and cross-node touches outside dispatch.
+//! State-safety fixture: mutable globals, which no reboot wipes.
 use std::cell::RefCell;
+use std::sync::atomic::AtomicU64;
 
 static mut GLOBAL_HITS: u64 = 0;
 thread_local! { static LOCAL: RefCell<u64> = RefCell::new(0); }
-
-// urb-lint: volatile-state(crash)
-pub struct NodeState {
-    inflight: u32,
-    leaked: u64,
-    cache: RefCell<u64>,
-}
-
-impl NodeState {
-    pub fn crash(&mut self) {
-        self.inflight = 0;
-        self.cache = RefCell::new(0);
-    }
-}
-
-// urb-lint: volatile-state(wipe)
-pub struct Orphan {
-    val: u32,
-}
-
-pub struct World {
-    nodes: Vec<NodeState>,
-}
-
-impl World {
-    pub fn with_world(n: usize) -> Self {
-        let w = World { nodes: Vec::with_capacity(n) };
-        let _ = &w.nodes[0];
-        w
-    }
-    pub fn dispatch(&mut self, node: usize) {
-        self.nodes[node].crash();
-    }
-    pub fn sweep(&mut self) {
-        for i in 0..self.nodes.len() {
-            self.nodes[i].crash();
-        }
-        self.nodes[0].crash();
-    }
-}
+static BYTES: AtomicU64 = AtomicU64::new(0);
+static NAME: &'static str = "constant, not state";

@@ -12,15 +12,3 @@ static mut TOTALS: u64 = 0;
 pub fn now_ms() -> u64 {
     0
 }
-
-// urb-lint: volatile-state(crash)
-pub struct Session {
-    inflight: u32,
-    leaked: u64,
-}
-
-impl Session {
-    pub fn crash(&mut self) {
-        self.inflight = 0;
-    }
-}

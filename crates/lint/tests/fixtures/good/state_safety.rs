@@ -1,40 +1,10 @@
-//! Clean counterpart: every field wiped or pragma-justified, the one
-//! global pragma'd, and node state only touched via dispatch parameters.
+//! Clean counterpart: the one global is pragma'd, and the pragma is live
+//! (a stale one would be P002).
 use std::sync::{Mutex, OnceLock};
 
 // urb-lint: allow(S002) — append-only symbol table; identity, not sim state.
 static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
 
-// urb-lint: volatile-state(crash)
-pub struct NodeState {
-    inflight: u32,
-    // urb-lint: allow(S001) — immutable config; survives by design.
-    limit: u32,
-}
-
-impl NodeState {
-    pub fn crash(&mut self) {
-        self.inflight = 0;
-    }
-}
-
-// urb-lint: volatile-state
-pub struct Scratch {
-    buf: Vec<u8>,
-}
-
-impl Scratch {
-    pub fn reset_buffers(&mut self) {
-        self.buf.clear();
-    }
-}
-
-pub struct World {
-    nodes: Vec<NodeState>,
-}
-
-impl World {
-    pub fn dispatch(&mut self, node: usize) {
-        self.nodes[node].crash();
-    }
+pub fn limit(x: &'static str) -> usize {
+    x.len()
 }

@@ -69,8 +69,8 @@ impl NodeDiag {
     }
 }
 
-/// The paper's recursive ladder (see module docs).
-// urb-lint: volatile-state(crash)
+/// The paper's recursive ladder (see module docs). A crash keeps `start`
+/// and replaces every node's [`NodeDiag`] whole.
 pub(crate) struct LadderPolicy {
     /// The rung a fresh episode starts on: `Ejb` is the paper's policy,
     /// `Process` the "recover by JVM restart" baseline. The one thing a

@@ -214,16 +214,16 @@ impl RmStats {
 /// policy, per node. The simulation forwards monitor reports via
 /// [`RecoveryManager::report`], polls [`RecoveryManager::decide`], and
 /// acknowledges completed actions via
-/// [`RecoveryManager::recovery_finished`].
-// urb-lint: volatile-state(crash)
+/// [`RecoveryManager::recovery_finished`]. A crash keeps `choice`, `ctx`
+/// and `store_evidence` and wipes only the policy's per-node state.
 pub struct RecoveryManager {
-    // urb-lint: allow(S001) — registry identity, not diagnosis state: a ReHype reboot restarts the same policy.
+    /// Registry identity: a ReHype reboot restarts the same policy.
     choice: PolicyChoice,
     policy: Box<dyn RecoveryPolicy>,
     /// The host's stable storage — configuration, registry, bus — lent to
     /// the policy on every call; `crash` wipes the policy, never this.
     ctx: PolicyCtx,
-    // urb-lint: allow(S001) — an evidence tally for the run report, not diagnosis state a reboot must clear.
+    /// An evidence tally for the run report, not diagnosis state.
     store_evidence: u64,
 }
 

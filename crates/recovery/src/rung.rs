@@ -150,12 +150,13 @@ impl Stage for Plain {
     type Node = ();
 }
 
-/// A [`Row`] walked by the shared skeleton (see module docs).
-// urb-lint: volatile-state(crash)
+/// A [`Row`] walked by the shared skeleton (see module docs). A crash
+/// keeps `row` and `stage` and replaces every node's state whole.
 pub(crate) struct RungPolicy<S: Stage> {
-    // urb-lint: allow(S001) — the policy's definition, a constant of the build.
+    /// The policy's definition, a constant of the build.
     row: &'static Row,
-    // urb-lint: allow(S001) — the stage's policy-wide part is its code (the hedge's seeded coin), not diagnosis state; its per-node part lives in `nodes`.
+    /// The stage's policy-wide part is its code (the hedge's seeded coin);
+    /// its per-node part lives in `nodes`.
     stage: S,
     nodes: Vec<(Walk, S::Node)>,
 }
