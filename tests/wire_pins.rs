@@ -17,9 +17,12 @@ use microreboot::faults::campaign::{
 use microreboot::faults::Fault;
 use microreboot::recovery::RmConfig;
 use microreboot::simcore::telemetry::{shared_bus, TraceHashSink};
-use microreboot::simcore::{MetricsRegistry, SimTime};
+use microreboot::simcore::{MetricsRegistry, SimRng, SimTime};
 use microreboot::statestore::db::Row;
-use microreboot::statestore::TableId;
+use microreboot::statestore::session::{
+    corrupt_object, CorruptKind, SessionId, SessionObject, SessionStore,
+};
+use microreboot::statestore::{FastS, Ssm, TableId, Value};
 
 /// What [`two_minutes`] leaves behind: the finished simulation and the two
 /// sinks it had on its bus.
@@ -239,5 +242,101 @@ fn generated_dataset_reproduces_the_pinned_rows_and_index_scans() {
         [7, 11].map(|seed| format!("{:016x}", dataset_hash(seed))),
         ["84211dbcf664e002", "10ffb75adba4e99d"],
         "the generated dataset or an indexed query over it moved"
+    );
+}
+
+/// Attribute keys for [`session_objects`]: out of byte order, with an
+/// upper-case key (sorts before every lower-case one) and a key that is a
+/// prefix of another.
+const SESSION_KEYS: [&str; 7] = [
+    "user_id",
+    "bid_item",
+    "user",
+    "Zone",
+    "bid_amount",
+    "fb_user",
+    "buy_item",
+];
+
+/// A seeded set of 64 session objects built through the public surface:
+/// object 0 is empty; the others set keys in random order, overwrite, and
+/// remove present and absent keys, over every `Value` variant; one in
+/// four of them then goes through `corrupt_object` with each
+/// `CorruptKind` in turn.
+fn session_objects(seed: u64) -> Vec<SessionObject> {
+    let mut rng = SimRng::seed_from(seed);
+    let kinds = [
+        None,
+        Some(CorruptKind::SetNull),
+        Some(CorruptKind::SetInvalid),
+        Some(CorruptKind::SetWrong),
+    ];
+    (0..64)
+        .map(|i| {
+            let mut obj = SessionObject::new();
+            let ops = if i == 0 { 0 } else { rng.uniform_u64(12) };
+            for _ in 0..ops {
+                let key = *rng.pick(&SESSION_KEYS).expect("keys");
+                match rng.uniform_u64(7) {
+                    0 => obj.set(key, Value::Null),
+                    1 => obj.set(key, rng.next_u64() as i64 >> rng.uniform_u64(64)),
+                    2 => obj.set(key, "s".repeat(rng.uniform_usize(20))),
+                    3 => obj.set(key, rng.unit_f64() * 1e3),
+                    4 => obj.set(key, rng.chance(0.5)),
+                    _ => drop(obj.remove(key)),
+                }
+            }
+            if let Some(kind) = kinds[i % 4] {
+                corrupt_object(&mut obj, kind);
+            }
+            obj
+        })
+        .collect()
+}
+
+/// FNV-1a 64 over [`session_objects`] as every reader sees them: per
+/// object its `iter()` pairs, `encode()`, `encoded_len()` and taint bit,
+/// the `encode()` of the object read back from SSM after a write, and
+/// FastS's `in_process_bytes` once the object is written there too.
+fn session_hash(seed: u64) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut feed = |bytes: &[u8]| {
+        for b in bytes {
+            hash = (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut ssm = Ssm::new(3);
+    let mut fasts = FastS::new();
+    let mut cell = Vec::new();
+    for (i, obj) in session_objects(seed).into_iter().enumerate() {
+        let id = SessionId(i as u64);
+        for (key, value) in obj.iter() {
+            feed(key.as_bytes());
+            cell.clear();
+            value.encode_into(&mut cell);
+            feed(&cell);
+        }
+        feed(&obj.encode());
+        feed(&obj.encoded_len().to_le_bytes());
+        feed(&[u8::from(obj.is_tainted())]);
+        ssm.write(id, obj.clone()).unwrap();
+        let back = ssm.read(id).unwrap().expect("just written");
+        assert_eq!(back, obj, "SSM hands back what was written");
+        feed(&back.encode());
+        fasts.write(id, obj).unwrap();
+        feed(&fasts.in_process_bytes().to_le_bytes());
+    }
+    hash
+}
+
+/// Recorded while each object was a `BTreeMap` from `String` keys: however
+/// attributes are held, every reader sees them in the same order, with
+/// the same bytes and the same accounted size.
+#[test]
+fn session_objects_marshal_as_pinned() {
+    assert_eq!(
+        [7, 11].map(|seed| format!("{:016x}", session_hash(seed))),
+        ["a547c4d77edd1c04", "07b3ba121222eca2"],
+        "a session object's attribute order, encoding or size moved"
     );
 }
