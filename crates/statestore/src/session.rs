@@ -6,8 +6,8 @@
 //! [`SessionObject`]s atomically through a [`SessionStore`], which lets the
 //! store — not the application — own recovery of that data.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::mem;
 use std::rc::Rc;
 
 use simcore::SimDuration;
@@ -54,13 +54,14 @@ impl std::error::Error for StoreError {}
 /// no partial-update operation, mirroring FastS/SSM's
 /// "read/write HttpSession objects atomically" contract.
 ///
-/// Copy-on-write: a clone shares the attribute map, and the first mutation
-/// of a shared object copies the map before changing it. A store, the
-/// request that read from it and every SSM replica therefore hold one map
-/// until somebody writes; nobody can see anybody else's mutation.
+/// The attributes are one shared slice sorted by key. Copy-on-write: a
+/// clone shares the slice, and a mutation of a shared object builds a new
+/// slice before changing anything. A store, the request that read from it
+/// and every SSM replica therefore hold one slice until somebody writes;
+/// nobody can see anybody else's mutation.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionObject {
-    attrs: Rc<BTreeMap<String, Value>>,
+    attrs: Rc<[(&'static str, Value)]>,
     tainted: bool,
 }
 
@@ -70,19 +71,67 @@ impl SessionObject {
         SessionObject::default()
     }
 
+    /// Where `key` is in the slice, or where it would go.
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.attrs.binary_search_by(|(k, _)| (*k).cmp(key))
+    }
+
+    /// Replaces `attrs[at..skip]` with `new`, building the slice in one
+    /// allocation: values move out of an unshared slice and are cloned
+    /// from a shared one.
+    fn splice(&mut self, at: usize, new: Option<(&'static str, Value)>, skip: usize) {
+        self.attrs = match Rc::get_mut(&mut self.attrs) {
+            Some(own) => {
+                let take = |(k, v): &mut (&'static str, Value)| (*k, mem::replace(v, Value::Null));
+                let (head, tail) = own.split_at_mut(skip);
+                head[..at]
+                    .iter_mut()
+                    .map(take)
+                    .chain(new)
+                    .chain(tail.iter_mut().map(take))
+                    .collect()
+            }
+            None => {
+                let (head, tail) = (&self.attrs[..at], &self.attrs[skip..]);
+                head.iter()
+                    .cloned()
+                    .chain(new)
+                    .chain(tail.iter().cloned())
+                    .collect()
+            }
+        };
+    }
+
     /// Sets attribute `key` to `value`.
-    pub fn set(&mut self, key: &str, value: impl Into<Value>) {
-        Rc::make_mut(&mut self.attrs).insert(key.to_string(), value.into());
+    ///
+    /// Overwriting a key of an unshared object happens in place; a new key,
+    /// or any change to a shared object, builds a new slice.
+    pub fn set(&mut self, key: &'static str, value: impl Into<Value>) {
+        let value = value.into();
+        match self.find(key) {
+            Ok(at) => match Rc::get_mut(&mut self.attrs) {
+                Some(own) => own[at].1 = value,
+                None => self.splice(at, Some((key, value)), at + 1),
+            },
+            Err(at) => self.splice(at, Some((key, value)), at),
+        }
     }
 
     /// Returns attribute `key`, if present.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.attrs.get(key)
+        self.find(key).ok().map(|at| &self.attrs[at].1)
     }
 
-    /// Removes attribute `key`, returning its old value.
+    /// Removes attribute `key`, returning its old value. An absent key
+    /// changes nothing.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        Rc::make_mut(&mut self.attrs).remove(key)
+        let at = self.find(key).ok()?;
+        let old = match Rc::get_mut(&mut self.attrs) {
+            Some(own) => mem::replace(&mut own[at].1, Value::Null),
+            None => self.attrs[at].1.clone(),
+        };
+        self.splice(at, None, at + 1);
+        Some(old)
     }
 
     /// Returns the number of attributes.
@@ -97,7 +146,7 @@ impl SessionObject {
 
     /// Iterates over `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.attrs.iter().map(|(k, v)| (k.as_str(), v))
+        self.attrs.iter().map(|(k, v)| (*k, v))
     }
 
     /// Serializes the object for checksumming/marshalling.
@@ -197,16 +246,21 @@ pub trait SessionStore {
 /// * `SetWrong` perturbs integer attributes plausibly (off-by-one million),
 ///   which passes validation but yields wrong answers.
 pub fn corrupt_object(obj: &mut SessionObject, kind: CorruptKind) {
-    for v in Rc::make_mut(&mut obj.attrs).values_mut() {
-        *v = match (kind, &*v) {
-            (CorruptKind::SetNull, _) => Value::Null,
-            (CorruptKind::SetInvalid, Value::Int(_)) => Value::Int(i64::MAX),
-            (CorruptKind::SetInvalid, _) => Value::Str("\u{fffd}invalid\u{fffd}".into()),
-            // Off-by-one: the classic "swapped/shifted id" — valid by every
-            // application check, wrong for this user.
-            (CorruptKind::SetWrong, Value::Int(n)) => Value::Int(n.wrapping_add(1)),
-            (CorruptKind::SetWrong, _) => continue,
-        };
+    // `SetWrong` leaves everything but integers alone: an object it would
+    // not change is not copied.
+    let hits = |v: &Value| kind != CorruptKind::SetWrong || matches!(v, Value::Int(_));
+    if obj.attrs.iter().any(|(_, v)| hits(v)) {
+        for (_, v) in Rc::make_mut(&mut obj.attrs).iter_mut() {
+            *v = match (kind, &*v) {
+                (CorruptKind::SetNull, _) => Value::Null,
+                (CorruptKind::SetInvalid, Value::Int(_)) => Value::Int(i64::MAX),
+                (CorruptKind::SetInvalid, _) => Value::Str("\u{fffd}invalid\u{fffd}".into()),
+                // Off-by-one: the classic "swapped/shifted id" — valid by
+                // every application check, wrong for this user.
+                (CorruptKind::SetWrong, Value::Int(n)) => Value::Int(n.wrapping_add(1)),
+                (CorruptKind::SetWrong, _) => continue,
+            };
+        }
     }
     obj.mark_tainted();
 }
