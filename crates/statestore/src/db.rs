@@ -34,6 +34,7 @@
 //! an application resolved when it was deployed, or the name itself,
 //! searched for on that call. Rows are shared ([`Row`]), never copied.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -426,6 +427,16 @@ struct Txn {
     locks: Vec<(usize, i64)>,
 }
 
+impl Txn {
+    fn new(conn: ConnId) -> Txn {
+        Txn {
+            conn,
+            undo: Vec::new(),
+            locks: Vec::new(),
+        }
+    }
+}
+
 /// Counters describing a database's lifetime activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DbStats {
@@ -462,6 +473,9 @@ pub struct Database {
     txns: BTreeMap<u64, Txn>,
     conns: BTreeMap<u64, Vec<u64>>,
     locks: BTreeMap<(usize, i64), u64>,
+    /// Finished transactions with emptied `undo` and `locks`, whose
+    /// buffers later ones reuse.
+    spare: Vec<Txn>,
     next_txn: u64,
     next_conn: u64,
     stats: DbStats,
@@ -496,6 +510,7 @@ impl Database {
             txns: BTreeMap::new(),
             conns: BTreeMap::new(),
             locks: BTreeMap::new(),
+            spare: Vec::new(),
             next_txn: 0,
             next_conn: 0,
             stats: DbStats::default(),
@@ -561,14 +576,11 @@ impl Database {
         let id = self.next_txn;
         self.next_txn += 1;
         list.push(id);
-        self.txns.insert(
-            id,
-            Txn {
-                conn,
-                undo: Vec::new(),
-                locks: Vec::new(),
-            },
-        );
+        let txn = match self.spare.pop() {
+            Some(spare) => Txn { conn, ..spare },
+            None => Txn::new(conn),
+        };
+        self.txns.insert(id, txn);
         Ok(TxnId(id))
     }
 
@@ -582,42 +594,59 @@ impl Database {
         self.txns.contains_key(&txn.0)
     }
 
+    /// Takes the lock on row `pk` of `table` for `txn`, which must be
+    /// active: a finished transaction's write fails before it touches a
+    /// lock or a row.
     fn lock(&mut self, txn: TxnId, table: usize, pk: i64) -> Result<(), DbError> {
-        match self.locks.get(&(table, pk)) {
-            Some(owner) if *owner == txn.0 => Ok(()),
-            Some(_) => Err(DbError::LockConflict {
+        let t = self.txns.get_mut(&txn.0).ok_or(DbError::NoSuchTxn)?;
+        match self.locks.entry((table, pk)) {
+            Entry::Occupied(owner) if *owner.get() == txn.0 => Ok(()),
+            Entry::Occupied(_) => Err(DbError::LockConflict {
                 table: self.tables[table].def.name.to_string(),
                 pk,
             }),
-            None => {
-                self.locks.insert((table, pk), txn.0);
-                self.txns
-                    .get_mut(&txn.0)
-                    .ok_or(DbError::NoSuchTxn)?
-                    .locks
-                    .push((table, pk));
+            Entry::Vacant(slot) => {
+                slot.insert(txn.0);
+                t.locks.push((table, pk));
                 Ok(())
             }
         }
     }
 
-    /// Commits `txn`, making its writes durable and releasing its locks.
-    pub fn commit(&mut self, txn: TxnId) -> Result<(), DbError> {
-        let t = self.txns.remove(&txn.0).ok_or(DbError::NoSuchTxn)?;
-        for lk in &t.locks {
-            self.locks.remove(lk);
+    /// Records how to undo a write `lock` admitted for `txn`.
+    fn log(&mut self, txn: TxnId, undo: Undo) {
+        let t = self.txns.get_mut(&txn.0).expect("lock checked txn");
+        t.undo.push(undo);
+        self.stats.writes += 1;
+    }
+
+    /// Ends `txn`: releases its locks and detaches it from its connection.
+    /// The caller empties the returned undo log and hands the transaction
+    /// to `spare`.
+    fn finish(&mut self, txn: TxnId) -> Result<Txn, DbError> {
+        let mut t = self.txns.remove(&txn.0).ok_or(DbError::NoSuchTxn)?;
+        for lk in t.locks.drain(..) {
+            self.locks.remove(&lk);
         }
         if let Some(list) = self.conns.get_mut(&t.conn.0) {
             list.retain(|id| *id != txn.0);
         }
+        Ok(t)
+    }
+
+    /// Commits `txn`, making its writes durable and releasing its locks.
+    pub fn commit(&mut self, txn: TxnId) -> Result<(), DbError> {
+        let mut t = self.finish(txn)?;
+        t.undo.clear();
+        self.spare.push(t);
         self.stats.commits += 1;
         Ok(())
     }
 
     /// Rolls back `txn`, undoing its writes and releasing its locks.
     pub fn rollback(&mut self, txn: TxnId) -> Result<(), DbError> {
-        let t = self.txns.remove(&txn.0).ok_or(DbError::NoSuchTxn)?;
-        for undo in t.undo.into_iter().rev() {
+        let mut t = self.finish(txn)?;
+        for undo in t.undo.drain(..).rev() {
             match undo {
                 Undo::Insert { table, pk } => {
                     self.tables[table].replace(pk, None);
@@ -627,12 +656,7 @@ impl Database {
                 }
             }
         }
-        for lk in &t.locks {
-            self.locks.remove(lk);
-        }
-        if let Some(list) = self.conns.get_mut(&t.conn.0) {
-            list.retain(|id| *id != txn.0);
-        }
+        self.spare.push(t);
         self.stats.aborts += 1;
         Ok(())
     }
@@ -664,12 +688,7 @@ impl Database {
         let pk = self.tables[ti].admit(&row)?;
         self.lock(txn, ti, pk)?;
         self.tables[ti].replace(pk, Some(row));
-        self.txns
-            .get_mut(&txn.0)
-            .ok_or(DbError::NoSuchTxn)?
-            .undo
-            .push(Undo::Insert { table: ti, pk });
-        self.stats.writes += 1;
+        self.log(txn, Undo::Insert { table: ti, pk });
         Ok(())
     }
 
@@ -735,12 +754,7 @@ impl Database {
         let old = self.tables[ti]
             .replace(pk, Some(row))
             .expect("existence checked above");
-        self.txns
-            .get_mut(&txn.0)
-            .ok_or(DbError::NoSuchTxn)?
-            .undo
-            .push(Undo::Update { table: ti, pk, old });
-        self.stats.writes += 1;
+        self.log(txn, Undo::Update { table: ti, pk, old });
         Ok(())
     }
 
@@ -754,12 +768,7 @@ impl Database {
         let old = self.tables[ti]
             .replace(pk, None)
             .expect("existence checked above");
-        self.txns
-            .get_mut(&txn.0)
-            .ok_or(DbError::NoSuchTxn)?
-            .undo
-            .push(Undo::Delete { table: ti, pk, old });
-        self.stats.writes += 1;
+        self.log(txn, Undo::Delete { table: ti, pk, old });
         Ok(())
     }
 

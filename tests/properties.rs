@@ -17,7 +17,7 @@ use microreboot::statestore::db::{ConnId, Row, TableDef, TableRef};
 use microreboot::statestore::session::{
     corrupt_object, CorruptKind, SessionId, SessionObject, SessionStore,
 };
-use microreboot::statestore::{Database, FastS, Ssm, TableId, TxnId, Value};
+use microreboot::statestore::{Database, DbError, FastS, Ssm, TableId, TxnId, Value};
 
 const CASES: u64 = 64;
 
@@ -148,6 +148,96 @@ fn db_crash_preserves_committed_state() {
             "case {case}"
         );
         assert_eq!(db.active_txns(), 0);
+    }
+}
+
+/// A write through a transaction that has finished — committed, rolled
+/// back, or swept by a crash — fails with `NoSuchTxn` and changes
+/// nothing: not the rows, not `stats()`, and it leaves no lock behind that
+/// a live transaction would then trip over. Each write is tried twice (a
+/// lock left by the first would let the second through) and is otherwise
+/// valid: inserts take absent keys, updates and deletes present ones.
+#[test]
+fn db_writes_through_finished_txns_change_nothing() {
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from(0x2800 + case);
+        let mut db = fresh_db();
+        let conn = db.open_conn();
+        let setup = db.begin(conn).unwrap();
+        for pk in 0..20 {
+            if rng.chance(0.5) {
+                db.insert(setup, "t", vec![Value::Int(pk), Value::Int(pk)])
+                    .unwrap();
+            }
+        }
+        db.commit(setup).unwrap();
+        let mut finished = Vec::new();
+        for end in 0..3 {
+            let txn = db.begin(conn).unwrap();
+            for (op, _) in gen_txns(&mut rng)
+                .into_iter()
+                .flat_map(|(ops, _)| ops)
+                .zip(0..4)
+            {
+                let _ = match op {
+                    DbOp::Insert(pk, v) => db.insert(txn, "t", vec![Value::Int(pk), Value::Int(v)]),
+                    DbOp::Update(pk, v) => db.update(txn, "t", pk, &[(1, Value::Int(v))]),
+                    DbOp::Delete(pk) => db.delete(txn, "t", pk),
+                };
+            }
+            match end {
+                0 => db.commit(txn).unwrap(),
+                1 => db.rollback(txn).unwrap(),
+                _ => drop(db.crash()),
+            }
+            finished.push(txn);
+        }
+        let conn = db.open_conn();
+
+        let rows = db.scan("t", |_| true, usize::MAX).unwrap();
+        let stats = db.stats();
+        let present: Vec<i64> = rows.iter().filter_map(|r| r[0].as_int()).collect();
+        for &txn in &finished {
+            for _ in 0..2 {
+                for pk in 0..50 {
+                    let got = if present.contains(&pk) {
+                        [
+                            db.update(txn, "t", pk, &[(1, Value::Int(-1))]),
+                            db.delete(txn, "t", pk),
+                        ]
+                    } else {
+                        let row = vec![Value::Int(pk), Value::Int(-1)];
+                        [db.insert(txn, "t", row.clone()), db.insert(txn, "t", row)]
+                    };
+                    assert_eq!(
+                        got,
+                        [Err(DbError::NoSuchTxn), Err(DbError::NoSuchTxn)],
+                        "case {case}, pk {pk}"
+                    );
+                }
+            }
+        }
+        assert_eq!(db.stats(), stats, "case {case}");
+        assert_eq!(
+            db.scan("t", |_| true, usize::MAX).unwrap(),
+            rows,
+            "case {case}"
+        );
+
+        let live = db.begin(conn).unwrap();
+        for pk in 0..50 {
+            let wrote = if present.contains(&pk) {
+                db.update(live, "t", pk, &[(1, Value::Int(pk + 1))])
+            } else {
+                db.insert(live, "t", vec![Value::Int(pk), Value::Int(pk + 1)])
+            };
+            assert_eq!(
+                wrote,
+                Ok(()),
+                "case {case}: a live transaction locks row {pk}"
+            );
+        }
+        db.commit(live).unwrap();
     }
 }
 
