@@ -427,16 +427,6 @@ struct Txn {
     locks: Vec<(usize, i64)>,
 }
 
-impl Txn {
-    fn new(conn: ConnId) -> Txn {
-        Txn {
-            conn,
-            undo: Vec::new(),
-            locks: Vec::new(),
-        }
-    }
-}
-
 /// Counters describing a database's lifetime activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DbStats {
@@ -578,7 +568,11 @@ impl Database {
         list.push(id);
         let txn = match self.spare.pop() {
             Some(spare) => Txn { conn, ..spare },
-            None => Txn::new(conn),
+            None => Txn {
+                conn,
+                undo: Vec::new(),
+                locks: Vec::new(),
+            },
         };
         self.txns.insert(id, txn);
         Ok(TxnId(id))

@@ -174,12 +174,8 @@ fn db_writes_through_finished_txns_change_nothing() {
         let mut finished = Vec::new();
         for end in 0..3 {
             let txn = db.begin(conn).unwrap();
-            for (op, _) in gen_txns(&mut rng)
-                .into_iter()
-                .flat_map(|(ops, _)| ops)
-                .zip(0..4)
-            {
-                let _ = match op {
+            for _ in 0..4 {
+                let _ = match gen_db_op(&mut rng) {
                     DbOp::Insert(pk, v) => db.insert(txn, "t", vec![Value::Int(pk), Value::Int(v)]),
                     DbOp::Update(pk, v) => db.update(txn, "t", pk, &[(1, Value::Int(v))]),
                     DbOp::Delete(pk) => db.delete(txn, "t", pk),
