@@ -25,7 +25,7 @@ echo "    crates/*/src lines:  $(find crates/*/src -name '*.rs' | xargs cat | wc
 echo "    public items:        $(echo "$rs_files" | grep -v fixtures/ \
   | xargs grep -hE '^\s*pub (fn|struct|enum|trait|const|type|static|mod) ' | wc -l)"
 # The three ratios tests/alloc_budget.rs gates (FastS, SSM, set-up).
-cargo test -q --test alloc_budget -- --nocapture 2> /dev/null \
+cargo test -q --test alloc_budget allocation_budget -- --nocapture \
   | grep -oE '[A-Za-z-]+ allocations per .*' | sed 's/^/    /'
 
 urb=target/release/urb # the one bench executable, built by the first step

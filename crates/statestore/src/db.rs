@@ -421,10 +421,22 @@ enum Undo {
     Delete { table: usize, pk: i64, old: Row },
 }
 
+impl Undo {
+    /// The row this record restores, which its transaction holds locked.
+    fn row(&self) -> (usize, i64) {
+        match *self {
+            Undo::Insert { table, pk }
+            | Undo::Update { table, pk, .. }
+            | Undo::Delete { table, pk, .. } => (table, pk),
+        }
+    }
+}
+
+/// An active transaction. Every lock it holds is the row of one of its
+/// undo records: each write logs right after `lock` admits it.
 struct Txn {
     conn: ConnId,
     undo: Vec<Undo>,
-    locks: Vec<(usize, i64)>,
 }
 
 /// Counters describing a database's lifetime activity.
@@ -463,8 +475,8 @@ pub struct Database {
     txns: BTreeMap<u64, Txn>,
     conns: BTreeMap<u64, Vec<u64>>,
     locks: BTreeMap<(usize, i64), u64>,
-    /// Finished transactions with emptied `undo` and `locks`, whose
-    /// buffers later ones reuse.
+    /// Finished transactions with emptied undo logs, whose buffers later
+    /// ones reuse.
     spare: Vec<Txn>,
     next_txn: u64,
     next_conn: u64,
@@ -571,7 +583,6 @@ impl Database {
             None => Txn {
                 conn,
                 undo: Vec::new(),
-                locks: Vec::new(),
             },
         };
         self.txns.insert(id, txn);
@@ -592,7 +603,9 @@ impl Database {
     /// active: a finished transaction's write fails before it touches a
     /// lock or a row.
     fn lock(&mut self, txn: TxnId, table: usize, pk: i64) -> Result<(), DbError> {
-        let t = self.txns.get_mut(&txn.0).ok_or(DbError::NoSuchTxn)?;
+        if !self.txns.contains_key(&txn.0) {
+            return Err(DbError::NoSuchTxn);
+        }
         match self.locks.entry((table, pk)) {
             Entry::Occupied(owner) if *owner.get() == txn.0 => Ok(()),
             Entry::Occupied(_) => Err(DbError::LockConflict {
@@ -601,7 +614,6 @@ impl Database {
             }),
             Entry::Vacant(slot) => {
                 slot.insert(txn.0);
-                t.locks.push((table, pk));
                 Ok(())
             }
         }
@@ -618,9 +630,9 @@ impl Database {
     /// The caller empties the returned undo log and hands the transaction
     /// to `spare`.
     fn finish(&mut self, txn: TxnId) -> Result<Txn, DbError> {
-        let mut t = self.txns.remove(&txn.0).ok_or(DbError::NoSuchTxn)?;
-        for lk in t.locks.drain(..) {
-            self.locks.remove(&lk);
+        let t = self.txns.remove(&txn.0).ok_or(DbError::NoSuchTxn)?;
+        for undo in &t.undo {
+            self.locks.remove(&undo.row());
         }
         if let Some(list) = self.conns.get_mut(&t.conn.0) {
             list.retain(|id| *id != txn.0);

@@ -7,7 +7,6 @@
 //! store — not the application — own recovery of that data.
 
 use std::fmt;
-use std::mem;
 use std::rc::Rc;
 
 use simcore::SimDuration;
@@ -77,29 +76,14 @@ impl SessionObject {
     }
 
     /// Replaces `attrs[at..skip]` with `new`, building the slice in one
-    /// allocation: values move out of an unshared slice and are cloned
-    /// from a shared one.
+    /// allocation.
     fn splice(&mut self, at: usize, new: Option<(&'static str, Value)>, skip: usize) {
-        self.attrs = match Rc::get_mut(&mut self.attrs) {
-            Some(own) => {
-                let take = |(k, v): &mut (&'static str, Value)| (*k, mem::replace(v, Value::Null));
-                let (head, tail) = own.split_at_mut(skip);
-                head[..at]
-                    .iter_mut()
-                    .map(take)
-                    .chain(new)
-                    .chain(tail.iter_mut().map(take))
-                    .collect()
-            }
-            None => {
-                let (head, tail) = (&self.attrs[..at], &self.attrs[skip..]);
-                head.iter()
-                    .cloned()
-                    .chain(new)
-                    .chain(tail.iter().cloned())
-                    .collect()
-            }
-        };
+        self.attrs = self.attrs[..at]
+            .iter()
+            .cloned()
+            .chain(new)
+            .chain(self.attrs[skip..].iter().cloned())
+            .collect();
     }
 
     /// Sets attribute `key` to `value`.
@@ -126,10 +110,7 @@ impl SessionObject {
     /// changes nothing.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
         let at = self.find(key).ok()?;
-        let old = match Rc::get_mut(&mut self.attrs) {
-            Some(own) => mem::replace(&mut own[at].1, Value::Null),
-            None => self.attrs[at].1.clone(),
-        };
+        let old = self.attrs[at].1.clone();
         self.splice(at, None, at + 1);
         Some(old)
     }
@@ -246,21 +227,16 @@ pub trait SessionStore {
 /// * `SetWrong` perturbs integer attributes plausibly (off-by-one million),
 ///   which passes validation but yields wrong answers.
 pub fn corrupt_object(obj: &mut SessionObject, kind: CorruptKind) {
-    // `SetWrong` leaves everything but integers alone: an object it would
-    // not change is not copied.
-    let hits = |v: &Value| kind != CorruptKind::SetWrong || matches!(v, Value::Int(_));
-    if obj.attrs.iter().any(|(_, v)| hits(v)) {
-        for (_, v) in Rc::make_mut(&mut obj.attrs).iter_mut() {
-            *v = match (kind, &*v) {
-                (CorruptKind::SetNull, _) => Value::Null,
-                (CorruptKind::SetInvalid, Value::Int(_)) => Value::Int(i64::MAX),
-                (CorruptKind::SetInvalid, _) => Value::Str("\u{fffd}invalid\u{fffd}".into()),
-                // Off-by-one: the classic "swapped/shifted id" — valid by
-                // every application check, wrong for this user.
-                (CorruptKind::SetWrong, Value::Int(n)) => Value::Int(n.wrapping_add(1)),
-                (CorruptKind::SetWrong, _) => continue,
-            };
-        }
+    for (_, v) in Rc::make_mut(&mut obj.attrs).iter_mut() {
+        *v = match (kind, &*v) {
+            (CorruptKind::SetNull, _) => Value::Null,
+            (CorruptKind::SetInvalid, Value::Int(_)) => Value::Int(i64::MAX),
+            (CorruptKind::SetInvalid, _) => Value::Str("\u{fffd}invalid\u{fffd}".into()),
+            // Off-by-one: the classic "swapped/shifted id" — valid by every
+            // application check, wrong for this user.
+            (CorruptKind::SetWrong, Value::Int(n)) => Value::Int(n.wrapping_add(1)),
+            (CorruptKind::SetWrong, _) => continue,
+        };
     }
     obj.mark_tainted();
 }
