@@ -1,9 +1,12 @@
 //! Pins what the one campaign driver must not move: each `urb chaos`
-//! flavor at a small size reproduces the campaign digest captured from
-//! the four hand-copied drivers it replaced, with zero violations, and
-//! every campaign turns a bad command line into exit code 2 plus usage.
+//! flavor reproduces the campaign digest captured from the four
+//! hand-copied drivers it replaced, with zero violations (the lines are in
+//! `tests/pins.txt`), and every campaign turns a bad command line into
+//! exit code 2 plus usage.
 
 use std::process::{Command, Output};
+
+use urb_core::testkit::assert_pins;
 
 fn urb_chaos(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_urb"))
@@ -13,28 +16,31 @@ fn urb_chaos(args: &[&str]) -> Output {
         .expect("urb runs")
 }
 
-/// Runs a campaign and asserts it exits clean with `expected` lines among
-/// its stdout.
-fn assert_campaign(args: &[&str], expected: &[&str]) {
+/// Runs a campaign, compares each named pin with the first stdout line
+/// that starts with its prefix, then asserts the campaign exited clean.
+fn assert_campaign(args: &[&str], pins: &[(&str, &str)]) {
     let out = urb_chaos(args);
     let stdout = String::from_utf8_lossy(&out.stdout);
+    let got: Vec<_> = pins
+        .iter()
+        .map(|&(name, prefix)| {
+            let line = stdout.lines().find(|l| l.starts_with(prefix));
+            (name, line.unwrap_or("(no such line)").to_string())
+        })
+        .collect();
+    assert_pins(&got);
     assert!(out.status.success(), "{args:?} failed:\n{stdout}");
-    for want in expected {
-        assert!(
-            stdout.lines().any(|l| l.contains(want)),
-            "{args:?}: no line with {want:?} in:\n{stdout}"
-        );
-    }
 }
 
+/// The chaos-200 digest DESIGN.md quotes.
 #[test]
 fn classic_campaign_digest_is_pinned() {
     assert_campaign(
-        &["--seed", "7", "--runs", "16", "--strict"],
+        &["--seed", "7", "--runs", "200", "--strict"],
         &[
-            "urb chaos: seed 7, 16 run(s), strict",
-            "campaign digest 8487a1c45ea4ff74 over 16 run(s), 0 violation(s)",
-            "all invariants held",
+            ("chaos.classic.header", "urb chaos:"),
+            ("chaos.classic.digest", "campaign digest"),
+            ("chaos.classic.verdict", "all "),
         ],
     );
 }
@@ -44,8 +50,8 @@ fn netstate_campaign_digest_is_pinned() {
     assert_campaign(
         &["netstate", "--runs", "8"],
         &[
-            "netstate campaign digest 62d5dece4fce2be8 over 8 run(s), 0 violation(s)",
-            "commit intents: 9467; dupes discarded: 15; store evidence withheld: 261",
+            ("chaos.netstate.digest", "netstate campaign digest"),
+            ("chaos.netstate.ledger", "commit intents:"),
         ],
     );
 }
@@ -54,7 +60,7 @@ fn netstate_campaign_digest_is_pinned() {
 fn degraded_campaign_digest_is_pinned() {
     assert_campaign(
         &["degraded", "--runs", "2"],
-        &["degraded campaign digest 49c69d9482783e25 over 2 run(s), 0 violation(s)"],
+        &[("chaos.degraded.digest", "degraded campaign digest")],
     );
 }
 
@@ -69,10 +75,10 @@ fn tournament_digests_are_pinned_per_policy() {
             "paper-ladder,reboot-first",
         ],
         &[
-            "urb chaos tournament: seed 7, 6 run(s) x 2 policies",
-            "paper-ladder  27.0          281          148.5            0      0           1aa4ced07bc51f48  *",
-            "reboot-first  19.0          380          242.7            0      0           6fd1a13ca94d0ed0  *",
-            "Pareto frontier: paper-ladder, reboot-first",
+            ("tournament.header", "urb chaos tournament:"),
+            ("tournament.paper-ladder", "paper-ladder "),
+            ("tournament.reboot-first", "reboot-first "),
+            ("tournament.frontier", "Pareto frontier:"),
         ],
     );
 }

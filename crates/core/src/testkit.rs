@@ -6,6 +6,11 @@
 //! naming lookups, nested calls, transactions, session state, markers and
 //! the microreboot kill paths. The real evaluation application (eBid)
 //! lives in the `ebid` crate.
+//!
+//! [`assert_pins`] is the one reader of `tests/pins.txt`, the manifest of
+//! every golden value the workspace's tests compare.
+
+use std::collections::BTreeMap;
 
 use components::descriptor::{ComponentDescriptor, ComponentId, ComponentKind};
 use simcore::SimDuration;
@@ -200,5 +205,125 @@ impl Application for ToyApp {
 impl ToyApp {
     fn valid_user(v: i64) -> bool {
         (0..1_000_000).contains(&v)
+    }
+}
+
+/// `tests/pins.txt`: one `name = value` line per pin, `#` comments.
+const PINS: &str = include_str!("../../../tests/pins.txt");
+
+/// Compares each `(name, got)` with the value `tests/pins.txt` pins under
+/// `name`. On any mismatch it panics with one `name: pinned → got` line
+/// per moved pin, then every value it was given as a manifest line, ready
+/// to paste: re-pinning is a reviewed edit of that file, never a flag.
+#[track_caller]
+pub fn assert_pins(got: &[(impl AsRef<str>, String)]) {
+    if let Err(report) = compare(PINS, got) {
+        panic!("{report}");
+    }
+}
+
+/// The manifest's pins by name. Panics on a line without ` = ` or a name
+/// pinned twice, naming the line.
+fn parse(manifest: &str) -> BTreeMap<&str, &str> {
+    let mut pins = BTreeMap::new();
+    for (i, line) in manifest.lines().enumerate() {
+        if line.trim().is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let Some((name, value)) = line.split_once(" = ") else {
+            panic!("tests/pins.txt line {}: no ` = ` in {line:?}", i + 1);
+        };
+        if pins.insert(name, value).is_some() {
+            panic!("tests/pins.txt line {}: {name} is pinned twice", i + 1);
+        }
+    }
+    pins
+}
+
+/// The mismatch report [`assert_pins`] panics with, if any pin moved.
+/// Panics on a name the manifest does not pin.
+fn compare(manifest: &str, got: &[(impl AsRef<str>, String)]) -> Result<(), String> {
+    let pins = parse(manifest);
+    let mut moved = String::new();
+    for (name, value) in got {
+        let name = name.as_ref();
+        let Some(pinned) = pins.get(name) else {
+            panic!("tests/pins.txt pins no {name}");
+        };
+        if pinned != value {
+            moved += &format!("{name}: {pinned} → {value}\n");
+        }
+    }
+    if moved.is_empty() {
+        return Ok(());
+    }
+    let paste: String = got
+        .iter()
+        .map(|(name, value)| format!("{} = {value}\n", name.as_ref()))
+        .collect();
+    Err(format!(
+        "{moved}\nrecomputed, as tests/pins.txt lines:\n{paste}"
+    ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "line 2: no ` = `")]
+    fn a_line_without_an_equals_sign_names_its_line() {
+        parse("# a comment\na=1\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "line 4: a is pinned twice")]
+    fn a_name_pinned_twice_names_its_line() {
+        parse("a = 1\n\nb = 2\na = 1\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "pins no c")]
+    fn an_unknown_name_is_named() {
+        let _ = compare("a = 1\n", &[("c", "1".to_string())]);
+    }
+
+    #[test]
+    fn a_moved_pin_is_reported_with_its_paste_line() {
+        let manifest = "a = x y\nb = 2\n";
+        assert_eq!(compare(manifest, &[("a", "x y".to_string())]), Ok(()));
+        let got = [("a", "x y".to_string()), ("b", "3".to_string())];
+        let report = compare(manifest, &got).unwrap_err();
+        assert!(report.starts_with("b: 2 → 3\n\n"), "{report}");
+        assert!(report.ends_with("a = x y\nb = 3\n"), "{report}");
+    }
+
+    /// Every 16-hex-digit digest the docs quote, with or without `0x`, is
+    /// a word of some pinned value (EXPERIMENTS.md's history is exempt).
+    #[test]
+    fn every_digest_the_docs_quote_is_pinned() {
+        let pinned: Vec<&str> = parse(PINS)
+            .into_values()
+            .flat_map(str::split_whitespace)
+            .collect();
+        let docs = [
+            ("README.md", include_str!("../../../README.md")),
+            ("DESIGN.md", include_str!("../../../DESIGN.md")),
+            (
+                ".claude/skills/verify/SKILL.md",
+                include_str!("../../../.claude/skills/verify/SKILL.md"),
+            ),
+        ];
+        for (doc, text) in docs {
+            for word in text.split(|c: char| !c.is_ascii_alphanumeric()) {
+                let digest = word.strip_prefix("0x").unwrap_or(word);
+                if digest.len() == 16 && digest.bytes().all(|b| b.is_ascii_hexdigit()) {
+                    assert!(
+                        pinned.contains(&digest),
+                        "{doc} quotes {word}, pinned nowhere"
+                    );
+                }
+            }
+        }
     }
 }

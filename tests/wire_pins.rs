@@ -2,13 +2,14 @@
 //! stands on: the canonical byte encoding of the telemetry stream, the
 //! seeded scenario generators' draw sequences, and the generated eBid
 //! dataset as its queries see it. A refactor of any of these surfaces
-//! must leave every value here untouched; an intentional change re-pins
-//! them alongside an EXPERIMENTS.md provenance note.
+//! must leave every value untouched; an intentional change re-pins them
+//! in `tests/pins.txt` alongside an EXPERIMENTS.md provenance note.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use microreboot::cluster::{Sim, SimConfig};
+use microreboot::core::testkit::assert_pins;
 use microreboot::ebid::schema::{schema, DatasetSpec, INDEXES};
 use microreboot::faults::campaign::{
     degraded_scenarios, netstate_scenarios, scenarios, tournament_scenarios, CampaignConfig,
@@ -23,6 +24,21 @@ use microreboot::statestore::session::{
     corrupt_object, CorruptKind, SessionId, SessionObject, SessionStore,
 };
 use microreboot::statestore::{FastS, Ssm, TableId, Value};
+
+/// FNV-1a 64's offset basis: the hash of no bytes.
+const FNV_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64 `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The pins `name.seed7` and `name.seed11`, with `value` at each seed.
+fn at_seeds_7_and_11(name: &str, value: impl Fn(u64) -> String) -> [(String, String); 2] {
+    [7, 11].map(|seed| (format!("{name}.seed{seed}"), value(seed)))
+}
 
 /// What [`two_minutes`] leaves behind: the finished simulation and the two
 /// sinks it had on its bus.
@@ -62,10 +78,11 @@ fn two_minutes(seed: u64) -> Run {
     }
 }
 
-/// Hashes every telemetry event of [`two_minutes`]; returns (digest, count).
-fn trace_hash(seed: u64) -> (u64, u64) {
+/// Hashes every telemetry event of [`two_minutes`]: the digest, then the
+/// event count.
+fn trace_hash(seed: u64) -> String {
     let hash = two_minutes(seed).hash;
-    let digest = (hash.borrow().value(), hash.borrow().count());
+    let digest = format!("{:016x} {}", hash.borrow().value(), hash.borrow().count());
     digest
 }
 
@@ -73,7 +90,7 @@ fn trace_hash(seed: u64) -> (u64, u64) {
 /// then each node's, then the RM's: the `name=value` lines of
 /// `counters()`, then `reboot_ms` as `(count, mean in µs)`. Moves if a
 /// counter's value moves, or a counter appears in or drops out of the list.
-fn registry_hash(seed: u64) -> u64 {
+fn registry_hash(seed: u64) -> String {
     let run = two_minutes(seed);
     let world = run.sim.world();
     let bus = run.registry.borrow();
@@ -92,11 +109,7 @@ fn registry_hash(seed: u64) -> u64 {
             reboots.mean().as_micros()
         );
     }
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for b in text.bytes() {
-        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    format!("{:016x}", fnv1a(FNV_EMPTY, text.as_bytes()))
 }
 
 /// Recorded before the registry lost its series, client-latency histogram
@@ -104,11 +117,7 @@ fn registry_hash(seed: u64) -> u64 {
 /// long their reboots took, is what every report reads.
 #[test]
 fn metrics_registries_reproduce_the_pinned_counters() {
-    assert_eq!(
-        [7, 11].map(|seed| format!("{:016x}", registry_hash(seed))),
-        ["c44bf5fc6e430941", "06bb5676e5963f15"],
-        "a registry counter or the reboot_ms accumulator moved"
-    );
+    assert_pins(&at_seeds_7_and_11("registries", registry_hash));
 }
 
 /// The exact digests recorded before the kernel-speed refactor
@@ -116,27 +125,19 @@ fn metrics_registries_reproduce_the_pinned_counters() {
 /// change that is meant to be behaviour-invisible must never move them.
 #[test]
 fn refactored_kernel_reproduces_the_pinned_trace_digests() {
-    assert_eq!(
-        trace_hash(7),
-        (0xe68ddcae494f97d4, 28_335),
-        "seed-7 trace digest drifted from the pre-refactor pin"
-    );
-    assert_eq!(
-        trace_hash(11),
-        (0xb6641c8980978708, 28_515),
-        "seed-11 trace digest drifted from the pre-refactor pin"
-    );
+    assert_pins(&at_seeds_7_and_11("trace", trace_hash));
 }
 
 /// The kernel's own counters after [`two_minutes`], as
 /// `Sim::record_kernel_gauges` reports them: events fired, events still
 /// pending, and the clock in µs. Events that fire without emitting
 /// anything (the no-op `ClientTimeout`s) move these and no digest above.
-fn kernel_counters(seed: u64) -> (u64, u64, u64) {
+fn kernel_counters(seed: u64) -> String {
     let run = two_minutes(seed);
     let mut gauges = MetricsRegistry::new();
     run.sim.record_kernel_gauges(&mut gauges, None);
-    (
+    format!(
+        "{} fired, {} pending, clock {} us",
         gauges.gauge("des_events_fired") as u64,
         gauges.gauge("des_queue_depth") as u64,
         run.sim.now().as_micros(),
@@ -147,48 +148,33 @@ fn kernel_counters(seed: u64) -> (u64, u64, u64) {
 /// structure holds an entry must not change what fires, or when.
 #[test]
 fn event_queue_reproduces_the_pinned_kernel_counters() {
-    assert_eq!(
-        [7, 11].map(kernel_counters),
-        [(30_763, 4_814, 120_000_000), (30_900, 4_889, 120_000_000)],
-        "the kernel fired, or left pending, a different number of events"
-    );
+    assert_pins(&at_seeds_7_and_11("kernel", kernel_counters));
 }
 
 /// FNV-1a 64 over the `Debug` rendering of a generator's first 64
 /// scenarios: moves if any rng draw, its order, or any drawn value does.
-fn scenario_hash(generate: fn(&CampaignConfig) -> Vec<Scenario>, seed: u64) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    for s in generate(&CampaignConfig { seed, runs: 64 }) {
-        for b in format!("{s:?}").bytes() {
-            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
+fn scenario_hash(generate: fn(&CampaignConfig) -> Vec<Scenario>, seed: u64) -> String {
+    let scenarios = generate(&CampaignConfig { seed, runs: 64 });
+    let hash = scenarios.iter().fold(FNV_EMPTY, |hash, s| {
+        fnv1a(hash, format!("{s:?}").as_bytes())
+    });
+    format!("{hash:016x}")
 }
 
 #[test]
 fn scenario_generators_reproduce_the_pinned_draws() {
     type Generator = fn(&CampaignConfig) -> Vec<Scenario>;
     let generators: [(&str, Generator); 4] = [
-        ("scenarios", scenarios),
-        ("tournament_scenarios", tournament_scenarios),
-        ("degraded_scenarios", degraded_scenarios),
-        ("netstate_scenarios", netstate_scenarios),
+        ("scenarios.classic", scenarios),
+        ("scenarios.tournament", tournament_scenarios),
+        ("scenarios.degraded", degraded_scenarios),
+        ("scenarios.netstate", netstate_scenarios),
     ];
-    let got = generators.map(|(name, generate)| {
-        let (seed_7, seed_11) = (scenario_hash(generate, 7), scenario_hash(generate, 11));
-        format!("{name} {seed_7:016x} {seed_11:016x}")
-    });
-    assert_eq!(
-        got,
-        [
-            "scenarios 02311b9cdf7be3aa 9767beacb60a5754",
-            "tournament_scenarios e464ce8eb59f7e09 84f2cf5a7977ce75",
-            "degraded_scenarios 63404c62612b6bd1 948bcd6f8371c6d0",
-            "netstate_scenarios 1a7a67f05f607008 4ab400901a4d685a",
-        ],
-        "a generator draw moved"
-    );
+    let got: Vec<_> = generators
+        .iter()
+        .flat_map(|&(name, generate)| at_seeds_7_and_11(name, |seed| scenario_hash(generate, seed)))
+        .collect();
+    assert_pins(&got);
 }
 
 /// FNV-1a 64 over the default dataset of `seed` as every reader sees it:
@@ -197,14 +183,10 @@ fn scenario_generators_reproduce_the_pinned_draws() {
 /// in ascending order, the value, the primary keys `scan_eq` visits and
 /// the count it reports. Moves if a generator draw, a row, the membership
 /// of an index or the order inside one does.
-fn dataset_hash(seed: u64) -> u64 {
+fn dataset_hash(seed: u64) -> String {
     let mut db = DatasetSpec::default().generate(seed);
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    let mut feed = |bytes: &[u8]| {
-        for b in bytes {
-            hash = (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = FNV_EMPTY;
+    let mut feed = |bytes: &[u8]| hash = fnv1a(hash, bytes);
     let mut encoded = Vec::new();
     for table in (0..schema().len()).map(TableId) {
         let hits = db.scan_all(table, usize::MAX, |row: &Row| {
@@ -230,7 +212,7 @@ fn dataset_hash(seed: u64) -> u64 {
         }
     }
     assert_eq!(db.check_indexes(), Ok(()));
-    hash
+    format!("{hash:016x}")
 }
 
 /// Recorded from the row-at-a-time `load` and the `BTreeSet<(cell, pk)>`
@@ -238,11 +220,7 @@ fn dataset_hash(seed: u64) -> u64 {
 /// the dataset and every indexed query over it are bit-identical.
 #[test]
 fn generated_dataset_reproduces_the_pinned_rows_and_index_scans() {
-    assert_eq!(
-        [7, 11].map(|seed| format!("{:016x}", dataset_hash(seed))),
-        ["84211dbcf664e002", "10ffb75adba4e99d"],
-        "the generated dataset or an indexed query over it moved"
-    );
+    assert_pins(&at_seeds_7_and_11("dataset", dataset_hash));
 }
 
 /// Attribute keys for [`session_objects`]: out of byte order, with an
@@ -298,13 +276,9 @@ fn session_objects(seed: u64) -> Vec<SessionObject> {
 /// object its `iter()` pairs, `encode()`, `encoded_len()` and taint bit,
 /// the `encode()` of the object read back from SSM after a write, and
 /// FastS's `in_process_bytes` once the object is written there too.
-fn session_hash(seed: u64) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-    let mut feed = |bytes: &[u8]| {
-        for b in bytes {
-            hash = (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+fn session_hash(seed: u64) -> String {
+    let mut hash = FNV_EMPTY;
+    let mut feed = |bytes: &[u8]| hash = fnv1a(hash, bytes);
     let mut ssm = Ssm::new(3);
     let mut fasts = FastS::new();
     let mut cell = Vec::new();
@@ -326,7 +300,7 @@ fn session_hash(seed: u64) -> u64 {
         fasts.write(id, obj).unwrap();
         feed(&fasts.in_process_bytes().to_le_bytes());
     }
-    hash
+    format!("{hash:016x}")
 }
 
 /// Recorded while each object was a `BTreeMap` from `String` keys: however
@@ -334,9 +308,5 @@ fn session_hash(seed: u64) -> u64 {
 /// the same bytes and the same accounted size.
 #[test]
 fn session_objects_marshal_as_pinned() {
-    assert_eq!(
-        [7, 11].map(|seed| format!("{:016x}", session_hash(seed))),
-        ["a547c4d77edd1c04", "07b3ba121222eca2"],
-        "a session object's attribute order, encoding or size moved"
-    );
+    assert_pins(&at_seeds_7_and_11("sessions", session_hash));
 }
