@@ -6,6 +6,12 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "==> examples: each runs to completion (stdout discarded, so a panic fails CI)"
+cargo build --release --examples
+for example in examples/*.rs; do
+  target/release/examples/"$(basename "$example" .rs)" > /dev/null
+done
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
@@ -22,6 +28,7 @@ echo "==> size (reported, not gated): the counters ROADMAP tracks per PR"
 rs_files=$(find crates src tests examples -name '*.rs')
 echo "    workspace .rs lines: $(echo "$rs_files" | xargs cat | wc -l)"
 echo "    crates/*/src lines:  $(find crates/*/src -name '*.rs' | xargs cat | wc -l)"
+echo "    test .rs lines:      $(find tests crates/*/tests -name '*.rs' | xargs cat | wc -l)"
 echo "    public items:        $(echo "$rs_files" | grep -v fixtures/ \
   | xargs grep -hE '^\s*pub (fn|struct|enum|trait|const|type|static|mod) ' | wc -l)"
 # The three ratios tests/alloc_budget.rs gates (FastS, SSM, set-up).

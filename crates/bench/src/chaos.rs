@@ -12,7 +12,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cluster::{LogEvent, Sim, SimConfig, StoreChoice, World};
+use cluster::{Sim, SimConfig, StoreChoice, World};
 use faults::campaign::{self, Scenario};
 use faults::Fault;
 use recovery::conductor::ConductorConfig;
@@ -103,8 +103,10 @@ pub struct RunOutcome {
     /// Session-integrity measurements; `Some` only when the run had the
     /// integrity plane armed ([`RunOptions::integrity`]).
     pub integrity: Option<IntegrityOutcome>,
-    /// The run's notable events (injections, recoveries, pages).
-    pub log: Vec<LogEvent>,
+    /// The run's recovery control plane, in emission order: decisions
+    /// (pages included), reboots begun and finished, quarantine on and
+    /// off, failover engaged, and escalations.
+    pub log: Vec<TelemetryEvent>,
 }
 
 /// What the performance plane observed over one degraded run.
@@ -149,6 +151,29 @@ impl TelemetrySink for PerfMarks {
     }
 }
 
+/// Telemetry sink keeping the events of [`RunOutcome::log`].
+#[derive(Default)]
+struct ControlPlane(Vec<TelemetryEvent>);
+
+impl TelemetrySink for ControlPlane {
+    fn on_event(&mut self, event: &TelemetryEvent) {
+        if matches!(
+            event,
+            TelemetryEvent::RecoveryDecision { .. }
+                | TelemetryEvent::RebootBegun { .. }
+                | TelemetryEvent::RebootFinished { .. }
+                | TelemetryEvent::QuarantineOn { .. }
+                | TelemetryEvent::QuarantineOff { .. }
+                | TelemetryEvent::FailoverEngaged { .. }
+                | TelemetryEvent::FlapEscalated { .. }
+                | TelemetryEvent::WatchdogEscalated { .. }
+                | TelemetryEvent::EscalationSaturated { .. }
+        ) {
+            self.0.push(*event);
+        }
+    }
+}
+
 /// The faults a scenario injects: the primary, then any second fault.
 pub fn injected(s: &Scenario) -> impl Iterator<Item = Fault> {
     [Some(s.fault), s.second.map(|sf| sf.fault)]
@@ -171,26 +196,6 @@ pub fn describe(s: &Scenario) -> String {
     let par = if s.parallel_rm { ",par" } else { "" };
     let first = s.fault.kind().label();
     format!("{first}{second}{flap}{rm_crash} [{detector}{par}]")
-}
-
-/// The hardened recovery-manager configuration every campaign run uses:
-/// storm damper, flap escalation and convergence watchdog all armed.
-fn hardened_rm(parallel: bool) -> RmConfig {
-    RmConfig {
-        max_concurrent: if parallel { 4 } else { 1 },
-        // A fault on a rarely-exercised op produces evidence at well under
-        // one report per default window; a wider window lets sparse
-        // evidence aggregate. Safe against self-flapping: scores are
-        // cleared when an episode closes, and aftershocks are
-        // settle-suppressed on ingest.
-        score_window: SimDuration::from_secs(90),
-        storm_limit: 3,
-        storm_backoff: SimDuration::from_secs(10),
-        flap_limit: 3,
-        flap_window: SimDuration::from_secs(300),
-        watchdog_bound: Some(SimDuration::from_secs(180)),
-        ..RmConfig::default()
-    }
 }
 
 /// Why node `n` has not converged yet (empty once it has): a decision
@@ -291,7 +296,10 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
             DetectorKind::Simple
         },
         perf: opts.perf,
-        rm: Some(hardened_rm(s.parallel_rm)),
+        rm: Some(RmConfig {
+            max_concurrent: if s.parallel_rm { 4 } else { 1 },
+            ..RmConfig::hardened()
+        }),
         conductor: s.parallel_rm.then(ConductorConfig::default),
         policy: opts.policy,
         failover: opts.nodes > 1,
@@ -312,8 +320,10 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
     let bus = shared_bus();
     let hash = Rc::new(RefCell::new(TraceHashSink::new()));
     let metrics = Rc::new(RefCell::new(MetricsRegistry::new()));
+    let control = Rc::new(RefCell::new(ControlPlane::default()));
     bus.borrow_mut().add_sink(Box::new(hash.clone()));
     bus.borrow_mut().add_sink(Box::new(metrics.clone()));
+    bus.borrow_mut().add_sink(Box::new(control.clone()));
     let marks = opts.perf.then(|| {
         let marks = Rc::new(RefCell::new(PerfMarks::default()));
         bus.borrow_mut().add_sink(Box::new(marks.clone()));
@@ -361,7 +371,7 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         violations.push(format!("{begun} reboot(s) begun but {finished} finished"));
     }
 
-    let mut world = sim.finish();
+    let world = sim.finish();
 
     // Stage 2: goodput. A second is degraded while goodput sits below
     // half the pre-fault rate; a run whose every fault does reboot-curable
@@ -394,6 +404,7 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         .map(|l| netstate::integrity_stage(s, &l.borrow(), &metrics, &world, &mut violations));
 
     let digest = hash.borrow().value();
+    let log = std::mem::take(&mut control.borrow_mut().0);
     RunOutcome {
         digest,
         violations,
@@ -405,7 +416,7 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         pages: metrics.counter("decisions_notify_human"),
         perf,
         integrity,
-        log: std::mem::take(&mut world.log),
+        log,
     }
 }
 

@@ -67,13 +67,9 @@ fn measure(start_level: PolicyLevel) -> (TawSummary, Vec<(u64, f64, f64)>, usize
         let to = from + 9;
         series.push((from, taw.good_in(from, to), taw.bad_in(from, to)));
     }
-    let recoveries = world
-        .log
-        .iter()
-        .filter(|e| matches!(e, cluster::LogEvent::RecoveryFinished { .. }))
-        .count();
     let summary = taw.summary();
     let fold = telemetry.borrow().clone();
+    let recoveries = fold.counter("reboots_finished") as usize;
     (summary, series, recoveries, fold)
 }
 

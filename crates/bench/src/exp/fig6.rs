@@ -13,7 +13,7 @@
 //! never dropped to zero.
 
 use crate::report::{banner, ratio, Table};
-use cluster::{LogEvent, Sim, SimConfig};
+use cluster::{Sim, SimConfig};
 use faults::Fault;
 use simcore::{SimDuration, SimTime};
 
@@ -64,13 +64,11 @@ fn microrejuvenation() -> (u64, Vec<(u64, f64)>, usize, bool) {
     }
     sim.run_until(SimTime::from_mins(RUN));
     let world = sim.finish();
-    let rejuvs = world
-        .log
-        .iter()
-        .filter(|e| {
-            matches!(e, LogEvent::RecoveryFinished { action, .. } if action.contains("rejuvenation"))
-        })
-        .count();
+    // No recovery manager runs here: every component reboot is the
+    // rejuvenation service's.
+    let rejuvs = world.nodes[0]
+        .metrics()
+        .counter("reboots_finished_component") as usize;
     let taw = world.pool.taw_ref();
     (taw.summary().bad_ops, memory, rejuvs, never_zero(taw))
 }

@@ -22,13 +22,13 @@ use std::rc::Rc;
 
 use super::recovered_run;
 use crate::report::{banner, print_telemetry, ratio, JsonReport, Table};
-use cluster::{LogEvent, SimConfig};
+use cluster::SimConfig;
 use faults::Fault;
 use recovery::conductor::ConductorConfig;
 use recovery::{PolicyLevel, RmConfig};
 use simcore::telemetry::shared_bus;
 use simcore::trace::{Trace, TraceRecorder};
-use simcore::{MetricsRegistry, SimDuration, SimTime};
+use simcore::{MetricsRegistry, SimDuration, SimTime, TelemetryEvent};
 use workload::TawSummary;
 
 const FAULTED: [&str; 3] = ["BrowseCategories", "BrowseRegions", "SearchItemsByCategory"];
@@ -73,16 +73,16 @@ fn measure(conducted: bool) -> Arm {
         (30, fault)
     });
     let world = recovered_run(PolicyLevel::Ejb, config, Some(bus), &faults, 4 * 60);
-    let intervals = world
-        .log
+    let events = recorder.borrow().events().to_vec();
+    let intervals = events
         .iter()
-        .filter_map(|e| match e {
-            LogEvent::RecoveryFinished { at, started, .. } => Some((*started, *at)),
+        .filter_map(|e| match *e {
+            TelemetryEvent::RebootFinished { duration, at, .. } => Some((at - duration, at)),
             _ => None,
         })
         .collect();
     let fold = telemetry.borrow().clone();
-    let trace = Trace::from_events(recorder.borrow().events().to_vec());
+    let trace = Trace::from_events(events);
     Arm {
         taw: world.pool.taw_ref().summary(),
         telemetry: fold,

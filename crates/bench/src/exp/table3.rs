@@ -7,7 +7,7 @@
 
 use super::commanded_run;
 use crate::report::{banner, Table};
-use cluster::{LogEvent, SimConfig, World};
+use cluster::{SimConfig, World};
 use recovery::RecoveryAction;
 use simcore::SimDuration;
 
@@ -42,15 +42,8 @@ const PAPER: [(&str, u64); 23] = [
 /// 500-client load; returns the mean recovery time in ms and the world.
 fn measure(action: &RecoveryAction, trials: u32, spacing: u64) -> (f64, World) {
     let world = commanded_run(SimConfig::default(), action, trials, spacing, 0);
-    let mut total_ms = 0.0;
-    let mut n = 0u32;
-    for e in &world.log {
-        if let LogEvent::RecoveryFinished { at, started, .. } = e {
-            total_ms += (*at - *started).as_millis_f64();
-            n += 1;
-        }
-    }
-    let avg = if n > 0 { total_ms / n as f64 } else { 0.0 };
+    let reboots = world.nodes[0].metrics().histogram("reboot_ms");
+    let avg = reboots.map_or(0.0, |h| h.mean().as_millis_f64());
     (avg, world)
 }
 

@@ -26,6 +26,7 @@ use bench::report::{JsonReport, Table};
 use faults::campaign::{self, CampaignConfig, Scenario};
 use recovery::PolicyChoice;
 use simcore::telemetry::{TelemetrySink, TraceHashSink};
+use simcore::trace::event_to_json;
 use simcore::TelemetryEvent;
 
 use crate::number;
@@ -181,7 +182,10 @@ fn run_campaign(c: &Campaign, args: &[String]) -> Result<ExitCode, String> {
             });
             if inv.verbose {
                 if inv.only.is_some() {
-                    out.log.iter().for_each(|ev| println!("  {ev:?}"));
+                    print_schedule(s);
+                    out.log
+                        .iter()
+                        .for_each(|ev| println!("  {}", event_to_json(ev)));
                 }
                 println!("{}", run_line(sweeping.then_some(policy), s, &out));
             }
@@ -249,6 +253,27 @@ fn run_campaign(c: &Campaign, args: &[String]) -> Result<ExitCode, String> {
         }
     }
     Ok(ExitCode::FAILURE)
+}
+
+/// The `--only --verbose` dump's head: what the scenario injects and when,
+/// before the run's control-plane events follow as trace JSONL.
+fn print_schedule(s: &Scenario) {
+    println!("  at {} s inject {:?}", s.inject_at_s, s.fault);
+    if let Some(second) = s.second {
+        println!("  at {} s inject {:?}", second.at_s, second.fault);
+    }
+    if let Some(flap) = s.flap {
+        for k in 1..=u64::from(flap.recurrences) {
+            let at_s = s.inject_at_s + k * flap.gap_s;
+            println!("  at {at_s} s inject {:?} if node 0 is up", s.fault);
+        }
+    }
+    if let Some(crash) = s.rm_crash {
+        println!(
+            "  at {} s crash the recovery manager for {} s",
+            crash.at_s, crash.outage_s
+        );
+    }
 }
 
 /// One `--verbose` line: the run, what it injected, what each armed

@@ -60,10 +60,10 @@ fn load(path: &str) -> Result<Trace, String> {
 // record
 // ---------------------------------------------------------------------------
 
-/// The standard seeded scenario (mirrors the `telemetry_trace` digest-pin
-/// test): two simulated minutes, 500 clients on one node, a transient
-/// exception injected into `BrowseCategories` at t=60 s, recovery via the
-/// default recovery-manager policy.
+/// The standard seeded scenario (mirrors `tests/wire_pins.rs::two_minutes`,
+/// whose digests are pinned): two simulated minutes, 500 clients on one
+/// node, a transient exception injected into `BrowseCategories` at
+/// t=60 s, recovery via the default recovery-manager policy.
 fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     let out = args.first().ok_or("record needs an output path")?;
     let mut seed = 7;

@@ -1,11 +1,12 @@
 //! Pins what the one campaign driver must not move: each `urb chaos`
 //! flavor reproduces the campaign digest captured from the four
 //! hand-copied drivers it replaced, with zero violations (the lines are in
-//! `tests/pins.txt`), and every campaign turns a bad command line into
-//! exit code 2 plus usage.
+//! `tests/pins.txt`), one run's `--verbose` dump is trace JSONL, and every
+//! campaign turns a bad command line into exit code 2 plus usage.
 
 use std::process::{Command, Output};
 
+use simcore::trace::event_from_json;
 use urb_core::testkit::assert_pins;
 
 fn urb_chaos(args: &[&str]) -> Output {
@@ -80,6 +81,34 @@ fn tournament_digests_are_pinned_per_policy() {
             ("tournament.reboot-first", "reboot-first "),
             ("tournament.frontier", "Pareto frontier:"),
         ],
+    );
+}
+
+/// `--only K --verbose` prints run K's injection schedule, then its
+/// recovery control plane as trace JSONL. Seed 7's run 0 climbs the whole
+/// ladder and then pages.
+#[test]
+fn the_verbose_dump_of_one_run_is_trace_jsonl() {
+    let out = urb_chaos(&["--seed", "7", "--runs", "8", "--only", "0", "--verbose"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let (schedule, dump): (Vec<&str>, Vec<&str>) = stdout
+        .lines()
+        .filter(|l| l.starts_with("  "))
+        .partition(|l| l.starts_with("  at "));
+    assert!(!schedule.is_empty(), "no injection schedule:\n{stdout}");
+    let kinds: Vec<&str> = dump
+        .iter()
+        .map(|l| event_from_json(l.trim()).unwrap_or_else(|e| panic!("{l}: {e}")))
+        .map(|ev| ev.kind())
+        .collect();
+    for kind in ["reboot_begun", "reboot_finished", "recovery_decision"] {
+        assert!(kinds.contains(&kind), "no {kind} in the dump:\n{stdout}");
+    }
+    assert!(
+        dump.iter()
+            .any(|l| l.contains("\"decision\":\"notify_human\"")),
+        "the dump shows pages:\n{stdout}"
     );
 }
 

@@ -18,4 +18,4 @@ mod recover;
 mod sim;
 
 pub use lb::LoadBalancer;
-pub use sim::{LogEvent, Sim, SimConfig, SimEvent, SimQueue, StoreChoice, World};
+pub use sim::{Sim, SimConfig, SimEvent, SimQueue, StoreChoice, World};

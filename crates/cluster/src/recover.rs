@@ -8,7 +8,7 @@ use simcore::{SimDuration, SimTime};
 use urb_core::rejuvenation::RejuvenationAction;
 use urb_core::server::{RebootId, RebootLevel};
 
-use crate::sim::{LogEvent, SimEvent, SimQueue, World};
+use crate::sim::{SimEvent, SimQueue, World};
 
 /// How long a policy-plane hold (bulkhead isolation or failover-first
 /// redirection) lasts before the executor lifts it and acknowledges the
@@ -80,11 +80,6 @@ impl World {
     /// any depth through [`World::begin_reboot`].
     pub(crate) fn execute_action(&mut self, node: usize, action: RecoveryAction, q: &mut SimQueue) {
         let now = q.now();
-        self.log.push(LogEvent::RecoveryStarted {
-            at: now,
-            node,
-            action: format!("{action:?}"),
-        });
         match action {
             RecoveryAction::Isolate { components } => {
                 // Bulkhead: admission-control the blast radius instead of
@@ -105,10 +100,7 @@ impl World {
                 self.redirect(node, true);
                 self.begin_hold(node, true, q);
             }
-            RecoveryAction::NotifyHuman => {
-                self.log.push(LogEvent::HumanNotified { at: now, node });
-                self.recovery_finished(node, now);
-            }
+            RecoveryAction::NotifyHuman => self.recovery_finished(node, now),
             reboot => self.begin_reboot(node, reboot, None, q),
         }
     }
@@ -116,27 +108,16 @@ impl World {
     /// Starts the clock on a policy-plane hold; the hold-done handler lifts
     /// it and acknowledges the action.
     fn begin_hold(&mut self, node: usize, failover: bool, q: &mut SimQueue) {
-        let started = q.now();
-        self.pool.perf_mask(started + POLICY_HOLD);
+        self.pool.perf_mask(q.now() + POLICY_HOLD);
         q.schedule_event_in(
             POLICY_HOLD,
             "policy-hold",
-            SimEvent::PolicyHoldDone {
-                node,
-                failover,
-                started,
-            },
+            SimEvent::PolicyHoldDone { node, failover },
         );
     }
 
     /// Lifts an expired policy-plane hold and acknowledges the action.
-    pub(crate) fn on_policy_hold_done(
-        &mut self,
-        node: usize,
-        failover: bool,
-        started: SimTime,
-        q: &mut SimQueue,
-    ) {
+    pub(crate) fn on_policy_hold_done(&mut self, node: usize, failover: bool, q: &mut SimQueue) {
         let now = q.now();
         if failover {
             self.redirect(node, false);
@@ -144,16 +125,6 @@ impl World {
             self.lb.set_quarantine(node, Vec::new());
             self.emit(TelemetryEvent::QuarantineOff { node, at: now });
         }
-        self.log.push(LogEvent::RecoveryFinished {
-            at: now,
-            node,
-            action: if failover {
-                "failover hold".into()
-            } else {
-                "isolation hold".into()
-            },
-            started,
-        });
         self.recovery_finished(node, now);
         self.pump_node(node, q);
     }
@@ -215,13 +186,7 @@ impl World {
         q.schedule_event_at(
             reboot.done_at,
             "recovery-done",
-            SimEvent::RecoveryDone {
-                node,
-                id,
-                ticket,
-                level,
-                started: now,
-            },
+            SimEvent::RecoveryDone { node, id, ticket },
         );
     }
 
@@ -239,24 +204,10 @@ impl World {
         node: usize,
         id: RebootId,
         ticket: Option<TicketId>,
-        level: RebootLevel,
-        started: SimTime,
         q: &mut SimQueue,
     ) {
         let now = q.now();
-        let members = self.nodes[node].recovery_complete(id, now);
-        let action = match level {
-            RebootLevel::Component => format!("microreboot {members:?}"),
-            RebootLevel::Application => "app restart".into(),
-            RebootLevel::Process => "process restart".into(),
-            RebootLevel::OperatingSystem => "OS reboot".into(),
-        };
-        self.log.push(LogEvent::RecoveryFinished {
-            at: now,
-            node,
-            action,
-            started,
-        });
+        self.nodes[node].recovery_complete(id, now);
         match ticket {
             Some(ticket) => {
                 self.pump_node(node, q);
@@ -298,11 +249,6 @@ impl World {
 
     /// Begins executing a conductor ticket on a node.
     fn start_conducted(&mut self, node: usize, cmd: StartCmd, q: &mut SimQueue) {
-        self.log.push(LogEvent::RecoveryStarted {
-            at: q.now(),
-            node,
-            action: format!("{:?}", cmd.action),
-        });
         self.begin_reboot(node, cmd.action, Some(cmd.ticket), q);
     }
 
@@ -361,12 +307,7 @@ impl World {
             };
             match action {
                 RejuvenationAction::Idle => {}
-                RejuvenationAction::Microreboot { component, ticket } => {
-                    self.log.push(LogEvent::RecoveryStarted {
-                        at: now,
-                        node,
-                        action: format!("rejuvenation microreboot {component}"),
-                    });
+                RejuvenationAction::Microreboot { ticket, .. } => {
                     self.pool.perf_mask(ticket.done_at);
                     let id = ticket.id;
                     q.schedule_event_at(
@@ -377,12 +318,7 @@ impl World {
                     q.schedule_event_at(
                         ticket.done_at,
                         "rejuv-done",
-                        SimEvent::RejuvDone {
-                            node,
-                            id,
-                            period,
-                            started: now,
-                        },
+                        SimEvent::RejuvDone { node, id, period },
                     );
                     return; // The done handler reschedules the poll.
                 }
@@ -399,21 +335,14 @@ impl World {
         node: usize,
         id: RebootId,
         period: SimDuration,
-        started: SimTime,
         q: &mut SimQueue,
     ) {
         let t = q.now();
-        let members = self.nodes[node].recovery_complete(id, t);
+        self.nodes[node].recovery_complete(id, t);
         let free = self.nodes[node].available_memory();
         if let Some(Some(service)) = self.rejuv.get_mut(node) {
             service.record_completion(free);
         }
-        self.log.push(LogEvent::RecoveryFinished {
-            at: t,
-            node,
-            action: format!("rejuvenation microreboot {members:?}"),
-            started,
-        });
         self.pump_node(node, q);
         // Re-check immediately: one component may not have released
         // enough.

@@ -25,7 +25,7 @@ use simcore::{EventPayload, EventQueue, SimDuration, SimTime};
 use statestore::Ssm;
 use urb_core::backend::{share_db, share_ssm, SessionBackend, SharedSsm};
 use urb_core::rejuvenation::RejuvenationService;
-use urb_core::server::{RebootId, RebootLevel};
+use urb_core::server::RebootId;
 use urb_core::{AppServer, OpCode, ReqId, Request, Response, ServerConfig, SubmitOutcome};
 use workload::{ClientPool, ClientPoolConfig, DeliverOutcome, DetectorKind, RetryPolicy};
 
@@ -119,47 +119,6 @@ impl Default for SimConfig {
     }
 }
 
-/// A notable event, for experiment reports.
-#[derive(Clone, Debug)]
-pub enum LogEvent {
-    /// A fault was injected.
-    FaultInjected {
-        /// When.
-        at: SimTime,
-        /// Into which node.
-        node: usize,
-        /// Catalogue description.
-        label: String,
-    },
-    /// A recovery action began.
-    RecoveryStarted {
-        /// When.
-        at: SimTime,
-        /// On which node.
-        node: usize,
-        /// Action description.
-        action: String,
-    },
-    /// A recovery action finished.
-    RecoveryFinished {
-        /// When.
-        at: SimTime,
-        /// On which node.
-        node: usize,
-        /// Action description.
-        action: String,
-        /// When it began.
-        started: SimTime,
-    },
-    /// The recovery manager paged a human.
-    HumanNotified {
-        /// When.
-        at: SimTime,
-        /// About which node.
-        node: usize,
-    },
-}
-
 /// One scheduled occurrence in the cluster simulation.
 ///
 /// Every recurring event kind the simulation schedules is a plain enum
@@ -220,8 +179,6 @@ pub enum SimEvent {
         id: RebootId,
         /// The service's poll period (the done handler re-arms the poll).
         period: SimDuration,
-        /// When the microreboot began.
-        started: SimTime,
     },
     /// A reboot of any depth completes.
     RecoveryDone {
@@ -231,10 +188,6 @@ pub enum SimEvent {
         id: RebootId,
         /// The conductor ticket to settle, when the reboot was conducted.
         ticket: Option<TicketId>,
-        /// The recovery depth.
-        level: RebootLevel,
-        /// When it began.
-        started: SimTime,
     },
     /// A Table 2 fault injection.
     InjectFault {
@@ -260,8 +213,6 @@ pub enum SimEvent {
         node: usize,
         /// Whether the hold was a failover redirection (else isolation).
         failover: bool,
-        /// When the hold began.
-        started: SimTime,
     },
     /// The recovery manager's own process crashes (the ReHype scenario).
     RmCrash,
@@ -297,30 +248,15 @@ impl EventPayload<World> for SimEvent {
             SimEvent::RmPoll => w.on_rm_poll(q),
             SimEvent::RejuvPoll { node, period } => w.on_rejuv_poll(node, period, q),
             SimEvent::RecoveryCrash { node, id } => w.on_recovery_crash(node, id, q),
-            SimEvent::RejuvDone {
-                node,
-                id,
-                period,
-                started,
-            } => w.on_rejuv_done(node, id, period, started, q),
-            SimEvent::RecoveryDone {
-                node,
-                id,
-                ticket,
-                level,
-                started,
-            } => w.on_recovery_done(node, id, ticket, level, started, q),
+            SimEvent::RejuvDone { node, id, period } => w.on_rejuv_done(node, id, period, q),
+            SimEvent::RecoveryDone { node, id, ticket } => w.on_recovery_done(node, id, ticket, q),
             SimEvent::InjectFault {
                 node,
                 fault,
                 only_if_up,
             } => w.on_inject_fault(node, fault, only_if_up, q),
             SimEvent::CommandRecovery { node, action } => w.execute_action(node, action, q),
-            SimEvent::PolicyHoldDone {
-                node,
-                failover,
-                started,
-            } => w.on_policy_hold_done(node, failover, started, q),
+            SimEvent::PolicyHoldDone { node, failover } => w.on_policy_hold_done(node, failover, q),
             SimEvent::RmCrash => w.on_rm_crash(q),
             SimEvent::RmReboot => w.on_rm_reboot(q),
             SimEvent::SubmitDelayed { node, req } => w.submit_to(node, req, q),
@@ -342,8 +278,6 @@ pub struct World {
     pub rm: Option<RecoveryManager>,
     /// The recovery conductor, when parallel recovery is on.
     pub conductor: Option<Conductor>,
-    /// Event log for reports.
-    pub log: Vec<LogEvent>,
     /// Per-node rejuvenation services (Section 6.4), when enabled.
     pub rejuv: Vec<Option<RejuvenationService>>,
     /// The shared SSM, when the cluster runs on the external store
@@ -555,11 +489,6 @@ impl World {
             return;
         }
         let now = q.now();
-        self.log.push(LogEvent::FaultInjected {
-            at: now,
-            node,
-            label: format!("{fault:?}"),
-        });
         match faults::conversion(&fault) {
             faults::Injection::ClientReports(reports) => {
                 const OPS: [urb_core::OpCode; 4] = [
@@ -664,7 +593,6 @@ impl Sim {
             pool,
             rm,
             conductor,
-            log: Vec::new(),
             rejuv,
             ssm: shared_ssm,
             net: NetShim::default(),

@@ -73,20 +73,6 @@ impl TelemetrySink for Marks {
     }
 }
 
-/// The campaign's hardened manager configuration (mirrors
-/// `bench::chaos::hardened_rm`, which cluster cannot depend on).
-fn hardened_rm() -> RmConfig {
-    RmConfig {
-        score_window: SimDuration::from_secs(90),
-        storm_limit: 3,
-        storm_backoff: SimDuration::from_secs(10),
-        flap_limit: 3,
-        flap_window: SimDuration::from_secs(300),
-        watchdog_bound: Some(SimDuration::from_secs(180)),
-        ..RmConfig::default()
-    }
-}
-
 /// Returns the trace digest and event count, the manager's counters and
 /// the perf-plane marks.
 fn degraded_episode() -> (String, RmStats, Marks) {
@@ -96,7 +82,7 @@ fn degraded_episode() -> (String, RmStats, Marks) {
         clients_per_node: 180,
         detector: DetectorKind::LatencyAnomaly,
         perf: true,
-        rm: Some(hardened_rm()),
+        rm: Some(RmConfig::hardened()),
         seed: 0xdeb5,
         ..SimConfig::default()
     });

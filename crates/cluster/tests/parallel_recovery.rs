@@ -4,20 +4,22 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cluster::{LogEvent, Sim, SimConfig};
+use cluster::{Sim, SimConfig};
 use faults::Fault;
 use recovery::conductor::ConductorConfig;
 use recovery::RmConfig;
 use simcore::telemetry::{shared_bus, TelemetryEvent, TelemetrySink, TraceHashSink};
 use simcore::{SimDuration, SimTime};
 
-/// Counts the conductor's own event vocabulary.
+/// Counts the conductor's own event vocabulary and keeps each finished
+/// reboot's (begun, finished) interval.
 #[derive(Default)]
 struct ConductorEvents {
     queued: u32,
     coalesced: u32,
     quarantine_on: u32,
     quarantine_off: u32,
+    intervals: Vec<(SimTime, SimTime)>,
 }
 
 impl TelemetrySink for ConductorEvents {
@@ -27,6 +29,9 @@ impl TelemetrySink for ConductorEvents {
             TelemetryEvent::RecoveryCoalesced { .. } => self.coalesced += 1,
             TelemetryEvent::QuarantineOn { .. } => self.quarantine_on += 1,
             TelemetryEvent::QuarantineOff { .. } => self.quarantine_off += 1,
+            TelemetryEvent::RebootFinished { duration, at, .. } => {
+                self.intervals.push((*at - *duration, *at));
+            }
             _ => {}
         }
     }
@@ -74,16 +79,6 @@ fn single_fault_trace_is_bit_identical_with_idle_conductor() {
     );
 }
 
-/// Extracts per-recovery (started, finished) intervals on `node`.
-fn recovery_intervals(log: &[LogEvent]) -> Vec<(SimTime, SimTime)> {
-    log.iter()
-        .filter_map(|e| match e {
-            LogEvent::RecoveryFinished { at, started, .. } => Some((*started, *at)),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Three disjoint session beans fail at once; the conductor must recover
 /// them concurrently (interval union ≈ the slowest single recovery, not
 /// the sum) under quarantine, with the blast radius published and lifted.
@@ -123,9 +118,9 @@ fn three_disjoint_faults_recover_in_parallel_under_quarantine() {
         );
     }
     sim.run_until(SimTime::from_mins(3));
-    let world = sim.finish();
 
-    let intervals = recovery_intervals(&world.log);
+    let ev = events.borrow();
+    let intervals = &ev.intervals;
     assert!(
         intervals.len() >= 3,
         "three faults need at least three recoveries, got {intervals:?}"
@@ -140,7 +135,7 @@ fn three_disjoint_faults_recover_in_parallel_under_quarantine() {
         "the conductor should run disjoint recoveries concurrently: {intervals:?}"
     );
     // Union of downtime ≪ sum of downtimes (the parallel-recovery claim).
-    let mut spans: Vec<(SimTime, SimTime)> = intervals.clone();
+    let mut spans = intervals.clone();
     spans.sort();
     let mut union = SimDuration::ZERO;
     let mut cursor: Option<(SimTime, SimTime)> = None;
@@ -170,7 +165,6 @@ fn three_disjoint_faults_recover_in_parallel_under_quarantine() {
         "parallel recovery must compress total unavailability: union {union:?} vs sum {sum:?}"
     );
     // Quarantine was raised while groups rebooted and fully lifted after.
-    let ev = events.borrow();
     assert!(
         ev.quarantine_on > 0,
         "quarantine must engage during recovery"

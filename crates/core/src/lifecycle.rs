@@ -251,24 +251,20 @@ impl<A: Application> AppServer<A> {
     }
 
     /// Completes a recovery: reinitializes and rebinds its blast radius
-    /// and, at the coarse levels, brings the process back up. Returns the
-    /// member names (component level) for logging. A cancelled id is a
-    /// no-op.
-    pub fn recovery_complete(&mut self, id: RebootId, now: SimTime) -> Vec<&'static str> {
+    /// and, at the coarse levels, brings the process back up. A cancelled
+    /// id is a no-op.
+    pub fn recovery_complete(&mut self, id: RebootId, now: SimTime) {
         let Some(pos) = self.lifecycle.find(id) else {
-            return Vec::new();
+            return;
         };
         let rec = self.lifecycle.active.remove(pos);
         debug_assert!(rec.crashed, "crash phase must run before complete");
-        let names = match rec.level {
+        match rec.level {
             RebootLevel::Component => {
-                let mut names = Vec::with_capacity(rec.members.len());
                 for m in &rec.members {
-                    let name = self.inner.graph.name_of(*m);
                     self.inner.containers[m.0].complete_start();
                     self.inner.registry.bind(*m, Binding::Active(*m));
-                    self.app.on_component_reinit(name);
-                    names.push(name);
+                    self.app.on_component_reinit(self.inner.graph.name_of(*m));
                 }
                 if rec.members.contains(&self.inner.web_id) {
                     // The web tier revalidates in-process session state as
@@ -277,7 +273,6 @@ impl<A: Application> AppServer<A> {
                     let AppServer { app, inner, .. } = self;
                     inner.session.revalidate(|obj| app.session_valid(obj));
                 }
-                names
             }
             RebootLevel::Application => {
                 self.restart_containers();
@@ -287,15 +282,13 @@ impl<A: Application> AppServer<A> {
                 let AppServer { app, inner, .. } = self;
                 inner.session.revalidate(|obj| app.session_valid(obj));
                 self.lifecycle.state = ProcState::Up;
-                Vec::new()
             }
             RebootLevel::Process | RebootLevel::OperatingSystem => {
                 self.restart_containers();
                 self.app.on_process_restart();
                 self.lifecycle.state = ProcState::Up;
-                Vec::new()
             }
-        };
+        }
         // A leak that is a code bug resumes in the fresh instances.
         self.inner.reapply_persistent_leaks();
         self.inner.emit(TelemetryEvent::RebootFinished {
@@ -304,7 +297,6 @@ impl<A: Application> AppServer<A> {
             duration: now - rec.began_at,
             at: now,
         });
-        names
     }
 
     // ---- per-level phases --------------------------------------------
@@ -541,9 +533,8 @@ impl<A: Application> AppServer<A> {
         self.recovery_crash(id, now)
     }
 
-    /// Completes a microreboot, returning the member names. See
-    /// [`AppServer::recovery_complete`].
-    pub fn microreboot_complete(&mut self, id: RebootId, now: SimTime) -> Vec<&'static str> {
-        self.recovery_complete(id, now)
+    /// Completes a microreboot. See [`AppServer::recovery_complete`].
+    pub fn microreboot_complete(&mut self, id: RebootId, now: SimTime) {
+        self.recovery_complete(id, now);
     }
 }

@@ -5,7 +5,7 @@
 use simcore::rng::SimRng;
 use simcore::SimTime;
 use statestore::FastS;
-use urb_core::server::{make_request, ProcState, RebootLevel, ServerFault};
+use urb_core::server::{make_request, ProcState, RebootLevel, RebootTicket, ServerFault};
 use urb_core::testkit::{ops, ToyApp};
 use urb_core::{share_db, AppServer, ServerConfig, SessionBackend, SubmitOutcome};
 
@@ -17,6 +17,25 @@ fn server() -> AppServer<ToyApp> {
         db,
         SessionBackend::FastS(FastS::new()),
     )
+}
+
+/// Completes a microreboot and names the components it reinitialized:
+/// those whose container's microreboot count rose, in component-id order.
+fn complete(srv: &mut AppServer<ToyApp>, ticket: &RebootTicket) -> Vec<&'static str> {
+    let names: Vec<&'static str> = srv
+        .graph()
+        .all_ids()
+        .map(|id| srv.graph().name_of(id))
+        .collect();
+    let count = |srv: &AppServer<ToyApp>, name| srv.container(name).unwrap().microreboots();
+    let before: Vec<u64> = names.iter().map(|&name| count(srv, name)).collect();
+    srv.microreboot_complete(ticket.id, ticket.done_at);
+    names
+        .into_iter()
+        .zip(before)
+        .filter(|&(name, before)| count(srv, name) > before)
+        .map(|(name, _)| name)
+        .collect()
 }
 
 /// The recursive recovery ladder is exactly µRB → app restart → process
@@ -84,7 +103,7 @@ fn coarse_recovery_cancels_active_microreboot() {
     // The stale completion fires after the cancel: it must not touch
     // anything (in particular it must not flip components to Active
     // while the JVM is still down).
-    let revived = srv.microreboot_complete(ticket.id, ticket.done_at);
+    let revived = complete(&mut srv, &ticket);
     assert!(revived.is_empty(), "cancelled reboot completes nothing");
     assert!(matches!(srv.state(), ProcState::JvmRestarting { .. }));
 
@@ -205,16 +224,12 @@ fn partial_overlap_with_in_flight_microreboot_rejects_whole_action() {
     assert_eq!(err, urb_core::RebootError::AlreadyRebooting);
     // The rejection did not disturb the in-flight reboot...
     srv.microreboot_crash(ticket.id, t);
-    let members = srv.microreboot_complete(ticket.id, ticket.done_at);
-    assert_eq!(members, vec!["Store", "Ledger"]);
+    assert_eq!(complete(&mut srv, &ticket), ["Store", "Ledger"]);
     // ...and Front itself was never touched: it is immediately rebootable.
     let t2 = ticket.done_at;
     let front = srv.begin_microreboot(&["Front"], t2, None).unwrap();
     srv.microreboot_crash(front.id, t2);
-    assert_eq!(
-        srv.microreboot_complete(front.id, front.done_at),
-        vec!["Front"]
-    );
+    assert_eq!(complete(&mut srv, &front), ["Front"]);
 }
 
 /// An overlapping action arriving *after* the crash phase must also
@@ -230,10 +245,7 @@ fn overlap_after_crash_phase_cannot_double_kill() {
     // No new ticket exists and the crash is idempotent per ticket, so no
     // further kills can happen before reinit completes.
     assert!(srv.microreboot_crash(ticket.id, t).is_empty());
-    assert_eq!(
-        srv.microreboot_complete(ticket.id, ticket.done_at),
-        vec!["Store", "Ledger"]
-    );
+    assert_eq!(complete(&mut srv, &ticket), ["Store", "Ledger"]);
 }
 
 /// Property: disjoint same-level reboots never cancel each other. Across
@@ -266,9 +278,9 @@ fn disjoint_microreboots_never_cancel_each_other() {
         }
         shuffle(&mut tickets, &mut rng);
         for (ticket, expected) in tickets {
-            let members = srv.microreboot_complete(ticket.id, ticket.done_at);
             assert_eq!(
-                members, expected,
+                complete(&mut srv, &ticket),
+                expected,
                 "round {round}: a disjoint reboot was cancelled or reshaped"
             );
         }

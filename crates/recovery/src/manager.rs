@@ -154,6 +154,27 @@ impl Default for RmConfig {
     }
 }
 
+impl RmConfig {
+    /// The hardened configuration every chaos campaign runs: storm
+    /// damper, flap escalation and convergence watchdog all armed.
+    pub fn hardened() -> Self {
+        RmConfig {
+            // A fault on a rarely-exercised op produces evidence at well
+            // under one report per default window; a wider window lets
+            // sparse evidence aggregate. Safe against self-flapping:
+            // scores are cleared when an episode closes, and aftershocks
+            // are settle-suppressed on ingest.
+            score_window: SimDuration::from_secs(90),
+            storm_limit: 3,
+            storm_backoff: SimDuration::from_secs(10),
+            flap_limit: 3,
+            flap_window: SimDuration::from_secs(300),
+            watchdog_bound: Some(SimDuration::from_secs(180)),
+            ..RmConfig::default()
+        }
+    }
+}
+
 /// Lifetime counters.
 ///
 /// A *view* over the manager's [`MetricsRegistry`]: the manager folds

@@ -192,19 +192,6 @@ fn base() -> RmConfig {
     }
 }
 
-/// The configuration every chaos campaign runs the policies under.
-fn hardened() -> RmConfig {
-    RmConfig {
-        score_window: SimDuration::from_secs(90),
-        storm_limit: 3,
-        storm_backoff: SimDuration::from_secs(10),
-        flap_limit: 3,
-        flap_window: SimDuration::from_secs(300),
-        watchdog_bound: Some(SimDuration::from_secs(180)),
-        ..base()
-    }
-}
-
 /// One scripted scenario of one (policy, configuration, seed) row, as a
 /// transcript line.
 fn scenario(row: &Row<'_>, name: &str, script: &dyn Fn(&mut Walk)) -> String {
@@ -310,7 +297,10 @@ fn transcript() -> String {
             &Row {
                 label: &format!("{label}+hardened"),
                 choice,
-                config: hardened(),
+                config: RmConfig {
+                    score_threshold: base().score_threshold,
+                    ..RmConfig::hardened()
+                },
                 seed,
             },
             &mut lines,

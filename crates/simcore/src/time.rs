@@ -181,6 +181,14 @@ impl Sub<SimTime> for SimTime {
     }
 }
 
+impl Sub<SimDuration> for SimTime {
+    type Output = SimTime;
+
+    fn sub(self, rhs: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_sub(rhs.0))
+    }
+}
+
 impl Add for SimDuration {
     type Output = SimDuration;
 

@@ -7,10 +7,15 @@
 //!
 //! Run with: `cargo run --release --example auction_day`
 
-use microreboot::cluster::{LogEvent, Sim, SimConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use microreboot::cluster::{Sim, SimConfig};
 use microreboot::faults::Fault;
 use microreboot::recovery::RmConfig;
-use microreboot::simcore::SimTime;
+use microreboot::simcore::telemetry::{shared_bus, DecisionKind};
+use microreboot::simcore::trace::TraceRecorder;
+use microreboot::simcore::{SimTime, TelemetryEvent};
 use microreboot::statestore::session::CorruptKind;
 
 fn main() {
@@ -19,38 +24,46 @@ fn main() {
         retry_enabled: true,
         ..SimConfig::default()
     });
+    let bus = shared_bus();
+    let recorder = Rc::new(RefCell::new(TraceRecorder::new()));
+    bus.borrow_mut().add_sink(Box::new(recorder.clone()));
+    sim.attach_telemetry(bus);
 
     // Minute 5: a bug corrupts the transaction method map of the Item
     // entity bean — the recovery group that takes the longest to recover.
-    sim.schedule_fault(
+    let (fault_at, fault) = (
         SimTime::from_mins(5),
-        0,
         Fault::CorruptTxnMap {
             component: "Item",
             kind: CorruptKind::SetNull,
         },
     );
+    sim.schedule_fault(fault_at, 0, fault);
     sim.run_until(SimTime::from_mins(10));
     let world = sim.finish();
 
-    println!("== event log ==");
-    for e in &world.log {
-        match e {
-            LogEvent::FaultInjected { at, label, .. } => {
-                println!("{at}  FAULT      {label}");
-            }
-            LogEvent::RecoveryStarted { at, action, .. } => {
-                println!("{at}  RECOVERY   {action}");
-            }
-            LogEvent::RecoveryFinished {
+    println!("== recovery timeline ==");
+    println!("{fault_at}  FAULT      {fault:?}");
+    for e in recorder.borrow().events() {
+        match *e {
+            TelemetryEvent::RecoveryDecision {
+                decision: DecisionKind::NotifyHuman,
                 at,
-                action,
-                started,
                 ..
-            } => {
-                println!("{at}  RECOVERED  {action} (took {})", *at - *started);
+            } => println!("{at}  PAGE THE HUMAN"),
+            TelemetryEvent::RecoveryDecision { decision, at, .. } => {
+                println!("{at}  DECISION   {}", decision.label());
             }
-            LogEvent::HumanNotified { at, .. } => println!("{at}  PAGE THE HUMAN"),
+            TelemetryEvent::RebootBegun {
+                level, members, at, ..
+            } => println!("{at}  REBOOT     {} ({members} members)", level.label()),
+            TelemetryEvent::RebootFinished {
+                level,
+                duration,
+                at,
+                ..
+            } => println!("{at}  RECOVERED  {} (took {duration})", level.label()),
+            _ => {}
         }
     }
 

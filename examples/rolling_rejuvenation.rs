@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example rolling_rejuvenation`
 
-use microreboot::cluster::{LogEvent, Sim, SimConfig};
+use microreboot::cluster::{Sim, SimConfig};
 use microreboot::faults::Fault;
 use microreboot::simcore::{SimDuration, SimTime};
 
@@ -36,26 +36,21 @@ fn main() {
     sim.enable_rejuvenation(0, 350 << 20, 800 << 20, SimDuration::from_secs(5));
 
     println!("time     free-heap  note");
-    let mut events = 0;
+    let mut rebooted = 0;
     for tick in 0..90 {
         let t = SimTime::from_secs(tick * 10);
         sim.run_until(t);
-        let free_mb = sim.world().nodes[0].available_memory() >> 20;
-        let new_events: Vec<String> = sim.world().log[events..]
-            .iter()
-            .filter_map(|e| match e {
-                LogEvent::RecoveryFinished { action, at, .. } => Some(format!("{at}: {action}")),
-                _ => None,
-            })
-            .collect();
-        events = sim.world().log.len();
+        let node = &sim.world().nodes[0];
+        let free_mb = node.available_memory() >> 20;
+        // Every finished component reboot here is a rejuvenation.
+        let finished = node.metrics().counter("reboots_finished_component");
+        let note = match finished - rebooted {
+            0 => String::new(),
+            n => format!("{n} microreboot(s) finished"),
+        };
+        rebooted = finished;
         let bar = "#".repeat((free_mb / 24) as usize);
-        println!(
-            "{:>5}s  {:>5} MB  {bar} {}",
-            tick * 10,
-            free_mb,
-            new_events.join("; ")
-        );
+        println!("{:>5}s  {:>5} MB  {bar} {note}", tick * 10, free_mb);
     }
     let world = sim.finish();
     let s = world.pool.taw_ref().summary();
