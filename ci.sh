@@ -35,6 +35,18 @@ echo "    public items:        $(echo "$rs_files" | grep -v fixtures/ \
 cargo test -q --test alloc_budget allocation_budget -- --nocapture \
   | grep -oE '[A-Za-z-]+ allocations per .*' | sed 's/^/    /'
 
+echo "==> alloc_sites: the allocation profile of each steady window names the session-state layer"
+# The allocation counterpart of the tools/sampler step below: a failed
+# budget is mended from this profile, so it must not rot unnoticed.
+cargo test -q --test alloc_budget alloc_sites -- --ignored --nocapture > target/ci.alloc_sites
+for window in FastS SSM; do
+  awk -v head="steady $window window:" \
+    'index($0, head) == 1 { on = 1; next } /^steady .* window:/ { on = 0 } on' \
+    target/ci.alloc_sites | grep -q 'statestore::' \
+    || { echo "the steady $window profile names no statestore:: frame:" >&2; cat target/ci.alloc_sites >&2; exit 1; }
+  echo "    $(grep "^steady $window window:" target/ci.alloc_sites)"
+done
+
 urb=target/release/urb # the one bench executable, built by the first step
 
 echo "==> urb exp all: the evaluation record reproduces byte for byte"

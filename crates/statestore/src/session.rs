@@ -60,7 +60,10 @@ impl std::error::Error for StoreError {}
 /// nobody can see anybody else's mutation.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionObject {
-    attrs: Rc<[(&'static str, Value)]>,
+    /// `None` exactly when there are no attributes (never an empty slice,
+    /// so the derived `PartialEq` holds): an empty object allocates
+    /// nothing.
+    attrs: Option<Rc<[(&'static str, Value)]>>,
     tainted: bool,
 }
 
@@ -70,20 +73,29 @@ impl SessionObject {
         SessionObject::default()
     }
 
+    /// The attributes, sorted by key.
+    fn attrs(&self) -> &[(&'static str, Value)] {
+        self.attrs.as_deref().unwrap_or_default()
+    }
+
     /// Where `key` is in the slice, or where it would go.
     fn find(&self, key: &str) -> Result<usize, usize> {
-        self.attrs.binary_search_by(|(k, _)| (*k).cmp(key))
+        self.attrs().binary_search_by(|(k, _)| (*k).cmp(key))
     }
 
     /// Replaces `attrs[at..skip]` with `new`, building the slice in one
-    /// allocation.
+    /// allocation, or none when nothing is left.
     fn splice(&mut self, at: usize, new: Option<(&'static str, Value)>, skip: usize) {
-        self.attrs = self.attrs[..at]
-            .iter()
-            .cloned()
-            .chain(new)
-            .chain(self.attrs[skip..].iter().cloned())
-            .collect();
+        let attrs = self.attrs();
+        let len = attrs.len() - (skip - at) + usize::from(new.is_some());
+        self.attrs = (len > 0).then(|| {
+            attrs[..at]
+                .iter()
+                .cloned()
+                .chain(new)
+                .chain(attrs[skip..].iter().cloned())
+                .collect()
+        });
     }
 
     /// Sets attribute `key` to `value`.
@@ -93,7 +105,7 @@ impl SessionObject {
     pub fn set(&mut self, key: &'static str, value: impl Into<Value>) {
         let value = value.into();
         match self.find(key) {
-            Ok(at) => match Rc::get_mut(&mut self.attrs) {
+            Ok(at) => match self.attrs.as_mut().and_then(Rc::get_mut) {
                 Some(own) => own[at].1 = value,
                 None => self.splice(at, Some((key, value)), at + 1),
             },
@@ -103,48 +115,53 @@ impl SessionObject {
 
     /// Returns attribute `key`, if present.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.find(key).ok().map(|at| &self.attrs[at].1)
+        self.find(key).ok().map(|at| &self.attrs()[at].1)
     }
 
     /// Removes attribute `key`, returning its old value. An absent key
     /// changes nothing.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
         let at = self.find(key).ok()?;
-        let old = self.attrs[at].1.clone();
+        let old = self.attrs()[at].1.clone();
         self.splice(at, None, at + 1);
         Some(old)
     }
 
     /// Returns the number of attributes.
     pub fn len(&self) -> usize {
-        self.attrs.len()
+        self.attrs().len()
     }
 
     /// Returns true if the object has no attributes.
     pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
+        self.attrs.is_none()
     }
 
     /// Iterates over `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.attrs.iter().map(|(k, v)| (*k, v))
+        self.attrs().iter().map(|(k, v)| (*k, v))
     }
 
     /// Serializes the object for checksumming/marshalling.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        for (k, v) in self.attrs.iter() {
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`SessionObject::encode`]'s output to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        for (k, v) in self.attrs() {
             out.extend_from_slice(&(k.len() as u64).to_le_bytes());
             out.extend_from_slice(k.as_bytes());
-            v.encode_into(&mut out);
+            v.encode_into(out);
         }
-        out
     }
 
     /// Returns the length of [`SessionObject::encode`]'s output without
     /// building it.
     pub fn encoded_len(&self) -> usize {
-        self.attrs
+        self.attrs()
             .iter()
             .map(|(k, v)| 8 + k.len() + v.encoded_len())
             .sum()
@@ -227,7 +244,11 @@ pub trait SessionStore {
 /// * `SetWrong` perturbs integer attributes plausibly (off-by-one million),
 ///   which passes validation but yields wrong answers.
 pub fn corrupt_object(obj: &mut SessionObject, kind: CorruptKind) {
-    for (_, v) in Rc::make_mut(&mut obj.attrs).iter_mut() {
+    for (_, v) in obj
+        .attrs
+        .iter_mut()
+        .flat_map(|a| Rc::make_mut(a).iter_mut())
+    {
         *v = match (kind, &*v) {
             (CorruptKind::SetNull, _) => Value::Null,
             (CorruptKind::SetInvalid, Value::Int(_)) => Value::Int(i64::MAX),

@@ -11,11 +11,11 @@
 //! discarded rather than served (Table 2).
 //!
 //! The simulated bricks are columns of one session-keyed table, not maps
-//! of their own: an entry has one slot per brick, and the slots a write
-//! reached point at one shared payload (DESIGN.md section 14).
+//! of their own: an entry holds the latest write's object once, and two
+//! brick bitmasks say which bricks hold a copy of it and which of those
+//! copies an injected flip has damaged (DESIGN.md §9, "SSM entry layout").
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use simcore::{SimDuration, SimTime, TelemetryEvent};
 
@@ -27,29 +27,6 @@ pub const DEFAULT_REPLICAS: usize = 3;
 
 /// Default session lease term (idle sessions expire after this).
 pub const DEFAULT_LEASE: SimDuration = SimDuration::from_mins(30);
-
-/// What one accepted write stored. Every brick the write reached holds
-/// the same `Rc<Payload>`; nothing mutates a payload in place while it is
-/// shared (the corruption surface goes through `Rc::make_mut`).
-#[derive(Clone, Debug)]
-struct Payload {
-    bytes: Vec<u8>,
-    checksum: u64,
-    /// Decoded object kept alongside its marshalled form; reads verify the
-    /// checksum over `bytes` before handing this out.
-    object: SessionObject,
-}
-
-impl Payload {
-    /// Flips the first marshalled byte, or the recorded checksum when the
-    /// marshalled form is empty: either way the copy fails verification.
-    fn mangle(&mut self) {
-        match self.bytes.first_mut() {
-            Some(byte) => *byte ^= 0xff,
-            None => self.checksum ^= 0xdead_beef,
-        }
-    }
-}
 
 /// Everything the store knows about one session. An entry outlives its
 /// object: the applied id and wire sequence stay authoritative after a
@@ -68,25 +45,33 @@ struct Entry {
     /// every brick that holds a copy got it from the latest write and is
     /// renewed by the same reads, so their leases never differ.
     expires: SimTime,
-    /// One slot per brick (empty when nothing is stored). The slot of a
-    /// brick that is down is always `None`.
-    slots: Vec<Option<Rc<Payload>>>,
+    /// The latest accepted write's object: every brick that holds a copy
+    /// holds this one. The untainted empty object once no brick does.
+    object: SessionObject,
+    /// The checksum recorded when `object` was marshalled.
+    sum: u64,
+    /// Bit `i` set: brick `i` holds a copy. A down brick's bit is clear.
+    held: u64,
+    /// The held copies an injected flip has damaged. A flip toggles the
+    /// bit, so a second flip undoes the first, as flipping the same byte
+    /// twice does.
+    damaged: u64,
 }
 
 impl Entry {
     /// Returns true if any brick holds a copy (lapsed lease or not).
     fn holds(&self) -> bool {
-        self.slots.iter().any(Option::is_some)
+        self.held != 0
     }
 
-    /// Returns true if any brick's copy is injection-tainted.
-    fn tainted(&self) -> bool {
-        self.slots.iter().flatten().any(|p| p.object.is_tainted())
-    }
-
-    /// Drops every brick's copy and the slot row with it.
-    fn clear(&mut self) {
-        self.slots = Vec::new();
+    /// Drops the copies on the bricks set in `bricks` (`u64::MAX`: every
+    /// copy); the object goes with the last of them.
+    fn drop_copies(&mut self, bricks: u64) {
+        self.held &= !bricks;
+        self.damaged &= self.held;
+        if self.held == 0 {
+            self.object = SessionObject::new();
+        }
     }
 }
 
@@ -118,6 +103,13 @@ fn checksum(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Marshals `obj` into `buf` (emptied first) and returns its checksum.
+fn marshalled_sum(buf: &mut Vec<u8>, obj: &SessionObject) -> u64 {
+    buf.clear();
+    obj.encode_into(buf);
+    checksum(buf)
+}
+
 /// The external replicated session store.
 ///
 /// # Examples
@@ -137,8 +129,12 @@ fn checksum(bytes: &[u8]) -> u64 {
 pub struct Ssm {
     /// Every session the store ever accepted a write for.
     entries: BTreeMap<SessionId, Entry>,
-    /// Which bricks are up; the length is the replica count.
-    up: Vec<bool>,
+    /// The replica count.
+    bricks: usize,
+    /// Bit `i` set: brick `i` is up.
+    up: u64,
+    /// Where writes and reads marshal an object to checksum it; reused.
+    marshal: Vec<u8>,
     lease: SimDuration,
     /// The store's notion of current time, advanced by the hosting
     /// simulation so leases can expire.
@@ -171,7 +167,7 @@ impl Ssm {
     ///
     /// # Panics
     ///
-    /// Panics if `replicas` is zero.
+    /// Panics if `replicas` is zero or above 64.
     pub fn new(replicas: usize) -> Self {
         Self::with_lease(replicas, DEFAULT_LEASE)
     }
@@ -180,12 +176,14 @@ impl Ssm {
     ///
     /// # Panics
     ///
-    /// Panics if `replicas` is zero.
+    /// Panics if `replicas` is zero or above 64 (one bit per brick).
     pub fn with_lease(replicas: usize, lease: SimDuration) -> Self {
-        assert!(replicas > 0, "SSM needs at least one brick");
+        assert!((1..=64).contains(&replicas), "SSM needs 1 to 64 bricks");
         Ssm {
             entries: BTreeMap::new(),
-            up: vec![true; replicas],
+            bricks: replicas,
+            up: u64::MAX >> (64 - replicas),
+            marshal: Vec::new(),
             lease,
             now: SimTime::ZERO,
             stats: SsmStats::default(),
@@ -318,18 +316,11 @@ impl Ssm {
             }
             return;
         }
-        let bytes = obj.encode();
-        let payload = Rc::new(Payload {
-            checksum: checksum(&bytes),
-            bytes,
-            object: obj,
-        });
-        entry.slots.resize(self.up.len(), None);
-        for (slot, &up) in entry.slots.iter_mut().zip(&self.up) {
-            if up {
-                *slot = Some(payload.clone());
-            }
-        }
+        // Every up brick gets an intact copy.
+        entry.sum = marshalled_sum(&mut self.marshal, &obj);
+        entry.object = obj;
+        entry.held = self.up;
+        entry.damaged = 0;
         entry.expires = self.now + self.lease;
         entry.seq = seq;
         entry.version += 1;
@@ -362,23 +353,19 @@ impl Ssm {
     }
 
     fn set_brick(&mut self, idx: usize, up: bool) -> bool {
-        let Some(state) = self.up.get_mut(idx) else {
+        let Some(bit) = self.brick_bit(idx) else {
             return false;
         };
-        if *state != up {
-            *state = up;
+        if (self.up & bit != 0) != up {
+            self.up ^= bit;
             let (brick, at) = (idx, self.now);
             if up {
                 self.events
                     .push(TelemetryEvent::BrickRestored { brick, at });
             } else {
                 // The brick's contents die with it.
-                for slot in self
-                    .entries
-                    .values_mut()
-                    .filter_map(|e| e.slots.get_mut(idx))
-                {
-                    *slot = None;
+                for e in self.entries.values_mut() {
+                    e.drop_copies(bit);
                 }
                 self.events.push(TelemetryEvent::BrickFailed { brick, at });
             }
@@ -386,9 +373,14 @@ impl Ssm {
         true
     }
 
+    /// Brick `idx`'s bit, or `None` if there is no such brick.
+    fn brick_bit(&self, idx: usize) -> Option<u64> {
+        (idx < self.bricks).then(|| 1 << idx)
+    }
+
     /// Returns how many bricks are up.
     pub fn bricks_up(&self) -> usize {
-        self.up.iter().filter(|up| **up).count()
+        self.up.count_ones() as usize
     }
 
     /// Flips a byte of the stored object for `id` on every brick
@@ -396,19 +388,12 @@ impl Ssm {
     ///
     /// Returns false if no brick holds the session.
     pub fn corrupt_bits(&mut self, id: SessionId) -> bool {
-        let mut hit = false;
-        for copy in self
-            .entries
-            .get_mut(&id)
-            .into_iter()
-            .flat_map(|e| e.slots.iter_mut().flatten())
-        {
-            let copy = Rc::make_mut(copy);
-            copy.mangle();
-            copy.object.mark_tainted();
-            hit = true;
-        }
-        hit
+        let Some(e) = self.entries.get_mut(&id).filter(|e| e.holds()) else {
+            return false;
+        };
+        e.damaged ^= e.held;
+        e.object.mark_tainted();
+        true
     }
 
     /// Corrupts an arbitrary live session (the most recently created, so
@@ -423,7 +408,7 @@ impl Ssm {
     fn expire(&mut self, ids: Vec<SessionId>) -> usize {
         for id in &ids {
             if let Some(e) = self.entries.get_mut(id) {
-                e.clear();
+                e.drop_copies(u64::MAX);
             }
             self.note_expired(*id);
         }
@@ -453,14 +438,12 @@ impl Ssm {
     /// the damage via the per-object checksum, discard the bad copy, and
     /// serve a surviving replica. Returns how many objects were mangled.
     pub fn corrupt_brick(&mut self, idx: usize) -> usize {
+        let Some(bit) = self.brick_bit(idx) else {
+            return 0;
+        };
         let mut mangled = 0;
-        for copy in self
-            .entries
-            .values_mut()
-            .filter_map(|e| e.slots.get_mut(idx))
-            .flatten()
-        {
-            Rc::make_mut(copy).mangle();
+        for e in self.entries.values_mut().filter(|e| e.held & bit != 0) {
+            e.damaged ^= bit;
             mangled += 1;
         }
         mangled
@@ -469,13 +452,16 @@ impl Ssm {
     /// Returns the number of injection-tainted sessions still stored on
     /// any live brick.
     pub fn tainted_sessions(&self) -> usize {
-        self.entries.values().filter(|e| e.tainted()).count()
+        self.entries
+            .values()
+            .filter(|e| e.object.is_tainted())
+            .count()
     }
 
     /// Returns true if the stored object for `id` is injection-tainted on
     /// any brick (the comparison detector's oracle).
     pub fn is_tainted(&self, id: SessionId) -> bool {
-        self.entries.get(&id).is_some_and(Entry::tainted)
+        self.entries.get(&id).is_some_and(|e| e.object.is_tainted())
     }
 }
 
@@ -507,30 +493,24 @@ impl SessionStore for Ssm {
         if entry.expires <= now {
             // The lease lapsed and the read reaped the object: account
             // the disappearance.
-            entry.clear();
+            entry.drop_copies(u64::MAX);
             self.note_expired(id);
             return Ok(None);
         }
         // Every brick checks its copy against the checksum recorded with
-        // it. The verdict depends on the payload alone, so a brick sharing
-        // the payload of one already verified needs no pass of its own.
-        let mut good: Option<Rc<Payload>> = None;
-        for slot in &mut entry.slots {
-            let Some(copy) = slot else { continue };
-            if good.as_ref().is_some_and(|g| Rc::ptr_eq(g, copy))
-                || checksum(&copy.bytes) == copy.checksum
-            {
-                good.get_or_insert_with(|| copy.clone());
-            } else {
-                // Integrity violation: discard the bad object rather than
-                // serve it.
-                *slot = None;
-                self.stats.checksum_discards += 1;
-            }
-        }
-        let Some(good) = good else {
-            return Err(StoreError::CorruptDiscarded(id));
+        // it. The copies are one object, marshalled once; a copy passes if
+        // that matches the sum and no flip damaged the brick's copy. An
+        // integrity violation discards the bad copy rather than serve it.
+        let bad = if marshalled_sum(&mut self.marshal, &entry.object) == entry.sum {
+            entry.damaged
+        } else {
+            entry.held
         };
+        self.stats.checksum_discards += u64::from(bad.count_ones());
+        entry.drop_copies(bad);
+        if !entry.holds() {
+            return Err(StoreError::CorruptDiscarded(id));
+        }
         if entry.expires <= now {
             // Defensive ledger check: serving past expiry would be a
             // stale-lease violation. The reaping above makes this
@@ -542,7 +522,7 @@ impl SessionStore for Ssm {
         // Lease renewal on access.
         entry.expires = now + self.lease;
         self.stats.reads += 1;
-        Ok(Some(good.object.clone()))
+        Ok(Some(entry.object.clone()))
     }
 
     fn remove(&mut self, id: SessionId) -> Result<(), StoreError> {
@@ -550,7 +530,7 @@ impl SessionStore for Ssm {
             return Err(StoreError::Unavailable);
         }
         if let Some(e) = self.entries.get_mut(&id) {
-            e.clear();
+            e.drop_copies(u64::MAX);
         }
         if let Some(l) = &self.ledger {
             l.borrow_mut().on_removed(id.0);
@@ -616,6 +596,9 @@ mod tests {
     fn checksum_detects_corruption_and_discards() {
         let mut ssm = Ssm::new(3);
         ssm.write(SessionId(1), obj(7)).unwrap();
+        // A second flip of every copy undoes the first; the taint stays.
+        assert!(ssm.corrupt_bits(SessionId(1)) && ssm.corrupt_bits(SessionId(1)));
+        assert!(ssm.read(SessionId(1)).unwrap().unwrap().is_tainted());
         assert!(ssm.corrupt_bits(SessionId(1)));
         let err = ssm.read(SessionId(1)).unwrap_err();
         assert_eq!(err, StoreError::CorruptDiscarded(SessionId(1)));
@@ -765,6 +748,25 @@ mod tests {
         let got = ssm.read(SessionId(1)).unwrap().unwrap();
         assert_eq!(got.get("user_id").unwrap().as_int(), Some(7));
         assert_eq!(ssm.stats().checksum_discards, 1);
+        // A damaged brick that fails and comes back holds nothing.
+        assert_eq!(ssm.corrupt_brick(1), 1);
+        assert!(ssm.fail_brick(1) && ssm.restore_brick(1));
+        assert_eq!(ssm.corrupt_brick(1), 0);
+        assert!(ssm.read(SessionId(1)).unwrap().is_some());
+        assert_eq!(ssm.stats().checksum_discards, 1, "the damage died with it");
+    }
+
+    #[test]
+    fn an_empty_object_is_checked_against_its_recorded_sum() {
+        // It marshals to nothing, so a flip damages the recorded sum.
+        let mut ssm = Ssm::new(3);
+        ssm.write(SessionId(1), SessionObject::new()).unwrap();
+        assert_eq!(ssm.corrupt_brick(0), 1);
+        assert_eq!(ssm.read(SessionId(1)), Ok(Some(SessionObject::new())));
+        assert!(ssm.corrupt_bits(SessionId(1)));
+        let err = Err(StoreError::CorruptDiscarded(SessionId(1)));
+        assert_eq!(ssm.read(SessionId(1)), err);
+        assert_eq!(ssm.stats().checksum_discards, 3);
     }
 
     #[test]
@@ -785,21 +787,16 @@ mod tests {
 
     #[test]
     fn lossy_link_drops_a_deterministic_fraction() {
-        let mut ssm = Ssm::new(2);
-        ssm.write(SessionId(1), obj(7)).unwrap();
-        ssm.set_lossy(500);
-        let failures = (0..100).filter(|_| ssm.read(SessionId(1)).is_err()).count();
+        let pattern = || -> Vec<bool> {
+            let mut ssm = Ssm::new(2);
+            ssm.write(SessionId(1), obj(7)).unwrap();
+            ssm.set_lossy(500);
+            (0..100).map(|_| ssm.read(SessionId(1)).is_ok()).collect()
+        };
+        let failures = pattern().iter().filter(|ok| !**ok).count();
         assert_eq!(failures, 50, "500 permille thins exactly half");
         // Same-seed determinism: an identical store replays identically.
-        let mut again = Ssm::new(2);
-        again.write(SessionId(1), obj(7)).unwrap();
-        again.set_lossy(500);
-        let pattern: Vec<bool> = (0..100).map(|_| again.read(SessionId(1)).is_ok()).collect();
-        let mut third = Ssm::new(2);
-        third.write(SessionId(1), obj(7)).unwrap();
-        third.set_lossy(500);
-        let pattern2: Vec<bool> = (0..100).map(|_| third.read(SessionId(1)).is_ok()).collect();
-        assert_eq!(pattern, pattern2);
+        assert_eq!(pattern(), pattern());
     }
 
     #[test]

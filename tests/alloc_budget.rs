@@ -12,9 +12,8 @@
 //! stand on: how many allocations a session object's copy-on-write and a
 //! warm database transaction make.
 //!
-//! When a budget fails, name the allocation sites of the steady FastS
-//! window with
-//! `cargo test --test alloc_budget alloc_sites -- --ignored --nocapture`.
+//! When a budget fails, name the allocation sites of both steady windows
+//! with `cargo test --test alloc_budget alloc_sites -- --ignored --nocapture`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -25,16 +24,17 @@ use std::rc::Rc;
 use microreboot::cluster::{Sim, SimConfig, StoreChoice};
 use microreboot::recovery::RmConfig;
 use microreboot::simcore::telemetry::{shared_bus, TraceHashSink};
-use microreboot::simcore::{MetricsRegistry, SimDuration, SimTime};
+use microreboot::simcore::{MetricsRegistry, SimTime};
 use microreboot::statestore::db::TableDef;
-use microreboot::statestore::{Database, SessionObject, Value};
+use microreboot::statestore::{Database, SessionId, SessionObject, SessionStore, Ssm, Value};
 
-/// The command that names where the steady FastS window allocates.
+/// The command that names where the steady windows allocate.
 const SITES: &str = "cargo test --test alloc_budget alloc_sites -- --ignored --nocapture";
 
 /// Allocations per issued request the steady request path may make on
-/// FastS. Measured 0.920 (7,910 over 8,600 requests) when the budget was
-/// set — 1.694 while a session attribute was a `String` key in an
+/// FastS. Measured 0.756 (6,505 over 8,600 requests) when the budget was
+/// set — 0.920 while an empty session object allocated its empty slice,
+/// 1.694 while a session attribute was a `String` key in an
 /// `Rc<BTreeMap>` and every transaction grew a fresh undo log and lock
 /// list, 1.83 while every insert built, and dropped, the `String` of a
 /// `NullKey` error it did not return and a table's rows were a `BTreeMap`
@@ -43,15 +43,17 @@ const SITES: &str = "cargo test --test alloc_budget alloc_sites -- --ignored --n
 /// database queries stopped copying rows. The 15 % of headroom is for the
 /// path to grow a feature, not to absorb a per-request `Vec`, `clone` or
 /// eagerly built error that crept back in.
-const FASTS_BUDGET: f64 = 1.06;
+const FASTS_BUDGET: f64 = 0.87;
 
 /// The same on SSM, where a logged-in request also marshals its session
-/// and every write reaches three bricks. Measured 1.609 (27,340 over
-/// 16,989) when the budget was set (2.396 with the `BTreeMap` attributes
+/// and every write reaches three bricks. Measured 0.757 (12,868 over
+/// 16,989) when the budget was set (1.609 while every write kept its
+/// marshalled bytes in a shared payload with a slot row per entry and an
+/// empty object allocated, 2.396 with the `BTreeMap` attributes
 /// and fresh transaction buffers, 2.53 with the eager error and the row
 /// tree, 5.86 with copied rows, 11.82 while each brick held its own deep
 /// copy).
-const SSM_BUDGET: f64 = 1.85;
+const SSM_BUDGET: f64 = 0.87;
 
 /// Allocations per dataset row that building a simulation (`Sim::new`:
 /// the 17,352-row dataset and its seven indexes, one server, 60 clients,
@@ -198,6 +200,17 @@ fn steady_fasts() -> SimConfig {
     }
 }
 
+/// `steady_ssm_2n`'s configuration (run with the bus).
+fn steady_ssm() -> SimConfig {
+    SimConfig {
+        nodes: 2,
+        store: StoreChoice::Ssm,
+        failover: true,
+        rm: Some(RmConfig::default()),
+        ..steady_fasts()
+    }
+}
+
 #[test]
 fn steady_request_path_stays_within_its_allocation_budget() {
     assert_within_budget("FastS", steady_fasts(), false, FASTS_BUDGET);
@@ -205,20 +218,7 @@ fn steady_request_path_stays_within_its_allocation_budget() {
 
 #[test]
 fn steady_ssm_request_path_stays_within_its_allocation_budget() {
-    assert_within_budget(
-        "SSM",
-        SimConfig {
-            nodes: 2,
-            clients_per_node: 500,
-            store: StoreChoice::Ssm,
-            failover: true,
-            rm: Some(RmConfig::default()),
-            seed: 7,
-            ..SimConfig::default()
-        },
-        true,
-        SSM_BUDGET,
-    );
+    assert_within_budget("SSM", steady_ssm(), true, SSM_BUDGET);
 }
 
 #[test]
@@ -227,15 +227,7 @@ fn simulation_set_up_stays_within_its_allocation_budget() {
         nodes: 1,
         clients_per_node: 60,
         store: StoreChoice::FastS,
-        rm: Some(RmConfig {
-            score_window: SimDuration::from_secs(90),
-            storm_limit: 3,
-            storm_backoff: SimDuration::from_secs(10),
-            flap_limit: 3,
-            flap_window: SimDuration::from_secs(300),
-            watchdog_bound: Some(SimDuration::from_secs(180)),
-            ..RmConfig::default()
-        }),
+        rm: Some(RmConfig::hardened()),
         seed: 7,
         ..SimConfig::default()
     };
@@ -268,6 +260,7 @@ fn simulation_set_up_stays_within_its_allocation_budget() {
 /// copies nothing.
 #[test]
 fn session_objects_copy_in_one_allocation() {
+    assert_eq!(allocations(|| drop(SessionObject::new())), 0, "empty");
     let mut obj = SessionObject::new();
     obj.set("user_id", 7i64);
     obj.set("bid_item", 42i64);
@@ -336,6 +329,22 @@ fn a_warm_transaction_allocates_only_its_row_image() {
     assert_eq!(allocations(|| write(2)), 1);
 }
 
+/// A warm SSM write of a built object, and a read of it, allocate
+/// nothing: every brick's copy is the one object, and the checksum is
+/// marshalled into a buffer the store reuses.
+#[test]
+fn a_warm_ssm_write_and_read_allocate_nothing() {
+    let mut ssm = Ssm::new(3);
+    let mut obj = SessionObject::new();
+    obj.set("user_id", 7i64);
+    obj.set("note", "a text value marshals too");
+    let id = SessionId(1);
+    let mut write = || ssm.write(id, obj.clone()).unwrap();
+    write();
+    assert_eq!(allocations(write), 0, "write");
+    assert_eq!(allocations(|| drop(ssm.read(id).unwrap())), 0, "read");
+}
+
 /// How many sampled allocation sites [`alloc_sites`] prints.
 const TOP_SITES: usize = 20;
 
@@ -364,14 +373,20 @@ fn site(trace: &str) -> String {
     }
 }
 
-/// Not a gate: names where the steady FastS window allocates. It captures
-/// a backtrace on one allocation in `EVERY` and prints the workspace
-/// functions they came from, by share.
+/// Not a gate: names where the steady FastS and SSM windows allocate. It
+/// captures a backtrace on one allocation in `EVERY` and prints the
+/// workspace functions they came from, by share, one profile per window.
 #[test]
 #[ignore = "a profile, not a check; run it when a budget fails"]
 fn alloc_sites() {
+    profile_sites("FastS", steady_fasts(), false);
+    profile_sites("SSM", steady_ssm(), true);
+}
+
+/// [`alloc_sites`]' profile of one window.
+fn profile_sites(name: &str, config: SimConfig, bus: bool) {
     const EVERY: u64 = 7;
-    let mut sim = warmed(steady_fasts(), false);
+    let mut sim = warmed(config, bus);
     COUNTER.with(|c| c.every.set(EVERY));
     let (allocs, requests) = window(&mut sim);
     let traces = COUNTER.with(|c| {
@@ -386,7 +401,7 @@ fn alloc_sites() {
     let mut sites: Vec<(String, u64)> = sites.into_iter().collect();
     sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     println!(
-        "steady FastS window: {allocs} allocations over {requests} requests ({:.3} per request); \
+        "steady {name} window: {allocs} allocations over {requests} requests ({:.3} per request); \
          {} sampled, 1 in {EVERY}",
         allocs as f64 / requests as f64,
         rendered.len()

@@ -799,7 +799,8 @@ fn mutate(rng: &mut SimRng, obj: &mut SessionObject) {
 
 /// Copy-on-write is invisible: no holder of a session object — a clone,
 /// a request that read it, the store that serves it — ever sees another
-/// holder's mutation, and the encoded length is the encoding's length.
+/// holder's mutation, the encoded length is the encoding's length, and
+/// an object emptied by `remove` is indistinguishable from a new one.
 #[test]
 fn session_object_sharing_is_unobservable() {
     for case in 0..CASES {
@@ -808,6 +809,22 @@ fn session_object_sharing_is_unobservable() {
         assert_eq!(
             original.encoded_len(),
             original.encode().len(),
+            "case {case}"
+        );
+
+        // Emptied by `remove`, an object is the empty object.
+        let mut emptied = original.clone();
+        for key in original
+            .iter()
+            .map(|(k, _)| k.to_owned())
+            .collect::<Vec<_>>()
+        {
+            emptied.remove(&key);
+        }
+        let empty = SessionObject::new();
+        assert_eq!(
+            (&emptied, emptied.encode(), emptied.encoded_len()),
+            (&empty, empty.encode(), empty.encoded_len()),
             "case {case}"
         );
 
