@@ -73,7 +73,7 @@ pub mod wire;
 
 pub use event::{EventId, EventPayload, EventQueue};
 pub use metrics::MetricsRegistry;
-pub use rng::SimRng;
+pub use rng::{SimRng, WeightTable};
 pub use sketch::QuantileSketch;
 pub use symbol::Sym;
 pub use telemetry::{

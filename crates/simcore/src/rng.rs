@@ -144,15 +144,17 @@ impl SimRng {
         SimDuration::from_micros(lo.as_micros() + self.uniform_u64(width + 1))
     }
 
-    /// Picks an index according to non-negative `weights`.
+    /// Picks an index of `table` with probability proportional to its
+    /// weight; non-positive weights are never picked.
     ///
-    /// Returns `None` if `weights` is empty or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
-        if total <= 0.0 {
+    /// Returns `None`, drawing nothing, if the table's total is not
+    /// positive.
+    pub fn weighted_index(&mut self, table: &WeightTable) -> Option<usize> {
+        if table.total <= 0.0 {
             return None;
         }
-        let mut x = self.unit_f64() * total;
+        let weights = &table.weights;
+        let mut x = self.unit_f64() * table.total;
         for (i, w) in weights.iter().enumerate() {
             if *w <= 0.0 {
                 continue;
@@ -173,6 +175,33 @@ impl SimRng {
         } else {
             Some(&items[self.uniform_usize(items.len())])
         }
+    }
+}
+
+/// A row of non-negative weights and their positive total, summed once
+/// so that each [`SimRng::weighted_index`] draw is one scan.
+///
+/// # Examples
+///
+/// ```
+/// use simcore::rng::{SimRng, WeightTable};
+///
+/// let table: WeightTable = [0.0, 1.0, 3.0].into_iter().collect();
+/// let i = SimRng::seed_from(7).weighted_index(&table).unwrap();
+/// assert!(i == 1 || i == 2);
+/// ```
+#[derive(Clone, Debug)]
+pub struct WeightTable {
+    weights: Box<[f64]>,
+    /// The sum of the positive weights, in row order.
+    total: f64,
+}
+
+impl FromIterator<f64> for WeightTable {
+    fn from_iter<I: IntoIterator<Item = f64>>(weights: I) -> Self {
+        let weights: Box<[f64]> = weights.into_iter().collect();
+        let total = weights.iter().filter(|w| **w > 0.0).sum();
+        WeightTable { weights, total }
     }
 }
 
@@ -221,10 +250,14 @@ mod tests {
         }
     }
 
+    fn table(weights: &[f64]) -> WeightTable {
+        weights.iter().copied().collect()
+    }
+
     #[test]
     fn weighted_index_respects_weights() {
         let mut rng = SimRng::seed_from(3);
-        let weights = [0.0, 1.0, 3.0];
+        let weights = table(&[0.0, 1.0, 3.0]);
         let mut counts = [0u32; 3];
         for _ in 0..40_000 {
             counts[rng.weighted_index(&weights).unwrap()] += 1;
@@ -237,9 +270,15 @@ mod tests {
     #[test]
     fn weighted_index_degenerate_cases() {
         let mut rng = SimRng::seed_from(4);
-        assert_eq!(rng.weighted_index(&[]), None);
-        assert_eq!(rng.weighted_index(&[0.0, 0.0]), None);
-        assert_eq!(rng.weighted_index(&[0.0, 2.0]), Some(1));
+        let mut twin = SimRng::seed_from(4);
+        assert_eq!(rng.weighted_index(&table(&[])), None);
+        assert_eq!(rng.weighted_index(&table(&[0.0, 0.0])), None);
+        assert_eq!(
+            rng.next_u64(),
+            twin.next_u64(),
+            "a table without a positive total draws nothing"
+        );
+        assert_eq!(rng.weighted_index(&table(&[0.0, 2.0])), Some(1));
     }
 
     #[test]

@@ -181,18 +181,26 @@ impl Catalog {
         if self.entry_state >= n {
             return Err("entry state out of range".into());
         }
+        // A weight must be a finite number ≥ 0: `w < 0.0` alone lets NaN
+        // through, and a NaN or infinite weight would skew every draw from
+        // its state's precomputed total.
+        let bad = |w: f64| !(w.is_finite() && w >= 0.0);
         for (i, row) in self.transitions.iter().enumerate() {
-            let total: f64 = row.iter().map(|(_, w)| *w).sum::<f64>() + self.abandon_weight[i];
-            if total <= 0.0 && !self.ops[i].is_logout {
-                return Err(format!("state {i} ({}) is absorbing", self.ops[i].name));
-            }
             for (next, w) in row {
                 if *next >= n {
                     return Err(format!("state {i} points at unknown state {next}"));
                 }
-                if *w < 0.0 {
-                    return Err(format!("negative weight out of state {i}"));
+                if bad(*w) {
+                    return Err(format!("weight {w} out of state {i}"));
                 }
+            }
+            let abandon = self.abandon_weight[i];
+            if bad(abandon) {
+                return Err(format!("abandon weight {abandon} of state {i}"));
+            }
+            let total: f64 = row.iter().map(|(_, w)| *w).sum::<f64>() + abandon;
+            if total <= 0.0 && !self.ops[i].is_logout {
+                return Err(format!("state {i} ({}) is absorbing", self.ops[i].name));
             }
         }
         Ok(())
@@ -316,6 +324,31 @@ mod tests {
         let mut c = two_state();
         c.transitions[0].push((9, 1.0));
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_a_negative_abandon_weight() {
+        let mut c = two_state();
+        c.abandon_weight[1] = -0.5;
+        assert!(c.validate().unwrap_err().contains("abandon weight -0.5"));
+    }
+
+    #[test]
+    fn validation_rejects_a_non_finite_transition_weight() {
+        for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = two_state();
+            c.transitions[1][1].1 = w;
+            assert!(c.validate().unwrap_err().contains("out of state 1"), "{w}");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_a_non_finite_abandon_weight() {
+        for w in [f64::NAN, f64::INFINITY] {
+            let mut c = two_state();
+            c.abandon_weight[0] = w;
+            assert!(c.validate().unwrap_err().contains("abandon weight"), "{w}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 
 use components::CompName;
 use simcore::telemetry::{SharedBus, TelemetryEvent, TelemetrySink};
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{SimDuration, SimRng, SimTime, WeightTable};
 use statestore::{SessionId, SharedLedger};
 use urb_core::{OpCode, ReqId, Request, Response};
 
@@ -153,9 +153,9 @@ impl MixCounts {
 /// The emulated client population.
 pub struct ClientPool {
     catalog: Catalog,
-    /// Per Markov state, the weights [`ClientPool::next_state`] draws from:
+    /// Per Markov state, the table [`ClientPool::next_state`] draws from:
     /// the state's transition weights, then its abandon weight.
-    next_weights: Vec<Vec<f64>>,
+    next_weights: Vec<WeightTable>,
     config: ClientPoolConfig,
     clients: Vec<Client>,
     next_req: u64,

@@ -12,7 +12,8 @@
 //! The tracker also records response times (Figure 4, Table 4) and
 //! functional-group availability gaps (Figure 2).
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use simcore::stats::Summary;
 use simcore::telemetry::{TelemetryEvent, TelemetrySink};
@@ -23,6 +24,34 @@ use crate::catalog::FunctionalGroup;
 /// Identifier of one user action.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ActionId(pub u64);
+
+/// Hashes an [`ActionId`] with one multiply: the Fibonacci constant
+/// spreads dense and sparse ids alike, and the rotation brings the well
+/// mixed high bits down to the low bits the table indexes by. It has no
+/// per-process seed, so a run is a pure function of its seed; the ids are
+/// the client pool's own, so nobody chooses them to collide.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("ActionId hashes as one u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(26);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The open actions' operation buffers. Lookup, insert and remove are
+/// O(1), and allocate nothing once warm: the table grows with the most
+/// actions open at once, never with the span of their ids.
+// urb-lint: allow(D001) — never iterated in its own order: `close_all` sorts the ids first
+type OpenActions = HashMap<ActionId, Vec<OpRecord>, BuildHasherDefault<IdHasher>>;
 
 #[derive(Clone, Debug)]
 struct OpRecord {
@@ -59,9 +88,9 @@ pub struct TawTracker {
     /// timeline. Closing an action writes into the *past* seconds its
     /// operations finished in, so the rows are addressed by index.
     seconds: Vec<[f64; 4]>,
-    /// Open actions, ordered by id so that bulk closes attribute in a
+    /// Open actions. Bulk closes sort their ids, so they attribute in a
     /// deterministic order.
-    open: BTreeMap<ActionId, Vec<OpRecord>>,
+    open: OpenActions,
     /// Emptied operation buffers of closed actions, reused by later ones.
     spare: Vec<Vec<OpRecord>>,
     summary: TawSummary,
@@ -152,9 +181,11 @@ impl TawTracker {
     }
 
     /// Closes every still-open action (end of run), in ascending action-id
-    /// order (the map is ordered, so no post-hoc sort is needed).
+    /// order.
     pub fn close_all(&mut self) {
-        while let Some((&id, _)) = self.open.first_key_value() {
+        let mut ids: Vec<ActionId> = self.open.keys().copied().collect();
+        ids.sort_unstable();
+        for id in ids {
             self.close_action(id);
         }
     }

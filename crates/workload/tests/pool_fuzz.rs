@@ -4,7 +4,7 @@
 //! Sequences are generated with the deterministic [`SimRng`], so every run
 //! covers the same cases and failures reproduce without a shrink step.
 
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{SimDuration, SimRng, SimTime, WeightTable};
 use statestore::SessionId;
 use urb_core::{BodyMarkers, OpCode, Response, Status};
 use workload::catalog::{ArgKind, Catalog, FunctionalGroup, MixClass, OpSpec};
@@ -69,7 +69,7 @@ fn draw_outcome(rng: &mut SimRng) -> Outcome {
         (Outcome::LoginPrompt, 1.0),
         (Outcome::Tainted, 1.0),
     ];
-    let weights: Vec<f64> = CHOICES.iter().map(|(_, w)| *w).collect();
+    let weights: WeightTable = CHOICES.iter().map(|(_, w)| *w).collect();
     CHOICES[rng.weighted_index(&weights).unwrap()].0
 }
 

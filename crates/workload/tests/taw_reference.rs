@@ -1,7 +1,8 @@
 //! The Taw tracker's dense per-second rows answer exactly what string-keyed
 //! `(second, key)` cells answer: a reference tracker built on that cell
-//! arithmetic is fed the same random operations and must agree on every
-//! query the experiments and the benchmark make.
+//! arithmetic, with its open actions in an ordered map, is fed the same
+//! random operations and must agree on every query the experiments and the
+//! benchmark make, whatever the layout of the action ids.
 
 use std::collections::BTreeMap;
 
@@ -136,8 +137,14 @@ fn dense_rows_agree_with_the_string_keyed_series() {
         let mut reference = Reference::default();
         for step in 0..200 {
             // A few action ids, so actions gather several operations and
-            // closes hit open, closed and never-opened (empty) actions.
-            let action = rng.uniform_u64(12) + 12 * (step / 70);
+            // closes hit open, closed and never-opened (empty) actions:
+            // mostly dense ones in 0..36, some sparse and far apart, near
+            // 1 << 40 and at the top of the id space.
+            let action = match rng.uniform_u64(8) {
+                0 => (1 << 40) + rng.uniform_u64(4) * 0x1_0000_0001,
+                1 => u64::MAX - 16 + rng.uniform_u64(17),
+                _ => rng.uniform_u64(12) + 12 * (step / 70),
+            };
             match rng.uniform_u64(16) {
                 0..=9 => {
                     // Finish seconds arrive out of order; some responses

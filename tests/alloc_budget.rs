@@ -9,8 +9,8 @@
 //! with failover, an idle recovery manager and the digest + metrics bus).
 //! The set-up one is `chaos_ladder_1n`'s, which builds a fresh simulation
 //! for every one of its scenarios. Below them, the contracts the budgets
-//! stand on: how many allocations a session object's copy-on-write and a
-//! warm database transaction make.
+//! stand on: how many allocations a session object's copy-on-write, a
+//! warm database transaction, a warm SSM access and a warm Taw action make.
 //!
 //! When a budget fails, name the allocation sites of both steady windows
 //! with `cargo test --test alloc_budget alloc_sites -- --ignored --nocapture`.
@@ -24,36 +24,39 @@ use std::rc::Rc;
 use microreboot::cluster::{Sim, SimConfig, StoreChoice};
 use microreboot::recovery::RmConfig;
 use microreboot::simcore::telemetry::{shared_bus, TraceHashSink};
-use microreboot::simcore::{MetricsRegistry, SimTime};
+use microreboot::simcore::{MetricsRegistry, SimDuration, SimTime};
 use microreboot::statestore::db::TableDef;
 use microreboot::statestore::{Database, SessionId, SessionObject, SessionStore, Ssm, Value};
+use microreboot::workload::taw::ActionId;
+use microreboot::workload::{FunctionalGroup, TawTracker};
 
 /// The command that names where the steady windows allocate.
 const SITES: &str = "cargo test --test alloc_budget alloc_sites -- --ignored --nocapture";
 
 /// Allocations per issued request the steady request path may make on
-/// FastS. Measured 0.756 (6,505 over 8,600 requests) when the budget was
-/// set — 0.920 while an empty session object allocated its empty slice,
-/// 1.694 while a session attribute was a `String` key in an
-/// `Rc<BTreeMap>` and every transaction grew a fresh undo log and lock
-/// list, 1.83 while every insert built, and dropped, the `String` of a
-/// `NullKey` error it did not return and a table's rows were a `BTreeMap`
-/// growing a node at a time; 5.17 before rows became shared `Rc` images,
-/// 9.29 before session objects became copy-on-write, 34.02 before
-/// database queries stopped copying rows. The 15 % of headroom is for the
-/// path to grow a feature, not to absorb a per-request `Vec`, `clone` or
-/// eagerly built error that crept back in.
-const FASTS_BUDGET: f64 = 0.87;
+/// FastS. Measured 0.727 (6,250 over 8,600 requests) when the budget was
+/// set — 0.756 while every open Taw action was a `BTreeMap` entry whose
+/// nodes came and went with the actions, 0.920 while an empty session
+/// object allocated its empty slice, 1.694 while a session attribute was
+/// a `String` key in an `Rc<BTreeMap>` and every transaction grew a fresh
+/// undo log and lock list, 1.83 while every insert built, and dropped,
+/// the `String` of a `NullKey` error it did not return and a table's rows
+/// were a `BTreeMap` growing a node at a time; 5.17 before rows became
+/// shared `Rc` images, 9.29 before session objects became copy-on-write,
+/// 34.02 before database queries stopped copying rows. The 15 % of
+/// headroom is for the path to grow a feature, not to absorb a per-request
+/// `Vec`, `clone` or eagerly built error that crept back in.
+const FASTS_BUDGET: f64 = 0.84;
 
 /// The same on SSM, where a logged-in request also marshals its session
-/// and every write reaches three bricks. Measured 0.757 (12,868 over
-/// 16,989) when the budget was set (1.609 while every write kept its
-/// marshalled bytes in a shared payload with a slot row per entry and an
-/// empty object allocated, 2.396 with the `BTreeMap` attributes
-/// and fresh transaction buffers, 2.53 with the eager error and the row
-/// tree, 5.86 with copied rows, 11.82 while each brick held its own deep
-/// copy).
-const SSM_BUDGET: f64 = 0.87;
+/// and every write reaches three bricks. Measured 0.726 (12,336 over
+/// 16,989) when the budget was set (0.757 with the open Taw actions in a
+/// `BTreeMap`, 1.609 while every write kept its marshalled bytes in a
+/// shared payload with a slot row per entry and an empty object
+/// allocated, 2.396 with the `BTreeMap` attributes and fresh transaction
+/// buffers, 2.53 with the eager error and the row tree, 5.86 with copied
+/// rows, 11.82 while each brick held its own deep copy).
+const SSM_BUDGET: f64 = 0.84;
 
 /// Allocations per dataset row that building a simulation (`Sim::new`:
 /// the 17,352-row dataset and its seven indexes, one server, 60 clients,
@@ -343,6 +346,37 @@ fn a_warm_ssm_write_and_read_allocate_nothing() {
     write();
     assert_eq!(allocations(write), 0, "write");
     assert_eq!(allocations(|| drop(ssm.read(id).unwrap())), 0, "read");
+}
+
+/// A warm Taw action allocates nothing: its operations go into a buffer a
+/// closed action left behind, and its slot in the open-action table is one
+/// the table already has, whatever the span of the ids. Actions overlap as
+/// the clients' do: each opens while the 63 before it are still open.
+#[test]
+fn a_warm_taw_action_allocates_nothing() {
+    const OPEN: u64 = 64;
+    // Opens action `n` with three operations and closes action `n - OPEN`.
+    let step = |taw: &mut TawTracker, stride: u64, n: u64| {
+        for op in 0..3 {
+            let started = SimTime::from_millis(100 * op);
+            let finished = started + SimDuration::from_millis(40);
+            let group = FunctionalGroup::BrowseView;
+            taw.record_op(ActionId(n * stride), group, started, finished, true);
+        }
+        if let Some(old) = n.checked_sub(OPEN) {
+            taw.close_action(ActionId(old * stride));
+        }
+    };
+    for stride in [1, (1 << 40) + 1] {
+        let mut taw = TawTracker::new();
+        // 12,000 response-time samples leave room (16,384) for 3,000 more.
+        for n in 0..4_000 {
+            step(&mut taw, stride, n);
+        }
+        let made = allocations(|| (4_000..5_000).for_each(|n| step(&mut taw, stride, n)));
+        assert_eq!(made, 0, "ids {stride} apart");
+        assert_eq!(taw.summary().good_actions, 5_000 - OPEN);
+    }
 }
 
 /// How many sampled allocation sites [`alloc_sites`] prints.
