@@ -122,6 +122,10 @@ fn parse(c: &Campaign, args: &[String]) -> Result<Invocation, String> {
         // Zero runs would check no invariant and still report them held.
         return Err("--runs must be at least 1".to_string());
     }
+    if inv.only.is_some_and(|run| run >= inv.runs) {
+        // So would `--only` naming a run past the last one.
+        return Err(format!("--only must be below --runs ({})", inv.runs));
+    }
     Ok(inv)
 }
 

@@ -39,6 +39,10 @@ fn usage() -> String {
     )
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D005: the command line is the CLI's input; the simulation takes what it parses as parameters"
+)]
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.split_first() {

@@ -119,6 +119,7 @@ fn a_bad_command_line_exits_2_with_usage_on_every_campaign() {
             &["--bogus"][..],
             &["--runs"],
             &["--runs", "0"],
+            &["--runs", "2", "--only", "5"],
             &["--seed", "x"],
             &["--policies", "no-such-policy"],
             &["no-such-campaign"],

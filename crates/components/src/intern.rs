@@ -17,7 +17,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
 /// An interned component name.
 ///
@@ -49,11 +48,14 @@ struct Interner {
     by_name: BTreeMap<&'static str, u32>,
 }
 
-fn table() -> &'static Mutex<Interner> {
-    // urb-lint: allow(S002) — the interner is append-only symbol identity, not sim state: a reboot must NOT forget names, and digests never observe ids (Ord/Debug go through as_str).
-    static TABLE: OnceLock<Mutex<Interner>> = OnceLock::new();
+#[expect(
+    clippy::disallowed_types,
+    reason = "S002: the interner is append-only symbol identity, not sim state: a reboot must not forget names, and digests never observe ids (Ord/Debug go through as_str)"
+)]
+fn table() -> &'static std::sync::Mutex<Interner> {
+    static TABLE: std::sync::OnceLock<std::sync::Mutex<Interner>> = std::sync::OnceLock::new();
     TABLE.get_or_init(|| {
-        Mutex::new(Interner {
+        std::sync::Mutex::new(Interner {
             names: Vec::new(),
             by_name: BTreeMap::new(),
         })

@@ -54,11 +54,15 @@ fn entity(
 /// checks each row's two spellings of the name.
 macro_rules! roster {
     ($($handle:ident: $descriptor:expr,)*) => {
-        #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+        #[allow(
+            non_camel_case_types,
+            clippy::upper_case_acronyms,
+            reason = "a variant is spelt as its handle"
+        )]
         enum Position { $($handle),* }
 
         /// The handles `app.rs` calls components through.
-        #[allow(dead_code)] // the server enters the WAR itself
+        #[allow(dead_code, reason = "the server enters the WAR itself")]
         pub(crate) mod ejb {
             use components::descriptor::ComponentId;
             $(pub(crate) const $handle: ComponentId = ComponentId(super::Position::$handle as usize);)*

@@ -20,12 +20,16 @@ use statestore::{Database, TableId, Value};
 /// `handles_name_what_they_claim` checks each column's two spellings.
 macro_rules! tables {
     ($($table:ident { $($column:ident: $name:literal),* })*) => {
-        #[allow(non_camel_case_types)]
+        #[allow(non_camel_case_types, reason = "a variant is spelt as its table")]
         enum Position { $($table),* }
 
-        $(#[allow(dead_code)] // the handlers touch only some columns
+        $(#[allow(dead_code, reason = "the handlers touch only some columns")]
         pub(crate) mod $table {
-            #[allow(non_camel_case_types, clippy::upper_case_acronyms)]
+            #[allow(
+                non_camel_case_types,
+                clippy::upper_case_acronyms,
+                reason = "a variant is spelt as its column"
+            )]
             enum Position { $($column),* }
             pub(crate) const TABLE: statestore::TableId =
                 statestore::TableId(super::Position::$table as usize);

@@ -8,6 +8,10 @@
 //! — any future `Box`, map node, or accidental `Vec` growth on the
 //! per-event path fails it (the second test shows the counter biting on
 //! exactly such a `Box`).
+#![expect(
+    clippy::disallowed_macros,
+    reason = "the per-thread allocation counter is test instrumentation, not sim state"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

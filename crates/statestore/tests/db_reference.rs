@@ -75,7 +75,7 @@ mod reference {
         }
 
         /// Checks a row offered for insertion, returning its primary key.
-        #[allow(clippy::or_fun_call)] // verbatim: the error built eagerly
+        #[allow(clippy::or_fun_call, reason = "verbatim: the error built eagerly")]
         fn admit(&self, row: &[Value]) -> Result<i64, DbError> {
             let table = TABLE;
             let expected = COLUMNS.len();

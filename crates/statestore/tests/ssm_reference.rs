@@ -18,7 +18,7 @@ use statestore::session::{SessionId, SessionObject, SessionStore};
 use statestore::{SharedLedger, Value};
 
 /// The per-brick SSM, verbatim (only the `use crate::` paths changed).
-#[allow(dead_code)]
+#[allow(dead_code, reason = "verbatim: the tests call only part of it")]
 mod reference {
     use std::collections::BTreeMap;
 

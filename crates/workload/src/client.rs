@@ -108,8 +108,8 @@ pub enum DeliverOutcome {
 }
 
 struct Pending {
-    /// Operation of the pending request (kept for debugging/asserts).
-    #[allow(dead_code)]
+    /// Operation of the pending request.
+    #[allow(dead_code, reason = "kept for debugging and asserts")]
     op: OpCode,
     state: usize,
     first_sent_at: SimTime,

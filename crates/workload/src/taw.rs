@@ -12,7 +12,6 @@
 //! The tracker also records response times (Figure 4, Table 4) and
 //! functional-group availability gaps (Figure 2).
 
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use simcore::stats::Summary;
@@ -50,8 +49,11 @@ impl Hasher for IdHasher {
 /// The open actions' operation buffers. Lookup, insert and remove are
 /// O(1), and allocate nothing once warm: the table grows with the most
 /// actions open at once, never with the span of their ids.
-// urb-lint: allow(D001) — never iterated in its own order: `close_all` sorts the ids first
-type OpenActions = HashMap<ActionId, Vec<OpRecord>, BuildHasherDefault<IdHasher>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "D001: never iterated in its own order: `close_all` sorts the ids first"
+)]
+type OpenActions = std::collections::HashMap<ActionId, Vec<OpRecord>, BuildHasherDefault<IdHasher>>;
 
 #[derive(Clone, Debug)]
 struct OpRecord {
