@@ -114,7 +114,7 @@ pub struct RunOutcome {
 pub struct PerfOutcome {
     /// Latency-anomaly windows raised.
     pub anomalies: u64,
-    /// Injection → first anomaly, in milliseconds (detection latency).
+    /// From injection to the first anomaly, in milliseconds (detection latency).
     pub detection_latency_ms: Option<u64>,
     /// Longest out-of-parity stretch a `ParityRestored` closed, in
     /// milliseconds.
@@ -295,7 +295,6 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         } else {
             DetectorKind::Simple
         },
-        perf: opts.perf,
         rm: Some(RmConfig {
             max_concurrent: if s.parallel_rm { 4 } else { 1 },
             ..RmConfig::hardened()

@@ -27,7 +27,7 @@
 
 use cluster::World;
 use faults::campaign::Scenario;
-use faults::{Fault, Injection, NetEdge};
+use faults::{Fault, NetEdge};
 use simcore::{MetricsRegistry, SimDuration};
 use statestore::{IntegrityLedger, SessionId};
 use workload::RetryPolicy;
@@ -123,7 +123,13 @@ pub(crate) fn integrity_stage(
     }
     // A store-tier fault leaves the cluster's nodes healthy, so any reboot
     // the ladder starts is misdirected recovery.
-    let store_tier = matches!(faults::conversion(&s.fault), Injection::StorePlane(_));
+    let store_tier = matches!(
+        s.fault,
+        Fault::BrickCrash { .. }
+            | Fault::BrickCorrupt { .. }
+            | Fault::LeaseStorm
+            | Fault::StoreSlow { .. }
+    );
     let reboots_begun = reg.counter("reboots_begun");
     if store_tier && reboots_begun > 0 {
         violations.push(format!(

@@ -11,7 +11,9 @@
 //!
 //! A command line the tables cannot resolve — an unknown subcommand,
 //! experiment, campaign or flag — prints why and the usage (with the
-//! valid names) to stderr and exits 2.
+//! valid names) to stderr and exits 2. A file that cannot be read,
+//! parsed or written prints `urb: <path>: <why>` without the usage and
+//! exits 1.
 
 use std::process::ExitCode;
 

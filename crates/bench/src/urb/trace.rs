@@ -7,9 +7,10 @@
 //!   scenario (two simulated minutes, a transient exception in
 //!   `BrowseCategories` at t=60 s, automatic recovery) and write its
 //!   full trace, so CI and the other commands have a cheap input;
-//!   `--degraded` records the fail-slow scenario instead (performance
-//!   plane armed, a 4x slowdown injected at t=40 s) so the summary and
-//!   timeline views have anomaly and parity marks to show;
+//!   `--degraded` records the fail-slow scenario instead (latency-anomaly
+//!   detector and performance plane armed, a 4x slowdown injected at
+//!   t=40 s) so the summary and timeline views have anomaly and parity
+//!   marks to show;
 //! * `summary <trace.jsonl>` — one row per recovery episode: trigger,
 //!   rung, duration, lost work, paper-style Taw dip;
 //! * `timeline <trace.jsonl>` — per-second availability in the style of
@@ -52,8 +53,13 @@ pub(crate) fn run(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn load(path: &str) -> Result<Trace, String> {
+/// Reads a trace. A file that cannot be read or parsed is bad input, not
+/// a bad command line: it is reported as `urb: <path>: <why>`, without
+/// the usage, and the caller exits 1.
+fn load(path: &str) -> Option<Trace> {
     Trace::read_from(Path::new(path))
+        .map_err(|why| eprintln!("urb: {why}"))
+        .ok()
 }
 
 // ---------------------------------------------------------------------------
@@ -79,13 +85,13 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
 
     let mut sim = if degraded {
         // The fail-slow scenario (mirrors the `degraded_episode` golden
-        // test): triple client load for window density, the performance
-        // plane armed, a 4x slowdown on the hot search path at t=40 s.
+        // test): triple client load for window density, the
+        // latency-anomaly detector (and with it the performance plane), a
+        // 4x slowdown on the hot search path at t=40 s.
         Sim::new(SimConfig {
             seed,
             clients_per_node: 180,
             detector: workload::DetectorKind::LatencyAnomaly,
-            perf: true,
             rm: Some(RmConfig::default()),
             ..SimConfig::default()
         })
@@ -134,9 +140,10 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
         queue_depth: reg.gauge("des_queue_depth") as u64,
         sim_micros: (reg.gauge("sim_seconds") * 1e6).round() as u64,
     });
-    trace
-        .write_to(Path::new(out))
-        .map_err(|e| format!("{out}: {e}"))?;
+    if let Err(why) = trace.write_to(Path::new(out)) {
+        eprintln!("urb: {out}: {why}");
+        return Ok(ExitCode::FAILURE);
+    }
     println!(
         "recorded {} events (seed {seed}, digest {:016x}, {} episodes) to {out}",
         trace.events.len(),
@@ -152,7 +159,9 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_summary(args: &[String]) -> Result<ExitCode, String> {
     let path = args.first().ok_or("summary needs a trace path")?;
-    let trace = load(path)?;
+    let Some(trace) = load(path) else {
+        return Ok(ExitCode::FAILURE);
+    };
     let episodes = assemble_episodes(&trace.events);
     let timeline = availability_timeline(&trace.events);
 
@@ -324,7 +333,9 @@ fn print_perf_marks(events: &[TelemetryEvent]) {
 
 fn cmd_timeline(args: &[String]) -> Result<ExitCode, String> {
     let path = args.first().ok_or("timeline needs a trace path")?;
-    let trace = load(path)?;
+    let Some(trace) = load(path) else {
+        return Ok(ExitCode::FAILURE);
+    };
     let timeline = availability_timeline(&trace.events);
     if timeline.is_empty() {
         println!("{path}: no client operations in trace");
@@ -394,8 +405,9 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let [a_path, b_path] = args else {
         return Err("diff needs exactly two trace paths".into());
     };
-    let a = load(a_path)?;
-    let b = load(b_path)?;
+    let (Some(a), Some(b)) = (load(a_path), load(b_path)) else {
+        return Ok(ExitCode::FAILURE);
+    };
 
     println!(
         "a: {a_path} ({} events, digest {:016x})",
@@ -472,7 +484,9 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let path = path.ok_or("verify needs a trace path")?;
-    let trace = load(&path)?;
+    let Some(trace) = load(&path) else {
+        return Ok(ExitCode::FAILURE);
+    };
     let recomputed = trace.recomputed_digest();
     if recomputed != trace.digest {
         eprintln!(

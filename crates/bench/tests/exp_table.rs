@@ -2,7 +2,8 @@
 //! evaluation record: `list` is the table, one experiment's stdout is its
 //! section of `experiments_output.txt`, and a name the tables do not hold
 //! is exit code 2 with the valid names on stderr — never a panic, never a
-//! silent 0.
+//! silent 0. A trace file that cannot be read, parsed or written is bad
+//! input, not a bad command line: exit code 1, the path named, no usage.
 
 use std::collections::BTreeSet;
 use std::process::{Command, Output};
@@ -69,5 +70,43 @@ fn a_name_the_tables_do_not_hold_exits_2_with_the_valid_names() {
         assert!(stderr.contains("usage: urb exp"), "{bad:?}: {stderr}");
         assert!(stderr.contains("experiments: table1, table2"), "{bad:?}");
         assert!(stderr.contains("campaigns: tournament"), "{bad:?}");
+    }
+}
+
+#[test]
+fn a_trace_file_that_cannot_be_read_or_written_exits_1_naming_the_path() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let [full, truncated, missing, unwritable] = [
+        "full.jsonl",
+        "truncated.jsonl",
+        "missing.jsonl",
+        "no_such_dir/out.jsonl",
+    ]
+    .map(|name| path(&format!("exp_table_{name}")));
+    let _ = std::fs::remove_file(&missing);
+    assert!(urb(&["trace", "record", &full]).status.success());
+    // The meta line and two events of a trace that declares thousands.
+    let text = std::fs::read_to_string(&full).unwrap();
+    let head: String = text.lines().take(3).map(|l| format!("{l}\n")).collect();
+    std::fs::write(&truncated, head).unwrap();
+
+    let mut cases = vec![(vec!["record", &unwritable], &unwritable)];
+    for bad in [&truncated, &missing] {
+        for command in ["summary", "timeline", "verify"] {
+            cases.push((vec![command, bad], bad));
+        }
+        cases.push((vec!["diff", bad, &full], bad));
+        cases.push((vec!["diff", &full, bad], bad));
+    }
+    for (args, named) in cases {
+        let out = urb(&[&["trace"][..], &args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(named.as_str()),
+            "{args:?} names no {named}: {stderr}"
+        );
+        assert!(!stderr.contains("usage:"), "{args:?} printed the usage");
     }
 }

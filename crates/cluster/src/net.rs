@@ -1,11 +1,27 @@
-//! The network and state-store fault plane: the LB↔node wire shim, and
-//! injection and healing of store-tier and link-tier faults.
+//! The network and state-store fault plane: the LB↔node wire shim, link
+//! faults armed on either edge, the SSM a store-tier fault lands on, and
+//! the healing of both (`World::on_inject_fault` delivers every fault).
 
-use faults::{LinkFault, NetEdge, StoreFault};
+use faults::NetEdge;
 use simcore::telemetry::TelemetryEvent;
-use simcore::SimDuration;
+use simcore::{SimDuration, SimTime};
+use statestore::ssm::thin;
+use urb_core::SharedSsm;
 
 use crate::sim::{SimEvent, SimQueue, World};
+
+/// What a faulted network edge does to its traffic.
+#[derive(Clone, Copy)]
+pub(crate) enum LinkFault {
+    /// Black-hole everything.
+    Partition,
+    /// Drop this fraction of messages, in permille.
+    Lossy { permille: u32 },
+    /// Delay every message by this much extra.
+    Delay { extra: SimDuration },
+    /// Duplicate this fraction of messages, in permille.
+    Dupe { permille: u32 },
+}
 
 /// Deterministic fault shim on the LB↔node wire.
 ///
@@ -59,19 +75,6 @@ impl NetShim {
     }
 }
 
-/// Deterministic thinning: fires on the messages where the running
-/// `permille` quota crosses an integer boundary (mirrors the SSM's
-/// node↔store shim).
-fn thin(counter: &mut u64, permille: u32) -> bool {
-    if permille == 0 {
-        return false;
-    }
-    let before = *counter * u64::from(permille) / 1000;
-    *counter += 1;
-    let after = *counter * u64::from(permille) / 1000;
-    after > before
-}
-
 impl World {
     /// Forwards the SSM's queued telemetry events to the bus (and drops
     /// them when no bus is attached, so the queue cannot grow unbounded).
@@ -85,57 +88,13 @@ impl World {
         }
     }
 
-    /// Delivers a state-plane fault into the shared SSM. A no-op on
-    /// FastS-only clusters (there is no external store to break).
-    pub(crate) fn inject_store_fault(&mut self, fault: StoreFault, q: &mut SimQueue) {
-        let now = q.now();
-        let Some(ssm) = self.ssm.clone() else {
-            return;
-        };
+    /// The shared SSM, advanced to `now` so a store fault lands on
+    /// current lease state; `None` on FastS-only clusters (there is no
+    /// external store to break).
+    pub(crate) fn ssm_at(&self, now: SimTime) -> Option<SharedSsm> {
+        let ssm = self.ssm.clone()?;
         ssm.borrow_mut().advance_to(now);
-        match fault {
-            StoreFault::BrickCrash { brick, heals_after } => {
-                ssm.borrow_mut().fail_brick(brick);
-                q.schedule_event_at(
-                    now + heals_after,
-                    "brick-restore",
-                    SimEvent::BrickRestore { brick },
-                );
-            }
-            StoreFault::BrickCorrupt { brick } => {
-                ssm.borrow_mut().corrupt_brick(brick);
-                self.emit(TelemetryEvent::NetFaultInjected {
-                    edge: NetEdge::NodeStore.code(),
-                    kind: 5,
-                    at: now,
-                });
-            }
-            StoreFault::LeaseStorm => {
-                ssm.borrow_mut().storm_leases();
-            }
-            StoreFault::Slow {
-                factor_permille,
-                heals_after,
-            } => {
-                // The SSM's base access RTT is 6.2 ms; the fault inflates
-                // it by factor_permille/1000.
-                let extra = SimDuration::from_micros(6_200 * u64::from(factor_permille) / 1000);
-                ssm.borrow_mut().set_extra_latency(extra);
-                self.emit(TelemetryEvent::NetFaultInjected {
-                    edge: NetEdge::NodeStore.code(),
-                    kind: 4,
-                    at: now,
-                });
-                q.schedule_event_at(
-                    now + heals_after,
-                    "edge-heal",
-                    SimEvent::EdgeHeal {
-                        edge: NetEdge::NodeStore,
-                    },
-                );
-            }
-        }
-        self.drain_store_events();
+        Some(ssm)
     }
 
     /// Arms a network fault on an edge and schedules its heal. LB↔node
@@ -145,7 +104,7 @@ impl World {
         &mut self,
         edge: NetEdge,
         fault: LinkFault,
-        heals_after: SimDuration,
+        heals_after_s: u64,
         q: &mut SimQueue,
     ) {
         let now = q.now();
@@ -176,7 +135,11 @@ impl World {
             kind,
             at: now,
         });
-        q.schedule_event_at(now + heals_after, "edge-heal", SimEvent::EdgeHeal { edge });
+        q.schedule_event_at(
+            now + SimDuration::from_secs(heals_after_s),
+            "edge-heal",
+            SimEvent::EdgeHeal { edge },
+        );
     }
 
     /// Heals every armed fault on an edge.

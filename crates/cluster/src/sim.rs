@@ -22,7 +22,8 @@ use recovery::conductor::{Conductor, ConductorConfig, TicketId};
 use recovery::{PolicyChoice, RecoveryAction, RecoveryManager, RmConfig};
 use simcore::telemetry::{SharedBus, TelemetryEvent};
 use simcore::{EventPayload, EventQueue, SimDuration, SimTime};
-use statestore::Ssm;
+use statestore::session::CorruptKind;
+use statestore::{Ssm, Value};
 use urb_core::backend::{share_db, share_ssm, SessionBackend, SharedSsm};
 use urb_core::rejuvenation::RejuvenationService;
 use urb_core::server::RebootId;
@@ -30,7 +31,7 @@ use urb_core::{AppServer, OpCode, ReqId, Request, Response, ServerConfig, Submit
 use workload::{ClientPool, ClientPoolConfig, DeliverOutcome, DetectorKind, RetryPolicy};
 
 use crate::lb::LoadBalancer;
-use crate::net::NetShim;
+use crate::net::{LinkFault, NetShim};
 
 /// How long an emulated client waits for a response before giving up.
 ///
@@ -68,14 +69,13 @@ pub struct SimConfig {
     pub retry_enabled: bool,
     /// Drain delay before microreboot crash phases (Table 6's 200 ms).
     pub drain: Option<SimDuration>,
-    /// Which detector the monitors run.
+    /// Which detector the monitors run. [`DetectorKind::LatencyAnomaly`]
+    /// also arms the performance-observability plane (latency sketches,
+    /// fail-slow anomaly detection, parity gating): it adds telemetry
+    /// events and failure reports but schedules no events and draws no
+    /// randomness of its own — it piggybacks on the per-second
+    /// maintenance sweep.
     pub detector: DetectorKind,
-    /// Performance-observability plane (latency sketches, fail-slow
-    /// anomaly detection, parity gating), off by default. Enabling
-    /// it adds telemetry events and failure reports but schedules no
-    /// events and draws no randomness of its own — it piggybacks on the
-    /// per-second maintenance sweep.
-    pub perf: bool,
     /// Recovery-manager configuration; `None` disables automatic recovery
     /// (experiments then command recovery directly).
     pub rm: Option<RmConfig>,
@@ -108,7 +108,6 @@ impl Default for SimConfig {
             retry_enabled: false,
             drain: None,
             detector: DetectorKind::Comparison,
-            perf: false,
             rm: None,
             policy: PolicyChoice::Ladder,
             conductor: None,
@@ -489,8 +488,8 @@ impl World {
             return;
         }
         let now = q.now();
-        match faults::conversion(&fault) {
-            faults::Injection::ClientReports(reports) => {
+        match fault {
+            Fault::SpuriousReports { reports } => {
                 const OPS: [urb_core::OpCode; 4] = [
                     ebid::ops::codes::VIEW_ITEM,
                     ebid::ops::codes::BROWSE_CATEGORIES,
@@ -502,18 +501,119 @@ impl World {
                         .inject_spurious_reports(node, OPS[i as usize % OPS.len()], 1, now);
                 }
             }
-            faults::Injection::StorePlane(store_fault) => {
-                self.inject_store_fault(store_fault, q);
+            Fault::CorruptPrimaryKeys { kind } => self.nodes[node].app_mut().corrupt_keygen(kind),
+            Fault::CorruptFastS { kind } => {
+                // Bit flips hit a swath of stored objects. Target the most
+                // recently created sessions: abandoned sessions linger in
+                // the store until they time out, and corrupting those
+                // would be invisible.
+                if let Some(fasts) = self.nodes[node].session_mut().fasts_mut() {
+                    let victims: Vec<_> = fasts.session_ids().into_iter().rev().take(25).collect();
+                    for id in victims {
+                        fasts.corrupt(id, kind);
+                    }
+                }
             }
-            faults::Injection::NetPlane {
-                edge,
-                fault: link_fault,
-                heals_after,
+            Fault::CorruptSsm => {
+                if let Some(ssm) = self.nodes[node].session().ssm_handle() {
+                    ssm.borrow_mut().corrupt_any();
+                }
+            }
+            Fault::CorruptDb { kind } => {
+                let db = self.nodes[node].db();
+                let mut db = db.borrow_mut();
+                let _ = match kind {
+                    CorruptKind::SetNull => db.corrupt_cell("items", 1, 1, Value::Null),
+                    CorruptKind::SetInvalid => db.corrupt_cell("items", 1, 6, Value::Float(-500.0)),
+                    CorruptKind::SetWrong => db.corrupt_swap_rows("items", 1, 2),
+                };
+            }
+            // Store-tier faults hit the shared SSM, which no server
+            // process owns; on a FastS-only cluster they are no-ops.
+            Fault::BrickCrash {
+                brick,
+                heals_after_s,
             } => {
-                self.inject_net_fault(edge, link_fault, heals_after, q);
+                let Some(ssm) = self.ssm_at(now) else {
+                    return;
+                };
+                ssm.borrow_mut().fail_brick(brick);
+                q.schedule_event_at(
+                    now + SimDuration::from_secs(heals_after_s),
+                    "brick-restore",
+                    SimEvent::BrickRestore { brick },
+                );
+                self.drain_store_events();
             }
+            Fault::BrickCorrupt { brick } => {
+                let Some(ssm) = self.ssm_at(now) else {
+                    return;
+                };
+                ssm.borrow_mut().corrupt_brick(brick);
+                self.emit(TelemetryEvent::NetFaultInjected {
+                    edge: NetEdge::NodeStore.code(),
+                    kind: 5,
+                    at: now,
+                });
+                self.drain_store_events();
+            }
+            Fault::LeaseStorm => {
+                let Some(ssm) = self.ssm_at(now) else {
+                    return;
+                };
+                ssm.borrow_mut().storm_leases();
+                self.drain_store_events();
+            }
+            Fault::StoreSlow {
+                factor_permille,
+                heals_after_s,
+            } => {
+                let Some(ssm) = self.ssm_at(now) else {
+                    return;
+                };
+                // The SSM's base access RTT is 6.2 ms; the fault inflates
+                // it by factor_permille/1000.
+                let extra = SimDuration::from_micros(6_200 * u64::from(factor_permille) / 1000);
+                ssm.borrow_mut().set_extra_latency(extra);
+                self.emit(TelemetryEvent::NetFaultInjected {
+                    edge: NetEdge::NodeStore.code(),
+                    kind: 4,
+                    at: now,
+                });
+                q.schedule_event_at(
+                    now + SimDuration::from_secs(heals_after_s),
+                    "edge-heal",
+                    SimEvent::EdgeHeal {
+                        edge: NetEdge::NodeStore,
+                    },
+                );
+                self.drain_store_events();
+            }
+            Fault::LinkPartition {
+                edge,
+                heals_after_s,
+            } => self.inject_net_fault(edge, LinkFault::Partition, heals_after_s, q),
+            Fault::LinkLossy {
+                edge,
+                permille,
+                heals_after_s,
+            } => self.inject_net_fault(edge, LinkFault::Lossy { permille }, heals_after_s, q),
+            Fault::LinkDelay {
+                edge,
+                extra_ms,
+                heals_after_s,
+            } => {
+                let extra = SimDuration::from_millis(extra_ms);
+                self.inject_net_fault(edge, LinkFault::Delay { extra }, heals_after_s, q);
+            }
+            Fault::LinkDupe {
+                edge,
+                permille,
+                heals_after_s,
+            } => self.inject_net_fault(edge, LinkFault::Dupe { permille }, heals_after_s, q),
+            // The rest hook into the server process.
             _ => {
-                let killed = faults::inject(&mut self.nodes[node], &fault, now);
+                let killed = self.nodes[node].inject(fault, now);
                 self.schedule_deliveries(node, killed, q);
             }
         }
@@ -555,7 +655,7 @@ impl Sim {
             );
             nodes.push(server);
         }
-        let mut pool = ClientPool::new(
+        let pool = ClientPool::new(
             catalog(&dataset),
             ClientPoolConfig {
                 clients: config.nodes * config.clients_per_node,
@@ -564,9 +664,6 @@ impl Sim {
                 seed: config.seed ^ 0x00c1_1e17,
             },
         );
-        if config.perf {
-            pool.enable_perf();
-        }
         let rm = config.rm.map(|rm_config| {
             RecoveryManager::with_policy(
                 config.policy,
@@ -665,9 +762,11 @@ impl Sim {
 
     /// Schedules a Table 2 fault injection.
     ///
-    /// Server-plane faults go through `faults::inject`; client-plane
-    /// faults (spurious detector reports) are fabricated in the client
-    /// pool instead, spread across the busiest read/write ops so the
+    /// Faults with a server hook go through [`AppServer::inject`]; the
+    /// rest are delivered where they live: data corruption on the node's
+    /// app, session store or database, store-tier faults on the shared
+    /// SSM, link faults on the wire, and spurious detector reports in the
+    /// client pool, spread across the busiest read/write ops so the
     /// diagnosis engine sees a plausible — but entirely false — pattern.
     pub fn schedule_fault(&mut self, at: SimTime, node: usize, fault: Fault) {
         self.schedule_injection(at, node, fault, false);

@@ -81,7 +81,6 @@ fn degraded_episode() -> (String, RmStats, Marks) {
         // so the hot ops earn latency verdicts every judgement window.
         clients_per_node: 180,
         detector: DetectorKind::LatencyAnomaly,
-        perf: true,
         rm: Some(RmConfig::hardened()),
         seed: 0xdeb5,
         ..SimConfig::default()

@@ -46,6 +46,6 @@ pub use context::CallContext;
 pub use rejuvenation::{RejuvenationAction, RejuvenationService};
 pub use request::{BodyMarkers, OpCode, ReqId, Request, Response, Status};
 pub use server::{
-    AppServer, ProcState, RebootError, RebootLevel, RebootTicket, ServerConfig, ServerFault,
-    ServerStats, Started, SubmitOutcome,
+    AppServer, ProcState, RebootError, RebootLevel, RebootTicket, ServerConfig, ServerStats,
+    Started, SubmitOutcome,
 };

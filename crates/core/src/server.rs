@@ -27,6 +27,7 @@ use components::descriptor::ComponentId;
 use components::graph::DependencyGraph;
 use components::intern::CompName;
 use components::registry::{Binding, NamingRegistry};
+use faults::Fault;
 use simcore::telemetry::{Disposition, KillCause, SharedBus, TelemetryEvent, TelemetrySink};
 use simcore::{MetricsRegistry, SimDuration, SimRng, SimTime};
 use statestore::db::ConnId;
@@ -43,111 +44,6 @@ use crate::request::{BodyMarkers, OpCode, ReqId, Request, Response, Status};
 
 pub use crate::lifecycle::{ProcState, RebootId, RebootTicket, RecoveryLifecycle};
 pub use simcore::telemetry::RebootLevel;
-
-/// Low-level faults injected underneath the application (the FIG /
-/// FAUmachine layer of Section 5.1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LowLevelFault {
-    /// Bit flips in process memory: requests randomly fail or go wrong.
-    BitFlipMemory,
-    /// Bad system call return values: requests randomly fail.
-    BadSyscalls,
-}
-
-/// Faults injectable through the server's hooks (Section 5.1's catalogue;
-/// the data-store corruptions are injected directly on the stores).
-#[derive(Clone, Copy, Debug)]
-pub enum ServerFault {
-    /// Deadlock new calls into a component.
-    Deadlock {
-        /// Target component.
-        component: &'static str,
-    },
-    /// Spin new calls into a component forever.
-    InfiniteLoop {
-        /// Target component.
-        component: &'static str,
-    },
-    /// Leak application memory on every invocation of a component.
-    AppLeak {
-        /// Target component.
-        component: &'static str,
-        /// Bytes leaked per invocation.
-        bytes_per_call: u64,
-        /// Whether the leak is a code bug that resumes after a reboot
-        /// (Section 6.4's rejuvenation premise) or a one-shot injection a
-        /// reboot cures (Table 2's leak row).
-        persistent: bool,
-    },
-    /// Throw a transient exception on the next `calls` invocations.
-    TransientExceptions {
-        /// Target component.
-        component: &'static str,
-        /// How many invocations fail.
-        calls: u32,
-    },
-    /// Intermittent fault: each invocation fails with probability
-    /// `permille`/1000 until the fault self-heals `heals_after` later
-    /// (or a microreboot cures it first). The adversarial case for the
-    /// recovery policy — the symptoms come and go.
-    Intermittent {
-        /// Target component.
-        component: &'static str,
-        /// Per-call failure probability, in permille.
-        permille: u32,
-        /// How long until the fault heals itself (`None` = never).
-        heals_after: Option<SimDuration>,
-    },
-    /// Corrupt the component's JNDI entry.
-    CorruptJndi {
-        /// Target component.
-        component: &'static str,
-        /// Null / invalid / wrong.
-        kind: CorruptKind,
-    },
-    /// Corrupt the component's transaction method map.
-    CorruptTxnMap {
-        /// Target component.
-        component: &'static str,
-        /// Null / invalid / wrong.
-        kind: CorruptKind,
-    },
-    /// Corrupt the attributes of the component's pooled instances.
-    CorruptBeanAttrs {
-        /// Target component.
-        component: &'static str,
-        /// Null / invalid / wrong.
-        kind: CorruptKind,
-    },
-    /// Leak memory inside the JVM but outside the application.
-    IntraJvmLeak {
-        /// Bytes leaked per second.
-        bytes_per_sec: u64,
-    },
-    /// Leak memory outside the JVM (native/kernel).
-    ExtraJvmLeak {
-        /// Bytes leaked per second.
-        bytes_per_sec: u64,
-    },
-    /// Fail-slow degradation: the component keeps answering correctly but
-    /// every call through it burns `factor_permille`/1000 times the CPU
-    /// (shrunken pools, contended locks). Nothing fails and nothing
-    /// throws, so only a latency-anomaly detector can see it. A
-    /// microreboot's warm restart reuses the degraded pools and leaves
-    /// the slowdown behind; only a coarser reboot rebuilds them.
-    Degraded {
-        /// Target component.
-        component: &'static str,
-        /// Service-time multiplier, in permille (2000 = 2x slower).
-        factor_permille: u32,
-    },
-    /// Flip bits in process memory.
-    BitFlipMemory,
-    /// Flip bits in process registers (crashes the JVM immediately).
-    BitFlipRegisters,
-    /// Return bad values from system calls.
-    BadSyscalls,
-}
 
 /// An error starting a recovery action.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -292,7 +188,10 @@ pub struct ServerInner {
     pub(crate) session: SessionBackend,
     pub(crate) heap: HeapModel,
     pub(crate) rng: SimRng,
-    pub(crate) lowlevel: Option<LowLevelFault>,
+    /// The fault underneath the application (the FIG / FAUmachine layer
+    /// of Section 5.1) perturbing every request: `BitFlipMemory` or
+    /// `BadSyscalls`.
+    pub(crate) lowlevel: Option<Fault>,
     pub(crate) node: usize,
     next_session: u64,
     pub(crate) retry_enabled: bool,
@@ -759,7 +658,9 @@ impl<A: Application> AppServer<A> {
         } = parts;
         // Low-level faults perturb requests underneath the application.
         let (result, tainted) = match (self.inner.lowlevel, &result) {
-            (Some(LowLevelFault::BitFlipMemory), Ok(())) => {
+            // Bit flips in process memory: requests randomly fail or go
+            // wrong.
+            (Some(Fault::BitFlipMemory), Ok(())) => {
                 if self.inner.rng.chance(0.25) {
                     markers.exception_text = true;
                     (Err(CallError::Exception), tainted)
@@ -769,7 +670,8 @@ impl<A: Application> AppServer<A> {
                     (result, tainted)
                 }
             }
-            (Some(LowLevelFault::BadSyscalls), Ok(())) => {
+            // Bad system call return values: requests randomly fail.
+            (Some(Fault::BadSyscalls), Ok(())) => {
                 if self.inner.rng.chance(0.35) {
                     markers.exception_text = true;
                     (Err(CallError::Exception), tainted)
@@ -989,26 +891,27 @@ impl<A: Application> AppServer<A> {
 
     // ---- fault injection -------------------------------------------------
 
-    /// Injects a server-level fault (Section 5.1's hooks).
+    /// Injects a fault through the server's hooks (Section 5.1).
     ///
     /// Returns responses for requests killed as an immediate consequence
-    /// (only `BitFlipRegisters` kills anything).
-    pub fn inject(&mut self, fault: ServerFault, now: SimTime) -> Vec<Response> {
+    /// (only `BitFlipRegisters` kills anything). Faults outside the server
+    /// process are no-ops here.
+    pub fn inject(&mut self, fault: Fault, now: SimTime) -> Vec<Response> {
         let comp_mut = |inner: &mut ServerInner, name: &'static str| -> Option<usize> {
             inner.graph.id_of(name).map(|id| id.0)
         };
         match fault {
-            ServerFault::Deadlock { component } => {
+            Fault::Deadlock { component } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
                     self.inner.containers[i].vol.faults.deadlocked = true;
                 }
             }
-            ServerFault::InfiniteLoop { component } => {
+            Fault::InfiniteLoop { component } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
                     self.inner.containers[i].vol.faults.infinite_loop = true;
                 }
             }
-            ServerFault::AppLeak {
+            Fault::AppMemoryLeak {
                 component,
                 bytes_per_call,
                 persistent,
@@ -1024,24 +927,24 @@ impl<A: Application> AppServer<A> {
                     }
                 }
             }
-            ServerFault::TransientExceptions { component, calls } => {
+            Fault::TransientException { component, calls } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
                     self.inner.containers[i].vol.faults.transient_exceptions = calls;
                 }
             }
-            ServerFault::Intermittent {
+            Fault::Intermittent {
                 component,
                 permille,
-                heals_after,
+                heals_after_s,
             } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
                     let f = &mut self.inner.containers[i].vol.faults;
                     f.intermittent_permille = permille.min(1000);
-                    f.intermittent_heals_at_us =
-                        heals_after.map_or(u64::MAX, |d| (now + d).as_micros());
+                    f.intermittent_heals_at_us = heals_after_s
+                        .map_or(u64::MAX, |s| (now + SimDuration::from_secs(s)).as_micros());
                 }
             }
-            ServerFault::CorruptJndi { component, kind } => {
+            Fault::CorruptJndi { component, kind } => {
                 if let Some(victim) = self.inner.graph.id_of(component) {
                     let web_id = self.inner.web_id;
                     let binding = match kind {
@@ -1057,23 +960,23 @@ impl<A: Application> AppServer<A> {
                     self.inner.registry.corrupt(victim, binding);
                 }
             }
-            ServerFault::CorruptTxnMap { component, kind } => {
+            Fault::CorruptTxnMap { component, kind } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
                     self.inner.containers[i].vol.txn_map.corrupt(kind);
                 }
             }
-            ServerFault::CorruptBeanAttrs { component, kind } => {
+            Fault::CorruptBeanAttrs { component, kind } => {
                 if let Some(i) = comp_mut(&mut self.inner, component) {
                     self.inner.containers[i].vol.pool.corrupt_all(kind);
                 }
             }
-            ServerFault::IntraJvmLeak { bytes_per_sec } => {
+            Fault::MemLeakIntraJvm { bytes_per_sec } => {
                 self.inner.intra_leak_rate = bytes_per_sec;
             }
-            ServerFault::ExtraJvmLeak { bytes_per_sec } => {
+            Fault::MemLeakExtraJvm { bytes_per_sec } => {
                 self.inner.extra_leak_rate = bytes_per_sec;
             }
-            ServerFault::Degraded {
+            Fault::Degraded {
                 component,
                 factor_permille,
             } => {
@@ -1087,18 +990,29 @@ impl<A: Application> AppServer<A> {
                     });
                 }
             }
-            ServerFault::BitFlipMemory => {
-                self.inner.lowlevel = Some(LowLevelFault::BitFlipMemory);
-            }
-            ServerFault::BadSyscalls => {
-                self.inner.lowlevel = Some(LowLevelFault::BadSyscalls);
-            }
-            ServerFault::BitFlipRegisters => {
+            Fault::BitFlipMemory | Fault::BadSyscalls => self.inner.lowlevel = Some(fault),
+            Fault::BitFlipRegisters => {
                 // The process dies on the spot.
                 let killed = self.kill_everything(now, true);
                 self.lifecycle.force_state(ProcState::Crashed);
                 return killed;
             }
+            // Faults outside the server process: the cluster delivers
+            // these to the client pool, the session stores, the database,
+            // the shared SSM or the wire.
+            Fault::SpuriousReports { .. }
+            | Fault::CorruptPrimaryKeys { .. }
+            | Fault::CorruptFastS { .. }
+            | Fault::CorruptSsm
+            | Fault::CorruptDb { .. }
+            | Fault::BrickCrash { .. }
+            | Fault::BrickCorrupt { .. }
+            | Fault::LeaseStorm
+            | Fault::StoreSlow { .. }
+            | Fault::LinkPartition { .. }
+            | Fault::LinkLossy { .. }
+            | Fault::LinkDelay { .. }
+            | Fault::LinkDupe { .. } => {}
         }
         Vec::new()
     }

@@ -2,10 +2,11 @@
 //! escalation ladder, coarse-supersedes-finer cancellation, and the
 //! guarantee that no in-flight request survives a microreboot crash.
 
+use faults::Fault;
 use simcore::rng::SimRng;
 use simcore::SimTime;
 use statestore::FastS;
-use urb_core::server::{make_request, ProcState, RebootLevel, RebootTicket, ServerFault};
+use urb_core::server::{make_request, ProcState, RebootLevel, RebootTicket};
 use urb_core::testkit::{ops, ToyApp};
 use urb_core::{share_db, AppServer, ServerConfig, SessionBackend, SubmitOutcome};
 
@@ -124,7 +125,7 @@ fn no_inflight_request_survives_web_microreboot_crash() {
 
         // Half the seeds park some requests via a deadlock in Store.
         if seed % 2 == 0 {
-            srv.inject(ServerFault::Deadlock { component: "Store" }, t);
+            srv.inject(Fault::Deadlock { component: "Store" }, t);
         }
 
         let mut admitted = Vec::new();

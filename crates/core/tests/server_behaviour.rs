@@ -2,10 +2,11 @@
 //! application: request lifecycle, microreboot semantics, sentinels and
 //! retries, coarser reboots, hangs and TTLs, heap and rejuvenation.
 
+use faults::Fault;
 use simcore::{SimDuration, SimTime};
 use statestore::session::CorruptKind;
 use statestore::{FastS, Ssm, Value};
-use urb_core::server::{make_request, ProcState, RebootLevel, RebootTicket, ServerFault};
+use urb_core::server::{make_request, ProcState, RebootLevel, RebootTicket};
 use urb_core::testkit::{ops, ToyApp};
 use urb_core::{
     share_db, share_ssm, AppServer, Application, CallContext, CallError, RejuvenationAction,
@@ -112,7 +113,7 @@ fn microreboot_cures_jndi_corruption() {
     let mut srv = server(false);
     let t = SimTime::from_secs(1);
     srv.inject(
-        ServerFault::CorruptJndi {
+        Fault::CorruptJndi {
             component: "Store",
             kind: CorruptKind::SetNull,
         },
@@ -160,7 +161,7 @@ fn a_call_site_follows_its_binding_through_microreboots_and_corruption() {
     ] {
         if let Some(kind) = kind {
             let component = "Store";
-            srv.inject(ServerFault::CorruptJndi { component, kind }, t);
+            srv.inject(Fault::CorruptJndi { component, kind }, t);
             let r = get(&mut srv, t);
             assert_eq!(r.status, Status::ServerError(500), "{kind:?}");
             assert!(r.markers.exception_text, "{kind:?}");
@@ -280,7 +281,7 @@ fn drain_delay_lets_inflight_finish() {
 fn deadlock_hangs_until_microreboot() {
     let mut srv = server(false);
     let t = SimTime::from_secs(1);
-    srv.inject(ServerFault::Deadlock { component: "Store" }, t);
+    srv.inject(Fault::Deadlock { component: "Store" }, t);
     let req = make_request(1, ops::GET, None, true, 5, t);
     srv.submit(req, t);
     let started = srv.pump(t).to_vec();
@@ -305,7 +306,7 @@ fn deadlock_hangs_until_microreboot() {
 fn hung_request_expires_by_ttl() {
     let mut srv = server(false);
     let t = SimTime::from_secs(1);
-    srv.inject(ServerFault::Deadlock { component: "Store" }, t);
+    srv.inject(Fault::Deadlock { component: "Store" }, t);
     let req = make_request(1, ops::GET, None, true, 5, t);
     srv.submit(req, t);
     srv.pump(t);
@@ -324,7 +325,7 @@ fn transient_exception_fails_n_calls_then_clears() {
     let mut srv = server(false);
     let t = SimTime::from_secs(1);
     srv.inject(
-        ServerFault::TransientExceptions {
+        Fault::TransientException {
             component: "Front",
             calls: 2,
         },
@@ -349,7 +350,7 @@ fn corrupt_bean_attrs_null_naturally_expunged() {
     let mut srv = server(false);
     let t = SimTime::from_secs(1);
     srv.inject(
-        ServerFault::CorruptBeanAttrs {
+        Fault::CorruptBeanAttrs {
             component: "Front",
             kind: CorruptKind::SetNull,
         },
@@ -374,7 +375,7 @@ fn corrupt_bean_attrs_wrong_taints_silently() {
     let mut srv = server(false);
     let t = SimTime::from_secs(1);
     srv.inject(
-        ServerFault::CorruptBeanAttrs {
+        Fault::CorruptBeanAttrs {
             component: "Front",
             kind: CorruptKind::SetWrong,
         },
@@ -391,7 +392,7 @@ fn wrong_txn_map_makes_writes_unrollbackable() {
     let mut srv = server(false);
     let t = SimTime::from_secs(1);
     srv.inject(
-        ServerFault::CorruptTxnMap {
+        Fault::CorruptTxnMap {
             component: "Store",
             kind: CorruptKind::SetWrong,
         },
@@ -607,7 +608,7 @@ fn session_revalidation_after_war_microreboot() {
 fn bit_flip_registers_crashes_the_process() {
     let mut srv = server(false);
     let t = SimTime::from_secs(1);
-    srv.inject(ServerFault::BitFlipRegisters, t);
+    srv.inject(Fault::BitFlipRegisters, t);
     assert_eq!(srv.state(), ProcState::Crashed);
     let r = run_one(&mut srv, 1, ops::GET, None, 5, t);
     assert_eq!(r.status, Status::NetworkError);
@@ -622,7 +623,7 @@ fn memory_leak_and_rejuvenation() {
     let t0 = SimTime::from_secs(1);
     let free0 = srv.available_memory();
     srv.inject(
-        ServerFault::AppLeak {
+        Fault::AppMemoryLeak {
             component: "Front",
             bytes_per_call: 8 << 20,
             persistent: false,
@@ -659,7 +660,7 @@ fn oom_without_rejuvenation_kills_the_jvm() {
     let mut srv = server(false);
     let t = SimTime::from_secs(1);
     srv.inject(
-        ServerFault::IntraJvmLeak {
+        Fault::MemLeakIntraJvm {
             bytes_per_sec: 200 << 20,
         },
         t,
@@ -691,7 +692,7 @@ fn thread_pool_exhaustion_returns_503() {
         SessionBackend::FastS(FastS::new()),
     );
     let t = SimTime::from_secs(1);
-    srv.inject(ServerFault::Deadlock { component: "Store" }, t);
+    srv.inject(Fault::Deadlock { component: "Store" }, t);
     for i in 0..2 {
         let req = make_request(i, ops::GET, None, true, 5, t);
         srv.submit(req, t);

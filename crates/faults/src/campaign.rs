@@ -247,7 +247,7 @@ pub fn degraded_scenarios(cfg: &CampaignConfig) -> Vec<Scenario> {
         .map(|run| {
             let mut rng = master.fork();
             let fault = draw(Tier::Degraded, &mut rng);
-            // Injection lands after the perf plane's default 30 s
+            // The injection lands after the perf plane's default 30 s
             // baseline freeze: a fail-slow fault is only detectable
             // against a frozen pre-fault snapshot.
             let inject_at_s = 35 + rng.uniform_u64(10);

@@ -1,10 +1,14 @@
 //! The fault-kind catalogue: one table row per kind of [`Fault`].
 //!
-//! Adding a fault is three adjacent edits, each checked by the compiler:
-//! a [`Fault`] variant, its arm in [`Fault::kind`] (an exhaustive match),
-//! and its row in the `fault_kinds!` table below — which gives the kind
-//! its wire code, its report label, the campaign tier whose generator
-//! draws it, whether it can flap, and how its payload is drawn.
+//! Adding a fault is a [`Fault`] variant, its arm in [`Fault::kind`] (an
+//! exhaustive match), and its row in the `fault_kinds!` table below —
+//! which gives the kind its wire code, its report label, the campaign
+//! tier whose generator draws it, whether it can flap, and how its
+//! payload is drawn. `urb_core::AppServer::inject` names every kind with
+//! no catch-all, so rustc then asks where the fault is delivered: a
+//! server hook gets its arm there; a fault outside the server process
+//! joins that match's do-nothing arm and gets its arm in the cluster
+//! simulation's `on_inject_fault` instead.
 
 use simcore::rng::SimRng;
 use statestore::session::CorruptKind;
@@ -318,7 +322,6 @@ pub fn draw(tier: Tier, rng: &mut SimRng) -> Fault {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conversion;
 
     const TIERS: [Tier; 3] = [Tier::Classic, Tier::Degraded, Tier::Netstate];
 
@@ -332,6 +335,8 @@ mod tests {
             .copied()
             .collect();
         assert_eq!(by_tier, FaultKind::ALL);
+        assert_eq!(NetEdge::LbNode.code(), 0);
+        assert_eq!(NetEdge::NodeStore.code(), 1);
     }
 
     #[test]
@@ -342,9 +347,6 @@ mod tests {
                 let shared = Shared::draw(tier, &mut rng);
                 let fault = kind.build(&shared, &mut rng);
                 assert_eq!(fault.kind(), kind, "{tier:?} row {kind:?} drew {fault:?}");
-                // Reaching `conversion` proves the drawn payload has an
-                // injection route (the match there is exhaustive).
-                let _ = conversion(&fault);
             }
         }
     }

@@ -6,18 +6,16 @@
 //! and the authors added hooks for injecting each, plus data corruption in
 //! the session stores and the database, and low-level faults underneath
 //! the JVM (FIG / FAUmachine). This crate enumerates that catalogue as
-//! [`Fault`], drives injection against an eBid server, and records the
-//! paper's observed worst-case recovery level per row so the Table 2
-//! experiment can print paper-vs-measured.
+//! [`Fault`], draws it into seeded campaigns, and records the paper's
+//! observed worst-case recovery level per row so the Table 2 experiment
+//! can print paper-vs-measured. It is a leaf: the server delivers the
+//! kinds that hook into it (`urb_core::AppServer::inject`), and the
+//! cluster simulation delivers the rest — the client pool, the session
+//! stores, the database, the shared SSM and the wire.
 
 #![forbid(unsafe_code)]
 
-use ebid::EBid;
-use simcore::{SimDuration, SimTime};
 use statestore::session::CorruptKind;
-use statestore::Value;
-use urb_core::server::ServerFault;
-use urb_core::{AppServer, Response};
 
 pub mod campaign;
 mod kind;
@@ -213,55 +211,6 @@ simcore::code_enum! {
         /// Application node ↔ state store.
         NodeStore = 1 => "node-store",
     }
-}
-
-/// State-store-plane fault payload carried by [`Injection::StorePlane`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreFault {
-    /// Crash a brick; it restarts after the delay.
-    BrickCrash {
-        /// Which brick.
-        brick: usize,
-        /// Restart delay.
-        heals_after: SimDuration,
-    },
-    /// Flip bits across one brick's objects.
-    BrickCorrupt {
-        /// Which brick.
-        brick: usize,
-    },
-    /// Expire every live lease at once.
-    LeaseStorm,
-    /// Inflate every store access by `factor_permille`/1000 of its base
-    /// latency until the heal.
-    Slow {
-        /// Extra latency, in permille of the base access time.
-        factor_permille: u32,
-        /// Self-heal delay.
-        heals_after: SimDuration,
-    },
-}
-
-/// Network-link fault payload carried by [`Injection::NetPlane`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkFault {
-    /// Black-hole everything.
-    Partition,
-    /// Drop this fraction of messages, in permille.
-    Lossy {
-        /// Drop rate, in permille.
-        permille: u32,
-    },
-    /// Delay every message by this much extra.
-    Delay {
-        /// Added one-way latency.
-        extra: SimDuration,
-    },
-    /// Duplicate this fraction of messages, in permille.
-    Dupe {
-        /// Duplication rate, in permille.
-        permille: u32,
-    },
 }
 
 /// The recovery level Table 2 reports as sufficient (worst case).
@@ -533,214 +482,6 @@ pub fn table2_catalogue() -> Vec<CatalogueRow> {
     ]
 }
 
-/// The injection route a [`Fault`] takes into the system under test.
-///
-/// [`conversion`] is the single source of truth mapping the catalogue onto
-/// these routes; [`inject`] (and the cluster layer, for client-plane
-/// faults) interprets them. The match is exhaustive, so a new `Fault`
-/// variant does not compile until it has a route.
-#[derive(Clone, Copy, Debug)]
-pub enum Injection {
-    /// Delivered through the server's `ServerFault` hooks.
-    Server(ServerFault),
-    /// Corrupt the application's primary-key generation code.
-    KeyGen(CorruptKind),
-    /// Corrupt the most recently created FastS sessions.
-    FastS(CorruptKind),
-    /// Flip bits in a stored SSM object.
-    Ssm,
-    /// Alter database table contents.
-    Db(CorruptKind),
-    /// Fabricate this many failure reports in the client population.
-    /// Nothing touches the server — only the cluster layer (which owns
-    /// the client pool) can deliver these.
-    ClientReports(u32),
-    /// A state-store-plane fault. Nothing touches the server process —
-    /// only the cluster layer (which owns the shared SSM) can deliver
-    /// these.
-    StorePlane(StoreFault),
-    /// A network-link fault on one edge. Delivered by the cluster layer,
-    /// which owns the simulated wire.
-    NetPlane {
-        /// Which edge the fault sits on.
-        edge: NetEdge,
-        /// What the edge does to traffic.
-        fault: LinkFault,
-        /// When the edge heals.
-        heals_after: SimDuration,
-    },
-}
-
-/// Maps every catalogue fault to its unique injection route.
-pub fn conversion(fault: &Fault) -> Injection {
-    match *fault {
-        Fault::Deadlock { component } => Injection::Server(ServerFault::Deadlock { component }),
-        Fault::InfiniteLoop { component } => {
-            Injection::Server(ServerFault::InfiniteLoop { component })
-        }
-        Fault::AppMemoryLeak {
-            component,
-            bytes_per_call,
-            persistent,
-        } => Injection::Server(ServerFault::AppLeak {
-            component,
-            bytes_per_call,
-            persistent,
-        }),
-        Fault::TransientException { component, calls } => {
-            Injection::Server(ServerFault::TransientExceptions { component, calls })
-        }
-        Fault::Intermittent {
-            component,
-            permille,
-            heals_after_s,
-        } => Injection::Server(ServerFault::Intermittent {
-            component,
-            permille,
-            heals_after: heals_after_s.map(SimDuration::from_secs),
-        }),
-        Fault::SpuriousReports { reports } => Injection::ClientReports(reports),
-        Fault::CorruptPrimaryKeys { kind } => Injection::KeyGen(kind),
-        Fault::CorruptJndi { component, kind } => {
-            Injection::Server(ServerFault::CorruptJndi { component, kind })
-        }
-        Fault::CorruptTxnMap { component, kind } => {
-            Injection::Server(ServerFault::CorruptTxnMap { component, kind })
-        }
-        Fault::CorruptBeanAttrs { component, kind } => {
-            Injection::Server(ServerFault::CorruptBeanAttrs { component, kind })
-        }
-        Fault::CorruptFastS { kind } => Injection::FastS(kind),
-        Fault::CorruptSsm => Injection::Ssm,
-        Fault::CorruptDb { kind } => Injection::Db(kind),
-        Fault::MemLeakIntraJvm { bytes_per_sec } => {
-            Injection::Server(ServerFault::IntraJvmLeak { bytes_per_sec })
-        }
-        Fault::MemLeakExtraJvm { bytes_per_sec } => {
-            Injection::Server(ServerFault::ExtraJvmLeak { bytes_per_sec })
-        }
-        Fault::Degraded {
-            component,
-            factor_permille,
-        } => Injection::Server(ServerFault::Degraded {
-            component,
-            factor_permille,
-        }),
-        Fault::BitFlipMemory => Injection::Server(ServerFault::BitFlipMemory),
-        Fault::BitFlipRegisters => Injection::Server(ServerFault::BitFlipRegisters),
-        Fault::BadSyscalls => Injection::Server(ServerFault::BadSyscalls),
-        Fault::BrickCrash {
-            brick,
-            heals_after_s,
-        } => Injection::StorePlane(StoreFault::BrickCrash {
-            brick,
-            heals_after: SimDuration::from_secs(heals_after_s),
-        }),
-        Fault::BrickCorrupt { brick } => Injection::StorePlane(StoreFault::BrickCorrupt { brick }),
-        Fault::LeaseStorm => Injection::StorePlane(StoreFault::LeaseStorm),
-        Fault::StoreSlow {
-            factor_permille,
-            heals_after_s,
-        } => Injection::StorePlane(StoreFault::Slow {
-            factor_permille,
-            heals_after: SimDuration::from_secs(heals_after_s),
-        }),
-        Fault::LinkPartition {
-            edge,
-            heals_after_s,
-        } => Injection::NetPlane {
-            edge,
-            fault: LinkFault::Partition,
-            heals_after: SimDuration::from_secs(heals_after_s),
-        },
-        Fault::LinkLossy {
-            edge,
-            permille,
-            heals_after_s,
-        } => Injection::NetPlane {
-            edge,
-            fault: LinkFault::Lossy { permille },
-            heals_after: SimDuration::from_secs(heals_after_s),
-        },
-        Fault::LinkDelay {
-            edge,
-            extra_ms,
-            heals_after_s,
-        } => Injection::NetPlane {
-            edge,
-            fault: LinkFault::Delay {
-                extra: SimDuration::from_millis(extra_ms),
-            },
-            heals_after: SimDuration::from_secs(heals_after_s),
-        },
-        Fault::LinkDupe {
-            edge,
-            permille,
-            heals_after_s,
-        } => Injection::NetPlane {
-            edge,
-            fault: LinkFault::Dupe { permille },
-            heals_after: SimDuration::from_secs(heals_after_s),
-        },
-    }
-}
-
-/// Injects `fault` into a running eBid server.
-///
-/// Returns responses for requests killed as an immediate consequence
-/// (only register bit flips kill anything on the spot). Client-plane
-/// faults ([`Injection::ClientReports`]) are a no-op here: they never
-/// touch the server and are delivered by the cluster layer instead.
-pub fn inject(server: &mut AppServer<EBid>, fault: &Fault, now: SimTime) -> Vec<Response> {
-    match conversion(fault) {
-        Injection::Server(f) => server.inject(f, now),
-        Injection::KeyGen(kind) => {
-            server.app_mut().corrupt_keygen(kind);
-            Vec::new()
-        }
-        Injection::FastS(kind) => {
-            // Bit flips hit a swath of stored objects. Target the most
-            // recently created sessions: abandoned sessions linger in the
-            // store until they time out, and corrupting those would be
-            // invisible.
-            if let Some(fasts) = server.session_mut().fasts_mut() {
-                let victims: Vec<_> = fasts.session_ids().into_iter().rev().take(25).collect();
-                for id in victims {
-                    fasts.corrupt(id, kind);
-                }
-            }
-            Vec::new()
-        }
-        Injection::Ssm => {
-            if let Some(ssm) = server.session().ssm_handle() {
-                ssm.borrow_mut().corrupt_any();
-            }
-            Vec::new()
-        }
-        Injection::Db(kind) => {
-            let db = server.db();
-            let mut db = db.borrow_mut();
-            match kind {
-                CorruptKind::SetNull => {
-                    let _ = db.corrupt_cell("items", 1, 1, Value::Null);
-                }
-                CorruptKind::SetInvalid => {
-                    let _ = db.corrupt_cell("items", 1, 6, Value::Float(-500.0));
-                }
-                CorruptKind::SetWrong => {
-                    let _ = db.corrupt_swap_rows("items", 1, 2);
-                }
-            }
-            Vec::new()
-        }
-        Injection::ClientReports(_) => Vec::new(),
-        // Store-plane and net-plane faults hit infrastructure the server
-        // process cannot see; the cluster layer (owner of the shared SSM
-        // and the simulated wire) delivers them, like ClientReports.
-        Injection::StorePlane(_) | Injection::NetPlane { .. } => Vec::new(),
-    }
-}
-
 /// Returns true if the paper classifies this row as curable by a
 /// microreboot (EJB or WAR level) — the first 19 rows of Table 2.
 pub fn microreboot_curable(row: &CatalogueRow) -> bool {
@@ -781,143 +522,5 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), rows.len());
-    }
-
-    #[test]
-    fn adversarial_variants_route_as_expected() {
-        let i = conversion(&Fault::Intermittent {
-            component: "MakeBid",
-            permille: 500,
-            heals_after_s: Some(30),
-        });
-        match i {
-            Injection::Server(ServerFault::Intermittent {
-                component,
-                permille,
-                heals_after,
-            }) => {
-                assert_eq!(component, "MakeBid");
-                assert_eq!(permille, 500);
-                assert_eq!(heals_after, Some(SimDuration::from_secs(30)));
-            }
-            other => panic!("unexpected route {other:?}"),
-        }
-        assert!(matches!(
-            conversion(&Fault::SpuriousReports { reports: 9 }),
-            Injection::ClientReports(9)
-        ));
-    }
-
-    #[test]
-    fn state_plane_faults_route_to_the_store() {
-        assert!(matches!(
-            conversion(&Fault::BrickCrash {
-                brick: 1,
-                heals_after_s: 20
-            }),
-            Injection::StorePlane(StoreFault::BrickCrash {
-                brick: 1,
-                heals_after
-            }) if heals_after == SimDuration::from_secs(20)
-        ));
-        assert!(matches!(
-            conversion(&Fault::BrickCorrupt { brick: 2 }),
-            Injection::StorePlane(StoreFault::BrickCorrupt { brick: 2 })
-        ));
-        assert!(matches!(
-            conversion(&Fault::LeaseStorm),
-            Injection::StorePlane(StoreFault::LeaseStorm)
-        ));
-        assert!(matches!(
-            conversion(&Fault::StoreSlow {
-                factor_permille: 3000,
-                heals_after_s: 15
-            }),
-            Injection::StorePlane(StoreFault::Slow {
-                factor_permille: 3000,
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn net_plane_faults_route_to_their_edge() {
-        for (fault, want_edge, want_kind) in [
-            (
-                Fault::LinkPartition {
-                    edge: NetEdge::LbNode,
-                    heals_after_s: 10,
-                },
-                NetEdge::LbNode,
-                LinkFault::Partition,
-            ),
-            (
-                Fault::LinkLossy {
-                    edge: NetEdge::NodeStore,
-                    permille: 250,
-                    heals_after_s: 10,
-                },
-                NetEdge::NodeStore,
-                LinkFault::Lossy { permille: 250 },
-            ),
-            (
-                Fault::LinkDelay {
-                    edge: NetEdge::LbNode,
-                    extra_ms: 40,
-                    heals_after_s: 10,
-                },
-                NetEdge::LbNode,
-                LinkFault::Delay {
-                    extra: SimDuration::from_millis(40),
-                },
-            ),
-            (
-                Fault::LinkDupe {
-                    edge: NetEdge::NodeStore,
-                    permille: 100,
-                    heals_after_s: 10,
-                },
-                NetEdge::NodeStore,
-                LinkFault::Dupe { permille: 100 },
-            ),
-        ] {
-            match conversion(&fault) {
-                Injection::NetPlane {
-                    edge,
-                    fault: kind,
-                    heals_after,
-                } => {
-                    assert_eq!(edge, want_edge);
-                    assert_eq!(kind, want_kind);
-                    assert_eq!(heals_after, SimDuration::from_secs(10));
-                }
-                other => panic!("unexpected route {other:?}"),
-            }
-        }
-        assert_eq!(NetEdge::LbNode.code(), 0);
-        assert_eq!(NetEdge::NodeStore.code(), 1);
-    }
-
-    #[test]
-    fn injection_targets_exist_in_ebid() {
-        let names: Vec<&str> = ebid::components::descriptors()
-            .iter()
-            .map(|d| d.name)
-            .collect();
-        for row in table2_catalogue() {
-            let target = match row.fault {
-                Fault::Deadlock { component }
-                | Fault::InfiniteLoop { component }
-                | Fault::AppMemoryLeak { component, .. }
-                | Fault::TransientException { component, .. }
-                | Fault::CorruptJndi { component, .. }
-                | Fault::CorruptTxnMap { component, .. }
-                | Fault::CorruptBeanAttrs { component, .. } => Some(component),
-                _ => None,
-            };
-            if let Some(t) = target {
-                assert!(names.contains(&t), "unknown target {t}");
-            }
-        }
     }
 }

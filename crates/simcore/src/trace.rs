@@ -207,7 +207,7 @@ impl Trace {
     /// Reads and parses a JSONL trace from `path`.
     pub fn read_from(path: &std::path::Path) -> Result<Trace, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        Trace::parse(&text)
+        Trace::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 }
 

@@ -266,21 +266,9 @@ impl Ssm {
         self.extra_latency
     }
 
-    /// Deterministic thinning: fires on the accesses where the running
-    /// `permille` quota crosses an integer boundary.
-    fn thin(counter: &mut u64, permille: u32) -> bool {
-        if permille == 0 {
-            return false;
-        }
-        let before = *counter * u64::from(permille) / 1000;
-        *counter += 1;
-        let after = *counter * u64::from(permille) / 1000;
-        after > before
-    }
-
     /// Returns true if an armed network fault swallows this access.
     fn net_drops_access(&mut self) -> bool {
-        let dropped = self.partitioned || Self::thin(&mut self.lossy_counter, self.lossy_permille);
+        let dropped = self.partitioned || thin(&mut self.lossy_counter, self.lossy_permille);
         self.stats.net_unavailable += u64::from(dropped);
         dropped
     }
@@ -474,7 +462,7 @@ impl SessionStore for Ssm {
         self.reach_a_brick()?;
         self.write_seq += 1;
         let seq = self.write_seq;
-        if Self::thin(&mut self.dupe_counter, self.dupe_permille) {
+        if thin(&mut self.dupe_counter, self.dupe_permille) {
             // The duplicating link delivers this write twice: the replay
             // carries the same wire sequence and must be discarded by the
             // applied-id check, not applied again.
@@ -563,6 +551,21 @@ impl SessionStore for Ssm {
     fn in_process_bytes(&self) -> usize {
         0
     }
+}
+
+/// Deterministic thinning for a faulted link: fires on the messages
+/// where the running `permille` quota crosses an integer boundary, so
+/// same-seed runs drop or duplicate the same messages without an rng.
+/// Both simulated links use it: the SSM's node↔store shim and the
+/// cluster's LB↔node wire.
+pub fn thin(counter: &mut u64, permille: u32) -> bool {
+    if permille == 0 {
+        return false;
+    }
+    let before = *counter * u64::from(permille) / 1000;
+    *counter += 1;
+    let after = *counter * u64::from(permille) / 1000;
+    after > before
 }
 
 #[cfg(test)]

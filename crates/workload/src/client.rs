@@ -214,6 +214,8 @@ impl ClientPool {
                 retry_pending: false,
             });
         }
+        let perf = (config.detector == DetectorKind::LatencyAnomaly)
+            .then(|| PerfTracker::new(PerfConfig::default()));
         ClientPool {
             catalog,
             next_weights,
@@ -227,7 +229,7 @@ impl ClientPool {
             mix: MixCounts::default(),
             login_state,
             bus: None,
-            perf: None,
+            perf,
             retries_issued: 0,
             ledger: None,
             dropped_sessions: Vec::new(),
@@ -248,24 +250,14 @@ impl ClientPool {
         self.retries_issued
     }
 
-    /// Arms the performance-observability plane: successful-op latencies
-    /// feed the tracker's sketches, and [`ClientPool::perf_tick`] turns
-    /// its verdicts into telemetry events and failure reports.
-    pub fn enable_perf(&mut self) {
-        self.perf = Some(PerfTracker::new(PerfConfig::default()));
-    }
-
-    /// Read access to the performance tracker, when armed.
+    /// Read access to the performance tracker, armed when the pool runs
+    /// [`DetectorKind::LatencyAnomaly`]: successful-op latencies feed its
+    /// sketches, and [`ClientPool::perf_tick`] turns its verdicts into
+    /// telemetry events and failure reports.
     pub fn perf(&self) -> Option<&PerfTracker> {
         self.perf.as_ref()
     }
 
-    /// Advances the performance tracker to `now` (call once per
-    /// maintenance sweep). Baseline freezes, latency anomalies and parity
-    /// restorations become telemetry events; each anomaly additionally
-    /// becomes a [`FailureKind::LatencyAnomaly`] report for the recovery
-    /// manager — hint-less, since the client cannot see which component
-    /// inside the server is slow.
     /// Masks perf judgement over a recovery in flight until `until` (its
     /// scheduled completion): outage windows are recovery cost, not
     /// performance drift. No-op when the perf plane is disabled.
@@ -275,6 +267,12 @@ impl ClientPool {
         }
     }
 
+    /// Advances the performance tracker to `now` (call once per
+    /// maintenance sweep). Baseline freezes, latency anomalies and parity
+    /// restorations become telemetry events; each anomaly additionally
+    /// becomes a [`FailureKind::LatencyAnomaly`] report for the recovery
+    /// manager — hint-less, since the client cannot see which component
+    /// inside the server is slow.
     pub fn perf_tick(&mut self, now: SimTime) {
         let Some(perf) = &mut self.perf else {
             return;

@@ -4,9 +4,10 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use microreboot::core::server::{make_request, ServerFault};
+use microreboot::core::server::make_request;
 use microreboot::core::testkit::{ops, ToyApp};
 use microreboot::core::{share_db, AppServer, ServerConfig, SessionBackend, Status, SubmitOutcome};
+use microreboot::faults::Fault;
 use microreboot::simcore::SimTime;
 use microreboot::statestore::session::CorruptKind;
 use microreboot::statestore::FastS;
@@ -48,7 +49,7 @@ fn main() {
     // Corrupt the naming-service entry for the Store component (one of
     // Table 2's fault classes). Lookups now fail.
     server.inject(
-        ServerFault::CorruptJndi {
+        Fault::CorruptJndi {
             component: "Store",
             kind: CorruptKind::SetNull,
         },
