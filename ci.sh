@@ -51,12 +51,16 @@ echo "==> urb exp all: the evaluation record reproduces byte for byte"
 # Also writes target/BENCH_parallel_recovery.json for the trajectory step.
 $urb exp all | cmp - experiments_output.txt
 
-echo "==> urb trace smoke: record + strict verify + summary + same-seed diff"
+echo "==> urb trace smoke: record + strict verify + summary + same-seed diff, then the --degraded recording"
 $urb trace record target/ci_trace_a.jsonl --seed 7
 $urb trace record target/ci_trace_b.jsonl --seed 7
 $urb trace verify target/ci_trace_a.jsonl --strict
 $urb trace summary target/ci_trace_a.jsonl
 $urb trace diff target/ci_trace_a.jsonl target/ci_trace_b.jsonl
+# The fail-slow scenario: latency-anomaly detector and performance plane.
+$urb trace record target/ci_trace_d.jsonl --degraded
+$urb trace verify target/ci_trace_d.jsonl --strict
+$urb trace summary target/ci_trace_d.jsonl
 
 echo "==> urb chaos smoke campaign: 64 strict runs at the acceptance seed"
 $urb chaos --seed 7 --runs 64 --strict

@@ -13,13 +13,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use cluster::{Sim, SimConfig, StoreChoice, World};
-use faults::campaign::{self, Scenario};
+use faults::campaign::{Injection, Scenario};
 use faults::Fault;
 use recovery::conductor::ConductorConfig;
 use recovery::{PolicyChoice, RmConfig};
 use simcore::metrics::reboot_begun_sym;
 use simcore::telemetry::{shared_bus, RebootLevel, TelemetrySink, TraceHashSink};
 use simcore::{MetricsRegistry, SimDuration, SimTime, TelemetryEvent};
+use statestore::session::CorruptKind;
 use statestore::shared_ledger;
 use workload::{DetectorKind, RetryPolicy};
 
@@ -43,9 +44,10 @@ const GRACE_S: u64 = 600;
 const STABLE_SAMPLES: u32 = 6;
 
 /// How a scenario is executed: cluster shape, recovery policy, client
-/// retries and which optional invariant stages are armed. The default is
-/// the classic campaign configuration, pinned by the strict campaign
-/// digests — changing it moves them.
+/// retries and whether the integrity stage is armed. The default is the
+/// classic campaign configuration, pinned by the strict campaign digests
+/// — changing it moves them. The performance plane is not an option: a
+/// scenario that injects a [`Fault::Degraded`] arms it.
 #[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
     /// Cluster size (faults always land on node 0). With more than one
@@ -55,10 +57,6 @@ pub struct RunOptions {
     pub policy: PolicyChoice,
     /// Emulated clients per node.
     pub clients: usize,
-    /// Performance-observability plane (degraded campaigns): the monitors
-    /// run [`DetectorKind::LatencyAnomaly`] and the run additionally
-    /// checks the performance-parity invariants.
-    pub perf: bool,
     /// Client-side retry policy for failed operations.
     pub retry: RetryPolicy,
     /// Session-integrity plane (netstate campaigns): the cluster runs on
@@ -74,7 +72,6 @@ impl Default for RunOptions {
             nodes: 1,
             policy: PolicyChoice::Ladder,
             clients: CLIENTS,
-            perf: false,
             retry: RetryPolicy::None,
             integrity: false,
         }
@@ -98,7 +95,8 @@ pub struct RunOutcome {
     /// Humans paged.
     pub pages: u64,
     /// Performance-parity measurements; `Some` only when the run had the
-    /// performance plane armed ([`RunOptions::perf`]).
+    /// performance plane armed (its scenario injected a
+    /// [`Fault::Degraded`]).
     pub perf: Option<PerfOutcome>,
     /// Session-integrity measurements; `Some` only when the run had the
     /// integrity plane armed ([`RunOptions::integrity`]).
@@ -174,11 +172,37 @@ impl TelemetrySink for ControlPlane {
     }
 }
 
-/// The faults a scenario injects: the primary, then any second fault.
+/// The faults a scenario injects: the primary, then any second fault
+/// (flap recurrences repeat the primary and are not counted again).
 pub fn injected(s: &Scenario) -> impl Iterator<Item = Fault> {
-    [Some(s.fault), s.second.map(|sf| sf.fault)]
-        .into_iter()
-        .flatten()
+    s.schedule().filter_map(|(_, injection)| match injection {
+        Injection::Fault(fault) => Some(fault),
+        Injection::Recurrence(_) | Injection::RmCrash(_) => None,
+    })
+}
+
+/// True if the scenario's goodput is expected to return to (near)
+/// steady-state once recovery converges. Faults whose damage can outlive
+/// any reboot — database corruption, the wrong-value divergence rows the
+/// paper marks ≈, bit flips, or a persistent code-bug leak — are excluded
+/// from the availability invariant (but still run under all the
+/// structural ones).
+fn goodput_recovers(fault: &Fault) -> bool {
+    use CorruptKind::SetWrong;
+    !matches!(
+        fault,
+        Fault::CorruptDb { .. }
+            | Fault::CorruptPrimaryKeys { kind: SetWrong }
+            | Fault::CorruptTxnMap { kind: SetWrong, .. }
+            | Fault::CorruptBeanAttrs { kind: SetWrong, .. }
+            | Fault::CorruptFastS { kind: SetWrong }
+            | Fault::AppMemoryLeak {
+                persistent: true,
+                ..
+            }
+            | Fault::BitFlipMemory
+            | Fault::BitFlipRegisters
+    )
 }
 
 /// Short scenario description for reports.
@@ -280,6 +304,9 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
     // The integrity plane and SSM corruption need the SSM backend to
     // exist; everything else runs on the default node-private FastS store.
     let wants_ssm = opts.integrity || injected(s).any(|f| matches!(f, Fault::CorruptSsm));
+    // A fail-slow fault arms the performance plane: the latency-anomaly
+    // detector, and the parity stage that checks it.
+    let perf = injected(s).any(|f| matches!(f, Fault::Degraded { .. }));
     let mut sim = Sim::new(SimConfig {
         nodes: opts.nodes,
         clients_per_node: opts.clients,
@@ -288,7 +315,7 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         } else {
             StoreChoice::FastS
         },
-        detector: if opts.perf {
+        detector: if perf {
             DetectorKind::LatencyAnomaly
         } else if s.comparison_detector {
             DetectorKind::Comparison
@@ -323,31 +350,24 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
     bus.borrow_mut().add_sink(Box::new(hash.clone()));
     bus.borrow_mut().add_sink(Box::new(metrics.clone()));
     bus.borrow_mut().add_sink(Box::new(control.clone()));
-    let marks = opts.perf.then(|| {
+    let marks = perf.then(|| {
         let marks = Rc::new(RefCell::new(PerfMarks::default()));
         bus.borrow_mut().add_sink(Box::new(marks.clone()));
         marks
     });
     sim.attach_telemetry(bus);
 
-    sim.schedule_fault(SimTime::from_secs(s.inject_at_s), 0, s.fault);
-    let mut last_injection_s = s.inject_at_s;
-    if let Some(second) = s.second {
-        sim.schedule_fault(SimTime::from_secs(second.at_s), 0, second.fault);
-        last_injection_s = last_injection_s.max(second.at_s);
-    }
-    if let Some(crash) = s.rm_crash {
-        sim.schedule_rm_crash(
-            SimTime::from_secs(crash.at_s),
-            SimDuration::from_secs(crash.outage_s),
-        );
-        last_injection_s = last_injection_s.max(crash.at_s + crash.outage_s);
-    }
-    if let Some(flap) = s.flap {
-        for k in 1..=u64::from(flap.recurrences) {
-            let at_s = s.inject_at_s + k * flap.gap_s;
-            last_injection_s = last_injection_s.max(at_s);
-            sim.schedule_fault_if_up(SimTime::from_secs(at_s), 0, s.fault);
+    let mut last_injection_s = 0;
+    for (at_s, injection) in s.schedule() {
+        let at = SimTime::from_secs(at_s);
+        last_injection_s = last_injection_s.max(at_s);
+        match injection {
+            Injection::Fault(fault) => sim.schedule_fault(at, 0, fault),
+            Injection::Recurrence(fault) => sim.schedule_fault_if_up(at, 0, fault),
+            Injection::RmCrash(crash) => {
+                sim.schedule_rm_crash(at, SimDuration::from_secs(crash.outage_s));
+                last_injection_s = last_injection_s.max(at_s + crash.outage_s);
+            }
         }
     }
 
@@ -387,7 +407,7 @@ pub fn run_scenario(s: &Scenario, opts: &RunOptions) -> RunOutcome {
         .filter(|&t| taw.good_in(t, t + 1) < degraded_below)
         .count() as u64
         * 1000;
-    let curable = injected(s).all(|f| campaign::goodput_recovers(&f));
+    let curable = injected(s).all(|f| goodput_recovers(&f));
     if curable && s.inject_at_s > 4 && violations.is_empty() {
         let post_rate = taw.good_in(end_s - 30, end_s) / 30.0;
         if pre_rate > 0.0 && post_rate < 0.5 * pre_rate {

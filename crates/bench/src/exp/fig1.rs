@@ -24,7 +24,7 @@ use super::{recovered_run, HOT_FAULT};
 use crate::report::{banner, print_telemetry, ratio, Table};
 use cluster::SimConfig;
 use faults::Fault;
-use recovery::PolicyLevel;
+use recovery::PolicyChoice;
 use simcore::telemetry::shared_bus;
 use simcore::MetricsRegistry;
 use statestore::session::CorruptKind;
@@ -32,7 +32,7 @@ use workload::TawSummary;
 
 /// Runs the 40-minute scenario; returns (summary, per-10s bad series,
 /// recovery count, telemetry fold).
-fn measure(start_level: PolicyLevel) -> (TawSummary, Vec<(u64, f64, f64)>, usize, MetricsRegistry) {
+fn measure(policy: PolicyChoice) -> (TawSummary, Vec<(u64, f64, f64)>, usize, MetricsRegistry) {
     let bus = shared_bus();
     let telemetry = Rc::new(RefCell::new(MetricsRegistry::new()));
     bus.borrow_mut().add_sink(Box::new(telemetry.clone()));
@@ -53,13 +53,7 @@ fn measure(start_level: PolicyLevel) -> (TawSummary, Vec<(u64, f64, f64)>, usize
         ),
         (30 * 60, HOT_FAULT),
     ];
-    let world = recovered_run(
-        start_level,
-        SimConfig::default(),
-        Some(bus),
-        &faults,
-        40 * 60,
-    );
+    let world = recovered_run(policy, SimConfig::default(), Some(bus), &faults, 40 * 60);
     let taw = world.pool.taw_ref();
     let mut series = Vec::new();
     for bucket in 0..(40 * 6) {
@@ -78,8 +72,8 @@ pub(super) fn run() -> Result<(), String> {
     println!("(three faults at t=10/20/30 min; 500 clients, 1 node, FastS)\n");
 
     let (restart, restart_series, restart_events, restart_telemetry) =
-        measure(PolicyLevel::Process);
-    let (urb, urb_series, urb_events, urb_telemetry) = measure(PolicyLevel::Ejb);
+        measure(PolicyChoice::RebootFirst);
+    let (urb, urb_series, urb_events, urb_telemetry) = measure(PolicyChoice::Ladder);
 
     // Full per-10s series as JSON, for plotting. Hand-rolled writer: the
     // rows are flat numbers, so a serializer dependency isn't warranted.

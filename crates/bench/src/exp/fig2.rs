@@ -12,23 +12,17 @@ use super::recovered_run;
 use crate::report::banner;
 use cluster::SimConfig;
 use faults::Fault;
-use recovery::PolicyLevel;
+use recovery::PolicyChoice;
 use simcore::SimTime;
 use statestore::session::CorruptKind;
 use workload::catalog::FunctionalGroup;
 
-fn measure(start_level: PolicyLevel) -> Vec<String> {
+fn measure(policy: PolicyChoice) -> Vec<String> {
     let fault = Fault::CorruptJndi {
         component: "RegisterNewUser",
         kind: CorruptKind::SetNull,
     };
-    let world = recovered_run(
-        start_level,
-        SimConfig::default(),
-        None,
-        &[(1200, fault)],
-        1260,
-    );
+    let world = recovered_run(policy, SimConfig::default(), None, &[(1200, fault)], 1260);
     let taw = world.pool.taw_ref();
     let mut lines = Vec::new();
     for group in FunctionalGroup::ALL {
@@ -54,11 +48,11 @@ pub(super) fn run() -> Result<(), String> {
     println!("\ntimeline: seconds 1195..1235; fault injected at t=1200\n");
 
     println!("PROCESS RESTART");
-    for line in measure(PolicyLevel::Process) {
+    for line in measure(PolicyChoice::RebootFirst) {
         println!("{line}");
     }
     println!("\nMICROREBOOT");
-    for line in measure(PolicyLevel::Ejb) {
+    for line in measure(PolicyChoice::Ladder) {
         println!("{line}");
     }
     println!("\npaper: during a microreboot all operations in other functional groups");

@@ -15,7 +15,7 @@
 use super::{recovered_run, HOT_FAULT};
 use crate::report::{banner, Table};
 use cluster::{SimConfig, StoreChoice};
-use recovery::PolicyLevel;
+use recovery::PolicyChoice;
 
 struct RunResult {
     failed_requests: u64,
@@ -25,14 +25,14 @@ struct RunResult {
     peak_rt_ms: f64,
 }
 
-fn measure(nodes: usize, start_level: PolicyLevel, store: StoreChoice) -> RunResult {
+fn measure(nodes: usize, policy: PolicyChoice, store: StoreChoice) -> RunResult {
     let config = SimConfig {
         nodes,
         store,
         failover: true,
         ..SimConfig::default()
     };
-    let mut world = recovered_run(start_level, config, None, &[(3 * 60, HOT_FAULT)], 10 * 60);
+    let mut world = recovered_run(policy, config, None, &[(3 * 60, HOT_FAULT)], 10 * 60);
     let s = world.pool.taw_ref().summary();
     let over_8s = world.pool.taw_ref().over_8s();
     let peak_rt_ms = world.pool.taw().response_ms().percentile(1.0);
@@ -59,8 +59,8 @@ pub(super) fn run() -> Result<(), String> {
     let mut restart_failed = Vec::new();
     let mut urb_failed = Vec::new();
     for nodes in [2usize, 4, 6, 8] {
-        let restart = measure(nodes, PolicyLevel::Process, StoreChoice::FastS);
-        let urb = measure(nodes, PolicyLevel::Ejb, StoreChoice::FastS);
+        let restart = measure(nodes, PolicyChoice::RebootFirst, StoreChoice::FastS);
+        let urb = measure(nodes, PolicyChoice::Ladder, StoreChoice::FastS);
         restart_failed.push(restart.failed_requests);
         urb_failed.push(urb.failed_requests);
         t.row_owned(vec![
@@ -105,8 +105,8 @@ pub(super) fn run() -> Result<(), String> {
         "uRB: >8s",
     ]);
     for nodes in [2usize, 4] {
-        let restart = measure(nodes, PolicyLevel::Process, StoreChoice::Ssm);
-        let urb = measure(nodes, PolicyLevel::Ejb, StoreChoice::Ssm);
+        let restart = measure(nodes, PolicyChoice::RebootFirst, StoreChoice::Ssm);
+        let urb = measure(nodes, PolicyChoice::Ladder, StoreChoice::Ssm);
         t2.row_owned(vec![
             format!("{nodes}"),
             format!("{}", restart.failed_requests),

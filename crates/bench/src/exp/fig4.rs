@@ -14,7 +14,7 @@
 use super::{recovered_run, HOT_FAULT};
 use crate::report::{banner, Table};
 use cluster::SimConfig;
-use recovery::PolicyLevel;
+use recovery::PolicyChoice;
 
 struct RunResult {
     over_8s: u64,
@@ -22,7 +22,7 @@ struct RunResult {
     series: Vec<(u64, Option<f64>)>,
 }
 
-fn measure(nodes: usize, start_level: PolicyLevel) -> RunResult {
+fn measure(nodes: usize, policy: PolicyChoice) -> RunResult {
     let config = SimConfig {
         nodes,
         clients_per_node: 1000,
@@ -31,7 +31,7 @@ fn measure(nodes: usize, start_level: PolicyLevel) -> RunResult {
     };
     // Let the doubled load stabilize before injecting (paper: the 13-min
     // interval exists for exactly this).
-    let world = recovered_run(start_level, config, None, &[(400, HOT_FAULT)], 780);
+    let world = recovered_run(policy, config, None, &[(400, HOT_FAULT)], 780);
     let taw = world.pool.taw_ref();
     let mut series = Vec::new();
     let mut peak: f64 = 0.0;
@@ -66,8 +66,8 @@ pub(super) fn run() -> Result<(), String> {
     let paper = [(2usize, 3227u64, 3u64), (4, 530, 0), (6, 55, 0), (8, 9, 0)];
     let mut two_node_series = None;
     for (nodes, p_restart, p_urb) in paper {
-        let restart = measure(nodes, PolicyLevel::Process);
-        let urb = measure(nodes, PolicyLevel::Ejb);
+        let restart = measure(nodes, PolicyChoice::RebootFirst);
+        let urb = measure(nodes, PolicyChoice::Ladder);
         t4.row_owned(vec![
             format!("{nodes}"),
             format!("{p_restart}"),

@@ -15,11 +15,11 @@
 use super::{commanded_run, recovered_run, HOT_FAULT};
 use crate::report::{banner, ratio, Table};
 use cluster::SimConfig;
-use recovery::{PolicyLevel, RecoveryAction, RmConfig};
+use recovery::{PolicyChoice, RecoveryAction, RmConfig};
 use simcore::SimDuration;
 
 /// Failed requests when detection takes `tdet` seconds.
-fn bad_ops(start_level: PolicyLevel, tdet: u64) -> u64 {
+fn bad_ops(policy: PolicyChoice, tdet: u64) -> u64 {
     let config = SimConfig {
         rm: Some(RmConfig {
             detection_delay: SimDuration::from_secs(tdet),
@@ -28,7 +28,7 @@ fn bad_ops(start_level: PolicyLevel, tdet: u64) -> u64 {
         ..SimConfig::default()
     };
     let until = 2 * 60 + tdet + 4 * 60;
-    let world = recovered_run(start_level, config, None, &[(2 * 60, HOT_FAULT)], until);
+    let world = recovered_run(policy, config, None, &[(2 * 60, HOT_FAULT)], until);
     world.pool.taw_ref().summary().bad_ops
 }
 
@@ -44,15 +44,15 @@ fn useless_recoveries(n: u32, action: RecoveryAction) -> u64 {
 pub(super) fn run() -> Result<(), String> {
     banner("Figure 5 (left): failed requests vs detection time Tdet");
     let mut t = Table::new(&["Tdet (s)", "process restart", "microreboot"]);
-    let restart_at_zero = bad_ops(PolicyLevel::Process, 0);
+    let restart_at_zero = bad_ops(PolicyChoice::RebootFirst, 0);
     let mut crossover = None;
     for tdet in [0u64, 5, 10, 20, 30, 40, 53, 60, 80, 100] {
         let restart = if tdet == 0 {
             restart_at_zero
         } else {
-            bad_ops(PolicyLevel::Process, tdet)
+            bad_ops(PolicyChoice::RebootFirst, tdet)
         };
-        let urb = bad_ops(PolicyLevel::Ejb, tdet);
+        let urb = bad_ops(PolicyChoice::Ladder, tdet);
         if crossover.is_none() && urb > restart_at_zero {
             crossover = Some(tdet);
         }

@@ -7,7 +7,7 @@
 
 use cluster::{Sim, SimConfig, World};
 use faults::Fault;
-use recovery::{PolicyLevel, RecoveryAction, RmConfig};
+use recovery::{PolicyChoice, RecoveryAction, RmConfig};
 use simcore::telemetry::SharedBus;
 use simcore::SimTime;
 
@@ -132,17 +132,18 @@ const HOT_FAULT: Fault = Fault::TransientException {
 
 /// The set-up every fault-and-recover experiment shares: a simulation per
 /// `config` whose recovery manager (the config's, else the default one)
-/// starts its ladder at `start_level`, emitting into `bus` when given;
-/// each of `faults` injected into node 0 at its second; run to second
-/// `until`.
+/// hosts `policy` — the ladder, or its process-restart baseline —,
+/// emitting into `bus` when given; each of `faults` injected into node 0
+/// at its second; run to second `until`.
 fn recovered_run(
-    start_level: PolicyLevel,
+    policy: PolicyChoice,
     mut config: SimConfig,
     bus: Option<SharedBus>,
     faults: &[(u64, Fault)],
     until: u64,
 ) -> World {
-    config.rm.get_or_insert_with(RmConfig::default).start_level = start_level;
+    config.rm.get_or_insert_with(RmConfig::default);
+    config.policy = policy;
     let mut sim = Sim::new(config);
     if let Some(bus) = bus {
         sim.attach_telemetry(bus);

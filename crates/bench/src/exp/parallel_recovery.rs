@@ -25,7 +25,7 @@ use crate::report::{banner, print_telemetry, ratio, JsonReport, Table};
 use cluster::SimConfig;
 use faults::Fault;
 use recovery::conductor::ConductorConfig;
-use recovery::{PolicyLevel, RmConfig};
+use recovery::{PolicyChoice, RmConfig};
 use simcore::telemetry::shared_bus;
 use simcore::trace::{Trace, TraceRecorder};
 use simcore::{MetricsRegistry, SimDuration, SimTime, TelemetryEvent};
@@ -72,7 +72,7 @@ fn measure(conducted: bool) -> Arm {
         };
         (30, fault)
     });
-    let world = recovered_run(PolicyLevel::Ejb, config, Some(bus), &faults, 4 * 60);
+    let world = recovered_run(PolicyChoice::Ladder, config, Some(bus), &faults, 4 * 60);
     let events = recorder.borrow().events().to_vec();
     let intervals = events
         .iter()

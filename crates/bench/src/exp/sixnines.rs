@@ -18,11 +18,11 @@ use super::recovered_run;
 use crate::report::{banner, Table};
 use cluster::SimConfig;
 use faults::Fault;
-use recovery::PolicyLevel;
+use recovery::PolicyChoice;
 
 struct Regime {
     label: &'static str,
-    start_level: PolicyLevel,
+    policy: PolicyChoice,
     failover: bool,
     retry: bool,
 }
@@ -41,7 +41,7 @@ fn measure(regime: &Regime, events: u32) -> (f64, u64) {
     let events = u64::from(events);
     let faults: Vec<_> = (0..events).map(|i| (120 + 90 * i, fault)).collect();
     let until = 120 + 90 * events + 120;
-    let world = recovered_run(regime.start_level, config, None, &faults, until);
+    let world = recovered_run(regime.policy, config, None, &faults, until);
     let s = world.pool.taw_ref().summary();
     (s.bad_ops as f64 / events as f64, s.good_ops + s.bad_ops)
 }
@@ -51,19 +51,19 @@ pub(super) fn run() -> Result<(), String> {
     let regimes = [
         Regime {
             label: "JVM restart + failover",
-            start_level: PolicyLevel::Process,
+            policy: PolicyChoice::RebootFirst,
             failover: true,
             retry: false,
         },
         Regime {
             label: "uRB + failover",
-            start_level: PolicyLevel::Ejb,
+            policy: PolicyChoice::Ladder,
             failover: true,
             retry: false,
         },
         Regime {
             label: "uRB, no failover, retries",
-            start_level: PolicyLevel::Ejb,
+            policy: PolicyChoice::Ladder,
             failover: false,
             retry: true,
         },

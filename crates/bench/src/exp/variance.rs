@@ -11,11 +11,11 @@ use super::recovered_run;
 use crate::report::{banner, ratio, Table};
 use cluster::SimConfig;
 use faults::Fault;
-use recovery::PolicyLevel;
+use recovery::PolicyChoice;
 use simcore::stats::Summary;
 use statestore::session::CorruptKind;
 
-fn measure(start_level: PolicyLevel, seed: u64) -> u64 {
+fn measure(policy: PolicyChoice, seed: u64) -> u64 {
     let config = SimConfig {
         seed,
         ..SimConfig::default()
@@ -24,7 +24,7 @@ fn measure(start_level: PolicyLevel, seed: u64) -> u64 {
         component: "RegisterNewUser",
         kind: CorruptKind::SetNull,
     };
-    let world = recovered_run(start_level, config, None, &[(3 * 60, fault)], 7 * 60);
+    let world = recovered_run(policy, config, None, &[(3 * 60, fault)], 7 * 60);
     world.pool.taw_ref().summary().bad_ops
 }
 
@@ -35,8 +35,8 @@ pub(super) fn run() -> Result<(), String> {
     let mut urb = Summary::new();
     let mut t = Table::new(&["seed", "restart failed", "uRB failed"]);
     for seed in &seeds {
-        let r = measure(PolicyLevel::Process, *seed);
-        let u = measure(PolicyLevel::Ejb, *seed);
+        let r = measure(PolicyChoice::RebootFirst, *seed);
+        let u = measure(PolicyChoice::Ladder, *seed);
         restart.record(r as f64);
         urb.record(u as f64);
         t.row_owned(vec![format!("{seed:#x}"), format!("{r}"), format!("{u}")]);

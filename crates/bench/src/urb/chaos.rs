@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use bench::chaos::{describe, injected, run_scenario, RunOptions, RunOutcome, CLIENTS};
 use bench::netstate;
 use bench::report::{JsonReport, Table};
-use faults::campaign::{self, CampaignConfig, Scenario};
+use faults::campaign::{self, CampaignConfig, Injection, Scenario};
 use recovery::PolicyChoice;
 use simcore::telemetry::{TelemetrySink, TraceHashSink};
 use simcore::trace::event_to_json;
@@ -114,6 +114,13 @@ fn parse(c: &Campaign, args: &[String]) -> Result<Invocation, String> {
                     .split(',')
                     .map(policy_from_label)
                     .collect::<Result<_, _>>()?;
+                let policies = &inv.policies;
+                let mut named = policies.iter().enumerate();
+                if let Some((_, p)) = named.find(|&(i, p)| policies[..i].contains(p)) {
+                    // Racing a policy against itself prints it twice and
+                    // writes each of its report keys twice.
+                    return Err(format!("policy {:?} named twice", p.label()));
+                }
             }
             _ => return Err(format!("unknown flag {flag:?} for this campaign")),
         }
@@ -262,21 +269,13 @@ fn run_campaign(c: &Campaign, args: &[String]) -> Result<ExitCode, String> {
 /// The `--only --verbose` dump's head: what the scenario injects and when,
 /// before the run's control-plane events follow as trace JSONL.
 fn print_schedule(s: &Scenario) {
-    println!("  at {} s inject {:?}", s.inject_at_s, s.fault);
-    if let Some(second) = s.second {
-        println!("  at {} s inject {:?}", second.at_s, second.fault);
-    }
-    if let Some(flap) = s.flap {
-        for k in 1..=u64::from(flap.recurrences) {
-            let at_s = s.inject_at_s + k * flap.gap_s;
-            println!("  at {at_s} s inject {:?} if node 0 is up", s.fault);
-        }
-    }
-    if let Some(crash) = s.rm_crash {
-        println!(
-            "  at {} s crash the recovery manager for {} s",
-            crash.at_s, crash.outage_s
-        );
+    for (at_s, injection) in s.schedule() {
+        let what = match injection {
+            Injection::Fault(fault) => format!("inject {fault:?}"),
+            Injection::Recurrence(fault) => format!("inject {fault:?} if node 0 is up"),
+            Injection::RmCrash(c) => format!("crash the recovery manager for {} s", c.outage_s),
+        };
+        println!("  at {at_s} s {what}");
     }
 }
 
@@ -354,7 +353,6 @@ pub(crate) static CAMPAIGNS: [Campaign; 4] = [
         name: "degraded",
         scenarios: campaign::degraded_scenarios,
         options: |_, _| RunOptions {
-            perf: true,
             // Three times the classic client load: fail-slow detection is
             // statistical, and the degraded targets' ops need enough
             // traffic per judgement window (>= min_window_ops) to earn

@@ -24,6 +24,8 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 use std::rc::Rc;
@@ -82,6 +84,14 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
             other => return Err(format!("unknown record flag {other}")),
         }
     }
+    // Opened before the run, so an unwritable path fails in no time.
+    let mut file = match File::create(out) {
+        Ok(file) => file,
+        Err(why) => {
+            eprintln!("urb: {out}: {why}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
 
     let mut sim = if degraded {
         // The fail-slow scenario (mirrors the `degraded_episode` golden
@@ -140,7 +150,7 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
         queue_depth: reg.gauge("des_queue_depth") as u64,
         sim_micros: (reg.gauge("sim_seconds") * 1e6).round() as u64,
     });
-    if let Err(why) = trace.write_to(Path::new(out)) {
+    if let Err(why) = file.write_all(trace.to_jsonl().as_bytes()) {
         eprintln!("urb: {out}: {why}");
         return Ok(ExitCode::FAILURE);
     }

@@ -122,6 +122,7 @@ fn a_bad_command_line_exits_2_with_usage_on_every_campaign() {
             &["--runs", "2", "--only", "5"],
             &["--seed", "x"],
             &["--policies", "no-such-policy"],
+            &["--runs", "1", "--policies", "paper-ladder,paper-ladder"],
             &["no-such-campaign"],
         ] {
             let args: Vec<&str> = sub.into_iter().chain(bad.iter().copied()).collect();

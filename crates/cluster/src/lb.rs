@@ -167,7 +167,7 @@ impl LoadBalancer {
 
     /// Publishes `node`'s quarantine set (components mid-microreboot).
     /// An empty set lifts the quarantine.
-    pub fn set_quarantine(&mut self, node: usize, members: Vec<CompName>) {
+    pub(crate) fn set_quarantine(&mut self, node: usize, members: Vec<CompName>) {
         if node < self.nodes {
             self.quarantine[node] = members;
         }

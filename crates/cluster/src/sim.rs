@@ -80,8 +80,8 @@ pub struct SimConfig {
     /// (experiments then command recovery directly).
     pub rm: Option<RmConfig>,
     /// Which recovery policy the manager hosts. `Ladder` (the default)
-    /// reproduces the paper's recursive policy bit-for-bit; the other
-    /// registry entries compete in the chaos policy tournament.
+    /// reproduces the paper's recursive policy bit-for-bit, `RebootFirst`
+    /// its "recover by JVM restart" baseline; all compete in the tournament.
     pub policy: PolicyChoice,
     /// Recovery-conductor configuration; `None` keeps the baseline serial
     /// execution of manager decisions. With a conductor, decisions are
@@ -677,12 +677,10 @@ impl Sim {
         let conductor = config
             .conductor
             .map(|cc| Conductor::new(config.nodes, cc, nodes[0].graph(), ebid::ops::call_path));
+        // The map is read only while a node's quarantine set is non-empty,
+        // which the conductor or the bulkhead policy makes it.
         let mut lb = LoadBalancer::new(config.nodes);
-        // The bulkhead policy sheds via LB quarantine even without a
-        // conductor, so any non-paper policy needs the path map armed.
-        if config.conductor.is_some_and(|c| c.quarantine) || config.policy != PolicyChoice::Ladder {
-            lb.set_path_map(ebid::ops::call_path);
-        }
+        lb.set_path_map(ebid::ops::call_path);
         let rejuv = (0..config.nodes).map(|_| None).collect();
         let mut world = World {
             nodes,

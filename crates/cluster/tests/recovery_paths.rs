@@ -3,7 +3,7 @@
 
 use cluster::{Sim, SimConfig, StoreChoice};
 use faults::Fault;
-use recovery::{PolicyLevel, RecoveryAction, RmConfig};
+use recovery::{PolicyChoice, RecoveryAction, RmConfig};
 use simcore::{SimDuration, SimTime};
 
 fn mins(m: u64) -> SimTime {
@@ -80,10 +80,8 @@ fn ssm_cluster_failover_preserves_sessions() {
             nodes: 2,
             store,
             failover: true,
-            rm: Some(RmConfig {
-                start_level: PolicyLevel::Process,
-                ..RmConfig::default()
-            }),
+            rm: Some(RmConfig::default()),
+            policy: PolicyChoice::RebootFirst,
             ..SimConfig::default()
         });
         sim.schedule_fault(

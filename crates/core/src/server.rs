@@ -420,12 +420,6 @@ impl<A: Application> AppServer<A> {
         self.pipeline.oldest_hung().map(|since| now - since)
     }
 
-    /// Enables or disables quarantine admission at runtime (the cluster
-    /// simulation flips this per its conductor configuration).
-    pub fn set_quarantine(&mut self, on: bool) {
-        self.inner.quarantine_enabled = on;
-    }
-
     /// If `op`'s static call path touches a microrebooting recovery group,
     /// returns when the last such microreboot completes.
     pub(crate) fn quarantine_until(&self, op: OpCode) -> Option<SimTime> {

@@ -183,9 +183,9 @@ macro_rules! fault_kinds {
                 }
             }
 
-            /// True if the fault lives in a component and a microreboot
-            /// cures it — the population that can meaningfully flap
-            /// (recur after each recovery).
+            /// True if the fault lives in a component and a reboot cures
+            /// it — the population that can meaningfully flap (recur
+            /// after each recovery).
             pub(crate) fn flappable(self) -> bool {
                 match self {
                     $($( FaultKind::$kind => $flappable ),+),+
@@ -259,7 +259,7 @@ fault_kinds! {
         BadSyscalls = 17 => "bad-syscalls", false, Fault::BadSyscalls;
     }
     Degraded {
-        Degraded = 18 => "degraded", false, Fault::Degraded {
+        Degraded = 18 => "degraded", true, Fault::Degraded {
             component: s.component,
             // 3x–6x service-time inflation: far past any sane anomaly
             // multiplier even after end-to-end overheads (network,

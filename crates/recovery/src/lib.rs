@@ -33,4 +33,4 @@ mod rung;
 
 pub use conductor::{Conductor, ConductorConfig, Finished, StartCmd, Submission, TicketId};
 pub use manager::{RecoveryAction, RecoveryManager, RmConfig, RmStats};
-pub use policy::{PolicyChoice, PolicyLevel};
+pub use policy::PolicyChoice;

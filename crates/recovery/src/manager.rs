@@ -15,7 +15,7 @@ use workload::detect::{FailureKind, FailureReport};
 
 use components::CompName;
 
-use crate::policy::{PathOf, PolicyChoice, PolicyCtx, PolicyLevel, RecoveryPolicy};
+use crate::policy::{PathOf, PolicyChoice, PolicyCtx, RecoveryPolicy};
 
 /// A recovery action the manager wants executed on a node.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -93,9 +93,6 @@ pub struct RmConfig {
     /// How long after a recovery completes (past the settle window) new
     /// failures count as "the same problem" and escalate the ladder.
     pub observation: SimDuration,
-    /// The rung recovery starts at. `Ejb` is the paper's policy; setting
-    /// `Process` reproduces the "recover by JVM restart" baseline runs.
-    pub start_level: PolicyLevel,
     /// How many completed recovery episodes within `recurrence_window`
     /// trigger a human notification for a recurring failure pattern.
     pub recurrence_limit: u32,
@@ -141,7 +138,6 @@ impl Default for RmConfig {
             score_window: SimDuration::from_secs(10),
             detection_delay: SimDuration::ZERO,
             observation: SimDuration::from_secs(30),
-            start_level: PolicyLevel::Ejb,
             recurrence_limit: 8,
             recurrence_window: SimDuration::from_secs(120),
             max_concurrent: 1,
@@ -266,7 +262,7 @@ impl RecoveryManager {
     ) -> Self {
         RecoveryManager {
             choice,
-            policy: choice.build(nodes, config.start_level, seed),
+            policy: choice.build(nodes, seed),
             ctx: PolicyCtx {
                 config,
                 path_of,
@@ -363,6 +359,7 @@ impl RecoveryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicyLevel;
     use urb_core::OpCode;
 
     fn path(op: OpCode) -> &'static [&'static str] {
@@ -382,6 +379,13 @@ mod tests {
             ..config
         };
         RecoveryManager::new(2, config, path, "WAR")
+    }
+
+    /// A manager whose ladder starts every episode on the `Human` rung.
+    fn rm_at_human(config: RmConfig) -> RecoveryManager {
+        let mut m = rm(config);
+        m.policy = Box::new(crate::ladder::LadderPolicy::new(2, PolicyLevel::Human));
+        m
     }
 
     fn rep(op: u16, node: usize, at: u64, kind: FailureKind) -> FailureReport {
@@ -511,11 +515,9 @@ mod tests {
     }
 
     #[test]
-    fn start_level_process_models_the_jvm_restart_baseline() {
-        let mut m = rm(RmConfig {
-            start_level: PolicyLevel::Process,
-            ..RmConfig::default()
-        });
+    fn reboot_first_models_the_jvm_restart_baseline() {
+        let mut m = rm(RmConfig::default());
+        m.policy = PolicyChoice::RebootFirst.build(2, 0);
         for _ in 0..3 {
             m.report(&rep(0, 0, 1, FailureKind::Http));
         }
@@ -588,8 +590,7 @@ mod tests {
     fn dead_node_floor_restarts_process_even_at_human() {
         // Hardened: connection-dominated evidence at the Human rung drops
         // back to Process — a page cannot revive a dead JVM.
-        let mut m = rm(RmConfig {
-            start_level: PolicyLevel::Human,
+        let mut m = rm_at_human(RmConfig {
             watchdog_bound: Some(SimDuration::from_secs(100_000)),
             ..RmConfig::default()
         });
@@ -601,10 +602,7 @@ mod tests {
             Some(RecoveryAction::RestartProcess)
         );
         // Un-hardened, the same evidence keeps paging (baseline pinned).
-        let mut m = rm(RmConfig {
-            start_level: PolicyLevel::Human,
-            ..RmConfig::default()
-        });
+        let mut m = rm_at_human(RmConfig::default());
         for _ in 0..3 {
             m.report(&rep(0, 0, 1, FailureKind::Network));
         }

@@ -28,7 +28,7 @@ use crate::rung::{self, RungPolicy};
 /// One rung a policy can stand on, cheapest first: the paper's ladder
 /// (`Ejb` … `Human`) plus the two holds its competitors open with.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum PolicyLevel {
+pub(crate) enum PolicyLevel {
     /// Shed the suspect's traffic behind admission control for a hold
     /// period; reboot nothing.
     Isolate,
@@ -173,9 +173,10 @@ simcore::code_enum! {
     /// a row without a constructor does not compile.
     #[derive(PartialOrd, Ord)]
     pub enum PolicyChoice {
-        /// The paper's recursive ladder (the pinned default).
+        /// The paper's recursive ladder, from the EJB rung (the pinned
+        /// default).
         Ladder = 0 => "paper-ladder",
-        /// The ladder started at the JVM rung: the "recover by process
+        /// The same ladder from the JVM rung: the "recover by process
         /// restart" baseline the paper compares microreboots against.
         RebootFirst = 1 => "reboot-first",
         /// Circuit breaker: trip on error-rate windows, half-open probe
@@ -194,19 +195,13 @@ simcore::code_enum! {
 }
 
 impl PolicyChoice {
-    /// Builds the policy for an `nodes`-node cluster. `start_level` is the
-    /// paper ladder's first rung; `seed` feeds the one randomized choice
-    /// any policy makes (`RetryHedge`'s coin), and the same seed must
-    /// reproduce the same decision stream bit-for-bit.
-    pub(crate) fn build(
-        self,
-        nodes: usize,
-        start_level: PolicyLevel,
-        seed: u64,
-    ) -> Box<dyn RecoveryPolicy> {
+    /// Builds the policy for an `nodes`-node cluster. `seed` feeds the one
+    /// randomized choice any policy makes (`RetryHedge`'s coin), and the
+    /// same seed must reproduce the same decision stream bit-for-bit.
+    pub(crate) fn build(self, nodes: usize, seed: u64) -> Box<dyn RecoveryPolicy> {
         use crate::ladder::LadderPolicy;
         match self {
-            PolicyChoice::Ladder => Box::new(LadderPolicy::new(nodes, start_level)),
+            PolicyChoice::Ladder => Box::new(LadderPolicy::new(nodes, PolicyLevel::Ejb)),
             PolicyChoice::RebootFirst => Box::new(LadderPolicy::new(nodes, PolicyLevel::Process)),
             PolicyChoice::CircuitBreaker => Box::new(RungPolicy::new(
                 &rung::BREAKER,
@@ -269,7 +264,7 @@ mod tests {
     #[test]
     fn every_registered_policy_builds_idle() {
         for c in PolicyChoice::ALL {
-            let p = c.build(2, PolicyLevel::Ejb, 0x5eed);
+            let p = c.build(2, 0x5eed);
             assert_eq!(p.in_flight(0), 0);
             assert_eq!(p.in_flight(1), 0);
         }

@@ -22,9 +22,6 @@ use simcore::{SimDuration, SimTime, TelemetryEvent};
 use crate::ledger::SharedLedger;
 use crate::session::{SessionId, SessionObject, SessionStore, StoreError};
 
-/// Number of replica bricks a default SSM deployment writes to.
-pub const DEFAULT_REPLICAS: usize = 3;
-
 /// Default session lease term (idle sessions expire after this).
 pub const DEFAULT_LEASE: SimDuration = SimDuration::from_mins(30);
 

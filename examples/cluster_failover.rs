@@ -9,18 +9,16 @@
 
 use microreboot::cluster::{Sim, SimConfig};
 use microreboot::faults::Fault;
-use microreboot::recovery::{PolicyLevel, RmConfig};
+use microreboot::recovery::{PolicyChoice, RmConfig};
 use microreboot::simcore::SimTime;
 
-fn run(label: &str, start_level: PolicyLevel, failover: bool, retry: bool) {
+fn run(label: &str, policy: PolicyChoice, failover: bool, retry: bool) {
     let mut sim = Sim::new(SimConfig {
         nodes: 4,
         failover,
         retry_enabled: retry,
-        rm: Some(RmConfig {
-            start_level,
-            ..RmConfig::default()
-        }),
+        rm: Some(RmConfig::default()),
+        policy,
         ..SimConfig::default()
     });
     sim.schedule_fault(
@@ -45,14 +43,19 @@ fn main() {
     println!("one fault, 4 nodes, 500 clients each, FastS:\n");
     run(
         "JVM restart + node failover (status quo)",
-        PolicyLevel::Process,
+        PolicyChoice::RebootFirst,
         true,
         false,
     );
-    run("microreboot + node failover", PolicyLevel::Ejb, true, false);
+    run(
+        "microreboot + node failover",
+        PolicyChoice::Ladder,
+        true,
+        false,
+    );
     run(
         "microreboot, no failover, call retries",
-        PolicyLevel::Ejb,
+        PolicyChoice::Ladder,
         false,
         true,
     );

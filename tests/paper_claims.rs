@@ -5,7 +5,7 @@
 
 use microreboot::cluster::{Sim, SimConfig, StoreChoice};
 use microreboot::faults::Fault;
-use microreboot::recovery::{PolicyLevel, RecoveryAction, RmConfig};
+use microreboot::recovery::{PolicyChoice, RecoveryAction, RmConfig};
 use microreboot::simcore::{SimDuration, SimTime};
 use microreboot::statestore::session::CorruptKind;
 
@@ -18,12 +18,10 @@ fn mins(m: u64) -> SimTime {
 /// savings in lost work."
 #[test]
 fn microreboot_beats_restart_by_an_order_of_magnitude() {
-    let run = |level: PolicyLevel| {
+    let run = |policy: PolicyChoice| {
         let mut sim = Sim::new(SimConfig {
-            rm: Some(RmConfig {
-                start_level: level,
-                ..RmConfig::default()
-            }),
+            rm: Some(RmConfig::default()),
+            policy,
             ..SimConfig::default()
         });
         sim.schedule_fault(
@@ -37,8 +35,8 @@ fn microreboot_beats_restart_by_an_order_of_magnitude() {
         sim.run_until(mins(5));
         sim.finish().pool.taw_ref().summary().bad_ops
     };
-    let restart = run(PolicyLevel::Process);
-    let urb = run(PolicyLevel::Ejb);
+    let restart = run(PolicyChoice::RebootFirst);
+    let urb = run(PolicyChoice::Ladder);
     assert!(
         restart as f64 / urb.max(1) as f64 >= 10.0,
         "restart lost {restart}, uRB lost {urb}: not an order of magnitude"
