@@ -6,6 +6,11 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "==> urbmark compiles against this build's public surface"
+# Early, so that narrowing an item urbmark names fails here rather than at
+# the urbmark step after every campaign.
+cargo check --manifest-path benchmark/Cargo.toml --all-targets --offline --target-dir target/benchmark
+
 echo "==> examples: each runs to completion (stdout discarded, so a panic fails CI)"
 cargo build --release --examples
 for example in examples/*.rs; do
@@ -20,6 +25,7 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call"
 echo "    (also the determinism contract, crates/clippy.toml: D001-D007, S002, P001-P002)"
+echo "    (and the visibility rule, unreachable_pub: dead_code sees every crate-private item)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call
 
 echo "==> size (reported, not gated): the counters ROADMAP tracks per PR"
@@ -29,6 +35,7 @@ echo "    crates/*/src lines:  $(find crates/*/src -name '*.rs' | xargs cat | wc
 echo "    test .rs lines:      $(find tests crates/*/tests -name '*.rs' | xargs cat | wc -l)"
 echo "    public items:        $(echo "$rs_files" | grep -v fixtures/ \
   | xargs grep -hE '^\s*pub (fn|struct|enum|trait|const|type|static|mod) ' | wc -l)"
+echo "    public fields in crates/*/src: $(find crates/*/src -name '*.rs' | xargs grep -hE '^\s*pub \w+\s*:' | wc -l)"
 # The three ratios tests/alloc_budget.rs gates (FastS, SSM, set-up).
 cargo test -q --test alloc_budget allocation_budget -- --nocapture \
   | grep -oE '[A-Za-z-]+ allocations per .*' | sed 's/^/    /'

@@ -32,6 +32,31 @@ fn bad_ops(policy: PolicyChoice, tdet: u64) -> u64 {
     world.pool.taw_ref().summary().bad_ops
 }
 
+/// Where delayed µRB recovery stops beating an instantly detected restart.
+#[derive(Debug, PartialEq)]
+struct Crossover {
+    /// The last swept `Tdet` at which µRB failed no more requests.
+    last_win: u64,
+    /// The next swept `Tdet`, at which it failed more.
+    first_loss: u64,
+    /// The linearly interpolated crossing between the two, in seconds.
+    at: f64,
+}
+
+/// Brackets the first crossing in a `(Tdet, µRB failed requests)` sweep
+/// against `restart` failed requests; `None` when no two adjacent points
+/// straddle it.
+fn crossover(sweep: &[(u64, u64)], restart: u64) -> Option<Crossover> {
+    let i = sweep.iter().position(|&(_, urb)| urb > restart)?;
+    let (t0, u0) = sweep[i.checked_sub(1)?];
+    let (t1, u1) = sweep[i];
+    Some(Crossover {
+        last_win: t0,
+        first_loss: t1,
+        at: t0 as f64 + (t1 - t0) as f64 * (restart - u0) as f64 / (u1 - u0) as f64,
+    })
+}
+
 fn useless_recoveries(n: u32, action: RecoveryAction) -> u64 {
     let spacing = match action {
         RecoveryAction::RestartProcess => 40,
@@ -45,7 +70,7 @@ pub(super) fn run() -> Result<(), String> {
     banner("Figure 5 (left): failed requests vs detection time Tdet");
     let mut t = Table::new(&["Tdet (s)", "process restart", "microreboot"]);
     let restart_at_zero = bad_ops(PolicyChoice::RebootFirst, 0);
-    let mut crossover = None;
+    let mut sweep = Vec::new();
     for tdet in [0u64, 5, 10, 20, 30, 40, 53, 60, 80, 100] {
         let restart = if tdet == 0 {
             restart_at_zero
@@ -53,9 +78,7 @@ pub(super) fn run() -> Result<(), String> {
             bad_ops(PolicyChoice::RebootFirst, tdet)
         };
         let urb = bad_ops(PolicyChoice::Ladder, tdet);
-        if crossover.is_none() && urb > restart_at_zero {
-            crossover = Some(tdet);
-        }
+        sweep.push((tdet, urb));
         t.row_owned(vec![
             format!("{tdet}"),
             format!("{restart}"),
@@ -63,14 +86,16 @@ pub(super) fn run() -> Result<(), String> {
         ]);
     }
     t.print();
-    match crossover {
-        Some(s) => println!(
-            "\ncrossover: with uRB recovery a monitor may take up to ~{s} s to detect\n\
-             and still beat a process restart with instant detection (paper: 53.5 s)."
+    match crossover(&sweep, restart_at_zero) {
+        Some(c) => println!(
+            "\ncrossover: with uRB recovery a monitor may take {} s but not {} s to detect\n\
+             and still beat a process restart with instant detection; interpolated,\n\
+             ~{:.0} s (paper: 53.5 s).",
+            c.last_win, c.first_loss, c.at
         ),
         None => println!(
-            "\nno crossover within 100 s: uRB recovery with 100 s detection delay\n\
-             still failed fewer requests than an instantly-detected restart\n\
+            "\nno crossover bracketed by the sweep: uRB recovery never went from failing\n\
+             fewer requests than an instantly-detected restart to failing more\n\
              (paper's crossover was 53.5 s)."
         ),
     }
@@ -102,4 +127,38 @@ pub(super) fn run() -> Result<(), String> {
         ratio(per_restart as f64, per_urb)
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The recorded sweep (`experiments_output.txt`): µRB fails 2,198
+    /// requests at 80 s and 2,698 at 100 s against the restart's 2,617.
+    const SWEEP: [(u64, u64); 10] = [
+        (0, 26),
+        (5, 198),
+        (10, 375),
+        (20, 648),
+        (30, 920),
+        (40, 1182),
+        (53, 1519),
+        (60, 1705),
+        (80, 2198),
+        (100, 2698),
+    ];
+
+    #[test]
+    fn crossover_brackets_the_recorded_sweep() {
+        let c = crossover(&SWEEP, 2617).expect("100 s loses");
+        assert_eq!((c.last_win, c.first_loss), (80, 100));
+        // 80 + 20 * (2617 - 2198) / (2698 - 2198)
+        assert!((c.at - 96.76).abs() < 1e-9, "{}", c.at);
+    }
+
+    #[test]
+    fn no_crossover_when_every_point_wins_or_the_first_loses() {
+        assert_eq!(crossover(&SWEEP, 3000), None);
+        assert_eq!(crossover(&SWEEP, 20), None);
+    }
 }

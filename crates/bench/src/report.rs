@@ -172,7 +172,7 @@ impl JsonReport {
     }
 
     /// Copies every counter `reg` lists under a `telemetry.` prefix.
-    pub fn telemetry(&mut self, reg: &MetricsRegistry) {
+    pub(crate) fn telemetry(&mut self, reg: &MetricsRegistry) {
         for (name, value) in reg.counters() {
             self.entries
                 .push((format!("telemetry.{name}"), value.to_string()));
@@ -200,7 +200,7 @@ pub(crate) fn banner(title: &str) {
 }
 
 /// Formats a ratio as "Nx".
-pub fn ratio(a: f64, b: f64) -> String {
+pub(crate) fn ratio(a: f64, b: f64) -> String {
     if b == 0.0 {
         "inf".to_string()
     } else {

@@ -61,12 +61,12 @@ impl LoadBalancer {
 
     /// Attaches a telemetry bus: failover redirections are emitted as
     /// [`TelemetryEvent::LbFailover`] events.
-    pub fn attach_telemetry(&mut self, bus: SharedBus) {
+    pub(crate) fn attach_telemetry(&mut self, bus: SharedBus) {
         self.bus = Some(bus);
     }
 
     /// Returns the number of nodes.
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.nodes
     }
 

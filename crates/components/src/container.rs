@@ -77,7 +77,7 @@ impl TxnMethodMap {
     }
 
     /// Declares one method with an explicit attribute.
-    pub fn set(&mut self, method: &'static str, attr: TxnAttr) {
+    pub(crate) fn set(&mut self, method: &'static str, attr: TxnAttr) {
         match self.entries.binary_search_by(|&(m, _)| m.cmp(method)) {
             Ok(i) => self.entries[i].1 = Some(attr),
             Err(i) => self.entries.insert(i, (method, Some(attr))),
@@ -115,21 +115,6 @@ impl TxnMethodMap {
             CorruptKind::SetInvalid => self.invalid = true,
             CorruptKind::SetWrong => self.wrong = true,
         }
-    }
-
-    /// Returns true if any corruption is present.
-    pub fn is_corrupt(&self) -> bool {
-        self.invalid || self.wrong || self.entries.iter().any(|(_, attr)| attr.is_none())
-    }
-
-    /// Returns the number of declared methods.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns true if no methods are declared.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -171,11 +156,6 @@ impl InstancePool {
         InstancePool {
             free: vec![Instance { corrupt: None }; initial],
         }
-    }
-
-    /// Returns the number of pooled (idle) instances.
-    pub fn idle(&self) -> usize {
-        self.free.len()
     }
 
     /// Serves one call with the next pooled instance (creating one if the
@@ -231,17 +211,6 @@ pub struct FaultFlags {
     pub intermittent_heals_at_us: u64,
 }
 
-impl FaultFlags {
-    /// Returns true if any fault is set.
-    pub fn any(&self) -> bool {
-        self.deadlocked
-            || self.infinite_loop
-            || self.leak_per_call > 0
-            || self.transient_exceptions > 0
-            || self.intermittent_permille > 0
-    }
-}
-
 /// Everything in a container that a crash discards. A crash replaces the
 /// whole part with `Default::default()`, so a field added here is wiped
 /// by construction.
@@ -255,8 +224,6 @@ pub struct Volatile {
     pub faults: FaultFlags,
     /// Bytes leaked so far by the leak fault (reclaimed on microreboot).
     leaked_bytes: u64,
-    /// Calls currently executing inside this component.
-    inflight: u32,
 }
 
 /// The managed container for one deployed component. Its durable half —
@@ -290,11 +257,6 @@ impl Container {
         }
     }
 
-    /// Returns the lifecycle state.
-    pub fn state(&self) -> ContainerState {
-        self.state
-    }
-
     /// Returns true if calls may be dispatched into this container.
     pub fn is_active(&self) -> bool {
         self.state == ContainerState::Active
@@ -305,21 +267,6 @@ impl Container {
         self.microreboots
     }
 
-    /// Returns the calls currently executing inside the component.
-    pub fn inflight(&self) -> u32 {
-        self.vol.inflight
-    }
-
-    /// Records a call entering the component.
-    pub fn call_enter(&mut self) {
-        self.vol.inflight += 1;
-    }
-
-    /// Records a call leaving the component (normally or killed).
-    pub fn call_exit(&mut self) {
-        self.vol.inflight = self.vol.inflight.saturating_sub(1);
-    }
-
     /// Returns the container's current heap footprint in bytes.
     pub fn heap_bytes(&self) -> u64 {
         match self.state {
@@ -328,19 +275,14 @@ impl Container {
         }
     }
 
-    /// Returns bytes accumulated by the leak fault.
-    pub fn leaked_bytes(&self) -> u64 {
-        self.vol.leaked_bytes
-    }
-
     /// Adds `bytes` to the leak account (the server calls this per
     /// invocation while the leak fault is set).
     pub fn leak(&mut self, bytes: u64) {
         self.vol.leaked_bytes = self.vol.leaked_bytes.saturating_add(bytes);
     }
 
-    /// Begins the crash phase of a microreboot: destroys instances,
-    /// discards metadata and drops in-flight call accounting. The caller
+    /// Begins the crash phase of a microreboot: destroys instances and
+    /// discards metadata. The caller
     /// (the server) is responsible for killing the shepherding threads and
     /// aborting transactions.
     ///
@@ -395,10 +337,11 @@ mod tests {
     #[test]
     fn lifecycle_transitions() {
         let mut c = container();
-        assert_eq!(c.state(), ContainerState::Stopped);
-        assert_eq!(c.heap_bytes(), 0);
+        assert!(!c.is_active());
+        assert_eq!(c.heap_bytes(), 0, "stopped");
         c.begin_start();
-        assert_eq!(c.state(), ContainerState::Starting);
+        assert!(!c.is_active());
+        assert_eq!(c.heap_bytes(), 1 << 20, "starting");
         c.complete_start();
         assert!(c.is_active());
         assert_eq!(c.heap_bytes(), 1 << 20);
@@ -412,7 +355,7 @@ mod tests {
         c.vol.faults.leak_per_call = 1024;
         c.leak(4096);
         c.vol.txn_map.corrupt(CorruptKind::SetNull);
-        assert!(c.vol.txn_map.is_corrupt());
+        assert_eq!(c.vol.txn_map.attr_for("read"), Err(TxnMapError::NullEntry));
         assert_eq!(c.heap_bytes(), (1 << 20) + 4096);
 
         let reclaimed = c.crash();
@@ -420,9 +363,10 @@ mod tests {
         c.begin_start();
         c.complete_start();
 
-        assert!(!c.vol.faults.any());
-        assert!(!c.vol.txn_map.is_corrupt());
-        assert_eq!(c.leaked_bytes(), 0);
+        assert!(!c.vol.faults.deadlocked);
+        assert_eq!(c.vol.faults.leak_per_call, 0);
+        assert_eq!(c.vol.txn_map.attr_for("read"), Ok(TxnAttr::Required));
+        assert_eq!(c.heap_bytes(), 1 << 20, "the leak is reclaimed");
         assert_eq!(c.microreboots(), 2);
     }
 
@@ -447,8 +391,6 @@ mod tests {
                 intermittent_heals_at_us: 9,
             };
             c.leak(4096);
-            c.call_enter();
-            c.call_enter();
             c.vol.txn_map.set("extra", TxnAttr::NotSupported);
             c.vol.txn_map.corrupt(CorruptKind::SetNull);
             c.vol.txn_map.corrupt(CorruptKind::SetWrong);
@@ -473,21 +415,13 @@ mod tests {
         let mut c = started();
         c.leak(4096);
         c.full_stop();
-        assert_eq!(c.state(), ContainerState::Stopped);
+        assert!(!c.is_active());
         assert_eq!(c.heap_bytes(), 0);
-        assert_eq!(c.vol.pool.idle(), 0);
-    }
-
-    #[test]
-    fn inflight_accounting_saturates() {
-        let mut c = started();
-        c.call_enter();
-        c.call_enter();
-        assert_eq!(c.inflight(), 2);
-        c.call_exit();
-        c.call_exit();
-        c.call_exit();
-        assert_eq!(c.inflight(), 0);
+        assert_eq!(
+            c.vol.pool.corrupt_all(CorruptKind::SetNull),
+            0,
+            "no instance left"
+        );
     }
 
     #[test]
@@ -498,7 +432,6 @@ mod tests {
 
         m.corrupt(CorruptKind::SetNull);
         assert_eq!(m.attr_for("bid"), Err(TxnMapError::NullEntry));
-        assert!(m.is_corrupt());
 
         let mut m = TxnMethodMap::with_methods(&["bid"]);
         m.corrupt(CorruptKind::SetInvalid);
@@ -511,28 +444,32 @@ mod tests {
             Ok(TxnAttr::NotSupported),
             "wrong corruption silently flips the attribute"
         );
-        assert!(m.is_corrupt());
     }
 
     #[test]
     fn pool_serves_and_discards_corrupt_instances() {
         let mut p = InstancePool::with_initial(2);
         assert_eq!(p.serve(), InstanceOutcome::Clean);
-        assert_eq!(p.idle(), 2);
-
-        p.corrupt_all(CorruptKind::SetNull);
+        assert_eq!(
+            p.corrupt_all(CorruptKind::SetNull),
+            2,
+            "the clean instance is pooled again"
+        );
         assert_eq!(
             p.serve(),
             InstanceOutcome::FailedAndDiscarded(CorruptKind::SetNull)
         );
-        assert_eq!(p.idle(), 1, "bad instance discarded");
         assert_eq!(
             p.serve(),
             InstanceOutcome::FailedAndDiscarded(CorruptKind::SetNull)
         );
         // Pool now empty: a fresh clean instance is created on demand.
         assert_eq!(p.serve(), InstanceOutcome::Clean);
-        assert_eq!(p.idle(), 1, "and it stays pooled");
+        assert_eq!(
+            p.corrupt_all(CorruptKind::SetWrong),
+            1,
+            "and it stays pooled"
+        );
     }
 
     #[test]
@@ -550,6 +487,6 @@ mod tests {
         for _ in 0..10 {
             c.leak(c.vol.faults.leak_per_call);
         }
-        assert_eq!(c.leaked_bytes(), 1000);
+        assert_eq!(c.heap_bytes(), (1 << 20) + 1000);
     }
 }

@@ -27,17 +27,6 @@ pub enum ComponentKind {
     Web,
 }
 
-impl ComponentKind {
-    /// Returns a short label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            ComponentKind::EntityBean => "entity",
-            ComponentKind::StatelessSessionBean => "stateless-session",
-            ComponentKind::Web => "web",
-        }
-    }
-}
-
 /// Static description of one component, as a deployment descriptor would
 /// carry it.
 #[derive(Clone, Debug)]
@@ -49,12 +38,12 @@ pub struct ComponentDescriptor {
     /// Names of components this one obtains via the naming service and may
     /// cache. Weak: re-looked-up after a microreboot, so they do *not*
     /// force joint recovery.
-    pub jndi_refs: &'static [&'static str],
+    pub(crate) jndi_refs: &'static [&'static str],
     /// Names of components with which this one shares container-spanning
     /// metadata (e.g., container-managed relationships between entity
     /// beans). Hard: they force joint microreboots and define recovery
     /// groups.
-    pub group_refs: &'static [&'static str],
+    pub(crate) group_refs: &'static [&'static str],
     /// Calibrated time to forcefully destroy the component's instances and
     /// metadata (Table 3 "crash" column; ~8–15 ms for eBid's EJBs).
     pub crash_cost: SimDuration,
@@ -63,7 +52,7 @@ pub struct ComponentDescriptor {
     pub reinit_cost: SimDuration,
     /// Baseline heap footprint once initialized, in bytes (instance pool,
     /// container metadata, stubs). Feeds the rejuvenation experiments.
-    pub base_bytes: u64,
+    pub(crate) base_bytes: u64,
 }
 
 impl ComponentDescriptor {
@@ -141,15 +130,5 @@ mod tests {
         assert_eq!(d.group_refs, &["User", "Category"]);
         assert_eq!(d.base_bytes, 1 << 20);
         assert_eq!(d.microreboot_cost(), SimDuration::from_millis(510));
-    }
-
-    #[test]
-    fn kind_labels() {
-        assert_eq!(ComponentKind::EntityBean.label(), "entity");
-        assert_eq!(
-            ComponentKind::StatelessSessionBean.label(),
-            "stateless-session"
-        );
-        assert_eq!(ComponentKind::Web.label(), "web");
     }
 }

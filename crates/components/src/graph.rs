@@ -116,16 +116,6 @@ impl DependencyGraph {
         })
     }
 
-    /// Returns the number of components.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Returns true if the graph is empty.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
     /// Looks a component up by name.
     pub fn id_of(&self, name: &str) -> Option<ComponentId> {
         self.by_name.get(name).copied()
@@ -239,7 +229,6 @@ mod tests {
         let id = graph.id_of("Solo").unwrap();
         assert_eq!(graph.name_of(id), "Solo");
         assert_eq!(graph.id_of("Missing"), None);
-        assert_eq!(graph.len(), 1);
-        assert!(!graph.is_empty());
+        assert_eq!(graph.all_ids().count(), 1);
     }
 }

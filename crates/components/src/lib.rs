@@ -32,7 +32,5 @@ pub mod intern;
 pub mod registry;
 
 pub use container::{Container, ContainerState, InstancePool, TxnMethodMap};
-pub use descriptor::{ComponentDescriptor, ComponentId, ComponentKind};
-pub use graph::DependencyGraph;
 pub use intern::CompName;
 pub use registry::{Binding, NamingRegistry, RegistryError};

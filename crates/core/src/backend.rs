@@ -44,16 +44,8 @@ pub enum SessionBackend {
 }
 
 impl SessionBackend {
-    /// Returns the store's short name ("FastS" / "SSM").
-    pub fn name(&self) -> &'static str {
-        match self {
-            SessionBackend::FastS(_) => "FastS",
-            SessionBackend::Ssm(_) => "SSM",
-        }
-    }
-
     /// Reads the session object for `id`.
-    pub fn read(&mut self, id: SessionId) -> Result<Option<SessionObject>, StoreError> {
+    pub(crate) fn read(&mut self, id: SessionId) -> Result<Option<SessionObject>, StoreError> {
         match self {
             SessionBackend::FastS(s) => s.read(id),
             SessionBackend::Ssm(s) => s.borrow_mut().read(id),
@@ -61,7 +53,7 @@ impl SessionBackend {
     }
 
     /// Writes the session object for `id`.
-    pub fn write(&mut self, id: SessionId, obj: SessionObject) -> Result<(), StoreError> {
+    pub(crate) fn write(&mut self, id: SessionId, obj: SessionObject) -> Result<(), StoreError> {
         match self {
             SessionBackend::FastS(s) => s.write(id, obj),
             SessionBackend::Ssm(s) => s.borrow_mut().write(id, obj),
@@ -69,7 +61,7 @@ impl SessionBackend {
     }
 
     /// Removes the session object for `id`.
-    pub fn remove(&mut self, id: SessionId) -> Result<(), StoreError> {
+    pub(crate) fn remove(&mut self, id: SessionId) -> Result<(), StoreError> {
         match self {
             SessionBackend::FastS(s) => s.remove(id),
             SessionBackend::Ssm(s) => s.borrow_mut().remove(id),
@@ -99,32 +91,8 @@ impl SessionBackend {
         }
     }
 
-    /// Returns the per-read access cost.
-    pub fn read_cost(&self) -> SimDuration {
-        match self {
-            SessionBackend::FastS(s) => s.read_cost(),
-            SessionBackend::Ssm(s) => s.borrow().read_cost(),
-        }
-    }
-
-    /// Returns the per-write access cost.
-    pub fn write_cost(&self) -> SimDuration {
-        match self {
-            SessionBackend::FastS(s) => s.write_cost(),
-            SessionBackend::Ssm(s) => s.borrow().write_cost(),
-        }
-    }
-
-    /// Returns true if session state survives a process restart.
-    pub fn survives_process_restart(&self) -> bool {
-        match self {
-            SessionBackend::FastS(_) => false,
-            SessionBackend::Ssm(_) => true,
-        }
-    }
-
     /// Informs the backend that this node's process restarted.
-    pub fn on_process_restart(&mut self) {
+    pub(crate) fn on_process_restart(&mut self) {
         match self {
             SessionBackend::FastS(s) => s.on_process_restart(),
             SessionBackend::Ssm(_) => {}
@@ -132,14 +100,14 @@ impl SessionBackend {
     }
 
     /// Advances the backend's clock (leases in SSM).
-    pub fn advance_to(&mut self, now: SimTime) {
+    pub(crate) fn advance_to(&mut self, now: SimTime) {
         if let SessionBackend::Ssm(s) = self {
             s.borrow_mut().advance_to(now);
         }
     }
 
     /// Bytes of session state held inside this node's process.
-    pub fn in_process_bytes(&self) -> usize {
+    pub(crate) fn in_process_bytes(&self) -> usize {
         match self {
             SessionBackend::FastS(s) => s.in_process_bytes(),
             SessionBackend::Ssm(_) => 0,
@@ -158,7 +126,7 @@ impl SessionBackend {
     /// discarding failures; external stores are not revalidated here.
     ///
     /// Returns the number discarded. The WAR reinit path calls this.
-    pub fn revalidate<F>(&mut self, valid: F) -> usize
+    pub(crate) fn revalidate<F>(&mut self, valid: F) -> usize
     where
         F: Fn(&SessionObject) -> bool,
     {
@@ -184,23 +152,6 @@ impl SessionBackend {
             SessionBackend::Ssm(s) => Some(s.clone()),
         }
     }
-
-    /// Returns the number of injection-tainted sessions still stored.
-    pub fn tainted_sessions(&self) -> usize {
-        match self {
-            SessionBackend::FastS(s) => s.tainted_sessions(),
-            SessionBackend::Ssm(s) => s.borrow().tainted_sessions(),
-        }
-    }
-
-    /// Returns true if the stored object for `id` is injection-tainted
-    /// (comparison-detector oracle).
-    pub fn is_tainted(&self, id: SessionId) -> bool {
-        match self {
-            SessionBackend::FastS(s) => s.is_tainted(id),
-            SessionBackend::Ssm(s) => s.borrow().is_tainted(id),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -216,10 +167,8 @@ mod tests {
     #[test]
     fn fasts_backend_basic_flow() {
         let mut b = SessionBackend::FastS(FastS::new());
-        assert_eq!(b.name(), "FastS");
         b.write(SessionId(1), obj()).unwrap();
         assert!(b.read(SessionId(1)).unwrap().is_some());
-        assert!(!b.survives_process_restart());
         b.on_process_restart();
         assert!(b.read(SessionId(1)).unwrap().is_none());
     }
@@ -236,14 +185,18 @@ mod tests {
         );
         node_a.on_process_restart();
         assert!(node_b.read(SessionId(1)).unwrap().is_some());
-        assert!(node_a.survives_process_restart());
+        assert!(
+            node_a.read(SessionId(1)).unwrap().is_some(),
+            "the session survives the restart"
+        );
     }
 
     #[test]
     fn costs_reflect_store_choice() {
         let fasts = SessionBackend::FastS(FastS::new());
         let ssm = SessionBackend::Ssm(share_ssm(Ssm::new(2)));
-        assert!(ssm.read_cost() > fasts.read_cost());
+        assert!(ssm.access_cpu() > fasts.access_cpu());
+        assert!(ssm.access_latency() > fasts.access_latency());
         assert_eq!(ssm.in_process_bytes(), 0);
     }
 

@@ -25,7 +25,7 @@ use crate::server::ServerInner;
 
 /// How a hung call holds its resources.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum HangKind {
+pub(crate) enum HangKind {
     /// Deadlock: the thread parks, the CPU is released.
     Park,
     /// Infinite loop: the thread burns its CPU until killed.
@@ -130,24 +130,14 @@ impl<'a> CallContext<'a> {
         }
     }
 
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// The request's operation argument (item id, category id, ...).
     pub fn arg(&self) -> i64 {
         self.arg
     }
 
     /// Charges application CPU time to the request.
-    pub fn charge(&mut self, cpu: SimDuration) {
+    pub(crate) fn charge(&mut self, cpu: SimDuration) {
         self.cpu += cpu;
-    }
-
-    /// Marks the response as influenced by corruption (oracle only).
-    pub fn taint(&mut self) {
-        self.tainted = true;
     }
 
     /// Declares that the handler extracted a corrupted-but-plausible value
@@ -240,14 +230,12 @@ impl<'a> CallContext<'a> {
                 return Err(self.exception(Some(target)));
             }
             if c.vol.faults.deadlocked {
-                c.call_enter();
                 self.hang = Some((id, HangKind::Park));
                 self.touched.insert(id);
                 self.failed_component = self.name_of(target);
                 return Err(CallError::Hang);
             }
             if c.vol.faults.infinite_loop {
-                c.call_enter();
                 self.hang = Some((id, HangKind::Hog));
                 self.touched.insert(id);
                 self.failed_component = self.name_of(target);
@@ -284,17 +272,9 @@ impl<'a> CallContext<'a> {
                 }
                 Ok(TxnAttr::NotSupported) => self.autocommit = true,
             }
-            c.call_enter();
         }
         self.touched.insert(id);
         let result = f(self);
-        match &result {
-            Err(CallError::Hang) => {
-                // The thread never leaves the hung callee; leave the
-                // in-flight count raised until a microreboot clears it.
-            }
-            _ => self.inner.containers[id.0].call_exit(),
-        }
         if result.is_err() && self.failed_component.is_none() {
             self.failed_component = self.name_of(target);
         }

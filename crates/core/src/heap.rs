@@ -10,7 +10,7 @@
 
 /// The memory picture of one node: JVM heap plus host memory.
 #[derive(Clone, Copy, Debug)]
-pub struct HeapModel {
+pub(crate) struct HeapModel {
     capacity: u64,
     server_base: u64,
     /// Leaked inside the JVM but outside any component (cured by JVM
@@ -29,7 +29,7 @@ impl HeapModel {
     /// # Panics
     ///
     /// Panics if the base exceeds the capacity.
-    pub fn new(capacity: u64, server_base: u64) -> Self {
+    pub(crate) fn new(capacity: u64, server_base: u64) -> Self {
         assert!(server_base < capacity, "server must fit in the heap");
         HeapModel {
             capacity,
@@ -42,7 +42,7 @@ impl HeapModel {
 
     /// Returns free heap given the bytes used by application components
     /// and in-process session state.
-    pub fn free(&self, component_bytes: u64, session_bytes: u64) -> u64 {
+    pub(crate) fn free(&self, component_bytes: u64, session_bytes: u64) -> u64 {
         self.capacity.saturating_sub(
             self.server_base + self.intra_jvm_leaked + component_bytes + session_bytes,
         )
@@ -71,7 +71,7 @@ impl HeapModel {
     }
 
     /// A JVM restart reclaims intra-JVM leaks (but not extra-JVM ones).
-    pub fn on_process_restart(&mut self) {
+    pub(crate) fn on_process_restart(&mut self) {
         self.intra_jvm_leaked = 0;
     }
 

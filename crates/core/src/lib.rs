@@ -31,14 +31,14 @@ pub mod app;
 pub mod backend;
 pub mod calib;
 pub mod context;
-pub mod heap;
-pub mod lifecycle;
-pub mod pipeline;
+pub(crate) mod heap;
+pub(crate) mod lifecycle;
+pub(crate) mod pipeline;
 pub mod rejuvenation;
 pub mod request;
 pub mod server;
 pub mod testkit;
-pub mod workers;
+pub(crate) mod workers;
 
 pub use app::{Application, CallError};
 pub use backend::{share_db, share_ssm, SessionBackend, SharedDb, SharedSsm};

@@ -105,7 +105,7 @@ impl Default for RecoveryLifecycle {
 
 impl RecoveryLifecycle {
     /// Creates the lifecycle for a freshly started (up) server.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RecoveryLifecycle {
             state: ProcState::Up,
             active: Vec::new(),
@@ -114,12 +114,12 @@ impl RecoveryLifecycle {
     }
 
     /// Returns the process availability state.
-    pub fn state(&self) -> ProcState {
+    pub(crate) fn state(&self) -> ProcState {
         self.state
     }
 
     /// Returns true if the process is up and serving.
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         self.state == ProcState::Up
     }
 

@@ -44,7 +44,7 @@ pub(crate) struct Victim {
 }
 
 /// Admission, execution and kill bookkeeping for one server's requests.
-pub struct RequestPipeline {
+pub(crate) struct RequestPipeline {
     workers: WorkerPool,
     /// Ordered by request id, so kill paths visit victims deterministically.
     /// Request ids are issued monotonically, so registration is almost
@@ -83,7 +83,7 @@ impl RequestPipeline {
     }
 
     /// Returns the number of requests queued for a CPU.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.workers.queued()
     }
 

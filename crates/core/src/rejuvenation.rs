@@ -83,16 +83,6 @@ impl RejuvenationService {
         }
     }
 
-    /// Returns the alarm threshold.
-    pub fn malarm(&self) -> u64 {
-        self.malarm
-    }
-
-    /// Returns the sufficiency threshold.
-    pub fn msufficient(&self) -> u64 {
-        self.msufficient
-    }
-
     /// Returns the learned bytes-released table.
     pub fn released_table(&self) -> &BTreeMap<&'static str, u64> {
         &self.released

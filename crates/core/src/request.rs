@@ -89,7 +89,7 @@ pub struct BodyMarkers {
 
 impl BodyMarkers {
     /// Returns true if any keyword/anomaly detector would fire.
-    pub fn any(self) -> bool {
+    pub(crate) fn any(self) -> bool {
         self.exception_text || self.login_prompt || self.invalid_data
     }
 }

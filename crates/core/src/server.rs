@@ -79,12 +79,6 @@ impl std::error::Error for RebootError {}
 pub struct ServerStats {
     /// Requests submitted to this node.
     pub submitted: u64,
-    /// Responses with 2xx status.
-    pub ok: u64,
-    /// Responses with 4xx/5xx status.
-    pub http_errors: u64,
-    /// Connection-level failures returned.
-    pub network_errors: u64,
     /// `Retry-After` responses sent while components microrebooted.
     pub retries_sent: u64,
     /// Requests killed by a microreboot's thread kill.
@@ -95,8 +89,6 @@ pub struct ServerStats {
     pub ttl_kills: u64,
     /// Microreboots performed (component groups).
     pub microreboots: u64,
-    /// Whole-application restarts.
-    pub app_restarts: u64,
     /// JVM process restarts.
     pub process_restarts: u64,
     /// Operating-system reboots.
@@ -105,19 +97,15 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Reads the classic counter struct out of a node's metrics registry.
-    pub fn from_registry(reg: &MetricsRegistry) -> Self {
+    pub(crate) fn from_registry(reg: &MetricsRegistry) -> Self {
         use simcore::symbol;
         ServerStats {
             submitted: reg.counter_sym(symbol::REQUESTS_SUBMITTED),
-            ok: reg.counter_sym(symbol::REQUESTS_OK),
-            http_errors: reg.counter_sym(symbol::REQUESTS_HTTP_ERROR),
-            network_errors: reg.counter_sym(symbol::REQUESTS_NETWORK_ERROR),
             retries_sent: reg.counter_sym(symbol::RETRIES_SENT),
             killed_by_microreboot: reg.counter_sym(symbol::KILLED_MICROREBOOT),
             killed_by_restart: reg.counter_sym(symbol::KILLED_RESTART),
             ttl_kills: reg.counter_sym(symbol::KILLED_TTL),
             microreboots: reg.counter_sym(symbol::REBOOTS_BEGUN_COMPONENT),
-            app_restarts: reg.counter_sym(symbol::REBOOTS_BEGUN_APPLICATION),
             process_restarts: reg.counter_sym(symbol::REBOOTS_BEGUN_PROCESS),
             os_reboots: reg.counter_sym(symbol::REBOOTS_BEGUN_OS),
         }
@@ -178,7 +166,7 @@ impl Default for ServerConfig {
 }
 
 /// Server internals shared with [`CallContext`] and the lifecycle layer.
-pub struct ServerInner {
+pub(crate) struct ServerInner {
     pub(crate) graph: DependencyGraph,
     pub(crate) containers: Vec<Container>,
     pub(crate) registry: NamingRegistry,
@@ -614,13 +602,9 @@ impl<A: Application> AppServer<A> {
         let mut ctx = CallContext::new(inner, now, req.session, req.arg);
         ctx.charge(base);
         let result = if web_active {
-            ctx.inner.containers[web_id.0].call_enter();
             ctx.touched.insert(web_id);
             let r = app.handle(&mut ctx, &req);
             ctx.finalize_session();
-            if !matches!(r, Err(CallError::Hang)) {
-                ctx.inner.containers[web_id.0].call_exit();
-            }
             r
         } else {
             Err(CallError::Retry(calib::RETRY_AFTER))

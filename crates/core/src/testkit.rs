@@ -48,7 +48,7 @@ const ITEMS: TableId = TableId(0);
 #[derive(Default)]
 pub struct ToyApp {
     /// Count of component reinit callbacks, for tests.
-    pub reinits: u32,
+    pub(crate) reinits: u32,
     /// Count of process restart callbacks, for tests.
     pub restarts: u32,
 }
@@ -60,7 +60,7 @@ impl ToyApp {
     }
 
     /// Returns the schema the app expects.
-    pub fn schema() -> Vec<TableDef> {
+    pub(crate) fn schema() -> Vec<TableDef> {
         vec![TableDef {
             name: "items",
             columns: &["id", "value"],

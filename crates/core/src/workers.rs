@@ -20,14 +20,14 @@ use crate::request::{ReqId, Request};
 
 /// Why a request could not be admitted.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AdmitError {
+pub(crate) enum AdmitError {
     /// Every thread is occupied (in service, queued, or hung).
     ThreadsExhausted,
 }
 
 /// The CPU/thread model of one node.
 #[derive(Debug)]
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     cpus: usize,
     threads: usize,
     /// Requests holding a CPU right now (in service).
@@ -47,7 +47,7 @@ impl WorkerPool {
     /// # Panics
     ///
     /// Panics if either is zero.
-    pub fn new(cpus: usize, threads: usize) -> Self {
+    pub(crate) fn new(cpus: usize, threads: usize) -> Self {
         assert!(cpus > 0, "need at least one CPU");
         assert!(threads >= cpus, "thread pool must cover the CPUs");
         WorkerPool {
@@ -58,11 +58,6 @@ impl WorkerPool {
             parked: Vec::new(),
             queue: VecDeque::new(),
         }
-    }
-
-    /// Returns the number of CPUs configured.
-    pub fn cpus(&self) -> usize {
-        self.cpus
     }
 
     /// Returns the number of CPUs currently free.
@@ -77,17 +72,12 @@ impl WorkerPool {
     }
 
     /// Returns the number of requests queued for a CPU.
-    pub fn queued(&self) -> usize {
+    pub(crate) fn queued(&self) -> usize {
         self.queue.len()
     }
 
-    /// Returns the number of parked (deadlocked) requests.
-    pub fn parked(&self) -> usize {
-        self.parked.len()
-    }
-
     /// Admits a request, queueing it for a CPU.
-    pub fn admit(&mut self, req: Request) -> Result<(), AdmitError> {
+    pub(crate) fn admit(&mut self, req: Request) -> Result<(), AdmitError> {
         if self.threads_held() >= self.threads {
             return Err(AdmitError::ThreadsExhausted);
         }
@@ -130,7 +120,7 @@ impl WorkerPool {
     /// Completes an in-service request, freeing its CPU and thread.
     ///
     /// Returns false if the id was not in service (e.g., already killed).
-    pub fn complete(&mut self, id: ReqId) -> bool {
+    pub(crate) fn complete(&mut self, id: ReqId) -> bool {
         if let Some(pos) = self.in_service.iter().position(|r| *r == id) {
             self.in_service.swap_remove(pos);
             true
@@ -143,7 +133,7 @@ impl WorkerPool {
     ///
     /// Returns true if it was found. Used by microreboots ("kill all
     /// shepherding threads") and TTL expiry.
-    pub fn kill(&mut self, id: ReqId) -> bool {
+    pub(crate) fn kill(&mut self, id: ReqId) -> bool {
         if self.complete(id) {
             return true;
         }
@@ -227,7 +217,6 @@ mod tests {
         assert_eq!(start_ready(&mut p), 1);
         p.park(ReqId(1));
         assert_eq!(p.free_cpus(), 1, "deadlock releases the CPU");
-        assert_eq!(p.parked(), 1);
         assert_eq!(p.threads_held(), 1, "but keeps the thread");
         p.admit(req(2)).unwrap();
         assert_eq!(start_ready(&mut p), 1, "CPU available for new work");

@@ -28,22 +28,17 @@ const MAX_PLAUSIBLE_ID: i64 = 1 << 40;
 
 /// The eBid application object.
 pub struct EBid {
-    spec: DatasetSpec,
     keygen: KeyGen,
 }
 
 impl EBid {
-    /// Creates the application for a dataset of the given shape.
-    pub fn new(spec: DatasetSpec) -> Self {
+    /// Creates the application for a dataset of the given shape. The
+    /// handlers read the dataset itself from the database, so the shape
+    /// is not kept.
+    pub fn new(_: DatasetSpec) -> Self {
         EBid {
-            spec,
             keygen: KeyGen::new(),
         }
-    }
-
-    /// Returns the dataset shape.
-    pub fn spec(&self) -> DatasetSpec {
-        self.spec
     }
 
     /// Fault injection: corrupt the primary-key generator (Table 2).

@@ -17,7 +17,7 @@ use components::descriptor::{ComponentDescriptor, ComponentKind};
 use simcore::SimDuration;
 
 /// Name of the web component.
-pub const WAR: &str = "WAR";
+pub(crate) const WAR: &str = "WAR";
 
 fn ms(v: u64) -> SimDuration {
     SimDuration::from_millis(v)
@@ -116,7 +116,7 @@ roster! {
 }
 
 /// Business methods per component (builds the transaction method maps).
-pub fn methods_of(component: &str) -> &'static [&'static str] {
+pub(crate) fn methods_of(component: &str) -> &'static [&'static str] {
     match component {
         WAR => &["dispatch"],
         "Category" | "Region" | "User" | "Item" | "Bid" | "BuyNow" | "OldItem" | "UserFeedback" => {

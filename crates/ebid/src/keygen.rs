@@ -24,7 +24,7 @@ enum KeyState {
 
 /// What the generator handed out.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum KeyResult {
+pub(crate) enum KeyResult {
     /// A fresh, unused id.
     Fresh(i64),
     /// The generator's state was nulled: key generation throws.
@@ -37,39 +37,39 @@ pub enum KeyResult {
 
 /// The per-table key generator cache: all of it volatile.
 #[derive(Clone, Debug, Default)]
-pub struct KeyGen {
+pub(crate) struct KeyGen {
     states: BTreeMap<TableId, KeyState>,
     corrupt: Option<CorruptKind>,
 }
 
 impl KeyGen {
     /// Creates a cold generator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         KeyGen::default()
     }
 
     /// Injects corruption into the generator (Table 2's "corrupt primary
     /// keys" rows).
-    pub fn corrupt(&mut self, kind: CorruptKind) {
+    pub(crate) fn corrupt(&mut self, kind: CorruptKind) {
         self.corrupt = Some(kind);
     }
 
     /// Returns true if corruption is outstanding.
-    pub fn is_corrupt(&self) -> bool {
+    pub(crate) fn is_corrupt(&self) -> bool {
         self.corrupt.is_some()
     }
 
     /// Resets the generator — IdentityManager's reinit callback. All
     /// cached counters are dropped (they reseed from the database) and
     /// injected corruption is cleared with them.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = KeyGen::default();
     }
 
     /// Produces the next key for `table`, reconciling the cached counter
     /// with the database's `SELECT MAX(id)` so that several nodes sharing
     /// one database never hand out colliding keys.
-    pub fn next(&mut self, table: TableId, max_in_db: Option<i64>) -> KeyResult {
+    pub(crate) fn next(&mut self, table: TableId, max_in_db: Option<i64>) -> KeyResult {
         let state = self.states.entry(table).or_insert(KeyState::Cold);
         let floor = max_in_db.unwrap_or(0) + 1;
         let base = match *state {

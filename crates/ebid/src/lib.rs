@@ -22,10 +22,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod app;
+pub(crate) mod app;
 pub mod components;
-pub mod emulation;
-pub mod keygen;
+pub(crate) mod emulation;
+pub(crate) mod keygen;
 pub mod ops;
 pub mod schema;
 

@@ -68,7 +68,7 @@ pub mod codes {
 pub const OP_COUNT: usize = 25;
 
 /// Human-readable operation names, indexed by op code.
-pub const NAMES: [&str; OP_COUNT] = [
+pub(crate) const NAMES: [&str; OP_COUNT] = [
     "Home",
     "Help",
     "SellItemForm",

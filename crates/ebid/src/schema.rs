@@ -85,11 +85,11 @@ pub struct DatasetSpec {
     /// Finished auctions.
     pub old_items: i64,
     /// Bids across active items (paper: 1,500,000).
-    pub bids: i64,
+    pub(crate) bids: i64,
     /// Completed buy-now purchases.
-    pub buys: i64,
+    pub(crate) buys: i64,
     /// Feedback comments.
-    pub comments: i64,
+    pub(crate) comments: i64,
     /// Item categories (RUBiS: 20).
     pub categories: i64,
     /// Geographic regions (RUBiS: 62).

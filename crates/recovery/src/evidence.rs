@@ -46,14 +46,14 @@ struct Report {
 pub(crate) struct Evidence {
     recent: Vec<Report>,
     /// When the oldest surviving report arrived.
-    pub first_report_at: Option<SimTime>,
+    pub(crate) first_report_at: Option<SimTime>,
     /// When the last acknowledged recovery completed.
-    pub last_recovery_end: Option<SimTime>,
+    pub(crate) last_recovery_end: Option<SimTime>,
 }
 
 impl Evidence {
     /// Ingests one report; false if hygiene discarded it.
-    pub fn observe(&mut self, r: &FailureReport) -> bool {
+    pub(crate) fn observe(&mut self, r: &FailureReport) -> bool {
         // Session loss (a login prompt served to a logged-in user) means
         // state was lost — by a restart here, a failover away from a
         // recovering node, or an eviction. No reboot cures it, and acting
@@ -83,25 +83,25 @@ impl Evidence {
     }
 
     /// True when no report survives.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.recent.is_empty()
     }
 
     /// Forgets reports older than `window`.
-    pub fn prune(&mut self, now: SimTime, window: SimDuration) {
+    pub(crate) fn prune(&mut self, now: SimTime, window: SimDuration) {
         self.recent.retain(|r| now - r.at <= window);
         self.first_report_at = self.recent.first().map(|r| r.at);
     }
 
     /// Drops all evidence (a decision consumed it).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.recent.clear();
         self.first_report_at = None;
     }
 
     /// An action completed at `now`: its evidence is spent, and what
     /// arrives inside the settle window is its own aftershock.
-    pub fn recovery_finished(&mut self, now: SimTime) {
+    pub(crate) fn recovery_finished(&mut self, now: SimTime) {
         self.last_recovery_end = Some(now);
         self.clear();
     }
@@ -110,7 +110,7 @@ impl Evidence {
     /// URL path traverses (or whose hint names) one of them — so what
     /// remains can implicate a *different* concurrent fault instead of
     /// re-diagnosing the one already being cured.
-    pub fn consume(&mut self, components: &[CompName], path_of: PathOf) {
+    pub(crate) fn consume(&mut self, components: &[CompName], path_of: PathOf) {
         self.recent.retain(|r| {
             if r.hint.is_some_and(|h| components.contains(&h)) {
                 return false;
@@ -127,7 +127,7 @@ impl Evidence {
 
     /// The most frequently hinted non-web component, ties toward the
     /// lexically first.
-    pub fn top_hint(&self, web: &'static str) -> Option<&'static str> {
+    pub(crate) fn top_hint(&self, web: &'static str) -> Option<&'static str> {
         let mut counts: BTreeMap<CompName, u64> = BTreeMap::new();
         for h in self.recent.iter().filter_map(|r| r.hint) {
             if h.as_str() != web {
@@ -145,7 +145,7 @@ impl Evidence {
     /// information. With `weigh_hints`, an error page naming the failing
     /// bean counts for far more than path membership. Allocates nothing
     /// over an empty window.
-    pub fn score(&self, ctx: &PolicyCtx, weigh_hints: bool) -> Scored {
+    pub(crate) fn score(&self, ctx: &PolicyCtx, weigh_hints: bool) -> Scored {
         let mut scored = Scored::default();
         for r in &self.recent {
             let Some(op) = r.op else {
@@ -181,14 +181,14 @@ impl Scored {
     /// Whether the evidence implicates *some single component* strongly
     /// enough (or shows enough connection-level failures); summing over a
     /// whole path would let one failed request trip the threshold.
-    pub fn enough(&self, threshold: f64) -> bool {
+    pub(crate) fn enough(&self, threshold: f64) -> bool {
         let max_score = self.scores.values().copied().fold(0.0, f64::max);
         max_score >= threshold || self.network as f64 >= threshold
     }
 
     /// Connection-level failures dominate: the process (or node) is gone,
     /// and component recovery is pointless.
-    pub fn process_is_dead(&self) -> bool {
+    pub(crate) fn process_is_dead(&self) -> bool {
         self.network > self.other
     }
 
@@ -203,7 +203,7 @@ impl Scored {
     ///    failing.
     /// 3. If the intersection is empty (noisy evidence), fall back to the
     ///    rarity-weighted score maximum.
-    pub fn suspect(&self, ctx: &PolicyCtx) -> Option<&'static str> {
+    pub(crate) fn suspect(&self, ctx: &PolicyCtx) -> Option<&'static str> {
         let (path_of, web) = (ctx.path_of, ctx.web);
         // How many distinct URLs each component serves (IDF weight).
         let paths_containing = |comp: &str| -> usize {

@@ -35,7 +35,7 @@ pub(crate) struct Hedge {
 }
 
 impl Hedge {
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Hedge {
             rng: SimRng::seed_from(seed ^ 0x4ed6_e5ed_6e44_5eed),
         }

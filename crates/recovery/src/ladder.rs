@@ -81,7 +81,7 @@ pub(crate) struct LadderPolicy {
 
 impl LadderPolicy {
     /// Creates the ladder for `nodes` nodes.
-    pub fn new(nodes: usize, start: PolicyLevel) -> Self {
+    pub(crate) fn new(nodes: usize, start: PolicyLevel) -> Self {
         LadderPolicy {
             start,
             nodes: (0..nodes).map(|_| NodeDiag::new(start)).collect(),

@@ -187,21 +187,10 @@ pub struct RmStats {
     pub war_microreboots: u64,
     /// Application restarts commanded.
     pub app_restarts: u64,
-    /// Process restarts commanded.
-    pub process_restarts: u64,
-    /// OS reboots commanded.
-    pub os_reboots: u64,
-    /// Human notifications raised.
-    pub human_notifications: u64,
-    /// Escalations requested while the ladder was already at `Human`
-    /// (automated recovery exhausted; previously silent).
-    pub escalations_saturated: u64,
     /// Microreboot decisions deferred by the reboot-storm damper.
     pub storm_damped: u64,
     /// Escalations forced by flap detection.
     pub flap_escalations: u64,
-    /// Escalations forced by the convergence watchdog.
-    pub watchdog_escalations: u64,
 }
 
 impl RmStats {
@@ -213,13 +202,8 @@ impl RmStats {
             ejb_microreboots: reg.counter_sym(symbol::DECISIONS_EJB_MICROREBOOT),
             war_microreboots: reg.counter_sym(symbol::DECISIONS_WAR_MICROREBOOT),
             app_restarts: reg.counter_sym(symbol::DECISIONS_APP_RESTART),
-            process_restarts: reg.counter_sym(symbol::DECISIONS_PROCESS_RESTART),
-            os_reboots: reg.counter_sym(symbol::DECISIONS_OS_REBOOT),
-            human_notifications: reg.counter_sym(symbol::DECISIONS_NOTIFY_HUMAN),
-            escalations_saturated: reg.counter_sym(symbol::ESCALATIONS_SATURATED),
             storm_damped: reg.counter_sym(symbol::STORM_DAMPED),
             flap_escalations: reg.counter_sym(symbol::FLAP_ESCALATIONS),
-            watchdog_escalations: reg.counter_sym(symbol::WATCHDOG_ESCALATIONS),
         }
     }
 }
@@ -749,7 +733,11 @@ mod tests {
             m.decide(0, SimTime::from_secs(20)),
             Some(RecoveryAction::RestartApp)
         );
-        assert_eq!(m.stats().watchdog_escalations, 1);
+        assert_eq!(
+            m.metrics()
+                .counter_sym(simcore::symbol::WATCHDOG_ESCALATIONS),
+            1
+        );
     }
 
     #[test]
@@ -767,11 +755,12 @@ mod tests {
             m.recovery_finished(0, SimTime::from_secs(t + 1));
             t += 6;
         }
+        use simcore::symbol;
         assert!(
-            m.stats().escalations_saturated >= 1,
+            m.metrics().counter_sym(symbol::ESCALATIONS_SATURATED) >= 1,
             "escalating past Human must be counted, not silent"
         );
-        assert!(m.stats().human_notifications >= 2);
+        assert!(m.metrics().counter_sym(symbol::DECISIONS_NOTIFY_HUMAN) >= 2);
     }
 
     #[test]

@@ -109,18 +109,18 @@ pub(crate) type PathOf = fn(OpCode) -> &'static [&'static str];
 /// held once, by the [`RecoveryManager`](crate::RecoveryManager).
 pub(crate) struct PolicyCtx {
     /// Manager configuration.
-    pub config: RmConfig,
+    pub(crate) config: RmConfig,
     /// URL-prefix → component-path mapping (from static analysis).
-    pub path_of: PathOf,
+    pub(crate) path_of: PathOf,
     /// Name of the web component, scored down (it is on every path).
-    pub web: &'static str,
-    pub metrics: MetricsRegistry,
-    pub bus: Option<SharedBus>,
+    pub(crate) web: &'static str,
+    pub(crate) metrics: MetricsRegistry,
+    pub(crate) bus: Option<SharedBus>,
 }
 
 impl PolicyCtx {
     /// Folds `ev` into the host's registry and forwards it to its bus.
-    pub fn emit(&mut self, ev: TelemetryEvent) {
+    pub(crate) fn emit(&mut self, ev: TelemetryEvent) {
         self.metrics.on_event(&ev);
         if let Some(bus) = &self.bus {
             bus.borrow_mut().emit(&ev);

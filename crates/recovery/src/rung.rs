@@ -69,7 +69,7 @@ pub(crate) const BREAKER: Row = Row {
 pub(crate) struct Walk {
     ev: Evidence,
     /// Index into the row's rungs.
-    pub rung: usize,
+    pub(crate) rung: usize,
     in_flight: usize,
     /// The `Human` rung has paged this episode.
     paged: bool,
@@ -77,20 +77,20 @@ pub(crate) struct Walk {
 
 impl Walk {
     /// Back to the cheapest rung, page latch re-armed.
-    pub fn restart(&mut self) {
+    pub(crate) fn restart(&mut self) {
         self.rung = 0;
         self.paged = false;
     }
 
     /// When the last acknowledged action completed.
-    pub fn last_recovery_end(&self) -> Option<SimTime> {
+    pub(crate) fn last_recovery_end(&self) -> Option<SimTime> {
         self.ev.last_recovery_end
     }
 
     /// The shared stepping rule: evidence surviving a completed action
     /// (past settle, inside observation) climbs one rung; a fresh burst
     /// after a quiet spell restarts the row. Returns true on a restart.
-    pub fn step(&mut self, relapsed: Option<bool>, top: usize) -> bool {
+    pub(crate) fn step(&mut self, relapsed: Option<bool>, top: usize) -> bool {
         match relapsed {
             Some(true) => self.rung = (self.rung + 1).min(top),
             Some(false) => self.restart(),
@@ -102,9 +102,9 @@ impl Walk {
 
 /// Where and when a hook runs, and the host to emit through.
 pub(crate) struct At<'a> {
-    pub node: usize,
-    pub now: SimTime,
-    pub ctx: &'a mut PolicyCtx,
+    pub(crate) node: usize,
+    pub(crate) now: SimTime,
+    pub(crate) ctx: &'a mut PolicyCtx,
 }
 
 /// What a policy adds to the skeleton. Every hook defaults to "nothing of
@@ -162,7 +162,7 @@ pub(crate) struct RungPolicy<S: Stage> {
 }
 
 impl<S: Stage> RungPolicy<S> {
-    pub fn new(row: &'static Row, stage: S, nodes: usize) -> Self {
+    pub(crate) fn new(row: &'static Row, stage: S, nodes: usize) -> Self {
         RungPolicy {
             row,
             stage,

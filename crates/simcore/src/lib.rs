@@ -60,14 +60,14 @@
 
 #![forbid(unsafe_code)]
 
-pub mod event;
+pub(crate) mod event;
 pub mod metrics;
 pub mod rng;
-pub mod sketch;
+pub(crate) mod sketch;
 pub mod stats;
 pub mod symbol;
 pub mod telemetry;
-pub mod time;
+pub(crate) mod time;
 pub mod trace;
 pub mod wire;
 

@@ -95,23 +95,6 @@ impl QuantileSketch {
         self.total
     }
 
-    /// Returns true if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Largest recorded value (clamped to [`MAX_VALUE`]).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Forgets every recorded value, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.total = 0;
-        self.max = 0;
-    }
-
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`): the upper bound of the
     /// first bucket whose cumulative count reaches `ceil(q * total)`.
     /// Returns 0 on an empty sketch. The estimate is deterministic and
@@ -130,11 +113,6 @@ impl QuantileSketch {
             }
         }
         self.max
-    }
-
-    /// The median estimate.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
     }
 
     /// The 95th-percentile estimate.
@@ -224,7 +202,13 @@ mod tests {
             for &v in &values {
                 sk.observe(v);
             }
-            (sk.p50(), sk.p95(), sk.p99(), sk.count(), sk.max())
+            (
+                sk.quantile(0.5),
+                sk.p95(),
+                sk.p99(),
+                sk.count(),
+                sk.quantile(1.0),
+            )
         };
         assert_eq!(run(), run());
     }
@@ -246,20 +230,14 @@ mod tests {
         sk.observe(u64::MAX);
         sk.observe(5);
         assert_eq!(sk.count(), 2);
-        assert_eq!(sk.max(), MAX_VALUE);
         assert_eq!(sk.quantile(1.0), MAX_VALUE);
     }
 
     #[test]
-    fn empty_and_clear() {
-        let mut sk = QuantileSketch::new();
-        assert!(sk.is_empty());
-        assert_eq!(sk.quantile(0.5), 0);
-        sk.observe(100);
-        assert!(!sk.is_empty());
-        sk.clear();
-        assert!(sk.is_empty());
+    fn an_empty_sketch_reads_zero() {
+        let sk = QuantileSketch::new();
         assert_eq!(sk.count(), 0);
-        assert_eq!(sk.max(), 0);
+        assert_eq!(sk.quantile(0.5), 0);
+        assert_eq!(sk.quantile(1.0), 0);
     }
 }

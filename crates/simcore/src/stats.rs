@@ -28,11 +28,6 @@ impl Summary {
         self.sorted = false;
     }
 
-    /// Returns the number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
     /// Returns the arithmetic mean, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
@@ -141,7 +136,6 @@ mod tests {
         for v in [1.0, 2.0, 3.0, 4.0] {
             s.record(v);
         }
-        assert_eq!(s.count(), 4);
         assert!((s.mean() - 2.5).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 4.0);

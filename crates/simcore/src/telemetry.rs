@@ -150,7 +150,7 @@ macro_rules! telemetry_events {
 
             /// Appends the event's canonical byte encoding (tag byte, then
             /// each field little-endian, times as microseconds) to `buf`.
-            pub fn encode_into(&self, buf: &mut Vec<u8>) {
+            pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
                 match *self {
                     $( TelemetryEvent::$variant { $($field),* } => {
                         buf.push($tag);

@@ -62,12 +62,12 @@ impl SimTime {
     }
 
     /// Returns the duration elapsed since `earlier`, saturating at zero.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// Returns the later of two times.
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
         } else {
@@ -131,22 +131,13 @@ impl SimDuration {
     }
 
     /// Returns true if this is the zero duration.
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Returns the smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
+    pub(crate) fn min(self, other: SimDuration) -> SimDuration {
         if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
             self
         } else {
             other

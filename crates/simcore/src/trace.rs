@@ -34,11 +34,10 @@ use crate::wire::{field, json_str};
 /// The JSONL schema version written into the `meta` line.
 pub(crate) const TRACE_FORMAT_VERSION: u64 = 1;
 
-/// Records every event of a run, in order, together with its digest.
+/// Records every event of a run, in order.
 #[derive(Clone, Debug, Default)]
 pub struct TraceRecorder {
     events: Vec<TelemetryEvent>,
-    hash: TraceHashSink,
 }
 
 impl TraceRecorder {
@@ -51,30 +50,10 @@ impl TraceRecorder {
     pub fn events(&self) -> &[TelemetryEvent] {
         &self.events
     }
-
-    /// The FNV-1a digest over the events recorded so far.
-    pub fn digest(&self) -> u64 {
-        self.hash.value()
-    }
-
-    /// How many events were recorded.
-    pub fn count(&self) -> u64 {
-        self.hash.count()
-    }
 }
 
 impl TelemetrySink for TraceRecorder {
     fn on_event(&mut self, event: &TelemetryEvent) {
-        self.hash.on_event(event);
-        self.events.push(*event);
-    }
-
-    fn wants_encoded(&self) -> bool {
-        true
-    }
-
-    fn on_encoded(&mut self, event: &TelemetryEvent, bytes: &[u8]) {
-        self.hash.on_encoded(event, bytes);
         self.events.push(*event);
     }
 }
@@ -313,13 +292,11 @@ pub struct RecoveryEpisode {
     /// When the decision was committed.
     pub decided_at: Option<SimTime>,
     /// Whether the conductor deferred this action behind a conflict.
-    pub queued: bool,
+    pub(crate) queued: bool,
     /// Actions the conductor merged into this one.
-    pub coalesced: u32,
+    pub(crate) coalesced: u32,
     /// Reboot depth actually executed.
     pub level: RebootLevel,
-    /// Component-group size (0 for coarse levels).
-    pub members: u32,
     /// When the destructive phase began.
     pub begun_at: SimTime,
     /// When reinitialisation completed.
@@ -327,9 +304,9 @@ pub struct RecoveryEpisode {
     /// Begin-to-done span as reported by the lifecycle layer.
     pub duration: SimDuration,
     /// When quarantine admission engaged for this episode, if it did.
-    pub quarantine_on_at: Option<SimTime>,
+    pub(crate) quarantine_on_at: Option<SimTime>,
     /// When quarantine admission disengaged again.
-    pub quarantine_off_at: Option<SimTime>,
+    pub(crate) quarantine_off_at: Option<SimTime>,
     /// Requests killed on this node whose lifetime overlapped the episode.
     pub killed: u32,
     /// Requests completing with an error disposition in the window.
@@ -518,10 +495,7 @@ pub fn assemble_episodes(events: &[TelemetryEvent]) -> Vec<RecoveryEpisode> {
                 }
             }
             TelemetryEvent::RebootBegun {
-                node,
-                level,
-                members,
-                at,
+                node, level, at, ..
             } => {
                 let matched = decisions.get_mut(&node).and_then(|q| {
                     q.iter()
@@ -541,7 +515,6 @@ pub fn assemble_episodes(events: &[TelemetryEvent]) -> Vec<RecoveryEpisode> {
                     queued: queued_at.is_some(),
                     coalesced,
                     level,
-                    members,
                     begun_at: at,
                     finished_at: at,
                     duration: SimDuration::ZERO,
@@ -914,8 +887,12 @@ mod tests {
             rec.on_event(&ev);
             hash.on_event(&ev);
         }
-        assert_eq!(rec.digest(), hash.value());
-        assert_eq!(rec.count(), hash.count());
+        let mut replayed = TraceHashSink::new();
+        for ev in rec.events() {
+            replayed.on_event(ev);
+        }
+        assert_eq!(replayed.value(), hash.value());
+        assert_eq!(replayed.count(), hash.count());
         assert_eq!(rec.events().len(), sample_events().len());
     }
 

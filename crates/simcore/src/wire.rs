@@ -165,22 +165,22 @@ macro_rules! code_enum {
 
         impl $name {
             /// Every variant, in declaration order.
-            pub const ALL: &'static [$name] = &[$($name::$variant),+];
+            $vis const ALL: &'static [$name] = &[$($name::$variant),+];
 
             /// The variant's stable wire code.
-            pub const fn code(self) -> u8 {
+            $vis const fn code(self) -> u8 {
                 self as u8
             }
 
             /// The variant's stable text label.
-            pub const fn label(self) -> &'static str {
+            $vis const fn label(self) -> &'static str {
                 match self {
                     $($name::$variant => $label),+
                 }
             }
 
             /// Resolves a label back to its variant.
-            pub fn from_label(label: &str) -> Option<$name> {
+            $vis fn from_label(label: &str) -> Option<$name> {
                 $name::ALL.iter().copied().find(|v| v.label() == label)
             }
         }

@@ -445,13 +445,13 @@ pub struct DbStats {
     /// Transactions committed.
     pub commits: u64,
     /// Transactions rolled back (explicitly or by crash/connection close).
-    pub aborts: u64,
+    pub(crate) aborts: u64,
     /// Individual row reads served.
     pub reads: u64,
     /// Individual row writes (insert/update/delete) applied.
     pub writes: u64,
     /// Crash/recover cycles survived.
-    pub crashes: u64,
+    pub(crate) crashes: u64,
 }
 
 /// An in-memory transactional table store with undo-log rollback.
@@ -1112,7 +1112,7 @@ mod tests {
     fn insert_commit_read() {
         let (db, _) = db_with_alice();
         let row = db.read_committed("users", 1).unwrap().unwrap();
-        assert_eq!(row[1].as_str(), Some("alice"));
+        assert_eq!(row[1], Value::from("alice"));
         assert_eq!(db.stats().commits, 1);
     }
 
@@ -1226,8 +1226,8 @@ mod tests {
         let recovery = db.crash();
         assert!(recovery > SimDuration::ZERO);
         assert_eq!(
-            db.read_committed("users", 1).unwrap().unwrap()[1].as_str(),
-            Some("alice"),
+            db.read_committed("users", 1).unwrap().unwrap()[1],
+            Value::from("alice"),
             "uncommitted update rolled back by crash"
         );
         assert_eq!(db.active_txns(), 0);
@@ -1267,8 +1267,8 @@ mod tests {
         assert_eq!(repaired, 1);
         assert!(db.is_consistent());
         assert_eq!(
-            db.read_committed("users", 1).unwrap().unwrap()[1].as_str(),
-            Some("alice")
+            db.read_committed("users", 1).unwrap().unwrap()[1],
+            Value::from("alice")
         );
     }
 
@@ -1297,15 +1297,15 @@ mod tests {
         db.commit(txn).unwrap();
         db.corrupt_swap_rows("users", 1, 2).unwrap();
         assert_eq!(
-            db.read_committed("users", 1).unwrap().unwrap()[1].as_str(),
-            Some("bob")
+            db.read_committed("users", 1).unwrap().unwrap()[1],
+            Value::from("bob")
         );
         assert!(db.is_tainted("users", 1));
         assert!(db.is_tainted("users", 2));
         db.repair();
         assert_eq!(
-            db.read_committed("users", 1).unwrap().unwrap()[1].as_str(),
-            Some("alice")
+            db.read_committed("users", 1).unwrap().unwrap()[1],
+            Value::from("alice")
         );
     }
 

@@ -66,16 +66,6 @@ impl FastS {
         }
     }
 
-    /// Corrupts an arbitrary live session (the most recently created, so
-    /// the victim is likely active), returning its id.
-    ///
-    /// Fault campaigns use this when any victim will do.
-    pub fn corrupt_any(&mut self, kind: CorruptKind) -> Option<SessionId> {
-        let id = *self.objects.keys().next_back()?;
-        self.corrupt(id, kind);
-        Some(id)
-    }
-
     /// Revalidates every stored object with an application-supplied check,
     /// discarding objects that fail. Returns the number discarded.
     ///
@@ -106,12 +96,6 @@ impl FastS {
             .get(&id)
             .map(|o| o.is_tainted())
             .unwrap_or(false)
-    }
-
-    /// Returns the number of injection-tainted sessions still stored
-    /// (the ≈ check of Table 2: wrong session data that survived).
-    pub fn tainted_sessions(&self) -> usize {
-        self.objects.values().filter(|o| o.is_tainted()).count()
     }
 
     /// Returns the ids of all live sessions, in order.
@@ -227,7 +211,6 @@ mod tests {
     fn corrupt_missing_session_reports_false() {
         let mut s = FastS::new();
         assert!(!s.corrupt(SessionId(9), CorruptKind::SetNull));
-        assert!(s.corrupt_any(CorruptKind::SetNull).is_none());
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub struct IntegrityLedger {
 
 impl IntegrityLedger {
     /// Creates an empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

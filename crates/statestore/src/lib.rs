@@ -27,11 +27,11 @@
 #![forbid(unsafe_code)]
 
 pub mod db;
-pub mod fasts;
+pub(crate) mod fasts;
 pub mod ledger;
 pub mod session;
 pub mod ssm;
-pub mod value;
+pub(crate) mod value;
 
 pub use db::{Database, DbError, TableId, TxnId};
 pub use fasts::FastS;

@@ -127,16 +127,6 @@ impl SessionObject {
         Some(old)
     }
 
-    /// Returns the number of attributes.
-    pub fn len(&self) -> usize {
-        self.attrs().len()
-    }
-
-    /// Returns true if the object has no attributes.
-    pub fn is_empty(&self) -> bool {
-        self.attrs.is_none()
-    }
-
     /// Iterates over `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.attrs().iter().map(|(k, v)| (*k, v))
@@ -269,11 +259,11 @@ mod tests {
     #[test]
     fn attribute_roundtrip() {
         let mut o = SessionObject::new();
-        assert!(o.is_empty());
+        assert_eq!(o.iter().count(), 0);
         o.set("user_id", 7i64);
         o.set("cart_item", 42i64);
         assert_eq!(o.get("user_id"), Some(&Value::Int(7)));
-        assert_eq!(o.len(), 2);
+        assert_eq!(o.iter().count(), 2);
         assert_eq!(o.remove("cart_item"), Some(Value::Int(42)));
         assert_eq!(o.get("cart_item"), None);
     }

@@ -87,7 +87,7 @@ pub struct SsmStats {
     /// link on the node↔store edge).
     pub net_unavailable: u64,
     /// Duplicate wire deliveries discarded by the applied-id check.
-    pub dupes_discarded: u64,
+    pub(crate) dupes_discarded: u64,
 }
 
 /// FNV-1a over the marshalled object; any single-byte corruption flips it.

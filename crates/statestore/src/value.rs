@@ -32,27 +32,11 @@ impl Value {
         }
     }
 
-    /// Returns the string content, or `None` for any other variant.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Returns the float content (accepting ints), or `None` otherwise.
     pub fn as_float(&self) -> Option<f64> {
         match self {
             Value::Float(v) => Some(*v),
             Value::Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
-    /// Returns the boolean content, or `None` for any other variant.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -90,7 +74,7 @@ impl Value {
     }
 
     /// Returns how many bytes [`Value::encode_into`] appends.
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         1 + match self {
             Value::Null => 0,
             Value::Int(_) | Value::Float(_) => 8,
@@ -149,13 +133,11 @@ mod tests {
     #[test]
     fn accessors_match_variants() {
         assert_eq!(Value::Int(5).as_int(), Some(5));
-        assert_eq!(Value::Str("x".into()).as_str(), Some("x"));
         assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
         assert_eq!(Value::Int(2).as_float(), Some(2.0));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());
         assert_eq!(Value::Null.as_int(), None);
-        assert_eq!(Value::Int(1).as_str(), None);
+        assert_eq!(Value::Str("x".into()).as_int(), None);
     }
 
     #[test]

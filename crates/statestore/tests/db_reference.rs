@@ -42,7 +42,7 @@ mod reference {
     /// The table, its row-at-a-time `load` and its index maintenance,
     /// verbatim (only `self.def` became the two constants).
     #[derive(Default)]
-    pub struct Table {
+    pub(crate) struct Table {
         pub rows: BTreeMap<i64, Row>,
         /// Secondary indexes: per indexed column, the `(cell, pk)` pairs of
         /// every row whose cell in that column is an integer.
@@ -52,7 +52,7 @@ mod reference {
     impl Table {
         /// Installs `new` as the image of row `pk` (`None` removes the
         /// row) and returns the previous image.
-        pub fn replace(&mut self, pk: i64, new: Option<Row>) -> Option<Row> {
+        pub(crate) fn replace(&mut self, pk: i64, new: Option<Row>) -> Option<Row> {
             if !self.indexes.is_empty() {
                 let old = self.rows.get(&pk);
                 for (col, index) in &mut self.indexes {
@@ -100,7 +100,7 @@ mod reference {
 
         /// Stops at the first row `insert` would reject; rows before it
         /// stay loaded.
-        pub fn load(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<(), DbError> {
+        pub(crate) fn load(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<(), DbError> {
             for row in rows {
                 let pk = self.admit(&row)?;
                 self.replace(pk, Some(row));
@@ -108,14 +108,14 @@ mod reference {
             Ok(())
         }
 
-        pub fn create_index(&mut self, column: usize) {
+        pub(crate) fn create_index(&mut self, column: usize) {
             let entries = self.rows.iter();
             let entries = entries.filter_map(|(pk, r)| r[column].as_int().map(|v| (v, *pk)));
             self.indexes.push((column, entries.collect()));
         }
 
         /// The primary keys an indexed `scan_eq` visits.
-        pub fn scan_eq(&self, column: usize, value: i64, limit: usize) -> Vec<i64> {
+        pub(crate) fn scan_eq(&self, column: usize, value: i64, limit: usize) -> Vec<i64> {
             let (_, index) = self.indexes.iter().find(|(c, _)| *c == column).unwrap();
             let matches = index.range((value, i64::MIN)..=(value, i64::MAX));
             matches.take(limit).map(|&(_, pk)| pk).collect()
@@ -124,7 +124,7 @@ mod reference {
         /// Follows the database through a step the reference does not
         /// model (a transaction, a rollback, corruption, repair): every
         /// row image that changed goes through `replace`, as it did there.
-        pub fn follow(&mut self, now: &[Row]) {
+        pub(crate) fn follow(&mut self, now: &[Row]) {
             let now: BTreeMap<i64, &Row> =
                 now.iter().map(|r| (r[0].as_int().unwrap(), r)).collect();
             let gone: Vec<i64> = self
@@ -149,7 +149,7 @@ mod reference {
     /// answered from the map alone. The rows offered have the table's arity
     /// and an integer key, so the errors left are the two about presence.
     #[derive(Default)]
-    pub struct Rows {
+    pub(crate) struct Rows {
         pub rows: BTreeMap<i64, Row>,
         /// The open transaction's writes, oldest first: the key and the
         /// image it had before.
@@ -167,7 +167,12 @@ mod reference {
         /// A transactional insert (`Some`, refused when the key is
         /// present), or update or delete (`Some` / `None`, refused when it
         /// is absent).
-        pub fn write(&mut self, pk: i64, new: Option<Row>, insert: bool) -> Result<(), DbError> {
+        pub(crate) fn write(
+            &mut self,
+            pk: i64,
+            new: Option<Row>,
+            insert: bool,
+        ) -> Result<(), DbError> {
             let table = TABLE.to_string();
             match (insert, self.rows.contains_key(&pk)) {
                 (true, true) => Err(DbError::DuplicateKey { table, pk }),
@@ -180,18 +185,18 @@ mod reference {
             }
         }
 
-        pub fn commit(&mut self) {
+        pub(crate) fn commit(&mut self) {
             self.undo.clear();
         }
 
-        pub fn rollback(&mut self) {
+        pub(crate) fn rollback(&mut self) {
             while let Some((pk, old)) = self.undo.pop() {
                 self.set(pk, old);
             }
         }
 
         /// Row at a time: stops at the first row whose key is present.
-        pub fn load(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<(), DbError> {
+        pub(crate) fn load(&mut self, rows: impl IntoIterator<Item = Row>) -> Result<(), DbError> {
             for row in rows {
                 let pk = row[0].as_int().unwrap();
                 if self.rows.contains_key(&pk) {

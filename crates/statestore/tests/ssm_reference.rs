@@ -28,10 +28,10 @@ mod reference {
     use statestore::session::{SessionId, SessionObject, SessionStore, StoreError};
 
     /// Number of replica bricks a default SSM deployment writes to.
-    pub const DEFAULT_REPLICAS: usize = 3;
+    pub(crate) const DEFAULT_REPLICAS: usize = 3;
 
     /// Default session lease term (idle sessions expire after this).
-    pub const DEFAULT_LEASE: SimDuration = SimDuration::from_mins(30);
+    pub(crate) const DEFAULT_LEASE: SimDuration = SimDuration::from_mins(30);
 
     #[derive(Clone, Debug)]
     struct StoredObject {
@@ -51,7 +51,7 @@ mod reference {
 
     /// Counters describing an SSM's lifetime activity.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-    pub struct SsmStats {
+    pub(crate) struct SsmStats {
         /// Objects written (across all replicas counts once).
         pub writes: u64,
         /// Reads served from a healthy replica.
@@ -93,7 +93,7 @@ mod reference {
     /// assert!(ssm.read(SessionId(1)).unwrap().is_some(), "SSM survives restarts");
     /// ```
     #[derive(Clone, Debug)]
-    pub struct Ssm {
+    pub(crate) struct Ssm {
         bricks: Vec<Brick>,
         lease: SimDuration,
         /// The store's notion of current time, advanced by the hosting
@@ -136,7 +136,7 @@ mod reference {
         /// # Panics
         ///
         /// Panics if `replicas` is zero.
-        pub fn new(replicas: usize) -> Self {
+        pub(crate) fn new(replicas: usize) -> Self {
             Self::with_lease(replicas, DEFAULT_LEASE)
         }
 
@@ -145,7 +145,7 @@ mod reference {
         /// # Panics
         ///
         /// Panics if `replicas` is zero.
-        pub fn with_lease(replicas: usize, lease: SimDuration) -> Self {
+        pub(crate) fn with_lease(replicas: usize, lease: SimDuration) -> Self {
             assert!(replicas > 0, "SSM needs at least one brick");
             Ssm {
                 bricks: vec![
@@ -174,19 +174,19 @@ mod reference {
 
         /// Attaches the integrity ledger; the store reports applied ids,
         /// expiries, removals and duplicate discards to it from then on.
-        pub fn attach_ledger(&mut self, ledger: SharedLedger) {
+        pub(crate) fn attach_ledger(&mut self, ledger: SharedLedger) {
             self.ledger = Some(ledger);
         }
 
         /// Drains queued telemetry events (brick failures/restores, lease
         /// expiries) for the hosting simulation to forward to its bus.
-        pub fn take_events(&mut self) -> Vec<TelemetryEvent> {
+        pub(crate) fn take_events(&mut self) -> Vec<TelemetryEvent> {
             std::mem::take(&mut self.events)
         }
 
         /// Returns true if any up brick still holds an object for `id`
         /// (regardless of lease state — an uncollected object is not lost).
-        pub fn probe(&self, id: SessionId) -> bool {
+        pub(crate) fn probe(&self, id: SessionId) -> bool {
             self.bricks
                 .iter()
                 .filter(|b| b.up)
@@ -201,28 +201,28 @@ mod reference {
         // reproduce bit-identically.
 
         /// Black-holes every store access (link partition) while set.
-        pub fn set_partitioned(&mut self, on: bool) {
+        pub(crate) fn set_partitioned(&mut self, on: bool) {
             self.partitioned = on;
         }
 
         /// Drops `permille`/1000 of store accesses (lossy link); 0 disarms.
-        pub fn set_lossy(&mut self, permille: u32) {
+        pub(crate) fn set_lossy(&mut self, permille: u32) {
             self.lossy_permille = permille.min(1000);
         }
 
         /// Delivers `permille`/1000 of writes twice (duplicating link);
         /// 0 disarms.
-        pub fn set_dupe(&mut self, permille: u32) {
+        pub(crate) fn set_dupe(&mut self, permille: u32) {
             self.dupe_permille = permille.min(1000);
         }
 
         /// Adds `extra` RTT to every store access (store-slow / link-delay).
-        pub fn set_extra_latency(&mut self, extra: SimDuration) {
+        pub(crate) fn set_extra_latency(&mut self, extra: SimDuration) {
             self.extra_latency = extra;
         }
 
         /// Heals every armed node↔store fault.
-        pub fn clear_net_faults(&mut self) {
+        pub(crate) fn clear_net_faults(&mut self) {
             self.partitioned = false;
             self.lossy_permille = 0;
             self.dupe_permille = 0;
@@ -230,7 +230,7 @@ mod reference {
         }
 
         /// The extra per-access RTT currently imposed (zero when healthy).
-        pub fn extra_access_latency(&self) -> SimDuration {
+        pub(crate) fn extra_access_latency(&self) -> SimDuration {
             self.extra_latency
         }
 
@@ -309,19 +309,19 @@ mod reference {
         }
 
         /// Advances the store's clock (the hosting simulation calls this).
-        pub fn advance_to(&mut self, now: SimTime) {
+        pub(crate) fn advance_to(&mut self, now: SimTime) {
             self.now = self.now.max(now);
         }
 
         /// Returns activity counters.
-        pub fn stats(&self) -> SsmStats {
+        pub(crate) fn stats(&self) -> SsmStats {
             self.stats
         }
 
         /// Takes one brick down (models a storage-node failure).
         ///
         /// Returns false if the index is out of range.
-        pub fn fail_brick(&mut self, idx: usize) -> bool {
+        pub(crate) fn fail_brick(&mut self, idx: usize) -> bool {
             let at = self.now;
             match self.bricks.get_mut(idx) {
                 Some(b) => {
@@ -338,7 +338,7 @@ mod reference {
         }
 
         /// Brings a failed brick back (empty; it repopulates on writes).
-        pub fn restore_brick(&mut self, idx: usize) -> bool {
+        pub(crate) fn restore_brick(&mut self, idx: usize) -> bool {
             let at = self.now;
             match self.bricks.get_mut(idx) {
                 Some(b) => {
@@ -354,7 +354,7 @@ mod reference {
         }
 
         /// Returns how many bricks are up.
-        pub fn bricks_up(&self) -> usize {
+        pub(crate) fn bricks_up(&self) -> usize {
             self.bricks.iter().filter(|b| b.up).count()
         }
 
@@ -362,7 +362,7 @@ mod reference {
         /// (fault-injection surface: "corrupt data inside SSM via bit flips").
         ///
         /// Returns false if no brick holds the session.
-        pub fn corrupt_bits(&mut self, id: SessionId) -> bool {
+        pub(crate) fn corrupt_bits(&mut self, id: SessionId) -> bool {
             let mut hit = false;
             for brick in &mut self.bricks {
                 if let Some(stored) = brick.objects.get_mut(&id) {
@@ -381,7 +381,7 @@ mod reference {
 
         /// Corrupts an arbitrary live session (the most recently created, so
         /// the victim is likely active), returning its id.
-        pub fn corrupt_any(&mut self) -> Option<SessionId> {
+        pub(crate) fn corrupt_any(&mut self) -> Option<SessionId> {
             let id = self
                 .bricks
                 .iter()
@@ -394,7 +394,7 @@ mod reference {
         }
 
         /// Expires sessions whose lease lapsed; returns how many were removed.
-        pub fn gc(&mut self) -> usize {
+        pub(crate) fn gc(&mut self) -> usize {
             let now = self.now;
             let mut seen = std::collections::BTreeSet::new();
             for brick in &mut self.bricks {
@@ -418,7 +418,7 @@ mod reference {
         /// Prematurely expires every live session (the `LeaseStorm` fault):
         /// objects are removed and accounted exactly as a natural lease lapse
         /// would be, in deterministic (id) order. Returns how many expired.
-        pub fn storm_leases(&mut self) -> usize {
+        pub(crate) fn storm_leases(&mut self) -> usize {
             let ids: std::collections::BTreeSet<SessionId> = self
                 .bricks
                 .iter()
@@ -439,7 +439,7 @@ mod reference {
         /// every object it stores (the `BrickCorrupt` fault). Reads detect
         /// the damage via the per-object checksum, discard the bad copy, and
         /// serve a surviving replica. Returns how many objects were mangled.
-        pub fn corrupt_brick(&mut self, idx: usize) -> usize {
+        pub(crate) fn corrupt_brick(&mut self, idx: usize) -> usize {
             let Some(brick) = self.bricks.get_mut(idx) else {
                 return 0;
             };
@@ -460,7 +460,7 @@ mod reference {
 
         /// Returns the number of injection-tainted sessions still stored on
         /// any live brick.
-        pub fn tainted_sessions(&self) -> usize {
+        pub(crate) fn tainted_sessions(&self) -> usize {
             let mut ids = std::collections::BTreeSet::new();
             for brick in self.bricks.iter().filter(|b| b.up) {
                 for (id, o) in &brick.objects {
@@ -474,7 +474,7 @@ mod reference {
 
         /// Returns true if the stored object for `id` is injection-tainted on
         /// any brick (the comparison detector's oracle).
-        pub fn is_tainted(&self, id: SessionId) -> bool {
+        pub(crate) fn is_tainted(&self, id: SessionId) -> bool {
             self.bricks.iter().any(|b| {
                 b.objects
                     .get(&id)

@@ -42,7 +42,7 @@ impl FunctionalGroup {
     }
 
     /// Returns the group's wire code for telemetry events.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             FunctionalGroup::BidBuySell => 0,
             FunctionalGroup::BrowseView => 1,
@@ -207,7 +207,7 @@ impl Catalog {
     }
 
     /// Returns the spec of an op code.
-    pub fn spec(&self, op: OpCode) -> Option<&OpSpec> {
+    pub(crate) fn spec(&self, op: OpCode) -> Option<&OpSpec> {
         self.ops.iter().find(|o| o.op == op)
     }
 

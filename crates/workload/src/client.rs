@@ -91,8 +91,6 @@ impl Default for ClientPoolConfig {
 /// A request a client wants to send; the simulation routes it to a node.
 #[derive(Clone, Debug)]
 pub struct OutgoingRequest {
-    /// Which client sent it.
-    pub client: usize,
     /// The request (unique id, cookie attached).
     pub req: Request,
 }
@@ -108,9 +106,6 @@ pub enum DeliverOutcome {
 }
 
 struct Pending {
-    /// Operation of the pending request.
-    #[allow(dead_code, reason = "kept for debugging and asserts")]
-    op: OpCode,
     state: usize,
     first_sent_at: SimTime,
     attempts: u32,
@@ -332,16 +327,6 @@ impl ClientPool {
         }
     }
 
-    /// Returns the number of clients.
-    pub fn len(&self) -> usize {
-        self.clients.len()
-    }
-
-    /// Returns true if the pool has no clients.
-    pub fn is_empty(&self) -> bool {
-        self.clients.is_empty()
-    }
-
     /// Returns the Taw tracker.
     pub fn taw(&mut self) -> &mut TawTracker {
         &mut self.taw
@@ -520,7 +505,6 @@ impl ClientPool {
             _ => 0,
         };
         c.pending = Some(Pending {
-            op,
             state,
             first_sent_at,
             attempts,
@@ -529,7 +513,6 @@ impl ClientPool {
         debug_assert!(self.req_owner.last().is_none_or(|&(last, _)| last < id));
         self.req_owner.push((id, client));
         Some(OutgoingRequest {
-            client,
             req: Request {
                 id,
                 op,
@@ -768,10 +751,9 @@ mod tests {
         let mut p = pool(1);
         let now = SimTime::from_secs(1);
         let out = p.wake(0, now).unwrap();
-        assert_eq!(out.client, 0);
         // From Home, the chain goes to Login or Browse.
         assert!(out.req.op == OpCode(1) || out.req.op == OpCode(2));
-        assert!(p.owner_of(out.req.id).is_some());
+        assert_eq!(p.owner_of(out.req.id), Some(0));
     }
 
     #[test]

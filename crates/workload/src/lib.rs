@@ -26,9 +26,9 @@
 #![forbid(unsafe_code)]
 
 pub mod catalog;
-pub mod client;
+pub(crate) mod client;
 pub mod detect;
-pub mod perf;
+pub(crate) mod perf;
 pub mod taw;
 
 pub use catalog::{ArgKind, Catalog, FunctionalGroup, MixClass, OpSpec};

@@ -224,7 +224,7 @@ impl PerfTracker {
     }
 
     /// Records one *successful* operation's end-to-end latency.
-    pub fn record(&mut self, node: usize, op: OpCode, latency: SimDuration) {
+    pub(crate) fn record(&mut self, node: usize, op: OpCode, latency: SimDuration) {
         let us = latency.as_micros();
         if self.frozen {
             self.window.entry((node, op.0)).or_default().observe(us);
@@ -237,7 +237,7 @@ impl PerfTracker {
 
     /// Advances the tracker to `now`: freezes the baseline when due,
     /// judges the window when closed. Call once per maintenance sweep.
-    pub fn tick(&mut self, now: SimTime) -> Vec<PerfEvent> {
+    pub(crate) fn tick(&mut self, now: SimTime) -> Vec<PerfEvent> {
         let mut out = Vec::new();
         if !self.frozen {
             if now >= self.config.freeze_at {
