@@ -87,7 +87,9 @@ echo "==> urbmark: the benchmark's frozen public surface compiles, its package t
 # what a seed simulates, would otherwise be caught only by the next
 # person to run the report.
 cargo test --manifest-path benchmark/Cargo.toml --offline --target-dir target/benchmark -q
-CARGO_TARGET_DIR=target/benchmark benchmark/run.sh --quick > /dev/null
+# urbmark prints its FAILED/VIOLATION lines on stdout: keep them for the log.
+CARGO_TARGET_DIR=target/benchmark benchmark/run.sh --quick > target/ci.quick \
+  || { status=$?; echo "the quick report failed:" >&2; cat target/ci.quick >&2; exit "$status"; }
 
 echo "==> tools/sampler: the profiler DESIGN.md §9's stop rule depends on compiles clean and reads a profile"
 # One second of chaos_ladder_1n under the preload library, then the

@@ -52,18 +52,11 @@ impl Application for ChainApp {
             d.push(
                 ComponentDescriptor::new(name, ComponentKind::EntityBean)
                     .with_group_refs(refs_for(i, self.block_size))
+                    .with_methods(&["op"])
                     .with_costs(SimDuration::from_millis(10), SimDuration::from_millis(450)),
             );
         }
         d
-    }
-
-    fn methods_of(&self, _component: &str) -> &'static [&'static str] {
-        &["op"]
-    }
-
-    fn web_component(&self) -> &'static str {
-        "Web"
     }
 
     fn base_cost(&self, _op: OpCode) -> SimDuration {

@@ -670,7 +670,7 @@ impl Sim {
                 config.nodes,
                 rm_config,
                 ebid::ops::call_path,
-                "WAR",
+                nodes[0].web_component(),
                 config.seed,
             )
         });

@@ -227,14 +227,12 @@ pub struct Volatile {
 }
 
 /// The managed container for one deployed component. Its durable half —
-/// descriptor, methods, lifecycle state and reboot count — survives every
+/// descriptor, lifecycle state and reboot count — survives every
 /// reboot level by design (Section 3.2); `vol` does not.
 #[derive(Clone, Debug)]
 pub struct Container {
     /// The component's descriptor (immutable deployment information).
     pub descriptor: ComponentDescriptor,
-    /// Methods this component exposes (used to rebuild the txn map).
-    methods: &'static [&'static str],
     state: ContainerState,
     /// How many times this container has been microrebooted.
     microreboots: u64,
@@ -247,10 +245,9 @@ impl Container {
     pub(crate) const DEFAULT_POOL: usize = 8;
 
     /// Creates a stopped container for `descriptor`.
-    pub fn new(descriptor: ComponentDescriptor, methods: &'static [&'static str]) -> Self {
+    pub fn new(descriptor: ComponentDescriptor) -> Self {
         Container {
             descriptor,
-            methods,
             state: ContainerState::Stopped,
             microreboots: 0,
             vol: Volatile::default(),
@@ -301,7 +298,7 @@ impl Container {
     /// Completes reinitialization: fresh pool, fresh metadata, active.
     pub fn complete_start(&mut self) {
         self.vol.pool = InstancePool::with_initial(Self::DEFAULT_POOL);
-        self.vol.txn_map = TxnMethodMap::with_methods(self.methods);
+        self.vol.txn_map = TxnMethodMap::with_methods(self.descriptor.methods);
         self.state = ContainerState::Active;
         self.microreboots += 1;
     }
@@ -323,8 +320,9 @@ mod tests {
     fn container() -> Container {
         let d = ComponentDescriptor::new("Item", ComponentKind::EntityBean)
             .with_costs(SimDuration::from_millis(10), SimDuration::from_millis(500))
-            .with_base_bytes(1 << 20);
-        Container::new(d, &["read", "write"])
+            .with_base_bytes(1 << 20)
+            .with_methods(&["read", "write"]);
+        Container::new(d)
     }
 
     fn started() -> Container {

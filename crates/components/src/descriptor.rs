@@ -44,6 +44,9 @@ pub struct ComponentDescriptor {
     /// beans). Hard: they force joint microreboots and define recovery
     /// groups.
     pub(crate) group_refs: &'static [&'static str],
+    /// The business methods the component exposes; the container builds
+    /// its transaction method map from them at every (re)initialization.
+    pub methods: &'static [&'static str],
     /// Calibrated time to forcefully destroy the component's instances and
     /// metadata (Table 3 "crash" column; ~8–15 ms for eBid's EJBs).
     pub crash_cost: SimDuration,
@@ -76,13 +79,14 @@ impl ComponentDescriptor {
 /// assert_eq!(d.microreboot_cost(), SimDuration::from_millis(524));
 /// ```
 impl ComponentDescriptor {
-    /// Creates a descriptor with no references and zero costs.
+    /// Creates a descriptor with no references, no methods and zero costs.
     pub fn new(name: &'static str, kind: ComponentKind) -> Self {
         ComponentDescriptor {
             name,
             kind,
             jndi_refs: &[],
             group_refs: &[],
+            methods: &[],
             crash_cost: SimDuration::ZERO,
             reinit_cost: SimDuration::ZERO,
             base_bytes: 2 << 20,
@@ -98,6 +102,12 @@ impl ComponentDescriptor {
     /// Sets the hard (recovery-group-forming) references.
     pub fn with_group_refs(mut self, refs: &'static [&'static str]) -> Self {
         self.group_refs = refs;
+        self
+    }
+
+    /// Sets the business methods.
+    pub fn with_methods(mut self, methods: &'static [&'static str]) -> Self {
+        self.methods = methods;
         self
     }
 
@@ -124,11 +134,13 @@ mod tests {
         let d = ComponentDescriptor::new("Item", ComponentKind::EntityBean)
             .with_group_refs(&["User", "Category"])
             .with_costs(SimDuration::from_millis(10), SimDuration::from_millis(500))
-            .with_base_bytes(1 << 20);
+            .with_base_bytes(1 << 20)
+            .with_methods(&["load", "store"]);
         assert_eq!(d.name, "Item");
         assert_eq!(d.kind, ComponentKind::EntityBean);
         assert_eq!(d.group_refs, &["User", "Category"]);
         assert_eq!(d.base_bytes, 1 << 20);
+        assert_eq!(d.methods, &["load", "store"]);
         assert_eq!(d.microreboot_cost(), SimDuration::from_millis(510));
     }
 }

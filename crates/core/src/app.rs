@@ -35,15 +35,9 @@ pub enum CallError {
 
 /// A crash-only application deployable on the microreboot-enabled server.
 pub trait Application {
-    /// The component descriptors (one must be the web component).
+    /// The component descriptors, each with its business methods. Exactly
+    /// one is of kind `Web`: the web (WAR) component every request enters.
     fn descriptors(&self) -> Vec<ComponentDescriptor>;
-
-    /// The business methods of a component (used to build its transaction
-    /// method map).
-    fn methods_of(&self, component: &str) -> &'static [&'static str];
-
-    /// The name of the web (WAR) component.
-    fn web_component(&self) -> &'static str;
 
     /// Base CPU cost of an operation before store accesses are added.
     fn base_cost(&self, op: OpCode) -> SimDuration;

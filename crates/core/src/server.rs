@@ -23,7 +23,7 @@
 //! follow-up call. This keeps the server synchronously testable.
 
 use components::container::Container;
-use components::descriptor::ComponentId;
+use components::descriptor::{ComponentId, ComponentKind};
 use components::graph::DependencyGraph;
 use components::intern::CompName;
 use components::registry::{Binding, NamingRegistry};
@@ -260,8 +260,8 @@ impl<A: Application> AppServer<A> {
     /// # Panics
     ///
     /// Panics if the application's descriptors are inconsistent (duplicate
-    /// names, unknown references, missing web component) or more than 64
-    /// of them — deployment-time configuration errors.
+    /// names, unknown references, not exactly one of kind `Web`) or more
+    /// than 64 of them — deployment-time configuration errors.
     pub fn new(app: A, config: ServerConfig, db: SharedDb, session: SessionBackend) -> Self {
         let descriptors = app.descriptors();
         assert!(
@@ -271,14 +271,20 @@ impl<A: Application> AppServer<A> {
             ComponentSet::CAPACITY
         );
         let graph = DependencyGraph::build(&descriptors).expect("valid deployment descriptors");
-        let web_id = graph
-            .id_of(app.web_component())
-            .expect("web component must be declared");
+        let mut webs = descriptors.iter().filter(|d| d.kind == ComponentKind::Web);
+        let web = match (webs.next(), webs.count()) {
+            (Some(web), 0) => web.name,
+            (first, more) => panic!(
+                "{} web components declared; a deployment has exactly one",
+                usize::from(first.is_some()) + more
+            ),
+        };
+        let web_id = graph.id_of(web).expect("descriptor is in graph");
         let mut containers = Vec::with_capacity(descriptors.len());
         let mut registry = NamingRegistry::new();
         for d in &descriptors {
             let id = graph.id_of(d.name).expect("descriptor is in graph");
-            let mut c = Container::new(d.clone(), app.methods_of(d.name));
+            let mut c = Container::new(d.clone());
             c.begin_start();
             c.complete_start();
             registry.bind(id, Binding::Active(id));
@@ -360,6 +366,12 @@ impl<A: Application> AppServer<A> {
     /// Returns the dependency graph.
     pub fn graph(&self) -> &DependencyGraph {
         &self.inner.graph
+    }
+
+    /// Returns the name of the web component, the one descriptor of kind
+    /// `Web`.
+    pub fn web_component(&self) -> &'static str {
+        self.inner.graph.name_of(self.inner.web_id)
     }
 
     /// Returns free heap bytes (the rejuvenation service's gauge).

@@ -80,30 +80,20 @@ impl Application for ToyApp {
     fn descriptors(&self) -> Vec<ComponentDescriptor> {
         vec![
             ComponentDescriptor::new("Web", ComponentKind::Web)
+                .with_methods(&["dispatch"])
                 .with_costs(SimDuration::from_millis(71), SimDuration::from_millis(957)),
             ComponentDescriptor::new("Front", ComponentKind::StatelessSessionBean)
                 .with_jndi_refs(&["Store", "Ledger"])
+                .with_methods(&["get", "put", "login", "logout", "cart_add"])
                 .with_costs(SimDuration::from_millis(10), SimDuration::from_millis(450)),
             ComponentDescriptor::new("Store", ComponentKind::EntityBean)
                 .with_group_refs(&["Ledger"])
+                .with_methods(&["read", "write"])
                 .with_costs(SimDuration::from_millis(10), SimDuration::from_millis(500)),
             ComponentDescriptor::new("Ledger", ComponentKind::EntityBean)
+                .with_methods(&["append"])
                 .with_costs(SimDuration::from_millis(12), SimDuration::from_millis(520)),
         ]
-    }
-
-    fn methods_of(&self, component: &str) -> &'static [&'static str] {
-        match component {
-            "Web" => &["dispatch"],
-            "Front" => &["get", "put", "login", "logout", "cart_add"],
-            "Store" => &["read", "write"],
-            "Ledger" => &["append"],
-            _ => &[],
-        }
-    }
-
-    fn web_component(&self) -> &'static str {
-        "Web"
     }
 
     fn base_cost(&self, _op: OpCode) -> SimDuration {

@@ -479,12 +479,6 @@ impl Application for WriteThenRead {
     fn descriptors(&self) -> Vec<components::descriptor::ComponentDescriptor> {
         self.toy.descriptors()
     }
-    fn methods_of(&self, component: &str) -> &'static [&'static str] {
-        self.toy.methods_of(component)
-    }
-    fn web_component(&self) -> &'static str {
-        self.toy.web_component()
-    }
     fn base_cost(&self, op: urb_core::OpCode) -> SimDuration {
         self.toy.base_cost(op)
     }
@@ -736,9 +730,11 @@ fn stats_count_the_things_that_happened() {
     assert_eq!(s.retries_sent, 1);
 }
 
-/// A web component (handle 0) and `beans` entity beans `B1..`, each its
-/// own recovery group; a request calls the bean its argument names.
+/// `webs` web components (the first is handle 0) and `beans` entity beans
+/// `B1..`, each its own recovery group; a request calls the bean its
+/// argument names.
 struct WideApp {
+    webs: usize,
     beans: usize,
 }
 
@@ -746,18 +742,13 @@ impl Application for WideApp {
     fn descriptors(&self) -> Vec<components::descriptor::ComponentDescriptor> {
         use components::descriptor::{ComponentDescriptor, ComponentKind};
         let bean = |i| -> &'static str { Box::leak(format!("B{i}").into_boxed_str()) };
-        std::iter::once(ComponentDescriptor::new("Web", ComponentKind::Web))
-            .chain(
-                (1..=self.beans)
-                    .map(|i| ComponentDescriptor::new(bean(i), ComponentKind::EntityBean)),
-            )
+        ["Web", "Web2"][..self.webs]
+            .iter()
+            .map(|web| ComponentDescriptor::new(web, ComponentKind::Web))
+            .chain((1..=self.beans).map(|i| {
+                ComponentDescriptor::new(bean(i), ComponentKind::EntityBean).with_methods(&["op"])
+            }))
             .collect()
-    }
-    fn methods_of(&self, _component: &str) -> &'static [&'static str] {
-        &["op"]
-    }
-    fn web_component(&self) -> &'static str {
-        "Web"
     }
     fn base_cost(&self, _op: urb_core::OpCode) -> SimDuration {
         SimDuration::from_millis(8)
@@ -773,9 +764,9 @@ impl Application for WideApp {
     fn on_process_restart(&mut self) {}
 }
 
-fn wide_server(beans: usize) -> AppServer<WideApp> {
+fn wide_server(webs: usize, beans: usize) -> AppServer<WideApp> {
     AppServer::new(
-        WideApp { beans },
+        WideApp { webs, beans },
         ServerConfig::default(),
         share_db(ToyApp::seeded_db(1)),
         SessionBackend::FastS(FastS::new()),
@@ -787,7 +778,7 @@ fn the_touched_set_spans_all_64_components() {
     // A request through handles 0 (Web) and 63 (the last bean) dies with
     // either, and only with those.
     for (target, dies) in [("Web", true), ("B63", true), ("B62", false), ("B1", false)] {
-        let mut srv = wide_server(63);
+        let mut srv = wide_server(1, 63);
         let t = SimTime::from_secs(1);
         srv.submit(make_request(1, ops::GET, None, true, 63, t), t);
         assert_eq!(srv.pump(t).len(), 1);
@@ -800,5 +791,17 @@ fn the_touched_set_spans_all_64_components() {
 #[test]
 #[should_panic(expected = "65 components deployed")]
 fn a_65th_component_is_refused_at_deployment() {
-    wide_server(64);
+    wide_server(1, 64);
+}
+
+#[test]
+#[should_panic(expected = "0 web components declared")]
+fn a_deployment_without_a_web_component_is_refused() {
+    wide_server(0, 1);
+}
+
+#[test]
+#[should_panic(expected = "2 web components declared")]
+fn a_deployment_with_two_web_components_is_refused() {
+    wide_server(2, 1);
 }

@@ -16,9 +16,9 @@ use urb_core::app::{Application, CallError};
 use urb_core::context::CallContext;
 use urb_core::request::{OpCode, Request};
 
-use crate::components::{descriptors, ejb, methods_of};
+use crate::components::{descriptors, ejb};
 use crate::keygen::{KeyGen, KeyResult};
-use crate::ops::codes;
+use crate::ops::{codes, OPS};
 use crate::schema::{
     bids, buy_now, categories, comments, items, old_items, regions, users, DatasetSpec,
 };
@@ -160,44 +160,15 @@ impl Application for EBid {
         descriptors()
     }
 
-    fn methods_of(&self, component: &str) -> &'static [&'static str] {
-        methods_of(component)
-    }
-
-    fn web_component(&self) -> &'static str {
-        crate::components::WAR
-    }
-
     fn call_path(&self, op: OpCode) -> &'static [&'static str] {
         crate::ops::call_path(op)
     }
 
     fn base_cost(&self, op: OpCode) -> SimDuration {
-        // Servlet + JSP rendering CPU per operation class, calibrated so
-        // steady-state latency lands near Table 5's 15 ms with FastS.
-        let ms = match op {
-            codes::HOME | codes::SELL_ITEM_FORM | codes::REGISTER_USER_FORM => 4,
-            codes::HELP => 3,
-            codes::BROWSE_CATEGORIES => 8,
-            codes::BROWSE_REGIONS => 7,
-            codes::BROWSE_ITEMS_IN_CATEGORY | codes::BROWSE_ITEMS_IN_REGION => 9,
-            codes::VIEW_ITEM => 8,
-            codes::VIEW_USER_INFO => 8,
-            codes::VIEW_BID_HISTORY => 9,
-            codes::VIEW_PAST_AUCTION => 6,
-            codes::ABOUT_ME => 11,
-            codes::SEARCH_BY_CATEGORY | codes::SEARCH_BY_REGION => 11,
-            codes::LOGIN => 8,
-            codes::LOGOUT => 5,
-            codes::REGISTER_NEW_USER => 10,
-            codes::MAKE_BID | codes::DO_BUY_NOW | codes::LEAVE_USER_FEEDBACK => 8,
-            codes::COMMIT_BID | codes::COMMIT_BUY_NOW | codes::COMMIT_USER_FEEDBACK => 10,
-            codes::REGISTER_NEW_ITEM => 10,
-            _ => 5,
-        };
-        // +3 ms of fixed servlet/JSP-rendering overhead per request,
-        // calibrated against Table 5's 15.02 ms FastS latency.
-        SimDuration::from_millis(ms + 3)
+        // The row's servlet + JSP rendering CPU, plus 3 ms of fixed
+        // overhead per request; calibrated so steady-state latency lands
+        // near Table 5's 15.02 ms with FastS.
+        SimDuration::from_millis(OPS[usize::from(op.0)].cpu_ms + 3)
     }
 
     fn handle(&mut self, ctx: &mut CallContext<'_>, req: &Request) -> Result<(), CallError> {

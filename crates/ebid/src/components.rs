@@ -80,68 +80,53 @@ macro_rules! roster {
 roster! {
     // --- web tier (Table 3: WAR 71 ms crash, 957 ms reinit) ---
     WAR: ComponentDescriptor::new(WAR, ComponentKind::Web)
+        .with_methods(&["dispatch"])
         .with_costs(ms(71), ms(957))
         .with_base_bytes(24 << 20),
     // --- entity beans ---
     // EntityGroup members: max reinit 449 + 4×85 increments ≈ 789 ms,
     // max crash 12 + 4×6 ≈ 36 ms (Table 3 EntityGroup row).
-    CATEGORY: entity("Category", &[], 9, 395),
-    REGION: entity("Region", &[], 10, 400),
-    USER: entity("User", &[], 11, 430),
-    ITEM: entity("Item", &["Category", "Region", "User"], 12, 449),
-    BID: entity("Bid", &["Item", "User"], 10, 420),
+    CATEGORY: entity("Category", &[], 9, 395).with_methods(&["load", "store"]),
+    REGION: entity("Region", &[], 10, 400).with_methods(&["load", "store"]),
+    USER: entity("User", &[], 11, 430).with_methods(&["load", "store"]),
+    ITEM: entity("Item", &["Category", "Region", "User"], 12, 449).with_methods(&["load", "store"]),
+    BID: entity("Bid", &["Item", "User"], 10, 420).with_methods(&["load", "store"]),
     // Standalone entities (their own Table 3 rows).
-    BUY_NOW: entity("BuyNow", &[], 9, 462),
-    IDENTITY_MANAGER: entity("IdentityManager", &[], 10, 451),
-    OLD_ITEM: entity("OldItem", &[], 10, 519),
-    USER_FEEDBACK: entity("UserFeedback", &[], 11, 472),
+    BUY_NOW: entity("BuyNow", &[], 9, 462).with_methods(&["load", "store"]),
+    IDENTITY_MANAGER: entity("IdentityManager", &[], 10, 451).with_methods(&["next_id"]),
+    OLD_ITEM: entity("OldItem", &[], 10, 519).with_methods(&["load", "store"]),
+    USER_FEEDBACK: entity("UserFeedback", &[], 11, 472).with_methods(&["load", "store"]),
     // --- stateless session beans (Table 3 rows) ---
-    ABOUT_ME: session("AboutMe", &["User", "Item", "Bid", "BuyNow", "UserFeedback"], 9, 542),
-    AUTHENTICATE: session("Authenticate", &["User"], 12, 479),
-    BROWSE_CATEGORIES: session("BrowseCategories", &["Category", "Item"], 11, 400),
-    BROWSE_REGIONS: session("BrowseRegions", &["Region", "Item"], 15, 401),
-    COMMIT_BID: session("CommitBid", &["IdentityManager", "Bid", "Item"], 8, 525),
-    COMMIT_BUY_NOW: session("CommitBuyNow", &["IdentityManager", "BuyNow", "Item"], 9, 462),
-    COMMIT_USER_FEEDBACK: session("CommitUserFeedback", &["IdentityManager", "UserFeedback", "User"], 9, 522),
-    DO_BUY_NOW: session("DoBuyNow", &["Item"], 10, 417),
-    LEAVE_USER_FEEDBACK: session("LeaveUserFeedback", &["User"], 10, 474),
-    MAKE_BID: session("MakeBid", &["Item"], 9, 505),
-    REGISTER_NEW_ITEM: session("RegisterNewItem", &["IdentityManager", "Item"], 13, 434),
-    REGISTER_NEW_USER: session("RegisterNewUser", &["IdentityManager", "User"], 13, 588),
-    SEARCH_ITEMS_BY_CATEGORY: session("SearchItemsByCategory", &["Item"], 14, 428),
-    SEARCH_ITEMS_BY_REGION: session("SearchItemsByRegion", &["Item"], 8, 564),
-    VIEW_BID_HISTORY: session("ViewBidHistory", &["Bid", "Item", "User"], 11, 496),
-    VIEW_ITEM: session("ViewItem", &["Item", "User", "OldItem"], 10, 436),
-    VIEW_USER_INFO: session("ViewUserInfo", &["User", "UserFeedback"], 10, 405),
-}
-
-/// Business methods per component (builds the transaction method maps).
-pub(crate) fn methods_of(component: &str) -> &'static [&'static str] {
-    match component {
-        WAR => &["dispatch"],
-        "Category" | "Region" | "User" | "Item" | "Bid" | "BuyNow" | "OldItem" | "UserFeedback" => {
-            &["load", "store"]
-        }
-        "IdentityManager" => &["next_id"],
-        "AboutMe" => &["summary"],
-        "Authenticate" => &["login", "logout"],
-        "BrowseCategories" => &["list", "items_in"],
-        "BrowseRegions" => &["list", "items_in"],
-        "CommitBid" => &["commit"],
-        "CommitBuyNow" => &["commit"],
-        "CommitUserFeedback" => &["commit"],
-        "DoBuyNow" => &["select"],
-        "LeaveUserFeedback" => &["select"],
-        "MakeBid" => &["select"],
-        "RegisterNewItem" => &["register"],
-        "RegisterNewUser" => &["register"],
-        "SearchItemsByCategory" => &["search"],
-        "SearchItemsByRegion" => &["search"],
-        "ViewBidHistory" => &["history"],
-        "ViewItem" => &["view", "view_old"],
-        "ViewUserInfo" => &["view"],
-        _ => &[],
-    }
+    ABOUT_ME: session("AboutMe", &["User", "Item", "Bid", "BuyNow", "UserFeedback"], 9, 542)
+        .with_methods(&["summary"]),
+    AUTHENTICATE: session("Authenticate", &["User"], 12, 479).with_methods(&["login", "logout"]),
+    BROWSE_CATEGORIES: session("BrowseCategories", &["Category", "Item"], 11, 400)
+        .with_methods(&["list", "items_in"]),
+    BROWSE_REGIONS: session("BrowseRegions", &["Region", "Item"], 15, 401)
+        .with_methods(&["list", "items_in"]),
+    COMMIT_BID: session("CommitBid", &["IdentityManager", "Bid", "Item"], 8, 525)
+        .with_methods(&["commit"]),
+    COMMIT_BUY_NOW: session("CommitBuyNow", &["IdentityManager", "BuyNow", "Item"], 9, 462)
+        .with_methods(&["commit"]),
+    COMMIT_USER_FEEDBACK: session("CommitUserFeedback", &["IdentityManager", "UserFeedback", "User"], 9, 522)
+        .with_methods(&["commit"]),
+    DO_BUY_NOW: session("DoBuyNow", &["Item"], 10, 417).with_methods(&["select"]),
+    LEAVE_USER_FEEDBACK: session("LeaveUserFeedback", &["User"], 10, 474).with_methods(&["select"]),
+    MAKE_BID: session("MakeBid", &["Item"], 9, 505).with_methods(&["select"]),
+    REGISTER_NEW_ITEM: session("RegisterNewItem", &["IdentityManager", "Item"], 13, 434)
+        .with_methods(&["register"]),
+    REGISTER_NEW_USER: session("RegisterNewUser", &["IdentityManager", "User"], 13, 588)
+        .with_methods(&["register"]),
+    SEARCH_ITEMS_BY_CATEGORY: session("SearchItemsByCategory", &["Item"], 14, 428)
+        .with_methods(&["search"]),
+    SEARCH_ITEMS_BY_REGION: session("SearchItemsByRegion", &["Item"], 8, 564)
+        .with_methods(&["search"]),
+    VIEW_BID_HISTORY: session("ViewBidHistory", &["Bid", "Item", "User"], 11, 496)
+        .with_methods(&["history"]),
+    VIEW_ITEM: session("ViewItem", &["Item", "User", "OldItem"], 10, 436)
+        .with_methods(&["view", "view_old"]),
+    VIEW_USER_INFO: session("ViewUserInfo", &["User", "UserFeedback"], 10, 405)
+        .with_methods(&["view"]),
 }
 
 #[cfg(test)]
@@ -200,7 +185,7 @@ mod tests {
     #[test]
     fn every_component_declares_methods() {
         for d in descriptors() {
-            assert!(!methods_of(d.name).is_empty(), "{} has no methods", d.name);
+            assert!(!d.methods.is_empty(), "{} has no methods", d.name);
         }
     }
 

@@ -8,166 +8,69 @@
 //! against a live server and reports the observed mix next to the paper's.
 
 use urb_core::OpCode;
-use workload::catalog::{ArgKind, Catalog, FunctionalGroup, MixClass, OpSpec};
+use workload::catalog::{ArgKind, Catalog, OpSpec};
 
-use crate::ops::{codes, NAMES, OP_COUNT};
+use crate::ops::{all_ops, codes, Op, OPS, OP_COUNT};
 use crate::schema::DatasetSpec;
-
-/// Base visit weights per operation, tuned so the *observed* mix (with
-/// runtime login redirects and structural chains) reproduces Table 1.
-const POPULARITY: [f64; OP_COUNT] = [
-    3.3, // Home
-    0.7, // Help
-    2.5, // SellItemForm
-    2.0, // RegisterUserForm
-    8.0, // BrowseCategories
-    1.8, // BrowseRegions
-    7.2, // BrowseItemsInCategory
-    1.8, // BrowseItemsInRegion
-    5.6, // ViewItem
-    1.8, // ViewUserInfo
-    1.4, // ViewBidHistory
-    0.5, // ViewPastAuction
-    1.0, // AboutMe
-    7.2, // SearchItemsByCategory
-    3.6, // SearchItemsByRegion
-    5.0, // Login (the rest arrives via needs-session redirects)
-    7.5, // Logout
-    1.0, // RegisterNewUser (the rest arrives via the register form)
-    7.0, // MakeBid
-    2.4, // DoBuyNow
-    3.6, // LeaveUserFeedback
-    0.8, // CommitBid (mass arrives from MakeBid)
-    0.3, // CommitBuyNow
-    0.5, // CommitUserFeedback
-    0.3, // RegisterNewItem
-];
 
 /// Structural chains: `(from, to, probability)` — a user who selected an
 /// item to bid on usually commits the bid next, and so on.
-const CHAINS: [(u16, u16, f64); 5] = [
-    (18, 21, 0.70), // MakeBid → CommitBid
-    (19, 22, 0.65), // DoBuyNow → CommitBuyNow
-    (20, 23, 0.70), // LeaveUserFeedback → CommitUserFeedback
-    (2, 24, 0.35),  // SellItemForm → RegisterNewItem
-    (3, 17, 0.60),  // RegisterUserForm → RegisterNewUser
+const CHAINS: [(OpCode, OpCode, f64); 5] = [
+    (codes::MAKE_BID, codes::COMMIT_BID, 0.70),
+    (codes::DO_BUY_NOW, codes::COMMIT_BUY_NOW, 0.65),
+    (
+        codes::LEAVE_USER_FEEDBACK,
+        codes::COMMIT_USER_FEEDBACK,
+        0.70,
+    ),
+    (codes::SELL_ITEM_FORM, codes::REGISTER_NEW_ITEM, 0.35),
+    (codes::REGISTER_USER_FORM, codes::REGISTER_NEW_USER, 0.60),
 ];
 
 /// Per-state weight of abandoning the site without logging out.
 const ABANDON: f64 = 3.5;
 
-fn spec_for(idx: usize, dataset: &DatasetSpec) -> OpSpec {
-    use FunctionalGroup as G;
-    use MixClass as M;
-    let op = OpCode(idx as u16);
-    let (group, mix) = match op {
-        codes::HOME | codes::HELP => (G::BrowseView, M::StaticContent),
-        codes::SELL_ITEM_FORM => (G::BidBuySell, M::StaticContent),
-        codes::REGISTER_USER_FORM => (G::UserAccount, M::StaticContent),
-        codes::BROWSE_CATEGORIES
-        | codes::BROWSE_REGIONS
-        | codes::BROWSE_ITEMS_IN_CATEGORY
-        | codes::BROWSE_ITEMS_IN_REGION
-        | codes::VIEW_ITEM
-        | codes::VIEW_BID_HISTORY
-        | codes::VIEW_PAST_AUCTION => (G::BrowseView, M::ReadOnlyDb),
-        codes::VIEW_USER_INFO | codes::ABOUT_ME => (G::UserAccount, M::ReadOnlyDb),
-        codes::SEARCH_BY_CATEGORY | codes::SEARCH_BY_REGION => (G::Search, M::Search),
-        codes::LOGIN | codes::LOGOUT | codes::REGISTER_NEW_USER => {
-            (G::UserAccount, M::SessionInitDel)
-        }
-        codes::MAKE_BID | codes::DO_BUY_NOW => (G::BidBuySell, M::SessionUpdate),
-        codes::LEAVE_USER_FEEDBACK => (G::UserAccount, M::SessionUpdate),
-        codes::COMMIT_BID | codes::COMMIT_BUY_NOW => (G::BidBuySell, M::DbUpdate),
-        codes::COMMIT_USER_FEEDBACK => (G::UserAccount, M::DbUpdate),
-        codes::REGISTER_NEW_ITEM => (G::BidBuySell, M::DbUpdate),
-        _ => (G::BrowseView, M::StaticContent),
-    };
-    let needs_session = matches!(
-        op,
-        codes::SELL_ITEM_FORM
-            | codes::ABOUT_ME
-            | codes::LOGOUT
-            | codes::MAKE_BID
-            | codes::DO_BUY_NOW
-            | codes::LEAVE_USER_FEEDBACK
-            | codes::COMMIT_BID
-            | codes::COMMIT_BUY_NOW
-            | codes::COMMIT_USER_FEEDBACK
-            | codes::REGISTER_NEW_ITEM
-    );
-    let commit_point = matches!(
-        op,
-        codes::VIEW_ITEM
-            | codes::LOGOUT
-            | codes::REGISTER_NEW_USER
-            | codes::COMMIT_BID
-            | codes::COMMIT_BUY_NOW
-            | codes::COMMIT_USER_FEEDBACK
-            | codes::REGISTER_NEW_ITEM
-    );
-    let idempotent = !matches!(
-        op,
-        codes::REGISTER_NEW_USER
-            | codes::COMMIT_BID
-            | codes::COMMIT_BUY_NOW
-            | codes::COMMIT_USER_FEEDBACK
-            | codes::REGISTER_NEW_ITEM
-    );
-    let arg = match op {
-        codes::BROWSE_ITEMS_IN_CATEGORY | codes::SEARCH_BY_CATEGORY => {
-            ArgKind::Range(1, dataset.categories)
-        }
-        codes::BROWSE_REGIONS => ArgKind::None,
-        codes::BROWSE_ITEMS_IN_REGION | codes::SEARCH_BY_REGION => {
-            ArgKind::Range(1, dataset.regions)
-        }
-        codes::VIEW_ITEM
-        | codes::VIEW_BID_HISTORY
-        | codes::MAKE_BID
-        | codes::DO_BUY_NOW
-        | codes::COMMIT_BID
-        | codes::COMMIT_BUY_NOW => ArgKind::Range(1, dataset.items),
-        codes::VIEW_PAST_AUCTION => ArgKind::Range(1, dataset.old_items),
-        codes::VIEW_USER_INFO
-        | codes::LOGIN
-        | codes::LEAVE_USER_FEEDBACK
-        | codes::COMMIT_USER_FEEDBACK => ArgKind::Range(1, dataset.users),
-        _ => ArgKind::None,
-    };
+fn spec_for(op: OpCode, row: &Op, dataset: &DatasetSpec) -> OpSpec {
     OpSpec {
         op,
-        name: NAMES[idx],
-        group,
-        mix,
-        idempotent,
-        commit_point,
-        needs_session,
+        name: row.name,
+        group: row.group,
+        mix: row.mix,
+        idempotent: row.idempotent,
+        commit_point: row.commit_point,
+        needs_session: row.needs_session,
         is_login: op == codes::LOGIN,
         is_logout: op == codes::LOGOUT,
-        arg,
+        arg: row
+            .arg
+            .map_or(ArgKind::None, |dim| ArgKind::Range(1, dim(dataset))),
     }
 }
 
 /// Builds eBid's workload catalog for a dataset shape.
 pub fn catalog(dataset: &DatasetSpec) -> Catalog {
-    let ops: Vec<OpSpec> = (0..OP_COUNT).map(|i| spec_for(i, dataset)).collect();
+    let ops: Vec<OpSpec> = all_ops()
+        .zip(&OPS)
+        .map(|(op, row)| spec_for(op, row, dataset))
+        .collect();
     let mut transitions = Vec::with_capacity(OP_COUNT);
     for from in 0..OP_COUNT {
-        let chain = CHAINS.iter().find(|(f, _, _)| *f as usize == from);
+        let chain = CHAINS.iter().find(|(f, _, _)| usize::from(f.0) == from);
         let chain_share = chain.map(|(_, _, p)| *p).unwrap_or(0.0);
-        let pop_total: f64 = POPULARITY.iter().sum();
-        let mut row: Vec<(usize, f64)> = POPULARITY
+        let pop_total: f64 = OPS.iter().map(|r| r.popularity).sum();
+        let mut row: Vec<(usize, f64)> = OPS
             .iter()
+            .map(|r| r.popularity)
             .enumerate()
-            .filter(|(to, w)| *to != from && **w > 0.0)
+            .filter(|(to, w)| *to != from && *w > 0.0)
             .map(|(to, w)| (to, w * (1.0 - chain_share)))
             .collect();
         if let Some((_, to, p)) = chain {
             let extra = pop_total * p;
-            match row.iter_mut().find(|(t, _)| *t == *to as usize) {
+            let to = usize::from(to.0);
+            match row.iter_mut().find(|(t, _)| *t == to) {
                 Some(slot) => slot.1 += extra,
-                None => row.push((*to as usize, extra)),
+                None => row.push((to, extra)),
             }
         }
         transitions.push(row);
@@ -183,6 +86,7 @@ pub fn catalog(dataset: &DatasetSpec) -> Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workload::catalog::MixClass;
 
     #[test]
     fn catalog_validates() {

@@ -14,8 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use simcore::SimDuration;
-
 use crate::session::{
     corrupt_object, CorruptKind, SessionId, SessionObject, SessionStore, StoreError,
 };
@@ -112,10 +110,6 @@ impl FastS {
 }
 
 impl SessionStore for FastS {
-    fn name(&self) -> &'static str {
-        "FastS"
-    }
-
     fn write(&mut self, id: SessionId, obj: SessionObject) -> Result<(), StoreError> {
         self.bytes += obj.approx_bytes();
         if let Some(old) = self.objects.insert(id, obj) {
@@ -139,23 +133,9 @@ impl SessionStore for FastS {
         self.objects.len()
     }
 
-    fn survives_process_restart(&self) -> bool {
-        false
-    }
-
     fn on_process_restart(&mut self) {
         self.objects.clear();
         self.bytes = 0;
-    }
-
-    fn read_cost(&self) -> SimDuration {
-        // An in-JVM map access: effectively free next to request service
-        // time.
-        SimDuration::from_micros(40)
-    }
-
-    fn write_cost(&self) -> SimDuration {
-        SimDuration::from_micros(60)
     }
 
     fn in_process_bytes(&self) -> usize {
@@ -190,7 +170,6 @@ mod tests {
     #[test]
     fn process_restart_loses_everything() {
         let mut s = store_with_session(1);
-        assert!(!s.survives_process_restart());
         s.on_process_restart();
         assert_eq!(s.live_sessions(), 0);
     }
@@ -238,12 +217,5 @@ mod tests {
         assert_eq!(s.in_process_bytes(), 0);
         let s = store_with_session(1);
         assert!(s.in_process_bytes() > 0);
-    }
-
-    #[test]
-    fn costs_are_sub_millisecond() {
-        let s = FastS::new();
-        assert!(s.read_cost() < SimDuration::from_millis(1));
-        assert!(s.write_cost() < SimDuration::from_millis(1));
     }
 }

@@ -9,8 +9,6 @@
 use std::fmt;
 use std::rc::Rc;
 
-use simcore::SimDuration;
-
 use crate::value::Value;
 
 /// Identifier of a user session (the HTTP cookie analogue).
@@ -192,9 +190,6 @@ pub enum CorruptKind {
 
 /// The atomic whole-object session store API shared by FastS and SSM.
 pub trait SessionStore {
-    /// A short name for reports ("FastS" / "SSM").
-    fn name(&self) -> &'static str;
-
     /// Writes (creates or replaces) the object for `id`.
     fn write(&mut self, id: SessionId, obj: SessionObject) -> Result<(), StoreError>;
 
@@ -207,19 +202,10 @@ pub trait SessionStore {
     /// Returns the number of live sessions.
     fn live_sessions(&self) -> usize;
 
-    /// Returns true if stored objects survive a process (JVM) restart.
-    fn survives_process_restart(&self) -> bool;
-
     /// Informs the store that the hosting process restarted.
     ///
     /// In-process stores lose everything; external stores are unaffected.
     fn on_process_restart(&mut self);
-
-    /// Per-read access cost charged to the request (Table 5's latency gap).
-    fn read_cost(&self) -> SimDuration;
-
-    /// Per-write access cost charged to the request.
-    fn write_cost(&self) -> SimDuration;
 
     /// Approximate bytes of session data held inside the server process.
     ///

@@ -451,10 +451,6 @@ impl Ssm {
 }
 
 impl SessionStore for Ssm {
-    fn name(&self) -> &'static str {
-        "SSM"
-    }
-
     fn write(&mut self, id: SessionId, obj: SessionObject) -> Result<(), StoreError> {
         self.reach_a_brick()?;
         self.write_seq += 1;
@@ -527,22 +523,8 @@ impl SessionStore for Ssm {
         self.held().filter(|(_, e)| e.expires > self.now).count()
     }
 
-    fn survives_process_restart(&self) -> bool {
-        true
-    }
-
     fn on_process_restart(&mut self) {
         // Physically separate machines: a server restart is invisible here.
-    }
-
-    fn read_cost(&self) -> SimDuration {
-        // Marshal + network round trip + unmarshal (Table 5: latency rises
-        // from ~15 ms to ~28 ms when eBid switches FastS → SSM).
-        SimDuration::from_micros(6_500)
-    }
-
-    fn write_cost(&self) -> SimDuration {
-        SimDuration::from_micros(6_500)
     }
 
     fn in_process_bytes(&self) -> usize {
@@ -671,14 +653,6 @@ mod tests {
         ssm.write(SessionId(1), obj(7)).unwrap();
         ssm.remove(SessionId(1)).unwrap();
         assert_eq!(ssm.read(SessionId(1)).unwrap(), None);
-    }
-
-    #[test]
-    fn access_costs_dominate_fasts() {
-        let ssm = Ssm::new(3);
-        let fasts = crate::fasts::FastS::new();
-        use crate::session::SessionStore as _;
-        assert!(ssm.read_cost() > fasts.read_cost() * 50);
     }
 
     #[test]

@@ -485,10 +485,6 @@ mod reference {
     }
 
     impl SessionStore for Ssm {
-        fn name(&self) -> &'static str {
-            "SSM"
-        }
-
         fn write(&mut self, id: SessionId, obj: SessionObject) -> Result<(), StoreError> {
             if self.net_drops_access() {
                 return Err(StoreError::Unavailable);
@@ -600,22 +596,8 @@ mod reference {
             ids.len()
         }
 
-        fn survives_process_restart(&self) -> bool {
-            true
-        }
-
         fn on_process_restart(&mut self) {
             // Physically separate machines: a server restart is invisible here.
-        }
-
-        fn read_cost(&self) -> SimDuration {
-            // Marshal + network round trip + unmarshal (Table 5: latency rises
-            // from ~15 ms to ~28 ms when eBid switches FastS → SSM).
-            SimDuration::from_micros(6_500)
-        }
-
-        fn write_cost(&self) -> SimDuration {
-            SimDuration::from_micros(6_500)
         }
 
         fn in_process_bytes(&self) -> usize {
