@@ -15,7 +15,7 @@ use std::rc::Rc;
 use cluster::{Sim, SimConfig, StoreChoice, World};
 use faults::campaign::{Injection, Scenario};
 use faults::Fault;
-use recovery::conductor::ConductorConfig;
+use recovery::conductor::{Conductor, ConductorConfig};
 use recovery::{PolicyChoice, RmConfig};
 use simcore::metrics::reboot_begun_sym;
 use simcore::telemetry::{shared_bus, RebootLevel, TelemetrySink, TraceHashSink};
@@ -222,6 +222,14 @@ pub fn describe(s: &Scenario) -> String {
     format!("{first}{second}{flap}{rm_crash} [{detector}{par}]")
 }
 
+/// The cluster's conductor, which every [`Sim`] builds.
+fn conductor(sim: &Sim) -> &Conductor {
+    sim.world()
+        .conductor
+        .as_ref()
+        .expect("Sim::new always builds the conductor")
+}
+
 /// Why node `n` has not converged yet (empty once it has): a decision
 /// unacknowledged, a conductor ticket active or queued, the node down, or
 /// a request stuck past the TTL sweep bound.
@@ -234,13 +242,12 @@ fn busy(sim: &Sim, n: usize) -> Vec<String> {
             "node {n}: {in_flight} recovery decision(s) never acknowledged"
         ));
     }
-    if let Some(c) = &w.conductor {
-        let (active, queued) = (c.active_count(n), c.queued_count(n));
-        if active + queued != 0 {
-            why.push(format!(
-                "node {n}: conductor not idle: {active} active, {queued} queued ticket(s)"
-            ));
-        }
+    let c = conductor(sim);
+    let (active, queued) = (c.active_count(n), c.queued_count(n));
+    if active + queued != 0 {
+        why.push(format!(
+            "node {n}: conductor not idle: {active} active, {queued} queued ticket(s)"
+        ));
     }
     if !w.nodes[n].is_up() {
         why.push(format!("node {n} down at end: {:?}", w.nodes[n].state()));
@@ -279,8 +286,7 @@ fn structural_violations(sim: &Sim) -> Vec<String> {
     let w = sim.world();
     for n in 0..w.nodes.len() {
         violations.extend(busy(sim, n));
-        let quarantined = w.conductor.as_ref().map(|c| c.quarantined(n));
-        let quarantined = quarantined.unwrap_or_default();
+        let quarantined = conductor(sim).quarantined(n);
         if !quarantined.is_empty() {
             violations.push(format!(
                 "node {n}: quarantine never lifted: {quarantined:?}"

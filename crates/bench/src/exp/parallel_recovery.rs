@@ -6,9 +6,9 @@
 //! t = 30 s on a single node under 500-client load. Two automatic-recovery
 //! arms, identical except for the conductor:
 //!
-//! * **serialized** — the pre-conductor baseline: the manager issues one
-//!   microreboot at a time, so the node pays the *sum* of the three
-//!   recovery times (plus a diagnosis round-trip between each);
+//! * **serialized** — the default schedule, one microreboot at a time
+//!   (manager budget 1, conductor cap 1): the node pays the *sum* of the
+//!   three recovery times (plus a diagnosis round-trip between each);
 //! * **conducted** — the conductor expands, checks conflicts, and runs
 //!   all three microreboots concurrently under quarantine admission, so
 //!   total unavailability collapses to ≈ the *slowest single* recovery.

@@ -1,7 +1,7 @@
 //! Recovery execution: the manager's poll, actions and policy-plane
 //! holds, reboots of every depth, the conductor glue, and rejuvenation.
 
-use recovery::conductor::{StartCmd, Submission, TicketId};
+use recovery::conductor::{Conductor, StartCmd, Submission, TicketId};
 use recovery::RecoveryAction;
 use simcore::telemetry::TelemetryEvent;
 use simcore::{SimDuration, SimTime};
@@ -20,18 +20,10 @@ impl World {
         let now = q.now();
         if self.rm.is_some() && !self.rm_down {
             for node in 0..self.nodes.len() {
-                // With a conductor the manager may issue several decisions
-                // per poll (up to its concurrency budget); the baseline
-                // keeps the historical one-decision-per-poll cadence.
-                loop {
-                    let action = self.rm.as_mut().and_then(|rm| rm.decide(node, now));
-                    let Some(action) = action else { break };
-                    if self.conductor.is_some() {
-                        self.conduct(node, action, q);
-                    } else {
-                        self.execute_action(node, action, q);
-                        break;
-                    }
+                // The manager issues decisions until its concurrency budget
+                // is spent; the conductor schedules the reboots among them.
+                while let Some(action) = self.rm.as_mut().and_then(|rm| rm.decide(node, now)) {
+                    self.execute_action(node, action, q);
                 }
             }
         }
@@ -75,9 +67,12 @@ impl World {
         }
     }
 
-    /// Executes a recovery action on a node (from the RM or an
-    /// experiment): a policy-plane hold or a human page here, a reboot of
-    /// any depth through [`World::begin_reboot`].
+    /// Executes a recovery action on a node (from the RM, an experiment
+    /// or the rejuvenation service): a policy-plane hold or a human page
+    /// here, a reboot of any depth as a conductor ticket — expanded to its
+    /// recovery group, coalesced, scheduled around conflicting reboots and
+    /// quarantined. A queued or coalesced reboot is acknowledged when the
+    /// ticket that carries it finishes.
     pub(crate) fn execute_action(&mut self, node: usize, action: RecoveryAction, q: &mut SimQueue) {
         let now = q.now();
         match action {
@@ -101,7 +96,12 @@ impl World {
                 self.begin_hold(node, true, q);
             }
             RecoveryAction::NotifyHuman => self.recovery_finished(node, now),
-            reboot => self.begin_reboot(node, reboot, None, q),
+            reboot => {
+                if let Submission::Started(cmd) = self.conductor().submit(node, reboot, now) {
+                    self.begin_reboot(node, cmd, q);
+                }
+                self.sync_routing(node);
+            }
         }
     }
 
@@ -129,19 +129,13 @@ impl World {
         self.pump_node(node, q);
     }
 
-    /// Begins the reboot `action` names on `node` — the one path for every
-    /// depth, conducted (`ticket`) or not: take the action's
-    /// [`RebootLevel`], begin the recovery through the server's lifecycle
-    /// API, run (or schedule) the crash phase, and schedule the
-    /// completion.
-    fn begin_reboot(
-        &mut self,
-        node: usize,
-        action: RecoveryAction,
-        ticket: Option<TicketId>,
-        q: &mut SimQueue,
-    ) {
+    /// Begins the reboot a conductor ticket carries on `node` — the one
+    /// path for every depth: take the action's [`RebootLevel`], begin the
+    /// recovery through the server's lifecycle API, run (or schedule) the
+    /// crash phase, and schedule the completion.
+    fn begin_reboot(&mut self, node: usize, cmd: StartCmd, q: &mut SimQueue) {
         let now = q.now();
+        let StartCmd { ticket, action } = cmd;
         let level = action
             .reboot_level()
             .expect("holds and pages are not reboots");
@@ -158,18 +152,12 @@ impl World {
         let names: Vec<&str> = components.iter().map(|c| c.as_str()).collect();
         let Ok(reboot) = self.nodes[node].begin_recovery(level, &names, now, drain) else {
             // Nothing to do (already rebooting, a racing reboot holds a
-            // member, or the process is down): settle the action so the
+            // member, or the process is down): settle the ticket so the
             // manager can escalate.
-            match ticket {
-                Some(ticket) => self.finish_conducted(node, ticket, q),
-                None => self.recovery_finished(node, now),
-            }
+            self.finish_ticket(node, ticket, q);
             return;
         };
-        match ticket {
-            Some(_) => self.sync_routing(node),
-            None => self.redirect(node, true),
-        }
+        self.sync_routing(node);
         self.pool.perf_mask(reboot.done_at);
         let id = reboot.id;
         if level == RebootLevel::Component {
@@ -197,77 +185,40 @@ impl World {
         self.pump_node(node, q);
     }
 
-    /// Completes a reboot and acknowledges it: straight to the manager,
-    /// or through the conductor ticket that carried it.
+    /// Completes a reboot and settles the conductor ticket that carried it.
     pub(crate) fn on_recovery_done(
         &mut self,
         node: usize,
         id: RebootId,
-        ticket: Option<TicketId>,
+        ticket: TicketId,
         q: &mut SimQueue,
     ) {
         let now = q.now();
         self.nodes[node].recovery_complete(id, now);
-        match ticket {
-            Some(ticket) => {
-                self.pump_node(node, q);
-                self.finish_conducted(node, ticket, q);
-            }
-            None => {
-                self.recovery_finished(node, now);
-                self.redirect(node, false);
-                self.pump_node(node, q);
-            }
-        }
+        self.pump_node(node, q);
+        self.finish_ticket(node, ticket, q);
     }
 
-    /// Routes a manager decision through the conductor: expansion to the
-    /// recovery group, coalescing, conflict scheduling and quarantine.
-    fn conduct(&mut self, node: usize, action: RecoveryAction, q: &mut SimQueue) {
-        // Human pages and policy-plane holds are not reboots — nothing to
-        // schedule around; the executor handles them directly.
-        if matches!(
-            action,
-            RecoveryAction::NotifyHuman | RecoveryAction::Isolate { .. } | RecoveryAction::Failover
-        ) {
-            self.execute_action(node, action, q);
-            return;
-        }
-        let now = q.now();
-        let conductor = self
-            .conductor
+    /// The conductor. [`Sim::new`](crate::Sim::new) always builds it; the
+    /// field stays an `Option` only because urbmark names its type.
+    fn conductor(&mut self) -> &mut Conductor {
+        self.conductor
             .as_mut()
-            .expect("conduct requires a conductor");
-        match conductor.submit(node, action, now) {
-            Submission::Started(cmd) => self.start_conducted(node, cmd, q),
-            // Queued and coalesced decisions are settled (acknowledged to
-            // the manager) when their carrying ticket finishes.
-            Submission::Queued(_) | Submission::Coalesced(_) => {}
-        }
-        self.sync_routing(node);
-    }
-
-    /// Begins executing a conductor ticket on a node.
-    fn start_conducted(&mut self, node: usize, cmd: StartCmd, q: &mut SimQueue) {
-        self.begin_reboot(node, cmd.action, Some(cmd.ticket), q);
+            .expect("Sim::new always builds the conductor")
     }
 
     /// Settles a finished (or unexecutable) ticket: acknowledges every
-    /// decision it carried to the manager, refreshes routing, and starts
+    /// decision it carried to the manager, refreshes routing, and begins
     /// whatever the conductor promoted from the queue.
-    fn finish_conducted(&mut self, node: usize, ticket: TicketId, q: &mut SimQueue) {
+    fn finish_ticket(&mut self, node: usize, ticket: TicketId, q: &mut SimQueue) {
         let now = q.now();
-        let fin = self
-            .conductor
-            .as_mut()
-            .expect("conducted tickets require a conductor")
-            .on_finished(node, ticket, now);
+        let fin = self.conductor().on_finished(node, ticket, now);
         for _ in 0..fin.acks {
             self.recovery_finished(node, now);
         }
         self.sync_routing(node);
         for cmd in fin.start {
-            self.start_conducted(node, cmd, q);
+            self.begin_reboot(node, cmd, q);
         }
     }
 
@@ -275,9 +226,7 @@ impl World {
     /// recoveries drain the whole node, component recoveries quarantine
     /// only their blast radius (or drain the node when quarantine is off).
     fn sync_routing(&mut self, node: usize) {
-        let Some(conductor) = &self.conductor else {
-            return;
-        };
+        let conductor = self.conductor();
         let coarse = conductor.has_coarse_active(node);
         let component = conductor.has_component_active(node);
         let quarantine_on = conductor.config().quarantine;

@@ -83,10 +83,11 @@ pub struct SimConfig {
     /// reproduces the paper's recursive policy bit-for-bit, `RebootFirst`
     /// its "recover by JVM restart" baseline; all compete in the tournament.
     pub policy: PolicyChoice,
-    /// Recovery-conductor configuration; `None` keeps the baseline serial
-    /// execution of manager decisions. With a conductor, decisions are
-    /// expanded to recovery groups, coalesced, scheduled concurrently when
-    /// conflict-free, and (optionally) guarded by quarantine admission.
+    /// Recovery-conductor configuration: every reboot is a ticket, expanded
+    /// to its recovery group, coalesced, run concurrently up to the cap when
+    /// conflict-free, and optionally quarantined. `None` means cap 1 without
+    /// quarantine, one reboot at a time per node; it is an `Option` only
+    /// because urbmark names the type (ROADMAP item 1).
     pub conductor: Option<ConductorConfig>,
     /// Whether the LB fails traffic over during recovery (Section 5.3) —
     /// meaningless in a 1-node cluster.
@@ -185,8 +186,8 @@ pub enum SimEvent {
         node: usize,
         /// The reboot ticket.
         id: RebootId,
-        /// The conductor ticket to settle, when the reboot was conducted.
-        ticket: Option<TicketId>,
+        /// The conductor ticket to settle.
+        ticket: TicketId,
     },
     /// A Table 2 fault injection.
     InjectFault {
@@ -275,7 +276,8 @@ pub struct World {
     pub pool: ClientPool,
     /// The recovery manager, when automatic recovery is on.
     pub rm: Option<RecoveryManager>,
-    /// The recovery conductor, when parallel recovery is on.
+    /// The recovery conductor. Always `Some`: an `Option` only because
+    /// urbmark names the type (ROADMAP item 1).
     pub conductor: Option<Conductor>,
     /// Per-node rejuvenation services (Section 6.4), when enabled.
     pub rejuv: Vec<Option<RejuvenationService>>,
@@ -629,6 +631,10 @@ pub struct Sim {
 impl Sim {
     /// Builds a simulation per `config` and arms the client population.
     pub fn new(config: SimConfig) -> Self {
+        let conductor_config = config.conductor.unwrap_or(ConductorConfig {
+            max_concurrent_per_node: 1,
+            quarantine: false,
+        });
         let dataset = DatasetSpec::default();
         let db = share_db(dataset.generate(config.seed));
         let shared_ssm = match config.store {
@@ -646,7 +652,7 @@ impl Sim {
                 ServerConfig {
                     node: n,
                     retry_enabled: config.retry_enabled,
-                    quarantine_enabled: config.conductor.is_some_and(|c| c.quarantine),
+                    quarantine_enabled: conductor_config.quarantine,
                     seed: config.seed ^ (0x9e3779b9 * (n as u64 + 1)),
                     ..ServerConfig::default()
                 },
@@ -674,9 +680,12 @@ impl Sim {
                 config.seed,
             )
         });
-        let conductor = config
-            .conductor
-            .map(|cc| Conductor::new(config.nodes, cc, nodes[0].graph(), ebid::ops::call_path));
+        let conductor = Conductor::new(
+            config.nodes,
+            conductor_config,
+            nodes[0].graph(),
+            ebid::ops::call_path,
+        );
         // The map is read only while a node's quarantine set is non-empty,
         // which the conductor or the bulkhead policy makes it.
         let mut lb = LoadBalancer::new(config.nodes);
@@ -687,7 +696,7 @@ impl Sim {
             lb,
             pool,
             rm,
-            conductor,
+            conductor: Some(conductor),
             rejuv,
             ssm: shared_ssm,
             net: NetShim::default(),

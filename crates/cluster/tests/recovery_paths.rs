@@ -1,10 +1,15 @@
 //! Cluster-level recovery-path tests: rejuvenation wiring, SSM clusters,
-//! escalation through the full event loop, and load-balancer interplay.
+//! escalation through the full event loop, load-balancer interplay, and
+//! commanded reboots scheduled by the conductor.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use cluster::{Sim, SimConfig, StoreChoice};
 use faults::Fault;
 use recovery::{PolicyChoice, RecoveryAction, RmConfig};
-use simcore::{SimDuration, SimTime};
+use simcore::telemetry::{shared_bus, TelemetryEvent};
+use simcore::{SimDuration, SimTime, TraceRecorder};
 
 fn mins(m: u64) -> SimTime {
     SimTime::from_mins(m)
@@ -176,4 +181,72 @@ fn manual_os_reboot_round_trip() {
     let taw = world.pool.taw_ref();
     assert!(taw.bad_in(115, 240) > 500.0);
     assert_eq!(taw.bad_in(5 * 60, 6 * 60 - 1), 0.0);
+}
+
+/// Commands each `(offset in ms past t = 60 s, action)` on node 0 of a
+/// default cluster with no manager, and returns the run's schedule
+/// events in emission order: `"<kind> <level>"`, the level omitted where
+/// the event has none.
+fn commanded_schedule(commands: &[(u64, RecoveryAction)]) -> Vec<String> {
+    let mut sim = Sim::new(SimConfig::default());
+    let bus = shared_bus();
+    let recorder = Rc::new(RefCell::new(TraceRecorder::new()));
+    bus.borrow_mut().add_sink(Box::new(recorder.clone()));
+    sim.attach_telemetry(bus);
+    for (offset_ms, action) in commands {
+        sim.schedule_recovery(SimTime::from_millis(60_000 + offset_ms), 0, action.clone());
+    }
+    sim.run_until(mins(2));
+    let schedule = recorder
+        .borrow()
+        .events()
+        .iter()
+        .filter_map(|ev| match ev {
+            TelemetryEvent::RebootBegun { level, .. }
+            | TelemetryEvent::RebootFinished { level, .. }
+            | TelemetryEvent::RecoveryQueued { level, .. } => {
+                Some(format!("{} {level:?}", ev.kind()))
+            }
+            TelemetryEvent::RecoveryCoalesced { .. } => Some(ev.kind().to_string()),
+            _ => None,
+        })
+        .collect();
+    schedule
+}
+
+/// A second command for a microreboot already in flight is absorbed by
+/// the running ticket, not begun again or dropped unannounced.
+#[test]
+fn repeated_commanded_microreboot_coalesces_into_the_one_in_flight() {
+    let mrb = RecoveryAction::microreboot(&["ViewItem"]);
+    let schedule = commanded_schedule(&[(0, mrb.clone()), (100, mrb)]);
+    assert_eq!(
+        schedule,
+        [
+            "reboot_begun Component",
+            "recovery_coalesced",
+            "reboot_finished Component"
+        ]
+    );
+}
+
+/// A commanded process restart that arrives mid-microreboot waits at the
+/// conductor's barrier until the microreboot has finished, instead of
+/// cancelling it.
+#[test]
+fn commanded_restart_waits_for_the_microreboot_in_flight() {
+    let schedule = commanded_schedule(&[
+        (0, RecoveryAction::microreboot(&["ViewItem"])),
+        (100, RecoveryAction::RestartProcess),
+    ]);
+    assert_eq!(
+        schedule,
+        [
+            "reboot_begun Component",
+            "recovery_queued Process",
+            "reboot_finished Component",
+            "reboot_begun Process",
+            "reboot_finished Process"
+        ]
+    );
 }

@@ -74,8 +74,8 @@ pub struct Scenario {
     pub flap: Option<FlapSchedule>,
     /// Run with the comparison detector instead of the simple one.
     pub comparison_detector: bool,
-    /// Run with a concurrency-4 recovery manager behind the conductor
-    /// instead of the serial manager.
+    /// Run with a concurrency-4 recovery manager behind a cap-4,
+    /// quarantining conductor instead of the serial schedule.
     pub parallel_rm: bool,
     /// Optional mid-run crash of the RM itself. Only the policy
     /// tournament schedules it, on a fraction of runs.
@@ -197,8 +197,8 @@ const CLASSIC: Draws = Draws {
 
 /// The policy tournament: like `CLASSIC`, but the fault kind is
 /// round-robin so a small per-policy matrix covers every kind, the RM is
-/// always serial (policies own their escalation, the conductor stays out
-/// of the comparison), and a quarter of the runs crash the RM mid-run.
+/// always serial (policies own their escalation; the conductor stays at
+/// cap 1), and a quarter of the runs crash the RM mid-run.
 const TOURNAMENT: Draws = Draws {
     salt: 0x70ac_4a3e_0000_0000,
     seed_mul: 0x517c_c1b7_2722_0a95,

@@ -2,8 +2,9 @@
 //!
 //! The recovery manager diagnoses *what* to recover; the conductor decides
 //! *when*. It sits between [`RecoveryManager`](crate::RecoveryManager)
-//! decisions and the per-node reboot lifecycle, and turns the serial
-//! "one recovery at a time" discipline into a schedule:
+//! decisions and the per-node reboot lifecycle, and every reboot the
+//! cluster begins is one of its tickets (at a cap of 1 without quarantine
+//! the schedule is the serial "one recovery at a time" discipline):
 //!
 //! * every action is expanded to its full recovery group (the transitive
 //!   closure of container-spanning references, Section 3.2), so conflict
@@ -248,22 +249,15 @@ impl Conductor {
 
     /// Submits a manager decision for `node`, returning what to do with it.
     pub fn submit(&mut self, node: usize, action: RecoveryAction, now: SimTime) -> Submission {
-        // The page and the holds normally bypass the conductor (the
-        // executor handles them directly); if submitted anyway they are
-        // treated as maximally exclusive.
-        let level = action
-            .reboot_level()
-            .unwrap_or(RebootLevel::OperatingSystem);
-        if level == RebootLevel::Component {
-            let RecoveryAction::Microreboot { components } = &action else {
-                unreachable!("component level implies a microreboot action");
-            };
+        if let RecoveryAction::Microreboot { components } = &action {
             let members = self.expand(components);
             let mask = self.mask_of(&members);
-            self.submit_component(node, members, mask, now)
-        } else {
-            self.submit_coarse(node, level, action, now)
+            return self.submit_component(node, members, mask, now);
         }
+        let level = action
+            .reboot_level()
+            .expect("holds and pages are not reboots");
+        self.submit_coarse(node, level, action, now)
     }
 
     fn submit_component(

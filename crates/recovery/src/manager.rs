@@ -102,10 +102,10 @@ pub struct RmConfig {
     ///
     /// At the default of 1 the manager behaves exactly as the serial
     /// baseline (one decision, then silence until it is acknowledged).
-    /// Above 1 — which only makes sense with the conductor executing the
-    /// actions — each issued microreboot *consumes* the evidence that
-    /// implicated its suspect, so the next `decide` call in the same poll
-    /// can diagnose a different concurrent fault from what remains.
+    /// Above 1 — which only makes sense with a conductor cap above 1 —
+    /// each issued microreboot *consumes* the evidence that implicated its
+    /// suspect, so the next `decide` call in the same poll can diagnose a
+    /// different concurrent fault from what remains.
     pub max_concurrent: usize,
     /// Reboot-storm damper: once a component has been microrebooted this
     /// many consecutive times (within `flap_window` of each other), an
