@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use super::{recovered_run, HOT_FAULT};
-use crate::report::{banner, print_telemetry, ratio, Table};
+use crate::report::{banner, print_telemetry, ratio, write_target, Table};
 use cluster::SimConfig;
 use faults::Fault;
 use recovery::PolicyChoice;
@@ -88,9 +88,9 @@ pub(super) fn run() -> Result<(), String> {
         ));
     }
     json.push_str("\n]\n");
-    let path = "target/fig1_series.json";
-    if std::fs::write(path, json).is_ok() {
-        println!("(full per-10s Taw series written to {path})\n");
+    match write_target("fig1_series.json", &json) {
+        Ok(path) => println!("(full per-10s Taw series written to {path})\n"),
+        Err(why) => eprintln!("{why}"),
     }
 
     let mut t = Table::new(&["metric", "process restart", "microreboot", "paper"]);

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use super::recovered_run;
-use crate::report::{banner, print_telemetry, ratio, JsonReport, Table};
+use crate::report::{banner, print_telemetry, ratio, write_target, JsonReport, Table};
 use cluster::SimConfig;
 use faults::Fault;
 use recovery::conductor::ConductorConfig;
@@ -209,19 +209,17 @@ pub(super) fn run() -> Result<(), String> {
 
     // Full JSONL traces for `urb trace` inspection, plus the
     // machine-readable BENCH report accumulating the perf trajectory.
-    let _ = std::fs::create_dir_all("target");
     for (name, arm) in [
         ("parallel_recovery_serialized", &serial),
         ("parallel_recovery_conducted", &conducted),
     ] {
-        let path = format!("target/TRACE_{name}.jsonl");
-        match arm.trace.write_to(std::path::Path::new(&path)) {
-            Ok(()) => println!(
+        match write_target(&format!("TRACE_{name}.jsonl"), &arm.trace.to_jsonl()) {
+            Ok(path) => println!(
                 "\ntrace: {} events, digest {:016x} -> {path}",
                 arm.trace.events.len(),
                 arm.trace.digest
             ),
-            Err(e) => eprintln!("could not write {path}: {e}"),
+            Err(why) => eprintln!("{why}"),
         }
     }
     let mut json = JsonReport::new("parallel_recovery");
@@ -240,7 +238,7 @@ pub(super) fn run() -> Result<(), String> {
     json.telemetry(&conducted.telemetry);
     match json.write() {
         Ok(path) => println!("machine-readable report -> {path}"),
-        Err(e) => eprintln!("could not write BENCH report: {e}"),
+        Err(why) => eprintln!("{why}"),
     }
 
     // Machine-checkable acceptance criteria.

@@ -181,17 +181,25 @@ impl JsonReport {
 
     /// Writes the report as a JSON object to `target/BENCH_<exp>.json`;
     /// returns the path written.
-    pub fn write(&self) -> std::io::Result<String> {
+    pub fn write(&self) -> Result<String, String> {
         let mut out = format!("{{\n  \"experiment\": \"{}\"", self.exp);
         for (k, v) in &self.entries {
             out.push_str(&format!(",\n  \"{k}\": {v}"));
         }
         out.push_str("\n}\n");
-        let path = format!("target/BENCH_{}.json", self.exp);
-        std::fs::create_dir_all("target")?;
-        std::fs::write(&path, out)?;
-        Ok(path)
+        write_target(&format!("BENCH_{}.json", self.exp), &out)
     }
+}
+
+/// Writes `contents` to `target/<name>` under the working directory,
+/// creating `target/` first; returns the path written, or why it could
+/// not be written.
+pub(crate) fn write_target(name: &str, contents: &str) -> Result<String, String> {
+    let path = format!("target/{name}");
+    std::fs::create_dir_all("target")
+        .and_then(|()| std::fs::write(&path, contents))
+        .map(|()| path.clone())
+        .map_err(|e| format!("could not write {path}: {e}"))
 }
 
 /// Prints an experiment banner.

@@ -13,20 +13,18 @@
 //! call path touches that blast radius avoid the node — everything else
 //! keeps flowing to it.
 
-use std::collections::BTreeMap;
-
 use components::CompName;
 use simcore::telemetry::{SharedBus, TelemetryEvent};
 use simcore::SimTime;
+use statestore::session::SessionMap;
 use statestore::SessionId;
 use urb_core::{OpCode, Request};
 
 /// The load balancer.
 pub struct LoadBalancer {
     nodes: usize,
-    /// Session → home node, ordered by session id so that iteration
-    /// (e.g. [`LoadBalancer::sessions_on`]) is deterministic.
-    affinity: BTreeMap<SessionId, usize>,
+    /// Session → home node.
+    affinity: SessionMap<usize>,
     redirecting: Vec<bool>,
     /// Per-node quarantine set: components mid-microreboot there.
     quarantine: Vec<Vec<CompName>>,
@@ -35,7 +33,8 @@ pub struct LoadBalancer {
     rr: usize,
     /// Sessions whose affinity target was under redirection at routing
     /// time, i.e. requests actually failed over (Figure 3's metric).
-    failed_over_sessions: Vec<SessionId>,
+    /// Never pruned: it counts every session ever failed over.
+    failed_over_sessions: SessionMap<()>,
     bus: Option<SharedBus>,
 }
 
@@ -49,12 +48,12 @@ impl LoadBalancer {
         assert!(nodes > 0, "need at least one node");
         LoadBalancer {
             nodes,
-            affinity: BTreeMap::new(),
+            affinity: SessionMap::default(),
             redirecting: vec![false; nodes],
             quarantine: vec![Vec::new(); nodes],
             path_of: None,
             rr: 0,
-            failed_over_sessions: Vec::new(),
+            failed_over_sessions: SessionMap::default(),
             bus: None,
         }
     }
@@ -113,12 +112,10 @@ impl LoadBalancer {
     /// Routes a request to a node at `now`.
     pub fn route(&mut self, req: &Request, now: SimTime) -> usize {
         if let Some(sid) = req.session {
-            if let Some(&home) = self.affinity.get(&sid) {
+            if let Some(&home) = self.affinity.get(sid) {
                 let avoid = self.redirecting[home] || self.shed_by_quarantine(home, req.op);
                 if avoid && self.nodes > 1 {
-                    if !self.failed_over_sessions.contains(&sid) {
-                        self.failed_over_sessions.push(sid);
-                    }
+                    self.failed_over_sessions.insert(sid, ());
                     let to = self.next_good(req.op);
                     if let Some(bus) = &self.bus {
                         bus.borrow_mut().emit(&TelemetryEvent::LbFailover {
@@ -144,7 +141,7 @@ impl LoadBalancer {
 
     /// Drops a session binding (its client dropped the cookie).
     pub(crate) fn unassign(&mut self, sid: SessionId) {
-        self.affinity.remove(&sid);
+        self.affinity.remove(sid);
     }
 
     /// Starts (or stops) redirecting traffic away from `node`.

@@ -12,10 +12,8 @@
 //! web-tier reinitialization is the only thing that can evict a bad object
 //! (Table 2's "corrupt data inside FastS → WAR reboot" rows).
 
-use std::collections::BTreeMap;
-
 use crate::session::{
-    corrupt_object, CorruptKind, SessionId, SessionObject, SessionStore, StoreError,
+    corrupt_object, CorruptKind, SessionId, SessionMap, SessionObject, SessionStore, StoreError,
 };
 
 /// The in-process session store.
@@ -35,7 +33,7 @@ use crate::session::{
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FastS {
-    objects: BTreeMap<SessionId, SessionObject>,
+    objects: SessionMap<SessionObject>,
     /// Running total of [`SessionObject::approx_bytes`] over `objects`,
     /// maintained incrementally: `in_process_bytes` is on the server's
     /// per-request hot path (heap accounting) and must not re-encode the
@@ -53,7 +51,7 @@ impl FastS {
     ///
     /// Returns false if the session does not exist.
     pub fn corrupt(&mut self, id: SessionId, kind: CorruptKind) -> bool {
-        match self.objects.get_mut(&id) {
+        match self.objects.get_mut(id) {
             Some(obj) => {
                 self.bytes -= obj.approx_bytes();
                 corrupt_object(obj, kind);
@@ -90,15 +88,12 @@ impl FastS {
     ///
     /// This is the comparison detector's oracle, not application state.
     pub fn is_tainted(&self, id: SessionId) -> bool {
-        self.objects
-            .get(&id)
-            .map(|o| o.is_tainted())
-            .unwrap_or(false)
+        self.objects.get(id).is_some_and(SessionObject::is_tainted)
     }
 
     /// Returns the ids of all live sessions, in order.
     pub fn session_ids(&self) -> Vec<SessionId> {
-        self.objects.keys().copied().collect()
+        self.objects.keys().collect()
     }
 
     /// Drops every stored session (test helper simulating state loss
@@ -119,11 +114,11 @@ impl SessionStore for FastS {
     }
 
     fn read(&mut self, id: SessionId) -> Result<Option<SessionObject>, StoreError> {
-        Ok(self.objects.get(&id).cloned())
+        Ok(self.objects.get(id).cloned())
     }
 
     fn remove(&mut self, id: SessionId) -> Result<(), StoreError> {
-        if let Some(old) = self.objects.remove(&id) {
+        if let Some(old) = self.objects.remove(id) {
             self.bytes -= old.approx_bytes();
         }
         Ok(())

@@ -21,6 +21,210 @@ impl fmt::Display for SessionId {
     }
 }
 
+/// How many consecutive session ids one [`SessionMap`] chunk covers
+/// (DESIGN.md §9, "Session-keyed state", for how it was chosen).
+const CHUNK: u64 = 256;
+
+/// Values keyed by session id, laid out densely by id.
+///
+/// Each node mints its ids one after another from `node << 32`, so the
+/// ids a store holds fill a few dense runs. The map keeps values in
+/// chunks of [`CHUNK`] consecutive ids, behind an index of the chunks
+/// that hold anything, sorted by id: a lookup is a binary search over the
+/// chunks and an index into one, an insert into a live chunk allocates
+/// nothing, and a chunk is freed with its last value. Iteration runs in
+/// ascending id order, both directions, as a `BTreeMap<SessionId, V>`
+/// would.
+///
+/// # Examples
+///
+/// ```
+/// use statestore::session::{SessionId, SessionMap};
+///
+/// let mut map = SessionMap::default();
+/// map.insert(SessionId(1 << 32), "node 1");
+/// map.insert(SessionId(3), "node 0");
+/// let ids: Vec<u64> = map.iter().rev().map(|(id, _)| id.0).collect();
+/// assert_eq!(ids, [1 << 32, 3]);
+/// assert_eq!(map.remove(SessionId(3)), Some("node 0"));
+/// assert_eq!(map.len(), 1);
+/// ```
+#[derive(Clone)]
+pub struct SessionMap<V> {
+    /// The chunks holding at least one value, in ascending `base` order.
+    chunks: Vec<Chunk<V>>,
+    /// Values held, over all chunks.
+    len: usize,
+}
+
+/// The values of [`CHUNK`] consecutive ids.
+#[derive(Clone)]
+struct Chunk<V> {
+    /// The first id the chunk covers: a multiple of [`CHUNK`].
+    base: u64,
+    /// How many slots hold a value; never zero in a map.
+    live: usize,
+    /// Slot `i` holds the value of id `base + i`.
+    slots: Box<[Option<V>]>,
+}
+
+impl<V> Chunk<V> {
+    /// The values with their ids, in ascending id order.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = (SessionId, &V)> {
+        let base = self.base;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, v)| Some((SessionId(base + i as u64), v.as_ref()?)))
+    }
+}
+
+/// `id` as its chunk's base and its slot there.
+fn split(id: SessionId) -> (u64, usize) {
+    (id.0 - id.0 % CHUNK, (id.0 % CHUNK) as usize)
+}
+
+impl<V> Default for SessionMap<V> {
+    fn default() -> Self {
+        SessionMap {
+            chunks: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<V: fmt::Debug> fmt::Debug for SessionMap<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<V> SessionMap<V> {
+    /// Where `id`'s chunk is in `chunks` (or would go), and its slot there.
+    fn find(&self, id: SessionId) -> (Result<usize, usize>, usize) {
+        let (base, slot) = split(id);
+        (self.chunks.binary_search_by_key(&base, |c| c.base), slot)
+    }
+
+    /// The slot of `id`, making its chunk if there is none; counts the
+    /// value in if the slot was empty.
+    fn slot_mut(&mut self, id: SessionId) -> &mut Option<V> {
+        let (found, slot) = self.find(id);
+        let at = found.unwrap_or_else(|at| {
+            let chunk = Chunk {
+                base: split(id).0,
+                live: 0,
+                slots: (0..CHUNK).map(|_| None).collect(),
+            };
+            self.chunks.insert(at, chunk);
+            at
+        });
+        let chunk = &mut self.chunks[at];
+        if chunk.slots[slot].is_none() {
+            chunk.live += 1;
+            self.len += 1;
+        }
+        &mut chunk.slots[slot]
+    }
+
+    /// Returns the number of values held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns true if the map holds no value.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Returns the value of `id`, if any.
+    pub fn get(&self, id: SessionId) -> Option<&V> {
+        let (found, slot) = self.find(id);
+        self.chunks[found.ok()?].slots[slot].as_ref()
+    }
+
+    /// Returns the value of `id` for changing, if any.
+    pub fn get_mut(&mut self, id: SessionId) -> Option<&mut V> {
+        let (found, slot) = self.find(id);
+        self.chunks[found.ok()?].slots[slot].as_mut()
+    }
+
+    /// Returns the value of `id`, inserting `V::default()` first if there
+    /// is none.
+    pub fn get_or_default(&mut self, id: SessionId) -> &mut V
+    where
+        V: Default,
+    {
+        self.slot_mut(id).get_or_insert_with(V::default)
+    }
+
+    /// Sets the value of `id`, returning the one it replaced.
+    pub fn insert(&mut self, id: SessionId, value: V) -> Option<V> {
+        self.slot_mut(id).replace(value)
+    }
+
+    /// Removes the value of `id`, returning it; frees its chunk if it was
+    /// the chunk's last.
+    pub fn remove(&mut self, id: SessionId) -> Option<V> {
+        let (found, slot) = self.find(id);
+        let at = found.ok()?;
+        let chunk = &mut self.chunks[at];
+        let old = chunk.slots[slot].take()?;
+        chunk.live -= 1;
+        self.len -= 1;
+        if chunk.live == 0 {
+            self.chunks.remove(at);
+        }
+        Some(old)
+    }
+
+    /// Keeps only the values for which `keep` returns true, visiting them
+    /// in ascending id order; frees every chunk this empties.
+    pub fn retain(&mut self, mut keep: impl FnMut(SessionId, &mut V) -> bool) {
+        let mut removed = 0;
+        self.chunks.retain_mut(|chunk| {
+            for (i, value) in chunk.slots.iter_mut().enumerate() {
+                let id = SessionId(chunk.base + i as u64);
+                if value.as_mut().is_some_and(|v| !keep(id, v)) {
+                    *value = None;
+                    chunk.live -= 1;
+                    removed += 1;
+                }
+            }
+            chunk.live > 0
+        });
+        self.len -= removed;
+    }
+
+    /// Removes every value.
+    pub fn clear(&mut self) {
+        self.chunks.clear();
+        self.len = 0;
+    }
+
+    /// The values with their ids, in ascending id order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (SessionId, &V)> {
+        self.chunks.iter().flat_map(Chunk::iter)
+    }
+
+    /// The ids held, in ascending order.
+    pub fn keys(&self) -> impl DoubleEndedIterator<Item = SessionId> + '_ {
+        self.iter().map(|(id, _)| id)
+    }
+
+    /// The values, in ascending id order.
+    pub fn values(&self) -> impl DoubleEndedIterator<Item = &V> {
+        self.iter().map(|(_, v)| v)
+    }
+
+    /// The values for changing, in ascending id order.
+    pub fn values_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut V> {
+        self.chunks
+            .iter_mut()
+            .flat_map(|c| c.slots.iter_mut().flatten())
+    }
+}
+
 /// An error from a session store.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {

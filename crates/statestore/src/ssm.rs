@@ -15,12 +15,10 @@
 //! brick bitmasks say which bricks hold a copy of it and which of those
 //! copies an injected flip has damaged (DESIGN.md §9, "SSM entry layout").
 
-use std::collections::BTreeMap;
-
 use simcore::{SimDuration, SimTime, TelemetryEvent};
 
 use crate::ledger::SharedLedger;
-use crate::session::{SessionId, SessionObject, SessionStore, StoreError};
+use crate::session::{SessionId, SessionMap, SessionObject, SessionStore, StoreError};
 
 /// Default session lease term (idle sessions expire after this).
 pub const DEFAULT_LEASE: SimDuration = SimDuration::from_mins(30);
@@ -125,7 +123,7 @@ fn marshalled_sum(buf: &mut Vec<u8>, obj: &SessionObject) -> u64 {
 #[derive(Clone, Debug)]
 pub struct Ssm {
     /// Every session the store ever accepted a write for.
-    entries: BTreeMap<SessionId, Entry>,
+    entries: SessionMap<Entry>,
     /// The replica count.
     bricks: usize,
     /// Bit `i` set: brick `i` is up.
@@ -177,7 +175,7 @@ impl Ssm {
     pub fn with_lease(replicas: usize, lease: SimDuration) -> Self {
         assert!((1..=64).contains(&replicas), "SSM needs 1 to 64 bricks");
         Ssm {
-            entries: BTreeMap::new(),
+            entries: SessionMap::default(),
             bricks: replicas,
             up: u64::MAX >> (64 - replicas),
             marshal: Vec::new(),
@@ -211,15 +209,12 @@ impl Ssm {
     /// Returns true if any up brick still holds an object for `id`
     /// (regardless of lease state — an uncollected object is not lost).
     pub fn probe(&self, id: SessionId) -> bool {
-        self.entries.get(&id).is_some_and(Entry::holds)
+        self.entries.get(id).is_some_and(Entry::holds)
     }
 
     /// The sessions some brick holds a copy of, in id order.
     fn held(&self) -> impl DoubleEndedIterator<Item = (SessionId, &Entry)> {
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.holds())
-            .map(|(id, e)| (*id, e))
+        self.entries.iter().filter(|(_, e)| e.holds())
     }
 
     // ---- node↔store network fault surface -----------------------------
@@ -293,7 +288,7 @@ impl Ssm {
     /// writes idempotent per delivery sequence: a duplicated delivery is
     /// discarded instead of bumping the session's applied id twice.
     fn apply_write(&mut self, id: SessionId, obj: SessionObject, seq: u64) {
-        let entry = self.entries.entry(id).or_default();
+        let entry = self.entries.get_or_default(id);
         if entry.seq >= seq {
             self.stats.dupes_discarded += 1;
             if let Some(l) = &self.ledger {
@@ -373,7 +368,7 @@ impl Ssm {
     ///
     /// Returns false if no brick holds the session.
     pub fn corrupt_bits(&mut self, id: SessionId) -> bool {
-        let Some(e) = self.entries.get_mut(&id).filter(|e| e.holds()) else {
+        let Some(e) = self.entries.get_mut(id).filter(|e| e.holds()) else {
             return false;
         };
         e.damaged ^= e.held;
@@ -392,7 +387,7 @@ impl Ssm {
     /// Expires `ids` exactly as a natural lease lapse would, in order.
     fn expire(&mut self, ids: Vec<SessionId>) -> usize {
         for id in &ids {
-            if let Some(e) = self.entries.get_mut(id) {
+            if let Some(e) = self.entries.get_mut(*id) {
                 e.drop_copies(u64::MAX);
             }
             self.note_expired(*id);
@@ -446,7 +441,7 @@ impl Ssm {
     /// Returns true if the stored object for `id` is injection-tainted on
     /// any brick (the comparison detector's oracle).
     pub fn is_tainted(&self, id: SessionId) -> bool {
-        self.entries.get(&id).is_some_and(|e| e.object.is_tainted())
+        self.entries.get(id).is_some_and(|e| e.object.is_tainted())
     }
 }
 
@@ -468,7 +463,7 @@ impl SessionStore for Ssm {
     fn read(&mut self, id: SessionId) -> Result<Option<SessionObject>, StoreError> {
         self.reach_a_brick()?;
         let now = self.now;
-        let Some(entry) = self.entries.get_mut(&id).filter(|e| e.holds()) else {
+        let Some(entry) = self.entries.get_mut(id).filter(|e| e.holds()) else {
             return Ok(None);
         };
         if entry.expires <= now {
@@ -510,7 +505,7 @@ impl SessionStore for Ssm {
         if self.net_drops_access() {
             return Err(StoreError::Unavailable);
         }
-        if let Some(e) = self.entries.get_mut(&id) {
+        if let Some(e) = self.entries.get_mut(id) {
             e.drop_copies(u64::MAX);
         }
         if let Some(l) = &self.ledger {

@@ -2,7 +2,7 @@
 """Alternating paired runs of two urbmark binaries, summarised per metric.
 
     pairs.py PARENT CHANGE [--workloads W,...] [--seeds 7,11] [--pairs 10]
-             [--seconds 20] [--log FILE]
+             [--seconds 20] [--traced N] [--log FILE]
 
 PARENT and CHANGE are two urbmark executables (each built from its own
 checkout: `CARGO_TARGET_DIR=DIR cargo build --release --offline
@@ -21,6 +21,18 @@ better (by the metric's `better` direction; a tie is no win), and whether
 the medians differ by more than PARENT's inter-quartile range. `--log`
 appends every run's JSON result line, tagged with side, workload, seed
 and pair, for later analysis.
+
+`--traced N` then makes N alternating traced runs per side (`--trace 1`,
+same `--seconds`) for every (workload, seed). A traced run that exits 1
+is data, not a crash: urbmark's attribution gate (the isolated drivers'
+unit costs times their counts must not exceed the measured wall) follows
+host noise. For each side the script prints how many traced runs failed,
+with each `VIOLATION` text, the min / median / max of
+`cluster.sim.unattributed_share`, and the medians of
+`simcore.event.ns_per_step` and `core.server.ns_per_read_request`; each
+failed run is listed with its own two unit costs, so a failure can be
+told apart as a slow moment of the host (every unit cost high) or as the
+change. Pairs with `--pairs 0` to make only the traced runs.
 """
 import argparse
 import json
@@ -44,6 +56,60 @@ def run(binary, workload, seed, seconds):
     return (prints[0] if len(prints) == 1 else None), json.loads(lines[-1])
 
 
+TRACED = ("cluster.sim.unattributed_share", "simcore.event.ns_per_step",
+          "core.server.ns_per_read_request")
+
+
+def run_traced(binary, workload, seed, seconds):
+    """One traced run: (exit code, VIOLATION texts, {metric: value})."""
+    proc = subprocess.run(
+        [binary, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "1"],
+        capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        sys.exit(f"{binary} {workload} seed {seed} --trace 1 exited "
+                 f"{proc.returncode}:\n{proc.stderr}")
+    values, violations = {}, []
+    for line in proc.stdout.splitlines():
+        words = line.split()
+        if line.startswith("VIOLATION "):
+            violations.append(line[len("VIOLATION "):])
+        elif len(words) == 3 and words[0] in TRACED:
+            values[words[0]] = float(words[1])
+    return proc.returncode, violations, values
+
+
+def traced_summary(workload, seed, n, parent, change, seconds, log):
+    """N alternating traced runs per side, summarised per side."""
+    runs = {"parent": [], "change": []}
+    for i in range(n):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            binary = parent if side == "parent" else change
+            code, violations, values = run_traced(binary, workload, seed, seconds)
+            runs[side].append((code, violations, values))
+            if log:
+                tag = {"side": side, "workload": workload, "seed": seed, "traced": i}
+                log.write(json.dumps({**tag, "exit": code, "violations": violations,
+                                      "values": values}) + "\n")
+                log.flush()
+    print(f"{workload} seed {seed}: {n} traced runs per side x {seconds} s")
+    for side in ("parent", "change"):
+        done = runs[side]
+        failed = [r for r in done if r[0] != 0]
+        share = sorted(r[2].get(TRACED[0], float("nan")) for r in done)
+        step = statistics.median(r[2].get(TRACED[1], float("nan")) for r in done)
+        read = statistics.median(r[2].get(TRACED[2], float("nan")) for r in done)
+        print(f"  {side:<6} failed {len(failed)}/{len(done)}  unattributed_share "
+              f"min {share[0]:.3f} median {statistics.median(share):.3f} max {share[-1]:.3f}"
+              f"  median ns_per_step {step:.1f}  ns_per_read_request {read:.0f}")
+        for _, violations, values in failed:
+            for v in violations:
+                print(f"    VIOLATION {v}  (ns_per_step {values.get(TRACED[1], float('nan')):.1f}, "
+                      f"ns_per_read_request {values.get(TRACED[2], float('nan')):.0f})")
+    sys.stdout.flush()
+
+
 def quartiles(values):
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -59,6 +125,7 @@ def main():
     ap.add_argument("--seeds", default="7,11")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=20)
+    ap.add_argument("--traced", type=int, default=0)
     ap.add_argument("--log")
     args = ap.parse_args()
     metrics = json.loads(CONTRACT.read_text())["end_to_end"]
@@ -66,6 +133,8 @@ def main():
     problems = []
     for workload in args.workloads.split(","):
         for seed in map(int, args.seeds.split(",")):
+            if args.pairs == 0:
+                continue
             values = {side: {m["name"]: [] for m in metrics} for side in ("parent", "change")}
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -96,6 +165,11 @@ def main():
                       f"change {bm:.6g} [{b1:.6g}, {b3:.6g}]  {moved:>9}  "
                       f"wins {wins}/{len(a)}  beyond parent IQR: {beyond}")
             sys.stdout.flush()
+    if args.traced:
+        for workload in args.workloads.split(","):
+            for seed in map(int, args.seeds.split(",")):
+                traced_summary(workload, seed, args.traced, args.parent, args.change,
+                               args.seconds, log)
     if problems:
         sys.exit("\n".join(problems))
 
