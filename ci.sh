@@ -28,6 +28,9 @@ echo "    (also the determinism contract, crates/clippy.toml: D001-D007, S002, P
 echo "    (and the visibility rule, unreachable_pub: dead_code sees every crate-private item)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call
 
+echo "==> cargo doc --workspace --no-deps, warnings denied (a public doc linking a private or deleted item fails)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> size (reported, not gated): the counters ROADMAP tracks per PR"
 rs_files=$(find crates src tests examples -name '*.rs')
 echo "    workspace .rs lines: $(echo "$rs_files" | xargs cat | wc -l)"

@@ -13,7 +13,6 @@
 //! call path touches that blast radius avoid the node — everything else
 //! keeps flowing to it.
 
-use components::CompName;
 use simcore::telemetry::{SharedBus, TelemetryEvent};
 use simcore::SimTime;
 use statestore::session::SessionMap;
@@ -27,7 +26,7 @@ pub struct LoadBalancer {
     affinity: SessionMap<usize>,
     redirecting: Vec<bool>,
     /// Per-node quarantine set: components mid-microreboot there.
-    quarantine: Vec<Vec<CompName>>,
+    quarantine: Vec<Vec<&'static str>>,
     /// URL-prefix → component-path map for quarantine routing.
     path_of: Option<fn(OpCode) -> &'static [&'static str]>,
     rr: usize,
@@ -77,11 +76,9 @@ impl LoadBalancer {
         let Some(path_of) = self.path_of else {
             return false;
         };
-        // `AppServer::new` interned every deployed name; one it never saw
-        // is no component of this cluster and sits in no quarantine set.
         (path_of)(op)
             .iter()
-            .any(|c| CompName::lookup(c).is_some_and(|c| self.quarantine[node].contains(&c)))
+            .any(|c| self.quarantine[node].contains(c))
     }
 
     fn next_good(&mut self, op: OpCode) -> usize {
@@ -164,14 +161,14 @@ impl LoadBalancer {
 
     /// Publishes `node`'s quarantine set (components mid-microreboot).
     /// An empty set lifts the quarantine.
-    pub(crate) fn set_quarantine(&mut self, node: usize, members: Vec<CompName>) {
+    pub(crate) fn set_quarantine(&mut self, node: usize, members: Vec<&'static str>) {
         if node < self.nodes {
             self.quarantine[node] = members;
         }
     }
 
     /// The components currently quarantined on `node` (empty when none).
-    pub fn quarantined(&self, node: usize) -> &[CompName] {
+    pub fn quarantined(&self, node: usize) -> &[&'static str] {
         self.quarantine.get(node).map_or(&[], Vec::as_slice)
     }
 
@@ -331,6 +328,38 @@ mod tests {
         });
         assert_eq!(routes[0], routes[1], "same nodes, in the same order");
         assert_eq!(routes[0].0[22], 1, "session 7 is back home at the end");
+    }
+
+    #[test]
+    fn quarantine_sheds_only_requests_whose_path_touches_the_set() {
+        fn path_of(op: OpCode) -> &'static [&'static str] {
+            match op.0 {
+                0 => &["LbTestFront", "LbTestBid"],
+                _ => &["LbTestFront", "LbTestBrowse"],
+            }
+        }
+        let on = |id: u64, op: u16| Request {
+            op: OpCode(op),
+            ..req(id, Some(7))
+        };
+        let mut lb = LoadBalancer::new(2);
+        lb.set_path_map(path_of);
+        lb.assign(SessionId(7), 0);
+        lb.set_quarantine(0, vec!["LbTestBid"]);
+        assert_eq!(
+            lb.route(&on(1, 0), SimTime::ZERO),
+            1,
+            "path touches the set"
+        );
+        assert_eq!(lb.failed_over(), 1);
+        assert_eq!(lb.route(&on(2, 1), SimTime::ZERO), 0, "path avoids the set");
+        lb.set_quarantine(0, vec!["LbTestOnNoPath"]);
+        assert_eq!(lb.route(&on(3, 0), SimTime::ZERO), 0, "member on no path");
+        assert_eq!(lb.route(&on(4, 1), SimTime::ZERO), 0);
+        lb.set_quarantine(0, Vec::new());
+        assert!(lb.quarantined(0).is_empty());
+        assert_eq!(lb.route(&on(5, 0), SimTime::ZERO), 0, "affinity restored");
+        assert_eq!(lb.failed_over(), 1);
     }
 
     #[test]

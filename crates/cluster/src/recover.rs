@@ -149,8 +149,7 @@ impl World {
             RebootLevel::Component => self.drain,
             _ => None,
         };
-        let names: Vec<&str> = components.iter().map(|c| c.as_str()).collect();
-        let Ok(reboot) = self.nodes[node].begin_recovery(level, &names, now, drain) else {
+        let Ok(reboot) = self.nodes[node].begin_recovery(level, &components, now, drain) else {
             // Nothing to do (already rebooting, a racing reboot holds a
             // member, or the process is down): settle the ticket so the
             // manager can escalate.

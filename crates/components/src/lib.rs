@@ -12,9 +12,6 @@
 //! * [`graph`] — the dependency graph and the *recovery group* computation:
 //!   the transitive closure of container-spanning references that must be
 //!   microrebooted together (eBid's `EntityGroup`),
-//! * [`intern`] — interned component names ([`CompName`]): the small
-//!   `Copy` identifiers recovery actions and the conductor use instead of
-//!   threading `&'static str` everywhere,
 //! * [`registry`] — the JNDI-like naming service mapping component names
 //!   (held as their deployment handles) to bindings, including the `Sentinel` binding used to mask microreboots
 //!   with call-level retries (Section 6.2) and the corruption surface used
@@ -28,9 +25,7 @@
 pub mod container;
 pub mod descriptor;
 pub mod graph;
-pub mod intern;
 pub mod registry;
 
 pub use container::{Container, ContainerState, InstancePool, TxnMethodMap};
-pub use intern::CompName;
 pub use registry::{Binding, NamingRegistry, RegistryError};

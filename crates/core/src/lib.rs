@@ -11,11 +11,11 @@
 //! * [`server::AppServer`] — the composition root: containers, naming,
 //!   the request execution path and the fault-injection hooks of
 //!   Section 5.1,
-//! * [`pipeline::RequestPipeline`] — admission, execution bookkeeping and
+//! * `pipeline::RequestPipeline` — admission, execution bookkeeping and
 //!   the kill paths,
 //! * [`lifecycle::RecoveryLifecycle`] — one state machine over every
 //!   recovery depth (microreboot / app restart / process restart / OS
-//!   reboot), driven by [`RebootLevel`](server::RebootLevel),
+//!   reboot), driven by [`RebootLevel`],
 //! * [`context::CallContext`] — the capability handle application code
 //!   runs against (component calls, transactions, session state),
 //! * [`rejuvenation::RejuvenationService`] — rolling microrejuvenation

@@ -4,18 +4,17 @@
 //! node. Since the layered decomposition it is a thin composition of three
 //! collaborating layers plus the shared internals:
 //!
-//! * [`RequestPipeline`](crate::pipeline::RequestPipeline) — admission,
-//!   execution bookkeeping and the kill paths (`crate::pipeline`);
-//! * [`RecoveryLifecycle`](crate::lifecycle::RecoveryLifecycle) — one
-//!   state machine over every recovery depth, from microreboot to OS
-//!   reboot (`crate::lifecycle`);
+//! * `RequestPipeline` — admission, execution bookkeeping and the kill
+//!   paths (`crate::pipeline`);
+//! * [`RecoveryLifecycle`] — one state machine over every recovery depth,
+//!   from microreboot to OS reboot (`crate::lifecycle`);
 //! * the telemetry bus (`simcore::telemetry`) — every observable fact is
 //!   emitted as a [`TelemetryEvent`]; [`ServerStats`] is just a
 //!   [`TelemetrySink`] folding events into counters.
 //!
 //! This module keeps the request *execution* path (submit → pump →
 //! execute → complete), fault injection, maintenance, and the shared
-//! [`ServerInner`] that `CallContext` works against.
+//! `ServerInner` that `CallContext` works against.
 //!
 //! The server is a *passive* state machine over simulated time: every
 //! method takes `now`, and methods that start timed work return the instant
@@ -25,7 +24,6 @@
 use components::container::Container;
 use components::descriptor::{ComponentId, ComponentKind};
 use components::graph::DependencyGraph;
-use components::intern::CompName;
 use components::registry::{Binding, NamingRegistry};
 use faults::Fault;
 use simcore::telemetry::{Disposition, KillCause, SharedBus, TelemetryEvent, TelemetrySink};
@@ -72,7 +70,7 @@ impl std::error::Error for RebootError {}
 ///
 /// Since the metrics-registry refactor this is a *view*: the server folds
 /// every emitted [`TelemetryEvent`] into its node-local
-/// [`MetricsRegistry`], and [`ServerStats::from_registry`] materialises
+/// [`MetricsRegistry`], and `ServerStats::from_registry` materialises
 /// the classic counter struct from registry reads. Nothing increments
 /// these fields directly.
 #[derive(Clone, Copy, Debug, Default)]
@@ -288,10 +286,6 @@ impl<A: Application> AppServer<A> {
             c.begin_start();
             c.complete_start();
             registry.bind(id, Binding::Active(id));
-            // The one place a server interns its component names: layers
-            // that only see names (the LB's quarantine match) look them
-            // up with `CompName::lookup`.
-            CompName::intern(d.name);
             containers.push(c);
         }
         AppServer {

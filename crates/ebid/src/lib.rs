@@ -14,10 +14,10 @@
 //!   calibrated recovery costs, including the five-bean `EntityGroup`,
 //! * [`ops`] — the 25 end-user operations and their static
 //!   URL → component-path map (the recovery manager's diagnosis input),
-//! * [`app`] — the request handlers,
-//! * [`keygen`] — the primary-key generator whose corruption Table 2
+//! * `app` — the request handlers,
+//! * `keygen` — the primary-key generator whose corruption Table 2
 //!   injects,
-//! * [`emulation`] — the Markov-chain workload catalog reproducing
+//! * `emulation` — the Markov-chain workload catalog reproducing
 //!   Table 1's operation mix.
 
 #![forbid(unsafe_code)]

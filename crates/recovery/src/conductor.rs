@@ -2,9 +2,11 @@
 //!
 //! The recovery manager diagnoses *what* to recover; the conductor decides
 //! *when*. It sits between [`RecoveryManager`](crate::RecoveryManager)
-//! decisions and the per-node reboot lifecycle, and every reboot the
-//! cluster begins is one of its tickets (at a cap of 1 without quarantine
-//! the schedule is the serial "one recovery at a time" discipline):
+//! decisions and the per-node reboot lifecycle. Every reboot the cluster
+//! begins is one of its tickets except the rejuvenation service's
+//! microreboots, which the server begins directly (at a cap of 1 without
+//! quarantine the schedule is the serial "one recovery at a time"
+//! discipline):
 //!
 //! * every action is expanded to its full recovery group (the transitive
 //!   closure of container-spanning references, Section 3.2), so conflict
@@ -36,7 +38,6 @@
 use std::collections::BTreeMap;
 
 use components::graph::DependencyGraph;
-use components::CompName;
 use simcore::telemetry::{RebootLevel, SharedBus, TelemetryEvent};
 use simcore::SimTime;
 use urb_core::OpCode;
@@ -102,7 +103,7 @@ struct Ticket {
     level: RebootLevel,
     action: RecoveryAction,
     /// Expanded recovery-group members (component level; empty coarse).
-    members: Vec<CompName>,
+    members: Vec<&'static str>,
     /// Bitmask over operation codes whose call path touches `members`.
     mask: u64,
     /// Actions coalesced into this ticket.
@@ -116,7 +117,7 @@ impl Ticket {
 
     /// True if this ticket already covers a component action on `members`
     /// (coarse tickets cover everything on the node).
-    fn covers(&self, members: &[CompName]) -> bool {
+    fn covers(&self, members: &[&str]) -> bool {
         !self.is_component() || members.iter().all(|m| self.members.contains(m))
     }
 
@@ -138,9 +139,9 @@ struct NodeSched {
 pub struct Conductor {
     config: ConductorConfig,
     /// Component → its full recovery group (sorted).
-    group_of: BTreeMap<CompName, Vec<CompName>>,
+    group_of: BTreeMap<&'static str, Vec<&'static str>>,
     /// Component → bitmask of the operations whose call path contains it.
-    op_mask: BTreeMap<CompName, u64>,
+    op_mask: BTreeMap<&'static str, u64>,
     sched: Vec<NodeSched>,
     /// Last published quarantine size per node (transition detection).
     q_members: Vec<u32>,
@@ -159,10 +160,7 @@ impl Conductor {
     ) -> Self {
         let mut group_of = BTreeMap::new();
         for group in graph.recovery_groups() {
-            let names: Vec<CompName> = group
-                .iter()
-                .map(|id| CompName::intern(graph.name_of(*id)))
-                .collect();
+            let names: Vec<&'static str> = group.iter().map(|id| graph.name_of(*id)).collect();
             for m in &names {
                 group_of.insert(*m, names.clone());
             }
@@ -170,10 +168,10 @@ impl Conductor {
         // One bit per operation code; the map is static, so this is the
         // whole conflict-relevant universe (ops ≥ 64 would need a wider
         // mask, far beyond eBid's 25).
-        let mut op_mask: BTreeMap<CompName, u64> = BTreeMap::new();
+        let mut op_mask: BTreeMap<&'static str, u64> = BTreeMap::new();
         for op in 0u16..64 {
             for comp in (path_of)(OpCode(op)) {
-                *op_mask.entry(CompName::intern(comp)).or_insert(0) |= 1 << op;
+                *op_mask.entry(*comp).or_insert(0) |= 1 << op;
             }
         }
         Conductor {
@@ -209,8 +207,8 @@ impl Conductor {
     }
 
     /// Expands component names to the union of their recovery groups.
-    pub(crate) fn expand(&self, components: &[CompName]) -> Vec<CompName> {
-        let mut members: Vec<CompName> = Vec::new();
+    pub(crate) fn expand(&self, components: &[&'static str]) -> Vec<&'static str> {
+        let mut members: Vec<&'static str> = Vec::new();
         for c in components {
             match self.group_of.get(c) {
                 Some(group) => {
@@ -227,13 +225,12 @@ impl Conductor {
                 }
             }
         }
-        // Sort by name, not symbol id: symbol ids depend on global
-        // interning order, and member order is visible in logs and traces.
-        members.sort_unstable_by_key(|m| m.as_str());
+        // Name order: logs and traces print the members.
+        members.sort_unstable();
         members
     }
 
-    fn mask_of(&self, members: &[CompName]) -> u64 {
+    fn mask_of(&self, members: &[&str]) -> u64 {
         members
             .iter()
             .map(|m| self.op_mask.get(m).copied().unwrap_or(0))
@@ -243,7 +240,7 @@ impl Conductor {
     /// Whether microreboots of the two (already expanded) member sets
     /// conflict: overlapping members, or a shared call path. This is the
     /// scheduling hot path the conductor bench exercises.
-    pub fn conflict_between(&self, a: &[CompName], b: &[CompName]) -> bool {
+    pub fn conflict_between(&self, a: &[&str], b: &[&str]) -> bool {
         self.mask_of(a) & self.mask_of(b) != 0 || a.iter().any(|m| b.contains(m))
     }
 
@@ -263,7 +260,7 @@ impl Conductor {
     fn submit_component(
         &mut self,
         node: usize,
-        members: Vec<CompName>,
+        members: Vec<&'static str>,
         mask: u64,
         now: SimTime,
     ) -> Submission {
@@ -302,7 +299,7 @@ impl Conductor {
                     t.members.push(m);
                 }
             }
-            t.members.sort_unstable_by_key(|m| m.as_str());
+            t.members.sort_unstable();
             t.mask |= mask;
             t.merged += 1;
             t.action = RecoveryAction::Microreboot {
@@ -481,17 +478,17 @@ impl Conductor {
 
     /// The node's current quarantine set: the union of all in-flight
     /// component-level recovery groups (empty when quarantine is off).
-    pub fn quarantined(&self, node: usize) -> Vec<CompName> {
+    pub fn quarantined(&self, node: usize) -> Vec<&'static str> {
         if !self.config.quarantine {
             return Vec::new();
         }
-        let mut v: Vec<CompName> = self.sched[node]
+        let mut v: Vec<&'static str> = self.sched[node]
             .active
             .iter()
             .filter(|t| t.is_component())
             .flat_map(|t| t.members.iter().copied())
             .collect();
-        v.sort_unstable_by_key(|m| m.as_str());
+        v.sort_unstable();
         v.dedup();
         v
     }
@@ -746,8 +743,7 @@ mod tests {
         let Submission::Started(cmd) = c.submit(0, mrb(&["A"]), t0()) else {
             panic!("first action starts");
         };
-        let q: Vec<&str> = c.quarantined(0).iter().map(|m| m.as_str()).collect();
-        assert_eq!(q, vec!["A", "B"]);
+        assert_eq!(c.quarantined(0), ["A", "B"]);
         c.on_finished(0, cmd.ticket, t0());
         assert!(c.quarantined(0).is_empty());
     }

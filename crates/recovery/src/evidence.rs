@@ -7,7 +7,6 @@
 
 use std::collections::BTreeMap;
 
-use components::CompName;
 use simcore::{SimDuration, SimTime};
 use urb_core::OpCode;
 use workload::detect::{FailureKind, FailureReport};
@@ -37,7 +36,7 @@ struct Report {
     /// The failed op, for path scoring — `None` for network failures.
     op: Option<OpCode>,
     /// The component the error page named, if any.
-    hint: Option<CompName>,
+    hint: Option<&'static str>,
     weight: f64,
 }
 
@@ -110,16 +109,14 @@ impl Evidence {
     /// URL path traverses (or whose hint names) one of them — so what
     /// remains can implicate a *different* concurrent fault instead of
     /// re-diagnosing the one already being cured.
-    pub(crate) fn consume(&mut self, components: &[CompName], path_of: PathOf) {
+    pub(crate) fn consume(&mut self, components: &[&str], path_of: PathOf) {
         self.recent.retain(|r| {
             if r.hint.is_some_and(|h| components.contains(&h)) {
                 return false;
             }
             match r.op {
                 None => true,
-                Some(op) => !(path_of)(op)
-                    .iter()
-                    .any(|c| CompName::lookup(c).is_some_and(|c| components.contains(&c))),
+                Some(op) => !(path_of)(op).iter().any(|c| components.contains(c)),
             }
         });
         self.first_report_at = self.recent.first().map(|r| r.at);
@@ -128,16 +125,16 @@ impl Evidence {
     /// The most frequently hinted non-web component, ties toward the
     /// lexically first.
     pub(crate) fn top_hint(&self, web: &'static str) -> Option<&'static str> {
-        let mut counts: BTreeMap<CompName, u64> = BTreeMap::new();
+        let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
         for h in self.recent.iter().filter_map(|r| r.hint) {
-            if h.as_str() != web {
+            if h != web {
                 *counts.entry(h).or_insert(0) += 1;
             }
         }
         counts
             .into_iter()
-            .max_by_key(|(c, n)| (*n, std::cmp::Reverse(c.as_str())))
-            .map(|(c, _)| c.as_str())
+            .max_by_key(|&(c, n)| (n, std::cmp::Reverse(c)))
+            .map(|(c, _)| c)
     }
 
     /// Scores components along the failed URLs' static call paths. The
@@ -161,7 +158,7 @@ impl Evidence {
                 *scored.scores.entry(comp).or_insert(0.0) += w * r.weight;
             }
             if let (true, Some(h)) = (weigh_hints, r.hint) {
-                *scored.scores.entry(h.as_str()).or_insert(0.0) += 2.0;
+                *scored.scores.entry(h).or_insert(0.0) += 2.0;
             }
         }
         scored

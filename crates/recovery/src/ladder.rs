@@ -10,7 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use components::CompName;
 use simcore::telemetry::{DecisionKind, TelemetryEvent};
 use simcore::SimTime;
 use workload::detect::FailureReport;
@@ -40,10 +39,10 @@ struct NodeDiag {
     /// `flap_window` of the previous) it has accumulated. Deliberately
     /// *not* cleared when the ladder resets after a quiet period — a slow
     /// flap looks exactly like a sequence of fresh episodes.
-    urb_history: BTreeMap<CompName, (SimTime, u32)>,
+    urb_history: BTreeMap<&'static str, (SimTime, u32)>,
     /// Storm-damper deadlines: no new microreboot of the component before
     /// its deadline.
-    damped_until: BTreeMap<CompName, SimTime>,
+    damped_until: BTreeMap<&'static str, SimTime>,
     /// Watchdog anchor: when the current failure episode began. Survives
     /// `recovery_finished` (an episode spans repeated recoveries) and
     /// resets only when a quiet period resets the ladder.

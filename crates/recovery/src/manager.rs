@@ -13,8 +13,6 @@ use simcore::telemetry::{RebootLevel, SharedBus, TelemetryEvent};
 use simcore::{MetricsRegistry, SimDuration, SimTime};
 use workload::detect::{FailureKind, FailureReport};
 
-use components::CompName;
-
 use crate::policy::{PathOf, PolicyChoice, PolicyCtx, RecoveryPolicy};
 
 /// A recovery action the manager wants executed on a node.
@@ -22,10 +20,8 @@ use crate::policy::{PathOf, PolicyChoice, PolicyCtx, RecoveryPolicy};
 pub enum RecoveryAction {
     /// Microreboot these components (the server expands recovery groups).
     Microreboot {
-        /// Interned component names to reboot — the same symbols the
-        /// naming registry keys on, so the conductor's conflict sets and
-        /// the server's group expansion agree by identity, not by string.
-        components: Vec<CompName>,
+        /// Deployment names of the components to reboot.
+        components: Vec<&'static str>,
     },
     /// Restart the whole application.
     RestartApp,
@@ -37,8 +33,8 @@ pub enum RecoveryAction {
     /// rebooting anything (the bulkhead policy's first rung). The
     /// executor sheds their traffic for a hold period, then acknowledges.
     Isolate {
-        /// Interned component names to wall off.
-        components: Vec<CompName>,
+        /// Deployment names of the components to wall off.
+        components: Vec<&'static str>,
     },
     /// Redirect the node's traffic to its peers before (instead of)
     /// recovering in place — the failover-first policy's opening move.
@@ -48,17 +44,10 @@ pub enum RecoveryAction {
 }
 
 impl RecoveryAction {
-    /// Builds a microreboot action from string names, interning them.
+    /// Builds a microreboot action from component names.
     pub fn microreboot(names: &[&'static str]) -> RecoveryAction {
         RecoveryAction::Microreboot {
-            components: names.iter().map(|n| CompName::intern(n)).collect(),
-        }
-    }
-
-    /// Builds an isolation action from string names, interning them.
-    pub(crate) fn isolate(names: &[&'static str]) -> RecoveryAction {
-        RecoveryAction::Isolate {
-            components: names.iter().map(|n| CompName::intern(n)).collect(),
+            components: names.to_vec(),
         }
     }
 
@@ -209,7 +198,7 @@ impl RmStats {
 }
 
 /// The recovery manager: telemetry plumbing around a hosted
-/// [`RecoveryPolicy`].
+/// `RecoveryPolicy`.
 ///
 /// One manager oversees a whole cluster; diagnosis state lives in the
 /// policy, per node. The simulation forwards monitor reports via
@@ -623,7 +612,7 @@ mod tests {
     #[test]
     fn hints_separate_overlapping_failure_streams() {
         let hrep = |op: u16, at: u64, hint: &'static str| FailureReport {
-            hint: Some(components::CompName::intern(hint)),
+            hint: Some(hint),
             ..rep(op, 0, at, FailureKind::Keyword)
         };
         let mut m = rm(RmConfig {
@@ -647,7 +636,7 @@ mod tests {
         let mut m = rm(RmConfig::default());
         for _ in 0..3 {
             m.report(&FailureReport {
-                hint: Some(components::CompName::intern("Browse")),
+                hint: Some("Browse"),
                 ..rep(1, 0, 1, FailureKind::Keyword)
             });
         }
@@ -707,7 +696,7 @@ mod tests {
         );
         let same_comp_urbs = actions
             .iter()
-            .filter(|a| matches!(a, RecoveryAction::Microreboot { components } if components[0].as_str() == "Item"))
+            .filter(|a| matches!(a, RecoveryAction::Microreboot { components } if components[0] == "Item"))
             .count();
         assert!(same_comp_urbs <= 2, "flap cap exceeded: {actions:?}");
         assert!(m.stats().flap_escalations >= 1);

@@ -76,7 +76,9 @@ impl PolicyLevel {
         let suspect = || hinted.or_else(|| scored.suspect(ctx));
         match self {
             PolicyLevel::Isolate => (
-                RecoveryAction::isolate(&[suspect().unwrap_or(ctx.web)]),
+                RecoveryAction::Isolate {
+                    components: vec![suspect().unwrap_or(ctx.web)],
+                },
                 DecisionKind::Isolate,
             ),
             PolicyLevel::Failover => (RecoveryAction::Failover, DecisionKind::Failover),

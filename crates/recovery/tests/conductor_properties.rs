@@ -9,13 +9,14 @@
 //! * the per-node concurrency cap is never exceeded;
 //! * at most one coarse (non-component) recovery runs at a time, and
 //!   never alongside component reboots;
+//! * a started microreboot's members and the quarantine set are strictly
+//!   ascending by name (the order logs print);
 //! * **ack conservation** — once everything drains, the conductor has
 //!   acknowledged exactly one `recovery_finished` per submission, no
 //!   matter how aggressively tickets coalesced or superseded each other.
 
 use components::descriptor::{ComponentDescriptor, ComponentKind};
 use components::graph::DependencyGraph;
-use components::CompName;
 use recovery::conductor::{Conductor, ConductorConfig, StartCmd, Submission};
 use recovery::RecoveryAction;
 use simcore::rng::SimRng;
@@ -61,7 +62,7 @@ fn path(op: OpCode) -> &'static [&'static str] {
 
 /// What the driver knows about a running ticket, for invariant checks.
 enum Blast {
-    Members(Vec<CompName>),
+    Members(Vec<&'static str>),
     Coarse,
 }
 
@@ -82,6 +83,17 @@ fn check_invariants(
         active.len() <= cap.max(1),
         "step {step}: concurrency cap exceeded"
     );
+    let ascending = |names: &[&str]| names.windows(2).all(|w| w[0] < w[1]);
+    let quarantined = conductor.quarantined(0);
+    assert!(
+        ascending(&quarantined),
+        "step {step}: quarantine set out of order: {quarantined:?}"
+    );
+    for (_, blast) in active {
+        if let Blast::Members(m) = blast {
+            assert!(ascending(m), "step {step}: members out of order: {m:?}");
+        }
+    }
     for (i, (_, a)) in active.iter().enumerate() {
         for (_, b) in &active[i + 1..] {
             match (a, b) {

@@ -132,8 +132,7 @@ impl Walk {
                 let members = match action {
                     RecoveryAction::Microreboot { components }
                     | RecoveryAction::Isolate { components } => {
-                        let names: Vec<&str> = components.iter().map(|c| c.as_str()).collect();
-                        format!("[{}]", names.join(","))
+                        format!("[{}]", components.join(","))
                     }
                     _ => String::new(),
                 };

@@ -14,7 +14,7 @@
 //!   [`TelemetrySink`] implementations over them,
 //! * [`metrics`] — the registry folding the event stream into canonical
 //!   counters, the backing store for every layer's statistics,
-//! * [`sketch`] — deterministic streaming quantile sketches
+//! * `sketch` — deterministic streaming quantile sketches
 //!   (log-linear HDR-style), the latency substrate of the
 //!   performance-observability plane,
 //! * [`trace`] — recovery-episode assembly and the deterministic JSONL

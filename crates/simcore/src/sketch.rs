@@ -98,7 +98,7 @@ impl QuantileSketch {
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`): the upper bound of the
     /// first bucket whose cumulative count reaches `ceil(q * total)`.
     /// Returns 0 on an empty sketch. The estimate is deterministic and
-    /// within `1/`[`SUBBUCKETS`] relative error of the exact quantile.
+    /// within `1/SUBBUCKETS` relative error of the exact quantile.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.total == 0 {
             return 0;

@@ -16,7 +16,7 @@
 //! a clone of the handle lives inside the bus.
 //!
 //! Events carry only plain scalar fields and have a canonical byte
-//! encoding ([`TelemetryEvent::encode_into`]), which makes a run's trace
+//! encoding (`TelemetryEvent::encode_into`), which makes a run's trace
 //! hashable: two runs are behaviourally identical iff their
 //! [`TraceHashSink`] digests match.
 
@@ -572,7 +572,7 @@ pub trait TelemetrySink {
     /// True if this sink consumes the event's canonical byte encoding
     /// (digesting and recording sinks). The bus encodes an event only when
     /// at least one attached sink says so, so runs without a digest or
-    /// recorder skip [`TelemetryEvent::encode_into`] entirely.
+    /// recorder skip `TelemetryEvent::encode_into` entirely.
     fn wants_encoded(&self) -> bool {
         false
     }

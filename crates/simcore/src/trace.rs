@@ -378,7 +378,7 @@ struct NodeState {
 /// * `DetectorFired` reports accrue per node until the next
 ///   `RecoveryDecision` on that node claims them.
 /// * Decisions wait in per-node FIFO order for the first `RebootBegun`
-///   whose level matches [`decision_level`]; `NotifyHuman` never matches.
+///   whose level matches `decision_level`; `NotifyHuman` never matches.
 /// * `RecoveryQueued` / `RecoveryCoalesced` / `QuarantineOn` seen before
 ///   the begun event attach to the node's next episode; `QuarantineOff`
 ///   attaches to the node's open (or most recently closed) episode.

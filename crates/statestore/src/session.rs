@@ -29,7 +29,7 @@ const CHUNK: u64 = 256;
 ///
 /// Each node mints its ids one after another from `node << 32`, so the
 /// ids a store holds fill a few dense runs. The map keeps values in
-/// chunks of [`CHUNK`] consecutive ids, behind an index of the chunks
+/// chunks of `CHUNK` consecutive ids, behind an index of the chunks
 /// that hold anything, sorted by id: a lookup is a binary search over the
 /// chunks and an index into one, an insert into a live chunk allocates
 /// nothing, and a chunk is freed with its last value. Iteration runs in

@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use components::CompName;
 use simcore::telemetry::{SharedBus, TelemetryEvent, TelemetrySink};
 use simcore::{SimDuration, SimRng, SimTime, WeightTable};
 use statestore::{SessionId, SharedLedger};
@@ -620,7 +619,7 @@ impl ClientPool {
             // Error pages name the failing bean (JBoss prints the class in
             // the stack trace); only bodies with exception text carry it.
             let hint = if response.markers.exception_text {
-                response.failed_component.map(CompName::intern)
+                response.failed_component
             } else {
                 None
             };

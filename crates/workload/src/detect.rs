@@ -17,7 +17,6 @@
 //! detector flags exactly those responses. This is semantically the
 //! comparison against a fault-free twin, without simulating the twin.
 
-use components::CompName;
 use simcore::SimTime;
 use urb_core::{OpCode, Response};
 
@@ -29,7 +28,7 @@ pub enum DetectorKind {
     /// Simple checks plus the known-good comparison.
     Comparison,
     /// Simple checks plus the windowed latency-anomaly tracker
-    /// ([`crate::perf`]). Per-response classification is identical to
+    /// (`crate::perf`). Per-response classification is identical to
     /// [`DetectorKind::Simple`]: fail-slow evidence comes from comparing
     /// live latency sketches against a frozen baseline, never from any
     /// single response.
@@ -60,7 +59,7 @@ pub enum FailureKind {
     Comparison,
     /// A component's live latency quantiles drifted beyond the configured
     /// multiplier of its frozen pre-fault baseline. Produced only by the
-    /// perf tracker's windowed check ([`crate::perf`]) — every response
+    /// perf tracker's windowed check (`crate::perf`) — every response
     /// in the window may be individually healthy.
     LatencyAnomaly,
 }
@@ -82,7 +81,7 @@ pub struct FailureReport {
     /// class). Under concurrent faults this is what lets the recovery
     /// manager separate overlapping failure streams; plain HTTP/network
     /// failures carry no hint.
-    pub hint: Option<CompName>,
+    pub hint: Option<&'static str>,
 }
 
 /// Classifies a response, given whether the client believed itself logged

@@ -12,14 +12,14 @@
 //! * [`catalog`] — operation metadata and the Markov transition matrix
 //!   (applications provide their own catalog; eBid's lives in the `ebid`
 //!   crate),
-//! * [`client`] — the emulated client population (think times, cookies,
+//! * `client` — the emulated client population (think times, cookies,
 //!   transparent `Retry-After` handling, re-login after session loss),
 //! * [`taw`] — the Taw tracker: per-second good/bad series, response
 //!   times, functional-group availability gaps,
 //! * [`detect`] — the two failure detectors of Section 4 (simple
 //!   end-to-end and comparison-based) producing failure reports for the
 //!   recovery manager,
-//! * [`perf`] — the performance-observability plane's windowed baseline
+//! * `perf` — the performance-observability plane's windowed baseline
 //!   tracker: freezes pre-fault latency/throughput baselines, raises
 //!   fail-slow anomalies, and gates recovery on performance parity.
 
